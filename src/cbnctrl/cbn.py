@@ -1,16 +1,19 @@
-"""Discrete Bayesian networks over a Dag, with exact inference by enumeration.
+"""Discrete Bayesian networks over a Dag, with exact inference on the joint.
 
-Enumeration is deliberately the only inference route: at desk scale it is
-the simplest computation that can serve as a trusted reference for every
-faster path built on top of it.
+Every probability the package computes is read off one full-joint tensor,
+built by `Cbn.joint` under a `Budget`.  That keeps a single inference
+engine and a single place where the state-space cap is enforced; the
+literal sum over completions survives only as `oracle.enumerate_prob`, the
+reference the tensor is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import prod
 from typing import Mapping
+
+import numpy as np
 
 from .graph import Dag
 
@@ -21,6 +24,54 @@ Assignment = dict[str, int]
 
 class ZeroProbabilityError(ValueError):
     """Conditioning event has probability zero."""
+
+
+class BudgetExceededError(RuntimeError):
+    """An exhaustive computation would exceed the configured budget."""
+
+    def __init__(self, message: str, estimate: int | None = None, limit: int | None = None):
+        super().__init__(message)
+        self.estimate = estimate
+        self.limit = limit
+
+
+@dataclass(frozen=True)
+class Budget:
+    """Caps for exhaustive searches; exceeding one raises, never subsamples."""
+
+    max_state_space: int = 2 ** 14
+    max_set_size: int = 10
+    max_work: int = 50_000_000
+
+    def check_state_space(self, size: int) -> None:
+        if size > self.max_state_space:
+            raise BudgetExceededError(
+                f"state space of {size} configurations exceeds the cap of "
+                f"{self.max_state_space}",
+                estimate=size,
+                limit=self.max_state_space,
+            )
+
+    def check_set_size(self, size: int) -> None:
+        if size > self.max_set_size:
+            raise BudgetExceededError(
+                f"subset search over {size} candidates exceeds the cap of "
+                f"{self.max_set_size}",
+                estimate=size,
+                limit=self.max_set_size,
+            )
+
+    def check_work(self, estimate: int) -> None:
+        if estimate > self.max_work:
+            raise BudgetExceededError(
+                f"estimated {estimate} elementary operations exceed the budget of "
+                f"{self.max_work}; raise the budget to at least {estimate} to run this",
+                estimate=estimate,
+                limit=self.max_work,
+            )
+
+
+DEFAULT_BUDGET = Budget()
 
 
 @dataclass(frozen=True)
@@ -138,6 +189,8 @@ class Cbn:
                         f"cpd for {name!r}: parent {pname!r} cardinality {pcard}, expected {self._cards[pname]}"
                     )
             self._cpds[name] = cpd
+        self._axis = {name: i for i, name in enumerate(dag.nodes)}
+        self._shape = tuple(self._cards[name] for name in dag.nodes)
 
     @property
     def dag(self) -> Dag:
@@ -188,17 +241,46 @@ class Cbn:
             p *= self._cpds[name].prob(assignment[name], assignment)
         return p
 
-    def marginal_prob(self, event: Mapping[str, int]) -> float:
-        """Probability of a partial assignment, by summing over completions."""
+    def expand(self, arr: np.ndarray, involved: list[str]) -> np.ndarray:
+        """Permute ``arr`` (axes = ``involved``) into ``dag.nodes`` order and
+        reshape with singleton axes so it broadcasts over the joint tensor."""
+        axis = self._axis
+        order = sorted(range(len(involved)), key=lambda i: axis[involved[i]])
+        shape = [1] * len(self._shape)
+        for name in involved:
+            shape[axis[name]] = self._shape[axis[name]]
+        return np.transpose(arr, order).reshape(shape)
+
+    def joint(
+        self,
+        event: Mapping[str, int] | None = None,
+        skip=(),
+        budget: Budget | None = None,
+    ) -> np.ndarray:
+        """Full-joint tensor, one axis per node in ``dag.nodes`` order.
+
+        The product of the CPD factors of every node not in ``skip``, times
+        an indicator for each value ``event`` pins.  This is the only place
+        the state-space cap of ``budget`` is checked.
+        """
+        event = event or {}
         self._check_assignment(event, full=False)
-        free = [n for n in self._dag.nodes if n not in event]
-        total = 0.0
-        scratch = dict(event)
-        for values in product(*(range(self._cards[n]) for n in free)):
-            for name, value in zip(free, values):
-                scratch[name] = value
-            total += self.joint_prob(scratch)
-        return total
+        (budget or DEFAULT_BUDGET).check_state_space(self.state_space_size())
+        tensor = np.ones(self._shape)
+        for name in self._dag.nodes:
+            if name not in skip:
+                cpd = self._cpds[name]
+                arr = np.asarray(cpd.rows, dtype=float).reshape(*cpd.parent_cards, cpd.card)
+                tensor = tensor * self.expand(arr, list(cpd.parents) + [name])
+        for name, value in event.items():
+            indicator = np.zeros(self._cards[name])
+            indicator[value] = 1.0
+            tensor = tensor * self.expand(indicator, [name])
+        return tensor
+
+    def marginal_prob(self, event: Mapping[str, int], budget: Budget | None = None) -> float:
+        """Probability of a partial assignment."""
+        return float(self.joint(event, budget=budget).sum())
 
     def conditional_prob(self, event: Mapping[str, int], given: Mapping[str, int]) -> float:
         """P(event | given); raises ZeroProbabilityError when P(given) = 0."""
@@ -206,10 +288,9 @@ class Cbn:
         if overlap:
             raise ValueError(f"event and given overlap on {sorted(overlap)}")
         self._check_assignment(event, full=False)
-        self._check_assignment(given, full=False)
-        denom = self.marginal_prob(given)
+        joint = self.joint(given)
+        denom = float(joint.sum())
         if denom == 0.0:
             raise ZeroProbabilityError(f"conditioning event {dict(given)} has probability zero")
-        joint = dict(event)
-        joint.update(given)
-        return self.marginal_prob(joint) / denom
+        pinned = tuple(event.get(name, slice(None)) for name in self._dag.nodes)
+        return float(joint[pinned].sum()) / denom

@@ -17,7 +17,8 @@ from math import prod
 
 import numpy as np
 
-from .cbn import Cbn, Cpd
+# Budget and its error live in cbn; they stay importable from here
+from .cbn import DEFAULT_BUDGET, Budget, BudgetExceededError, Cbn, Cpd
 from .graph import Dag
 from .intervention import (
     CLASS_INF,
@@ -51,56 +52,7 @@ class Objective(Enum):
 
 class Provenance(Enum):
     C_STAR = "c-star"
-    EXHAUSTIVE_ORACLE = "exhaustive-oracle"
     SHORTCUT = "shortcut"
-
-
-class BudgetExceededError(RuntimeError):
-    """An exhaustive computation would exceed the configured budget."""
-
-    def __init__(self, message: str, estimate: int | None = None, limit: int | None = None):
-        super().__init__(message)
-        self.estimate = estimate
-        self.limit = limit
-
-
-@dataclass(frozen=True)
-class Budget:
-    """Caps for exhaustive searches; exceeding one raises, never subsamples."""
-
-    max_state_space: int = 2 ** 14
-    max_set_size: int = 10
-    max_work: int = 50_000_000
-
-    def check_state_space(self, size: int) -> None:
-        if size > self.max_state_space:
-            raise BudgetExceededError(
-                f"state space of {size} configurations exceeds the cap of "
-                f"{self.max_state_space}",
-                estimate=size,
-                limit=self.max_state_space,
-            )
-
-    def check_set_size(self, size: int) -> None:
-        if size > self.max_set_size:
-            raise BudgetExceededError(
-                f"subset search over {size} candidates exceeds the cap of "
-                f"{self.max_set_size}",
-                estimate=size,
-                limit=self.max_set_size,
-            )
-
-    def check_work(self, estimate: int) -> None:
-        if estimate > self.max_work:
-            raise BudgetExceededError(
-                f"estimated {estimate} elementary operations exceed the budget of "
-                f"{self.max_work}; raise the budget to at least {estimate} to run this",
-                estimate=estimate,
-                limit=self.max_work,
-            )
-
-
-DEFAULT_BUDGET = Budget()
 
 
 @dataclass(frozen=True)
@@ -167,37 +119,6 @@ def c_star(problem: ControlProblem) -> DriverSet:
     return DriverSet(bc.terminals, Provenance.C_STAR)
 
 
-class _Space:
-    """Axis bookkeeping for full-joint tensors over a network's nodes."""
-
-    def __init__(self, cbn: Cbn):
-        self.nodes = cbn.dag.nodes
-        self.axis = {n: i for i, n in enumerate(self.nodes)}
-        cards = cbn.cards
-        self.cards = tuple(cards[n] for n in self.nodes)
-        self.size = prod(self.cards)
-
-    def expand(self, arr: np.ndarray, involved: list[str]) -> np.ndarray:
-        """Permute ``arr`` (axes = ``involved``) into global axis order and
-        reshape with singleton axes so it broadcasts over the full joint."""
-        order = sorted(range(len(involved)), key=lambda i: self.axis[involved[i]])
-        arr = np.transpose(arr, order)
-        shape = [1] * len(self.nodes)
-        for name in involved:
-            shape[self.axis[name]] = self.cards[self.axis[name]]
-        return arr.reshape(shape)
-
-    def factor(self, cpd: Cpd) -> np.ndarray:
-        arr = np.asarray(cpd.rows, dtype=float).reshape(*cpd.parent_cards, cpd.card)
-        return self.expand(arr, list(cpd.parents) + [cpd.owner])
-
-    def indicator(self, node: str, value: int) -> np.ndarray:
-        card = self.cards[self.axis[node]]
-        arr = np.zeros(card)
-        arr[value] = 1.0
-        return self.expand(arr, [node])
-
-
 def _check_event(cbn: Cbn, event) -> dict[str, int]:
     cards = cbn.cards
     out: dict[str, int] = {}
@@ -239,34 +160,27 @@ def _pick_chain(
     A valid chain is an ordering d1..dm with scope(di) + {di} contained in
     scope(d(i+1)); those drivers are optimized per scope configuration by
     nested reductions, everything else by explicit table enumeration.  The
-    split minimizes the number of enumerated table combinations.
+    split minimizes the number of enumerated table combinations, that is it
+    maximizes the product of the chained table counts; ties go to the longer
+    chain, then to the smaller bitmask over ``drivers``.
+
+    Nesting is a strict partial order, so the best chain ending at a driver
+    is the best chain ending at one of its predecessors plus that driver:
+    appending one driver to two chains keeps their order under the key.
     """
-    k = len(drivers)
-    scan = range(1 << k) if k <= 12 else []
-    best_key = None
-    best_chain: list[str] = []
-    for mask in scan:
-        cand = [drivers[i] for i in range(k) if mask >> i & 1]
-        cand.sort(key=lambda d: (len(scope_sets[d]), dag.index(d)))
-        ok = True
-        for a, b in zip(cand, cand[1:]):
-            if not (scope_sets[a] | {a}) <= scope_sets[b]:
-                ok = False
-                break
-        if not ok:
-            continue
-        outer = prod(table_counts[e] for e in drivers if e not in cand)
-        key = (outer, k - len(cand), mask)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_chain = cand
-    if best_key is None:
-        # scan skipped: fall back to the single most expensive driver
-        heaviest = max(drivers, key=lambda d: (table_counts[d], -dag.index(d)))
-        best_chain = [heaviest]
-    chain_set = set(best_chain)
-    enumerated = [d for d in drivers if d not in chain_set]
-    return best_chain, enumerated
+    bit = {d: 1 << i for i, d in enumerate(drivers)}
+    # per chain end: (table product, length, -bitmask, chain); higher is better
+    best: dict[str, tuple] = {}
+    for b in sorted(drivers, key=lambda d: (len(scope_sets[d]), dag.index(d))):
+        head = (1, 0, 0, [])
+        for a, entry in best.items():
+            if entry[:3] > head[:3] and (scope_sets[a] | {a}) <= scope_sets[b]:
+                head = entry
+        product_, length, negmask, chain = head
+        best[b] = (product_ * table_counts[b], length + 1, negmask - bit[b], chain + [b])
+    chain = max(best.values(), key=lambda e: e[:3])[3] if best else []
+    enumerated = [d for d in drivers if d not in chain]
+    return chain, enumerated
 
 
 def optimal_policy_value(
@@ -294,24 +208,16 @@ def optimal_policy_value(
         raise ValueError("desired event must be non-empty")
     if not isinstance(direction, Direction):
         raise ValueError(f"direction must be a Direction, got {direction!r}")
-    budget.check_state_space(cbn.state_space_size())
 
     if not driver_list:
-        return cbn.marginal_prob(desired), InterventionPair.empty()
+        return cbn.marginal_prob(desired, budget), InterventionPair.empty()
 
-    space = _Space(cbn)
+    base = cbn.joint(desired, skip=driver_list, budget=budget)
     cards = cbn.cards
     scopes = {d: scope_for_class(dag, d, ip_class) for d in driver_list}
     scope_cards = {d: tuple(cards[s] for s in scopes[d]) for d in driver_list}
     cells = {d: prod(scope_cards[d]) for d in driver_list}
     table_counts = {d: cards[d] ** cells[d] for d in driver_list}
-
-    base = np.ones(space.cards)
-    for node in space.nodes:
-        if node not in scopes:
-            base = base * space.factor(cbn.cpd(node))
-    for node, value in desired.items():
-        base = base * space.indicator(node, value)
 
     maximize = direction is Direction.MAX
 
@@ -323,10 +229,11 @@ def optimal_policy_value(
         budget.check_work(prod(cards[d] for d in driver_list) * len(driver_list))
         best_value = None
         best_vector = None
+        axes = [dag.index(d) for d in driver_list]
         for vector in product(*(range(cards[d]) for d in driver_list)):
-            idx: list = [slice(None)] * len(space.nodes)
-            for name, value in zip(driver_list, vector):
-                idx[space.axis[name]] = value
+            idx: list = [slice(None)] * base.ndim
+            for axis, value in zip(axes, vector):
+                idx[axis] = value
             value = float(base[tuple(idx)].sum())
             if best_value is None or (value > best_value if maximize else value < best_value):
                 best_value = value
@@ -340,7 +247,7 @@ def optimal_policy_value(
     chain, enumerated = _pick_chain(driver_list, scope_sets, table_counts, dag)
 
     outer_total = prod(table_counts[e] for e in enumerated)
-    budget.check_work(outer_total * space.size)
+    budget.check_work(outer_total * base.size)
 
     # reduction order: each chain driver sits right after its scope, so the
     # nested optimum at its axis ranges over tables on exactly that scope
@@ -348,7 +255,7 @@ def optimal_policy_value(
     kinds: list[str | None] = []  # None = summed chance axis, else the driver
     placed: set[str] = set()
     for d in chain:
-        for node in space.nodes:
+        for node in dag.nodes:
             if node in scope_sets[d] and node not in placed:
                 order.append(node)
                 kinds.append(None)
@@ -356,11 +263,11 @@ def optimal_policy_value(
         order.append(d)
         kinds.append(d)
         placed.add(d)
-    for node in space.nodes:
+    for node in dag.nodes:
         if node not in placed:
             order.append(node)
             kinds.append(None)
-    perm = [space.axis[n] for n in order]
+    perm = [dag.index(n) for n in order]
 
     reduce_opt = np.maximum.reduce if maximize else np.minimum.reduce
 
@@ -400,7 +307,7 @@ def optimal_policy_value(
             arr = arr.reshape(*scope_cards[e], card)
         else:
             arr = arr.reshape(card)
-        return space.expand(arr, list(scopes[e]) + [e])
+        return cbn.expand(arr, list(scopes[e]) + [e])
 
     best_value = None
     best_combo = None
@@ -470,7 +377,7 @@ def solve(
             desired_value = problem.desired_map[target]
             off_value = 1 if desired_value == 0 else 0
             pair = InterventionPair.of(atomic_policy(target, off_value, cbn.cards[target]))
-            value = interventional_prob(cbn, pair, problem.desired_map)
+            value = interventional_prob(cbn, pair, problem.desired_map, budget)
             return SolveResult(ds, value, pair)
         ds = c_star(problem)
         if cbn is None:
@@ -484,7 +391,8 @@ def solve(
     ds = DriverSet((), Provenance.SHORTCUT)
     if cbn is None:
         return SolveResult(ds, None, None)
-    return SolveResult(ds, cbn.marginal_prob(problem.desired_map), InterventionPair.empty())
+    value = cbn.marginal_prob(problem.desired_map, budget)
+    return SolveResult(ds, value, InterventionPair.empty())
 
 
 def usm_adversarial_cbn(dag: Dag, drivers, targets) -> tuple[Cbn, dict[str, int]]:

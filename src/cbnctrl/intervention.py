@@ -14,7 +14,7 @@ from itertools import product
 from math import prod
 from typing import Iterable, Mapping
 
-from .cbn import Cbn, Cpd
+from .cbn import Budget, Cbn, Cpd
 from .graph import INF, Dag
 
 #: Reserved name for the clamp node that marks intervened targets in the
@@ -275,14 +275,11 @@ def apply_intervention(cbn: Cbn, pair: InterventionPair) -> Cbn:
     return Cbn(new_dag, cards, cpds)
 
 
-def interventional_prob(cbn: Cbn, pair: InterventionPair, event: Mapping[str, int]) -> float:
+def interventional_prob(
+    cbn: Cbn, pair: InterventionPair, event: Mapping[str, int], budget: Budget | None = None
+) -> float:
     """Probability of ``event`` in the intervened network."""
-    return apply_intervention(cbn, pair).marginal_prob(event)
-
-
-def deterministic_tables(card: int, scope_cards: tuple[int, ...]) -> int:
-    """Number of deterministic tables for one policy: card ** (scope cells)."""
-    return card ** prod(scope_cards)
+    return apply_intervention(cbn, pair).marginal_prob(event, budget)
 
 
 def table_from_choices(

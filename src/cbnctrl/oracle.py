@@ -14,13 +14,10 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .cbn import Cbn
+from .cbn import DEFAULT_BUDGET, Budget, Cbn
 from .control import (
-    Budget,
     ControlProblem,
-    DEFAULT_BUDGET,
     Direction,
-    _Space,
     c_star,
     optimal_policy_value,
     usm_adversarial_cbn,
@@ -48,6 +45,21 @@ def iter_subsets(items: Iterable[str]) -> Iterator[tuple[str, ...]]:
         yield from combinations(pool, size)
 
 
+def enumerate_prob(cbn: Cbn, event: Mapping[str, int]) -> float:
+    """Probability of a partial assignment as the literal sum of
+    `Cbn.joint_prob` over its completions: the reference `Cbn.joint` is
+    tested against.  Unbudgeted, so keep it to small networks."""
+    nodes = cbn.dag.nodes
+    cards = cbn.cards
+    free = [n for n in nodes if n not in event]
+    total = 0.0
+    scratch = dict(event)
+    for values in product(*(range(cards[n]) for n in free)):
+        scratch.update(zip(free, values))
+        total += cbn.joint_prob(scratch)
+    return total
+
+
 def naive_policy_search(
     cbn: Cbn,
     drivers,
@@ -59,8 +71,9 @@ def naive_policy_search(
     """Literal deterministic-policy enumeration via repeated re-inference.
 
     Builds every policy combination as a full intervened network and asks
-    the enumeration engine for the probability; exists purely as a slow
-    cross-check for `control.optimal_policy_value`.
+    `interventional_prob` for the probability; exists purely as a slow
+    cross-check for the nested reductions of
+    `control.optimal_policy_value`.
     """
     dag = cbn.dag
     driver_list = tuple(sorted(set(drivers), key=dag.index))
@@ -106,7 +119,6 @@ def best_over_subsets(
     dag = cbn.dag
     pool = tuple(sorted(set(intervenable), key=dag.index))
     budget.check_set_size(len(pool))
-    budget.check_state_space(cbn.state_space_size())
     best = None
     for subset in iter_subsets(pool):
         value, pair = optimal_policy_value(cbn, subset, ip_class, desired, direction, budget)
@@ -146,28 +158,21 @@ def grid_policy_search(
     dag = cbn.dag
     driver_list = tuple(sorted(set(drivers), key=dag.index))
     if not driver_list:
-        return cbn.marginal_prob(desired)
-    budget.check_state_space(cbn.state_space_size())
+        return cbn.marginal_prob(desired, budget)
 
-    space = _Space(cbn)
+    nodes = dag.nodes
     cards = cbn.cards
-    base = np.ones(space.cards)
-    for node in space.nodes:
-        if node not in driver_list:
-            base = base * space.factor(cbn.cpd(node))
-    for node, value in desired.items():
-        base = base * space.indicator(node, value)
-    flat = base.reshape(-1)
+    flat = cbn.joint(desired, skip=driver_list, budget=budget).reshape(-1)
     size = flat.shape[0]
 
     # per-state value of each node, enumerated row-major over the axes
     strides = {}
     acc = 1
-    for node in reversed(space.nodes):
+    for node in reversed(nodes):
         strides[node] = acc
         acc *= cards[node]
     states = np.arange(size)
-    value_of = {n: (states // strides[n]) % cards[n] for n in space.nodes}
+    value_of = {n: (states // strides[n]) % cards[n] for n in nodes}
 
     metas = []
     total = 1
@@ -216,22 +221,26 @@ def grid_policy_search(
 
 def ci_holds(cbn: Cbn, a: str, b: str, z: Iterable[str], tol: float = 1e-9) -> bool:
     """Conditional independence of ``a`` and ``b`` given ``z`` in the
-    distribution, checked by enumeration."""
-    cards = cbn.cards
+    distribution: P(a, b | z) = P(a | z) P(b | z) for every ``z`` of
+    positive probability, all read off one joint tensor."""
     z_list = tuple(z)
-    for z_vals in product(*(range(cards[n]) for n in z_list)):
-        given = dict(zip(z_list, z_vals))
-        pz = cbn.marginal_prob(given)
-        if pz == 0.0:
-            continue
-        for va in range(cards[a]):
-            pa = cbn.marginal_prob({a: va, **given}) / pz
-            for vb in range(cards[b]):
-                pb = cbn.marginal_prob({b: vb, **given}) / pz
-                pab = cbn.marginal_prob({a: va, b: vb, **given}) / pz
-                if abs(pab - pa * pb) > tol:
-                    return False
-    return True
+    kept = (a, b) + z_list
+    if len(set(kept)) != len(kept):
+        raise ValueError("a, b and the members of z must be distinct")
+    for name in kept:
+        cbn.dag.index(name)
+    nodes = cbn.dag.nodes
+    joint = cbn.joint()
+    table = joint.sum(axis=tuple(i for i, n in enumerate(nodes) if n not in kept))
+    in_order = [n for n in nodes if n in kept]
+    table = np.transpose(table, [in_order.index(n) for n in kept])
+    cards = cbn.cards
+    pabz = table.reshape(cards[a], cards[b], -1)
+    pz = pabz.sum(axis=(0, 1))
+    pab = pabz[:, :, pz != 0.0] / pz[pz != 0.0]
+    pa = pab.sum(axis=1)
+    pb = pab.sum(axis=0)
+    return bool(np.all(np.abs(pab - pa[:, None, :] * pb[None, :, :]) <= tol))
 
 
 def random_dag(rng: np.random.Generator, n_nodes: int, edge_prob: float = 0.4, prefix: str = "v") -> Dag:
@@ -307,7 +316,7 @@ def verify_lemma3(
     dag = cbn.dag
     pool = tuple(sorted(set(intervenable), key=dag.index))
     budget.check_set_size(len(pool))
-    baseline = cbn.marginal_prob(desired)
+    baseline = cbn.marginal_prob(desired, budget)
     failures: list[str] = []
     checked = 0
     for subset in iter_subsets(pool):
@@ -380,7 +389,7 @@ def verify_usm(
     cbn, desired = usm_adversarial_cbn(dag, xstar, target_list)
     failures: list[str] = []
     full = InterventionPair(atomic_policy(d, 1, 2) for d in xstar)
-    achieved = interventional_prob(cbn, full, desired)
+    achieved = interventional_prob(cbn, full, desired, budget)
     if achieved != 1.0:
         failures.append(f"full driver set reaches only {achieved:.9f}")
     subset_count = 0

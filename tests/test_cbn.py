@@ -1,4 +1,4 @@
-"""Parametrized networks and enumeration inference.
+"""Parametrized networks and exact inference on the joint tensor.
 
 The two-node chain values below are frozen from hand computation:
 P(a=1)=0.7, P(b=1|a=0)=0.2, P(b=1|a=1)=0.5 give joint
@@ -11,8 +11,22 @@ from itertools import product
 import numpy as np
 import pytest
 
-from cbnctrl import Cbn, Cpd, Dag, ZeroProbabilityError
-from cbnctrl.oracle import random_cbn, random_dag
+from cbnctrl import (
+    Budget,
+    BudgetExceededError,
+    Cbn,
+    Cpd,
+    Dag,
+    InterventionPair,
+    InterventionPolicy,
+    ZeroProbabilityError,
+    apply_intervention,
+    atomic_policy,
+    ci_holds,
+    interventional_prob,
+    usm_adversarial_cbn,
+)
+from cbnctrl.oracle import enumerate_prob, random_cbn, random_dag
 
 
 def chain_ab():
@@ -158,3 +172,94 @@ class TestInference:
             chain_ab().marginal_prob({"b": 5})
         with pytest.raises(ValueError):
             chain_ab().marginal_prob({"zz": 0})
+
+
+def cross_check_networks():
+    """Seeded binary, ternary and 0/1-row networks."""
+    rng = np.random.default_rng(4242)
+    for _ in range(6):
+        dag = random_dag(rng, int(rng.integers(2, 9)))
+        yield rng, random_cbn(rng, dag)
+        dag = random_dag(rng, int(rng.integers(2, 6)))
+        yield rng, random_cbn(rng, dag, card=3)
+        dag = random_dag(rng, int(rng.integers(2, 9)))
+        drivers = [n for n in dag.nodes[:-1] if rng.random() < 0.5]
+        yield rng, usm_adversarial_cbn(dag, drivers, dag.nodes[-1:])[0]
+
+
+def random_event(rng, cbn, size):
+    nodes = cbn.dag.nodes
+    picked = rng.choice(len(nodes), size=min(size, len(nodes)), replace=False)
+    return {nodes[i]: int(rng.integers(cbn.cards[nodes[i]])) for i in sorted(picked)}
+
+
+def random_pair(rng, cbn):
+    """An atomic policy on one node and a stochastic policy on another that
+    reads up to two of its parents."""
+    nodes = cbn.dag.nodes
+    cards = cbn.cards
+    first, second = (nodes[i] for i in rng.choice(len(nodes), size=2, replace=False))
+    scope = cbn.dag.parents(second)[:2]
+    scope_cards = tuple(cards[s] for s in scope)
+    rows = []
+    for _ in range(int(np.prod(scope_cards))):
+        raw = rng.uniform(0.0, 1.0, cards[second])
+        rows.append(tuple(raw / raw.sum()))
+    table = Cpd(second, scope, scope_cards, tuple(rows))
+    return InterventionPair.of(
+        atomic_policy(first, int(rng.integers(cards[first])), cards[first]),
+        InterventionPolicy(second, scope, table),
+    )
+
+
+class TestEngineAgainstEnumeration:
+    """Every query the joint tensor answers matches the literal sum over
+    completions in `oracle.enumerate_prob`."""
+
+    def test_marginal(self):
+        for rng, cbn in cross_check_networks():
+            for size in range(len(cbn.dag.nodes) + 1):
+                event = random_event(rng, cbn, size)
+                assert abs(cbn.marginal_prob(event) - enumerate_prob(cbn, event)) <= 1e-12
+
+    def test_conditional(self):
+        for rng, cbn in cross_check_networks():
+            if len(cbn.dag.nodes) < 2:
+                continue
+            both = random_event(rng, cbn, int(rng.integers(2, len(cbn.dag.nodes) + 1)))
+            split = int(rng.integers(1, len(both)))
+            event = dict(list(both.items())[:split])
+            given = dict(list(both.items())[split:])
+            denom = enumerate_prob(cbn, given)
+            if denom == 0.0:
+                with pytest.raises(ZeroProbabilityError):
+                    cbn.conditional_prob(event, given)
+                continue
+            expect = enumerate_prob(cbn, both) / denom
+            assert abs(cbn.conditional_prob(event, given) - expect) <= 1e-12
+
+    def test_interventional(self):
+        for rng, cbn in cross_check_networks():
+            if len(cbn.dag.nodes) < 2:
+                continue
+            pair = random_pair(rng, cbn)
+            intervened = apply_intervention(cbn, pair)
+            for size in (1, 2):
+                event = random_event(rng, cbn, size)
+                expect = enumerate_prob(intervened, event)
+                assert abs(interventional_prob(cbn, pair, event) - expect) <= 1e-12
+
+    def test_state_space_cap_applies_to_every_query(self):
+        rng = np.random.default_rng(15)
+        cbn = random_cbn(rng, random_dag(rng, 15, 0.2))
+        a, b = cbn.dag.nodes[:2]
+        for query in (
+            lambda: cbn.marginal_prob({a: 0}),
+            lambda: cbn.conditional_prob({a: 0}, {b: 1}),
+            lambda: interventional_prob(cbn, InterventionPair.empty(), {a: 0}),
+            lambda: ci_holds(cbn, a, b, ()),
+        ):
+            with pytest.raises(BudgetExceededError) as info:
+                query()
+            assert info.value.estimate == 2 ** 15
+        assert cbn.marginal_prob({a: 0}, Budget(max_state_space=2 ** 15)) > 0.0

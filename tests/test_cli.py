@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import cbnctrl.cli as cli
-from cbnctrl import NetworkSpec, load, random_cbn, random_dag, save
+from cbnctrl import Dag, NetworkSpec, load, random_cbn, random_dag, save
 from cbnctrl.oracle import SuiteReport
 
 
@@ -104,6 +104,26 @@ class TestSolve:
         code, _, err = run(["solve", str(path), "--objective", "max-max"], capsys)
         assert code == 3
         assert "refused" in err
+
+    def test_every_probability_goes_through_the_budget(self, tmp_path, capsys):
+        # a 26-node chain: enumerating its 2^26 states would take minutes,
+        # so each command must refuse before building anything
+        names = [f"v{i}" for i in range(26)]
+        dag = Dag(names, list(zip(names, names[1:])))
+        cbn = random_cbn(np.random.default_rng(26), dag)
+        target = names[-1]
+        spec = NetworkSpec.from_cbn(cbn, (names[12], target), (target,), {target: 1})
+        path = str(tmp_path / "chain26.json")
+        save(spec, path)
+        for argv in (
+            ["eval", path],
+            ["solve", path, "--objective", "min-max"],
+            ["solve", path, "--objective", "min-min"],
+            ["verify", path, "--suite", "usm"],
+        ):
+            code, _, err = run(argv, capsys)
+            assert code == 3, argv
+            assert err.startswith("refused: state space of 67108864 configurations"), argv
 
 
 class TestVerify:

@@ -3,8 +3,8 @@
 The optimizer has three internal strategies (deterministic-network fast
 path, chained tensor reductions, literal table enumeration); every test
 that touches it cross-checks against `naive_policy_search`, which reaches
-the answer by rebuilding the intervened network and re-running enumeration
-inference for every table combination.
+the answer by rebuilding the intervened network and re-running inference
+for every table combination.
 """
 
 import numpy as np
@@ -33,6 +33,8 @@ from cbnctrl import (
     solve,
     usm_adversarial_cbn,
 )
+from cbnctrl.control import _pick_chain
+from cbnctrl.intervention import scope_for_class
 from cbnctrl.oracle import iter_subsets, random_cbn, random_dag, random_problem
 
 from test_cbn import xor_gate
@@ -205,6 +207,65 @@ class TestOptimizerAgainstNaive:
                 assert later >= earlier - 1e-9
             for earlier, later in zip(mins, mins[1:]):
                 assert later <= earlier + 1e-9
+
+
+def scan_chain(drivers, scope_sets, table_counts, dag):
+    """Reference split: scan all 2^k driver subsets for the valid chain with
+    the fewest enumerated table combinations, then the longest, then the
+    smallest bitmask."""
+    k = len(drivers)
+    best_key = None
+    best_chain = []
+    for mask in range(1 << k):
+        cand = [drivers[i] for i in range(k) if mask >> i & 1]
+        cand.sort(key=lambda d: (len(scope_sets[d]), dag.index(d)))
+        if any(not (scope_sets[a] | {a}) <= scope_sets[b] for a, b in zip(cand, cand[1:])):
+            continue
+        outer = 1
+        for e in drivers:
+            if e not in cand:
+                outer *= table_counts[e]
+        key = (outer, k - len(cand), mask)
+        if best_key is None or key < best_key:
+            best_key, best_chain = key, cand
+    return best_chain, [d for d in drivers if d not in best_chain]
+
+
+class TestChainSplit:
+    def test_dp_matches_subset_scan(self):
+        rng = np.random.default_rng(2718)
+        checked = 0
+        for _ in range(300):
+            dag = random_dag(rng, int(rng.integers(2, 12)), float(rng.uniform(0.2, 0.8)))
+            cards = {n: int(rng.choice([2, 2, 3])) for n in dag.nodes}
+            k = int(rng.integers(1, min(9, len(dag.nodes)) + 1))
+            picked = sorted(rng.choice(len(dag.nodes), size=k, replace=False))
+            drivers = tuple(dag.nodes[i] for i in picked)
+            for ip_class in (CLASS0, CLASS1, IpClass(2), CLASS_INF):
+                scope_sets, table_counts = {}, {}
+                for d in drivers:
+                    scope = scope_for_class(dag, d, ip_class)
+                    scope_sets[d] = frozenset(scope)
+                    cells = int(np.prod([cards[s] for s in scope]))
+                    table_counts[d] = cards[d] ** cells
+                got = _pick_chain(drivers, scope_sets, table_counts, dag)
+                assert got == scan_chain(drivers, scope_sets, table_counts, dag)
+                checked += 1
+        assert checked == 1200
+
+    def test_thirteen_nested_drivers_solve(self):
+        # drivers d0..d12 in a chain, each a parent of o: the whole driver
+        # set nests, so every driver is chained and no table is enumerated
+        drivers = tuple(f"d{i}" for i in range(13))
+        edges = list(zip(drivers, drivers[1:])) + [(d, "o") for d in drivers]
+        dag = Dag(drivers + ("o",), edges)
+        cbn = random_cbn(np.random.default_rng(13), dag)
+        problem = ControlProblem(dag, drivers, ("o",), (1,), Objective.MAX_MAX)
+        result = solve(problem, cbn)
+        assert result.drivers.members == drivers
+        assert result.value == pytest.approx(max(row[1] for row in cbn.cpd("o").rows), abs=1e-12)
+        replay = interventional_prob(cbn, result.pair, {"o": 1})
+        assert replay == pytest.approx(result.value, abs=1e-12)
 
 
 class TestEdgeCases:
