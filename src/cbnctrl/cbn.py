@@ -191,6 +191,7 @@ class Cbn:
             self._cpds[name] = cpd
         self._axis = {name: i for i, name in enumerate(dag.nodes)}
         self._shape = tuple(self._cards[name] for name in dag.nodes)
+        self._factors: dict[str, np.ndarray] | None = None
 
     @property
     def dag(self) -> Dag:
@@ -243,13 +244,31 @@ class Cbn:
 
     def expand(self, arr: np.ndarray, involved: list[str]) -> np.ndarray:
         """Permute ``arr`` (axes = ``involved``) into ``dag.nodes`` order and
-        reshape with singleton axes so it broadcasts over the joint tensor."""
+        reshape with singleton axes so it broadcasts over the joint tensor.
+        Leading axes beyond ``involved`` stay in front, as batch axes."""
         axis = self._axis
+        lead = arr.ndim - len(involved)
         order = sorted(range(len(involved)), key=lambda i: axis[involved[i]])
         shape = [1] * len(self._shape)
         for name in involved:
             shape[axis[name]] = self._shape[axis[name]]
-        return np.transpose(arr, order).reshape(shape)
+        return np.transpose(arr, [*range(lead), *(lead + i for i in order)]).reshape(
+            *arr.shape[:lead], *shape
+        )
+
+    def _cpd_factors(self) -> dict[str, np.ndarray]:
+        # each CPD as a broadcastable factor, built once on first use; the
+        # arrays are read-only because every joint tensor shares them
+        if self._factors is None:
+            factors = {}
+            for name in self._dag.nodes:
+                cpd = self._cpds[name]
+                arr = np.asarray(cpd.rows, dtype=float).reshape(*cpd.parent_cards, cpd.card)
+                factor = self.expand(arr, list(cpd.parents) + [name])
+                factor.flags.writeable = False
+                factors[name] = factor
+            self._factors = factors
+        return self._factors
 
     def joint(
         self,
@@ -267,15 +286,13 @@ class Cbn:
         self._check_assignment(event, full=False)
         (budget or DEFAULT_BUDGET).check_state_space(self.state_space_size())
         tensor = np.ones(self._shape)
-        for name in self._dag.nodes:
+        for name, factor in self._cpd_factors().items():
             if name not in skip:
-                cpd = self._cpds[name]
-                arr = np.asarray(cpd.rows, dtype=float).reshape(*cpd.parent_cards, cpd.card)
-                tensor = tensor * self.expand(arr, list(cpd.parents) + [name])
+                tensor *= factor
         for name, value in event.items():
             indicator = np.zeros(self._cards[name])
             indicator[value] = 1.0
-            tensor = tensor * self.expand(indicator, [name])
+            tensor *= self.expand(indicator, [name])
         return tensor
 
     def marginal_prob(self, event: Mapping[str, int], budget: Budget | None = None) -> float:

@@ -6,6 +6,14 @@ simplex attains every optimum; forcing one value per scope configuration
 loses nothing.  That choice is what keeps exact search tractable at desk
 scale, and `oracle.grid_policy_search` exists to double-check it against
 stochastic tables.
+
+`optimal_policy_value` chains the drivers whose scopes nest and enumerates
+the tables of the rest.  Every node outside the drivers and their scopes is
+summed out of the joint once, before the search.  Table combinations are
+then evaluated in chunks of `CHUNK_ELEMENTS` tensor entries (or of one
+combination, if that is larger), one numpy batch per chunk.  The tie-break
+is that of a one-by-one scan in lexicographic order: the first optimum of a
+chunk replaces the incumbent only on a strict improvement.
 """
 
 from __future__ import annotations
@@ -131,15 +139,6 @@ def _check_event(cbn: Cbn, event) -> dict[str, int]:
     return out
 
 
-def _decode_choices(idx: int, cells: int, card: int) -> tuple[int, ...]:
-    # big-endian digits: increasing idx enumerates choice tuples in
-    # lexicographic order
-    out = []
-    for pos in range(cells - 1, -1, -1):
-        out.append((idx // card ** pos) % card)
-    return tuple(out)
-
-
 def _is_deterministic(cbn: Cbn) -> bool:
     for cpd in cbn.cpds.values():
         for row in cpd.rows:
@@ -183,6 +182,15 @@ def _pick_chain(
     return chain, enumerated
 
 
+#: elements of the batched tensor one chunk of the table search fills
+CHUNK_ELEMENTS = 2 ** 15
+
+
+def _clamp(value: float) -> float:
+    # a sum over many worlds can land an ulp outside [0, 1]
+    return min(max(value, 0.0), 1.0)
+
+
 def optimal_policy_value(
     cbn: Cbn,
     drivers,
@@ -210,7 +218,7 @@ def optimal_policy_value(
         raise ValueError(f"direction must be a Direction, got {direction!r}")
 
     if not driver_list:
-        return cbn.marginal_prob(desired, budget), InterventionPair.empty()
+        return _clamp(cbn.marginal_prob(desired, budget)), InterventionPair.empty()
 
     base = cbn.joint(desired, skip=driver_list, budget=budget)
     cards = cbn.cards
@@ -220,34 +228,36 @@ def optimal_policy_value(
     table_counts = {d: cards[d] ** cells[d] for d in driver_list}
 
     maximize = direction is Direction.MAX
+    pick = np.argmax if maximize else np.argmin
 
     if _is_deterministic(cbn):
         # A fully deterministic network realizes exactly one world per
         # forced choice of driver values, so each policy table is read at a
         # single scope configuration and constant tables already span every
-        # reachable outcome.
+        # reachable outcome.  Every sum is an exact 0/1 count, and the first
+        # optimum of the C-order flattening is the first in product order.
         budget.check_work(prod(cards[d] for d in driver_list) * len(driver_list))
-        best_value = None
-        best_vector = None
-        axes = [dag.index(d) for d in driver_list]
-        for vector in product(*(range(cards[d]) for d in driver_list)):
-            idx: list = [slice(None)] * base.ndim
-            for axis, value in zip(axes, vector):
-                idx[axis] = value
-            value = float(base[tuple(idx)].sum())
-            if best_value is None or (value > best_value if maximize else value < best_value):
-                best_value = value
-                best_vector = vector
+        others = tuple(i for i, n in enumerate(dag.nodes) if n not in driver_list)
+        values = base.sum(axis=others).reshape(-1)
+        best = int(pick(values))
+        vector = np.unravel_index(best, tuple(cards[d] for d in driver_list))
         pair = InterventionPair(
-            atomic_policy(d, v, cards[d]) for d, v in zip(driver_list, best_vector)
+            atomic_policy(d, int(v), cards[d]) for d, v in zip(driver_list, vector)
         )
-        return best_value, pair
+        return float(values[best]), pair
 
     scope_sets = {d: frozenset(scopes[d]) for d in driver_list}
     chain, enumerated = _pick_chain(driver_list, scope_sets, table_counts, dag)
 
     outer_total = prod(table_counts[e] for e in enumerated)
     budget.check_work(outer_total * base.size)
+
+    # A node outside the drivers and their scopes meets no policy factor and
+    # is summed before any driver is reduced, so sum it out once up front.
+    relevant = set(driver_list).union(*scope_sets.values())
+    base = base.sum(
+        axis=tuple(i for i, n in enumerate(dag.nodes) if n not in relevant), keepdims=True
+    )
 
     # reduction order: each chain driver sits right after its scope, so the
     # nested optimum at its axis ranges over tables on exactly that scope
@@ -267,74 +277,98 @@ def optimal_policy_value(
         if node not in placed:
             order.append(node)
             kinds.append(None)
-    perm = [dag.index(n) for n in order]
+    # Laid out in reduction order, first-reduced axis first: each reduction
+    # then runs over a leading axis and adds whole contiguous blocks.
+    layout = [dag.index(n) for n in reversed(order)]
+    base = np.ascontiguousarray(np.transpose(base, layout))
+    # (axes, chain driver or None for a sum), in reduction order.  A run of
+    # chance axes is one sum; an enumerated driver's axis is summed on its
+    # own, which picks its one-hot entry exactly, so tables that cannot
+    # change the outcome tie exactly and the tie-break keeps the first.
+    segments: list[tuple[int, str | None]] = []
+    merge = False
+    for node, kind in zip(reversed(order), reversed(kinds)):
+        chance = kind is None and node not in enumerated
+        if chance and merge:
+            segments[-1] = (segments[-1][0] + 1, None)
+        else:
+            segments.append((1, kind))
+        merge = chance
 
     reduce_opt = np.maximum.reduce if maximize else np.minimum.reduce
 
-    def chain_value(tensor: np.ndarray) -> float:
-        t = np.transpose(tensor, perm)
-        for kind in reversed(kinds):
-            t = t.sum(axis=-1) if kind is None else reduce_opt(t, axis=-1)
-        return float(t)
+    def chain_values(batch: np.ndarray) -> np.ndarray:
+        # one chain optimum per entry of the leading batch axis
+        t = batch
+        for width, kind in segments:
+            t = t.sum(axis=tuple(range(1, 1 + width))) if kind is None else reduce_opt(t, axis=1)
+        return t
 
-    def chain_witness(tensor: np.ndarray) -> dict[str, tuple[int, ...]]:
-        t = np.transpose(tensor, perm)
-        pick = np.argmax if maximize else np.argmin
+    def chain_witness(batch: np.ndarray) -> tuple[float, dict[str, tuple[int, ...]]]:
+        # chain_values for a batch of one, plus the chain drivers' tables
+        t = batch
         tables: dict[str, tuple[int, ...]] = {}
-        for pos in range(len(kinds) - 1, -1, -1):
-            kind = kinds[pos]
+        pos = len(order)
+        for width, kind in segments:
+            pos -= width
             if kind is None:
-                t = t.sum(axis=-1)
+                t = t.sum(axis=tuple(range(1, 1 + width)))
                 continue
-            choice = pick(t, axis=-1)
-            prefix = order[:pos]
-            scope_order = scopes[kind]
-            perm2 = [prefix.index(s) for s in scope_order]
-            arranged = np.transpose(choice, perm2)
-            tables[kind] = tuple(int(v) for v in np.asarray(arranged).reshape(-1))
-            t = reduce_opt(t, axis=-1)
-        return tables
+            # the axes left are this driver's scope, last-placed first
+            left = order[:pos][::-1]
+            choice = np.transpose(pick(t, axis=1)[0], [left.index(s) for s in scopes[kind]])
+            tables[kind] = tuple(choice.reshape(-1).tolist())
+            t = reduce_opt(t, axis=1)
+        return float(t[0]), tables
 
-    enum_meta = []
-    for e in enumerated:
-        eye = np.eye(cards[e])
-        enum_meta.append((e, cells[e], cards[e], eye))
+    # combination number ``flat`` picks table ``flat // stride % count`` of
+    # each enumerated driver, so increasing numbers follow product order
+    strides = {
+        e: prod(table_counts[f] for f in enumerated[i + 1:]) for i, e in enumerate(enumerated)
+    }
 
-    def enum_tensor(meta, choices) -> np.ndarray:
-        e, _, card, eye = meta
-        arr = eye[np.asarray(choices, dtype=int)]
-        if scope_cards[e]:
-            arr = arr.reshape(*scope_cards[e], card)
-        else:
-            arr = arr.reshape(card)
-        return cbn.expand(arr, list(scopes[e]) + [e])
+    def combo_batch(flat: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        # the policy-weighted tensor of each combination, and per enumerated
+        # driver its choice tuples
+        batch = np.broadcast_to(base, (len(flat), *base.shape)).copy()
+        choices = []
+        for e in enumerated:
+            tables = flat // strides[e] % table_counts[e]
+            # big-endian digits: increasing table numbers enumerate choice
+            # tuples in lexicographic order
+            digits = tables[:, None] // cards[e] ** np.arange(cells[e] - 1, -1, -1) % cards[e]
+            onehot = np.eye(cards[e])[digits].reshape(len(flat), *scope_cards[e], cards[e])
+            factors = cbn.expand(onehot, [*scopes[e], e])
+            batch *= np.transpose(factors, [0, *(p + 1 for p in layout)])
+            choices.append(digits)
+        return batch, choices
 
-    best_value = None
-    best_combo = None
-    for combo_idx in product(*(range(table_counts[e]) for e in enumerated)):
-        combo = tuple(
-            _decode_choices(idx, meta[1], meta[2]) for idx, meta in zip(combo_idx, enum_meta)
-        )
-        tensor = base
-        for meta, choices in zip(enum_meta, combo):
-            tensor = tensor * enum_tensor(meta, choices)
-        value = chain_value(tensor)
-        if best_value is None or (value > best_value if maximize else value < best_value):
-            best_value = value
-            best_combo = combo
-
-    tensor = base
-    for meta, choices in zip(enum_meta, best_combo):
-        tensor = tensor * enum_tensor(meta, choices)
-    chain_tables = chain_witness(tensor)
+    best_flat = 0
+    if enumerated:
+        # a chunk of combinations at a time; the first optimum of each chunk
+        # replaces the incumbent only on a strict improvement, as a
+        # one-by-one scan would
+        step = max(1, CHUNK_ELEMENTS // base.size)
+        best_value = None
+        for start in range(0, outer_total, step):
+            values = chain_values(combo_batch(np.arange(start, min(start + step, outer_total)))[0])
+            pos = int(pick(values))
+            if best_value is None or (
+                values[pos] > best_value if maximize else values[pos] < best_value
+            ):
+                best_value, best_flat = values[pos], start + pos
+    batch, choices = combo_batch(np.array([best_flat]))
+    value, chain_tables = chain_witness(batch)
 
     policies = {}
-    for e, choices in zip(enumerated, best_combo):
-        policies[e] = table_from_choices(e, scopes[e], scope_cards[e], cards[e], choices)
+    for e, digits in zip(enumerated, choices):
+        policies[e] = table_from_choices(
+            e, scopes[e], scope_cards[e], cards[e], tuple(digits[0].tolist())
+        )
     for d, choices in chain_tables.items():
         policies[d] = table_from_choices(d, scopes[d], scope_cards[d], cards[d], choices)
     pair = InterventionPair(policies[d] for d in driver_list)
-    return best_value, pair
+    return _clamp(value), pair
 
 
 def solve(

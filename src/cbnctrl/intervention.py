@@ -292,9 +292,10 @@ def table_from_choices(
     """Deterministic policy mapping scope configuration i to ``choices[i]``."""
     if len(choices) != prod(scope_cards):
         raise ValueError("one choice per scope configuration required")
-    rows = tuple(
-        tuple(1.0 if v == choice else 0.0 for v in range(card)) for choice in choices
-    )
+    if min(choices) < 0 or max(choices) >= card:
+        raise ValueError(f"every choice must lie in range({card})")
+    onehot = tuple(tuple(1.0 if v == hot else 0.0 for v in range(card)) for hot in range(card))
+    rows = tuple(map(onehot.__getitem__, choices))
     return InterventionPolicy(target, scope, Cpd(target, scope, scope_cards, rows))
 
 

@@ -80,16 +80,15 @@ def naive_policy_search(
     if not driver_list:
         return cbn.marginal_prob(desired), InterventionPair.empty()
     cards = cbn.cards
-    table_lists = []
-    total = 1
-    for d in driver_list:
-        scope = scope_for_class(dag, d, ip_class)
-        scope_cards = tuple(cards[s] for s in scope)
-        count = cards[d] ** prod(scope_cards)
-        total *= count
-        table_lists.append(list(enumerate_deterministic_tables(d, scope, scope_cards, cards[d])))
+    scopes = {d: scope_for_class(dag, d, ip_class) for d in driver_list}
+    scope_cards = {d: tuple(cards[s] for s in scopes[d]) for d in driver_list}
+    total = prod(cards[d] ** prod(scope_cards[d]) for d in driver_list)
     if total > max_combos:
         raise ValueError(f"{total} policy combinations exceed the naive-search cap {max_combos}")
+    table_lists = [
+        list(enumerate_deterministic_tables(d, scopes[d], scope_cards[d], cards[d]))
+        for d in driver_list
+    ]
     maximize = direction is Direction.MAX
     best_value = None
     best_pair = None

@@ -212,6 +212,34 @@ def random_pair(rng, cbn):
     )
 
 
+class TestFactorCache:
+    """`Cbn.joint` multiplies CPD factors built once per network."""
+
+    def test_repeated_joints_are_bit_identical(self):
+        for rng, cbn in cross_check_networks():
+            nodes = cbn.dag.nodes
+            queries = [
+                (
+                    random_event(rng, cbn, int(rng.integers(0, len(nodes) + 1))),
+                    tuple(n for n in nodes if rng.random() < 0.3),
+                )
+                for _ in range(4)
+            ]
+            fresh = [Cbn(cbn.dag, cbn.cards, cbn.cpds).joint(e, s).tobytes() for e, s in queries]
+            for _ in range(2):
+                for (event, skip), expect in zip(queries, fresh):
+                    tensor = cbn.joint(event, skip)
+                    assert tensor.tobytes() == expect
+                    tensor[...] = -1.0
+
+    def test_mutating_a_joint_leaves_the_next_untouched(self):
+        cbn = chain_ab()
+        first = cbn.joint()
+        first *= 0.0
+        assert cbn.joint({"b": 1}).sum() == pytest.approx(0.41, abs=1e-12)
+        assert cbn.marginal_prob({"a": 1, "b": 1}) == pytest.approx(0.35, abs=1e-12)
+
+
 class TestEngineAgainstEnumeration:
     """Every query the joint tensor answers matches the literal sum over
     completions in `oracle.enumerate_prob`."""

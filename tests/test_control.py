@@ -7,6 +7,9 @@ the answer by rebuilding the intervened network and re-running inference
 for every table combination.
 """
 
+import time
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -33,7 +36,7 @@ from cbnctrl import (
     solve,
     usm_adversarial_cbn,
 )
-from cbnctrl.control import _pick_chain
+from cbnctrl.control import CHUNK_ELEMENTS, _pick_chain
 from cbnctrl.intervention import scope_for_class
 from cbnctrl.oracle import iter_subsets, random_cbn, random_dag, random_problem
 
@@ -268,6 +271,89 @@ class TestChainSplit:
         assert replay == pytest.approx(result.value, abs=1e-12)
 
 
+def fan_dag(k, lead=()):
+    """Drivers d_i, each below a private root r_i, all feeding m above the
+    target o: the class-inf scopes are incomparable, so all drivers but one
+    have their tables enumerated.  ``lead`` nodes come first, unconnected."""
+    nodes, edges = list(lead), []
+    for i in range(k):
+        nodes += [f"r{i}", f"d{i}"]
+        edges += [(f"r{i}", f"d{i}"), (f"d{i}", "m")]
+    return Dag(nodes + ["m", "o"], edges + [("m", "o")])
+
+
+def deterministic_copy(cbn, rng):
+    cpds = {}
+    for name in cbn.dag.nodes:
+        cpd = cbn.cpd(name)
+        rows = tuple(
+            tuple(1.0 if i == hot else 0.0 for i in range(cpd.card))
+            for hot in rng.integers(0, cpd.card, len(cpd.rows))
+        )
+        cpds[name] = Cpd(name, cpd.parents, cpd.parent_cards, rows)
+    return Cbn(cbn.dag, cbn.cards, cpds)
+
+
+def scan_atomic(cbn, drivers, desired, direction):
+    """Reference for deterministic networks: every vector of forced driver
+    values in product order, read off the joint without the drivers' CPDs,
+    first strict improvement kept."""
+    base = cbn.joint(desired, skip=drivers)
+    axes = [cbn.dag.index(d) for d in drivers]
+    best = None
+    for vector in product(*(range(cbn.cards[d]) for d in drivers)):
+        idx = [slice(None)] * base.ndim
+        for axis, v in zip(axes, vector):
+            idx[axis] = v
+        value = float(base[tuple(idx)].sum())
+        if best is None or (value > best[0] if direction is Direction.MAX else value < best[0]):
+            best = (value, vector)
+    return best
+
+
+class TestBatchedSearch:
+    def test_combinations_spanning_chunks_match_naive(self):
+        # four enumerated drivers of four tables each, over a 2^10 block of
+        # driver and scope axes: 256 combinations fill at least three chunks
+        assert 4 ** 4 * 2 ** 10 >= 3 * CHUNK_ELEMENTS
+        dag = fan_dag(5)
+        drivers = tuple(f"d{i}" for i in range(5))
+        cbn = random_cbn(np.random.default_rng(55), dag)
+        for direction in (Direction.MAX, Direction.MIN):
+            expect, _ = naive_policy_search(cbn, drivers, CLASS_INF, {"o": 1}, direction)
+            got, pair = optimal_policy_value(cbn, drivers, CLASS_INF, {"o": 1}, direction)
+            assert abs(got - expect) <= 1e-12
+            assert interventional_prob(cbn, pair, {"o": 1}) == pytest.approx(got, abs=1e-12)
+
+    def test_tied_tables_keep_the_first_within_and_across_chunks(self):
+        # z has no children and is no target, so both of its tables tie
+        # exactly.  It is the first driver: with two fan drivers all
+        # combinations share one chunk, with five its second table is only
+        # reached in later chunks.  Neither may replace the first table.
+        for k, seed in ((2, 56), (5, 57)):
+            dag = fan_dag(k, lead=("z",))
+            drivers = ("z",) + tuple(f"d{i}" for i in range(k))
+            cbn = random_cbn(np.random.default_rng(seed), dag)
+            for direction in (Direction.MAX, Direction.MIN):
+                value, pair = optimal_policy_value(cbn, drivers, CLASS_INF, {"o": 1}, direction)
+                assert pair.policy("z").table.rows == ((1.0, 0.0),)
+                without_z, _ = optimal_policy_value(cbn, drivers[1:], CLASS_INF, {"o": 1}, direction)
+                assert abs(value - without_z) <= 1e-12
+
+    def test_deterministic_path_matches_a_product_scan(self):
+        drivers = tuple(f"d{i}" for i in range(10))
+        edges = [("u", "d0"), ("u", "o")] + list(zip(drivers, drivers[1:]))
+        dag = Dag(("u",) + drivers + ("o",), edges + [(d, "o") for d in drivers])
+        rng = np.random.default_rng(1010)
+        for _ in range(4):
+            cbn = deterministic_copy(random_cbn(rng, dag), rng)
+            for direction in (Direction.MAX, Direction.MIN):
+                value, pair = optimal_policy_value(cbn, drivers, CLASS_INF, {"o": 1}, direction)
+                vector = tuple(pair.policy(d).table.rows[0].index(1.0) for d in drivers)
+                assert (value, vector) == scan_atomic(cbn, drivers, {"o": 1}, direction)
+                assert interventional_prob(cbn, pair, {"o": 1}) == value
+
+
 class TestEdgeCases:
     def test_no_drivers_returns_baseline(self):
         cbn = xor_gate()
@@ -308,6 +394,19 @@ class TestBudget:
             optimal_policy_value(cbn, ("d1", "d2"), CLASS_INF, {"o": 1}, Direction.MAX, tight)
         assert info.value.limit == 10
         assert info.value.estimate is not None and info.value.estimate > 10
+
+    def test_eight_node_class2_call_is_answered_quickly(self):
+        # 2^17 table combinations at the default budget: admitted by the
+        # work estimate, so the search itself must keep it cheap
+        nodes = tuple(f"v{i}" for i in range(8))
+        children = {0: (2, 5, 6, 7), 1: (2, 4, 5, 6), 2: (3, 5, 6), 3: (4,), 4: (6,), 6: (7,)}
+        dag = Dag(nodes, [(nodes[p], nodes[c]) for p, cs in children.items() for c in cs])
+        cbn = random_cbn(np.random.default_rng(0), dag)
+        start = time.perf_counter()
+        value, pair = optimal_policy_value(cbn, nodes[:6], IpClass(2), {"v3": 0}, Direction.MAX)
+        assert time.perf_counter() - start < 2.0
+        assert 0.0 <= value <= 1.0
+        assert interventional_prob(cbn, pair, {"v3": 0}) == pytest.approx(value, abs=1e-9)
 
     def test_refusal_message_carries_numbers(self):
         cbn = screening_chain()

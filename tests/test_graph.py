@@ -214,3 +214,22 @@ class TestDSeparation:
     def test_set_arguments(self):
         dag = Dag(["a", "b", "c", "d"], [("a", "c"), ("b", "c"), ("c", "d")])
         assert dag.d_separated(["a", "b"], ["d"], ["c"])
+
+    def test_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = np.random.default_rng(1846)
+        checked = 0
+        for _ in range(150):
+            dag = random_dag(rng, int(rng.integers(2, 10)), p=float(rng.uniform(0.1, 0.6)))
+            graph = nx.DiGraph()
+            graph.add_nodes_from(dag.nodes)
+            graph.add_edges_from(dag.edges)
+            for _ in range(4):
+                roles = rng.integers(0, 4, len(dag.nodes))  # a, b, z, or unused
+                a, b, z = ([n for n, r in zip(dag.nodes, roles) if r == k] for k in range(3))
+                if not a or not b:
+                    continue
+                expect = nx.is_d_separator(graph, set(a), set(b), set(z))
+                assert dag.d_separated(a, b, z) == expect
+                checked += 1
+        assert checked >= 300
