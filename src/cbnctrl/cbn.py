@@ -110,8 +110,6 @@ class Cpd:
             raise ValueError(
                 f"cpd for {self.owner!r}: {len(self.rows)} rows, expected {expected}"
             )
-        if not self.rows:
-            raise ValueError(f"cpd for {self.owner!r} has no rows")
         card = len(self.rows[0])
         if card < 2:
             raise ValueError(f"cpd for {self.owner!r}: cardinality {card} < 2")

@@ -9,11 +9,14 @@ stochastic tables.
 
 `optimal_policy_value` chains the drivers whose scopes nest and enumerates
 the tables of the rest.  Every node outside the drivers and their scopes is
-summed out of the joint once, before the search.  Table combinations are
-then evaluated in chunks of `CHUNK_ELEMENTS` tensor entries (or of one
-combination, if that is larger), one numpy batch per chunk.  The tie-break
-is that of a one-by-one scan in lexicographic order: the first optimum of a
-chunk replaces the incumbent only on a strict improvement.
+summed out of the joint once, before the search.  `policy_batch` multiplies
+the policy factors of a batch of numbered table combinations into a tensor,
+and `scan_combinations` evaluates the combinations in chunks of
+`CHUNK_ELEMENTS` tensor entries (or of one combination, if that is larger).
+The tie-break is that of a one-by-one scan in lexicographic order: the
+first optimum of a chunk replaces the incumbent only on a strict
+improvement.  `oracle.grid_policy_search` runs on the same two functions,
+with grid rows where the optimizer has one-hot rows.
 """
 
 from __future__ import annotations
@@ -191,6 +194,61 @@ def _clamp(value: float) -> float:
     return min(max(value, 0.0), 1.0)
 
 
+def policy_batch(
+    cbn: Cbn, base: np.ndarray, layout, searched, flat: np.ndarray
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """``base`` times the policy factors of each combination in ``flat``,
+    one combination per entry of the leading axis, and per searched driver
+    its row picks, one row of picks per combination.
+
+    ``base`` has the axes of the nodes at ``dag.nodes`` positions
+    ``layout``.  ``searched`` lists ``(driver, scope, rows)``: a table
+    picks one row of the 2-d array ``rows`` per scope configuration.
+    Increasing combination numbers scan the tables as nested loops over
+    the drivers would, each driver's picks in lexicographic order.
+    """
+    cards = cbn.cards
+    counts = [len(rows) ** prod(cards[s] for s in scope) for _, scope, rows in searched]
+    stride = prod(counts)
+    batch = np.broadcast_to(base, (len(flat), *base.shape)).copy()
+    picks = []
+    for (driver, scope, rows), count in zip(searched, counts):
+        stride //= count
+        scope_cards = tuple(cards[s] for s in scope)
+        cells = prod(scope_cards)
+        # big-endian digits: increasing table numbers enumerate pick
+        # tuples in lexicographic order
+        tables = flat // stride % count
+        digits = tables[:, None] // len(rows) ** np.arange(cells - 1, -1, -1) % len(rows)
+        factor = rows[digits].reshape(len(flat), *scope_cards, cards[driver])
+        factors = cbn.expand(factor, [*scope, driver])
+        batch *= np.transpose(factors, [0, *(p + 1 for p in layout)])
+        picks.append(digits)
+    return batch, picks
+
+
+def scan_combinations(total: int, size: int, evaluate, maximize: bool) -> tuple[float, int]:
+    """The optimum of ``evaluate`` over combination numbers ``range(total)``
+    and the first number that attains it.
+
+    ``evaluate`` maps an array of numbers to values; it gets chunks of
+    ``CHUNK_ELEMENTS // size`` numbers (at least one), for tensors of
+    ``size`` entries each.  The first optimum of a chunk replaces the
+    incumbent only on a strict improvement, as a one-by-one scan would.
+    """
+    pick = np.argmax if maximize else np.argmin
+    step = max(1, CHUNK_ELEMENTS // size)
+    best_value, best_flat = None, 0
+    for start in range(0, total, step):
+        values = evaluate(np.arange(start, min(start + step, total)))
+        pos = int(pick(values))
+        if best_value is None or (
+            values[pos] > best_value if maximize else values[pos] < best_value
+        ):
+            best_value, best_flat = values[pos], start + pos
+    return best_value, best_flat
+
+
 def optimal_policy_value(
     cbn: Cbn,
     drivers,
@@ -297,76 +355,44 @@ def optimal_policy_value(
 
     reduce_opt = np.maximum.reduce if maximize else np.minimum.reduce
 
-    def chain_values(batch: np.ndarray) -> np.ndarray:
-        # one chain optimum per entry of the leading batch axis
+    def reduce_chain(batch: np.ndarray, tables: dict | None = None) -> np.ndarray:
+        # one chain optimum per entry of the leading batch axis; given
+        # ``tables``, also records each chain driver's table for entry 0
         t = batch
-        for width, kind in segments:
-            t = t.sum(axis=tuple(range(1, 1 + width))) if kind is None else reduce_opt(t, axis=1)
-        return t
-
-    def chain_witness(batch: np.ndarray) -> tuple[float, dict[str, tuple[int, ...]]]:
-        # chain_values for a batch of one, plus the chain drivers' tables
-        t = batch
-        tables: dict[str, tuple[int, ...]] = {}
         pos = len(order)
         for width, kind in segments:
             pos -= width
             if kind is None:
                 t = t.sum(axis=tuple(range(1, 1 + width)))
                 continue
-            # the axes left are this driver's scope, last-placed first
-            left = order[:pos][::-1]
-            choice = np.transpose(pick(t, axis=1)[0], [left.index(s) for s in scopes[kind]])
-            tables[kind] = tuple(choice.reshape(-1).tolist())
+            if tables is not None:
+                # the axes left are this driver's scope, last-placed first
+                left = order[:pos][::-1]
+                choice = np.transpose(pick(t, axis=1)[0], [left.index(s) for s in scopes[kind]])
+                tables[kind] = tuple(choice.reshape(-1).tolist())
             t = reduce_opt(t, axis=1)
-        return float(t[0]), tables
+        return t
 
-    # combination number ``flat`` picks table ``flat // stride % count`` of
-    # each enumerated driver, so increasing numbers follow product order
-    strides = {
-        e: prod(table_counts[f] for f in enumerated[i + 1:]) for i, e in enumerate(enumerated)
-    }
-
-    def combo_batch(flat: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        # the policy-weighted tensor of each combination, and per enumerated
-        # driver its choice tuples
-        batch = np.broadcast_to(base, (len(flat), *base.shape)).copy()
-        choices = []
-        for e in enumerated:
-            tables = flat // strides[e] % table_counts[e]
-            # big-endian digits: increasing table numbers enumerate choice
-            # tuples in lexicographic order
-            digits = tables[:, None] // cards[e] ** np.arange(cells[e] - 1, -1, -1) % cards[e]
-            onehot = np.eye(cards[e])[digits].reshape(len(flat), *scope_cards[e], cards[e])
-            factors = cbn.expand(onehot, [*scopes[e], e])
-            batch *= np.transpose(factors, [0, *(p + 1 for p in layout)])
-            choices.append(digits)
-        return batch, choices
-
+    searched = [(e, scopes[e], np.eye(cards[e])) for e in enumerated]
     best_flat = 0
     if enumerated:
-        # a chunk of combinations at a time; the first optimum of each chunk
-        # replaces the incumbent only on a strict improvement, as a
-        # one-by-one scan would
-        step = max(1, CHUNK_ELEMENTS // base.size)
-        best_value = None
-        for start in range(0, outer_total, step):
-            values = chain_values(combo_batch(np.arange(start, min(start + step, outer_total)))[0])
-            pos = int(pick(values))
-            if best_value is None or (
-                values[pos] > best_value if maximize else values[pos] < best_value
-            ):
-                best_value, best_flat = values[pos], start + pos
-    batch, choices = combo_batch(np.array([best_flat]))
-    value, chain_tables = chain_witness(batch)
+        _, best_flat = scan_combinations(
+            outer_total,
+            base.size,
+            lambda flat: reduce_chain(policy_batch(cbn, base, layout, searched, flat)[0]),
+            maximize,
+        )
+    batch, choices = policy_batch(cbn, base, layout, searched, np.array([best_flat]))
+    chain_tables: dict[str, tuple[int, ...]] = {}
+    value = float(reduce_chain(batch, chain_tables)[0])
 
     policies = {}
     for e, digits in zip(enumerated, choices):
         policies[e] = table_from_choices(
             e, scopes[e], scope_cards[e], cards[e], tuple(digits[0].tolist())
         )
-    for d, choices in chain_tables.items():
-        policies[d] = table_from_choices(d, scopes[d], scope_cards[d], cards[d], choices)
+    for d, table in chain_tables.items():
+        policies[d] = table_from_choices(d, scopes[d], scope_cards[d], cards[d], table)
     pair = InterventionPair(policies[d] for d in driver_list)
     return _clamp(value), pair
 

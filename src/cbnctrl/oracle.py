@@ -1,8 +1,11 @@
 """Reference searches and verification suites.
 
-Everything here is written to be slower and more literal than the engine in
-`control`, on purpose: these routines re-derive the same answers along an
-independent route so the fast paths have something to be checked against.
+`enumerate_prob` and `naive_policy_search` are the literal references: they
+are slower than the engine in `cbn` and `control` on purpose, and re-derive
+its answers along a route that shares none of its tensor code, so the fast
+paths have something to be checked against.  `grid_policy_search` is not
+one of them: it searches stochastic tables with the optimizer's own batch,
+`control.policy_batch`, to check that deterministic tables are enough.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ from .control import (
     Direction,
     c_star,
     optimal_policy_value,
+    policy_batch,
+    scan_combinations,
     usm_adversarial_cbn,
 )
 from .graph import Dag, INF
@@ -152,6 +157,12 @@ def grid_policy_search(
     The grid includes every deterministic table as a vertex, so the result
     can never fall below (above, for Min) the deterministic optimum; the
     point of the search is that it must never beat it either.
+
+    Each driver's table picks one `simplex_grid_rows` row per scope
+    configuration.  The tables are applied to the joint by
+    `control.policy_batch`, the same batch the optimizer enumerates with,
+    and scanned in chunks by `control.scan_combinations`.  The work
+    estimate is the number of table combinations times the joint size.
     """
     budget = budget or DEFAULT_BUDGET
     dag = cbn.dag
@@ -159,62 +170,20 @@ def grid_policy_search(
     if not driver_list:
         return cbn.marginal_prob(desired, budget)
 
-    nodes = dag.nodes
     cards = cbn.cards
-    flat = cbn.joint(desired, skip=driver_list, budget=budget).reshape(-1)
-    size = flat.shape[0]
+    base = cbn.joint(desired, skip=driver_list, budget=budget)
+    searched = [
+        (d, scope_for_class(dag, d, ip_class), np.asarray(simplex_grid_rows(cards[d], step)))
+        for d in driver_list
+    ]
+    total = prod(len(rows) ** prod(cards[s] for s in scope) for _, scope, rows in searched)
+    budget.check_work(total * base.size)
 
-    # per-state value of each node, enumerated row-major over the axes
-    strides = {}
-    acc = 1
-    for node in reversed(nodes):
-        strides[node] = acc
-        acc *= cards[node]
-    states = np.arange(size)
-    value_of = {n: (states // strides[n]) % cards[n] for n in nodes}
+    def values(flat: np.ndarray) -> np.ndarray:
+        batch, _ = policy_batch(cbn, base, range(base.ndim), searched, flat)
+        return batch.reshape(len(flat), -1).sum(axis=1)
 
-    metas = []
-    total = 1
-    for d in driver_list:
-        scope = scope_for_class(dag, d, ip_class)
-        scope_cards = tuple(cards[s] for s in scope)
-        cells = prod(scope_cards)
-        rows = np.asarray(simplex_grid_rows(cards[d], step))
-        count = len(rows) ** cells
-        total *= count
-        cell_idx = np.zeros(size, dtype=np.int64)
-        for s, c in zip(scope, scope_cards):
-            cell_idx = cell_idx * c + value_of[s]
-        metas.append((d, cells, len(rows), rows, cell_idx, value_of[d]))
-    budget.check_work(total * size)
-
-    chunk = max(1, 2 ** 18 // max(size, 1))
-    maximize = direction is Direction.MAX
-    best = -np.inf if maximize else np.inf
-    combo_strides = []
-    acc = 1
-    for meta in reversed(metas):
-        combo_strides.append(acc)
-        acc *= meta[2] ** meta[1]
-    combo_strides.reverse()
-
-    start = 0
-    while start < total:
-        stop = min(start + chunk, total)
-        combos = np.arange(start, stop)
-        weights = np.broadcast_to(flat, (stop - start, size)).copy()
-        for meta, cstride in zip(metas, combo_strides):
-            d, cells, n_rows, rows, cell_idx, dvals = meta
-            table_idx = (combos // cstride) % (n_rows ** cells)
-            digit_strides = n_rows ** np.arange(cells - 1, -1, -1, dtype=np.int64)
-            cell_rows = (table_idx[:, None] // digit_strides[None, :]) % n_rows
-            row_per_state = cell_rows[:, cell_idx]
-            weights *= rows[row_per_state, dvals[None, :]]
-        values = weights.sum(axis=1)
-        cand = values.max() if maximize else values.min()
-        if (cand > best) if maximize else (cand < best):
-            best = cand
-        start = stop
+    best, _ = scan_combinations(total, base.size, values, direction is Direction.MAX)
     return float(best)
 
 

@@ -1,17 +1,26 @@
 """Reference searches, generators and the verification suites."""
 
+from itertools import product
+from math import prod
+
 import numpy as np
 import pytest
 
 from cbnctrl import (
     Budget,
     BudgetExceededError,
+    CLASS0,
     CLASS1,
     CLASS_INF,
+    Cpd,
+    Dag,
     Direction,
+    InterventionPair,
+    InterventionPolicy,
     best_over_subsets,
     ci_holds,
     grid_policy_search,
+    interventional_prob,
     naive_policy_search,
     optimal_policy_value,
     random_cbn,
@@ -23,6 +32,7 @@ from cbnctrl import (
     verify_usm,
 )
 from cbnctrl.graph import INF
+from cbnctrl.intervention import scope_for_class
 from cbnctrl.oracle import iter_subsets, simplex_grid_rows
 
 from test_cbn import chain_ab, xor_gate
@@ -119,6 +129,43 @@ class TestGridSearch:
         cbn = screening_chain()
         with pytest.raises(BudgetExceededError):
             grid_policy_search(cbn, ("y1",), CLASS1, {"o": 1}, Direction.MAX, 0.25, Budget(max_work=1))
+
+
+def literal_grid_values(cbn, drivers, ip_class, desired, step=0.25):
+    # every grid table as a Cpd, every combination through interventional_prob
+    cards = cbn.cards
+    tables = []
+    for d in drivers:
+        scope = scope_for_class(cbn.dag, d, ip_class)
+        scope_cards = tuple(cards[s] for s in scope)
+        tables.append([
+            InterventionPolicy(d, scope, Cpd(d, scope, scope_cards, rows))
+            for rows in product(simplex_grid_rows(cards[d], step), repeat=prod(scope_cards))
+        ])
+    return [interventional_prob(cbn, InterventionPair(combo), desired) for combo in product(*tables)]
+
+
+class TestGridAgainstLiteralTables:
+    """The grid search against a route that shares none of its tensor code."""
+
+    def test_binary_and_ternary_networks(self):
+        rng = np.random.default_rng(1618)
+        diamond = Dag(["a", "b", "c", "o"], [("a", "b"), ("a", "c"), ("b", "o"), ("c", "o")])
+        collider = Dag(["a", "b", "c", "o"], [("a", "c"), ("b", "c"), ("c", "o"), ("a", "o")])
+        cases = [
+            (random_cbn(rng, diamond), ("b",), CLASS0, {"o": 1}),
+            (random_cbn(rng, diamond), ("b",), CLASS1, {"o": 0}),
+            (random_cbn(rng, diamond), ("a", "c"), CLASS0, {"o": 1}),
+            (random_cbn(rng, diamond), ("b", "c"), CLASS1, {"o": 1, "a": 0}),
+            (random_cbn(rng, diamond), ("a", "b"), CLASS1, {"o": 0}),
+            (random_cbn(rng, collider), ("c",), CLASS1, {"o": 1}),
+            (random_cbn(rng, diamond, card=3), ("b", "c"), CLASS0, {"o": 2}),
+        ]
+        for cbn, drivers, ip_class, desired in cases:
+            values = literal_grid_values(cbn, drivers, ip_class, desired)
+            for direction, want in ((Direction.MAX, max(values)), (Direction.MIN, min(values))):
+                got = grid_policy_search(cbn, drivers, ip_class, desired, direction)
+                assert got == pytest.approx(want, abs=1e-12)
 
 
 class TestConditionalIndependence:
