@@ -254,15 +254,19 @@ class Cbn:
             *arr.shape[:lead], *shape
         )
 
+    def factor(self, cpd: Cpd) -> np.ndarray:
+        """``cpd`` as a factor that broadcasts over the joint tensor; its
+        owner and parents must be nodes of this network."""
+        arr = np.asarray(cpd.rows, dtype=float).reshape(*cpd.parent_cards, cpd.card)
+        return self.expand(arr, [*cpd.parents, cpd.owner])
+
     def _cpd_factors(self) -> dict[str, np.ndarray]:
         # each CPD as a broadcastable factor, built once on first use; the
         # arrays are read-only because every joint tensor shares them
         if self._factors is None:
             factors = {}
             for name in self._dag.nodes:
-                cpd = self._cpds[name]
-                arr = np.asarray(cpd.rows, dtype=float).reshape(*cpd.parent_cards, cpd.card)
-                factor = self.expand(arr, list(cpd.parents) + [name])
+                factor = self.factor(self._cpds[name])
                 factor.flags.writeable = False
                 factors[name] = factor
             self._factors = factors

@@ -166,7 +166,7 @@ def _cmd_verify(args, header: str) -> int:
     if needs_cbn and cbn is None:
         if args.seed is None:
             raise ValueError("file has no cpds; pass --seed N to sample a parametrization")
-        cbn = random_cbn(np.random.default_rng(args.seed), spec.dag)
+        cbn = random_cbn(np.random.default_rng(args.seed), spec.dag, spec.cards)
         seed_line = f"seed: {args.seed}"
 
     print(header)

@@ -130,18 +130,6 @@ def c_star(problem: ControlProblem) -> DriverSet:
     return DriverSet(bc.terminals, Provenance.C_STAR)
 
 
-def _check_event(cbn: Cbn, event) -> dict[str, int]:
-    cards = cbn.cards
-    out: dict[str, int] = {}
-    for name, value in event.items():
-        if name not in cards:
-            raise ValueError(f"unknown node {name!r} in event")
-        if not 0 <= value < cards[name]:
-            raise ValueError(f"value {value} out of range for {name!r} (card {cards[name]})")
-        out[name] = int(value)
-    return out
-
-
 def _is_deterministic(cbn: Cbn) -> bool:
     for cpd in cbn.cpds.values():
         for row in cpd.rows:
@@ -269,7 +257,6 @@ def optimal_policy_value(
     driver_list = tuple(sorted(set(drivers), key=dag.index))
     for name in driver_list:
         dag.index(name)
-    desired = _check_event(cbn, desired)
     if not desired:
         raise ValueError("desired event must be non-empty")
     if not isinstance(direction, Direction):
@@ -402,57 +389,39 @@ def solve(
 ) -> SolveResult:
     """Drivers, value and witness for the problem's objective.
 
-    Structural shortcuts apply where the objective admits them: an
-    intervenable target pins the min-min value to zero through one atomic
-    policy, and the adversarial objectives are settled by the empty set
-    (an opponent with full-ancestry policies on any set can always restore
-    the un-intervened probability, and intervening nothing concedes no
-    more than that).  Without a Cbn the result is structural-only.
+    Structural shortcuts apply where the objective admits them: the
+    adversarial objectives are settled by the empty set (an opponent with
+    full-ancestry policies on any set can always restore the un-intervened
+    probability, and intervening nothing concedes no more than that), and
+    an intervenable target pins the min-min value to zero: the one of
+    lowest `Dag.index`, forced off its desired value.  A shortcut's atomic
+    pair goes through `interventional_prob`; otherwise the `c_star`
+    drivers are optimized.  Without a Cbn the result is structural-only.
     """
     if problem.objective is None:
         raise ValueError("problem has no objective")
-    if cbn is not None:
-        if cbn.dag != problem.dag:
-            raise ValueError("cbn structure differs from the problem dag")
-        desired = problem.desired_map
-        _check_event(cbn, desired)
+    if cbn is not None and cbn.dag != problem.dag:
+        raise ValueError("cbn structure differs from the problem dag")
 
     objective = problem.objective
-    if objective is Objective.MAX_MAX:
-        ds = c_star(problem)
-        if cbn is None:
-            return SolveResult(ds, None, None)
-        value, pair = optimal_policy_value(
-            cbn, ds.members, CLASS_INF, problem.desired_map, Direction.MAX, budget
-        )
-        return SolveResult(ds, value, pair)
-
-    if objective is Objective.MIN_MIN:
-        reachable = [t for t in problem.targets if t in set(problem.intervenable)]
-        if reachable:
-            target = min(reachable, key=problem.dag.index)
-            ds = DriverSet((target,), Provenance.SHORTCUT)
-            if cbn is None:
-                return SolveResult(ds, None, None)
-            desired_value = problem.desired_map[target]
-            off_value = 1 if desired_value == 0 else 0
-            pair = InterventionPair.of(atomic_policy(target, off_value, cbn.cards[target]))
-            value = interventional_prob(cbn, pair, problem.desired_map, budget)
-            return SolveResult(ds, value, pair)
-        ds = c_star(problem)
-        if cbn is None:
-            return SolveResult(ds, None, None)
-        value, pair = optimal_policy_value(
-            cbn, ds.members, CLASS_INF, problem.desired_map, Direction.MIN, budget
-        )
-        return SolveResult(ds, value, pair)
-
-    # min-max and max-min: the empty intervened set is optimal
-    ds = DriverSet((), Provenance.SHORTCUT)
+    desired = problem.desired_map
+    reachable = [t for t in problem.targets if t in problem.intervenable]
+    shortcut = None
+    if objective in (Objective.MIN_MAX, Objective.MAX_MIN):
+        shortcut = ()
+    elif objective is Objective.MIN_MIN and reachable:
+        shortcut = (min(reachable, key=problem.dag.index),)
+    ds = c_star(problem) if shortcut is None else DriverSet(shortcut, Provenance.SHORTCUT)
     if cbn is None:
         return SolveResult(ds, None, None)
-    value = cbn.marginal_prob(problem.desired_map, budget)
-    return SolveResult(ds, value, InterventionPair.empty())
+    if shortcut is None:
+        direction = Direction.MAX if objective is Objective.MAX_MAX else Direction.MIN
+        value, pair = optimal_policy_value(cbn, ds.members, CLASS_INF, desired, direction, budget)
+        return SolveResult(ds, value, pair)
+    pair = InterventionPair(
+        atomic_policy(t, 1 if desired[t] == 0 else 0, cbn.cards[t]) for t in shortcut
+    )
+    return SolveResult(ds, interventional_prob(cbn, pair, desired, budget), pair)
 
 
 def usm_adversarial_cbn(dag: Dag, drivers, targets) -> tuple[Cbn, dict[str, int]]:

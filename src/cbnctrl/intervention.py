@@ -242,15 +242,9 @@ def i_subsumes(id1: IDag, id2: IDag) -> bool:
     return (plain1 - plain2) <= id1.dashed
 
 
-def apply_intervention(cbn: Cbn, pair: InterventionPair) -> Cbn:
-    """The network obtained by swapping in each policy's table.
-
-    Edges into intervened nodes are replaced by scope edges; untouched
-    nodes keep their CPDs.  The result is a plain Cbn (no clamp node), so
-    every inference routine applies to it unchanged.
-    """
-    dag = cbn.dag
-    check_policies(dag, pair)
+def _check_pair(cbn: Cbn, pair: InterventionPair) -> None:
+    # targets, scopes and every table cardinality against the network
+    check_policies(cbn.dag, pair)
     cards = cbn.cards
     for policy in pair.policies:
         if policy.card != cards[policy.target]:
@@ -263,6 +257,18 @@ def apply_intervention(cbn: Cbn, pair: InterventionPair) -> Cbn:
                     f"policy on {policy.target!r}: scope member {member!r} cardinality "
                     f"{mcard}, expected {cards[member]}"
                 )
+
+
+def apply_intervention(cbn: Cbn, pair: InterventionPair) -> Cbn:
+    """The intervened network itself, for callers that want it.
+
+    Edges into intervened nodes are replaced by scope edges; untouched
+    nodes keep their CPDs.  The result is a plain Cbn (no clamp node), so
+    every inference routine applies to it unchanged.  Probabilities under
+    a pair come from `interventional_prob`, which builds no network.
+    """
+    _check_pair(cbn, pair)
+    dag = cbn.dag
     intervened = set(pair.targets)
     edges = {e for e in dag.edges if e[1] not in intervened}
     for policy in pair.policies:
@@ -272,14 +278,24 @@ def apply_intervention(cbn: Cbn, pair: InterventionPair) -> Cbn:
     cpds = cbn.cpds
     for policy in pair.policies:
         cpds[policy.target] = policy.table
-    return Cbn(new_dag, cards, cpds)
+    return Cbn(new_dag, cbn.cards, cpds)
 
 
 def interventional_prob(
     cbn: Cbn, pair: InterventionPair, event: Mapping[str, int], budget: Budget | None = None
 ) -> float:
-    """Probability of ``event`` in the intervened network."""
-    return apply_intervention(cbn, pair).marginal_prob(event, budget)
+    """Probability of ``event`` in the intervened network.
+
+    Pearl's truncated factorization: the joint of ``cbn`` without the
+    targets' CPDs, read from the network's cached factors, times each
+    policy table as a factor (`Cbn.factor`).  The pair is checked against
+    the network first, with the same errors as `apply_intervention`.
+    """
+    _check_pair(cbn, pair)
+    tensor = cbn.joint(event, skip=pair.targets, budget=budget)
+    for policy in pair.policies:
+        tensor *= cbn.factor(policy.table)
+    return float(tensor.sum())
 
 
 def table_from_choices(

@@ -1,11 +1,13 @@
 """Reference searches and verification suites.
 
-`enumerate_prob` and `naive_policy_search` are the literal references: they
-are slower than the engine in `cbn` and `control` on purpose, and re-derive
-its answers along a route that shares none of its tensor code, so the fast
-paths have something to be checked against.  `grid_policy_search` is not
-one of them: it searches stochastic tables with the optimizer's own batch,
-`control.policy_batch`, to check that deterministic tables are enough.
+`enumerate_prob` and `naive_policy_search` are the literal references, slow
+on purpose.  `enumerate_prob` over `intervention.apply_intervention` is the
+fully independent route: it sums CPD entries over completions and shares no
+tensor code with `Cbn.joint`.  `naive_policy_search` reads `Cbn.joint`
+through `interventional_prob`, but shares none of the optimizer's chain,
+batch or scan code.  `grid_policy_search` is not a reference: it searches
+stochastic tables with the optimizer's own batch, `control.policy_batch`,
+to check that deterministic tables are enough.
 """
 
 from __future__ import annotations
@@ -75,15 +77,13 @@ def naive_policy_search(
 ) -> tuple[float, InterventionPair]:
     """Literal deterministic-policy enumeration via repeated re-inference.
 
-    Builds every policy combination as a full intervened network and asks
-    `interventional_prob` for the probability; exists purely as a slow
-    cross-check for the nested reductions of
-    `control.optimal_policy_value`.
+    Builds every combination of deterministic tables as a pair and asks
+    `interventional_prob` for its probability, one joint per combination;
+    exists purely as a slow cross-check for the chained reductions and
+    batched scan of `control.optimal_policy_value`.
     """
     dag = cbn.dag
     driver_list = tuple(sorted(set(drivers), key=dag.index))
-    if not driver_list:
-        return cbn.marginal_prob(desired), InterventionPair.empty()
     cards = cbn.cards
     scopes = {d: scope_for_class(dag, d, ip_class) for d in driver_list}
     scope_cards = {d: tuple(cards[s] for s in scopes[d]) for d in driver_list}
@@ -222,18 +222,21 @@ def random_dag(rng: np.random.Generator, n_nodes: int, edge_prob: float = 0.4, p
     return Dag(names, edges)
 
 
-def random_cbn(rng: np.random.Generator, dag: Dag, card: int = 2) -> Cbn:
-    """Strictly positive random rows, so no conditioning event degenerates."""
+def random_cbn(rng: np.random.Generator, dag: Dag, card: int | Mapping[str, int] = 2) -> Cbn:
+    """Strictly positive random rows, so no conditioning event degenerates.
+
+    ``card`` is one cardinality for every node or a mapping from node to
+    cardinality; rows are drawn node by node in ``dag.nodes`` order."""
     from .cbn import Cpd
 
-    cards = {n: card for n in dag.nodes}
+    cards = dict(card) if isinstance(card, Mapping) else {n: card for n in dag.nodes}
     cpds = {}
     for node in dag.nodes:
         parents = dag.parents(node)
         parent_cards = tuple(cards[p] for p in parents)
         rows = []
         for _ in range(prod(parent_cards)):
-            raw = rng.uniform(0.05, 1.0, card)
+            raw = rng.uniform(0.05, 1.0, cards[node])
             row = raw / raw.sum()
             rows.append(tuple(float(p) for p in row))
         cpds[node] = Cpd(node, parents, parent_cards, tuple(rows))

@@ -212,6 +212,35 @@ def random_pair(rng, cbn):
     )
 
 
+def mixed_card_pairs():
+    """Networks of binary and ternary nodes, each with a pair of stochastic
+    policies listed in reverse node order, whose scopes are drawn from the
+    full ancestry and listed in reverse node order too.  Its own rng, so
+    the cases above draw what they always drew."""
+    rng = np.random.default_rng(6151)
+    for _ in range(24):
+        dag = random_dag(rng, int(rng.integers(4, 7)), 0.5)
+        cards = {n: int(rng.integers(2, 4)) for n in dag.nodes}
+        cbn = random_cbn(rng, dag, cards)
+        candidates = [n for n in dag.nodes if dag.ancestors(n)]
+        if not candidates:
+            continue
+        picked = rng.choice(len(candidates), size=min(2, len(candidates)), replace=False)
+        policies = []
+        for target in sorted((candidates[i] for i in picked), key=dag.index, reverse=True):
+            ancestors = dag.ancestors(target)
+            scope = [a for a in ancestors if rng.random() < 0.7] or list(ancestors)
+            scope = tuple(sorted(scope[:3], key=dag.index, reverse=True))
+            scope_cards = tuple(cards[a] for a in scope)
+            rows = []
+            for _ in range(int(np.prod(scope_cards))):
+                raw = rng.uniform(0.0, 1.0, cards[target])
+                rows.append(tuple(raw / raw.sum()))
+            table = Cpd(target, scope, scope_cards, tuple(rows))
+            policies.append(InterventionPolicy(target, scope, table))
+        yield rng, cbn, InterventionPair(policies)
+
+
 class TestFactorCache:
     """`Cbn.joint` multiplies CPD factors built once per network."""
 
@@ -276,6 +305,23 @@ class TestEngineAgainstEnumeration:
                 event = random_event(rng, cbn, size)
                 expect = enumerate_prob(intervened, event)
                 assert abs(interventional_prob(cbn, pair, event) - expect) <= 1e-12
+        shapes = dict.fromkeys(
+            ("mixed cards", "non-parent scope", "scope out of order", "pair out of order"), 0
+        )
+        for rng, cbn, pair in mixed_card_pairs():
+            dag = cbn.dag
+            shapes["mixed cards"] += len(set(cbn.cards.values())) == 2
+            shapes["pair out of order"] += len(pair) == 2
+            for policy in pair.policies:
+                parents = set(dag.parents(policy.target))
+                shapes["non-parent scope"] += not set(policy.scope) <= parents
+                shapes["scope out of order"] += len(policy.scope) > 1
+            intervened = apply_intervention(cbn, pair)
+            for size in (1, 2, 3):
+                event = random_event(rng, cbn, size)
+                expect = enumerate_prob(intervened, event)
+                assert abs(interventional_prob(cbn, pair, event) - expect) <= 1e-12
+        assert min(shapes.values()) >= 5, shapes
 
     def test_state_space_cap_applies_to_every_query(self):
         rng = np.random.default_rng(15)

@@ -144,6 +144,22 @@ class TestVerify:
         assert "seed: 9" in out
         assert "result: PASS" in out
 
+    def test_seed_samples_the_declared_cardinalities(self, tmp_path, capsys):
+        # card-3 nodes and desired value 2: binary tables would reject it
+        doc = {
+            "format": "cbn-net/1",
+            "nodes": [{"name": f"v{i}", "card": 3} for i in range(4)],
+            "edges": [["v0", "v1"], ["v1", "v3"], ["v2", "v3"]],
+            "intervenable": ["v1", "v2"],
+            "targets": [{"name": "v3", "desired": 2}],
+        }
+        path = tmp_path / "ternary.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(["verify", str(path), "--suite", "all", "--seed", "3"], capsys)
+        assert code == 0, err
+        assert out.count("result: PASS") == 4
+        assert "overall: PASS" in out
+
     def test_level_zero_refused(self, gate, capsys):
         code, _, err = run(["verify", gate, "--suite", "lemma3", "--levels", "0,1"], capsys)
         assert code == 1

@@ -3,8 +3,7 @@
 The optimizer has three internal strategies (deterministic-network fast
 path, chained tensor reductions, literal table enumeration); every test
 that touches it cross-checks against `naive_policy_search`, which reaches
-the answer by rebuilding the intervened network and re-running inference
-for every table combination.
+the answer by asking `interventional_prob` for every table combination.
 """
 
 import time
@@ -450,6 +449,22 @@ class TestSolve:
         assert result.drivers.provenance is Provenance.SHORTCUT
         assert result.value == 0.0
         assert result.pair.policy("o").table.rows == ((1.0, 0.0),)
+        # two intervenable targets, listed against index order: the one of
+        # lower index is forced, a ternary one from desired 0 to value 1
+        dag = Dag(["a", "t1", "t2"], [("a", "t1"), ("t1", "t2"), ("a", "t2")])
+        for cards, desired, forced in (
+            ({"a": 2, "t1": 2, "t2": 2}, (1, 1), (1.0, 0.0)),
+            ({"a": 3, "t1": 3, "t2": 2}, (1, 0), (0.0, 1.0, 0.0)),
+        ):
+            cbn = random_cbn(rng, dag, cards)
+            problem = ControlProblem(dag, ("t2", "t1"), ("t2", "t1"), desired, Objective.MIN_MIN)
+            result = solve(problem, cbn)
+            assert result.drivers.members == ("t1",)
+            assert result.drivers.provenance is Provenance.SHORTCUT
+            assert result.value == 0.0
+            assert result.pair.targets == ("t1",)
+            assert result.pair.policy("t1").table.rows == (forced,)
+            assert interventional_prob(cbn, result.pair, problem.desired_map) == 0.0
 
     def test_adversarial_objectives_settle_at_the_empty_set(self):
         cbn = xor_gate()

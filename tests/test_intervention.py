@@ -197,9 +197,23 @@ class TestApplyIntervention:
             assert out.joint_prob(full) == pytest.approx(cbn.joint_prob(full), abs=1e-12)
 
     def test_cardinality_mismatch_rejected(self):
+        # the probability route rejects a wrong target or scope-member card
+        # with the same message as the network route, before any tensor
         cbn = xor_gate()
-        with pytest.raises(ValueError):
-            apply_intervention(cbn, InterventionPair.of(atomic_policy("y", 2, 3)))
+        wide_scope = Cpd("y", ("x",), (3,), ((1.0, 0.0),) * 3)
+        for policy, message in (
+            (atomic_policy("y", 2, 3), "policy on 'y' has cardinality 3, expected 2"),
+            (
+                InterventionPolicy("y", ("x",), wide_scope),
+                "policy on 'y': scope member 'x' cardinality 3, expected 2",
+            ),
+        ):
+            pair = InterventionPair.of(policy)
+            with pytest.raises(ValueError) as built:
+                apply_intervention(cbn, pair)
+            with pytest.raises(ValueError) as evaluated:
+                interventional_prob(cbn, pair, {"o": 1})
+            assert str(built.value) == str(evaluated.value) == message
 
     def test_empty_pair_probability_matches_marginal_exactly(self):
         rng = np.random.default_rng(31)

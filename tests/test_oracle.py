@@ -146,7 +146,8 @@ def literal_grid_values(cbn, drivers, ip_class, desired, step=0.25):
 
 
 class TestGridAgainstLiteralTables:
-    """The grid search against a route that shares none of its tensor code."""
+    """The grid search against a route that shares none of its batch or
+    scan code: one `Cpd` per grid table, one `interventional_prob` each."""
 
     def test_binary_and_ternary_networks(self):
         rng = np.random.default_rng(1618)
@@ -194,6 +195,15 @@ class TestGenerators:
         for name in cbn.dag.nodes:
             for row in cbn.cpd(name).rows:
                 assert all(p > 0.0 for p in row)
+
+    def test_per_node_cards(self):
+        # a mapping of equal cards draws exactly what the single card draws
+        dag = random_dag(np.random.default_rng(8), 5)
+        for card in (2, 3):
+            mapped = random_cbn(np.random.default_rng(21), dag, dict.fromkeys(dag.nodes, card))
+            assert mapped == random_cbn(np.random.default_rng(21), dag, card)
+        cards = {n: 2 + i % 2 for i, n in enumerate(dag.nodes)}
+        assert random_cbn(np.random.default_rng(21), dag, cards).cards == cards
 
 
 class TestSuites:
