@@ -74,6 +74,17 @@ class Budget:
 DEFAULT_BUDGET = Budget()
 
 
+def value_index(name: str, value) -> int:
+    """``value`` as a value index of node ``name``.
+
+    Only ints and numpy integers are indices: numpy would read a bool as a
+    mask, silently dropping the event, and cannot index with a float.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"value {value!r} for {name!r} must be an integer")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Cpd:
     """Conditional probability table for one node.
@@ -224,7 +235,7 @@ class Cbn:
         for name, value in assignment.items():
             if name not in self._cards:
                 raise ValueError(f"unknown node {name!r} in assignment")
-            if not 0 <= value < self._cards[name]:
+            if not 0 <= value_index(name, value) < self._cards[name]:
                 raise ValueError(
                     f"value {value} out of range for {name!r} (card {self._cards[name]})"
                 )

@@ -142,8 +142,6 @@ def _parse_levels(text: str) -> tuple:
             levels.append(int(item))
         else:
             raise ValueError(f"bad level {item!r}; use integers or 'inf'")
-    if not levels:
-        raise ValueError("--levels must name at least one level")
     return tuple(levels)
 
 

@@ -23,13 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product
+from itertools import groupby, product
 from math import prod
 
 import numpy as np
 
 # Budget and its error live in cbn; they stay importable from here
-from .cbn import DEFAULT_BUDGET, Budget, BudgetExceededError, Cbn, Cpd
+from .cbn import DEFAULT_BUDGET, Budget, BudgetExceededError, Cbn, Cpd, value_index
 from .graph import Dag
 from .intervention import (
     CLASS_INF,
@@ -83,7 +83,7 @@ class ControlProblem:
     def __post_init__(self):
         object.__setattr__(self, "intervenable", tuple(self.intervenable))
         object.__setattr__(self, "targets", tuple(self.targets))
-        object.__setattr__(self, "desired", tuple(int(v) for v in self.desired))
+        object.__setattr__(self, "desired", tuple(self.desired))
         if not self.targets:
             raise ValueError("targets must be non-empty")
         if len(set(self.targets)) != len(self.targets):
@@ -94,6 +94,7 @@ class ControlProblem:
             self.dag.index(name)
         if len(self.desired) != len(self.targets):
             raise ValueError("one desired value per target required")
+        object.__setattr__(self, "desired", tuple(map(value_index, self.targets, self.desired)))
         for name, value in zip(self.targets, self.desired):
             if value < 0:
                 raise ValueError(f"desired value for {name!r} must be non-negative")
@@ -255,8 +256,6 @@ def optimal_policy_value(
     budget = budget or DEFAULT_BUDGET
     dag = cbn.dag
     driver_list = tuple(sorted(set(drivers), key=dag.index))
-    for name in driver_list:
-        dag.index(name)
     if not desired:
         raise ValueError("desired event must be non-empty")
     if not isinstance(direction, Direction):
@@ -269,8 +268,7 @@ def optimal_policy_value(
     cards = cbn.cards
     scopes = {d: scope_for_class(dag, d, ip_class) for d in driver_list}
     scope_cards = {d: tuple(cards[s] for s in scopes[d]) for d in driver_list}
-    cells = {d: prod(scope_cards[d]) for d in driver_list}
-    table_counts = {d: cards[d] ** cells[d] for d in driver_list}
+    table_counts = {d: cards[d] ** prod(scope_cards[d]) for d in driver_list}
 
     maximize = direction is Direction.MAX
     pick = np.argmax if maximize else np.argmin
@@ -304,24 +302,10 @@ def optimal_policy_value(
         axis=tuple(i for i, n in enumerate(dag.nodes) if n not in relevant), keepdims=True
     )
 
-    # reduction order: each chain driver sits right after its scope, so the
-    # nested optimum at its axis ranges over tables on exactly that scope
-    order: list[str] = []
-    kinds: list[str | None] = []  # None = summed chance axis, else the driver
-    placed: set[str] = set()
-    for d in chain:
-        for node in dag.nodes:
-            if node in scope_sets[d] and node not in placed:
-                order.append(node)
-                kinds.append(None)
-                placed.add(node)
-        order.append(d)
-        kinds.append(d)
-        placed.add(d)
-    for node in dag.nodes:
-        if node not in placed:
-            order.append(node)
-            kinds.append(None)
+    # Nodes in reverse reduction order: each chain driver right after its
+    # scope (scopes come in dag order and nest along the chain), so the
+    # nested optimum at its axis ranges over tables on exactly that scope.
+    order = list(dict.fromkeys([n for d in chain for n in (*scopes[d], d)] + list(dag.nodes)))
     # Laid out in reduction order, first-reduced axis first: each reduction
     # then runs over a leading axis and adds whole contiguous blocks.
     layout = [dag.index(n) for n in reversed(order)]
@@ -330,15 +314,11 @@ def optimal_policy_value(
     # chance axes is one sum; an enumerated driver's axis is summed on its
     # own, which picks its one-hot entry exactly, so tables that cannot
     # change the outcome tie exactly and the tie-break keeps the first.
-    segments: list[tuple[int, str | None]] = []
-    merge = False
-    for node, kind in zip(reversed(order), reversed(kinds)):
-        chance = kind is None and node not in enumerated
-        if chance and merge:
-            segments[-1] = (segments[-1][0] + 1, None)
-        else:
-            segments.append((1, kind))
-        merge = chance
+    driver_of = {d: d for d in driver_list}
+    segments = [
+        (len(list(run)), key if key in chain else None)
+        for key, run in groupby(reversed(order), driver_of.get)
+    ]
 
     reduce_opt = np.maximum.reduce if maximize else np.minimum.reduce
 
@@ -369,18 +349,12 @@ def optimal_policy_value(
             lambda flat: reduce_chain(policy_batch(cbn, base, layout, searched, flat)[0]),
             maximize,
         )
-    batch, choices = policy_batch(cbn, base, layout, searched, np.array([best_flat]))
-    chain_tables: dict[str, tuple[int, ...]] = {}
-    value = float(reduce_chain(batch, chain_tables)[0])
-
-    policies = {}
-    for e, digits in zip(enumerated, choices):
-        policies[e] = table_from_choices(
-            e, scopes[e], scope_cards[e], cards[e], tuple(digits[0].tolist())
-        )
-    for d, table in chain_tables.items():
-        policies[d] = table_from_choices(d, scopes[d], scope_cards[d], cards[d], table)
-    pair = InterventionPair(policies[d] for d in driver_list)
+    batch, picks = policy_batch(cbn, base, layout, searched, np.array([best_flat]))
+    tables = {e: tuple(digits[0].tolist()) for e, digits in zip(enumerated, picks)}
+    value = float(reduce_chain(batch, tables)[0])
+    pair = InterventionPair(
+        table_from_choices(d, scopes[d], scope_cards[d], cards[d], tables[d]) for d in driver_list
+    )
     return _clamp(value), pair
 
 
@@ -439,7 +413,7 @@ def usm_adversarial_cbn(dag: Dag, drivers, targets) -> tuple[Cbn, dict[str, int]
     target_list = tuple(targets)
     if not target_list:
         raise ValueError("targets must be non-empty")
-    for name in driver_list + target_list:
+    for name in target_list:
         dag.index(name)
 
     driver_set = set(driver_list)

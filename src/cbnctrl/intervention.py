@@ -162,7 +162,6 @@ def classify_policy(dag: Dag, policy: InterventionPolicy) -> IpClass:
 def check_policies(dag: Dag, pair: InterventionPair) -> None:
     """Validate every policy's target and scope against ``dag``."""
     for policy in pair.policies:
-        dag.index(policy.target)
         full = set(dag.ancestors(policy.target))
         bad = [s for s in policy.scope if s not in full]
         if bad:

@@ -136,10 +136,13 @@ def simplex_grid_rows(card: int, step: float = 0.25) -> tuple[tuple[float, ...],
     denom = round(1.0 / step)
     if abs(denom * step - 1.0) > 1e-12 or denom < 1:
         raise ValueError(f"step {step} does not divide 1")
+    # stars and bars: the card - 1 bar positions among denom + card - 1
+    # slots, taken in lexicographic order, give the compositions of denom
+    # in lexicographic order
     rows = []
-    for combo in product(range(denom + 1), repeat=card):
-        if sum(combo) == denom:
-            rows.append(tuple(c * step for c in combo))
+    for bars in combinations(range(denom + card - 1), card - 1):
+        edges = (-1, *bars, denom + card - 1)
+        rows.append(tuple((b - a - 1) * step for a, b in zip(edges, edges[1:])))
     return tuple(rows)
 
 

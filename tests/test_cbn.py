@@ -173,6 +173,25 @@ class TestInference:
         with pytest.raises(ValueError):
             chain_ab().marginal_prob({"zz": 0})
 
+    def test_bool_and_float_values_rejected(self):
+        # numpy reads a bool index as a mask, which would drop the event
+        # without a word, and cannot index with a float
+        cbn = chain_ab()
+        for value in (True, False, np.bool_(True), 1.0, 0.5):
+            with pytest.raises(ValueError, match="value .* for 'b' must be an integer"):
+                cbn.marginal_prob({"b": value})
+            with pytest.raises(ValueError, match="'b'"):
+                cbn.conditional_prob({"b": value}, {"a": 1})
+            with pytest.raises(ValueError, match="'b'"):
+                cbn.conditional_prob({"a": 1}, {"b": value})
+            with pytest.raises(ValueError, match="'b'"):
+                cbn.joint_prob({"a": 1, "b": value})
+
+    def test_numpy_integer_values_accepted(self):
+        cbn = chain_ab()
+        assert cbn.marginal_prob({"b": np.int64(1)}) == cbn.marginal_prob({"b": 1})
+        assert cbn.conditional_prob({"b": np.int8(1)}, {"a": np.uint8(1)}) == pytest.approx(0.5)
+
 
 def cross_check_networks():
     """Seeded binary, ternary and 0/1-row networks."""

@@ -67,6 +67,14 @@ class TestProblem:
         with pytest.raises(ValueError):
             ControlProblem(junction(), (), ("o", "o"), (1, 1))
 
+    def test_desired_values_must_be_integers(self):
+        # a value index is never truncated: 1.7 must not become 1
+        for value in (1.7, 1.0, True):
+            with pytest.raises(ValueError, match="value .* for 'o' must be an integer"):
+                ControlProblem(junction(), ("t3",), ("o",), (value,))
+        problem = ControlProblem(junction(), ("t3",), ("o",), (np.int64(1),))
+        assert problem.desired == (1,) and type(problem.desired[0]) is int
+
     def test_desired_map(self):
         problem = ControlProblem(junction(), ("t3",), ("o",), (1,))
         assert problem.desired_map == {"o": 1}
@@ -339,6 +347,29 @@ class TestBatchedSearch:
                 without_z, _ = optimal_policy_value(cbn, drivers[1:], CLASS_INF, {"o": 1}, direction)
                 assert abs(value - without_z) <= 1e-12
 
+    def test_enumerated_driver_keeps_choice_zero_where_it_cannot_move_the_target(self):
+        # d's scope {a} and e's scope {g} are incomparable and d has more
+        # tables, so d is chained and e enumerated.  o ignores e when g is 0
+        # or 2, so there both choices of e tie exactly, as long as e's axis
+        # is summed on its own; the witness must keep choice 0 there.
+        dag = Dag(["a", "g", "d", "e", "o"], [("a", "d"), ("g", "e"), ("g", "o"), ("e", "o"), ("d", "o")])
+        cards = {"a": 4, "g": 3, "d": 2, "e": 2, "o": 2}
+        scopes = {"d": frozenset("a"), "e": frozenset("g")}
+        assert _pick_chain(("d", "e"), scopes, {"d": 16, "e": 8}, dag) == (["d"], ["e"])
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            cbn = random_cbn(rng, dag, cards)
+            raw = rng.uniform(0.05, 1.0, (12, 2))
+            rows = raw / raw.sum(axis=1, keepdims=True)  # over (g, e, d), d fastest
+            tied = tuple(tuple(rows[4 * g + 2 * (e if g == 1 else 0) + d])
+                         for g, e, d in product(range(3), range(2), range(2)))
+            cpds = dict(cbn.cpds, o=Cpd("o", ("g", "e", "d"), (3, 2, 2), tied))
+            cbn = Cbn(dag, cards, cpds)
+            for direction in (Direction.MAX, Direction.MIN):
+                _, pair = optimal_policy_value(cbn, ("d", "e"), CLASS1, {"o": 1}, direction)
+                rows_e = pair.policy("e").table.rows
+                assert rows_e[0] == rows_e[2] == (1.0, 0.0), (seed, direction)
+
     def test_deterministic_path_matches_a_product_scan(self):
         drivers = tuple(f"d{i}" for i in range(10))
         edges = [("u", "d0"), ("u", "o")] + list(zip(drivers, drivers[1:]))
@@ -367,6 +398,14 @@ class TestEdgeCases:
     def test_unknown_driver_rejected(self):
         with pytest.raises(ValueError):
             optimal_policy_value(xor_gate(), ("zz",), CLASS0, {"o": 1}, Direction.MAX)
+
+    def test_bool_and_float_desired_rejected(self):
+        # read as a mask, a bool would drop the event and MIN would give 1.0
+        cbn = screening_chain()
+        for value in (True, 1.0):
+            for direction in (Direction.MAX, Direction.MIN):
+                with pytest.raises(ValueError, match="'o'"):
+                    optimal_policy_value(cbn, ("y1",), CLASS1, {"o": value}, direction)
 
     def test_direction_type_checked(self):
         with pytest.raises(ValueError):

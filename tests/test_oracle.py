@@ -1,5 +1,6 @@
 """Reference searches, generators and the verification suites."""
 
+import time
 from itertools import product
 from math import prod
 
@@ -99,6 +100,24 @@ class TestSimplexGrid:
             for row in simplex_grid_rows(card, 0.25):
                 assert len(row) == card
                 assert sum(row) == pytest.approx(1.0, abs=1e-12)
+
+    def test_rows_match_the_filtered_cube_in_order(self):
+        for card in (2, 3, 4, 5):
+            for step in (0.5, 0.25, 0.2):
+                denom = round(1 / step)
+                cube = tuple(
+                    tuple(c * step for c in combo)
+                    for combo in product(range(denom + 1), repeat=card)
+                    if sum(combo) == denom
+                )
+                assert simplex_grid_rows(card, step) == cube
+
+    def test_many_values_build_without_scanning_the_cube(self):
+        # the cube would hold 5^12 = 244M candidates for these 1365 rows
+        start = time.perf_counter()
+        rows = simplex_grid_rows(12, 0.25)
+        assert time.perf_counter() - start < 0.5
+        assert len(rows) == 1365 and len(set(rows)) == 1365
 
     def test_step_must_divide_one(self):
         with pytest.raises(ValueError):
