@@ -105,6 +105,34 @@ class Cpd:
         object.__setattr__(
             self, "rows", tuple(tuple(float(p) for p in row) for row in self.rows)
         )
+        self._check_shape()
+        card = self.card
+        for i, row in enumerate(self.rows):
+            if len(row) != card:
+                raise ValueError(f"cpd for {self.owner!r}: row {i} has length {len(row)} != {card}")
+            for p in row:
+                if not (0.0 <= p <= 1.0):
+                    raise ValueError(f"cpd for {self.owner!r}: row {i} entry {p} outside [0, 1]")
+            if abs(sum(row) - 1.0) > ROW_SUM_TOL:
+                raise ValueError(
+                    f"cpd for {self.owner!r}: row {i} sums to {sum(row)!r}, not 1"
+                )
+
+    @classmethod
+    def _from_valid_rows(
+        cls, owner: str, parents, parent_cards, rows: tuple[tuple[float, ...], ...]
+    ) -> "Cpd":
+        # for rows that are distributions of one length by construction:
+        # only the shape is checked, and ``rows`` is stored as given
+        cpd = object.__new__(cls)
+        object.__setattr__(cpd, "owner", owner)
+        object.__setattr__(cpd, "parents", tuple(parents))
+        object.__setattr__(cpd, "parent_cards", tuple(int(c) for c in parent_cards))
+        object.__setattr__(cpd, "rows", rows)
+        cpd._check_shape()
+        return cpd
+
+    def _check_shape(self) -> None:
         if not isinstance(self.owner, str) or not self.owner:
             raise ValueError("cpd owner must be a non-empty string")
         if len(self.parents) != len(set(self.parents)):
@@ -121,19 +149,8 @@ class Cpd:
             raise ValueError(
                 f"cpd for {self.owner!r}: {len(self.rows)} rows, expected {expected}"
             )
-        card = len(self.rows[0])
-        if card < 2:
-            raise ValueError(f"cpd for {self.owner!r}: cardinality {card} < 2")
-        for i, row in enumerate(self.rows):
-            if len(row) != card:
-                raise ValueError(f"cpd for {self.owner!r}: row {i} has length {len(row)} != {card}")
-            for p in row:
-                if not (0.0 <= p <= 1.0):
-                    raise ValueError(f"cpd for {self.owner!r}: row {i} entry {p} outside [0, 1]")
-            if abs(sum(row) - 1.0) > ROW_SUM_TOL:
-                raise ValueError(
-                    f"cpd for {self.owner!r}: row {i} sums to {sum(row)!r}, not 1"
-                )
+        if self.card < 2:
+            raise ValueError(f"cpd for {self.owner!r}: cardinality {self.card} < 2")
 
     @property
     def card(self) -> int:
@@ -142,14 +159,14 @@ class Cpd:
     def row_index(self, assignment: Mapping[str, int]) -> int:
         idx = 0
         for name, card in zip(self.parents, self.parent_cards):
-            value = assignment[name]
+            value = value_index(name, assignment[name])
             if not 0 <= value < card:
                 raise ValueError(f"value {value} out of range for {name!r} (card {card})")
             idx = idx * card + value
         return idx
 
     def prob(self, value: int, assignment: Mapping[str, int]) -> float:
-        if not 0 <= value < self.card:
+        if not 0 <= value_index(self.owner, value) < self.card:
             raise ValueError(f"value {value} out of range for {self.owner!r} (card {self.card})")
         return self.rows[self.row_index(assignment)][value]
 
@@ -201,6 +218,7 @@ class Cbn:
         self._axis = {name: i for i, name in enumerate(dag.nodes)}
         self._shape = tuple(self._cards[name] for name in dag.nodes)
         self._factors: dict[str, np.ndarray] | None = None
+        self._deterministic: bool | None = None
 
     @property
     def dag(self) -> Dag:
@@ -218,6 +236,18 @@ class Cbn:
         if name not in self._cpds:
             raise ValueError(f"unknown node {name!r}")
         return self._cpds[name]
+
+    @property
+    def deterministic(self) -> bool:
+        """True when every CPD entry is 0 or 1; scanned once, on first use."""
+        if self._deterministic is None:
+            self._deterministic = all(
+                p == 0.0 or p == 1.0
+                for cpd in self._cpds.values()
+                for row in cpd.rows
+                for p in row
+            )
+        return self._deterministic
 
     def state_space_size(self) -> int:
         return prod(self._cards.values())

@@ -131,15 +131,6 @@ def c_star(problem: ControlProblem) -> DriverSet:
     return DriverSet(bc.terminals, Provenance.C_STAR)
 
 
-def _is_deterministic(cbn: Cbn) -> bool:
-    for cpd in cbn.cpds.values():
-        for row in cpd.rows:
-            for p in row:
-                if p != 0.0 and p != 1.0:
-                    return False
-    return True
-
-
 def _pick_chain(
     drivers: tuple[str, ...],
     scope_sets: dict[str, frozenset],
@@ -273,7 +264,7 @@ def optimal_policy_value(
     maximize = direction is Direction.MAX
     pick = np.argmax if maximize else np.argmin
 
-    if _is_deterministic(cbn):
+    if cbn.deterministic:
         # A fully deterministic network realizes exactly one world per
         # forced choice of driver values, so each policy table is read at a
         # single scope configuration and constant tables already span every

@@ -304,14 +304,19 @@ def table_from_choices(
     card: int,
     choices: tuple[int, ...],
 ) -> InterventionPolicy:
-    """Deterministic policy mapping scope configuration i to ``choices[i]``."""
+    """Deterministic policy mapping scope configuration i to ``choices[i]``.
+
+    The rows are ``card`` shared one-hot tuples, which are distributions by
+    construction, so only the table's shape and the choices are checked;
+    entries and row sums are not re-validated row by row.
+    """
     if len(choices) != prod(scope_cards):
         raise ValueError("one choice per scope configuration required")
     if min(choices) < 0 or max(choices) >= card:
         raise ValueError(f"every choice must lie in range({card})")
     onehot = tuple(tuple(1.0 if v == hot else 0.0 for v in range(card)) for hot in range(card))
     rows = tuple(map(onehot.__getitem__, choices))
-    return InterventionPolicy(target, scope, Cpd(target, scope, scope_cards, rows))
+    return InterventionPolicy(target, scope, Cpd._from_valid_rows(target, scope, scope_cards, rows))
 
 
 def enumerate_deterministic_tables(

@@ -187,6 +187,17 @@ class TestInference:
             with pytest.raises(ValueError, match="'b'"):
                 cbn.joint_prob({"a": 1, "b": value})
 
+    def test_cpd_lookups_reject_bool_and_float_values(self):
+        cpd = chain_ab().cpd("b")
+        for value in (True, False, np.bool_(True), 1.0, 0.5):
+            with pytest.raises(ValueError, match="value .* for 'b' must be an integer"):
+                cpd.prob(value, {"a": 1})
+            with pytest.raises(ValueError, match="value .* for 'a' must be an integer"):
+                cpd.prob(1, {"a": value})
+            with pytest.raises(ValueError, match="value .* for 'a' must be an integer"):
+                cpd.row_index({"a": value})
+        assert cpd.prob(np.int64(1), {"a": np.uint8(1)}) == 0.5
+
     def test_numpy_integer_values_accepted(self):
         cbn = chain_ab()
         assert cbn.marginal_prob({"b": np.int64(1)}) == cbn.marginal_prob({"b": 1})
@@ -286,6 +297,45 @@ class TestFactorCache:
         first *= 0.0
         assert cbn.joint({"b": 1}).sum() == pytest.approx(0.41, abs=1e-12)
         assert cbn.marginal_prob({"a": 1, "b": 1}) == pytest.approx(0.35, abs=1e-12)
+
+
+class TestDeterministicFlag:
+    """`Cbn.deterministic` is scanned once per network and then cached."""
+
+    @staticmethod
+    def networks():
+        # per structure: positive rows, each row hardened to one-hot with
+        # probability 1/2, and every row hardened
+        rng = np.random.default_rng(61)
+        for _ in range(12):
+            dag = random_dag(rng, int(rng.integers(2, 7)))
+            soft = random_cbn(rng, dag, card=int(rng.integers(2, 4)))
+            yield soft
+            for share in (0.5, 1.0):
+                cpds = {}
+                for name, cpd in soft.cpds.items():
+                    rows = tuple(
+                        tuple(float(v == int(np.argmax(row))) for v in range(len(row)))
+                        if rng.random() < share
+                        else row
+                        for row in cpd.rows
+                    )
+                    cpds[name] = Cpd(name, cpd.parents, cpd.parent_cards, rows)
+                yield Cbn(dag, soft.cards, cpds)
+
+    def test_flag_matches_a_literal_scan(self):
+        seen = set()
+        for cbn in self.networks():
+            literal = True
+            for cpd in cbn.cpds.values():
+                for row in cpd.rows:
+                    for p in row:
+                        if p != 0.0 and p != 1.0:
+                            literal = False
+            assert cbn.deterministic is literal
+            assert cbn.deterministic is literal
+            seen.add(literal)
+        assert seen == {True, False}
 
 
 class TestEngineAgainstEnumeration:

@@ -26,7 +26,7 @@ from cbnctrl import (
     subsumes,
     surplus,
 )
-from cbnctrl.intervention import enumerate_deterministic_tables
+from cbnctrl.intervention import enumerate_deterministic_tables, table_from_choices
 from cbnctrl.oracle import random_cbn, random_dag
 
 from test_cbn import xor_gate
@@ -277,3 +277,36 @@ class TestDeterministicTables:
         assert len(policies) == 4
         assert policies[0].table.rows == ((1.0, 0.0), (1.0, 0.0))
         assert policies[-1].table.rows == ((0.0, 1.0), (0.0, 1.0))
+
+    def test_table_from_choices_equals_the_public_constructor(self):
+        rng = np.random.default_rng(17)
+        for _ in range(80):
+            card = int(rng.integers(2, 4))
+            scope = ("a", "b", "c")[: int(rng.integers(0, 4))]
+            scope_cards = tuple(int(c) for c in rng.integers(2, 4, size=len(scope)))
+            cells = int(np.prod(scope_cards))
+            choices = tuple(int(c) for c in rng.integers(0, card, size=cells))
+            rows = tuple(tuple(1.0 if v == c else 0.0 for v in range(card)) for c in choices)
+            expect = Cpd("t", scope, scope_cards, rows)
+            policy = table_from_choices("t", scope, scope_cards, card, choices)
+            assert policy.scope == scope
+            assert policy.table == expect
+            assert hash(policy.table) == hash(expect)
+
+    def test_table_from_choices_checks_choices_and_shape(self):
+        with pytest.raises(ValueError, match="one choice per scope configuration"):
+            table_from_choices("t", ("a",), (2,), 2, (0,))
+        with pytest.raises(ValueError, match="one choice per scope configuration"):
+            table_from_choices("t", ("a",), (2,), 2, (0, 1, 0))
+        for bad in (2, -1):
+            with pytest.raises(ValueError, match=r"range\(2\)"):
+                table_from_choices("t", ("a",), (2,), 2, (0, bad))
+        # the rows are trusted, the shape is not
+        with pytest.raises(ValueError, match="'t': cardinality 1 < 2"):
+            table_from_choices("t", ("a",), (2,), 1, (0, 0))
+        with pytest.raises(ValueError, match="parent 'a' cardinality 1 < 2"):
+            table_from_choices("t", ("a",), (1,), 2, (0,))
+        with pytest.raises(ValueError, match="repeats a parent"):
+            table_from_choices("t", ("a", "a"), (2, 2), 2, (0,) * 4)
+        with pytest.raises(ValueError, match="lists itself as a parent"):
+            table_from_choices("t", ("t",), (2,), 2, (0, 1))
