@@ -1,8 +1,9 @@
 """Discrete Bayesian networks over a Dag, with exact inference on the joint.
 
-Every probability the package computes is read off one full-joint tensor,
-built by `Cbn.joint` under a `Budget`.  That keeps a single inference
-engine and a single place where the state-space cap is enforced; the
+Every probability the package computes is read off `Cbn.joint` under a
+`Budget`: the full-joint tensor, or with ``keep`` its marginal over named
+nodes.  That keeps one inference engine, one place where the state-space
+cap is enforced and one place that lays nodes out on tensor axes.  The
 literal sum over completions survives only as `oracle.enumerate_prob`, the
 reference the tensor is tested against.
 """
@@ -74,14 +75,16 @@ class Budget:
 DEFAULT_BUDGET = Budget()
 
 
-def value_index(name: str, value) -> int:
-    """``value`` as a value index of node ``name``.
+def value_index(name: str, value, kind: str = "value") -> int:
+    """``value`` as a value index (or, with ``kind``, a cardinality) of
+    node ``name``.
 
-    Only ints and numpy integers are indices: numpy would read a bool as a
-    mask, silently dropping the event, and cannot index with a float.
+    Only ints and numpy integers pass: numpy would read a bool as a mask,
+    silently dropping the event, and cannot index with a float; ``int()``
+    would silently truncate one.
     """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"value {value!r} for {name!r} must be an integer")
+        raise ValueError(f"{kind} {value!r} for {name!r} must be an integer")
     return int(value)
 
 
@@ -101,7 +104,7 @@ class Cpd:
 
     def __post_init__(self):
         object.__setattr__(self, "parents", tuple(self.parents))
-        object.__setattr__(self, "parent_cards", tuple(int(c) for c in self.parent_cards))
+        object.__setattr__(self, "parent_cards", tuple(self.parent_cards))
         object.__setattr__(
             self, "rows", tuple(tuple(float(p) for p in row) for row in self.rows)
         )
@@ -127,12 +130,13 @@ class Cpd:
         cpd = object.__new__(cls)
         object.__setattr__(cpd, "owner", owner)
         object.__setattr__(cpd, "parents", tuple(parents))
-        object.__setattr__(cpd, "parent_cards", tuple(int(c) for c in parent_cards))
+        object.__setattr__(cpd, "parent_cards", tuple(parent_cards))
         object.__setattr__(cpd, "rows", rows)
         cpd._check_shape()
         return cpd
 
     def _check_shape(self) -> None:
+        # also stores the parent cardinalities as ints once they pass
         if not isinstance(self.owner, str) or not self.owner:
             raise ValueError("cpd owner must be a non-empty string")
         if len(self.parents) != len(set(self.parents)):
@@ -142,8 +146,9 @@ class Cpd:
         if len(self.parent_cards) != len(self.parents):
             raise ValueError(f"cpd for {self.owner!r}: one cardinality per parent required")
         for name, card in zip(self.parents, self.parent_cards):
-            if card < 2:
+            if value_index(name, card, "cardinality") < 2:
                 raise ValueError(f"cpd for {self.owner!r}: parent {name!r} cardinality {card} < 2")
+        object.__setattr__(self, "parent_cards", tuple(map(int, self.parent_cards)))
         expected = prod(self.parent_cards)
         if len(self.rows) != expected:
             raise ValueError(
@@ -173,7 +178,7 @@ class Cpd:
     @classmethod
     def delta(cls, owner: str, value: int, card: int) -> "Cpd":
         """Parentless table putting all mass on ``value``."""
-        if not 0 <= value < card:
+        if not 0 <= value_index(owner, value) < value_index(owner, card, "cardinality"):
             raise ValueError(f"value {value} out of range for {owner!r} (card {card})")
         row = tuple(1.0 if i == value else 0.0 for i in range(card))
         return cls(owner, (), (), (row,))
@@ -191,7 +196,7 @@ class Cbn:
         self._dag = dag
         if set(cards) != set(dag.nodes):
             raise ValueError("cards must cover exactly the dag nodes")
-        self._cards = {name: int(cards[name]) for name in dag.nodes}
+        self._cards = {name: value_index(name, cards[name], "cardinality") for name in dag.nodes}
         for name, card in self._cards.items():
             if card < 2:
                 raise ValueError(f"cardinality of {name!r} is {card}, must be >= 2")
@@ -281,16 +286,17 @@ class Cbn:
             p *= self._cpds[name].prob(assignment[name], assignment)
         return p
 
-    def expand(self, arr: np.ndarray, involved: list[str]) -> np.ndarray:
-        """Permute ``arr`` (axes = ``involved``) into ``dag.nodes`` order and
-        reshape with singleton axes so it broadcasts over the joint tensor.
-        Leading axes beyond ``involved`` stay in front, as batch axes."""
-        axis = self._axis
+    def expand(self, arr: np.ndarray, involved: list[str], onto=None) -> np.ndarray:
+        """Permute ``arr`` (axes = ``involved``) into ``onto`` order (default
+        ``dag.nodes``) and reshape with singleton axes so it broadcasts over
+        `joint` with ``keep=onto``.  Leading axes beyond ``involved`` stay
+        in front, as batch axes."""
+        axis = self._axis if onto is None else {name: i for i, name in enumerate(onto)}
         lead = arr.ndim - len(involved)
         order = sorted(range(len(involved)), key=lambda i: axis[involved[i]])
-        shape = [1] * len(self._shape)
+        shape = [1] * len(axis)
         for name in involved:
-            shape[axis[name]] = self._shape[axis[name]]
+            shape[axis[name]] = self._cards[name]
         return np.transpose(arr, [*range(lead), *(lead + i for i in order)]).reshape(
             *arr.shape[:lead], *shape
         )
@@ -313,30 +319,43 @@ class Cbn:
             self._factors = factors
         return self._factors
 
+    def check_joint(self, event=None, keep=None, budget: Budget | None = None) -> None:
+        """Refuse, in `joint`'s order and without building a tensor, a bad
+        ``event`` or ``keep``, then a state space over the cap of ``budget``."""
+        self._check_assignment(event or {}, full=False)
+        if keep is not None and len(set(map(self._dag.index, keep))) != len(keep):
+            raise ValueError(f"keep repeats a node: {list(keep)}")
+        (budget or DEFAULT_BUDGET).check_state_space(self.state_space_size())
+
     def joint(
         self,
         event: Mapping[str, int] | None = None,
         skip=(),
         budget: Budget | None = None,
+        keep=None,
     ) -> np.ndarray:
-        """Full-joint tensor, one axis per node in ``dag.nodes`` order.
+        """Full-joint tensor, one axis per node in ``dag.nodes`` order; with
+        a sequence ``keep`` of distinct nodes, its marginal over them, one
+        axis per node in ``keep`` order, as a new C-contiguous array.
 
         The product of the CPD factors of every node not in ``skip``, times
-        an indicator for each value ``event`` pins.  This is the only place
-        the state-space cap of ``budget`` is checked.
+        an indicator for each value ``event`` pins, after `check_joint`.
         """
-        event = event or {}
-        self._check_assignment(event, full=False)
-        (budget or DEFAULT_BUDGET).check_state_space(self.state_space_size())
+        self.check_joint(event, keep, budget)
         tensor = np.ones(self._shape)
         for name, factor in self._cpd_factors().items():
             if name not in skip:
                 tensor *= factor
-        for name, value in event.items():
+        for name, value in (event or {}).items():
             indicator = np.zeros(self._cards[name])
             indicator[value] = 1.0
             tensor *= self.expand(indicator, [name])
-        return tensor
+        if keep is None:
+            return tensor
+        kept = sorted(keep, key=self._axis.get)
+        tensor = tensor.sum(axis=tuple(i for n, i in self._axis.items() if n not in keep))
+        # asarray: a sum over every axis is a numpy scalar, not an array
+        return np.asarray(np.transpose(tensor, [kept.index(n) for n in keep]), order="C")
 
     def marginal_prob(self, event: Mapping[str, int], budget: Budget | None = None) -> float:
         """Probability of a partial assignment."""

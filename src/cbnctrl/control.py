@@ -8,9 +8,10 @@ scale, and `oracle.grid_policy_search` exists to double-check it against
 stochastic tables.
 
 `optimal_policy_value` chains the drivers whose scopes nest and enumerates
-the tables of the rest.  Every node outside the drivers and their scopes is
-summed out of the joint once, before the search.  `policy_batch` multiplies
-the policy factors of a batch of numbered table combinations into a tensor,
+the tables of the rest.  The search starts from the joint's marginal over
+the drivers and their scopes, asked of `Cbn.joint` by node name; every other
+node is summed out once, before the search.  `policy_batch` multiplies the
+policy factors of a batch of numbered table combinations into a tensor,
 and `scan_combinations` evaluates the combinations in chunks of
 `CHUNK_ELEMENTS` tensor entries (or of one combination, if that is larger).
 The tie-break is that of a one-by-one scan in lexicographic order: the
@@ -175,14 +176,14 @@ def _clamp(value: float) -> float:
 
 
 def policy_batch(
-    cbn: Cbn, base: np.ndarray, layout, searched, flat: np.ndarray
+    cbn: Cbn, base: np.ndarray, axes, searched, flat: np.ndarray
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """``base`` times the policy factors of each combination in ``flat``,
     one combination per entry of the leading axis, and per searched driver
     its row picks, one row of picks per combination.
 
-    ``base`` has the axes of the nodes at ``dag.nodes`` positions
-    ``layout``.  ``searched`` lists ``(driver, scope, rows)``: a table
+    ``base`` has one axis per node of ``axes``, as `Cbn.joint` returns it
+    with ``keep=axes``.  ``searched`` lists ``(driver, scope, rows)``: a table
     picks one row of the 2-d array ``rows`` per scope configuration.
     Increasing combination numbers scan the tables as nested loops over
     the drivers would, each driver's picks in lexicographic order.
@@ -201,8 +202,7 @@ def policy_batch(
         tables = flat // stride % count
         digits = tables[:, None] // len(rows) ** np.arange(cells - 1, -1, -1) % len(rows)
         factor = rows[digits].reshape(len(flat), *scope_cards, cards[driver])
-        factors = cbn.expand(factor, [*scope, driver])
-        batch *= np.transpose(factors, [0, *(p + 1 for p in layout)])
+        batch *= cbn.expand(factor, [*scope, driver], axes)
         picks.append(digits)
     return batch, picks
 
@@ -255,7 +255,8 @@ def optimal_policy_value(
     if not driver_list:
         return _clamp(cbn.marginal_prob(desired, budget)), InterventionPair.empty()
 
-    base = cbn.joint(desired, skip=driver_list, budget=budget)
+    # before any table is sized: a driver's scope can hold every other node
+    cbn.check_joint(desired, budget=budget)
     cards = cbn.cards
     scopes = {d: scope_for_class(dag, d, ip_class) for d in driver_list}
     scope_cards = {d: tuple(cards[s] for s in scopes[d]) for d in driver_list}
@@ -270,9 +271,8 @@ def optimal_policy_value(
         # single scope configuration and constant tables already span every
         # reachable outcome.  Every sum is an exact 0/1 count, and the first
         # optimum of the C-order flattening is the first in product order.
+        values = cbn.joint(desired, skip=driver_list, budget=budget, keep=driver_list).reshape(-1)
         budget.check_work(prod(cards[d] for d in driver_list) * len(driver_list))
-        others = tuple(i for i, n in enumerate(dag.nodes) if n not in driver_list)
-        values = base.sum(axis=others).reshape(-1)
         best = int(pick(values))
         vector = np.unravel_index(best, tuple(cards[d] for d in driver_list))
         pair = InterventionPair(
@@ -283,32 +283,27 @@ def optimal_policy_value(
     scope_sets = {d: frozenset(scopes[d]) for d in driver_list}
     chain, enumerated = _pick_chain(driver_list, scope_sets, table_counts, dag)
 
-    outer_total = prod(table_counts[e] for e in enumerated)
-    budget.check_work(outer_total * base.size)
-
     # A node outside the drivers and their scopes meets no policy factor and
-    # is summed before any driver is reduced, so sum it out once up front.
+    # is summed before any driver is reduced, so the search starts from the
+    # marginal over the rest.  Its axes come in reduction order, so each
+    # reduction runs over a leading axis and adds whole contiguous blocks,
+    # and each chain driver comes right before its scope (scopes come in
+    # dag order and nest along the chain), so the nested optimum at its
+    # axis ranges over tables on exactly that scope.
     relevant = set(driver_list).union(*scope_sets.values())
-    base = base.sum(
-        axis=tuple(i for i, n in enumerate(dag.nodes) if n not in relevant), keepdims=True
-    )
-
-    # Nodes in reverse reduction order: each chain driver right after its
-    # scope (scopes come in dag order and nest along the chain), so the
-    # nested optimum at its axis ranges over tables on exactly that scope.
-    order = list(dict.fromkeys([n for d in chain for n in (*scopes[d], d)] + list(dag.nodes)))
-    # Laid out in reduction order, first-reduced axis first: each reduction
-    # then runs over a leading axis and adds whole contiguous blocks.
-    layout = [dag.index(n) for n in reversed(order)]
-    base = np.ascontiguousarray(np.transpose(base, layout))
-    # (axes, chain driver or None for a sum), in reduction order.  A run of
+    order = [n for d in chain for n in (*scopes[d], d)] + sorted(relevant, key=dag.index)
+    axes = list(dict.fromkeys(order))[::-1]
+    base = cbn.joint(desired, skip=driver_list, budget=budget, keep=axes)
+    outer_total = prod(table_counts[e] for e in enumerated)
+    budget.check_work(outer_total * cbn.state_space_size())
+    # (width, chain driver or None for a sum), in reduction order.  A run of
     # chance axes is one sum; an enumerated driver's axis is summed on its
     # own, which picks its one-hot entry exactly, so tables that cannot
     # change the outcome tie exactly and the tie-break keeps the first.
     driver_of = {d: d for d in driver_list}
     segments = [
         (len(list(run)), key if key in chain else None)
-        for key, run in groupby(reversed(order), driver_of.get)
+        for key, run in groupby(axes, driver_of.get)
     ]
 
     reduce_opt = np.maximum.reduce if maximize else np.minimum.reduce
@@ -317,15 +312,15 @@ def optimal_policy_value(
         # one chain optimum per entry of the leading batch axis; given
         # ``tables``, also records each chain driver's table for entry 0
         t = batch
-        pos = len(order)
+        pos = 0
         for width, kind in segments:
-            pos -= width
+            pos += width
             if kind is None:
                 t = t.sum(axis=tuple(range(1, 1 + width)))
                 continue
             if tables is not None:
-                # the axes left are this driver's scope, last-placed first
-                left = order[:pos][::-1]
+                # the axes left are this driver's scope
+                left = axes[pos:]
                 choice = np.transpose(pick(t, axis=1)[0], [left.index(s) for s in scopes[kind]])
                 tables[kind] = tuple(choice.reshape(-1).tolist())
             t = reduce_opt(t, axis=1)
@@ -337,10 +332,10 @@ def optimal_policy_value(
         _, best_flat = scan_combinations(
             outer_total,
             base.size,
-            lambda flat: reduce_chain(policy_batch(cbn, base, layout, searched, flat)[0]),
+            lambda flat: reduce_chain(policy_batch(cbn, base, axes, searched, flat)[0]),
             maximize,
         )
-    batch, picks = policy_batch(cbn, base, layout, searched, np.array([best_flat]))
+    batch, picks = policy_batch(cbn, base, axes, searched, np.array([best_flat]))
     tables = {e: tuple(digits[0].tolist()) for e, digits in zip(enumerated, picks)}
     value = float(reduce_chain(batch, tables)[0])
     pair = InterventionPair(

@@ -87,6 +87,27 @@ class TestCpd:
         with pytest.raises(ValueError):
             Cpd("a", (), (), ((0.5, 0.5 + 5e-9),))
 
+    def test_delta_rejects_a_bool_value(self):
+        with pytest.raises(ValueError, match="value True for 'a' must be an integer"):
+            Cpd.delta("a", True, 2)
+
+    def test_delta_rejects_an_integral_float_value(self):
+        with pytest.raises(ValueError, match="value 1.0 for 'a' must be an integer"):
+            Cpd.delta("a", 1.0, 2)
+
+    def test_delta_rejects_a_fractional_value_by_name(self):
+        with pytest.raises(ValueError, match="value 0.5 for 'a' must be an integer"):
+            Cpd.delta("a", 0.5, 2)
+
+    def test_float_parent_card_rejected_not_truncated(self):
+        with pytest.raises(ValueError, match="cardinality 2.7 for 'b' must be an integer"):
+            Cpd("a", ("b",), (2.7,), ((0.5, 0.5), (0.5, 0.5)))
+
+    def test_numpy_integers_accepted_as_values_and_cards(self):
+        assert Cpd.delta("a", np.int64(1), np.int32(2)).rows == ((0.0, 1.0),)
+        cpd = Cpd("a", ("b",), (np.int64(2),), ((0.5, 0.5), (0.5, 0.5)))
+        assert cpd.parent_cards == (2,) and type(cpd.parent_cards[0]) is int
+
 
 class TestCbnValidation:
     def test_cards_must_cover_nodes(self):
@@ -98,6 +119,20 @@ class TestCbnValidation:
         dag = Dag(["a"], [])
         with pytest.raises(ValueError, match="must be >= 2"):
             Cbn(dag, {"a": 1}, {"a": Cpd("a", (), (), ((0.5, 0.5),))})
+
+    def test_float_card_rejected_not_truncated(self):
+        dag = Dag(["a"], [])
+        with pytest.raises(ValueError, match="cardinality 2.9 for 'a' must be an integer"):
+            Cbn(dag, {"a": 2.9}, {"a": Cpd("a", (), (), ((0.5, 0.5),))})
+
+    def test_bool_card_rejected(self):
+        dag = Dag(["a"], [])
+        with pytest.raises(ValueError, match="cardinality True for 'a' must be an integer"):
+            Cbn(dag, {"a": True}, {"a": Cpd("a", (), (), ((0.5, 0.5),))})
+
+    def test_numpy_integer_card_accepted(self):
+        cbn = Cbn(Dag(["a"], []), {"a": np.int16(2)}, {"a": Cpd("a", (), (), ((0.5, 0.5),))})
+        assert cbn.cards == {"a": 2} and type(cbn.cards["a"]) is int
 
     def test_cpd_parents_must_match_dag(self):
         dag = Dag(["a", "b"], [("a", "b")])
@@ -297,6 +332,48 @@ class TestFactorCache:
         first *= 0.0
         assert cbn.joint({"b": 1}).sum() == pytest.approx(0.41, abs=1e-12)
         assert cbn.marginal_prob({"a": 1, "b": 1}) == pytest.approx(0.35, abs=1e-12)
+
+
+    def test_keep_is_the_summed_and_permuted_joint(self):
+        for rng, cbn in cross_check_networks():
+            nodes = cbn.dag.nodes
+            for _ in range(4):
+                event = random_event(rng, cbn, int(rng.integers(0, len(nodes) + 1)))
+                skip = tuple(n for n in nodes if rng.random() < 0.3)
+                size = int(rng.integers(0, len(nodes) + 1))
+                keep = [nodes[i] for i in rng.permutation(len(nodes))[:size]]
+                full = cbn.joint(event, skip)
+                summed = full.sum(axis=tuple(i for i, n in enumerate(nodes) if n not in keep))
+                in_order = [n for n in nodes if n in keep]
+                expect = np.transpose(summed, [in_order.index(n) for n in keep])
+                got = cbn.joint(event, skip, keep=keep)
+                assert got.shape == tuple(cbn.cards[n] for n in keep)
+                assert got.tobytes() == np.asarray(expect).tobytes()
+
+    def test_keep_nothing_is_a_0d_marginal(self):
+        for rng, cbn in cross_check_networks():
+            event = random_event(rng, cbn, int(rng.integers(0, len(cbn.dag.nodes) + 1)))
+            got = cbn.joint(event, keep=())
+            assert isinstance(got, np.ndarray) and got.ndim == 0
+            assert float(got) == cbn.marginal_prob(event)
+
+    def test_keep_names_are_checked(self):
+        cbn = xor_gate()
+        with pytest.raises(ValueError, match="unknown node 'x2'"):
+            cbn.joint(keep=("o", "x2"))
+        with pytest.raises(ValueError, match="repeats"):
+            cbn.joint(keep=("o", "x", "o"))
+
+    def test_kept_marginal_is_contiguous_writable_and_leaves_the_cache(self):
+        cbn = xor_gate()
+        keep = ("o", "x")
+        expect = cbn.joint(keep=keep).tobytes()
+        for keep_ in (keep, ("x", "y", "o"), ()):
+            got = cbn.joint({"y": 1}, keep=keep_)
+            assert got.flags.c_contiguous and got.flags.writeable
+            got[...] = -1.0
+        assert cbn.joint(keep=keep).tobytes() == expect
+        assert cbn.marginal_prob({"o": 1}) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestDeterministicFlag:

@@ -1,6 +1,11 @@
 """Command line behavior: reports, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,6 +130,21 @@ class TestSolve:
             assert code == 3, argv
             assert err.startswith("refused: state space of 67108864 configurations"), argv
 
+    def test_deep_driver_refused_before_its_tables_are_counted(self, tmp_path, capsys):
+        # a driver with 38 ancestors has 2^(2^38) class-inf tables; counting
+        # them before the state-space cap would take minutes and gigabytes
+        names = [f"v{i}" for i in range(40)]
+        dag = Dag(names, list(zip(names, names[1:])))
+        cbn = random_cbn(np.random.default_rng(40), dag)
+        target = names[-1]
+        spec = NetworkSpec.from_cbn(cbn, (names[-2],), (target,), {target: 1})
+        path = str(tmp_path / "chain40.json")
+        save(spec, path)
+        for objective in ("max-max", "max-min"):
+            code, _, err = run(["solve", path, "--objective", objective], capsys)
+            assert code == 3, objective
+            assert err.startswith("refused: state space of 1099511627776 configurations")
+
 
 class TestVerify:
     def test_usm_pass(self, junction_file, capsys):
@@ -223,3 +243,71 @@ class TestParser:
         with pytest.raises(SystemExit) as info:
             cli.main(["--help"])
         assert info.value.code == 0
+
+
+# Golden outputs: every subcommand on both fixtures, run from the repo root
+# with relative fixture paths.  Each file under tests/golden/ holds the exit
+# code, stdout, stderr and (for `usm`) the written network file, with the
+# temporary output directory shown as <tmp>.  To rewrite them after an
+# intended output change, run `PYTHONPATH=src python tests/test_cli.py`.
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+GOLDEN_ARGS = {
+    "drivers": ["drivers", "{net}"],
+    "eval": ["eval", "{net}"],
+    "solve-min-min": ["solve", "{net}", "--objective", "min-min"],
+    "solve-max-max": ["solve", "{net}", "--objective", "max-max"],
+    "solve-min-max": ["solve", "{net}", "--objective", "min-max"],
+    "solve-max-min": ["solve", "{net}", "--objective", "max-min"],
+    "solve-max-max-budget-20000": ["solve", "{net}", "--objective", "max-max", "--budget", "20000"],
+    "verify-all": ["verify", "{net}", "--suite", "all"],
+    "verify-all-seed-3": ["verify", "{net}", "--suite", "all", "--seed", "3"],
+    "usm": ["usm", "{net}", "--out", "{tmp}/usm.json"],
+}
+# --seed matters only without cpds, so it runs on the structure-only junction
+GOLDEN_CASES = [
+    (net, case)
+    for net in ("xor_gate", "two_branch_junction")
+    for case in GOLDEN_ARGS
+    if net == "two_branch_junction" or "seed" not in case
+]
+
+
+def golden_record(net: str, case: str) -> str:
+    """Exit code, stdout, stderr and any written file of one CLI run, as
+    the text kept in ``tests/golden/<net>.<case>.txt``; the caller must
+    have the repo root as its working directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [
+            a.format(net=f"fixtures/{net}.json", tmp=tmp) for a in GOLDEN_ARGS[case]
+        ]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        parts = [
+            f"$ cbnctrl {' '.join(argv)}\n",
+            f"exit: {code}\n",
+            "--- stdout\n",
+            out.getvalue(),
+            "--- stderr\n",
+            err.getvalue(),
+        ]
+        written = Path(tmp) / "usm.json"
+        if written.exists():
+            parts += ["--- usm.json\n", written.read_text()]
+        return "".join(parts).replace(tmp, "<tmp>")
+
+
+class TestGolden:
+    @pytest.mark.parametrize("net,case", GOLDEN_CASES)
+    def test_output_matches_golden(self, net, case, monkeypatch):
+        monkeypatch.chdir(ROOT)
+        expected = (GOLDEN_DIR / f"{net}.{case}.txt").read_text()
+        assert golden_record(net, case) == expected
+
+
+if __name__ == "__main__":
+    os.chdir(ROOT)
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for net, case in GOLDEN_CASES:
+        (GOLDEN_DIR / f"{net}.{case}.txt").write_text(golden_record(net, case))

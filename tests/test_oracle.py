@@ -259,3 +259,19 @@ class TestSuites:
         report = verify_extremality(cbn, ("y1", "y2"), ("o",), {"o": 1})
         assert report.passed
         assert any(line.startswith("max:") for line in report.details)
+
+    def test_extremality_reports_a_grid_that_beats_either_optimum(self, monkeypatch):
+        import cbnctrl.oracle as oracle
+
+        def beating(cbn, drivers, ip_class, desired, direction, step, budget):
+            det, _ = optimal_policy_value(cbn, drivers, ip_class, desired, direction, budget)
+            return det + (0.5 if direction is Direction.MAX else -0.5)
+
+        monkeypatch.setattr(oracle, "grid_policy_search", beating)
+        report = verify_extremality(screening_chain(), ("y1", "y2"), ("o",), {"o": 1})
+        assert not report.passed
+        assert [line.split(":")[0] for line in report.details[:3]] == ["drivers", "max", "min"]
+        assert report.details[3:] == (
+            "grid search beat the deterministic maximum",
+            "grid search beat the deterministic minimum",
+        )
