@@ -8,11 +8,16 @@ scale, and `oracle.grid_policy_search` exists to double-check it against
 stochastic tables.
 
 `optimal_policy_value` chains the drivers whose scopes nest and enumerates
-the tables of the rest.  The search starts from the joint's marginal over
-the drivers and their scopes, asked of `Cbn.joint` by node name; every other
-node is summed out once, before the search.  `policy_batch` multiplies the
-policy factors of a batch of numbered table combinations into a tensor,
-and `scan_combinations` evaluates the combinations in chunks of
+the tables of the rest.  An enumerated driver searches only its requisite
+scope (`requisite_scopes`), the class-scope members that are not
+d-separated from the targets given the driver and its other members; a
+table that varies across the others never beats one that does not.  Its
+witness is widened back to the class scope, constant across the dropped
+members.  The search starts from the joint's marginal over the drivers
+and their searched scopes, asked of `Cbn.joint` by node name; every other
+node is summed out once, before the search.  `policy_batch` multiplies
+the policy factors of a batch of numbered table combinations into a
+tensor, and `scan_combinations` evaluates the combinations in chunks of
 `CHUNK_ELEMENTS` tensor entries (or of one combination, if that is larger).
 The tie-break is that of a one-by-one scan in lexicographic order: the
 first optimum of a chunk replaces the incumbent only on a strict
@@ -166,6 +171,65 @@ def _pick_chain(
     return chain, enumerated
 
 
+def requisite_scopes(
+    dag: Dag, scopes: dict[str, tuple[str, ...]], searched, targets
+) -> dict[str, tuple[str, ...]]:
+    """``scopes`` with the scope of each ``searched`` driver cut down to its
+    requisite members; rounds repeat until no scope shrinks.
+
+    The graph is ``dag`` with each driver's parents replaced by its current
+    scope.  Driver d keeps the members that a Bayes-ball pass (Shachter
+    1998) from ``targets`` reaches, with d and its scope observed.  The
+    members it drops are d-separated from the targets given d and the
+    members it keeps, so, whatever the other drivers' tables, some best
+    table for d ignores them: they are the non-requisite observations of a
+    LIMID (Lauritzen & Nilsson 2001), and the optimum over the cut scopes
+    is the optimum over ``scopes``.  A cut removes edges, which can leave
+    more members non-requisite; hence the rounds.
+    """
+    scopes = dict(scopes)
+    changed = True
+    while changed:
+        changed = False
+        for d in searched:
+            if not scopes[d]:
+                continue
+            parents = {n: scopes[n] if n in scopes else dag.parents(n) for n in dag.nodes}
+            children: dict[str, list[str]] = {n: [] for n in dag.nodes}
+            for n, ps in parents.items():
+                for p in ps:
+                    children[p].append(n)
+            reached = _ball_reach(parents, children, targets, {d, *scopes[d]})
+            kept = tuple(s for s in scopes[d] if s in reached)
+            if kept != scopes[d]:
+                scopes[d], changed = kept, True
+    return scopes
+
+
+def _ball_reach(parents: dict, children: dict, targets, observed: set) -> set:
+    # Bayes-ball: a ball from a child passes an unobserved node to its
+    # parents and children and stops at an observed one; a ball from a
+    # parent passes an unobserved node to its children and bounces off an
+    # observed one back to its parents.  Returns every node a ball visits.
+    up: set[str] = set()
+    down: set[str] = set()
+    reached: set[str] = set()
+    stack = [(t, True) for t in targets]
+    while stack:
+        node, from_child = stack.pop()
+        reached.add(node)
+        seen = node in observed
+        if seen and from_child:
+            continue
+        if (from_child or seen) and node not in up:
+            up.add(node)
+            stack.extend((p, True) for p in parents[node])
+        if not seen and node not in down:
+            down.add(node)
+            stack.extend((c, False) for c in children[node])
+    return reached
+
+
 #: elements of the batched tensor one chunk of the table search fills
 CHUNK_ELEMENTS = 2 ** 15
 
@@ -251,6 +315,8 @@ def optimal_policy_value(
         raise ValueError("desired event must be non-empty")
     if not isinstance(direction, Direction):
         raise ValueError(f"direction must be a Direction, got {direction!r}")
+    if not isinstance(ip_class, IpClass):
+        raise ValueError(f"ip_class must be an IpClass, got {ip_class!r}")
 
     if not driver_list:
         return _clamp(cbn.marginal_prob(desired, budget)), InterventionPair.empty()
@@ -282,19 +348,26 @@ def optimal_policy_value(
 
     scope_sets = {d: frozenset(scopes[d]) for d in driver_list}
     chain, enumerated = _pick_chain(driver_list, scope_sets, table_counts, dag)
+    # Enumerated drivers search only their requisite scope members, which
+    # leaves the optimum as it is; chain drivers keep their class scopes, so
+    # the chain stays valid.  Without a scoped enumerated driver there is
+    # nothing to drop, and the analysis is skipped.
+    searched_scopes = scopes
+    if any(scopes[e] for e in enumerated):
+        searched_scopes = requisite_scopes(dag, scopes, enumerated, desired)
 
-    # A node outside the drivers and their scopes meets no policy factor and
-    # is summed before any driver is reduced, so the search starts from the
-    # marginal over the rest.  Its axes come in reduction order, so each
-    # reduction runs over a leading axis and adds whole contiguous blocks,
-    # and each chain driver comes right before its scope (scopes come in
-    # dag order and nest along the chain), so the nested optimum at its
-    # axis ranges over tables on exactly that scope.
-    relevant = set(driver_list).union(*scope_sets.values())
+    # A node outside the drivers and their searched scopes meets no policy
+    # factor and is summed before any driver is reduced, so the search
+    # starts from the marginal over the rest.  Its axes come in reduction
+    # order, so each reduction runs over a leading axis and adds whole
+    # contiguous blocks, and each chain driver comes right before its scope
+    # (scopes come in dag order and nest along the chain), so the nested
+    # optimum at its axis ranges over tables on exactly that scope.
+    relevant = set(driver_list).union(*searched_scopes.values())
     order = [n for d in chain for n in (*scopes[d], d)] + sorted(relevant, key=dag.index)
     axes = list(dict.fromkeys(order))[::-1]
     base = cbn.joint(desired, skip=driver_list, budget=budget, keep=axes)
-    outer_total = prod(table_counts[e] for e in enumerated)
+    outer_total = prod(cards[e] ** prod(cards[s] for s in searched_scopes[e]) for e in enumerated)
     budget.check_work(outer_total * cbn.state_space_size())
     # (width, chain driver or None for a sum), in reduction order.  A run of
     # chance axes is one sum; an enumerated driver's axis is summed on its
@@ -326,7 +399,7 @@ def optimal_policy_value(
             t = reduce_opt(t, axis=1)
         return t
 
-    searched = [(e, scopes[e], np.eye(cards[e])) for e in enumerated]
+    searched = [(e, searched_scopes[e], np.eye(cards[e])) for e in enumerated]
     best_flat = 0
     if enumerated:
         _, best_flat = scan_combinations(
@@ -336,7 +409,14 @@ def optimal_policy_value(
             maximize,
         )
     batch, picks = policy_batch(cbn, base, axes, searched, np.array([best_flat]))
-    tables = {e: tuple(digits[0].tolist()) for e, digits in zip(enumerated, picks)}
+    tables = {}
+    for e, digits in zip(enumerated, picks):
+        choice, kept = digits[0], searched_scopes[e]
+        if kept != scopes[e]:
+            # widened to the class scope, constant across the dropped members
+            choice = cbn.expand(choice.reshape([cards[s] for s in kept]), kept, scopes[e])
+            choice = np.broadcast_to(choice, scope_cards[e]).reshape(-1)
+        tables[e] = tuple(choice.tolist())
     value = float(reduce_chain(batch, tables)[0])
     pair = InterventionPair(
         table_from_choices(d, scopes[d], scope_cards[d], cards[d], tables[d]) for d in driver_list

@@ -167,6 +167,8 @@ def grid_policy_search(
     and scanned in chunks by `control.scan_combinations`.  The work
     estimate is the number of table combinations times the joint size.
     """
+    if not isinstance(ip_class, IpClass):
+        raise ValueError(f"ip_class must be an IpClass, got {ip_class!r}")
     budget = budget or DEFAULT_BUDGET
     dag = cbn.dag
     driver_list = tuple(sorted(set(drivers), key=dag.index))

@@ -149,6 +149,14 @@ class TestGridSearch:
         with pytest.raises(BudgetExceededError):
             grid_policy_search(cbn, ("y1",), CLASS1, {"o": 1}, Direction.MAX, 0.25, Budget(max_work=1))
 
+    def test_ip_class_type_checked(self):
+        # refused before any work, with or without drivers
+        cbn = screening_chain()
+        for drivers in (("y1",), ()):
+            for ip_class in (1, "inf", None):
+                with pytest.raises(ValueError, match="ip_class must be an IpClass"):
+                    grid_policy_search(cbn, drivers, ip_class, {"o": 1}, Direction.MAX)
+
 
 def literal_grid_values(cbn, drivers, ip_class, desired, step=0.25):
     # every grid table as a Cpd, every combination through interventional_prob

@@ -1,12 +1,14 @@
 """Property tests over random networks, drawn by hypothesis.
 
-Networks have two to four nodes, binary and ternary, with rows that may put
-zero or all of their mass on one value.  Examples are derandomized, so every
+Networks have two to four nodes (three to six for the requisite-scope
+property), binary and ternary, with rows that may put zero or all of their
+mass on one value.  Examples are derandomized, so every
 run checks the same ones, and capped so the module stays quick.
 """
 
 from math import prod
 
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -33,6 +35,9 @@ from cbnctrl import (  # noqa: E402
     serialize,
 )
 from cbnctrl.intervention import scope_for_class  # noqa: E402
+from cbnctrl.oracle import random_cbn  # noqa: E402
+
+from test_requisite import constant_across, record_requisite  # noqa: E402
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=60)
 
@@ -55,8 +60,8 @@ def rows(draw, card: int, count: int):
 
 
 @st.composite
-def networks(draw, max_nodes: int = 4) -> Cbn:
-    n = draw(st.integers(2, max_nodes))
+def networks(draw, max_nodes: int = 4, min_nodes: int = 2) -> Cbn:
+    n = draw(st.integers(min_nodes, max_nodes))
     names = [f"v{i}" for i in range(n)]
     edges = [(names[i], names[j]) for j in range(n) for i in range(j) if draw(st.booleans())]
     dag = Dag(names, edges)
@@ -135,3 +140,53 @@ def test_witness_replays_its_value(case):
     except BudgetExceededError:
         hypothesis.reject()
     assert interventional_prob(cbn, pair, desired) == pytest.approx(value, abs=1e-12)
+
+
+@st.composite
+def pruned_searches(draw):
+    """3-6 node networks, 2-3 drivers, classes 1, 2 and inf, and both
+    directions, with at most 1024 table combinations on the class scopes."""
+    cbn = draw(networks(max_nodes=6, min_nodes=3))
+    dag, cards = cbn.dag, cbn.cards
+    if draw(st.booleans()):
+        # generic rows, under which what a driver sees usually matters
+        cbn = random_cbn(np.random.default_rng(draw(st.integers(0, 2 ** 16))), dag, cards)
+    # a root's scope is empty, so roots are drawn only when too few nodes
+    # have parents
+    scoped = [v for v in dag.nodes if dag.parents(v)]
+    pool = scoped if len(scoped) >= 2 else dag.nodes
+    drivers = tuple(draw(st.lists(st.sampled_from(pool), min_size=2, max_size=3, unique=True)))
+    classes = [
+        c for c in (CLASS1, IpClass(2), CLASS_INF)
+        if prod(cards[d] ** prod(cards[s] for s in scope_for_class(dag, d, c)) for d in drivers) <= 1024
+    ]
+    hypothesis.assume(classes)
+    ip_class = draw(st.sampled_from(classes))
+    # the last node is always a target, so most drivers have one below them
+    targets = [dag.nodes[-1]] + draw(st.lists(st.sampled_from(dag.nodes[:-1]), max_size=1))
+    desired = {t: draw(st.integers(0, cards[t] - 1)) for t in targets}
+    direction = draw(st.sampled_from((Direction.MAX, Direction.MIN)))
+    return cbn, drivers, ip_class, desired, direction
+
+
+@settings(SETTINGS, max_examples=100)
+@given(pruned_searches())
+def test_requisite_scopes_keep_the_optimum(case):
+    # the search on requisite scopes against the literal one on class
+    # scopes; each witness is printed on its class scope, constant across
+    # the members the search dropped
+    cbn, drivers, ip_class, desired, direction = case
+    patch, seen = record_requisite()
+    with patch:
+        value, pair = optimal_policy_value(cbn, drivers, ip_class, desired, direction)
+    naive, _ = naive_policy_search(cbn, drivers, ip_class, desired, direction)
+    assert value == pytest.approx(naive, abs=1e-9)
+    assert interventional_prob(cbn, pair, desired) == pytest.approx(value, abs=1e-12)
+    scopes = {d: scope_for_class(cbn.dag, d, ip_class) for d in pair.targets}
+    kept = seen[0] if seen else scopes
+    hypothesis.event(f"scope members dropped: {kept != scopes}")
+    if cbn.deterministic:
+        return  # the fast path's witnesses are atomic
+    for d, scope in scopes.items():
+        assert pair.policy(d).scope == scope
+        assert constant_across(pair, d, [s for s in scope if s not in kept[d]])
