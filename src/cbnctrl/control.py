@@ -23,6 +23,12 @@ The tie-break is that of a one-by-one scan in lexicographic order: the
 first optimum of a chunk replaces the incumbent only on a strict
 improvement.  `oracle.grid_policy_search` runs on the same two functions,
 with grid rows where the optimizer has one-hot rows.
+
+One plan serves every direction.  `optimal_policy_values` does everything
+up to the scan once and answers each requested direction from it: the
+scan reduces each chunk once per direction, each direction with its own
+incumbent, so each answer is exactly that of a single-direction call.
+`optimal_policy_value` asks for one direction.
 """
 
 from __future__ import annotations
@@ -51,6 +57,20 @@ from .intervention import (
 class Direction(Enum):
     MAX = "max"
     MIN = "min"
+
+    def beats(self, value, incumbent) -> bool:
+        """Whether ``value`` is strictly better than ``incumbent``."""
+        return value > incumbent if self is Direction.MAX else value < incumbent
+
+    @property
+    def arg(self):
+        """``np.argmax`` or ``np.argmin``: the first optimum's position."""
+        return np.argmax if self is Direction.MAX else np.argmin
+
+    @property
+    def reduce(self):
+        """``np.maximum.reduce`` or ``np.minimum.reduce``."""
+        return np.maximum.reduce if self is Direction.MAX else np.minimum.reduce
 
 
 class Objective(Enum):
@@ -188,21 +208,25 @@ def requisite_scopes(
     more members non-requisite; hence the rounds.
     """
     scopes = dict(scopes)
+    graph = None  # (parents, children) under the current scopes
     changed = True
     while changed:
         changed = False
         for d in searched:
             if not scopes[d]:
                 continue
-            parents = {n: scopes[n] if n in scopes else dag.parents(n) for n in dag.nodes}
-            children: dict[str, list[str]] = {n: [] for n in dag.nodes}
-            for n, ps in parents.items():
-                for p in ps:
-                    children[p].append(n)
-            reached = _ball_reach(parents, children, targets, {d, *scopes[d]})
+            if graph is None:
+                parents = {n: scopes[n] if n in scopes else dag.parents(n) for n in dag.nodes}
+                children: dict[str, list[str]] = {n: [] for n in dag.nodes}
+                for n, ps in parents.items():
+                    for p in ps:
+                        children[p].append(n)
+                graph = parents, children
+            reached = _ball_reach(*graph, targets, {d, *scopes[d]})
             kept = tuple(s for s in scopes[d] if s in reached)
             if kept != scopes[d]:
-                scopes[d], changed = kept, True
+                # a cut changes the graph, which is rebuilt when next needed
+                scopes[d], changed, graph = kept, True, None
     return scopes
 
 
@@ -271,26 +295,27 @@ def policy_batch(
     return batch, picks
 
 
-def scan_combinations(total: int, size: int, evaluate, maximize: bool) -> tuple[float, int]:
-    """The optimum of ``evaluate`` over combination numbers ``range(total)``
-    and the first number that attains it.
+def scan_combinations(
+    total: int, size: int, evaluate, directions: tuple[Direction, ...]
+) -> list[tuple[float, int]]:
+    """Per direction, the optimum of ``evaluate`` over combination numbers
+    ``range(total)`` and the first number that attains it.
 
-    ``evaluate`` maps an array of numbers to values; it gets chunks of
-    ``CHUNK_ELEMENTS // size`` numbers (at least one), for tensors of
-    ``size`` entries each.  The first optimum of a chunk replaces the
-    incumbent only on a strict improvement, as a one-by-one scan would.
+    ``evaluate`` maps an array of numbers to one array of values per
+    direction; it gets chunks of ``CHUNK_ELEMENTS // size`` numbers (at
+    least one), for tensors of ``size`` entries each.  In each direction the
+    first optimum of a chunk replaces the incumbent only on a strict
+    improvement, as a one-by-one scan would.
     """
-    pick = np.argmax if maximize else np.argmin
     step = max(1, CHUNK_ELEMENTS // size)
-    best_value, best_flat = None, 0
+    best: list = [(None, 0)] * len(directions)
     for start in range(0, total, step):
-        values = evaluate(np.arange(start, min(start + step, total)))
-        pos = int(pick(values))
-        if best_value is None or (
-            values[pos] > best_value if maximize else values[pos] < best_value
-        ):
-            best_value, best_flat = values[pos], start + pos
-    return best_value, best_flat
+        chunk = evaluate(np.arange(start, min(start + step, total)))
+        for i, (direction, values) in enumerate(zip(directions, chunk)):
+            pos = int(direction.arg(values))
+            if best[i][0] is None or direction.beats(values[pos], best[i][0]):
+                best[i] = (values[pos], start + pos)
+    return best
 
 
 def optimal_policy_value(
@@ -308,18 +333,40 @@ def optimal_policy_value(
     lexicographic choice order and only strict improvements replace the
     incumbent, so repeated runs return the identical witness.
     """
+    return optimal_policy_values(cbn, drivers, ip_class, desired, (direction,), budget)[0]
+
+
+def optimal_policy_values(
+    cbn: Cbn,
+    drivers,
+    ip_class: IpClass,
+    desired,
+    directions,
+    budget: Budget | None = None,
+) -> list[tuple[float, InterventionPair]]:
+    """`optimal_policy_value` in each of ``directions``, in order, from one
+    plan.
+
+    Everything up to the scan is the same in every direction: the checks,
+    the scopes, the chain split, the requisite scopes, the axes, the base
+    tensor and the work estimate.  The scan builds each chunk's batch once
+    and reduces it once per direction; each direction keeps its own tie-break.
+    """
     budget = budget or DEFAULT_BUDGET
     dag = cbn.dag
     driver_list = tuple(sorted(set(drivers), key=dag.index))
     if not desired:
         raise ValueError("desired event must be non-empty")
-    if not isinstance(direction, Direction):
-        raise ValueError(f"direction must be a Direction, got {direction!r}")
+    directions = tuple(directions)
+    for direction in directions:
+        if not isinstance(direction, Direction):
+            raise ValueError(f"direction must be a Direction, got {direction!r}")
     if not isinstance(ip_class, IpClass):
         raise ValueError(f"ip_class must be an IpClass, got {ip_class!r}")
 
     if not driver_list:
-        return _clamp(cbn.marginal_prob(desired, budget)), InterventionPair.empty()
+        value = _clamp(cbn.marginal_prob(desired, budget))
+        return [(value, InterventionPair.empty()) for _ in directions]
 
     # before any table is sized: a driver's scope can hold every other node
     cbn.check_joint(desired, budget=budget)
@@ -327,9 +374,6 @@ def optimal_policy_value(
     scopes = {d: scope_for_class(dag, d, ip_class) for d in driver_list}
     scope_cards = {d: tuple(cards[s] for s in scopes[d]) for d in driver_list}
     table_counts = {d: cards[d] ** prod(scope_cards[d]) for d in driver_list}
-
-    maximize = direction is Direction.MAX
-    pick = np.argmax if maximize else np.argmin
 
     if cbn.deterministic:
         # A fully deterministic network realizes exactly one world per
@@ -339,12 +383,15 @@ def optimal_policy_value(
         # optimum of the C-order flattening is the first in product order.
         values = cbn.joint(desired, skip=driver_list, budget=budget, keep=driver_list).reshape(-1)
         budget.check_work(prod(cards[d] for d in driver_list) * len(driver_list))
-        best = int(pick(values))
-        vector = np.unravel_index(best, tuple(cards[d] for d in driver_list))
-        pair = InterventionPair(
-            atomic_policy(d, int(v), cards[d]) for d, v in zip(driver_list, vector)
-        )
-        return float(values[best]), pair
+        results = []
+        for direction in directions:
+            best = int(direction.arg(values))
+            vector = np.unravel_index(best, tuple(cards[d] for d in driver_list))
+            pair = InterventionPair(
+                atomic_policy(d, int(v), cards[d]) for d, v in zip(driver_list, vector)
+            )
+            results.append((float(values[best]), pair))
+        return results
 
     scope_sets = {d: frozenset(scopes[d]) for d in driver_list}
     chain, enumerated = _pick_chain(driver_list, scope_sets, table_counts, dag)
@@ -379,11 +426,12 @@ def optimal_policy_value(
         for key, run in groupby(axes, driver_of.get)
     ]
 
-    reduce_opt = np.maximum.reduce if maximize else np.minimum.reduce
-
-    def reduce_chain(batch: np.ndarray, tables: dict | None = None) -> np.ndarray:
+    def reduce_chain(
+        batch: np.ndarray, direction: Direction, tables: dict | None = None
+    ) -> np.ndarray:
         # one chain optimum per entry of the leading batch axis; given
         # ``tables``, also records each chain driver's table for entry 0
+        arg, reduce = direction.arg, direction.reduce
         t = batch
         pos = 0
         for width, kind in segments:
@@ -394,34 +442,42 @@ def optimal_policy_value(
             if tables is not None:
                 # the axes left are this driver's scope
                 left = axes[pos:]
-                choice = np.transpose(pick(t, axis=1)[0], [left.index(s) for s in scopes[kind]])
+                choice = np.transpose(arg(t, axis=1)[0], [left.index(s) for s in scopes[kind]])
                 tables[kind] = tuple(choice.reshape(-1).tolist())
-            t = reduce_opt(t, axis=1)
+            t = reduce(t, axis=1)
         return t
 
     searched = [(e, searched_scopes[e], np.eye(cards[e])) for e in enumerated]
-    best_flat = 0
+
+    def evaluate(flat: np.ndarray) -> list[np.ndarray]:
+        # one batch per chunk, reduced once per direction
+        batch = policy_batch(cbn, base, axes, searched, flat)[0]
+        return [reduce_chain(batch, direction) for direction in directions]
+
+    optima = [(None, 0)] * len(directions)
     if enumerated:
-        _, best_flat = scan_combinations(
-            outer_total,
-            base.size,
-            lambda flat: reduce_chain(policy_batch(cbn, base, axes, searched, flat)[0]),
-            maximize,
+        optima = scan_combinations(outer_total, base.size, evaluate, directions)
+    results = []
+    batches = {}  # per witness combination, shared by directions that agree
+    for direction, (_, best_flat) in zip(directions, optima):
+        if best_flat not in batches:
+            batches[best_flat] = policy_batch(cbn, base, axes, searched, np.array([best_flat]))
+        batch, picks = batches[best_flat]
+        tables = {}
+        for e, digits in zip(enumerated, picks):
+            choice, kept = digits[0], searched_scopes[e]
+            if kept != scopes[e]:
+                # widened to the class scope, constant across the dropped members
+                choice = cbn.expand(choice.reshape([cards[s] for s in kept]), kept, scopes[e])
+                choice = np.broadcast_to(choice, scope_cards[e]).reshape(-1)
+            tables[e] = tuple(choice.tolist())
+        value = float(reduce_chain(batch, direction, tables)[0])
+        pair = InterventionPair(
+            table_from_choices(d, scopes[d], scope_cards[d], cards[d], tables[d])
+            for d in driver_list
         )
-    batch, picks = policy_batch(cbn, base, axes, searched, np.array([best_flat]))
-    tables = {}
-    for e, digits in zip(enumerated, picks):
-        choice, kept = digits[0], searched_scopes[e]
-        if kept != scopes[e]:
-            # widened to the class scope, constant across the dropped members
-            choice = cbn.expand(choice.reshape([cards[s] for s in kept]), kept, scopes[e])
-            choice = np.broadcast_to(choice, scope_cards[e]).reshape(-1)
-        tables[e] = tuple(choice.tolist())
-    value = float(reduce_chain(batch, tables)[0])
-    pair = InterventionPair(
-        table_from_choices(d, scopes[d], scope_cards[d], cards[d], tables[d]) for d in driver_list
-    )
-    return _clamp(value), pair
+        results.append((_clamp(value), pair))
+    return results
 
 
 def solve(

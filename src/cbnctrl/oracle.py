@@ -25,6 +25,7 @@ from .control import (
     Direction,
     c_star,
     optimal_policy_value,
+    optimal_policy_values,
     policy_batch,
     scan_combinations,
     usm_adversarial_cbn,
@@ -43,6 +44,9 @@ from .intervention import (
 BRACKET_TOL = 1e-9
 
 SUITE_NAMES = ("lemma3", "sufficiency", "usm", "extremality")
+
+#: both directions, in the order the suites report them
+BOTH = (Direction.MAX, Direction.MIN)
 
 
 def iter_subsets(items: Iterable[str]) -> Iterator[tuple[str, ...]]:
@@ -82,6 +86,8 @@ def naive_policy_search(
     exists purely as a slow cross-check for the chained reductions and
     batched scan of `control.optimal_policy_value`.
     """
+    if not isinstance(direction, Direction):
+        raise ValueError(f"direction must be a Direction, got {direction!r}")
     dag = cbn.dag
     driver_list = tuple(sorted(set(drivers), key=dag.index))
     cards = cbn.cards
@@ -94,13 +100,12 @@ def naive_policy_search(
         list(enumerate_deterministic_tables(d, scopes[d], scope_cards[d], cards[d]))
         for d in driver_list
     ]
-    maximize = direction is Direction.MAX
     best_value = None
     best_pair = None
     for combo in product(*table_lists):
         pair = InterventionPair(combo)
         value = interventional_prob(cbn, pair, desired)
-        if best_value is None or (value > best_value if maximize else value < best_value):
+        if best_value is None or direction.beats(value, best_value):
             best_value = value
             best_pair = pair
     return best_value, best_pair
@@ -120,14 +125,24 @@ def best_over_subsets(
     lexicographically earliest) subset is reported.
     """
     budget = budget or DEFAULT_BUDGET
-    dag = cbn.dag
-    pool = tuple(sorted(set(intervenable), key=dag.index))
+    return _subset_optima(cbn, intervenable, ip_class, desired, (direction,), budget)[0]
+
+
+def _subset_optima(cbn, intervenable, ip_class, desired, directions, budget, known=None) -> list:
+    # `best_over_subsets` in each of ``directions``, one optimizer plan per
+    # subset; ``known`` maps a subset, as a frozenset, to the answers of
+    # `optimal_policy_values` in ``directions`` already at hand
+    pool = tuple(sorted(set(intervenable), key=cbn.dag.index))
     budget.check_set_size(len(pool))
-    best = None
+    known = known or {}
+    best: list = [None] * len(directions)
     for subset in iter_subsets(pool):
-        value, pair = optimal_policy_value(cbn, subset, ip_class, desired, direction, budget)
-        if best is None or (value > best[0] if direction is Direction.MAX else value < best[0]):
-            best = (value, subset, pair)
+        answers = known.get(frozenset(subset))
+        if answers is None:
+            answers = optimal_policy_values(cbn, subset, ip_class, desired, directions, budget)
+        for i, (direction, (value, pair)) in enumerate(zip(directions, answers)):
+            if best[i] is None or direction.beats(value, best[i][0]):
+                best[i] = (value, subset, pair)
     return best
 
 
@@ -160,20 +175,40 @@ def grid_policy_search(
     The grid includes every deterministic table as a vertex, so the result
     can never fall below (above, for Min) the deterministic optimum; the
     point of the search is that it must never beat it either.
+    """
+    return grid_policy_values(cbn, drivers, ip_class, desired, (direction,), step, budget)[0]
+
+
+def grid_policy_values(
+    cbn: Cbn,
+    drivers,
+    ip_class: IpClass,
+    desired: Mapping[str, int],
+    directions,
+    step: float = 0.25,
+    budget: Budget | None = None,
+) -> list[float]:
+    """`grid_policy_search` in each of ``directions``, in order, from one
+    scan.
 
     Each driver's table picks one `simplex_grid_rows` row per scope
     configuration.  The tables are applied to the joint by
     `control.policy_batch`, the same batch the optimizer enumerates with,
-    and scanned in chunks by `control.scan_combinations`.  The work
-    estimate is the number of table combinations times the joint size.
+    and scanned in chunks by `control.scan_combinations`, which keeps one
+    optimum per direction.  The work estimate is the number of table
+    combinations times the joint size.
     """
+    directions = tuple(directions)
+    for direction in directions:
+        if not isinstance(direction, Direction):
+            raise ValueError(f"direction must be a Direction, got {direction!r}")
     if not isinstance(ip_class, IpClass):
         raise ValueError(f"ip_class must be an IpClass, got {ip_class!r}")
     budget = budget or DEFAULT_BUDGET
     dag = cbn.dag
     driver_list = tuple(sorted(set(drivers), key=dag.index))
     if not driver_list:
-        return cbn.marginal_prob(desired, budget)
+        return [cbn.marginal_prob(desired, budget)] * len(directions)
 
     cards = cbn.cards
     base = cbn.joint(desired, skip=driver_list, budget=budget)
@@ -184,12 +219,13 @@ def grid_policy_search(
     total = prod(len(rows) ** prod(cards[s] for s in scope) for _, scope, rows in searched)
     budget.check_work(total * base.size)
 
-    def values(flat: np.ndarray) -> np.ndarray:
+    def values(flat: np.ndarray) -> list[np.ndarray]:
         batch, _ = policy_batch(cbn, base, dag.nodes, searched, flat)
-        return batch.reshape(len(flat), -1).sum(axis=1)
+        # the sums are the same in every direction
+        return [batch.reshape(len(flat), -1).sum(axis=1)] * len(directions)
 
-    best, _ = scan_combinations(total, base.size, values, direction is Direction.MAX)
-    return float(best)
+    optima = scan_combinations(total, base.size, values, directions)
+    return [float(best) for best, _ in optima]
 
 
 def ci_holds(cbn: Cbn, a: str, b: str, z: Iterable[str], tol: float = 1e-9) -> bool:
@@ -275,7 +311,9 @@ def verify_lemma3(
     every intervened subset, at every requested class level >= 1.
 
     Level 0 is refused: an unconditional policy cannot reproduce the table
-    it replaces, so the bracket can genuinely fail there.
+    it replaces, so the bracket can genuinely fail there.  Both ends of a
+    bracket come from one optimizer plan, and levels that give a subset's
+    drivers the same scopes share it.
     """
     budget = budget or DEFAULT_BUDGET
     level_list = tuple(levels)
@@ -289,10 +327,13 @@ def verify_lemma3(
     failures: list[str] = []
     checked = 0
     for subset in iter_subsets(pool):
+        brackets: dict[tuple, list] = {}
         for level in level_list:
             cls = IpClass(level)
-            high, _ = optimal_policy_value(cbn, subset, cls, desired, Direction.MAX, budget)
-            low, _ = optimal_policy_value(cbn, subset, cls, desired, Direction.MIN, budget)
+            scopes = tuple(scope_for_class(dag, d, cls) for d in subset)
+            if scopes not in brackets:
+                brackets[scopes] = optimal_policy_values(cbn, subset, cls, desired, BOTH, budget)
+            (high, _), (low, _) = brackets[scopes]
             checked += 1
             if not (low <= baseline + BRACKET_TOL and baseline <= high + BRACKET_TOL):
                 failures.append(
@@ -312,7 +353,10 @@ def verify_sufficiency(
     budget: Budget | None = None,
 ) -> SuiteReport:
     """The backward-chaining driver set matches the exhaustive-subset
-    optimum under full-ancestry policies, in both directions."""
+    optimum under full-ancestry policies, in both directions.
+
+    One scan over the subsets serves both directions, and the subset equal
+    to the driver set reuses the drivers' answers."""
     budget = budget or DEFAULT_BUDGET
     dag = cbn.dag
     target_list = tuple(targets)
@@ -325,11 +369,11 @@ def verify_sufficiency(
     xstar = c_star(problem).members
     details = [f"drivers: {{{' '.join(xstar)}}}"]
     failures: list[str] = []
-    for direction in (Direction.MAX, Direction.MIN):
-        mine, _ = optimal_policy_value(cbn, xstar, CLASS_INF, desired, direction, budget)
-        best_value, best_subset, _ = best_over_subsets(
-            cbn, problem.intervenable, CLASS_INF, desired, direction, budget
-        )
+    answers = optimal_policy_values(cbn, xstar, CLASS_INF, desired, BOTH, budget)
+    optima = _subset_optima(
+        cbn, problem.intervenable, CLASS_INF, desired, BOTH, budget, {frozenset(xstar): answers}
+    )
+    for direction, (mine, _), (best_value, best_subset, _) in zip(BOTH, answers, optima):
         details.append(
             f"{direction.value}: drivers {mine:.9f}, exhaustive {best_value:.9f} "
             f"at {{{' '.join(best_subset)}}}"
@@ -386,7 +430,8 @@ def verify_extremality(
     budget: Budget | None = None,
 ) -> SuiteReport:
     """Stochastic tables on the 0.25 grid never beat the deterministic
-    optimum, in either direction, for the identified driver set."""
+    optimum, in either direction, for the identified driver set.  One
+    optimizer plan gives both optima and one grid scan both grid values."""
     budget = budget or DEFAULT_BUDGET
     dag = cbn.dag
     target_list = tuple(targets)
@@ -399,10 +444,10 @@ def verify_extremality(
     xstar = c_star(problem).members
     failures: list[str] = []
     details = [f"drivers: {{{' '.join(xstar)}}}"]
-    for direction in (Direction.MAX, Direction.MIN):
+    optima = optimal_policy_values(cbn, xstar, CLASS_INF, desired, BOTH, budget)
+    grids = grid_policy_values(cbn, xstar, CLASS_INF, desired, BOTH, 0.25, budget)
+    for direction, (det, _), grid in zip(BOTH, optima, grids):
         maximize = direction is Direction.MAX
-        det, _ = optimal_policy_value(cbn, xstar, CLASS_INF, desired, direction, budget)
-        grid = grid_policy_search(cbn, xstar, CLASS_INF, desired, direction, 0.25, budget)
         details.append(f"{direction.value}: deterministic {det:.9f}, grid {grid:.9f}")
         if grid > det + BRACKET_TOL if maximize else grid < det - BRACKET_TOL:
             failures.append(f"grid search beat the deterministic {'maximum' if maximize else 'minimum'}")

@@ -262,6 +262,12 @@ GOLDEN_ARGS = {
     "solve-max-max-budget-20000": ["solve", "{net}", "--objective", "max-max", "--budget", "20000"],
     "verify-all": ["verify", "{net}", "--suite", "all"],
     "verify-all-seed-3": ["verify", "{net}", "--suite", "all", "--seed", "3"],
+    "verify-all-seed-3-budget-100": [
+        "verify", "{net}", "--suite", "all", "--seed", "3", "--budget", "100"
+    ],
+    "verify-all-seed-3-budget-300": [
+        "verify", "{net}", "--suite", "all", "--seed", "3", "--budget", "300"
+    ],
     "usm": ["usm", "{net}", "--out", "{tmp}/usm.json"],
 }
 # --seed matters only without cpds, so it runs on the structure-only junction

@@ -68,6 +68,14 @@ class TestNaiveSearch:
         assert value == cbn.marginal_prob({"b": 1})
         assert len(pair) == 0
 
+    def test_direction_type_checked(self):
+        # "max" once silently minimised; it is refused before any work, so
+        # before the one-combination cap could refuse the search
+        cbn = screening_chain()
+        for direction in ("max", "min", None):
+            with pytest.raises(ValueError, match="direction must be a Direction"):
+                naive_policy_search(cbn, ("y1",), CLASS_INF, {"o": 1}, direction, max_combos=1)
+
 
 class TestBestOverSubsets:
     def test_prefers_smallest_tied_subset(self):
@@ -156,6 +164,17 @@ class TestGridSearch:
             for ip_class in (1, "inf", None):
                 with pytest.raises(ValueError, match="ip_class must be an IpClass"):
                     grid_policy_search(cbn, drivers, ip_class, {"o": 1}, Direction.MAX)
+
+    def test_direction_type_checked(self):
+        # "max" once silently minimised; it is refused before any work, with
+        # or without drivers, so before a one-operation budget could refuse
+        cbn = screening_chain()
+        for drivers in (("y1",), ()):
+            for direction in ("max", "min", None):
+                with pytest.raises(ValueError, match="direction must be a Direction"):
+                    grid_policy_search(
+                        cbn, drivers, CLASS1, {"o": 1}, direction, 0.25, Budget(max_work=1)
+                    )
 
 
 def literal_grid_values(cbn, drivers, ip_class, desired, step=0.25):
@@ -271,11 +290,14 @@ class TestSuites:
     def test_extremality_reports_a_grid_that_beats_either_optimum(self, monkeypatch):
         import cbnctrl.oracle as oracle
 
-        def beating(cbn, drivers, ip_class, desired, direction, step, budget):
-            det, _ = optimal_policy_value(cbn, drivers, ip_class, desired, direction, budget)
-            return det + (0.5 if direction is Direction.MAX else -0.5)
+        def beating(cbn, drivers, ip_class, desired, directions, step, budget):
+            return [
+                optimal_policy_value(cbn, drivers, ip_class, desired, d, budget)[0]
+                + (0.5 if d is Direction.MAX else -0.5)
+                for d in directions
+            ]
 
-        monkeypatch.setattr(oracle, "grid_policy_search", beating)
+        monkeypatch.setattr(oracle, "grid_policy_values", beating)
         report = verify_extremality(screening_chain(), ("y1", "y2"), ("o",), {"o": 1})
         assert not report.passed
         assert [line.split(":")[0] for line in report.details[:3]] == ["drivers", "max", "min"]

@@ -1,9 +1,11 @@
 """Property tests over random networks, drawn by hypothesis.
 
 Networks have two to four nodes (three to six for the requisite-scope
-property), binary and ternary, with rows that may put zero or all of their
-mass on one value.  Examples are derandomized, so every
-run checks the same ones, and capped so the module stays quick.
+and both-directions properties), binary and ternary, with rows that may put
+zero or all of their mass on one value.  Half the optimizer searches use
+`random_cbn` rows instead, and their last node is always a target.
+Examples are derandomized, so every run checks the same ones, and capped so
+the module stays quick.
 """
 
 from math import prod
@@ -31,6 +33,7 @@ from cbnctrl import (  # noqa: E402
     interventional_prob,
     naive_policy_search,
     optimal_policy_value,
+    optimal_policy_values,
     parse,
     serialize,
 )
@@ -92,11 +95,19 @@ def specs(draw) -> NetworkSpec:
     return NetworkSpec.from_cbn(cbn, intervenable, targets, desired, pair)
 
 
+def generic_rows(draw, cbn: Cbn) -> Cbn:
+    """``cbn``, or for half the draws the same structure with `random_cbn`
+    rows, under which what a driver sees usually matters."""
+    if draw(st.booleans()):
+        return random_cbn(np.random.default_rng(draw(st.integers(0, 2 ** 16))), cbn.dag, cbn.cards)
+    return cbn
+
+
 @st.composite
 def searches(draw, max_drivers: int = 2, max_combos: int | None = 256):
     """A network, drivers, a class, a desired event and a direction whose
     deterministic tables number at most ``max_combos`` (None: any)."""
-    cbn = draw(networks())
+    cbn = generic_rows(draw, draw(networks()))
     dag, cards = cbn.dag, cbn.cards
     drivers = tuple(
         draw(st.lists(st.sampled_from(dag.nodes), min_size=1, max_size=max_drivers, unique=True))
@@ -107,7 +118,8 @@ def searches(draw, max_drivers: int = 2, max_combos: int | None = 256):
             cards[d] ** prod(cards[s] for s in scope_for_class(dag, d, ip_class)) for d in drivers
         )
         hypothesis.assume(combos <= max_combos)
-    targets = draw(st.lists(st.sampled_from(dag.nodes), min_size=1, max_size=2, unique=True))
+    # the last node is always a target, so most drivers have one below them
+    targets = [dag.nodes[-1]] + draw(st.lists(st.sampled_from(dag.nodes[:-1]), max_size=1))
     desired = {t: draw(st.integers(0, cards[t] - 1)) for t in targets}
     direction = draw(st.sampled_from((Direction.MAX, Direction.MIN)))
     return cbn, drivers, ip_class, desired, direction
@@ -146,11 +158,8 @@ def test_witness_replays_its_value(case):
 def pruned_searches(draw):
     """3-6 node networks, 2-3 drivers, classes 1, 2 and inf, and both
     directions, with at most 1024 table combinations on the class scopes."""
-    cbn = draw(networks(max_nodes=6, min_nodes=3))
+    cbn = generic_rows(draw, draw(networks(max_nodes=6, min_nodes=3)))
     dag, cards = cbn.dag, cbn.cards
-    if draw(st.booleans()):
-        # generic rows, under which what a driver sees usually matters
-        cbn = random_cbn(np.random.default_rng(draw(st.integers(0, 2 ** 16))), dag, cards)
     # a root's scope is empty, so roots are drawn only when too few nodes
     # have parents
     scoped = [v for v in dag.nodes if dag.parents(v)]
@@ -190,3 +199,16 @@ def test_requisite_scopes_keep_the_optimum(case):
     for d, scope in scopes.items():
         assert pair.policy(d).scope == scope
         assert constant_across(pair, d, [s for s in scope if s not in kept[d]])
+
+
+@settings(SETTINGS, max_examples=100)
+@given(pruned_searches())
+def test_both_directions_match_single_calls(case):
+    # one plan for MAX and MIN gives each direction's value and witness
+    # exactly as a call for that direction alone does
+    cbn, drivers, ip_class, desired, _ = case
+    both = optimal_policy_values(cbn, drivers, ip_class, desired, (Direction.MAX, Direction.MIN))
+    for direction, (value, pair) in zip((Direction.MAX, Direction.MIN), both):
+        alone, alone_pair = optimal_policy_value(cbn, drivers, ip_class, desired, direction)
+        assert repr(value) == repr(alone)
+        assert pair == alone_pair
