@@ -10,8 +10,9 @@ stochastic tables.
 `optimal_policy_value` chains the drivers whose scopes nest and enumerates
 the tables of the rest.  An enumerated driver searches only its requisite
 scope (`requisite_scopes`), the class-scope members that are not
-d-separated from the targets given the driver and its other members; a
-table that varies across the others never beats one that does not.  Its
+d-separated from the targets given the driver and its other members, as
+`graph.bayes_ball` finds them; a table that varies across the others
+never beats one that does not.  Its
 witness is widened back to the class scope, constant across the dropped
 members.  The search starts from the joint's marginal over the drivers
 and their searched scopes, asked of `Cbn.joint` by node name; every other
@@ -42,7 +43,7 @@ import numpy as np
 
 # Budget and its error live in cbn; they stay importable from here
 from .cbn import DEFAULT_BUDGET, Budget, BudgetExceededError, Cbn, Cpd, value_index
-from .graph import Dag
+from .graph import Dag, bayes_ball
 from .intervention import (
     CLASS_INF,
     InterventionPair,
@@ -198,13 +199,13 @@ def requisite_scopes(
     requisite members; rounds repeat until no scope shrinks.
 
     The graph is ``dag`` with each driver's parents replaced by its current
-    scope.  Driver d keeps the members that a Bayes-ball pass (Shachter
-    1998) from ``targets`` reaches, with d and its scope observed.  The
-    members it drops are d-separated from the targets given d and the
-    members it keeps, so, whatever the other drivers' tables, some best
-    table for d ignores them: they are the non-requisite observations of a
-    LIMID (Lauritzen & Nilsson 2001), and the optimum over the cut scopes
-    is the optimum over ``scopes``.  A cut removes edges, which can leave
+    scope.  Driver d keeps the members that `graph.bayes_ball` from
+    ``targets`` reaches, with d and its scope observed.  The members it
+    drops are d-separated from the targets given d and the members it
+    keeps, so, whatever the other drivers' tables, some best table for d
+    ignores them: they are the non-requisite observations of a LIMID
+    (Lauritzen & Nilsson 2001), and the optimum over the cut scopes is the
+    optimum over ``scopes``.  A cut removes edges, which can leave
     more members non-requisite; hence the rounds.
     """
     scopes = dict(scopes)
@@ -222,36 +223,12 @@ def requisite_scopes(
                     for p in ps:
                         children[p].append(n)
                 graph = parents, children
-            reached = _ball_reach(*graph, targets, {d, *scopes[d]})
+            reached = bayes_ball(*graph, targets, {d, *scopes[d]})
             kept = tuple(s for s in scopes[d] if s in reached)
             if kept != scopes[d]:
                 # a cut changes the graph, which is rebuilt when next needed
                 scopes[d], changed, graph = kept, True, None
     return scopes
-
-
-def _ball_reach(parents: dict, children: dict, targets, observed: set) -> set:
-    # Bayes-ball: a ball from a child passes an unobserved node to its
-    # parents and children and stops at an observed one; a ball from a
-    # parent passes an unobserved node to its children and bounces off an
-    # observed one back to its parents.  Returns every node a ball visits.
-    up: set[str] = set()
-    down: set[str] = set()
-    reached: set[str] = set()
-    stack = [(t, True) for t in targets]
-    while stack:
-        node, from_child = stack.pop()
-        reached.add(node)
-        seen = node in observed
-        if seen and from_child:
-            continue
-        if (from_child or seen) and node not in up:
-            up.add(node)
-            stack.extend((p, True) for p in parents[node])
-        if not seen and node not in down:
-            down.add(node)
-            stack.extend((c, False) for c in children[node])
-    return reached
 
 
 #: elements of the batched tensor one chunk of the table search fills
@@ -318,6 +295,18 @@ def scan_combinations(
     return best
 
 
+def checked_directions(directions, ip_class) -> tuple[Direction, ...]:
+    """``directions`` as a tuple, once each is a `Direction` and
+    ``ip_class`` an `IpClass`; a search checks both before any work."""
+    directions = tuple(directions)
+    for direction in directions:
+        if not isinstance(direction, Direction):
+            raise ValueError(f"direction must be a Direction, got {direction!r}")
+    if not isinstance(ip_class, IpClass):
+        raise ValueError(f"ip_class must be an IpClass, got {ip_class!r}")
+    return directions
+
+
 def optimal_policy_value(
     cbn: Cbn,
     drivers,
@@ -357,12 +346,7 @@ def optimal_policy_values(
     driver_list = tuple(sorted(set(drivers), key=dag.index))
     if not desired:
         raise ValueError("desired event must be non-empty")
-    directions = tuple(directions)
-    for direction in directions:
-        if not isinstance(direction, Direction):
-            raise ValueError(f"direction must be a Direction, got {direction!r}")
-    if not isinstance(ip_class, IpClass):
-        raise ValueError(f"ip_class must be an IpClass, got {ip_class!r}")
+    directions = checked_directions(directions, ip_class)
 
     if not driver_list:
         value = _clamp(cbn.marginal_prob(desired, budget))

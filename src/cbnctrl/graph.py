@@ -141,8 +141,18 @@ class Dag:
         itself is never included.
         """
         self._require(name)
-        if level != INF and not (isinstance(level, int) and level >= 1):
+        if level != INF and (not isinstance(level, int) or isinstance(level, bool) or level < 1):
             raise ValueError(f"level must be a positive integer or inf, got {level!r}")
+        return self._walk(name, self._parents, level)
+
+    def descendants(self, name: str) -> tuple[str, ...]:
+        """Nodes reachable from ``name`` by a directed path (excluding it)."""
+        self._require(name)
+        return self._walk(name, self._children)
+
+    def _walk(self, name: str, step: dict, level: int | float = INF) -> tuple[str, ...]:
+        # breadth-first closure of ``name`` along ``step`` (the parents or
+        # the children map), at most ``level`` steps deep
         found: set[str] = set()
         frontier = [name]
         depth = 0
@@ -150,25 +160,10 @@ class Dag:
             depth += 1
             nxt: list[str] = []
             for node in frontier:
-                for parent in self._parents[node]:
-                    if parent not in found:
-                        found.add(parent)
-                        nxt.append(parent)
-            frontier = nxt
-        return self._canon(found)
-
-    def descendants(self, name: str) -> tuple[str, ...]:
-        """Nodes reachable from ``name`` by a directed path (excluding it)."""
-        self._require(name)
-        found: set[str] = set()
-        frontier = [name]
-        while frontier:
-            nxt: list[str] = []
-            for node in frontier:
-                for child in self._children[node]:
-                    if child not in found:
-                        found.add(child)
-                        nxt.append(child)
+                for other in step[node]:
+                    if other not in found:
+                        found.add(other)
+                        nxt.append(other)
             frontier = nxt
         return self._canon(found)
 
@@ -202,12 +197,8 @@ class Dag:
         return BcResult(self._canon(visited), self._canon(visited & stop_s))
 
     def d_separated(self, a: Iterable[str], b: Iterable[str], z: Iterable[str] = ()) -> bool:
-        """True when every path between ``a`` and ``b`` is blocked by ``z``.
-
-        Checked on the moralized ancestral subgraph: restrict to ancestors
-        of ``a | b | z``, marry co-parents, drop directions, delete ``z``,
-        and test undirected reachability.
-        """
+        """True when every path between ``a`` and ``b`` is blocked by ``z``:
+        no ball that `bayes_ball` starts at ``a``, given ``z``, reaches ``b``."""
         a_s, b_s, z_s = set(a), set(b), set(z)
         if not a_s or not b_s:
             raise ValueError("a and b must be non-empty")
@@ -215,31 +206,40 @@ class Dag:
             self._require(name)
         if a_s & b_s or a_s & z_s or b_s & z_s:
             raise ValueError("a, b and z must be pairwise disjoint")
+        return b_s.isdisjoint(bayes_ball(self._parents, self._children, a_s, z_s))
 
-        relevant = set(a_s | b_s | z_s)
-        for name in tuple(relevant):
-            relevant.update(self.ancestors(name))
 
-        neighbors: dict[str, set[str]] = {name: set() for name in relevant}
-        for node in relevant:
-            pars = [p for p in self._parents[node] if p in relevant]
-            for p in pars:
-                neighbors[node].add(p)
-                neighbors[p].add(node)
-            for i, p in enumerate(pars):
-                for q in pars[i + 1:]:
-                    neighbors[p].add(q)
-                    neighbors[q].add(p)
+def bayes_ball(parents: dict, children: dict, sources: Iterable[str], observed) -> set[str]:
+    """Every node that a Bayes ball (Shachter 1998) from ``sources`` visits,
+    given ``observed``.
 
-        frontier = list(a_s)
-        reached = set(a_s)
-        while frontier:
-            node = frontier.pop()
-            for nb in neighbors[node]:
-                if nb in z_s or nb in reached:
-                    continue
-                if nb in b_s:
-                    return False
-                reached.add(nb)
-                frontier.append(nb)
-        return True
+    ``parents`` and ``children`` map every node to its parents and its
+    children.  Each source is visited as if from a child.  A ball visiting
+    a node from a child passes an unobserved node on to its parents and
+    children, and stops at an observed one.  A ball visiting from a parent
+    passes an unobserved node on to its children, and bounces off an
+    observed one back to its parents.  Each node passes a ball up at most
+    once and down at most once, so the pass is linear in the edges.
+
+    The unobserved nodes visited are those not d-separated from
+    ``sources`` given ``observed``.  The observed nodes visited are the
+    observations that can matter to ``sources``, the requisite
+    observations.
+    """
+    up: set[str] = set()
+    down: set[str] = set()
+    reached: set[str] = set()
+    stack = [(s, True) for s in sources]
+    while stack:
+        node, from_child = stack.pop()
+        reached.add(node)
+        seen = node in observed
+        if seen and from_child:
+            continue
+        if (from_child or seen) and node not in up:
+            up.add(node)
+            stack.extend((p, True) for p in parents[node])
+        if not seen and node not in down:
+            down.add(node)
+            stack.extend((c, False) for c in children[node])
+    return reached

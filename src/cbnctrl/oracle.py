@@ -24,6 +24,7 @@ from .control import (
     ControlProblem,
     Direction,
     c_star,
+    checked_directions,
     optimal_policy_value,
     optimal_policy_values,
     policy_batch,
@@ -198,12 +199,7 @@ def grid_policy_values(
     optimum per direction.  The work estimate is the number of table
     combinations times the joint size.
     """
-    directions = tuple(directions)
-    for direction in directions:
-        if not isinstance(direction, Direction):
-            raise ValueError(f"direction must be a Direction, got {direction!r}")
-    if not isinstance(ip_class, IpClass):
-        raise ValueError(f"ip_class must be an IpClass, got {ip_class!r}")
+    directions = checked_directions(directions, ip_class)
     budget = budget or DEFAULT_BUDGET
     dag = cbn.dag
     driver_list = tuple(sorted(set(drivers), key=dag.index))
@@ -300,6 +296,15 @@ class SuiteReport:
     details: tuple[str, ...]
 
 
+def _drivers(dag: Dag, intervenable, targets, desired: Mapping[str, int]) -> tuple[str, ...]:
+    # the `c_star` driver set, with the problem checked as `ControlProblem`
+    # checks it
+    target_list = tuple(targets)
+    pool = tuple(sorted(set(intervenable), key=dag.index))
+    problem = ControlProblem(dag, pool, target_list, tuple(desired[t] for t in target_list))
+    return c_star(problem).members
+
+
 def verify_lemma3(
     cbn: Cbn,
     intervenable,
@@ -358,21 +363,12 @@ def verify_sufficiency(
     One scan over the subsets serves both directions, and the subset equal
     to the driver set reuses the drivers' answers."""
     budget = budget or DEFAULT_BUDGET
-    dag = cbn.dag
-    target_list = tuple(targets)
-    problem = ControlProblem(
-        dag,
-        tuple(sorted(set(intervenable), key=dag.index)),
-        target_list,
-        tuple(desired[t] for t in target_list),
-    )
-    xstar = c_star(problem).members
+    pool = tuple(intervenable)
+    xstar = _drivers(cbn.dag, pool, targets, desired)
     details = [f"drivers: {{{' '.join(xstar)}}}"]
     failures: list[str] = []
     answers = optimal_policy_values(cbn, xstar, CLASS_INF, desired, BOTH, budget)
-    optima = _subset_optima(
-        cbn, problem.intervenable, CLASS_INF, desired, BOTH, budget, {frozenset(xstar): answers}
-    )
+    optima = _subset_optima(cbn, pool, CLASS_INF, desired, BOTH, budget, {frozenset(xstar): answers})
     for direction, (mine, _), (best_value, best_subset, _) in zip(BOTH, answers, optima):
         details.append(
             f"{direction.value}: drivers {mine:.9f}, exhaustive {best_value:.9f} "
@@ -395,9 +391,7 @@ def verify_usm(
     proper subset can reach it at all."""
     budget = budget or DEFAULT_BUDGET
     target_list = tuple(targets)
-    pool = tuple(sorted(set(intervenable), key=dag.index))
-    problem = ControlProblem(dag, pool, target_list, tuple(1 for _ in target_list))
-    xstar = c_star(problem).members
+    xstar = _drivers(dag, intervenable, target_list, dict.fromkeys(target_list, 1))
     budget.check_set_size(len(xstar))
     cbn, desired = usm_adversarial_cbn(dag, xstar, target_list)
     failures: list[str] = []
@@ -433,15 +427,7 @@ def verify_extremality(
     optimum, in either direction, for the identified driver set.  One
     optimizer plan gives both optima and one grid scan both grid values."""
     budget = budget or DEFAULT_BUDGET
-    dag = cbn.dag
-    target_list = tuple(targets)
-    problem = ControlProblem(
-        dag,
-        tuple(sorted(set(intervenable), key=dag.index)),
-        target_list,
-        tuple(desired[t] for t in target_list),
-    )
-    xstar = c_star(problem).members
+    xstar = _drivers(cbn.dag, intervenable, targets, desired)
     failures: list[str] = []
     details = [f"drivers: {{{' '.join(xstar)}}}"]
     optima = optimal_policy_values(cbn, xstar, CLASS_INF, desired, BOTH, budget)

@@ -104,6 +104,10 @@ class TestAncestry:
             dag.ancestors("a", 0)
         with pytest.raises(ValueError):
             dag.ancestors("a", -1)
+        with pytest.raises(ValueError):
+            dag.ancestors("a", True)
+        with pytest.raises(ValueError):
+            dag.ancestors("a", False)
 
     def test_descendants(self):
         dag = junction()

@@ -7,6 +7,7 @@ every value here.
 """
 
 from itertools import product
+from math import prod
 from unittest import mock
 
 import numpy as np
@@ -24,6 +25,7 @@ from cbnctrl import (
     Dag,
     Direction,
     InterventionPair,
+    IpClass,
     NetworkSpec,
     Objective,
     atomic_policy,
@@ -35,7 +37,7 @@ from cbnctrl import (
 )
 from cbnctrl.control import requisite_scopes
 from cbnctrl.intervention import scope_for_class
-from cbnctrl.oracle import random_cbn
+from cbnctrl.oracle import random_cbn, random_dag
 
 from test_control import screening_chain
 
@@ -260,3 +262,34 @@ class TestPrunedSearch:
             for d in ("d1", "d2"):
                 assert seen[-1][d] == ()
                 assert len(set(pair.policy(d).table.rows)) == 1
+
+
+def test_seeded_searches_cut_scopes_and_keep_the_optimum():
+    # Numpy-seeded draws that reach the analysis: 2-3 drivers with parents
+    # on 4-6 nodes, `random_cbn` rows, and the last node as the target, so
+    # that what a driver sees can change its best table.
+    rng = np.random.default_rng(2001)
+    patch, seen = record_requisite()
+    cases = cut = 0
+    while cases < 60:
+        dag = random_dag(rng, int(rng.integers(4, 7)))
+        with_parents = [n for n in dag.nodes[:-1] if dag.parents(n)]
+        if len(with_parents) < 2:
+            continue
+        k = int(rng.integers(2, min(3, len(with_parents)) + 1))
+        drivers = tuple(str(d) for d in rng.choice(with_parents, size=k, replace=False))
+        ip_class = (CLASS1, IpClass(2), CLASS_INF)[int(rng.integers(3))]
+        scopes = class_scopes(dag, drivers, ip_class)
+        if prod(2 ** 2 ** len(scope) for scope in scopes.values()) > 256:
+            continue
+        cbn = random_cbn(rng, dag)
+        desired = {dag.nodes[-1]: int(rng.integers(2))}
+        cases += 1
+        for direction in (Direction.MAX, Direction.MIN):
+            calls = len(seen)
+            with patch:
+                value, _ = optimal_policy_value(cbn, drivers, ip_class, desired, direction)
+            expect, _ = naive_policy_search(cbn, drivers, ip_class, desired, direction)
+            assert abs(value - expect) <= 1e-9, (dag, drivers, ip_class, direction)
+            cut += any(got != scopes for got in seen[calls:])
+    assert cut >= 20
