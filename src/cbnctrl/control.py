@@ -25,11 +25,15 @@ first optimum of a chunk replaces the incumbent only on a strict
 improvement.  `oracle.grid_policy_search` runs on the same two functions,
 with grid rows where the optimizer has one-hot rows.
 
-One plan serves every direction.  `optimal_policy_values` does everything
-up to the scan once and answers each requested direction from it: the
-scan reduces each chunk once per direction, each direction with its own
-incumbent, so each answer is exactly that of a single-direction call.
-`optimal_policy_value` asks for one direction.
+One plan serves every direction, in two stages.  The first does
+everything up to and including the scan once: the scan reduces each
+chunk once per direction, each direction with its own incumbent, so each
+answer is exactly that of a single-direction call.  It yields each
+direction's value and winning combination.  The second turns one winning
+combination into its witness pair.  `optimal_values` runs the first stage
+only, for callers that read values alone, such as the verify suites;
+`optimal_policy_values` runs both, and `optimal_policy_value` asks it for
+one direction.
 """
 
 from __future__ import annotations
@@ -334,13 +338,31 @@ def optimal_policy_values(
     budget: Budget | None = None,
 ) -> list[tuple[float, InterventionPair]]:
     """`optimal_policy_value` in each of ``directions``, in order, from one
-    plan.
+    plan: the values of `optimal_values`, each with the witness pair that
+    the plan builds from its direction's winning combination."""
+    values, witness = _scan_plan(cbn, drivers, ip_class, desired, directions, budget)
+    return [(value, witness(i)) for i, value in enumerate(values)]
 
-    Everything up to the scan is the same in every direction: the checks,
-    the scopes, the chain split, the requisite scopes, the axes, the base
-    tensor and the work estimate.  The scan builds each chunk's batch once
-    and reduces it once per direction; each direction keeps its own tie-break.
-    """
+
+def optimal_values(
+    cbn: Cbn,
+    drivers,
+    ip_class: IpClass,
+    desired,
+    directions,
+    budget: Budget | None = None,
+) -> list[float]:
+    """The values of `optimal_policy_values`, with the same refusals, from
+    the plan's first stage alone: no witness table is built."""
+    return _scan_plan(cbn, drivers, ip_class, desired, directions, budget)[0]
+
+
+def _scan_plan(cbn: Cbn, drivers, ip_class: IpClass, desired, directions, budget):
+    # The plan's first stage: the checks, the scopes, the chain split, the
+    # requisite scopes, the axes, the base tensor, the work check and the
+    # scan.  Returns the value per direction, and the second stage: a
+    # function from a direction's position to the witness pair of its
+    # winning combination.
     budget = budget or DEFAULT_BUDGET
     dag = cbn.dag
     driver_list = tuple(sorted(set(drivers), key=dag.index))
@@ -350,7 +372,7 @@ def optimal_policy_values(
 
     if not driver_list:
         value = _clamp(cbn.marginal_prob(desired, budget))
-        return [(value, InterventionPair.empty()) for _ in directions]
+        return [value] * len(directions), lambda i: InterventionPair.empty()
 
     # before any table is sized: a driver's scope can hold every other node
     cbn.check_joint(desired, budget=budget)
@@ -365,17 +387,17 @@ def optimal_policy_values(
         # single scope configuration and constant tables already span every
         # reachable outcome.  Every sum is an exact 0/1 count, and the first
         # optimum of the C-order flattening is the first in product order.
-        values = cbn.joint(desired, skip=driver_list, budget=budget, keep=driver_list).reshape(-1)
         budget.check_work(prod(cards[d] for d in driver_list) * len(driver_list))
-        results = []
-        for direction in directions:
-            best = int(direction.arg(values))
-            vector = np.unravel_index(best, tuple(cards[d] for d in driver_list))
-            pair = InterventionPair(
+        values = cbn.joint(desired, skip=driver_list, budget=budget, keep=driver_list).reshape(-1)
+        bests = [int(direction.arg(values)) for direction in directions]
+
+        def atomic_witness(i: int) -> InterventionPair:
+            vector = np.unravel_index(bests[i], tuple(cards[d] for d in driver_list))
+            return InterventionPair(
                 atomic_policy(d, int(v), cards[d]) for d, v in zip(driver_list, vector)
             )
-            results.append((float(values[best]), pair))
-        return results
+
+        return [float(values[best]) for best in bests], atomic_witness
 
     scope_sets = {d: frozenset(scopes[d]) for d in driver_list}
     chain, enumerated = _pick_chain(driver_list, scope_sets, table_counts, dag)
@@ -397,9 +419,10 @@ def optimal_policy_values(
     relevant = set(driver_list).union(*searched_scopes.values())
     order = [n for d in chain for n in (*scopes[d], d)] + sorted(relevant, key=dag.index)
     axes = list(dict.fromkeys(order))[::-1]
-    base = cbn.joint(desired, skip=driver_list, budget=budget, keep=axes)
+    # one combination, the empty one, when every driver is on the chain
     outer_total = prod(cards[e] ** prod(cards[s] for s in searched_scopes[e]) for e in enumerated)
     budget.check_work(outer_total * cbn.state_space_size())
+    base = cbn.joint(desired, skip=driver_list, budget=budget, keep=axes)
     # (width, chain driver or None for a sum), in reduction order.  A run of
     # chance axes is one sum; an enumerated driver's axis is summed on its
     # own, which picks its one-hot entry exactly, so tables that cannot
@@ -438,12 +461,11 @@ def optimal_policy_values(
         batch = policy_batch(cbn, base, axes, searched, flat)[0]
         return [reduce_chain(batch, direction) for direction in directions]
 
-    optima = [(None, 0)] * len(directions)
-    if enumerated:
-        optima = scan_combinations(outer_total, base.size, evaluate, directions)
-    results = []
-    batches = {}  # per witness combination, shared by directions that agree
-    for direction, (_, best_flat) in zip(directions, optima):
+    optima = scan_combinations(outer_total, base.size, evaluate, directions)
+    batches = {}  # per winning combination, shared by directions that agree
+
+    def table_witness(i: int) -> InterventionPair:
+        best_flat = optima[i][1]
         if best_flat not in batches:
             batches[best_flat] = policy_batch(cbn, base, axes, searched, np.array([best_flat]))
         batch, picks = batches[best_flat]
@@ -455,13 +477,14 @@ def optimal_policy_values(
                 choice = cbn.expand(choice.reshape([cards[s] for s in kept]), kept, scopes[e])
                 choice = np.broadcast_to(choice, scope_cards[e]).reshape(-1)
             tables[e] = tuple(choice.tolist())
-        value = float(reduce_chain(batch, direction, tables)[0])
-        pair = InterventionPair(
+        if chain:
+            reduce_chain(batch, directions[i], tables)
+        return InterventionPair(
             table_from_choices(d, scopes[d], scope_cards[d], cards[d], tables[d])
             for d in driver_list
         )
-        results.append((_clamp(value), pair))
-    return results
+
+    return [_clamp(float(value)) for value, _ in optima], table_witness
 
 
 def solve(

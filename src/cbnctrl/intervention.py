@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import prod
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .cbn import Budget, Cbn, Cpd
@@ -315,7 +316,8 @@ def table_from_choices(
     if min(choices) < 0 or max(choices) >= card:
         raise ValueError(f"every choice must lie in range({card})")
     onehot = tuple(tuple(1.0 if v == hot else 0.0 for v in range(card)) for hot in range(card))
-    rows = tuple(map(onehot.__getitem__, choices))
+    # itemgetter of one index returns the item, not a tuple of one
+    rows = (onehot[choices[0]],) if len(choices) == 1 else itemgetter(*choices)(onehot)
     return InterventionPolicy(target, scope, Cpd._from_valid_rows(target, scope, scope_cards, rows))
 
 

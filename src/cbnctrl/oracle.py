@@ -26,7 +26,7 @@ from .control import (
     c_star,
     checked_directions,
     optimal_policy_value,
-    optimal_policy_values,
+    optimal_values,
     policy_batch,
     scan_combinations,
     usm_adversarial_cbn,
@@ -123,27 +123,31 @@ def best_over_subsets(
     """Exhaustive optimum over every subset of the intervenable set.
 
     Subsets are scanned smallest-first, so among ties the smallest (then
-    lexicographically earliest) subset is reported.
+    lexicographically earliest) subset is reported.  Only the winning
+    subset's witness is built.
     """
     budget = budget or DEFAULT_BUDGET
-    return _subset_optima(cbn, intervenable, ip_class, desired, (direction,), budget)[0]
+    value, subset = _subset_optima(cbn, intervenable, ip_class, desired, (direction,), budget)[0]
+    _, pair = optimal_policy_value(cbn, subset, ip_class, desired, direction, budget)
+    return value, subset, pair
 
 
 def _subset_optima(cbn, intervenable, ip_class, desired, directions, budget, known=None) -> list:
-    # `best_over_subsets` in each of ``directions``, one optimizer plan per
-    # subset; ``known`` maps a subset, as a frozenset, to the answers of
-    # `optimal_policy_values` in ``directions`` already at hand
+    # the value and subset of `best_over_subsets` in each of ``directions``,
+    # one values-only optimizer plan per subset; ``known`` maps a subset, as
+    # a frozenset, to the values of `optimal_values` in ``directions``
+    # already at hand
     pool = tuple(sorted(set(intervenable), key=cbn.dag.index))
     budget.check_set_size(len(pool))
     known = known or {}
     best: list = [None] * len(directions)
     for subset in iter_subsets(pool):
-        answers = known.get(frozenset(subset))
-        if answers is None:
-            answers = optimal_policy_values(cbn, subset, ip_class, desired, directions, budget)
-        for i, (direction, (value, pair)) in enumerate(zip(directions, answers)):
+        values = known.get(frozenset(subset))
+        if values is None:
+            values = optimal_values(cbn, subset, ip_class, desired, directions, budget)
+        for i, (direction, value) in enumerate(zip(directions, values)):
             if best[i] is None or direction.beats(value, best[i][0]):
-                best[i] = (value, subset, pair)
+                best[i] = (value, subset)
     return best
 
 
@@ -206,14 +210,17 @@ def grid_policy_values(
     if not driver_list:
         return [cbn.marginal_prob(desired, budget)] * len(directions)
 
+    # the joint is refused as `Cbn.joint` would refuse it, then the work,
+    # all before the joint is built
+    cbn.check_joint(desired, budget=budget)
     cards = cbn.cards
-    base = cbn.joint(desired, skip=driver_list, budget=budget)
     searched = [
         (d, scope_for_class(dag, d, ip_class), np.asarray(simplex_grid_rows(cards[d], step)))
         for d in driver_list
     ]
     total = prod(len(rows) ** prod(cards[s] for s in scope) for _, scope, rows in searched)
-    budget.check_work(total * base.size)
+    budget.check_work(total * cbn.state_space_size())
+    base = cbn.joint(desired, skip=driver_list, budget=budget)
 
     def values(flat: np.ndarray) -> list[np.ndarray]:
         batch, _ = policy_batch(cbn, base, dag.nodes, searched, flat)
@@ -337,8 +344,8 @@ def verify_lemma3(
             cls = IpClass(level)
             scopes = tuple(scope_for_class(dag, d, cls) for d in subset)
             if scopes not in brackets:
-                brackets[scopes] = optimal_policy_values(cbn, subset, cls, desired, BOTH, budget)
-            (high, _), (low, _) = brackets[scopes]
+                brackets[scopes] = optimal_values(cbn, subset, cls, desired, BOTH, budget)
+            high, low = brackets[scopes]
             checked += 1
             if not (low <= baseline + BRACKET_TOL and baseline <= high + BRACKET_TOL):
                 failures.append(
@@ -367,9 +374,9 @@ def verify_sufficiency(
     xstar = _drivers(cbn.dag, pool, targets, desired)
     details = [f"drivers: {{{' '.join(xstar)}}}"]
     failures: list[str] = []
-    answers = optimal_policy_values(cbn, xstar, CLASS_INF, desired, BOTH, budget)
-    optima = _subset_optima(cbn, pool, CLASS_INF, desired, BOTH, budget, {frozenset(xstar): answers})
-    for direction, (mine, _), (best_value, best_subset, _) in zip(BOTH, answers, optima):
+    values = optimal_values(cbn, xstar, CLASS_INF, desired, BOTH, budget)
+    optima = _subset_optima(cbn, pool, CLASS_INF, desired, BOTH, budget, {frozenset(xstar): values})
+    for direction, mine, (best_value, best_subset) in zip(BOTH, values, optima):
         details.append(
             f"{direction.value}: drivers {mine:.9f}, exhaustive {best_value:.9f} "
             f"at {{{' '.join(best_subset)}}}"
@@ -403,7 +410,7 @@ def verify_usm(
     for subset in iter_subsets(xstar):
         if len(subset) == len(xstar):
             continue
-        value, _ = optimal_policy_value(cbn, subset, CLASS_INF, desired, Direction.MAX, budget)
+        (value,) = optimal_values(cbn, subset, CLASS_INF, desired, (Direction.MAX,), budget)
         subset_count += 1
         if value != 0.0:
             failures.append(f"proper subset {{{' '.join(subset)}}} reaches {value:.9f}")
@@ -430,9 +437,9 @@ def verify_extremality(
     xstar = _drivers(cbn.dag, intervenable, targets, desired)
     failures: list[str] = []
     details = [f"drivers: {{{' '.join(xstar)}}}"]
-    optima = optimal_policy_values(cbn, xstar, CLASS_INF, desired, BOTH, budget)
+    optima = optimal_values(cbn, xstar, CLASS_INF, desired, BOTH, budget)
     grids = grid_policy_values(cbn, xstar, CLASS_INF, desired, BOTH, 0.25, budget)
-    for direction, (det, _), grid in zip(BOTH, optima, grids):
+    for direction, det, grid in zip(BOTH, optima, grids):
         maximize = direction is Direction.MAX
         details.append(f"{direction.value}: deterministic {det:.9f}, grid {grid:.9f}")
         if grid > det + BRACKET_TOL if maximize else grid < det - BRACKET_TOL:

@@ -54,6 +54,19 @@ def screening_chain():
     return Cbn(dag, {"y2": 2, "y1": 2, "o": 2}, cpds)
 
 
+def joint_calls(monkeypatch):
+    """Record the arguments of every `Cbn.joint` call: each builds a tensor."""
+    calls = []
+    joint = Cbn.joint
+
+    def recording(self, *args, **kwargs):
+        calls.append((args, kwargs))
+        return joint(self, *args, **kwargs)
+
+    monkeypatch.setattr(Cbn, "joint", recording)
+    return calls
+
+
 class TestProblem:
     def test_targets_required(self):
         with pytest.raises(ValueError):
@@ -459,6 +472,23 @@ class TestBudget:
             assert time.perf_counter() - start < 2.0
             assert 0.0 <= value <= 1.0
             assert interventional_prob(cbn, pair, desired) == pytest.approx(value, abs=1e-9)
+
+    def test_refused_work_builds_no_tensor(self, monkeypatch):
+        # the work estimate is checked before the tensor it gates, on the
+        # deterministic path and on the table search
+        rng = np.random.default_rng(41)
+        atomic = deterministic_copy(random_cbn(rng, fan_dag(2)), rng)
+        dag = Dag(["a", "d1", "d2", "o"], [("a", "d1"), ("a", "d2"), ("d1", "o"), ("d2", "o")])
+        searched = random_cbn(np.random.default_rng(4), dag)
+        # d1 is chained and d2 enumerated: 4 tables over a joint of 2^4
+        for cbn, drivers, estimate in ((atomic, ("d0", "d1"), 2 * 2 * 2), (searched, ("d1", "d2"), 4 * 16)):
+            calls = joint_calls(monkeypatch)
+            with pytest.raises(BudgetExceededError) as info:
+                optimal_policy_value(cbn, drivers, CLASS_INF, {"o": 1}, Direction.MAX, Budget(max_work=estimate - 1))
+            assert info.value.estimate == estimate
+            assert calls == []
+            optimal_policy_value(cbn, drivers, CLASS_INF, {"o": 1}, Direction.MAX, Budget(max_work=estimate))
+            assert len(calls) == 1
 
     def test_refusal_message_carries_numbers(self):
         cbn = screening_chain()

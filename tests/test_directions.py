@@ -155,7 +155,7 @@ class TestSuitesShareOnePlan:
     def test_lemma3_builds_one_plan_per_subset_and_distinct_scopes(self, monkeypatch):
         cbn = chain_network(3)
         pool, levels = ("b", "c", "d"), (1, 2, INF)
-        calls = spy(monkeypatch, "optimal_policy_values")
+        calls = spy(monkeypatch, "optimal_values")
         report = verify_lemma3(cbn, pool, {"o": 1}, levels)
         want = [
             (subset, scopes)
@@ -175,7 +175,7 @@ class TestSuitesShareOnePlan:
     def test_sufficiency_scans_each_subset_once(self, monkeypatch):
         cbn = chain_network(5)
         pool = ("b", "c", "d")
-        calls = spy(monkeypatch, "optimal_policy_values")
+        calls = spy(monkeypatch, "optimal_values")
         report = verify_sufficiency(cbn, pool, ("o",), {"o": 1})
         # the drivers first, then every subset but the one equal to them
         assert calls[0][1] == ("d",)
@@ -196,7 +196,7 @@ class TestSuitesShareOnePlan:
         assert report.details[2].endswith("at {y1}")
 
     def test_extremality_builds_one_plan_and_one_grid_scan(self, monkeypatch):
-        plans = spy(monkeypatch, "optimal_policy_values")
+        plans = spy(monkeypatch, "optimal_values")
         grids = spy(monkeypatch, "grid_policy_values")
         report = verify_extremality(screening_chain(), ("y1", "y2"), ("o",), {"o": 1})
         assert [args[4] for args in plans] == [BOTH]

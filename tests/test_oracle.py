@@ -37,7 +37,7 @@ from cbnctrl.intervention import scope_for_class
 from cbnctrl.oracle import iter_subsets, simplex_grid_rows
 
 from test_cbn import chain_ab, xor_gate
-from test_control import screening_chain
+from test_control import joint_calls, screening_chain
 from test_graph import junction
 
 
@@ -156,6 +156,22 @@ class TestGridSearch:
         cbn = screening_chain()
         with pytest.raises(BudgetExceededError):
             grid_policy_search(cbn, ("y1",), CLASS1, {"o": 1}, Direction.MAX, 0.25, Budget(max_work=1))
+
+    def test_refused_work_builds_no_tensor(self, monkeypatch):
+        # 5^2 tables of y1 over a joint of 2^3 states; the state-space cap
+        # is still checked first
+        calls = joint_calls(monkeypatch)
+        cbn = screening_chain()
+        with pytest.raises(BudgetExceededError) as info:
+            grid_policy_search(cbn, ("y1",), CLASS1, {"o": 1}, Direction.MAX, 0.25, Budget(max_work=199))
+        assert info.value.estimate == 200
+        with pytest.raises(BudgetExceededError, match="state space of 8"):
+            grid_policy_search(
+                cbn, ("y1",), CLASS1, {"o": 1}, Direction.MAX, 0.25, Budget(max_state_space=7, max_work=1)
+            )
+        assert calls == []
+        grid_policy_search(cbn, ("y1",), CLASS1, {"o": 1}, Direction.MAX, 0.25, Budget(max_work=200))
+        assert len(calls) == 1
 
     def test_ip_class_type_checked(self):
         # refused before any work, with or without drivers
