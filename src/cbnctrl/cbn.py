@@ -361,15 +361,13 @@ class Cbn:
         """Probability of a partial assignment."""
         return float(self.joint(event, budget=budget).sum())
 
-    def conditional_prob(
-        self, event: Mapping[str, int], given: Mapping[str, int], budget: Budget | None = None
-    ) -> float:
+    def conditional_prob(self, event: Mapping[str, int], given: Mapping[str, int]) -> float:
         """P(event | given); raises ZeroProbabilityError when P(given) = 0."""
         overlap = set(event) & set(given)
         if overlap:
             raise ValueError(f"event and given overlap on {sorted(overlap)}")
         self._check_assignment(event, full=False)
-        joint = self.joint(given, budget=budget)
+        joint = self.joint(given)
         denom = float(joint.sum())
         if denom == 0.0:
             raise ZeroProbabilityError(f"conditioning event {dict(given)} has probability zero")

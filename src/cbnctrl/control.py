@@ -32,8 +32,7 @@ answer is exactly that of a single-direction call.  It yields each
 direction's value and winning combination.  The second turns one winning
 combination into its witness pair.  `optimal_values` runs the first stage
 only, for callers that read values alone, such as the verify suites;
-`optimal_policy_values` runs both, and `optimal_policy_value` asks it for
-one direction.
+`optimal_policy_value` runs both for one direction.
 """
 
 from __future__ import annotations
@@ -326,22 +325,8 @@ def optimal_policy_value(
     lexicographic choice order and only strict improvements replace the
     incumbent, so repeated runs return the identical witness.
     """
-    return optimal_policy_values(cbn, drivers, ip_class, desired, (direction,), budget)[0]
-
-
-def optimal_policy_values(
-    cbn: Cbn,
-    drivers,
-    ip_class: IpClass,
-    desired,
-    directions,
-    budget: Budget | None = None,
-) -> list[tuple[float, InterventionPair]]:
-    """`optimal_policy_value` in each of ``directions``, in order, from one
-    plan: the values of `optimal_values`, each with the witness pair that
-    the plan builds from its direction's winning combination."""
-    values, witness = _scan_plan(cbn, drivers, ip_class, desired, directions, budget)
-    return [(value, witness(i)) for i, value in enumerate(values)]
+    values, witness = _scan_plan(cbn, drivers, ip_class, desired, (direction,), budget)
+    return values[0], witness(0)
 
 
 def optimal_values(
@@ -352,8 +337,9 @@ def optimal_values(
     directions,
     budget: Budget | None = None,
 ) -> list[float]:
-    """The values of `optimal_policy_values`, with the same refusals, from
-    the plan's first stage alone: no witness table is built."""
+    """The value of `optimal_policy_value` in each of ``directions``, in
+    order, with the same refusals, from one plan's first stage: no witness
+    table is built."""
     return _scan_plan(cbn, drivers, ip_class, desired, directions, budget)[0]
 
 
@@ -456,19 +442,20 @@ def _scan_plan(cbn: Cbn, drivers, ip_class: IpClass, desired, directions, budget
 
     searched = [(e, searched_scopes[e], np.eye(cards[e])) for e in enumerated]
 
+    single = []  # the batch of a one-combination plan, kept for its witness
+
     def evaluate(flat: np.ndarray) -> list[np.ndarray]:
         # one batch per chunk, reduced once per direction
-        batch = policy_batch(cbn, base, axes, searched, flat)[0]
-        return [reduce_chain(batch, direction) for direction in directions]
+        built = policy_batch(cbn, base, axes, searched, flat)
+        if outer_total == 1:
+            single.append(built)
+        return [reduce_chain(built[0], direction) for direction in directions]
 
     optima = scan_combinations(outer_total, base.size, evaluate, directions)
-    batches = {}  # per winning combination, shared by directions that agree
 
     def table_witness(i: int) -> InterventionPair:
-        best_flat = optima[i][1]
-        if best_flat not in batches:
-            batches[best_flat] = policy_batch(cbn, base, axes, searched, np.array([best_flat]))
-        batch, picks = batches[best_flat]
+        best = np.array([optima[i][1]])
+        batch, picks = single[0] if single else policy_batch(cbn, base, axes, searched, best)
         tables = {}
         for e, digits in zip(enumerated, picks):
             choice, kept = digits[0], searched_scopes[e]

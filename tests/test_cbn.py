@@ -157,25 +157,6 @@ class TestInference:
     def test_chain_conditional(self):
         assert chain_ab().conditional_prob({"b": 1}, {"a": 1}) == pytest.approx(0.5, abs=1e-9)
 
-    def test_conditional_takes_a_budget(self):
-        names = [f"v{i}" for i in range(15)]
-        cbn = random_cbn(np.random.default_rng(15), Dag(names, list(zip(names, names[1:]))))
-        wide = Budget(max_state_space=2 ** 15)
-        got = cbn.conditional_prob({"v14": 1}, {"v0": 0}, wide)
-        joint = cbn.marginal_prob({"v14": 1, "v0": 0}, wide) / cbn.marginal_prob({"v0": 0}, wide)
-        assert got == pytest.approx(joint, abs=1e-12)
-        with pytest.raises(BudgetExceededError, match="state space of 4 configurations exceeds the cap of 3"):
-            chain_ab().conditional_prob({"b": 1}, {"a": 1}, Budget(max_state_space=3))
-
-    def test_conditional_default_cap_is_unchanged(self):
-        names = [f"v{i}" for i in range(15)]
-        cbn = random_cbn(np.random.default_rng(15), Dag(names, list(zip(names, names[1:]))))
-        with pytest.raises(
-            BudgetExceededError, match="state space of 32768 configurations exceeds the cap of 16384"
-        ):
-            cbn.conditional_prob({"v14": 1}, {"v0": 0})
-        assert chain_ab().conditional_prob({"b": 1}, {"a": 1}) == pytest.approx(0.5, abs=1e-9)
-
     def test_conditional_times_marginal_recovers_joint(self):
         cbn = chain_ab()
         lhs = cbn.conditional_prob({"b": 1}, {"a": 1}) * cbn.marginal_prob({"a": 1})

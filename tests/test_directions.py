@@ -1,9 +1,9 @@
 """One optimizer plan serves every direction.
 
-`optimal_policy_values` and `grid_policy_values` answer several directions
-from one plan, and the verify suites ask for MAX and MIN together.  Each
-answer must be exactly what a call for its direction alone gives: the same
-value ``repr`` and the same witness.
+`optimal_values` and `grid_policy_values` answer several directions from
+one plan, and the verify suites ask for MAX and MIN together.  Each answer
+must be exactly what a call for its direction alone gives: the same value
+``repr``, which the direction's witness replays.
 """
 
 import numpy as np
@@ -19,8 +19,9 @@ from cbnctrl import (
     IpClass,
     grid_policy_search,
     grid_policy_values,
+    interventional_prob,
     optimal_policy_value,
-    optimal_policy_values,
+    optimal_values,
     random_cbn,
     random_problem,
     verify_extremality,
@@ -36,16 +37,23 @@ from test_requisite import explaining_away, fan, nest, record_requisite
 
 
 def assert_matches_single_calls(cbn, drivers, ip_class, desired, directions=BOTH):
-    answers = optimal_policy_values(cbn, drivers, ip_class, desired, directions)
-    assert len(answers) == len(directions)
-    for direction, (value, pair) in zip(directions, answers):
-        alone, alone_pair = optimal_policy_value(cbn, drivers, ip_class, desired, direction)
+    """`optimal_values` in ``directions`` against one `optimal_policy_value`
+    call per direction; returns the single calls' answers."""
+    values = optimal_values(cbn, drivers, ip_class, desired, directions)
+    assert len(values) == len(directions)
+    answers = []
+    for direction, value in zip(directions, values):
+        alone, pair = optimal_policy_value(cbn, drivers, ip_class, desired, direction)
         assert repr(value) == repr(alone), direction
-        assert pair == alone_pair, direction
+        assert interventional_prob(cbn, pair, desired) == pytest.approx(value, abs=1e-12)
+        answers.append((alone, pair))
     return answers
 
 
 class TestOptimalPolicyValues:
+    """`optimal_values` in several directions, each exactly as
+    `optimal_policy_value` answers it alone."""
+
     def test_deterministic_path(self):
         dag = nest(4)
         rng = np.random.default_rng(41)
@@ -89,7 +97,7 @@ class TestOptimalPolicyValues:
         directions = (Direction.MIN, Direction.MAX, Direction.MIN)
         answers = assert_matches_single_calls(cbn, drivers, CLASS_INF, {"o": 1}, directions)
         assert answers[0][0] < answers[1][0]
-        assert optimal_policy_values(cbn, drivers, CLASS_INF, {"o": 1}, ()) == []
+        assert optimal_values(cbn, drivers, CLASS_INF, {"o": 1}, ()) == []
 
     def test_no_drivers_gives_the_baseline_in_each_direction(self):
         cbn = screening_chain()
@@ -101,7 +109,7 @@ class TestOptimalPolicyValues:
         tiny = Budget(max_state_space=1, max_work=1)
         for directions in (("max",), (Direction.MAX, "min"), (None,)):
             with pytest.raises(ValueError, match="direction must be a Direction"):
-                optimal_policy_values(screening_chain(), ("y1",), CLASS1, {"o": 1}, directions, tiny)
+                optimal_values(screening_chain(), ("y1",), CLASS1, {"o": 1}, directions, tiny)
 
 
 class TestGridPolicyValues:

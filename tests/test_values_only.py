@@ -1,9 +1,10 @@
 """The optimizer's two stages: values, then witnesses.
 
-`optimal_values` runs the plan up to the scan and stops; `optimal_policy_values`
-also builds each direction's witness pair.  The values-only entry point must
-give the same value ``repr`` and the same refusals on every path, and the
-verify suites, which read values only, must never reach the witness stage.
+`optimal_values` runs the plan up to the scan and stops;
+`optimal_policy_value` also builds its direction's witness pair.  The
+values-only entry point must give the value ``repr`` that a witness call
+gives and replays, and the same refusals, and the verify suites, which
+read values only, must never reach the witness stage.
 """
 
 import numpy as np
@@ -20,7 +21,6 @@ from cbnctrl import (
     best_over_subsets,
     interventional_prob,
     optimal_policy_value,
-    optimal_policy_values,
     optimal_values,
     random_cbn,
     random_dag,
@@ -30,91 +30,45 @@ from cbnctrl import (
     verify_sufficiency,
     verify_usm,
 )
-from cbnctrl.control import CHUNK_ELEMENTS
 from cbnctrl.oracle import BOTH, iter_subsets
 
 from test_control import deterministic_copy, fan_dag, screening_chain
-from test_directions import chain_network
+from test_directions import assert_matches_single_calls, chain_network
 from test_graph import junction
-from test_requisite import explaining_away, fan, nest, record_requisite
+from test_requisite import nest
 
 
-def assert_same_answers(cbn, drivers, ip_class, desired, budget=None):
-    """`optimal_values` against `optimal_policy_values` in (MAX, MIN): the
-    same value ``repr``s, or a refusal of the same type and message.
-    Returns the values, or None for a refusal."""
-    try:
-        full = optimal_policy_values(cbn, drivers, ip_class, desired, BOTH, budget)
-    except (BudgetExceededError, ValueError) as error:
-        with pytest.raises(type(error)) as info:
-            optimal_values(cbn, drivers, ip_class, desired, BOTH, budget)
-        assert type(info.value) is type(error)
-        assert str(info.value) == str(error)
-        return None
-    values = optimal_values(cbn, drivers, ip_class, desired, BOTH, budget)
-    assert list(map(repr, values)) == [repr(value) for value, _ in full]
-    for value, pair in full:
-        assert interventional_prob(cbn, pair, desired) == pytest.approx(value, abs=1e-12)
-    return values
+def spy(monkeypatch, name):
+    """Record the arguments of every call to ``control.<name>``."""
+    calls = []
+    original = getattr(control, name)
+
+    def recording(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(control, name, recording)
+    return calls
 
 
-@pytest.fixture
-def scans(monkeypatch):
-    """(total, size) of every `control.scan_combinations` call."""
-    seen = []
-    scan = control.scan_combinations
+class TestStages:
+    """The paths of the plan are checked against single-direction calls in
+    `test_directions.TestOptimalPolicyValues`; these are the stages' own."""
 
-    def recording(total, size, evaluate, directions):
-        seen.append((total, size))
-        return scan(total, size, evaluate, directions)
-
-    monkeypatch.setattr(control, "scan_combinations", recording)
-    return seen
-
-
-class TestValuesMatchTheWitnessPath:
-    def test_deterministic_path(self, scans):
-        rng = np.random.default_rng(41)
-        for _ in range(4):
-            cbn = deterministic_copy(random_cbn(rng, nest(4)), rng)
-            assert cbn.deterministic
-            assert_same_answers(cbn, ("d0", "d1", "d2", "d3"), CLASS_INF, {"o": 1})
-        assert scans == []  # the fast path reads its values off one marginal
-
-    def test_chain_only(self, scans):
+    def test_chain_only_witness_reuses_the_scanned_batch(self, monkeypatch):
         # the class-inf scopes of nest nest, so every driver is chained and
-        # the scan has one combination, the empty one: base is reduced once
+        # the scan has one combination, the empty one; its witness records
+        # the tables from the batch the scan built
         cbn = random_cbn(np.random.default_rng(42), nest(5))
         drivers = tuple(f"d{i}" for i in range(5))
-        assert_same_answers(cbn, drivers, CLASS_INF, {"o": 1})
-        assert [total for total, _ in scans] == [1, 1]
-        for ip_class in (CLASS1, IpClass(2)):
-            assert_same_answers(cbn, drivers, ip_class, {"o": 1})
+        scans = spy(monkeypatch, "scan_combinations")
+        batches = spy(monkeypatch, "policy_batch")
+        optimal_policy_value(cbn, drivers, CLASS_INF, {"o": 1}, BOTH[0])
+        assert [args[0] for args in scans] == [1] and len(batches) == 1
+        for ip_class in (CLASS1, IpClass(2), CLASS_INF):
+            assert_matches_single_calls(cbn, drivers, ip_class, {"o": 1})
 
-    def test_enumerated(self, scans):
-        cbn = random_cbn(np.random.default_rng(55), fan_dag(3))
-        assert_same_answers(cbn, ("d0", "d1", "d2"), CLASS_INF, {"o": 1})
-        assert all(total > 1 for total, _ in scans)
-
-    def test_requisite_pruned(self):
-        patch, seen = record_requisite()
-        cbn = random_cbn(np.random.default_rng(32), fan(3, 1))
-        with patch:
-            assert_same_answers(cbn, ("d0", "d1", "d2"), CLASS_INF, {"o": 1})
-        assert seen and seen[0]["d1"] == ()
-        cbn = random_cbn(np.random.default_rng(7), explaining_away())
-        assert_same_answers(cbn, ("e", "d"), CLASS1, {"o": 1})
-
-    def test_multi_chunk(self, scans):
-        cbn = random_cbn(np.random.default_rng(55), fan_dag(5))
-        assert_same_answers(cbn, tuple(f"d{i}" for i in range(5)), CLASS_INF, {"o": 1})
-        assert scans and all(total * size >= 3 * CHUNK_ELEMENTS for total, size in scans)
-
-    def test_no_drivers(self):
-        cbn = screening_chain()
-        assert assert_same_answers(cbn, (), CLASS_INF, {"o": 1}) == [cbn.marginal_prob({"o": 1})] * 2
-
-    def test_refusals(self):
+    def test_refusals_match_the_witness_path(self):
         enumerated = random_cbn(
             np.random.default_rng(4),
             Dag(["a", "d1", "d2", "o"], [("a", "d1"), ("a", "d2"), ("d1", "o"), ("d2", "o")]),
@@ -133,14 +87,17 @@ class TestValuesMatchTheWitnessPath:
             (screening_chain(), ("y1",), CLASS1, {"o": 2}, None),
         ]
         for cbn, drivers, ip_class, desired, budget in cases:
-            assert assert_same_answers(cbn, drivers, ip_class, desired, budget) is None
+            with pytest.raises((BudgetExceededError, ValueError)) as alone:
+                optimal_policy_value(cbn, drivers, ip_class, desired, BOTH[0], budget)
+            with pytest.raises(type(alone.value)) as info:
+                optimal_values(cbn, drivers, ip_class, desired, BOTH, budget)
+            assert type(info.value) is type(alone.value)
+            assert str(info.value) == str(alone.value)
 
     def test_seeded_random_calls(self):
-        # 3-6 nodes, cards 2 and 3, 1-3 drivers, classes 1, 2 and inf; a
-        # tight work cap refuses some calls
+        # 3-6 nodes, cards 2 and 3, 1-3 drivers, classes 1, 2 and inf
         rng = np.random.default_rng(2024)
-        answered = refused = 0
-        for _ in range(150):
+        for _ in range(100):
             n = int(rng.integers(3, 7))
             dag = random_dag(rng, n, 0.45)
             cbn = random_cbn(rng, dag, {v: int(rng.choice([2, 2, 3])) for v in dag.nodes})
@@ -149,12 +106,7 @@ class TestValuesMatchTheWitnessPath:
             ip_class = (CLASS1, IpClass(2), CLASS_INF)[int(rng.integers(0, 3))]
             target = dag.nodes[-1]
             desired = {target: int(rng.integers(0, cbn.cards[target]))}
-            budget = Budget(max_work=int(rng.choice([100, 2_000_000])))
-            if assert_same_answers(cbn, drivers, ip_class, desired, budget) is None:
-                refused += 1
-            else:
-                answered += 1
-        assert answered >= 100 and refused >= 10, (answered, refused)
+            assert_matches_single_calls(cbn, drivers, ip_class, desired)
 
 
 @pytest.fixture
