@@ -1,0 +1,70 @@
+"""Replay of the committed differential snapshot (`differential.py`).
+
+The snapshot was written by the generator at the parent of the last change
+that rewrote it; this replay holds the current tree to its rules: values
+within 1e-12, refusals identical, witnesses identical or changed only among
+ties.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import differential
+
+HERE = Path(__file__).parent
+SNAPSHOT = HERE / "differential.json"
+
+#: entries whose witness changed among ties, with the change that moved
+#: them; each is named in CHANGES.md
+TIE_CHANGES: dict[str, str] = {}
+
+
+def test_snapshot_replays():
+    with open(SNAPSHOT) as fh:
+        snapshot = {e["id"]: e for e in json.load(fh)}
+    seen, failures, ties = set(), [], []
+    for entry, cbn, args in differential.corpus():
+        key = entry["id"]
+        seen.add(key)
+        if key not in snapshot:
+            failures.append(f"{key}: not in the snapshot")
+            continue
+        replay = differential.replay_witness(cbn, args) if entry["kind"] == "opv" else None
+        why = differential.compare(snapshot[key], entry, replay)
+        if why == "witness changed among ties":
+            ties.append(key)
+        elif why:
+            failures.append(f"{key} ({entry['kind']}): {why}")
+    failures += [f"{key}: no longer drawn" for key in snapshot.keys() - seen]
+    assert not failures, failures
+    assert sorted(ties) == sorted(TIE_CHANGES), "tie changes must be listed in TIE_CHANGES"
+
+
+def test_snapshot_covers_every_kind_and_refusal():
+    with open(SNAPSHOT) as fh:
+        entries = json.load(fh)
+    assert 300 <= len(entries) <= 600
+    assert {e["kind"] for e in entries} == set(differential.KINDS)
+    refused = {e["refusal"][0] for e in entries if "refusal" in e}
+    assert {"BudgetExceededError", "ZeroProbabilityError"} <= refused
+    assert {e["shape"] for e in entries} == set(differential.SHAPES)
+
+
+def test_queries_print_the_same_under_two_hash_seeds():
+    # node names are str, whose set order follows the hash seed: the
+    # printed answers must not
+    script = [sys.executable, str(HERE / "differential.py"), "print",
+              "--kinds", "marginal,conditional,interventional,joint"]
+    src = str(HERE.parent / "src")
+    outputs = []
+    for seed in ("0", "1"):
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        done = subprocess.run(script, env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) >= 200
