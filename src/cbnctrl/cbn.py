@@ -1,11 +1,16 @@
-"""Discrete Bayesian networks over a Dag, with exact inference on the joint.
+"""Discrete Bayesian networks over a Dag, with exact inference by one
+contraction.
 
 Every probability the package computes is read off `Cbn.joint` under a
 `Budget`: the full-joint tensor, or with ``keep`` its marginal over named
 nodes.  That keeps one inference engine, one place where the state-space
-cap is enforced and one place that lays nodes out on tensor axes.  The
-literal sum over completions survives only as `oracle.enumerate_prob`, the
-reference the tensor is tested against.
+cap is enforced and one place that lays nodes out on tensor axes.  A query
+contracts only the CPD tables it needs: nodes that are neither kept, nor
+in the event, nor ancestors of those are barren, and their tables, whose
+rows sum to one, are dropped (Shachter 1986).  Event values slice the
+tables they appear in, and one ``np.einsum`` sums the rest.  The literal
+sum over completions survives only as `oracle.enumerate_prob`, the
+reference the engine is tested against.
 """
 
 from __future__ import annotations
@@ -175,6 +180,10 @@ class Cpd:
             raise ValueError(f"value {value} out of range for {self.owner!r} (card {self.card})")
         return self.rows[self.row_index(assignment)][value]
 
+    def array(self) -> np.ndarray:
+        """The table as an array over ``(*parents, owner)``."""
+        return np.asarray(self.rows, dtype=float).reshape(*self.parent_cards, self.card)
+
     @classmethod
     def delta(cls, owner: str, value: int, card: int) -> "Cpd":
         """Parentless table putting all mass on ``value``."""
@@ -220,9 +229,7 @@ class Cbn:
                         f"cpd for {name!r}: parent {pname!r} cardinality {pcard}, expected {self._cards[pname]}"
                     )
             self._cpds[name] = cpd
-        self._axis = {name: i for i, name in enumerate(dag.nodes)}
-        self._shape = tuple(self._cards[name] for name in dag.nodes)
-        self._factors: dict[str, np.ndarray] | None = None
+        self._tables: dict[str, np.ndarray] | None = None
         self._deterministic: bool | None = None
 
     @property
@@ -286,12 +293,12 @@ class Cbn:
             p *= self._cpds[name].prob(assignment[name], assignment)
         return p
 
-    def expand(self, arr: np.ndarray, involved: list[str], onto=None) -> np.ndarray:
-        """Permute ``arr`` (axes = ``involved``) into ``onto`` order (default
-        ``dag.nodes``) and reshape with singleton axes so it broadcasts over
-        `joint` with ``keep=onto``.  Leading axes beyond ``involved`` stay
-        in front, as batch axes."""
-        axis = self._axis if onto is None else {name: i for i, name in enumerate(onto)}
+    def expand(self, arr: np.ndarray, involved: list[str], onto) -> np.ndarray:
+        """Permute ``arr`` (axes = ``involved``) into ``onto`` order and
+        reshape with singleton axes so it broadcasts over `joint` with
+        ``keep=onto``.  Leading axes beyond ``involved`` stay in front, as
+        batch axes."""
+        axis = {name: i for i, name in enumerate(onto)}
         lead = arr.ndim - len(involved)
         order = sorted(range(len(involved)), key=lambda i: axis[involved[i]])
         shape = [1] * len(axis)
@@ -301,23 +308,17 @@ class Cbn:
             *arr.shape[:lead], *shape
         )
 
-    def factor(self, cpd: Cpd) -> np.ndarray:
-        """``cpd`` as a factor that broadcasts over the joint tensor; its
-        owner and parents must be nodes of this network."""
-        arr = np.asarray(cpd.rows, dtype=float).reshape(*cpd.parent_cards, cpd.card)
-        return self.expand(arr, [*cpd.parents, cpd.owner])
-
-    def _cpd_factors(self) -> dict[str, np.ndarray]:
-        # each CPD as a broadcastable factor, built once on first use; the
-        # arrays are read-only because every joint tensor shares them
-        if self._factors is None:
-            factors = {}
-            for name in self._dag.nodes:
-                factor = self.factor(self._cpds[name])
-                factor.flags.writeable = False
-                factors[name] = factor
-            self._factors = factors
-        return self._factors
+    def _cpd_tables(self) -> dict[str, np.ndarray]:
+        # each CPD as an array over (parents..., owner), built once on first
+        # use; read-only, because every contraction shares them
+        if self._tables is None:
+            tables = {}
+            for name, cpd in self._cpds.items():
+                table = cpd.array()
+                table.flags.writeable = False
+                tables[name] = table
+            self._tables = tables
+        return self._tables
 
     def check_joint(self, event=None, keep=None, budget: Budget | None = None) -> None:
         """Refuse, in `joint`'s order and without building a tensor, a bad
@@ -338,28 +339,67 @@ class Cbn:
         a sequence ``keep`` of distinct nodes, its marginal over them, one
         axis per node in ``keep`` order, as a new C-contiguous array.
 
-        The product of the CPD factors of every node not in ``skip``, times
-        an indicator for each value ``event`` pins, after `check_joint`.
+        That is the product of the CPDs of every node not in ``skip``, times
+        an indicator for each value ``event`` pins, summed over the nodes
+        outside ``keep``, after `check_joint`.  It is computed by one
+        contraction over the nodes it needs: those of ``keep`` and
+        ``event`` and, through every node not in ``skip``, their parents.
+        The CPD of any other node sums to one over its own values, so it is
+        dropped.  Event values of nodes outside ``keep`` slice the CPDs
+        they appear in; an event node in ``keep`` is a one-hot factor.
         """
         self.check_joint(event, keep, budget)
-        tensor = np.ones(self._shape)
-        for name, factor in self._cpd_factors().items():
-            if name not in skip:
-                tensor *= factor
-        for name, value in (event or {}).items():
-            indicator = np.zeros(self._cards[name])
-            indicator[value] = 1.0
-            tensor *= self.expand(indicator, [name])
-        if keep is None:
-            return tensor
-        kept = sorted(keep, key=self._axis.get)
-        tensor = tensor.sum(axis=tuple(i for n, i in self._axis.items() if n not in keep))
-        # asarray: a sum over every axis is a numpy scalar, not an array
-        return np.asarray(np.transpose(tensor, [kept.index(n) for n in keep]), order="C")
+        event = event or {}
+        nodes = self._dag.nodes
+        kept = nodes if keep is None else tuple(keep)
+        skip = set(skip)
+        needed = {*kept, *event}
+        stack = [name for name in needed if name not in skip]
+        while stack:
+            for parent in self._cpds[stack.pop()].parents:
+                if parent not in needed:
+                    needed.add(parent)
+                    if parent not in skip:
+                        stack.append(parent)
+        # labels are numbered per call over the needed nodes: einsum takes
+        # at most 52, far fewer than a network's nodes may be
+        label = {name: i for i, name in enumerate(n for n in nodes if n in needed)}
+        pinned = {name: value for name, value in event.items() if name not in kept}
+        # a skipped node that nothing needs has no factor left: summing its
+        # free axis multiplies by its cardinality
+        count = prod(self._cards[n] for n in nodes if n in skip and n not in needed)
+        operands: list = [float(count), []]
+        covered = set()
+        tables = self._cpd_tables()
+        # operands in dag order, never in set order, so the sums run in the
+        # same order under every hash seed
+        for name in nodes:
+            if name not in needed:
+                continue
+            if name in event and name not in pinned:
+                onehot = np.zeros(self._cards[name])
+                onehot[event[name]] = 1.0
+                operands += [onehot, [label[name]]]
+                covered.add(name)
+            if name in skip:
+                continue
+            cpd = self._cpds[name]
+            involved = (*cpd.parents, name)
+            table = tables[name]
+            if pinned.keys() & involved:
+                table = table[tuple(pinned.get(n, slice(None)) for n in involved)]
+                involved = [n for n in involved if n not in pinned]
+            operands += [table, [label[n] for n in involved]]
+            covered.update(involved)
+        for name in kept:
+            if name not in covered:
+                operands += [np.ones(self._cards[name]), [label[name]]]
+        out = np.empty([self._cards[name] for name in kept])
+        return np.einsum(*operands, [label[name] for name in kept], out=out, optimize=False)
 
     def marginal_prob(self, event: Mapping[str, int], budget: Budget | None = None) -> float:
         """Probability of a partial assignment."""
-        return float(self.joint(event, budget=budget).sum())
+        return float(self.joint(event, budget=budget, keep=()))
 
     def conditional_prob(self, event: Mapping[str, int], given: Mapping[str, int]) -> float:
         """P(event | given); raises ZeroProbabilityError when P(given) = 0."""
@@ -367,9 +407,8 @@ class Cbn:
         if overlap:
             raise ValueError(f"event and given overlap on {sorted(overlap)}")
         self._check_assignment(event, full=False)
-        joint = self.joint(given)
+        joint = self.joint(given, keep=tuple(event))
         denom = float(joint.sum())
         if denom == 0.0:
             raise ZeroProbabilityError(f"conditioning event {dict(given)} has probability zero")
-        pinned = tuple(event.get(name, slice(None)) for name in self._dag.nodes)
-        return float(joint[pinned].sum()) / denom
+        return float(joint[tuple(event.values())]) / denom

@@ -286,15 +286,17 @@ def interventional_prob(
 ) -> float:
     """Probability of ``event`` in the intervened network.
 
-    Pearl's truncated factorization: the joint of ``cbn`` without the
-    targets' CPDs, read from the network's cached factors, times each
-    policy table as a factor (`Cbn.factor`).  The pair is checked against
-    the network first, with the same errors as `apply_intervention`.
+    Pearl's truncated factorization: the marginal of ``cbn`` without the
+    targets' CPDs over the targets and their scopes, times each policy
+    table laid out on those nodes (`Cbn.expand`).  The pair is checked
+    against the network first, with the same errors as
+    `apply_intervention`.
     """
     _check_pair(cbn, pair)
-    tensor = cbn.joint(event, skip=pair.targets, budget=budget)
+    keep = tuple(dict.fromkeys(n for p in pair.policies for n in (*p.scope, p.target)))
+    tensor = cbn.joint(event, skip=pair.targets, budget=budget, keep=keep)
     for policy in pair.policies:
-        tensor *= cbn.factor(policy.table)
+        tensor *= cbn.expand(policy.table.array(), [*policy.scope, policy.target], keep)
     return float(tensor.sum())
 
 

@@ -200,7 +200,8 @@ def grid_policy_values(
     configuration.  The tables are applied to the joint by
     `control.policy_batch`, the same batch the optimizer enumerates with,
     and scanned in chunks by `control.scan_combinations`, which keeps one
-    optimum per direction.  The work estimate is the number of table
+    optimum per direction.  The tables act on the joint's marginal over the
+    drivers and their scopes.  The work estimate is the number of table
     combinations times the joint size.
     """
     directions = checked_directions(directions, ip_class)
@@ -220,10 +221,12 @@ def grid_policy_values(
     ]
     total = prod(len(rows) ** prod(cards[s] for s in scope) for _, scope, rows in searched)
     budget.check_work(total * cbn.state_space_size())
-    base = cbn.joint(desired, skip=driver_list, budget=budget)
+    # every other node meets no policy factor and is summed out first
+    layout = sorted({*driver_list, *(s for _, scope, _ in searched for s in scope)}, key=dag.index)
+    base = cbn.joint(desired, skip=driver_list, budget=budget, keep=layout)
 
     def values(flat: np.ndarray) -> list[np.ndarray]:
-        batch, _ = policy_batch(cbn, base, dag.nodes, searched, flat)
+        batch, _ = policy_batch(cbn, base, layout, searched, flat)
         # the sums are the same in every direction
         return [batch.reshape(len(flat), -1).sum(axis=1)] * len(directions)
 
