@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
+from operator import itemgetter
 from typing import Mapping
 
 import numpy as np
@@ -24,6 +25,8 @@ import numpy as np
 from .graph import Dag
 
 ROW_SUM_TOL = 1e-9
+#: the most nodes one contraction can take, one per einsum label
+MAX_LABELS = 52
 
 Assignment = dict[str, int]
 
@@ -126,20 +129,6 @@ class Cpd:
                     f"cpd for {self.owner!r}: row {i} sums to {sum(row)!r}, not 1"
                 )
 
-    @classmethod
-    def _from_valid_rows(
-        cls, owner: str, parents, parent_cards, rows: tuple[tuple[float, ...], ...]
-    ) -> "Cpd":
-        # for rows that are distributions of one length by construction:
-        # only the shape is checked, and ``rows`` is stored as given
-        cpd = object.__new__(cls)
-        object.__setattr__(cpd, "owner", owner)
-        object.__setattr__(cpd, "parents", tuple(parents))
-        object.__setattr__(cpd, "parent_cards", tuple(parent_cards))
-        object.__setattr__(cpd, "rows", rows)
-        cpd._check_shape()
-        return cpd
-
     def _check_shape(self) -> None:
         # also stores the parent cardinalities as ints once they pass
         if not isinstance(self.owner, str) or not self.owner:
@@ -181,16 +170,40 @@ class Cpd:
         return self.rows[self.row_index(assignment)][value]
 
     def array(self) -> np.ndarray:
-        """The table as an array over ``(*parents, owner)``."""
-        return np.asarray(self.rows, dtype=float).reshape(*self.parent_cards, self.card)
+        """The table as an array over ``(*parents, owner)``, built once, on
+        first use; read-only, because every contraction shares it."""
+        table = self.__dict__.get("_array")
+        if table is None:
+            table = np.asarray(self.rows, dtype=float).reshape(*self.parent_cards, self.card)
+            table.setflags(write=False)
+            # not a dataclass field, so equality and hashing ignore it
+            self.__dict__["_array"] = table
+        return table
+
+    @classmethod
+    def from_choices(cls, owner: str, parents, parent_cards, card: int, choices) -> "Cpd":
+        """The 0/1 table putting all mass on ``choices[i]`` in parent
+        configuration ``i``.  Its rows are ``card`` shared one-hot tuples,
+        distributions by construction, so only the shape and the choices
+        are checked, not each row."""
+        if len(choices) != prod(parent_cards):
+            raise ValueError("one choice per scope configuration required")
+        if min(choices) < 0 or max(choices) >= card:
+            raise ValueError(f"every choice must lie in range({card})")
+        onehot = tuple(tuple(1.0 if v == hot else 0.0 for v in range(card)) for hot in range(card))
+        # itemgetter of one index returns the item, not a tuple of one
+        rows = (onehot[choices[0]],) if len(choices) == 1 else itemgetter(*choices)(onehot)
+        cpd = object.__new__(cls)
+        cpd.__dict__.update(owner=owner, parents=tuple(parents), parent_cards=tuple(parent_cards), rows=rows)
+        cpd._check_shape()
+        return cpd
 
     @classmethod
     def delta(cls, owner: str, value: int, card: int) -> "Cpd":
         """Parentless table putting all mass on ``value``."""
         if not 0 <= value_index(owner, value) < value_index(owner, card, "cardinality"):
             raise ValueError(f"value {value} out of range for {owner!r} (card {card})")
-        row = tuple(1.0 if i == value else 0.0 for i in range(card))
-        return cls(owner, (), (), (row,))
+        return cls.from_choices(owner, (), (), card, (value,))
 
 
 class Cbn:
@@ -229,7 +242,6 @@ class Cbn:
                         f"cpd for {name!r}: parent {pname!r} cardinality {pcard}, expected {self._cards[pname]}"
                     )
             self._cpds[name] = cpd
-        self._tables: dict[str, np.ndarray] | None = None
         self._deterministic: bool | None = None
 
     @property
@@ -308,18 +320,6 @@ class Cbn:
             *arr.shape[:lead], *shape
         )
 
-    def _cpd_tables(self) -> dict[str, np.ndarray]:
-        # each CPD as an array over (parents..., owner), built once on first
-        # use; read-only, because every contraction shares them
-        if self._tables is None:
-            tables = {}
-            for name, cpd in self._cpds.items():
-                table = cpd.array()
-                table.flags.writeable = False
-                tables[name] = table
-            self._tables = tables
-        return self._tables
-
     def check_joint(self, event=None, keep=None, budget: Budget | None = None) -> None:
         """Refuse, in `joint`'s order and without building a tensor, a bad
         ``event`` or ``keep``, then a state space over the cap of ``budget``."""
@@ -346,7 +346,8 @@ class Cbn:
         ``event`` and, through every node not in ``skip``, their parents.
         The CPD of any other node sums to one over its own values, so it is
         dropped.  Event values of nodes outside ``keep`` slice the CPDs
-        they appear in; an event node in ``keep`` is a one-hot factor.
+        they appear in; an event node in ``keep`` is a one-hot factor.  A
+        query that needs more than `MAX_LABELS` nodes is refused.
         """
         self.check_joint(event, keep, budget)
         event = event or {}
@@ -361,8 +362,13 @@ class Cbn:
                     needed.add(parent)
                     if parent not in skip:
                         stack.append(parent)
-        # labels are numbered per call over the needed nodes: einsum takes
-        # at most 52, far fewer than a network's nodes may be
+        # labels are numbered per call over the needed nodes, which may be
+        # far fewer than a network's nodes
+        if len(needed) > MAX_LABELS:
+            raise BudgetExceededError(
+                f"a contraction over {len(needed)} nodes exceeds the {MAX_LABELS} "
+                "that one einsum can label", len(needed), MAX_LABELS
+            )
         label = {name: i for i, name in enumerate(n for n in nodes if n in needed)}
         pinned = {name: value for name, value in event.items() if name not in kept}
         # a skipped node that nothing needs has no factor left: summing its
@@ -370,7 +376,6 @@ class Cbn:
         count = prod(self._cards[n] for n in nodes if n in skip and n not in needed)
         operands: list = [float(count), []]
         covered = set()
-        tables = self._cpd_tables()
         # operands in dag order, never in set order, so the sums run in the
         # same order under every hash seed
         for name in nodes:
@@ -385,7 +390,7 @@ class Cbn:
                 continue
             cpd = self._cpds[name]
             involved = (*cpd.parents, name)
-            table = tables[name]
+            table = cpd.array()
             if pinned.keys() & involved:
                 table = table[tuple(pinned.get(n, slice(None)) for n in involved)]
                 involved = [n for n in involved if n not in pinned]

@@ -7,19 +7,23 @@ loses nothing.  That choice is what keeps exact search tractable at desk
 scale, and `oracle.grid_policy_search` exists to double-check it against
 stochastic tables.
 
-`optimal_policy_value` chains the drivers whose scopes nest and enumerates
-the tables of the rest.  An enumerated driver searches only its requisite
-scope (`requisite_scopes`), the class-scope members that are not
-d-separated from the targets given the driver and its other members, as
-`graph.bayes_ball` finds them; a table that varies across the others
-never beats one that does not.  Its
-witness is widened back to the class scope, constant across the dropped
-members.  The search starts from the joint's marginal over the drivers
-and their searched scopes, asked of `Cbn.joint` by node name; every other
-node is summed out once, before the search.  `policy_batch` multiplies
-the policy factors of a batch of numbered table combinations into a
-tensor, and `scan_combinations` evaluates the combinations in chunks of
-`CHUNK_ELEMENTS` tensor entries (or of one combination, if that is larger).
+In a network whose tables are all 0 or 1, each forced choice of driver
+values realizes one world, so `optimal_policy_value` reads the value of
+every choice off one `Cbn.joint` over the drivers; a plan without drivers
+takes the same path, with one choice, the empty one.  Otherwise it chains
+the drivers whose scopes nest and enumerates the tables of the rest.  An
+enumerated driver searches only its requisite scope (`requisite_scopes`),
+the class-scope members that are not d-separated from the targets given
+the driver and its other members, as `graph.bayes_ball` finds them; a
+table that varies across the others never beats one that does not.  Its
+witness is widened back to the class scope by one reshape and broadcast,
+constant across the dropped members.  The search starts from the joint's
+marginal over the drivers and their searched scopes, asked of `Cbn.joint`
+by node name; every other node is summed out once, before the search.
+`policy_batch` multiplies the policy factors of a batch of numbered table
+combinations into a tensor, and `scan_combinations` evaluates the
+combinations in chunks of `CHUNK_ELEMENTS` tensor entries (or of one
+combination, if that is larger).
 The tie-break is that of a one-by-one scan in lexicographic order: the
 first optimum of a chunk replaces the incumbent only on a strict
 improvement.  `oracle.grid_policy_search` runs on the same two functions,
@@ -167,7 +171,8 @@ def _pick_chain(
     table_counts: dict[str, int],
     dag: Dag,
 ) -> tuple[list[str], list[str]]:
-    """Split drivers into (chain, enumerated).
+    """Split non-empty ``drivers`` into (chain, enumerated); the chain
+    holds at least one driver.
 
     A valid chain is an ordering d1..dm with scope(di) + {di} contained in
     scope(d(i+1)); those drivers are optimized per scope configuration by
@@ -190,7 +195,7 @@ def _pick_chain(
                 head = entry
         product_, length, negmask, chain = head
         best[b] = (product_ * table_counts[b], length + 1, negmask - bit[b], chain + [b])
-    chain = max(best.values(), key=lambda e: e[:3])[3] if best else []
+    chain = max(best.values(), key=lambda e: e[:3])[3]
     enumerated = [d for d in drivers if d not in chain]
     return chain, enumerated
 
@@ -298,9 +303,12 @@ def scan_combinations(
     return best
 
 
-def checked_directions(directions, ip_class) -> tuple[Direction, ...]:
-    """``directions`` as a tuple, once each is a `Direction` and
-    ``ip_class`` an `IpClass`; a search checks both before any work."""
+def checked_directions(directions, ip_class, desired) -> tuple[Direction, ...]:
+    """``directions`` as a tuple, once ``desired`` is a non-empty event,
+    each direction a `Direction` and ``ip_class`` an `IpClass`; a search
+    checks all three before any work."""
+    if not desired:
+        raise ValueError("desired event must be non-empty")
     directions = tuple(directions)
     for direction in directions:
         if not isinstance(direction, Direction):
@@ -351,14 +359,8 @@ def _scan_plan(cbn: Cbn, drivers, ip_class: IpClass, desired, directions, budget
     # winning combination.
     budget = budget or DEFAULT_BUDGET
     dag = cbn.dag
-    driver_list = tuple(sorted(set(drivers), key=dag.index))
-    if not desired:
-        raise ValueError("desired event must be non-empty")
-    directions = checked_directions(directions, ip_class)
-
-    if not driver_list:
-        value = _clamp(cbn.marginal_prob(desired, budget))
-        return [value] * len(directions), lambda i: InterventionPair.empty()
+    driver_list = dag.canon(drivers)
+    directions = checked_directions(directions, ip_class, desired)
 
     # before any table is sized: a driver's scope can hold every other node
     cbn.check_joint(desired, budget=budget)
@@ -367,12 +369,14 @@ def _scan_plan(cbn: Cbn, drivers, ip_class: IpClass, desired, directions, budget
     scope_cards = {d: tuple(cards[s] for s in scopes[d]) for d in driver_list}
     table_counts = {d: cards[d] ** prod(scope_cards[d]) for d in driver_list}
 
-    if cbn.deterministic:
+    if not driver_list or cbn.deterministic:
         # A fully deterministic network realizes exactly one world per
         # forced choice of driver values, so each policy table is read at a
         # single scope configuration and constant tables already span every
         # reachable outcome.  Every sum is an exact 0/1 count, and the first
         # optimum of the C-order flattening is the first in product order.
+        # Without drivers there is one choice, the empty one, whose value is
+        # the marginal of ``desired`` and whose witness is the empty pair.
         budget.check_work(prod(cards[d] for d in driver_list) * len(driver_list))
         values = cbn.joint(desired, skip=driver_list, budget=budget, keep=driver_list).reshape(-1)
         bests = [int(direction.arg(values)) for direction in directions]
@@ -383,7 +387,7 @@ def _scan_plan(cbn: Cbn, drivers, ip_class: IpClass, desired, directions, budget
                 atomic_policy(d, int(v), cards[d]) for d, v in zip(driver_list, vector)
             )
 
-        return [float(values[best]) for best in bests], atomic_witness
+        return [_clamp(float(values[best])) for best in bests], atomic_witness
 
     scope_sets = {d: frozenset(scopes[d]) for d in driver_list}
     chain, enumerated = _pick_chain(driver_list, scope_sets, table_counts, dag)
@@ -403,7 +407,7 @@ def _scan_plan(cbn: Cbn, drivers, ip_class: IpClass, desired, directions, budget
     # (scopes come in dag order and nest along the chain), so the nested
     # optimum at its axis ranges over tables on exactly that scope.
     relevant = set(driver_list).union(*searched_scopes.values())
-    order = [n for d in chain for n in (*scopes[d], d)] + sorted(relevant, key=dag.index)
+    order = [n for d in chain for n in (*scopes[d], d)] + list(dag.canon(relevant))
     axes = list(dict.fromkeys(order))[::-1]
     # one combination, the empty one, when every driver is on the chain
     outer_total = prod(cards[e] ** prod(cards[s] for s in searched_scopes[e]) for e in enumerated)
@@ -458,14 +462,13 @@ def _scan_plan(cbn: Cbn, drivers, ip_class: IpClass, desired, directions, budget
         batch, picks = single[0] if single else policy_batch(cbn, base, axes, searched, best)
         tables = {}
         for e, digits in zip(enumerated, picks):
-            choice, kept = digits[0], searched_scopes[e]
-            if kept != scopes[e]:
-                # widened to the class scope, constant across the dropped members
-                choice = cbn.expand(choice.reshape([cards[s] for s in kept]), kept, scopes[e])
-                choice = np.broadcast_to(choice, scope_cards[e]).reshape(-1)
-            tables[e] = tuple(choice.tolist())
-        if chain:
-            reduce_chain(batch, directions[i], tables)
+            # widened to the class scope, constant across the dropped members;
+            # the searched scope keeps the class scope's order
+            shape = [cards[s] if s in searched_scopes[e] else 1 for s in scopes[e]]
+            choice = np.broadcast_to(digits[0].reshape(shape), scope_cards[e])
+            tables[e] = tuple(choice.reshape(-1).tolist())
+        # `_pick_chain` puts at least one driver on the chain
+        reduce_chain(batch, directions[i], tables)
         return InterventionPair(
             table_from_choices(d, scopes[d], scope_cards[d], cards[d], tables[d])
             for d in driver_list
@@ -525,7 +528,7 @@ def usm_adversarial_cbn(dag: Dag, drivers, targets) -> tuple[Cbn, dict[str, int]
     driver set to one achieves it surely while any proper subset leaves a
     pinned zero in the way.
     """
-    driver_list = tuple(sorted(set(drivers), key=dag.index))
+    driver_list = dag.canon(drivers)
     target_list = tuple(targets)
     if not target_list:
         raise ValueError("targets must be non-empty")
@@ -533,29 +536,22 @@ def usm_adversarial_cbn(dag: Dag, drivers, targets) -> tuple[Cbn, dict[str, int]
         dag.index(name)
 
     driver_set = set(driver_list)
-    downstream: set[str] = set()
-    for d in driver_list:
-        downstream.update(dag.descendants(d))
+    downstream = set().union(*map(dag.descendants, driver_list))
     effective = driver_set | downstream
 
     cpds: dict[str, Cpd] = {}
-    cards = {name: 2 for name in dag.nodes}
     for node in dag.nodes:
         parents = dag.parents(node)
-        parent_cards = tuple(2 for _ in parents)
-        n_rows = prod(parent_cards)
+        # one value per parent configuration, in row-major order
+        configs = product((0, 1), repeat=len(parents))
         if node in driver_set:
-            rows = tuple((1.0, 0.0) for _ in range(n_rows))
+            choices = [0 for _ in configs]
         elif node in downstream:
             gate = [i for i, p in enumerate(parents) if p in effective]
-            rows = []
-            for config in product(range(2), repeat=len(parents)):
-                value = 1 if all(config[i] == 1 for i in gate) else 0
-                rows.append((1.0, 0.0) if value == 0 else (0.0, 1.0))
-            rows = tuple(rows)
+            choices = [int(all(config[i] for i in gate)) for config in configs]
         else:
-            rows = tuple((0.0, 1.0) for _ in range(n_rows))
-        cpds[node] = Cpd(node, parents, parent_cards, rows)
+            choices = [1 for _ in configs]
+        cpds[node] = Cpd.from_choices(node, parents, (2,) * len(parents), 2, choices)
 
     desired = {t: 1 for t in target_list}
-    return Cbn(dag, cards, cpds), desired
+    return Cbn(dag, dict.fromkeys(dag.nodes, 2), cpds), desired

@@ -109,8 +109,14 @@ class Dag:
         if name not in self._index:
             raise ValueError(f"unknown node {name!r}")
 
-    def _canon(self, names: Iterable[str]) -> tuple[str, ...]:
-        return tuple(sorted(set(names), key=self._index.__getitem__))
+    def canon(self, names: Iterable[str]) -> tuple[str, ...]:
+        """``names`` without repeats, in node order; an unknown name raises
+        the ``unknown node`` `ValueError`."""
+        return tuple(sorted(set(names), key=self.index))
+
+    def _canon(self, found: set[str]) -> tuple[str, ...]:
+        # the node order itself, for sets of known nodes
+        return tuple(sorted(found, key=self._index.__getitem__))
 
     def _toposort(self) -> tuple[str, ...]:
         indeg = {name: len(self._parents[name]) for name in self._nodes}

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import prod
-from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .cbn import Budget, Cbn, Cpd
@@ -307,20 +306,9 @@ def table_from_choices(
     card: int,
     choices: tuple[int, ...],
 ) -> InterventionPolicy:
-    """Deterministic policy mapping scope configuration i to ``choices[i]``.
-
-    The rows are ``card`` shared one-hot tuples, which are distributions by
-    construction, so only the table's shape and the choices are checked;
-    entries and row sums are not re-validated row by row.
-    """
-    if len(choices) != prod(scope_cards):
-        raise ValueError("one choice per scope configuration required")
-    if min(choices) < 0 or max(choices) >= card:
-        raise ValueError(f"every choice must lie in range({card})")
-    onehot = tuple(tuple(1.0 if v == hot else 0.0 for v in range(card)) for hot in range(card))
-    # itemgetter of one index returns the item, not a tuple of one
-    rows = (onehot[choices[0]],) if len(choices) == 1 else itemgetter(*choices)(onehot)
-    return InterventionPolicy(target, scope, Cpd._from_valid_rows(target, scope, scope_cards, rows))
+    """Deterministic policy mapping scope configuration i to ``choices[i]``:
+    the `Cpd.from_choices` table on ``scope``, with its checks."""
+    return InterventionPolicy(target, scope, Cpd.from_choices(target, scope, scope_cards, card, choices))
 
 
 def enumerate_deterministic_tables(

@@ -90,7 +90,7 @@ def naive_policy_search(
     if not isinstance(direction, Direction):
         raise ValueError(f"direction must be a Direction, got {direction!r}")
     dag = cbn.dag
-    driver_list = tuple(sorted(set(drivers), key=dag.index))
+    driver_list = dag.canon(drivers)
     cards = cbn.cards
     scopes = {d: scope_for_class(dag, d, ip_class) for d in driver_list}
     scope_cards = {d: tuple(cards[s] for s in scopes[d]) for d in driver_list}
@@ -137,7 +137,7 @@ def _subset_optima(cbn, intervenable, ip_class, desired, directions, budget, kno
     # one values-only optimizer plan per subset; ``known`` maps a subset, as
     # a frozenset, to the values of `optimal_values` in ``directions``
     # already at hand
-    pool = tuple(sorted(set(intervenable), key=cbn.dag.index))
+    pool = cbn.dag.canon(intervenable)
     budget.check_set_size(len(pool))
     known = known or {}
     best: list = [None] * len(directions)
@@ -204,10 +204,10 @@ def grid_policy_values(
     drivers and their scopes.  The work estimate is the number of table
     combinations times the joint size.
     """
-    directions = checked_directions(directions, ip_class)
+    directions = checked_directions(directions, ip_class, desired)
     budget = budget or DEFAULT_BUDGET
     dag = cbn.dag
-    driver_list = tuple(sorted(set(drivers), key=dag.index))
+    driver_list = dag.canon(drivers)
     if not driver_list:
         return [cbn.marginal_prob(desired, budget)] * len(directions)
 
@@ -222,7 +222,7 @@ def grid_policy_values(
     total = prod(len(rows) ** prod(cards[s] for s in scope) for _, scope, rows in searched)
     budget.check_work(total * cbn.state_space_size())
     # every other node meets no policy factor and is summed out first
-    layout = sorted({*driver_list, *(s for _, scope, _ in searched for s in scope)}, key=dag.index)
+    layout = dag.canon([*driver_list, *(s for _, scope, _ in searched for s in scope)])
     base = cbn.joint(desired, skip=driver_list, budget=budget, keep=layout)
 
     def values(flat: np.ndarray) -> list[np.ndarray]:
@@ -310,7 +310,7 @@ def _drivers(dag: Dag, intervenable, targets, desired: Mapping[str, int]) -> tup
     # the `c_star` driver set, with the problem checked as `ControlProblem`
     # checks it
     target_list = tuple(targets)
-    pool = tuple(sorted(set(intervenable), key=dag.index))
+    pool = dag.canon(intervenable)
     problem = ControlProblem(dag, pool, target_list, tuple(desired[t] for t in target_list))
     return c_star(problem).members
 
@@ -336,7 +336,7 @@ def verify_lemma3(
         if level != INF and (not isinstance(level, int) or level < 1):
             raise ValueError(f"bracket levels must be >= 1 or inf, got {level!r}")
     dag = cbn.dag
-    pool = tuple(sorted(set(intervenable), key=dag.index))
+    pool = dag.canon(intervenable)
     budget.check_set_size(len(pool))
     baseline = cbn.marginal_prob(desired, budget)
     failures: list[str] = []

@@ -326,6 +326,17 @@ class TestFactorCache:
                     assert tensor.tobytes() == expect
                     tensor[...] = -1.0
 
+    def test_networks_share_one_read_only_array_per_table(self):
+        first = chain_ab()
+        second = Cbn(first.dag, first.cards, first.cpds)
+        for name in first.dag.nodes:
+            table = first.cpd(name).array()
+            assert second.cpd(name).array() is table
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[...] = 0.0
+        assert second.marginal_prob({"b": 1}) == pytest.approx(0.41, abs=1e-12)
+
     def test_mutating_a_joint_leaves_the_next_untouched(self):
         cbn = chain_ab()
         first = cbn.joint()
@@ -443,6 +454,10 @@ class TestContraction:
         assert np.allclose(got, [0.75 * 0.2, 0.75 * 0.8], rtol=0.0, atol=1e-15)
         with pytest.raises(BudgetExceededError):
             cbn.marginal_prob({"v0": 1})
+        # v59 needs every node, past the labels one einsum has
+        with pytest.raises(BudgetExceededError, match="60 nodes exceeds the 52") as info:
+            cbn.marginal_prob({"v59": 1}, budget)
+        assert (info.value.estimate, info.value.limit) == (60, 52)
 
 
 class TestDeterministicFlag:

@@ -32,12 +32,13 @@ from cbnctrl import (
     interventional_prob,
     naive_policy_search,
     optimal_policy_value,
+    optimal_values,
     solve,
     usm_adversarial_cbn,
 )
 from cbnctrl.control import CHUNK_ELEMENTS, _pick_chain
 from cbnctrl.intervention import scope_for_class
-from cbnctrl.oracle import iter_subsets, random_cbn, random_dag, random_problem
+from cbnctrl.oracle import BOTH, iter_subsets, random_cbn, random_dag, random_problem
 
 from test_cbn import xor_gate
 from test_graph import junction
@@ -406,6 +407,15 @@ class TestEdgeCases:
         assert value == cbn.marginal_prob({"o": 1})
         assert len(pair) == 0
 
+    def test_no_drivers_is_one_contraction_under_any_work_cap(self):
+        # the empty choice is the one combination; the state cap still holds
+        cbn = screening_chain()
+        baseline = cbn.marginal_prob({"o": 1})
+        values = optimal_values(cbn, (), CLASS_INF, {"o": 1}, BOTH, Budget(max_work=1))
+        assert values == [baseline, baseline]
+        with pytest.raises(BudgetExceededError, match="state space of 8 configurations"):
+            optimal_values(cbn, (), CLASS_INF, {"o": 1}, BOTH, Budget(max_state_space=1))
+
     def test_empty_desired_rejected(self):
         with pytest.raises(ValueError):
             optimal_policy_value(xor_gate(), ("y",), CLASS0, {}, Direction.MAX)
@@ -612,3 +622,39 @@ class TestAdversarialConstruction:
     def test_targets_required(self):
         with pytest.raises(ValueError):
             usm_adversarial_cbn(junction(), ("t3",), ())
+
+    @staticmethod
+    def row_loops(dag, drivers):
+        # the tables as the construction once built them, row by row
+        driver_set = set(drivers)
+        downstream = set()
+        for d in drivers:
+            downstream.update(dag.descendants(d))
+        effective = driver_set | downstream
+        tables = {}
+        for node in dag.nodes:
+            parents = dag.parents(node)
+            n_rows = 2 ** len(parents)
+            if node in driver_set:
+                rows = tuple((1.0, 0.0) for _ in range(n_rows))
+            elif node in downstream:
+                gate = [i for i, p in enumerate(parents) if p in effective]
+                rows = []
+                for config in product(range(2), repeat=len(parents)):
+                    value = 1 if all(config[i] == 1 for i in gate) else 0
+                    rows.append((1.0, 0.0) if value == 0 else (0.0, 1.0))
+                rows = tuple(rows)
+            else:
+                rows = tuple((0.0, 1.0) for _ in range(n_rows))
+            tables[node] = Cpd(node, parents, (2,) * len(parents), rows)
+        return tables
+
+    def test_tables_equal_the_row_loops(self):
+        rng = np.random.default_rng(909)
+        for _ in range(40):
+            dag = random_dag(rng, int(rng.integers(3, 9)), edge_prob=0.45)
+            drivers = tuple(n for n in dag.nodes[:-1] if rng.random() < 0.4)
+            cbn, desired = usm_adversarial_cbn(dag, drivers[::-1], (dag.nodes[-1],))
+            assert cbn.cpds == self.row_loops(dag, drivers)
+            assert cbn.cards == dict.fromkeys(dag.nodes, 2)
+            assert desired == {dag.nodes[-1]: 1}

@@ -90,6 +90,22 @@ class TestOrdering:
         )
 
 
+    def test_canon_drops_repeats_and_follows_node_order(self):
+        dag = junction()
+        assert dag.canon(["o", "t5", "t1", "o", "t5"]) == ("t1", "t5", "o")
+        assert dag.canon(iter(("t4", "t2"))) == ("t2", "t4")
+        assert dag.canon(()) == ()
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            dag = random_dag(rng, int(rng.integers(1, 9)))
+            names = [str(n) for n in rng.choice(dag.nodes, size=int(rng.integers(0, 12)))]
+            assert dag.canon(names) == tuple(n for n in dag.nodes if n in names)
+
+    def test_canon_refuses_an_unknown_node(self):
+        with pytest.raises(ValueError, match="unknown node 'zz'"):
+            junction().canon(["t1", "zz", "t1"])
+
+
 class TestAncestry:
     def test_level_bounded_ancestors_on_chain(self):
         dag = Dag(["a", "b", "c"], [("a", "b"), ("b", "c")])

@@ -24,6 +24,7 @@ from cbnctrl import (
     interventional_prob,
     naive_policy_search,
     optimal_policy_value,
+    optimal_values,
     random_cbn,
     random_dag,
     random_problem,
@@ -34,7 +35,7 @@ from cbnctrl import (
 )
 from cbnctrl.graph import INF
 from cbnctrl.intervention import scope_for_class
-from cbnctrl.oracle import iter_subsets, simplex_grid_rows
+from cbnctrl.oracle import BOTH, grid_policy_values, iter_subsets, simplex_grid_rows
 
 from test_cbn import chain_ab, xor_gate
 from test_control import joint_calls, screening_chain
@@ -180,6 +181,17 @@ class TestGridSearch:
             for ip_class in (1, "inf", None):
                 with pytest.raises(ValueError, match="ip_class must be an IpClass"):
                     grid_policy_search(cbn, drivers, ip_class, {"o": 1}, Direction.MAX)
+
+    def test_empty_desired_refused_as_the_optimizer_refuses_it(self, monkeypatch):
+        # with and without drivers, before any joint is built
+        calls = joint_calls(monkeypatch)
+        rng = np.random.default_rng(3)
+        cbn = random_cbn(rng, random_dag(rng, 4))
+        for drivers in (cbn.dag.nodes[:2], ()):
+            for search in (grid_policy_values, optimal_values):
+                with pytest.raises(ValueError, match="desired event must be non-empty"):
+                    search(cbn, drivers, CLASS1, {}, BOTH)
+        assert calls == []
 
     def test_direction_type_checked(self):
         # "max" once silently minimised; it is refused before any work, with

@@ -264,6 +264,31 @@ class TestPrunedSearch:
                 assert len(set(pair.policy(d).table.rows)) == 1
 
 
+    def test_witness_is_widened_across_a_member_after_a_kept_one(self):
+        # e and d have 16 class-1 tables each, so e (first in dag order) is
+        # chained and d enumerated.  d's scope is (x, r) in node order; o
+        # rewards d == x, and r, listed after d, is a private root of d, so
+        # the search drops r, the later member, and keeps x.
+        dag = Dag(
+            ["x", "w1", "w2", "e", "d", "r", "o"],
+            [("x", "d"), ("r", "d"), ("x", "o"), ("w1", "e"), ("w2", "e"), ("e", "o"), ("d", "o")],
+        )
+        base = random_cbn(np.random.default_rng(12), dag)
+        o_rows = tuple((0.1, 0.9) if d == x else (0.9, 0.1) for x in range(2) for e in range(2) for d in range(2))
+        cbn = Cbn(dag, base.cards, dict(base.cpds, o=Cpd("o", ("x", "e", "d"), (2, 2, 2), o_rows)))
+        patch, seen = record_requisite()
+        for direction in (Direction.MAX, Direction.MIN):
+            with patch:
+                value, pair = optimal_policy_value(cbn, ("e", "d"), CLASS1, {"o": 1}, direction)
+            assert seen[-1]["d"] == ("x",)
+            expect, _ = naive_policy_search(cbn, ("e", "d"), CLASS1, {"o": 1}, direction)
+            assert abs(value - expect) <= 1e-12, direction
+            assert value == pytest.approx(0.9 if direction is Direction.MAX else 0.1, abs=1e-12)
+            assert interventional_prob(cbn, pair, {"o": 1}) == pytest.approx(value, abs=1e-12)
+            assert pair.policy("d").scope == ("x", "r")
+            assert constant_across(pair, "d", ["r"])
+
+
 def test_seeded_searches_cut_scopes_and_keep_the_optimum():
     # Numpy-seeded draws that reach the analysis: 2-3 drivers with parents
     # on 4-6 nodes, `random_cbn` rows, and the last node as the target, so
