@@ -8,7 +8,10 @@ cap is enforced and one place that lays nodes out on tensor axes.  A query
 contracts only the CPD tables it needs: nodes that are neither kept, nor
 in the event, nor ancestors of those are barren, and their tables, whose
 rows sum to one, are dropped (Shachter 1986).  Event values slice the
-tables they appear in, and one ``np.einsum`` sums the rest.  The literal
+tables they appear in, and one ``np.einsum`` sums the rest.  What to
+contract depends only on the query's shape (the kept nodes, the skipped
+set and the nodes the event names), so each network plans it once per
+shape and a repeated query only slices in its event values.  The literal
 sum over completions survives only as `oracle.enumerate_prob`, the
 reference the engine is tested against.
 """
@@ -29,6 +32,9 @@ ROW_SUM_TOL = 1e-9
 MAX_LABELS = 52
 
 Assignment = dict[str, int]
+
+#: the index that keeps an axis whole
+_WHOLE = slice(None)
 
 
 class ZeroProbabilityError(ValueError):
@@ -94,6 +100,11 @@ def value_index(name: str, value, kind: str = "value") -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{kind} {value!r} for {name!r} must be an integer")
     return int(value)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 @dataclass(frozen=True)
@@ -174,8 +185,7 @@ class Cpd:
         first use; read-only, because every contraction shares it."""
         table = self.__dict__.get("_array")
         if table is None:
-            table = np.asarray(self.rows, dtype=float).reshape(*self.parent_cards, self.card)
-            table.setflags(write=False)
+            table = _read_only(np.asarray(self.rows, dtype=float).reshape(*self.parent_cards, self.card))
             # not a dataclass field, so equality and hashing ignore it
             self.__dict__["_array"] = table
         return table
@@ -243,6 +253,8 @@ class Cbn:
                     )
             self._cpds[name] = cpd
         self._deterministic: bool | None = None
+        # `joint`'s contraction plans, one per query shape
+        self._plans: dict[tuple, tuple] = {}
 
     @property
     def dag(self) -> Dag:
@@ -348,13 +360,40 @@ class Cbn:
         dropped.  Event values of nodes outside ``keep`` slice the CPDs
         they appear in; an event node in ``keep`` is a one-hot factor.  A
         query that needs more than `MAX_LABELS` nodes is refused.
+
+        The set-up depends only on the query's shape: ``keep``, the set
+        ``skip`` and the nodes ``event`` names.  It is planned by `_plan`
+        on the first call of each shape and kept on the network, so a later
+        call of that shape only slices in its event values and contracts.
         """
         self.check_joint(event, keep, budget)
         event = event or {}
+        kept = self._dag.nodes if keep is None else tuple(keep)
+        shape = (kept, frozenset(skip), frozenset(event))
+        plan = self._plans.get(shape)
+        if plan is None:
+            plan = self._plans[shape] = self._plan(*shape)
+        operands, slots, output, dims = plan
+        operands = operands.copy()
+        for at, table, axes in slots:
+            operands[at] = table[tuple([_WHOLE if n is None else event[n] for n in axes])]
+        return np.einsum(*operands, output, out=np.empty(dims), optimize=False)
+
+    def _plan(self, kept: tuple, skip: frozenset, given: frozenset) -> tuple:
+        """`joint`'s contraction for one query shape, with ``given`` the
+        nodes the event names: ``(operands, slots, output, dims)``.
+
+        ``operands`` alternates arrays and label lists, as `np.einsum`
+        takes them, with each unsliced CPD's own read-only array in place.
+        Each slot ``(at, table, axes)`` marks an operand that depends on
+        the event values: ``table`` indexed by the event value of each
+        node named in ``axes`` (``None`` leaves that axis whole).  An event
+        node in ``kept`` is a row of a read-only identity matrix; any other
+        event node slices the CPDs it appears in.
+        """
         nodes = self._dag.nodes
-        kept = nodes if keep is None else tuple(keep)
-        skip = set(skip)
-        needed = {*kept, *event}
+        cards = self._cards
+        needed = {*kept, *given}
         stack = [name for name in needed if name not in skip]
         while stack:
             for parent in self._cpds[stack.pop()].parents:
@@ -362,7 +401,7 @@ class Cbn:
                     needed.add(parent)
                     if parent not in skip:
                         stack.append(parent)
-        # labels are numbered per call over the needed nodes, which may be
+        # labels are numbered per shape over the needed nodes, which may be
         # far fewer than a network's nodes
         if len(needed) > MAX_LABELS:
             raise BudgetExceededError(
@@ -370,37 +409,37 @@ class Cbn:
                 "that one einsum can label", len(needed), MAX_LABELS
             )
         label = {name: i for i, name in enumerate(n for n in nodes if n in needed)}
-        pinned = {name: value for name, value in event.items() if name not in kept}
+        pinned = given.difference(kept)
         # a skipped node that nothing needs has no factor left: summing its
         # free axis multiplies by its cardinality
-        count = prod(self._cards[n] for n in nodes if n in skip and n not in needed)
+        count = prod(cards[n] for n in nodes if n in skip and n not in needed)
         operands: list = [float(count), []]
+        slots = []
         covered = set()
         # operands in dag order, never in set order, so the sums run in the
         # same order under every hash seed
         for name in nodes:
             if name not in needed:
                 continue
-            if name in event and name not in pinned:
-                onehot = np.zeros(self._cards[name])
-                onehot[event[name]] = 1.0
-                operands += [onehot, [label[name]]]
+            if name in given and name not in pinned:
+                slots.append((len(operands), _read_only(np.eye(cards[name])), (name,)))
+                operands += [None, [label[name]]]
                 covered.add(name)
             if name in skip:
                 continue
             cpd = self._cpds[name]
             involved = (*cpd.parents, name)
             table = cpd.array()
-            if pinned.keys() & involved:
-                table = table[tuple(pinned.get(n, slice(None)) for n in involved)]
+            if not pinned.isdisjoint(involved):
+                slots.append((len(operands), table, tuple(n if n in pinned else None for n in involved)))
                 involved = [n for n in involved if n not in pinned]
+                table = None
             operands += [table, [label[n] for n in involved]]
             covered.update(involved)
         for name in kept:
             if name not in covered:
-                operands += [np.ones(self._cards[name]), [label[name]]]
-        out = np.empty([self._cards[name] for name in kept])
-        return np.einsum(*operands, [label[name] for name in kept], out=out, optimize=False)
+                operands += [_read_only(np.ones(cards[name])), [label[name]]]
+        return operands, tuple(slots), [label[name] for name in kept], [cards[name] for name in kept]
 
     def marginal_prob(self, event: Mapping[str, int], budget: Budget | None = None) -> float:
         """Probability of a partial assignment."""

@@ -87,8 +87,7 @@ def naive_policy_search(
     exists purely as a slow cross-check for the chained reductions and
     batched scan of `control.optimal_policy_value`.
     """
-    if not isinstance(direction, Direction):
-        raise ValueError(f"direction must be a Direction, got {direction!r}")
+    checked_directions((direction,), ip_class, desired)
     dag = cbn.dag
     driver_list = dag.canon(drivers)
     cards = cbn.cards

@@ -2,10 +2,10 @@
 
 Each entry is one call into ``cbnctrl`` on a seeded network: an optimizer
 call (`optimal_policy_value`), a marginal, conditional or interventional
-probability, a kept marginal of `Cbn.joint`, or a grid search.  It
-records the value ``repr`` (or the ``repr`` of each entry of a returned
-tensor), the witness as choice tuples and a refusal as its type and
-message.  Networks are drawn again from the seed on replay; each entry
+probability, a kept marginal of `Cbn.joint`, a grid search, or the MAX and
+MIN `optimal_values` without drivers.  It records the value ``repr`` (or
+the ``repr`` of each entry of a returned tensor), the witness as choice
+tuples and a refusal as its type and message.  Networks are drawn again from the seed on replay; each entry
 stores a digest of its inputs, so a drifting generator shows as a changed
 input, not as a changed answer.
 
@@ -57,6 +57,7 @@ from cbnctrl import (
     grid_policy_values,
     interventional_prob,
     optimal_policy_value,
+    optimal_values,
     scope_for_class,
 )
 from cbnctrl.intervention import table_from_choices
@@ -64,7 +65,7 @@ from cbnctrl.oracle import random_cbn, random_dag
 
 SEED = 20141
 VALUE_TOL = 1e-12
-KINDS = ("opv", "marginal", "conditional", "interventional", "joint", "grid")
+KINDS = ("opv", "marginal", "conditional", "interventional", "joint", "grid", "values")
 SHAPES = ("random", "random", "random", "nest", "fan", "cfan", "explain", "chain")
 CLASSES = (IpClass(0), IpClass(1), IpClass(2), IpClass(float("inf")))
 #: every optimizer call runs under this budget unless it draws a smaller
@@ -228,6 +229,11 @@ def calls(rng, cbn: Cbn, drivers: tuple[str, ...]):
         budget = Budget(max_work=400_000)
         yield "grid", (grid_drivers, str(ip_class), desired), lambda: grid_policy_values(
             cbn, grid_drivers, ip_class, desired, both, 0.5, budget)
+    # the optimizer without drivers, whose base tensor has the shape of
+    # `marginal_prob`'s; last and drawing nothing, so earlier entries keep
+    # their ids and inputs
+    yield "values", ((), str(CLASSES[1]), desired), lambda: optimal_values(
+        cbn, (), CLASSES[1], desired, (Direction.MAX, Direction.MIN), OPV_BUDGET)
 
 
 def pair_choices(pair: InterventionPair, rows: bool = False) -> list:

@@ -252,6 +252,16 @@ def cross_check_networks():
         yield rng, usm_adversarial_cbn(dag, drivers, dag.nodes[-1:])[0]
 
 
+def sixty_node_chain():
+    """A binary chain v0 -> ... -> v59, with P(v0=1) = 0.75."""
+    names = [f"v{i}" for i in range(60)]
+    dag = Dag(names, list(zip(names, names[1:])))
+    cpds = {"v0": Cpd("v0", (), (), ((0.25, 0.75),))}
+    for a, b in zip(names, names[1:]):
+        cpds[b] = Cpd(b, (a,), (2,), ((0.9, 0.1), (0.2, 0.8)))
+    return Cbn(dag, dict.fromkeys(names, 2), cpds)
+
+
 def random_event(rng, cbn, size):
     nodes = cbn.dag.nodes
     picked = rng.choice(len(nodes), size=min(size, len(nodes)), replace=False)
@@ -380,12 +390,88 @@ class TestFactorCache:
         cbn = xor_gate()
         keep = ("o", "x")
         expect = cbn.joint(keep=keep).tobytes()
-        for keep_ in (keep, ("x", "y", "o"), ()):
-            got = cbn.joint({"y": 1}, keep=keep_)
-            assert got.flags.c_contiguous and got.flags.writeable
-            got[...] = -1.0
+        # y pinned, so it slices tables; y kept, so it is a one-hot factor;
+        # o skipped and kept, so a ones factor covers it
+        for skip, keep_ in (((), keep), ((), ("x", "y", "o")), ((), ()), (("o",), ("o", "y"))):
+            first = cbn.joint({"y": 1}, skip, keep=keep_)
+            again = first.tobytes()
+            assert first.flags.c_contiguous and first.flags.writeable
+            first[...] = -1.0
+            assert cbn.joint({"y": 1}, skip, keep=keep_).tobytes() == again
         assert cbn.joint(keep=keep).tobytes() == expect
         assert cbn.marginal_prob({"o": 1}) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestPlanCache:
+    """`Cbn.joint` plans each query shape once per network: the kept
+    nodes, the skipped set and the nodes the event names."""
+
+    @staticmethod
+    def plans_built(monkeypatch):
+        built = []
+        plan = Cbn._plan
+
+        def recording(self, *shape):
+            built.append(shape)
+            return plan(self, *shape)
+
+        monkeypatch.setattr(Cbn, "_plan", recording)
+        return built
+
+    def test_a_warm_plan_matches_a_fresh_network_on_every_event_value(self):
+        seen = dict.fromkeys(("event pinned", "event kept", "skip"), 0)
+        for rng, cbn in cross_check_networks():
+            nodes = cbn.dag.nodes
+            cards = cbn.cards
+            for _ in range(3):
+                given = list(random_event(rng, cbn, int(rng.integers(1, 4))))
+                skip = tuple(n for n in nodes if rng.random() < 0.3)
+                keep = [nodes[i] for i in rng.permutation(len(nodes))[: int(rng.integers(0, 4))]]
+                seen["event pinned"] += any(n not in keep for n in given)
+                seen["event kept"] += any(n in keep for n in given)
+                seen["skip"] += bool(skip)
+                for values in product(*(range(cards[n]) for n in given)):
+                    event = dict(zip(given, values))
+                    fresh = Cbn(cbn.dag, cards, cbn.cpds).joint(event, skip, keep=keep)
+                    assert cbn.joint(event, skip, keep=keep).tobytes() == fresh.tobytes()
+        assert min(seen.values()) >= 10, seen
+
+    def test_event_order_and_skip_type_share_one_plan(self, monkeypatch):
+        built = self.plans_built(monkeypatch)
+        rng = np.random.default_rng(17)
+        cbn = random_cbn(rng, random_dag(rng, 6))
+        nodes = cbn.dag.nodes
+        event = {nodes[5]: 1, nodes[1]: 0, nodes[3]: 1}
+        skip = (nodes[0], nodes[2])
+        keep = (nodes[3], nodes[4])
+        expect = cbn.joint(event, skip, keep=keep).tobytes()
+        for event_ in (event, dict(reversed(event.items()))):
+            for skip_ in (skip, list(skip), set(skip), tuple(reversed(skip))):
+                assert cbn.joint(event_, skip_, keep=keep).tobytes() == expect
+        assert len(built) == 1
+
+    def test_a_refused_shape_stores_no_plan_and_refuses_again(self, monkeypatch):
+        built = self.plans_built(monkeypatch)
+        cbn = sixty_node_chain()
+        budget = Budget(max_state_space=2 ** 60)
+        for _ in range(2):
+            with pytest.raises(BudgetExceededError, match="60 nodes exceeds the 52"):
+                cbn.marginal_prob({"v59": 1}, budget)
+        assert len(built) == 2
+        assert cbn.marginal_prob({"v0": 1}, budget) == 0.75
+
+    def test_a_warm_shape_still_checks_every_call(self):
+        cbn = xor_gate()
+        keep = ("o", "x")
+        warm = cbn.joint({"y": 1}, keep=keep).tobytes()
+        for event in ({"y": 2}, {"y": -1}, {"y": True}):
+            with pytest.raises(ValueError, match="out of range|must be an integer"):
+                cbn.joint(event, keep=keep)
+        with pytest.raises(ValueError, match="repeats"):
+            cbn.joint({"y": 1}, keep=("o", "x", "o"))
+        with pytest.raises(BudgetExceededError, match="exceeds the cap of 4"):
+            cbn.joint({"y": 1}, budget=Budget(max_state_space=4), keep=keep)
+        assert cbn.joint({"y": 1}, keep=keep).tobytes() == warm
 
 
 class TestContraction:
@@ -440,12 +526,7 @@ class TestContraction:
     def test_sixty_node_chain_answers_through_few_factors(self):
         # the full joint would have 2^60 entries; each query needs one or
         # two nodes, and the last node's axis is past einsum's 52 labels
-        names = [f"v{i}" for i in range(60)]
-        dag = Dag(names, list(zip(names, names[1:])))
-        cpds = {"v0": Cpd("v0", (), (), ((0.25, 0.75),))}
-        for a, b in zip(names, names[1:]):
-            cpds[b] = Cpd(b, (a,), (2,), ((0.9, 0.1), (0.2, 0.8)))
-        cbn = Cbn(dag, dict.fromkeys(names, 2), cpds)
+        cbn = sixty_node_chain()
         budget = Budget(max_state_space=2 ** 60)
         assert cbn.marginal_prob({"v0": 1}, budget) == 0.75
         pair = InterventionPair.of(atomic_policy("v59", 1, 2))

@@ -77,6 +77,18 @@ class TestNaiveSearch:
             with pytest.raises(ValueError, match="direction must be a Direction"):
                 naive_policy_search(cbn, ("y1",), CLASS_INF, {"o": 1}, direction, max_combos=1)
 
+    def test_empty_desired_refused_as_the_searches_it_checks_refuse_it(self, monkeypatch):
+        # it once answered 1.0, the probability of the empty event; now it
+        # refuses, with or without drivers, before any joint is built
+        calls = joint_calls(monkeypatch)
+        rng = np.random.default_rng(3)
+        cbn = random_cbn(rng, random_dag(rng, 4))
+        for drivers in (cbn.dag.nodes[:2], ()):
+            for direction in Direction:
+                with pytest.raises(ValueError, match="desired event must be non-empty"):
+                    naive_policy_search(cbn, drivers, CLASS1, {}, direction)
+        assert calls == []
+
 
 class TestBestOverSubsets:
     def test_prefers_smallest_tied_subset(self):
