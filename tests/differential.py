@@ -2,12 +2,14 @@
 
 Each entry is one call into ``cbnctrl`` on a seeded network: an optimizer
 call (`optimal_policy_value`), a marginal, conditional or interventional
-probability, a kept marginal of `Cbn.joint`, a grid search, or the MAX and
-MIN `optimal_values` without drivers.  It records the value ``repr`` (or
-the ``repr`` of each entry of a returned tensor), the witness as choice
-tuples and a refusal as its type and message.  Networks are drawn again from the seed on replay; each entry
-stores a digest of its inputs, so a drifting generator shows as a changed
-input, not as a changed answer.
+probability, a kept marginal of `Cbn.joint`, a grid search, the MAX and
+MIN `optimal_values` without drivers, or the first optimizer call again
+with the target's desired value moved on by one.  It records the value
+``repr`` (or the ``repr`` of each entry of a returned tensor), the witness
+as choice tuples and a refusal as its type and message.  Networks are
+drawn again from the seed on replay; each entry stores a digest of its
+inputs, so a drifting generator shows as a changed input, not as a
+changed answer.
 
 The draws cover 2-7 nodes, cards 2/3, positive, mixed and 0/1 rows,
 classes 0/1/2/inf, MAX and MIN, small budgets, and the shapes where the
@@ -65,7 +67,7 @@ from cbnctrl.oracle import random_cbn, random_dag
 
 SEED = 20141
 VALUE_TOL = 1e-12
-KINDS = ("opv", "marginal", "conditional", "interventional", "joint", "grid", "values")
+KINDS = ("opv", "marginal", "conditional", "interventional", "joint", "grid", "values", "revalue")
 SHAPES = ("random", "random", "random", "nest", "fan", "cfan", "explain", "chain")
 CLASSES = (IpClass(0), IpClass(1), IpClass(2), IpClass(float("inf")))
 #: every optimizer call runs under this budget unless it draws a smaller
@@ -196,9 +198,11 @@ def calls(rng, cbn: Cbn, drivers: tuple[str, ...]):
     nodes = dag.nodes
     target = nodes[-1]
     desired = {target: int(rng.integers(cards[target]))}
+    first = None  # the first optimizer call's class and direction
     for _ in range(3):
         ip_class = CLASSES[int(rng.integers(len(CLASSES)))]
         direction = (Direction.MAX, Direction.MIN)[int(rng.integers(2))]
+        first = first or (ip_class, direction)
         budget = OPV_BUDGET
         if rng.random() < 0.2:
             budget = SMALL_BUDGETS[int(rng.integers(len(SMALL_BUDGETS)))]
@@ -234,6 +238,14 @@ def calls(rng, cbn: Cbn, drivers: tuple[str, ...]):
     # their ids and inputs
     yield "values", ((), str(CLASSES[1]), desired), lambda: optimal_values(
         cbn, (), CLASSES[1], desired, (Direction.MAX, Direction.MIN), OPV_BUDGET)
+    # the first optimizer call again, aiming at the target's next value: a
+    # search of a shape already asked, for another event value; last and
+    # drawing nothing, as above
+    ip_class, direction = first
+    moved = {target: (desired[target] + 1) % cards[target]}
+    args = (drivers, str(ip_class), moved, direction.value, OPV_BUDGET)
+    yield "revalue", args, lambda: optimal_policy_value(
+        cbn, drivers, ip_class, moved, direction, OPV_BUDGET)
 
 
 def pair_choices(pair: InterventionPair, rows: bool = False) -> list:
@@ -327,7 +339,8 @@ def witness_pair(cbn: Cbn, witness: list) -> InterventionPair:
 
 
 def replay_witness(cbn: Cbn, args):
-    """Value of a witness of the ``opv`` call ``args`` on ``cbn``."""
+    """Value of a witness of the ``opv`` or ``revalue`` call ``args`` on
+    ``cbn``."""
     desired = args[2]
     return lambda witness: interventional_prob(cbn, witness_pair(cbn, witness), desired)
 
