@@ -255,6 +255,8 @@ class Cbn:
         self._deterministic: bool | None = None
         # `joint`'s contraction plans, one per query shape
         self._plans: dict[tuple, tuple] = {}
+        # the optimizer's search plans (`control.SearchPlan`), one per shape
+        self._search_plans: dict[tuple, object] = {}
 
     @property
     def dag(self) -> Dag:

@@ -37,6 +37,14 @@ direction's value and winning combination.  The second turns one winning
 combination into its witness pair.  `optimal_values` runs the first stage
 only, for callers that read values alone, such as the verify suites;
 `optimal_policy_value` runs both for one direction.
+
+Everything the first stage decides before it asks for the base tensor
+depends only on the query's shape: the drivers, the policy class and the
+nodes the desired event names.  The path, the class scopes, the chain
+split, the requisite scopes, the axes, the reduction segments and the work
+estimate form one `SearchPlan`, which each `Cbn` builds on a shape's first
+call and keeps.  Every call still checks its arguments and its `Budget`,
+the plan's work estimate included, before any tensor is built.
 """
 
 from __future__ import annotations
@@ -49,7 +57,7 @@ from math import prod
 import numpy as np
 
 # Budget and its error live in cbn; they stay importable from here
-from .cbn import DEFAULT_BUDGET, Budget, BudgetExceededError, Cbn, Cpd, value_index
+from .cbn import DEFAULT_BUDGET, Budget, BudgetExceededError, Cbn, Cpd, _read_only, value_index
 from .graph import Dag, bayes_ball
 from .intervention import (
     CLASS_INF,
@@ -66,9 +74,12 @@ class Direction(Enum):
     MAX = "max"
     MIN = "min"
 
-    def beats(self, value, incumbent) -> bool:
-        """Whether ``value`` is strictly better than ``incumbent``."""
-        return value > incumbent if self is Direction.MAX else value < incumbent
+    def beats(self, value, incumbent, margin: float = 0.0) -> bool:
+        """Whether ``value`` is better than ``incumbent`` by more than
+        ``margin``; by default, whether it is strictly better."""
+        if self is Direction.MAX:
+            return value > incumbent + margin
+        return value < incumbent - margin
 
     @property
     def arg(self):
@@ -351,44 +362,57 @@ def optimal_values(
     return _scan_plan(cbn, drivers, ip_class, desired, directions, budget)[0]
 
 
-def _scan_plan(cbn: Cbn, drivers, ip_class: IpClass, desired, directions, budget):
-    # The plan's first stage: the checks, the scopes, the chain split, the
-    # requisite scopes, the axes, the base tensor, the work check and the
-    # scan.  Returns the value per direction, and the second stage: a
-    # function from a direction's position to the witness pair of its
-    # winning combination.
-    budget = budget or DEFAULT_BUDGET
-    dag = cbn.dag
-    driver_list = dag.canon(drivers)
-    directions = checked_directions(directions, ip_class, desired)
+@dataclass(frozen=True, eq=False)
+class SearchPlan:
+    """What the optimizer decides from a query's shape alone: the drivers,
+    the policy class and the nodes the desired event names.  It holds no
+    budget and no event value, so each `Cbn` keeps one per shape.
 
-    # before any table is sized: a driver's scope can hold every other node
-    cbn.check_joint(desired, budget=budget)
+    ``path`` is ``"deterministic"``, one world per forced choice of driver
+    values, or ``"chain"``, nested reductions over ``chain`` with the
+    tables of ``enumerated`` scanned.  ``scopes`` and ``scope_cards`` are
+    each driver's class scope and its cards.  ``axes`` are the base
+    tensor's nodes in reduction order (the drivers, on the deterministic
+    path), and ``work`` is the estimate each call checks against its own
+    `Budget`.  ``searched`` lists, per enumerated driver, ``(driver,
+    searched scope, one-hot rows)`` as `policy_batch` takes it, with
+    read-only rows; ``segments`` are the ``(width, chain driver or None)``
+    runs of the reduction, and ``outer_total`` counts the table
+    combinations scanned.
+    """
+
+    path: str
+    scopes: dict[str, tuple[str, ...]]
+    scope_cards: dict[str, tuple[int, ...]]
+    axes: tuple[str, ...]
+    work: int
+    chain: tuple[str, ...] = ()
+    enumerated: tuple[str, ...] = ()
+    searched: tuple[tuple[str, tuple[str, ...], np.ndarray], ...] = ()
+    segments: tuple[tuple[int, str | None], ...] = ()
+    outer_total: int = 1
+
+
+def _search_plan(
+    cbn: Cbn, driver_list: tuple[str, ...], ip_class: IpClass, given: frozenset
+) -> SearchPlan:
+    # the plan for canonical drivers and the nodes ``given`` of the desired
+    # event; tables are sized here, so only once `Cbn.check_joint` passed
+    dag = cbn.dag
     cards = cbn.cards
     scopes = {d: scope_for_class(dag, d, ip_class) for d in driver_list}
     scope_cards = {d: tuple(cards[s] for s in scopes[d]) for d in driver_list}
-    table_counts = {d: cards[d] ** prod(scope_cards[d]) for d in driver_list}
 
     if not driver_list or cbn.deterministic:
         # A fully deterministic network realizes exactly one world per
         # forced choice of driver values, so each policy table is read at a
         # single scope configuration and constant tables already span every
-        # reachable outcome.  Every sum is an exact 0/1 count, and the first
-        # optimum of the C-order flattening is the first in product order.
-        # Without drivers there is one choice, the empty one, whose value is
-        # the marginal of ``desired`` and whose witness is the empty pair.
-        budget.check_work(prod(cards[d] for d in driver_list) * len(driver_list))
-        values = cbn.joint(desired, skip=driver_list, budget=budget, keep=driver_list).reshape(-1)
-        bests = [int(direction.arg(values)) for direction in directions]
+        # reachable outcome.  Without drivers there is one choice, the
+        # empty one.
+        work = prod(cards[d] for d in driver_list) * len(driver_list)
+        return SearchPlan("deterministic", scopes, scope_cards, driver_list, work)
 
-        def atomic_witness(i: int) -> InterventionPair:
-            vector = np.unravel_index(bests[i], tuple(cards[d] for d in driver_list))
-            return InterventionPair(
-                atomic_policy(d, int(v), cards[d]) for d, v in zip(driver_list, vector)
-            )
-
-        return [_clamp(float(values[best])) for best in bests], atomic_witness
-
+    table_counts = {d: cards[d] ** prod(scope_cards[d]) for d in driver_list}
     scope_sets = {d: frozenset(scopes[d]) for d in driver_list}
     chain, enumerated = _pick_chain(driver_list, scope_sets, table_counts, dag)
     # Enumerated drivers search only their requisite scope members, which
@@ -397,7 +421,7 @@ def _scan_plan(cbn: Cbn, drivers, ip_class: IpClass, desired, directions, budget
     # nothing to drop, and the analysis is skipped.
     searched_scopes = scopes
     if any(scopes[e] for e in enumerated):
-        searched_scopes = requisite_scopes(dag, scopes, enumerated, desired)
+        searched_scopes = requisite_scopes(dag, scopes, enumerated, given)
 
     # A node outside the drivers and their searched scopes meets no policy
     # factor and is summed before any driver is reduced, so the search
@@ -408,20 +432,61 @@ def _scan_plan(cbn: Cbn, drivers, ip_class: IpClass, desired, directions, budget
     # optimum at its axis ranges over tables on exactly that scope.
     relevant = set(driver_list).union(*searched_scopes.values())
     order = [n for d in chain for n in (*scopes[d], d)] + list(dag.canon(relevant))
-    axes = list(dict.fromkeys(order))[::-1]
+    axes = tuple(dict.fromkeys(order))[::-1]
     # one combination, the empty one, when every driver is on the chain
     outer_total = prod(cards[e] ** prod(cards[s] for s in searched_scopes[e]) for e in enumerated)
-    budget.check_work(outer_total * cbn.state_space_size())
-    base = cbn.joint(desired, skip=driver_list, budget=budget, keep=axes)
     # (width, chain driver or None for a sum), in reduction order.  A run of
     # chance axes is one sum; an enumerated driver's axis is summed on its
     # own, which picks its one-hot entry exactly, so tables that cannot
     # change the outcome tie exactly and the tie-break keeps the first.
     driver_of = {d: d for d in driver_list}
-    segments = [
+    segments = tuple(
         (len(list(run)), key if key in chain else None)
         for key, run in groupby(axes, driver_of.get)
-    ]
+    )
+    searched = tuple((e, searched_scopes[e], _read_only(np.eye(cards[e]))) for e in enumerated)
+    return SearchPlan(
+        "chain", scopes, scope_cards, axes, outer_total * cbn.state_space_size(),
+        tuple(chain), tuple(enumerated), searched, segments, outer_total,
+    )
+
+
+def _scan_plan(cbn: Cbn, drivers, ip_class: IpClass, desired, directions, budget):
+    # The plan's first stage: the checks, the shape's `SearchPlan` (built on
+    # the shape's first call), the work check, the base tensor and the
+    # scan.  Returns the value per direction, and the second stage: a
+    # function from a direction's position to the witness pair of its
+    # winning combination.
+    budget = budget or DEFAULT_BUDGET
+    driver_list = cbn.dag.canon(drivers)
+    directions = checked_directions(directions, ip_class, desired)
+    # before the plan: a driver's scope can hold every other node
+    cbn.check_joint(desired, budget=budget)
+    shape = (driver_list, ip_class, frozenset(desired))
+    plan = cbn._search_plans.get(shape)
+    if plan is None:
+        plan = cbn._search_plans[shape] = _search_plan(cbn, *shape)
+    budget.check_work(plan.work)
+    base = cbn.joint(desired, skip=driver_list, budget=budget, keep=plan.axes)
+
+    if plan.path == "deterministic":
+        # Every sum is an exact 0/1 count, and the first optimum of the
+        # C-order flattening is the first in product order.  Without
+        # drivers the one value is the marginal of ``desired`` and its
+        # witness is the empty pair.
+        values = base.reshape(-1)
+        bests = [int(direction.arg(values)) for direction in directions]
+
+        def atomic_witness(i: int) -> InterventionPair:
+            cards = cbn.cards
+            vector = np.unravel_index(bests[i], base.shape)
+            return InterventionPair(
+                atomic_policy(d, int(v), cards[d]) for d, v in zip(driver_list, vector)
+            )
+
+        return [_clamp(float(values[best])) for best in bests], atomic_witness
+
+    axes, scopes, searched = plan.axes, plan.scopes, plan.searched
 
     def reduce_chain(
         batch: np.ndarray, direction: Direction, tables: dict | None = None
@@ -431,7 +496,7 @@ def _scan_plan(cbn: Cbn, drivers, ip_class: IpClass, desired, directions, budget
         arg, reduce = direction.arg, direction.reduce
         t = batch
         pos = 0
-        for width, kind in segments:
+        for width, kind in plan.segments:
             pos += width
             if kind is None:
                 t = t.sum(axis=tuple(range(1, 1 + width)))
@@ -444,33 +509,32 @@ def _scan_plan(cbn: Cbn, drivers, ip_class: IpClass, desired, directions, budget
             t = reduce(t, axis=1)
         return t
 
-    searched = [(e, searched_scopes[e], np.eye(cards[e])) for e in enumerated]
-
     single = []  # the batch of a one-combination plan, kept for its witness
 
     def evaluate(flat: np.ndarray) -> list[np.ndarray]:
         # one batch per chunk, reduced once per direction
         built = policy_batch(cbn, base, axes, searched, flat)
-        if outer_total == 1:
+        if plan.outer_total == 1:
             single.append(built)
         return [reduce_chain(built[0], direction) for direction in directions]
 
-    optima = scan_combinations(outer_total, base.size, evaluate, directions)
+    optima = scan_combinations(plan.outer_total, base.size, evaluate, directions)
 
     def table_witness(i: int) -> InterventionPair:
+        cards = cbn.cards
         best = np.array([optima[i][1]])
         batch, picks = single[0] if single else policy_batch(cbn, base, axes, searched, best)
         tables = {}
-        for e, digits in zip(enumerated, picks):
+        for (e, searched_scope, _), digits in zip(searched, picks):
             # widened to the class scope, constant across the dropped members;
             # the searched scope keeps the class scope's order
-            shape = [cards[s] if s in searched_scopes[e] else 1 for s in scopes[e]]
-            choice = np.broadcast_to(digits[0].reshape(shape), scope_cards[e])
+            shape = [cards[s] if s in searched_scope else 1 for s in scopes[e]]
+            choice = np.broadcast_to(digits[0].reshape(shape), plan.scope_cards[e])
             tables[e] = tuple(choice.reshape(-1).tolist())
         # `_pick_chain` puts at least one driver on the chain
         reduce_chain(batch, directions[i], tables)
         return InterventionPair(
-            table_from_choices(d, scopes[d], scope_cards[d], cards[d], tables[d])
+            table_from_choices(d, scopes[d], plan.scope_cards[d], cards[d], tables[d])
             for d in driver_list
         )
 

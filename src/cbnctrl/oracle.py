@@ -43,6 +43,11 @@ from .intervention import (
 )
 
 BRACKET_TOL = 1e-9
+#: how much better a later subset must be to replace the incumbent in the
+#: subset scan: far above the float drift that a change of summation order
+#: leaves in a value (at most 4.4e-16 seen), far below the 1e-12 within
+#: which a witness must replay
+TIE_TOL = 1e-13
 
 SUITE_NAMES = ("lemma3", "sufficiency", "usm", "extremality")
 
@@ -121,9 +126,12 @@ def best_over_subsets(
 ) -> tuple[float, tuple[str, ...], InterventionPair]:
     """Exhaustive optimum over every subset of the intervenable set.
 
-    Subsets are scanned smallest-first, so among ties the smallest (then
-    lexicographically earliest) subset is reported.  Only the winning
-    subset's witness is built.
+    Subsets are scanned smallest first, lexicographically within a size,
+    and a later subset replaces the incumbent only if its value is better
+    by more than `TIE_TOL`.  So the reported value, the reported subset's
+    own, lies within `TIE_TOL` of the optimum, and a subset that ties with
+    an earlier one up to float noise is never reported over it.  Only the
+    winning subset's witness is built.
     """
     budget = budget or DEFAULT_BUDGET
     value, subset = _subset_optima(cbn, intervenable, ip_class, desired, (direction,), budget)[0]
@@ -145,7 +153,7 @@ def _subset_optima(cbn, intervenable, ip_class, desired, directions, budget, kno
         if values is None:
             values = optimal_values(cbn, subset, ip_class, desired, directions, budget)
         for i, (direction, value) in enumerate(zip(directions, values)):
-            if best[i] is None or direction.beats(value, best[i][0]):
+            if best[i] is None or direction.beats(value, best[i][0], TIE_TOL):
                 best[i] = (value, subset)
     return best
 

@@ -6,12 +6,14 @@ that touches it cross-checks against `naive_policy_search`, which reaches
 the answer by asking `interventional_prob` for every table combination.
 """
 
+import re
 import time
 from itertools import product
 
 import numpy as np
 import pytest
 
+import cbnctrl.control as control
 from cbnctrl import (
     Budget,
     BudgetExceededError,
@@ -504,6 +506,119 @@ class TestBudget:
         cbn = screening_chain()
         with pytest.raises(BudgetExceededError, match=r"\d"):
             optimal_policy_value(cbn, ("y1",), CLASS_INF, {"o": 1}, Direction.MAX, Budget(max_work=1))
+
+
+def plan_networks():
+    """(network, drivers) on which the optimizer takes each path: a fan
+    whose tables are enumerated, a nest whose class-2 and class-inf scopes
+    chain with nothing enumerated, and a 0/1 fan on the deterministic
+    path.  Targets are ternary where the rows are random."""
+    rng = np.random.default_rng(17)
+    nest = Dag(["u", "d0", "d1", "o"], [("u", "d0"), ("d0", "d1"), ("u", "o"), ("d0", "o"), ("d1", "o")])
+    fan, drivers = fan_dag(2), ("d0", "d1")
+    return [
+        (random_cbn(rng, fan, {n: 3 if n == "o" else 2 for n in fan.nodes}), drivers),
+        (random_cbn(rng, nest, {n: 3 if n == "o" else 2 for n in nest.nodes}), drivers),
+        (deterministic_copy(random_cbn(rng, fan), rng), drivers),
+    ]
+
+
+def fresh(cbn):
+    """The same network, with no plan kept."""
+    return Cbn(cbn.dag, cbn.cards, cbn.cpds)
+
+
+class TestSearchPlan:
+    """Each network keeps one `SearchPlan` per (drivers, class, desired
+    nodes): a warm plan must answer and refuse exactly as a cold one."""
+
+    CLASSES = (CLASS1, IpClass(2), CLASS_INF)
+
+    def test_warm_plans_answer_as_a_fresh_network_does(self):
+        paths = set()
+        for cbn, drivers in plan_networks():
+            for ip_class in self.CLASSES:
+                for value in range(cbn.cards["o"]):
+                    desired = {"o": value}
+                    for direction in BOTH:
+                        warm = optimal_policy_value(cbn, drivers, ip_class, desired, direction)
+                        cold = optimal_policy_value(fresh(cbn), drivers, ip_class, desired, direction)
+                        assert warm[0] == cold[0] and warm[1] == cold[1], (ip_class, value, direction)
+                    warm = optimal_values(cbn, drivers, ip_class, desired, BOTH[::-1])
+                    assert warm == optimal_values(fresh(cbn), drivers, ip_class, desired, BOTH[::-1])
+            # one plan per class, whatever the desired value and direction
+            plans = cbn._search_plans
+            assert len(plans) == len(self.CLASSES)
+            for plan in plans.values():
+                paths.add("enumerated" if plan.enumerated else plan.path)
+                assert all(not rows.flags.writeable for _, _, rows in plan.searched)
+        assert paths == {"deterministic", "chain", "enumerated"}
+
+    def test_reordered_and_repeated_drivers_share_one_plan(self, monkeypatch):
+        built = spy_on(monkeypatch, "_search_plan")
+        cbn, _ = plan_networks()[0]
+        answers = [
+            optimal_policy_value(cbn, drivers, CLASS_INF, {"o": 1}, Direction.MAX)
+            for drivers in (("d1", "d0"), ("d0", "d1", "d0"), ["d0", "d1"], {"d1", "d0"})
+        ]
+        assert len(built) == 1
+        assert all(answer == answers[0] for answer in answers)
+
+    def test_warm_shape_refuses_as_a_cold_one(self):
+        cbn, drivers = plan_networks()[0]
+        good = optimal_policy_value(cbn, drivers, CLASS_INF, {"o": 1}, Direction.MAX)
+        plan = next(iter(cbn._search_plans.values()))
+        # one driver chained, the 4 tables of the other enumerated, over a
+        # joint of 2^5 * 3 states
+        assert plan.work == 4 * 96
+        refusals = [
+            (drivers, CLASS_INF, {"o": 1}, Direction.MAX, Budget(max_work=plan.work - 1)),
+            (drivers, CLASS_INF, {"o": 1}, Direction.MAX, Budget(max_state_space=4)),
+            (drivers, CLASS_INF, {"o": 3}, Direction.MAX, None),
+            (drivers, CLASS_INF, {}, Direction.MAX, None),
+            (drivers, CLASS_INF, {"o": 1}, "max", None),
+            (drivers, 1, {"o": 1}, Direction.MAX, None),
+            (("d0", "zz"), CLASS_INF, {"o": 1}, Direction.MAX, None),
+        ]
+        messages = set()
+        for args in refusals:
+            with pytest.raises((ValueError, BudgetExceededError)) as cold:
+                optimal_policy_value(fresh(cbn), *args)
+            with pytest.raises(cold.type, match=f"^{re.escape(str(cold.value))}$"):
+                optimal_policy_value(cbn, *args)
+            messages.add(str(cold.value))
+        # each refusal above comes from a check of its own
+        assert len(messages) == len(refusals)
+        assert len(cbn._search_plans) == 1
+        assert optimal_policy_value(cbn, drivers, CLASS_INF, {"o": 1}, Direction.MAX) == good
+        # the work cap is met exactly, as on the first call
+        exact = Budget(max_work=plan.work)
+        assert optimal_policy_value(cbn, drivers, CLASS_INF, {"o": 1}, Direction.MAX, exact) == good
+
+    def test_chain_split_and_requisite_cut_run_once_per_shape(self, monkeypatch):
+        splits = spy_on(monkeypatch, "_pick_chain")
+        cuts = spy_on(monkeypatch, "requisite_scopes")
+        cbn, drivers = plan_networks()[0]
+        for value in range(3):
+            for direction in BOTH:
+                optimal_policy_value(cbn, drivers, CLASS_INF, {"o": value}, direction)
+            optimal_values(cbn, drivers, CLASS_INF, {"o": value}, BOTH)
+        assert (len(splits), len(cuts)) == (1, 1)
+        optimal_values(cbn, drivers, CLASS1, {"o": 0}, BOTH)
+        assert (len(splits), len(cuts)) == (2, 2)
+
+
+def spy_on(monkeypatch, name):
+    """Record each call of ``control.<name>``."""
+    calls = []
+    real = getattr(control, name)
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(control, name, recording)
+    return calls
 
 
 class TestSolve:

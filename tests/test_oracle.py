@@ -7,12 +7,14 @@ from math import prod
 import numpy as np
 import pytest
 
+import cbnctrl.oracle as oracle
 from cbnctrl import (
     Budget,
     BudgetExceededError,
     CLASS0,
     CLASS1,
     CLASS_INF,
+    Cbn,
     Cpd,
     Dag,
     Direction,
@@ -98,6 +100,52 @@ class TestBestOverSubsets:
         )
         assert value == pytest.approx(0.7, abs=1e-9)
         assert subset == ("y1",)
+
+    @staticmethod
+    def relay():
+        # c -> b -> t: b alone reaches every optimum, and {c, b} ties with it
+        dag = Dag(["c", "b", "t"], [("c", "b"), ("b", "t")])
+        return Cbn(dag, dict.fromkeys(dag.nodes, 2), {
+            "c": Cpd("c", (), (), ((0.5, 0.5),)),
+            "b": Cpd("b", ("c",), (2,), ((0.7, 0.3), (0.4, 0.6))),
+            "t": Cpd("t", ("b",), (2,), ((0.8, 0.2), (0.35, 0.65))),
+        })
+
+    @staticmethod
+    def nudge_supersets(monkeypatch, gain):
+        # every subset of two or more drivers reads ``gain`` better than it
+        # is, as a change of summation order can make a tie read
+        real = oracle.optimal_values
+
+        def nudged(cbn, drivers, ip_class, desired, directions, budget=None):
+            values = real(cbn, drivers, ip_class, desired, directions, budget)
+            if len(drivers) < 2:
+                return values
+            return [v + gain if d is Direction.MAX else v - gain for d, v in zip(directions, values)]
+
+        monkeypatch.setattr(oracle, "optimal_values", nudged)
+
+    def test_float_noise_does_not_pick_a_superset(self, monkeypatch):
+        cbn = self.relay()
+        self.nudge_supersets(monkeypatch, 2e-16)
+        for direction, expect in ((Direction.MAX, 0.65), (Direction.MIN, 0.2)):
+            value, subset, pair = best_over_subsets(cbn, ("c", "b"), CLASS_INF, {"t": 1}, direction)
+            assert subset == ("b",), direction
+            assert value == pytest.approx(expect, abs=1e-12)
+            assert [p.target for p in pair.policies] == ["b"]
+        report = verify_sufficiency(cbn, ("c", "b"), ("t",), {"t": 1})
+        assert report.passed
+        assert report.details[0] == "drivers: {b}"
+        assert [line.split(" at ")[1] for line in report.details[1:]] == ["{b}", "{b}"]
+
+    def test_a_real_gain_still_replaces_the_incumbent(self, monkeypatch):
+        cbn = self.relay()
+        self.nudge_supersets(monkeypatch, 1e-12)
+        for direction in (Direction.MAX, Direction.MIN):
+            _, subset, _ = best_over_subsets(cbn, ("c", "b"), CLASS_INF, {"t": 1}, direction)
+            assert subset == ("c", "b"), direction
+        report = verify_sufficiency(cbn, ("c", "b"), ("t",), {"t": 1})
+        assert [line.split(" at ")[1] for line in report.details[1:]] == ["{c b}", "{c b}"]
 
     def test_set_size_budget(self):
         cbn = xor_gate()

@@ -310,11 +310,13 @@ def test_seeded_searches_cut_scopes_and_keep_the_optimum():
         cbn = random_cbn(rng, dag)
         desired = {dag.nodes[-1]: int(rng.integers(2))}
         cases += 1
+        calls = len(seen)
         for direction in (Direction.MAX, Direction.MIN):
-            calls = len(seen)
             with patch:
                 value, _ = optimal_policy_value(cbn, drivers, ip_class, desired, direction)
             expect, _ = naive_policy_search(cbn, drivers, ip_class, desired, direction)
             assert abs(value - expect) <= 1e-9, (dag, drivers, ip_class, direction)
-            cut += any(got != scopes for got in seen[calls:])
-    assert cut >= 20
+        # the cut does not depend on the direction, and MIN reuses the
+        # search plan MAX built, so cuts are counted per case
+        cut += any(got != scopes for got in seen[calls:])
+    assert cut >= 10
