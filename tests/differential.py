@@ -3,10 +3,12 @@
 Each entry is one call into ``cbnctrl`` on a seeded network: an optimizer
 call (`optimal_policy_value`), a marginal, conditional or interventional
 probability, a kept marginal of `Cbn.joint`, a grid search, the MAX and
-MIN `optimal_values` without drivers, or the first optimizer call again
-with the target's desired value moved on by one.  It records the value
-``repr`` (or the ``repr`` of each entry of a returned tensor), the witness
-as choice tuples and a refusal as its type and message.  Networks are
+MIN `optimal_values` without drivers, the first optimizer call again
+with the target's desired value moved on by one, or the MAX and MIN
+subset scans of `best_over_subsets` over the drivers.  It records the
+value ``repr`` (or the ``repr`` of each entry of a returned tensor), the
+witness as choice tuples (a subset scan's witness names its winning
+subset) and a refusal as its type and message.  Networks are
 drawn again from the seed on replay; each entry stores a digest of its
 inputs, so a drifting generator shows as a changed input, not as a
 changed answer.
@@ -63,11 +65,12 @@ from cbnctrl import (
     scope_for_class,
 )
 from cbnctrl.intervention import table_from_choices
-from cbnctrl.oracle import random_cbn, random_dag
+from cbnctrl.oracle import best_over_subsets, random_cbn, random_dag
 
 SEED = 20141
 VALUE_TOL = 1e-12
-KINDS = ("opv", "marginal", "conditional", "interventional", "joint", "grid", "values", "revalue")
+KINDS = ("opv", "marginal", "conditional", "interventional", "joint", "grid", "values", "revalue",
+         "subsets")
 SHAPES = ("random", "random", "random", "nest", "fan", "cfan", "explain", "chain")
 CLASSES = (IpClass(0), IpClass(1), IpClass(2), IpClass(float("inf")))
 #: every optimizer call runs under this budget unless it draws a smaller
@@ -246,6 +249,13 @@ def calls(rng, cbn: Cbn, drivers: tuple[str, ...]):
     args = (drivers, str(ip_class), moved, direction.value, OPV_BUDGET)
     yield "revalue", args, lambda: optimal_policy_value(
         cbn, drivers, ip_class, moved, direction, OPV_BUDGET)
+    # the best subset of the drivers in the first call's class, as (value,
+    # witness), whose targets are the subset; last and drawing nothing, as
+    # above
+    for direction in (Direction.MAX, Direction.MIN):
+        args = (drivers, str(ip_class), desired, direction.value, OPV_BUDGET)
+        yield "subsets", args, lambda d=direction: best_over_subsets(
+            cbn, drivers, ip_class, desired, d, OPV_BUDGET)[::2]
 
 
 def pair_choices(pair: InterventionPair, rows: bool = False) -> list:
@@ -339,8 +349,8 @@ def witness_pair(cbn: Cbn, witness: list) -> InterventionPair:
 
 
 def replay_witness(cbn: Cbn, args):
-    """Value of a witness of the ``opv`` or ``revalue`` call ``args`` on
-    ``cbn``."""
+    """Value of a witness of the ``opv``, ``revalue`` or ``subsets`` call
+    ``args`` on ``cbn``."""
     desired = args[2]
     return lambda witness: interventional_prob(cbn, witness_pair(cbn, witness), desired)
 

@@ -32,7 +32,8 @@ def test_snapshot_replays():
         if key not in snapshot:
             failures.append(f"{key}: not in the snapshot")
             continue
-        replay = differential.replay_witness(cbn, args) if entry["kind"] in ("opv", "revalue") else None
+        witnessed = entry["kind"] in ("opv", "revalue", "subsets")
+        replay = differential.replay_witness(cbn, args) if witnessed else None
         why = differential.compare(snapshot[key], entry, replay)
         if why == "witness changed among ties":
             ties.append(key)
