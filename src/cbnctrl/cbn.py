@@ -19,6 +19,7 @@ reference the engine is tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import prod
 from operator import itemgetter
 from typing import Mapping
@@ -107,6 +108,12 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
+@cache
+def _one_hot(card: int) -> dict[int, tuple[float, ...]]:
+    # value -> the one-hot row on it, shared by every 0/1 table of ``card``
+    return {hot: tuple(1.0 if v == hot else 0.0 for v in range(card)) for hot in range(card)}
+
+
 @dataclass(frozen=True)
 class Cpd:
     """Conditional probability table for one node.
@@ -193,16 +200,31 @@ class Cpd:
     @classmethod
     def from_choices(cls, owner: str, parents, parent_cards, card: int, choices) -> "Cpd":
         """The 0/1 table putting all mass on ``choices[i]`` in parent
-        configuration ``i``.  Its rows are ``card`` shared one-hot tuples,
-        distributions by construction, so only the shape and the choices
-        are checked, not each row."""
+        configuration ``i``.  ``choices`` is a sequence of ints or a 1-d
+        integer array; a float or bool choice is refused by owner, as
+        `value_index` refuses one.  Its rows are the shared one-hot tuples
+        of `_one_hot`, distributions by construction, so only the shape and
+        the choices are checked, not each row: a choice outside
+        ``range(card)`` has no row to look up."""
+        if isinstance(choices, np.ndarray):
+            if choices.ndim != 1:
+                raise ValueError("one choice per scope configuration required")
+            if choices.dtype.kind not in "iu":
+                raise ValueError(f"choices of dtype {choices.dtype} for {owner!r} must be integers")
+            choices = choices.tolist()
+        else:
+            # per type, not per choice: 1.0 and True would find 1's row
+            for kind in set(map(type, choices)):
+                if kind is bool or not issubclass(kind, (int, np.integer)):
+                    value_index(owner, next(c for c in choices if type(c) is kind), "choice")
         if len(choices) != prod(parent_cards):
             raise ValueError("one choice per scope configuration required")
-        if min(choices) < 0 or max(choices) >= card:
-            raise ValueError(f"every choice must lie in range({card})")
-        onehot = tuple(tuple(1.0 if v == hot else 0.0 for v in range(card)) for hot in range(card))
-        # itemgetter of one index returns the item, not a tuple of one
-        rows = (onehot[choices[0]],) if len(choices) == 1 else itemgetter(*choices)(onehot)
+        onehot = _one_hot(value_index(owner, card, "cardinality"))
+        try:
+            # itemgetter of one index returns the item, not a tuple of one
+            rows = itemgetter(*choices)(onehot) if len(choices) > 1 else tuple(onehot[c] for c in choices)
+        except KeyError:
+            raise ValueError(f"every choice must lie in range({card})") from None
         cpd = object.__new__(cls)
         cpd.__dict__.update(owner=owner, parents=tuple(parents), parent_cards=tuple(parent_cards), rows=rows)
         cpd._check_shape()

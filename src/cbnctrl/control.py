@@ -36,7 +36,13 @@ answer is exactly that of a single-direction call.  It yields each
 direction's value and winning combination.  The second turns one winning
 combination into its witness pair.  `optimal_values` runs the first stage
 only, for callers that read values alone, such as the verify suites;
-`optimal_policy_value` runs both for one direction.
+`optimal_policy_value` runs both for one direction.  The second stage
+reduces the winner's tensor once more, sweeping each chain driver's
+values: a strict comparison keeps the first optimum, as ``argmax`` does,
+and ``np.maximum``/``np.minimum`` give the same reduced tensor as the
+scan's reductions, since max and min are exact.  The plan's gather index
+takes a driver's picks to its class scope's row-major order, and
+`Cpd.from_choices` takes the resulting integer arrays as they are.
 
 Everything the first stage decides before it asks for the base tensor
 depends only on the query's shape: the drivers, the policy class and the
@@ -49,7 +55,7 @@ the plan's work estimate included, before any tensor is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import groupby, product
 from math import prod
@@ -89,7 +95,18 @@ class Direction(Enum):
     @property
     def reduce(self):
         """``np.maximum.reduce`` or ``np.minimum.reduce``."""
-        return np.maximum.reduce if self is Direction.MAX else np.minimum.reduce
+        return self.pairwise.reduce
+
+    @property
+    def pairwise(self):
+        """``np.maximum`` or ``np.minimum``, elementwise and exact."""
+        return np.maximum if self is Direction.MAX else np.minimum
+
+    @property
+    def improves(self):
+        """``np.greater`` or ``np.less``: strict, so a tie is no
+        improvement."""
+        return np.greater if self is Direction.MAX else np.less
 
 
 class Objective(Enum):
@@ -378,7 +395,9 @@ class SearchPlan:
     searched scope, one-hot rows)`` as `policy_batch` takes it, with
     read-only rows; ``segments`` are the ``(width, chain driver or None)``
     runs of the reduction, and ``outer_total`` counts the table
-    combinations scanned.
+    combinations scanned.  ``gathers`` maps each chain driver to the
+    read-only index that takes its picks, flattened over the axes left when
+    it is reduced, to the row-major order of its class scope.
     """
 
     path: str
@@ -391,6 +410,7 @@ class SearchPlan:
     searched: tuple[tuple[str, tuple[str, ...], np.ndarray], ...] = ()
     segments: tuple[tuple[int, str | None], ...] = ()
     outer_total: int = 1
+    gathers: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def _search_plan(
@@ -445,9 +465,21 @@ def _search_plan(
         for key, run in groupby(axes, driver_of.get)
     )
     searched = tuple((e, searched_scopes[e], _read_only(np.eye(cards[e]))) for e in enumerated)
+    # the axes left when a chain driver is reduced are its class scope, in
+    # reduction order
+    gathers = {}
+    pos = 0
+    for width, kind in segments:
+        pos += width
+        if kind is not None:
+            left = axes[pos:]
+            order = np.arange(prod(cards[s] for s in left)).reshape([cards[s] for s in left])
+            gathers[kind] = _read_only(
+                order.transpose([left.index(s) for s in scopes[kind]]).reshape(-1)
+            )
     return SearchPlan(
         "chain", scopes, scope_cards, axes, outer_total * cbn.state_space_size(),
-        tuple(chain), tuple(enumerated), searched, segments, outer_total,
+        tuple(chain), tuple(enumerated), searched, segments, outer_total, gathers,
     )
 
 
@@ -492,21 +524,25 @@ def _scan_plan(cbn: Cbn, drivers, ip_class: IpClass, desired, directions, budget
         batch: np.ndarray, direction: Direction, tables: dict | None = None
     ) -> np.ndarray:
         # one chain optimum per entry of the leading batch axis; given
-        # ``tables``, also records each chain driver's table for entry 0
-        arg, reduce = direction.arg, direction.reduce
+        # ``tables``, also records each chain driver's choices for entry 0
         t = batch
-        pos = 0
         for width, kind in plan.segments:
-            pos += width
             if kind is None:
                 t = t.sum(axis=tuple(range(1, 1 + width)))
-                continue
-            if tables is not None:
-                # the axes left are this driver's scope
-                left = axes[pos:]
-                choice = np.transpose(arg(t, axis=1)[0], [left.index(s) for s in scopes[kind]])
-                tables[kind] = tuple(choice.reshape(-1).tolist())
-            t = reduce(t, axis=1)
+            elif tables is None:
+                t = direction.reduce(t, axis=1)
+            else:
+                # One sweep over the driver's values gives the picks and
+                # the optimum.  A strict improvement keeps the first
+                # optimum, as `Direction.arg` would, and max and min are
+                # exact, so the optimum is bit-identical to `reduce`'s.
+                rows = t.reshape(len(t), t.shape[1], -1)
+                best, picks = rows[:, 0], np.zeros((len(t), rows.shape[2]), dtype=np.intp)
+                for value in range(1, t.shape[1]):
+                    picks[direction.improves(rows[:, value], best)] = value
+                    best = direction.pairwise(best, rows[:, value])
+                tables[kind] = picks[0][plan.gathers[kind]]
+                t = best.reshape(t.shape[:1] + t.shape[2:])
         return t
 
     single = []  # the batch of a one-combination plan, kept for its witness
@@ -529,8 +565,7 @@ def _scan_plan(cbn: Cbn, drivers, ip_class: IpClass, desired, directions, budget
             # widened to the class scope, constant across the dropped members;
             # the searched scope keeps the class scope's order
             shape = [cards[s] if s in searched_scope else 1 for s in scopes[e]]
-            choice = np.broadcast_to(digits[0].reshape(shape), plan.scope_cards[e])
-            tables[e] = tuple(choice.reshape(-1).tolist())
+            tables[e] = np.broadcast_to(digits[0].reshape(shape), plan.scope_cards[e]).reshape(-1)
         # `_pick_chain` puts at least one driver on the chain
         reduce_chain(batch, directions[i], tables)
         return InterventionPair(

@@ -402,6 +402,109 @@ class TestBatchedSearch:
                 assert interventional_prob(cbn, pair, {"o": 1}) == value
 
 
+def argmax_chain_choices(plan, base, direction):
+    """The reference for chain witnesses: each chain driver's choices by
+    `Direction.arg` over its axis, transposed from the axes left to its
+    class scope and flattened, with `Direction.reduce` between drivers.
+    ``base`` is the tensor of a plan that enumerates no driver."""
+    t = base[None]
+    tables = {}
+    pos = 0
+    for width, kind in plan.segments:
+        pos += width
+        if kind is None:
+            t = t.sum(axis=tuple(range(1, 1 + width)))
+            continue
+        left = plan.axes[pos:]
+        choice = np.transpose(direction.arg(t, axis=1)[0], [left.index(s) for s in plan.scopes[kind]])
+        tables[kind] = tuple(choice.reshape(-1).tolist())
+        t = direction.reduce(t, axis=1)
+    return tables
+
+
+def nested_chain(rng, cards, zero_root=False, tie_last=False):
+    """(network, drivers) for a nest: u feeds d0 and o, d0 -> d1 -> ...,
+    and every driver feeds o, so the class-inf scopes nest and every
+    driver is chained.  With ``zero_root`` u's last value has probability
+    0, so every scope configuration holding it ties at 0; with
+    ``tie_last`` o's rows for the last driver's values 1 and 2 are
+    equal."""
+    drivers = tuple(n for n in cards if n.startswith("d"))
+    edges = [("u", "d0"), ("u", "o")] + list(zip(drivers, drivers[1:])) + [(d, "o") for d in drivers]
+    dag = Dag(["u", *drivers, "o"], edges)
+    cpds = dict(random_cbn(rng, dag, cards).cpds)
+    if zero_root:
+        raw = rng.uniform(0.05, 1.0, cards["u"])
+        raw[-1] = 0.0
+        cpds["u"] = Cpd("u", (), (), (tuple(raw / raw.sum()),))
+    if tie_last:
+        parents = dag.parents("o")
+        shape = tuple(cards[p] for p in parents)
+        raw = rng.uniform(0.05, 1.0, (*shape, cards["o"]))
+        rows = np.moveaxis(raw / raw.sum(axis=-1, keepdims=True), parents.index(drivers[-1]), 0)
+        rows[2] = rows[1]
+        rows = np.moveaxis(rows, 0, parents.index(drivers[-1])).reshape(-1, cards["o"])
+        cpds["o"] = Cpd("o", parents, shape, tuple(map(tuple, rows)))
+    return Cbn(dag, cards, cpds), drivers
+
+
+class TestChainWitness:
+    """Chain witnesses must equal `argmax_chain_choices`, first optimum
+    and all, in both directions."""
+
+    def check(self, cbn, drivers, desired):
+        chosen = {}
+        for direction in BOTH:
+            _, pair = optimal_policy_value(cbn, drivers, CLASS_INF, desired, direction)
+            plan = cbn._search_plans[(drivers, CLASS_INF, frozenset(desired))]
+            assert plan.path == "chain" and not plan.enumerated
+            base = cbn.joint(desired, skip=drivers, keep=plan.axes)
+            got = {p.target: tuple(row.index(1.0) for row in p.table.rows) for p in pair.policies}
+            assert got == argmax_chain_choices(plan, base, direction), direction
+            chosen[direction] = got
+        return chosen
+
+    def test_seeded_nests_with_cards_two_and_three(self):
+        rng = np.random.default_rng(1818)
+        for _ in range(30):
+            k = int(rng.integers(1, 6))
+            names = ["u", *(f"d{i}" for i in range(k)), "o"]
+            cards = {n: int(rng.choice((2, 3))) for n in names}
+            cbn, drivers = nested_chain(rng, cards)
+            self.check(cbn, drivers, {"o": int(rng.integers(cards["o"]))})
+
+    def test_zero_probability_configurations_keep_choice_zero(self):
+        rng = np.random.default_rng(1819)
+        for card in (2, 3):
+            cards = {n: card for n in ("u", "d0", "d1", "d2", "o")}
+            cbn, drivers = nested_chain(rng, cards, zero_root=True)
+            for got in self.check(cbn, drivers, {"o": 1}).values():
+                for d in drivers:
+                    # u leads each scope, so its last value holds the last block
+                    block = len(got[d]) // card
+                    assert got[d][-block:] == (0,) * block, d
+
+    def test_a_ternary_driver_tied_on_two_values_keeps_the_first(self):
+        rng = np.random.default_rng(1820)
+        seen = set()
+        for _ in range(6):
+            cards = {"u": 2, "d0": 2, "d1": 3, "o": 2}
+            cbn, drivers = nested_chain(rng, cards, tie_last=True)
+            for got in self.check(cbn, drivers, {"o": 1}).values():
+                assert 2 not in got["d1"]
+                seen.update(got["d1"])
+        assert seen == {0, 1}
+
+    def test_nest12(self):
+        # the largest nest of the benchmark ladder: 14 binary nodes, 2^14
+        # states, twelve chained drivers
+        rng = np.random.default_rng(1821)
+        cards = {n: 2 for n in ("u", *(f"d{i}" for i in range(12)), "o")}
+        for zero_root in (False, True):
+            cbn, drivers = nested_chain(rng, cards, zero_root=zero_root)
+            self.check(cbn, drivers, {"o": 1})
+
+
 class TestEdgeCases:
     def test_no_drivers_returns_baseline(self):
         cbn = xor_gate()
@@ -552,6 +655,7 @@ class TestSearchPlan:
             for plan in plans.values():
                 paths.add("enumerated" if plan.enumerated else plan.path)
                 assert all(not rows.flags.writeable for _, _, rows in plan.searched)
+                assert all(not index.flags.writeable for index in plan.gathers.values())
         assert paths == {"deterministic", "chain", "enumerated"}
 
     def test_reordered_and_repeated_drivers_share_one_plan(self, monkeypatch):

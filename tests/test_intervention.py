@@ -310,3 +310,36 @@ class TestDeterministicTables:
             table_from_choices("t", ("a", "a"), (2, 2), 2, (0,) * 4)
         with pytest.raises(ValueError, match="lists itself as a parent"):
             table_from_choices("t", ("t",), (2,), 2, (0, 1))
+
+    def test_bool_and_float_choices_refused_by_owner(self):
+        # 1.0 and True would otherwise pass for choice 1
+        for bad in (True, 1.0, 0.5, np.float64(1.0), np.bool_(True)):
+            with pytest.raises(ValueError, match=r"choice .* for 't' must be an integer"):
+                table_from_choices("t", ("a",), (2,), 2, (0, bad))
+            with pytest.raises(ValueError, match=r"choice .* for 't' must be an integer"):
+                Cpd.from_choices("t", ("a",), (2,), 2, [bad, 0])
+        for bad in (np.array([0.0, 1.0]), np.array([False, True])):
+            with pytest.raises(ValueError, match=f"dtype {bad.dtype} for 't' must be integers"):
+                table_from_choices("t", ("a",), (2,), 2, bad)
+
+    def test_integer_arrays_give_the_tuple_built_table(self):
+        rng = np.random.default_rng(19)
+        for dtype in (np.intp, np.int8, np.uint16):
+            for _ in range(20):
+                card = int(rng.integers(2, 4))
+                scope = ("a", "b", "c")[: int(rng.integers(0, 4))]
+                scope_cards = tuple(int(c) for c in rng.integers(2, 4, size=len(scope)))
+                choices = rng.integers(0, card, size=int(np.prod(scope_cards))).astype(dtype)
+                table = table_from_choices("t", scope, scope_cards, card, choices).table
+                expect = table_from_choices("t", scope, scope_cards, card, tuple(choices.tolist())).table
+                assert table == expect and hash(table) == hash(expect)
+                assert np.array_equal(table.array(), np.eye(card)[choices].reshape(*scope_cards, card))
+
+    def test_arrays_refused_as_tuples_are(self):
+        with pytest.raises(ValueError, match="one choice per scope configuration"):
+            table_from_choices("t", ("a",), (2,), 2, np.zeros((2, 1), dtype=int))
+        with pytest.raises(ValueError, match="one choice per scope configuration"):
+            table_from_choices("t", ("a",), (2,), 2, np.zeros(3, dtype=int))
+        for bad in (2, -1):
+            with pytest.raises(ValueError, match=r"range\(2\)"):
+                table_from_choices("t", ("a",), (2,), 2, np.array([0, bad]))
