@@ -10,8 +10,9 @@ in the event, nor ancestors of those are barren, and their tables, whose
 rows sum to one, are dropped (Shachter 1986).  Event values slice the
 tables they appear in, and one ``np.einsum`` sums the rest.  What to
 contract depends only on the query's shape (the kept nodes, the skipped
-set and the nodes the event names), so each network plans it once per
-shape and a repeated query only slices in its event values.  The literal
+set and the nodes the event names), so each network checks and plans it
+once per shape and a repeated query only checks and slices in its event
+values.  The literal
 sum over completions survives only as `oracle.enumerate_prob`, the
 reference the engine is tested against.
 """
@@ -277,7 +278,7 @@ class Cbn:
         self._deterministic: bool | None = None
         # `joint`'s contraction plans, one per query shape
         self._plans: dict[tuple, tuple] = {}
-        # the optimizer's search plans (`control.SearchPlan`), one per shape
+        # the optimizer's chain-search plans (`control.SearchPlan`), one per shape
         self._search_plans: dict[tuple, object] = {}
 
     @property
@@ -356,12 +357,10 @@ class Cbn:
             *arr.shape[:lead], *shape
         )
 
-    def check_joint(self, event=None, keep=None, budget: Budget | None = None) -> None:
+    def check_joint(self, event=None, budget: Budget | None = None) -> None:
         """Refuse, in `joint`'s order and without building a tensor, a bad
-        ``event`` or ``keep``, then a state space over the cap of ``budget``."""
+        ``event``, then a state space over the cap of ``budget``."""
         self._check_assignment(event or {}, full=False)
-        if keep is not None and len(set(map(self._dag.index, keep))) != len(keep):
-            raise ValueError(f"keep repeats a node: {list(keep)}")
         (budget or DEFAULT_BUDGET).check_state_space(self.state_space_size())
 
     def joint(
@@ -386,11 +385,12 @@ class Cbn:
         query that needs more than `MAX_LABELS` nodes is refused.
 
         The set-up depends only on the query's shape: ``keep``, the set
-        ``skip`` and the nodes ``event`` names.  It is planned by `_plan`
-        on the first call of each shape and kept on the network, so a later
-        call of that shape only slices in its event values and contracts.
+        ``skip`` and the nodes ``event`` names.  It is checked and planned
+        by `_plan` on the first call of each shape and kept on the network
+        (a refused shape keeps none), so a later call of that shape only
+        runs `check_joint`, slices in its event values and contracts.
         """
-        self.check_joint(event, keep, budget)
+        self.check_joint(event, budget)
         event = event or {}
         kept = self._dag.nodes if keep is None else tuple(keep)
         shape = (kept, frozenset(skip), frozenset(event))
@@ -404,8 +404,9 @@ class Cbn:
         return np.einsum(*operands, output, out=np.empty(dims), optimize=False)
 
     def _plan(self, kept: tuple, skip: frozenset, given: frozenset) -> tuple:
-        """`joint`'s contraction for one query shape, with ``given`` the
-        nodes the event names: ``(operands, slots, output, dims)``.
+        """`joint`'s contraction for one query shape, once ``kept`` holds
+        distinct nodes and ``skip`` only nodes, with ``given`` the nodes the
+        event names: ``(operands, slots, output, dims)``.
 
         ``operands`` alternates arrays and label lists, as `np.einsum`
         takes them, with each unsliced CPD's own read-only array in place.
@@ -415,6 +416,9 @@ class Cbn:
         node in ``kept`` is a row of a read-only identity matrix; any other
         event node slices the CPDs it appears in.
         """
+        if len(set(map(self._dag.index, kept))) != len(kept):
+            raise ValueError(f"keep repeats a node: {list(kept)}")
+        self._dag.canon(skip)
         nodes = self._dag.nodes
         cards = self._cards
         needed = {*kept, *given}

@@ -40,22 +40,24 @@ only, for callers that read values alone, such as the verify suites;
 reduces the winner's tensor once more, sweeping each chain driver's
 values: a strict comparison keeps the first optimum, as ``argmax`` does,
 and ``np.maximum``/``np.minimum`` give the same reduced tensor as the
-scan's reductions, since max and min are exact.  The plan's gather index
-takes a driver's picks to its class scope's row-major order, and
+scan's reductions, since max and min are exact.  Each chain segment's
+gather index takes its driver's picks to its class scope's row-major
+order, and
 `Cpd.from_choices` takes the resulting integer arrays as they are.
 
-Everything the first stage decides before it asks for the base tensor
-depends only on the query's shape: the drivers, the policy class and the
-nodes the desired event names.  The path, the class scopes, the chain
-split, the requisite scopes, the axes, the reduction segments and the work
-estimate form one `SearchPlan`, which each `Cbn` builds on a shape's first
-call and keeps.  Every call still checks its arguments and its `Budget`,
-the plan's work estimate included, before any tensor is built.
+On the chain path, everything the first stage decides before it asks for
+the base tensor depends only on the query's shape: the drivers, the policy
+class and the nodes the desired event names.  The class scopes, the chain
+split, the requisite scopes, the axes, the segments with their gathers and
+the work estimate form one `SearchPlan`, which each `Cbn` builds on a
+shape's first call and keeps.  The deterministic path plans nothing.
+Every call checks its arguments and its `Budget`, the work estimate
+included, before any tensor is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import groupby, product
 from math import prod
@@ -381,67 +383,50 @@ def optimal_values(
 
 @dataclass(frozen=True, eq=False)
 class SearchPlan:
-    """What the optimizer decides from a query's shape alone: the drivers,
-    the policy class and the nodes the desired event names.  It holds no
-    budget and no event value, so each `Cbn` keeps one per shape.
+    """What the chain search decides from a query's shape alone: the
+    drivers, the policy class and the nodes the desired event names.  It
+    holds no budget and no event value, so each `Cbn` keeps one per shape.
 
-    ``path`` is ``"deterministic"``, one world per forced choice of driver
-    values, or ``"chain"``, nested reductions over ``chain`` with the
-    tables of ``enumerated`` scanned.  ``scopes`` and ``scope_cards`` are
-    each driver's class scope and its cards.  ``axes`` are the base
-    tensor's nodes in reduction order (the drivers, on the deterministic
-    path), and ``work`` is the estimate each call checks against its own
-    `Budget`.  ``searched`` lists, per enumerated driver, ``(driver,
-    searched scope, one-hot rows)`` as `policy_batch` takes it, with
-    read-only rows; ``segments`` are the ``(width, chain driver or None)``
-    runs of the reduction, and ``outer_total`` counts the table
-    combinations scanned.  ``gathers`` maps each chain driver to the
-    read-only index that takes its picks, flattened over the axes left when
-    it is reduced, to the row-major order of its class scope.
+    ``scopes`` and ``scope_cards`` are each driver's class scope and its
+    cards; ``axes`` are the base tensor's nodes in reduction order, and
+    ``work`` is the estimate each call checks against its own `Budget`.
+    ``segments`` are the reduction's runs over ``chain``: ``(width, None,
+    None)`` sums, and ``(width, driver, gather)`` for a chain driver, whose
+    read-only gather takes its picks, flattened over the axes left when it
+    is reduced, to its class scope's row-major order.  ``searched`` lists
+    ``(driver, searched scope, read-only one-hot rows)`` per driver of
+    ``enumerated``, as `policy_batch` takes it, and ``outer_total`` counts
+    the table combinations scanned.
     """
 
-    path: str
     scopes: dict[str, tuple[str, ...]]
     scope_cards: dict[str, tuple[int, ...]]
     axes: tuple[str, ...]
     work: int
-    chain: tuple[str, ...] = ()
-    enumerated: tuple[str, ...] = ()
-    searched: tuple[tuple[str, tuple[str, ...], np.ndarray], ...] = ()
-    segments: tuple[tuple[int, str | None], ...] = ()
-    outer_total: int = 1
-    gathers: dict[str, np.ndarray] = field(default_factory=dict)
+    chain: tuple[str, ...]
+    enumerated: tuple[str, ...]
+    searched: tuple[tuple[str, tuple[str, ...], np.ndarray], ...]
+    segments: tuple[tuple[int, str | None, np.ndarray | None], ...]
+    outer_total: int
 
 
 def _search_plan(
     cbn: Cbn, driver_list: tuple[str, ...], ip_class: IpClass, given: frozenset
 ) -> SearchPlan:
-    # the plan for canonical drivers and the nodes ``given`` of the desired
-    # event; tables are sized here, so only once `Cbn.check_joint` passed
+    # the chain search's plan for canonical, non-empty drivers and the nodes
+    # ``given`` of the desired event; tables are sized here, so only once
+    # `Cbn.check_joint` passed
     dag = cbn.dag
     cards = cbn.cards
     scopes = {d: scope_for_class(dag, d, ip_class) for d in driver_list}
     scope_cards = {d: tuple(cards[s] for s in scopes[d]) for d in driver_list}
-
-    if not driver_list or cbn.deterministic:
-        # A fully deterministic network realizes exactly one world per
-        # forced choice of driver values, so each policy table is read at a
-        # single scope configuration and constant tables already span every
-        # reachable outcome.  Without drivers there is one choice, the
-        # empty one.
-        work = prod(cards[d] for d in driver_list) * len(driver_list)
-        return SearchPlan("deterministic", scopes, scope_cards, driver_list, work)
-
     table_counts = {d: cards[d] ** prod(scope_cards[d]) for d in driver_list}
     scope_sets = {d: frozenset(scopes[d]) for d in driver_list}
     chain, enumerated = _pick_chain(driver_list, scope_sets, table_counts, dag)
     # Enumerated drivers search only their requisite scope members, which
     # leaves the optimum as it is; chain drivers keep their class scopes, so
-    # the chain stays valid.  Without a scoped enumerated driver there is
-    # nothing to drop, and the analysis is skipped.
-    searched_scopes = scopes
-    if any(scopes[e] for e in enumerated):
-        searched_scopes = requisite_scopes(dag, scopes, enumerated, given)
+    # the chain stays valid
+    searched_scopes = requisite_scopes(dag, scopes, enumerated, given)
 
     # A node outside the drivers and their searched scopes meets no policy
     # factor and is summed before any driver is reduced, so the search
@@ -455,68 +440,68 @@ def _search_plan(
     axes = tuple(dict.fromkeys(order))[::-1]
     # one combination, the empty one, when every driver is on the chain
     outer_total = prod(cards[e] ** prod(cards[s] for s in searched_scopes[e]) for e in enumerated)
-    # (width, chain driver or None for a sum), in reduction order.  A run of
-    # chance axes is one sum; an enumerated driver's axis is summed on its
-    # own, which picks its one-hot entry exactly, so tables that cannot
-    # change the outcome tie exactly and the tie-break keeps the first.
+    # In reduction order, a run of chance axes is one sum; an enumerated
+    # driver's axis is summed on its own, which picks its one-hot entry
+    # exactly, so tables that cannot change the outcome tie exactly and the
+    # tie-break keeps the first.  The axes left when a chain driver is
+    # reduced are its class scope, in reduction order.
     driver_of = {d: d for d in driver_list}
-    segments = tuple(
-        (len(list(run)), key if key in chain else None)
-        for key, run in groupby(axes, driver_of.get)
-    )
-    searched = tuple((e, searched_scopes[e], _read_only(np.eye(cards[e]))) for e in enumerated)
-    # the axes left when a chain driver is reduced are its class scope, in
-    # reduction order
-    gathers = {}
-    pos = 0
-    for width, kind in segments:
+    segments, pos = [], 0
+    for key, run in groupby(axes, driver_of.get):
+        width = len(list(run))
         pos += width
-        if kind is not None:
+        gather = None
+        if key in chain:
             left = axes[pos:]
-            order = np.arange(prod(cards[s] for s in left)).reshape([cards[s] for s in left])
-            gathers[kind] = _read_only(
-                order.transpose([left.index(s) for s in scopes[kind]]).reshape(-1)
-            )
+            index = np.arange(prod(cards[s] for s in left)).reshape([cards[s] for s in left])
+            gather = _read_only(index.transpose([left.index(s) for s in scopes[key]]).reshape(-1))
+        segments.append((width, key if key in chain else None, gather))
+    searched = tuple((e, searched_scopes[e], _read_only(np.eye(cards[e]))) for e in enumerated)
     return SearchPlan(
-        "chain", scopes, scope_cards, axes, outer_total * cbn.state_space_size(),
-        tuple(chain), tuple(enumerated), searched, segments, outer_total, gathers,
+        scopes, scope_cards, axes, outer_total * cbn.state_space_size(),
+        tuple(chain), tuple(enumerated), searched, tuple(segments), outer_total,
     )
 
 
 def _scan_plan(cbn: Cbn, drivers, ip_class: IpClass, desired, directions, budget):
-    # The plan's first stage: the checks, the shape's `SearchPlan` (built on
-    # the shape's first call), the work check, the base tensor and the
-    # scan.  Returns the value per direction, and the second stage: a
-    # function from a direction's position to the witness pair of its
-    # winning combination.
+    # The plan's first stage: the checks, the work check, the base tensor
+    # and the scan, on the chain path from the shape's `SearchPlan`.
+    # Returns the value per direction, and the second stage: a function
+    # from a direction's position to the witness pair of its winning
+    # combination.
     budget = budget or DEFAULT_BUDGET
     driver_list = cbn.dag.canon(drivers)
     directions = checked_directions(directions, ip_class, desired)
     # before the plan: a driver's scope can hold every other node
     cbn.check_joint(desired, budget=budget)
-    shape = (driver_list, ip_class, frozenset(desired))
-    plan = cbn._search_plans.get(shape)
-    if plan is None:
-        plan = cbn._search_plans[shape] = _search_plan(cbn, *shape)
-    budget.check_work(plan.work)
-    base = cbn.joint(desired, skip=driver_list, budget=budget, keep=plan.axes)
 
-    if plan.path == "deterministic":
+    if not driver_list or cbn.deterministic:
+        # A fully deterministic network realizes one world per forced choice
+        # of driver values, so each policy table is read at one scope
+        # configuration and constant tables span every reachable outcome.
         # Every sum is an exact 0/1 count, and the first optimum of the
         # C-order flattening is the first in product order.  Without
-        # drivers the one value is the marginal of ``desired`` and its
-        # witness is the empty pair.
+        # drivers, the empty choice and pair give the marginal of ``desired``.
+        cards = cbn.cards
+        budget.check_work(prod(cards[d] for d in driver_list) * len(driver_list))
+        base = cbn.joint(desired, skip=driver_list, budget=budget, keep=driver_list)
         values = base.reshape(-1)
         bests = [int(direction.arg(values)) for direction in directions]
 
         def atomic_witness(i: int) -> InterventionPair:
-            cards = cbn.cards
             vector = np.unravel_index(bests[i], base.shape)
             return InterventionPair(
                 atomic_policy(d, int(v), cards[d]) for d, v in zip(driver_list, vector)
             )
 
         return [_clamp(float(values[best])) for best in bests], atomic_witness
+
+    shape = (driver_list, ip_class, frozenset(desired))
+    plan = cbn._search_plans.get(shape)
+    if plan is None:
+        plan = cbn._search_plans[shape] = _search_plan(cbn, *shape)
+    budget.check_work(plan.work)
+    base = cbn.joint(desired, skip=driver_list, budget=budget, keep=plan.axes)
 
     axes, scopes, searched = plan.axes, plan.scopes, plan.searched
 
@@ -526,7 +511,7 @@ def _scan_plan(cbn: Cbn, drivers, ip_class: IpClass, desired, directions, budget
         # one chain optimum per entry of the leading batch axis; given
         # ``tables``, also records each chain driver's choices for entry 0
         t = batch
-        for width, kind in plan.segments:
+        for width, kind, gather in plan.segments:
             if kind is None:
                 t = t.sum(axis=tuple(range(1, 1 + width)))
             elif tables is None:
@@ -541,7 +526,7 @@ def _scan_plan(cbn: Cbn, drivers, ip_class: IpClass, desired, directions, budget
                 for value in range(1, t.shape[1]):
                     picks[direction.improves(rows[:, value], best)] = value
                     best = direction.pairwise(best, rows[:, value])
-                tables[kind] = picks[0][plan.gathers[kind]]
+                tables[kind] = picks[0][gather]
                 t = best.reshape(t.shape[:1] + t.shape[2:])
         return t
 

@@ -109,10 +109,18 @@ class Dag:
         if name not in self._index:
             raise ValueError(f"unknown node {name!r}")
 
+    def _known(self, names: Iterable[str]) -> set[str]:
+        # ``names`` as a set once each is a node; otherwise the unknown of
+        # smallest repr is refused, the same one under every hash seed
+        found = set(names)
+        if not self._index.keys() >= found:
+            self._require(min(found - self._index.keys(), key=repr))
+        return found
+
     def canon(self, names: Iterable[str]) -> tuple[str, ...]:
         """``names`` without repeats, in node order; an unknown name raises
         the ``unknown node`` `ValueError`."""
-        return tuple(sorted(set(names), key=self.index))
+        return self._canon(self._known(names))
 
     def _canon(self, found: set[str]) -> tuple[str, ...]:
         # the node order itself, for sets of known nodes
@@ -187,9 +195,7 @@ class Dag:
             raise ValueError("start set must be non-empty")
         for name in start_t:
             self._require(name)
-        stop_s = set(stop)
-        for name in stop_s:
-            self._require(name)
+        stop_s = self._known(stop)
         visited: set[str] = set(start_t)
         queue = deque(dict.fromkeys(start_t))
         while queue:
@@ -208,8 +214,7 @@ class Dag:
         a_s, b_s, z_s = set(a), set(b), set(z)
         if not a_s or not b_s:
             raise ValueError("a and b must be non-empty")
-        for name in a_s | b_s | z_s:
-            self._require(name)
+        self._known(a_s | b_s | z_s)
         if a_s & b_s or a_s & z_s or b_s & z_s:
             raise ValueError("a, b and z must be pairwise disjoint")
         return b_s.isdisjoint(bayes_ball(self._parents, self._children, a_s, z_s))

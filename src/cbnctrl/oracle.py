@@ -332,16 +332,22 @@ def verify_lemma3(
     """The un-intervened probability sits inside [best-min, best-max] for
     every intervened subset, at every requested class level >= 1.
 
-    Level 0 is refused: an unconditional policy cannot reproduce the table
-    it replaces, so the bracket can genuinely fail there.  Both ends of a
-    bracket come from one optimizer plan, and levels that give a subset's
-    drivers the same scopes share it.
+    Levels are read as `IpClass` levels (``2.0`` is 2).  Level 0 is refused:
+    an unconditional policy cannot reproduce the table it replaces, so the
+    bracket can genuinely fail there.  Both ends of a bracket come from one
+    optimizer plan, and levels that give a subset's drivers the same scopes
+    share it.
     """
     budget = budget or DEFAULT_BUDGET
-    level_list = tuple(levels)
-    for level in level_list:
-        if level != INF and (not isinstance(level, int) or level < 1):
+    classes = []
+    for level in levels:
+        try:
+            cls = IpClass(level)
+        except ValueError:
+            cls = None
+        if cls is None or cls.level == 0:
             raise ValueError(f"bracket levels must be >= 1 or inf, got {level!r}")
+        classes.append(cls)
     dag = cbn.dag
     pool = dag.canon(intervenable)
     budget.check_set_size(len(pool))
@@ -350,8 +356,7 @@ def verify_lemma3(
     checked = 0
     for subset in iter_subsets(pool):
         brackets: dict[tuple, list] = {}
-        for level in level_list:
-            cls = IpClass(level)
+        for cls in classes:
             scopes = tuple(scope_for_class(dag, d, cls) for d in subset)
             if scopes not in brackets:
                 brackets[scopes] = optimal_values(cbn, subset, cls, desired, BOTH, budget)

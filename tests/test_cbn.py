@@ -460,6 +460,20 @@ class TestPlanCache:
         assert len(built) == 2
         assert cbn.marginal_prob({"v0": 1}, budget) == 0.75
 
+    def test_an_unknown_or_string_skip_is_refused_and_stores_no_plan(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        cbn = random_cbn(rng, random_dag(rng, 5, 0.6))
+        good = cbn.joint({"v4": 1}, skip=("v1",), keep=())
+        built = self.plans_built(monkeypatch)
+        # a string is iterated as its characters, and the refusal names the
+        # unknown of smallest repr
+        for skip, name in (("v1", "1"), (("V1",), "V1"), (("v1", "zz", "yy"), "yy")):
+            for _ in range(2):
+                with pytest.raises(ValueError, match=f"^unknown node '{name}'$"):
+                    cbn.joint({"v4": 1}, skip=skip, keep=())
+        assert len(built) == 6 and len(cbn._plans) == 1
+        assert cbn.joint({"v4": 1}, skip=("v1",), keep=()) == good
+
     def test_a_warm_shape_still_checks_every_call(self):
         cbn = xor_gate()
         keep = ("o", "x")

@@ -406,18 +406,22 @@ def argmax_chain_choices(plan, base, direction):
     """The reference for chain witnesses: each chain driver's choices by
     `Direction.arg` over its axis, transposed from the axes left to its
     class scope and flattened, with `Direction.reduce` between drivers.
-    ``base`` is the tensor of a plan that enumerates no driver."""
+    ``base`` is the tensor of a plan that enumerates no driver.  Each chain
+    segment's gather must take the choices to that same order."""
     t = base[None]
     tables = {}
     pos = 0
-    for width, kind in plan.segments:
+    for width, kind, gather in plan.segments:
         pos += width
         if kind is None:
+            assert gather is None
             t = t.sum(axis=tuple(range(1, 1 + width)))
             continue
         left = plan.axes[pos:]
-        choice = np.transpose(direction.arg(t, axis=1)[0], [left.index(s) for s in plan.scopes[kind]])
-        tables[kind] = tuple(choice.reshape(-1).tolist())
+        picks = direction.arg(t, axis=1)[0]
+        choice = np.transpose(picks, [left.index(s) for s in plan.scopes[kind]]).reshape(-1)
+        assert np.array_equal(picks.reshape(-1)[gather], choice), kind
+        tables[kind] = tuple(choice.tolist())
         t = direction.reduce(t, axis=1)
     return tables
 
@@ -457,7 +461,7 @@ class TestChainWitness:
         for direction in BOTH:
             _, pair = optimal_policy_value(cbn, drivers, CLASS_INF, desired, direction)
             plan = cbn._search_plans[(drivers, CLASS_INF, frozenset(desired))]
-            assert plan.path == "chain" and not plan.enumerated
+            assert not plan.enumerated
             base = cbn.joint(desired, skip=drivers, keep=plan.axes)
             got = {p.target: tuple(row.index(1.0) for row in p.table.rows) for p in pair.policies}
             assert got == argmax_chain_choices(plan, base, direction), direction
@@ -632,14 +636,15 @@ def fresh(cbn):
 
 
 class TestSearchPlan:
-    """Each network keeps one `SearchPlan` per (drivers, class, desired
-    nodes): a warm plan must answer and refuse exactly as a cold one."""
+    """Each network keeps one `SearchPlan` per chain-search shape
+    (drivers, class, desired nodes): a warm plan must answer and refuse
+    exactly as a cold one."""
 
     CLASSES = (CLASS1, IpClass(2), CLASS_INF)
 
     def test_warm_plans_answer_as_a_fresh_network_does(self):
         paths = set()
-        for cbn, drivers in plan_networks():
+        for cbn, drivers in plan_networks()[:2]:
             for ip_class in self.CLASSES:
                 for value in range(cbn.cards["o"]):
                     desired = {"o": value}
@@ -653,10 +658,35 @@ class TestSearchPlan:
             plans = cbn._search_plans
             assert len(plans) == len(self.CLASSES)
             for plan in plans.values():
-                paths.add("enumerated" if plan.enumerated else plan.path)
+                paths.add("enumerated" if plan.enumerated else "chain")
                 assert all(not rows.flags.writeable for _, _, rows in plan.searched)
-                assert all(not index.flags.writeable for index in plan.gathers.values())
-        assert paths == {"deterministic", "chain", "enumerated"}
+                gathers = {kind: gather for _, kind, gather in plan.segments if kind is not None}
+                assert set(gathers) == set(plan.chain)
+                assert all(not gather.flags.writeable for gather in gathers.values())
+        assert paths == {"chain", "enumerated"}
+
+    def test_deterministic_and_driverless_calls_keep_no_plan(self):
+        # the deterministic path plans nothing: warm and cold calls answer
+        # and refuse alike, and the network keeps no search plan
+        (chance, _), _, (zero_one, fan_drivers) = plan_networks()
+        # 2^2 driver choices times 2 drivers; the empty choice, times none
+        for cbn, drivers, work in ((zero_one, fan_drivers, 8), (chance, (), 0)):
+            for ip_class in self.CLASSES:
+                for direction in BOTH:
+                    warm = optimal_policy_value(cbn, drivers, ip_class, {"o": 1}, direction)
+                    cold = optimal_policy_value(fresh(cbn), drivers, ip_class, {"o": 1}, direction)
+                    assert warm[0] == cold[0] and warm[1] == cold[1], (ip_class, direction)
+                warm = optimal_values(cbn, drivers, ip_class, {"o": 1}, BOTH)
+                assert warm == optimal_values(fresh(cbn), drivers, ip_class, {"o": 1}, BOTH)
+            # the work cap is met exactly, and one below it or a small state
+            # cap refuses warm as cold
+            optimal_values(cbn, drivers, CLASS_INF, {"o": 1}, BOTH, Budget(max_work=work))
+            for budget in (Budget(max_work=work - 1), Budget(max_state_space=4)):
+                with pytest.raises(BudgetExceededError) as cold:
+                    optimal_values(fresh(cbn), drivers, CLASS_INF, {"o": 1}, BOTH, budget)
+                with pytest.raises(BudgetExceededError, match=f"^{re.escape(str(cold.value))}$"):
+                    optimal_values(cbn, drivers, CLASS_INF, {"o": 1}, BOTH, budget)
+            assert cbn._search_plans == {}
 
     def test_reordered_and_repeated_drivers_share_one_plan(self, monkeypatch):
         built = spy_on(monkeypatch, "_search_plan")

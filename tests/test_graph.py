@@ -1,5 +1,10 @@
 """Structure layer: construction, ordering, traversals, separation."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -104,6 +109,31 @@ class TestOrdering:
     def test_canon_refuses_an_unknown_node(self):
         with pytest.raises(ValueError, match="unknown node 'zz'"):
             junction().canon(["t1", "zz", "t1"])
+
+    def test_unknown_node_refusals_name_the_same_node_under_every_hash_seed(self):
+        # a set of str iterates in an order that follows the hash seed; each
+        # refusal names the unknown of smallest repr instead
+        script = """if True:
+            from cbnctrl.graph import Dag
+            dag = Dag(["a", "b"], [("a", "b")])
+            unknown = ["zz", "yy", "xx", "ww"]
+            for query in (
+                lambda: dag.canon(unknown),
+                lambda: dag.backward_chain(["b"], {"a", *unknown}),
+                lambda: dag.d_separated(["a"], ["b"], set(unknown)),
+            ):
+                try:
+                    query()
+                except ValueError as error:
+                    print(error)
+        """
+        src = str(Path(__file__).parent.parent / "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        for seed in range(6):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=path)
+            done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+            assert done.returncode == 0, done.stderr
+            assert done.stdout.splitlines() == ["unknown node 'ww'"] * 3, seed
 
 
 class TestAncestry:

@@ -1,5 +1,6 @@
 """Reference searches, generators and the verification suites."""
 
+import re
 import time
 from itertools import product
 from math import prod
@@ -352,6 +353,21 @@ class TestSuites:
         cbn = screening_chain()
         with pytest.raises(ValueError, match="levels"):
             verify_lemma3(cbn, ("y1",), {"o": 1}, levels=(0, 1))
+
+    def test_lemma3_reads_each_level_as_its_class(self):
+        cbn = screening_chain()
+        for levels, same in (((1.0, 2.0), (1, 2)), ((2.0, float("inf")), (2, INF))):
+            assert verify_lemma3(cbn, ("y1", "y2"), {"o": 1}, levels) == verify_lemma3(
+                cbn, ("y1", "y2"), {"o": 1}, same
+            )
+
+    def test_lemma3_refuses_a_bad_level_with_one_message_before_any_work(self):
+        cbn = screening_chain()
+        # the state cap would refuse the first probability asked for
+        budget = Budget(max_state_space=1)
+        for bad in (0, 0.0, -1, 1.5, True, False, "1", None):
+            with pytest.raises(ValueError, match=rf"^bracket levels must be >= 1 or inf, got {re.escape(repr(bad))}$"):
+                verify_lemma3(cbn, ("y1",), {"o": 1}, (1, bad), budget)
 
     def test_lemma3_accepts_custom_levels(self):
         cbn = screening_chain()

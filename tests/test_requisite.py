@@ -199,31 +199,31 @@ class TestFan4x2:
             assert scopes == [f"scope: r{i}_0 r{i}_1" for i in range(4)]
 
 
-class TestSkippedWhenItCannotHelp:
-    """The analysis runs only when an enumerated driver has a scope to cut;
-    nested chains, single drivers and empty scopes never pay for it."""
+class TestNothingToCut:
+    """Where no enumerated driver has a scope to cut (nested chains, single
+    drivers, empty scopes), the analysis returns the class scopes as they
+    are, so it needs no gate."""
 
-    @pytest.fixture(autouse=True)
-    def forbid(self, monkeypatch):
-        def fail(*args):
-            raise AssertionError("requisite_scopes called")
-
-        monkeypatch.setattr(control, "requisite_scopes", fail)
+    @staticmethod
+    def check(cbn, drivers, classes):
+        patch, seen = record_requisite()
+        with patch:
+            for ip_class in classes:
+                for direction in (Direction.MAX, Direction.MIN):
+                    optimal_policy_value(cbn, drivers, ip_class, {"o": 1}, direction)
+        # one analysis per shape, each returning its input
+        assert seen == [{d: scope_for_class(cbn.dag, d, c) for d in drivers} for c in classes]
 
     def test_nested_chain(self):
-        dag = nest(5)
-        cbn = random_cbn(np.random.default_rng(5), dag)
-        drivers = tuple(f"d{i}" for i in range(5))
-        for direction in (Direction.MAX, Direction.MIN):
-            optimal_policy_value(cbn, drivers, CLASS_INF, {"o": 1}, direction)
+        cbn = random_cbn(np.random.default_rng(5), nest(5))
+        self.check(cbn, tuple(f"d{i}" for i in range(5)), (CLASS_INF,))
 
     def test_single_driver(self):
-        for ip_class in (CLASS0, CLASS1, CLASS_INF):
-            optimal_policy_value(screening_chain(), ("y1",), ip_class, {"o": 1}, Direction.MAX)
+        self.check(screening_chain(), ("y1",), (CLASS0, CLASS1, CLASS_INF))
 
     def test_enumerated_drivers_without_scopes(self):
         cbn = random_cbn(np.random.default_rng(6), fan(3, 1))
-        optimal_policy_value(cbn, ("d0", "d1", "d2"), CLASS0, {"o": 1}, Direction.MAX)
+        self.check(cbn, ("d0", "d1", "d2"), (CLASS0,))
 
 
 class TestPrunedSearch:
