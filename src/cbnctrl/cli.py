@@ -23,8 +23,7 @@ from .control import (
     solve,
     usm_adversarial_cbn,
 )
-from .graph import INF
-from .intervention import InterventionPair, interventional_prob
+from .intervention import InterventionPair, IpClass, interventional_prob
 from .netfile import NetworkSpec, load, save
 from .oracle import (
     SUITE_NAMES,
@@ -130,21 +129,6 @@ def _cmd_solve(args, header: str) -> int:
     return 0
 
 
-def _parse_levels(text: str) -> tuple:
-    levels = []
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            raise ValueError("--levels must be a comma separated list")
-        if item in ("inf", "infinity"):
-            levels.append(INF)
-        elif item.isdigit():
-            levels.append(int(item))
-        else:
-            raise ValueError(f"bad level {item!r}; use integers or 'inf'")
-    return tuple(levels)
-
-
 def _print_report(report: SuiteReport) -> None:
     print(f"suite: {report.name}")
     print(f"result: {'PASS' if report.passed else 'FAIL'}")
@@ -156,7 +140,7 @@ def _cmd_verify(args, header: str) -> int:
     spec = load(args.file)
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     budget = _budget_from(args)
-    levels = _parse_levels(args.levels)
+    levels = tuple(IpClass.parse(item).level for item in args.levels.split(","))
 
     cbn = spec.cbn
     seed_line = None
@@ -196,7 +180,7 @@ def _cmd_usm(args, header: str) -> int:
     save(out_spec, args.out)
     print(header)
     print(f"drivers: {_fmt_set(drivers.members)}")
-    print("desired: " + " ".join(f"{t}={desired[t]}" for t in spec.targets))
+    print(_desired_line(out_spec))
     print(f"wrote: {args.out}")
     return 0
 

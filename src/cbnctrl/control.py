@@ -37,22 +37,22 @@ direction's value and winning combination.  The second turns one winning
 combination into its witness pair.  `optimal_values` runs the first stage
 only, for callers that read values alone, such as the verify suites;
 `optimal_policy_value` runs both for one direction.  The second stage
-reduces the winner's tensor once more, sweeping each chain driver's
-values: a strict comparison keeps the first optimum, as ``argmax`` does,
-and ``np.maximum``/``np.minimum`` give the same reduced tensor as the
-scan's reductions, since max and min are exact.  Each chain segment's
-gather index takes its driver's picks to its class scope's row-major
-order, and
-`Cpd.from_choices` takes the resulting integer arrays as they are.
+rebuilds the winner's tensor with `policy_batch` and reduces it once
+more, sweeping each chain driver's values: a strict comparison keeps the
+first optimum, as ``argmax`` does, and ``np.maximum``/``np.minimum`` give
+the same reduced tensor as the scan's reductions, since max and min are
+exact.  Each chain segment's gather index takes its driver's picks to its
+class scope's row-major order, and `Cpd.from_choices` takes the resulting
+integer arrays as they are.
 
 On the chain path, everything the first stage decides before it asks for
 the base tensor depends only on the query's shape: the drivers, the policy
-class and the nodes the desired event names.  The class scopes, the chain
-split, the requisite scopes, the axes, the segments with their gathers and
-the work estimate form one `SearchPlan`, which each `Cbn` builds on a
-shape's first call and keeps.  The deterministic path plans nothing.
-Every call checks its arguments and its `Budget`, the work estimate
-included, before any tensor is built.
+class and the nodes the desired event names.  The class scopes, the axes,
+the segments with each chain driver's gather, the enumerated drivers with
+their requisite scopes and the work estimate form one `SearchPlan`, which
+each `Cbn` builds on a shape's first call and keeps.  The deterministic
+path plans nothing.  Every call checks its arguments and its `Budget`, the
+work estimate included, before any tensor is built.
 """
 
 from __future__ import annotations
@@ -93,11 +93,6 @@ class Direction(Enum):
     def arg(self):
         """``np.argmax`` or ``np.argmin``: the first optimum's position."""
         return np.argmax if self is Direction.MAX else np.argmin
-
-    @property
-    def reduce(self):
-        """``np.maximum.reduce`` or ``np.minimum.reduce``."""
-        return self.pairwise.reduce
 
     @property
     def pairwise(self):
@@ -390,21 +385,20 @@ class SearchPlan:
     ``scopes`` and ``scope_cards`` are each driver's class scope and its
     cards; ``axes`` are the base tensor's nodes in reduction order, and
     ``work`` is the estimate each call checks against its own `Budget`.
-    ``segments`` are the reduction's runs over ``chain``: ``(width, None,
+    ``segments`` are the reduction's runs over ``axes``: ``(width, None,
     None)`` sums, and ``(width, driver, gather)`` for a chain driver, whose
     read-only gather takes its picks, flattened over the axes left when it
-    is reduced, to its class scope's row-major order.  ``searched`` lists
-    ``(driver, searched scope, read-only one-hot rows)`` per driver of
-    ``enumerated``, as `policy_batch` takes it, and ``outer_total`` counts
-    the table combinations scanned.
+    is reduced, to its class scope's row-major order; the chain drivers
+    are the segments' drivers, in reduction order.  ``searched`` lists
+    ``(driver, searched scope, read-only one-hot rows)`` per enumerated
+    driver, in canonical order, as `policy_batch` takes it, and
+    ``outer_total`` counts the table combinations scanned.
     """
 
     scopes: dict[str, tuple[str, ...]]
     scope_cards: dict[str, tuple[int, ...]]
     axes: tuple[str, ...]
     work: int
-    chain: tuple[str, ...]
-    enumerated: tuple[str, ...]
     searched: tuple[tuple[str, tuple[str, ...], np.ndarray], ...]
     segments: tuple[tuple[int, str | None, np.ndarray | None], ...]
     outer_total: int
@@ -459,7 +453,7 @@ def _search_plan(
     searched = tuple((e, searched_scopes[e], _read_only(np.eye(cards[e]))) for e in enumerated)
     return SearchPlan(
         scopes, scope_cards, axes, outer_total * cbn.state_space_size(),
-        tuple(chain), tuple(enumerated), searched, tuple(segments), outer_total,
+        searched, tuple(segments), outer_total,
     )
 
 
@@ -515,7 +509,7 @@ def _scan_plan(cbn: Cbn, drivers, ip_class: IpClass, desired, directions, budget
             if kind is None:
                 t = t.sum(axis=tuple(range(1, 1 + width)))
             elif tables is None:
-                t = direction.reduce(t, axis=1)
+                t = direction.pairwise.reduce(t, axis=1)
             else:
                 # One sweep over the driver's values gives the picks and
                 # the optimum.  A strict improvement keeps the first
@@ -530,21 +524,17 @@ def _scan_plan(cbn: Cbn, drivers, ip_class: IpClass, desired, directions, budget
                 t = best.reshape(t.shape[:1] + t.shape[2:])
         return t
 
-    single = []  # the batch of a one-combination plan, kept for its witness
-
     def evaluate(flat: np.ndarray) -> list[np.ndarray]:
         # one batch per chunk, reduced once per direction
-        built = policy_batch(cbn, base, axes, searched, flat)
-        if plan.outer_total == 1:
-            single.append(built)
-        return [reduce_chain(built[0], direction) for direction in directions]
+        batch = policy_batch(cbn, base, axes, searched, flat)[0]
+        return [reduce_chain(batch, direction) for direction in directions]
 
     optima = scan_combinations(plan.outer_total, base.size, evaluate, directions)
 
     def table_witness(i: int) -> InterventionPair:
         cards = cbn.cards
         best = np.array([optima[i][1]])
-        batch, picks = single[0] if single else policy_batch(cbn, base, axes, searched, best)
+        batch, picks = policy_batch(cbn, base, axes, searched, best)
         tables = {}
         for (e, searched_scope, _), digits in zip(searched, picks):
             # widened to the class scope, constant across the dropped members;

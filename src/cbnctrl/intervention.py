@@ -14,6 +14,8 @@ from itertools import product
 from math import prod
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .cbn import Budget, Cbn, Cpd
 from .graph import INF, Dag
 
@@ -24,7 +26,11 @@ CLAMP = "@clamp"
 
 @dataclass(frozen=True)
 class IpClass:
-    """Policy class: ``level`` is a non-negative integer or infinity."""
+    """Policy class: ``level`` is a non-negative integer or infinity.
+
+    As in `value_index`, ints and numpy integers pass and bools do not; an
+    integral float is read as its int.
+    """
 
     level: int | float
 
@@ -33,7 +39,7 @@ class IpClass:
         if lv == INF:
             object.__setattr__(self, "level", INF)
             return
-        if isinstance(lv, float) and lv.is_integer():
+        if isinstance(lv, np.integer) or isinstance(lv, float) and lv.is_integer():
             lv = int(lv)
             object.__setattr__(self, "level", lv)
         if not isinstance(lv, int) or isinstance(lv, bool) or lv < 0:
@@ -41,10 +47,10 @@ class IpClass:
 
     @classmethod
     def parse(cls, text: str) -> "IpClass":
-        text = text.strip().lower()
-        if text in ("inf", "infinity", "∞"):
+        text = text.strip()
+        if text.lower() in ("inf", "infinity", "∞"):
             return cls(INF)
-        if text.isdigit():
+        if text.isdecimal():
             return cls(int(text))
         raise ValueError(f"cannot parse policy class {text!r}")
 

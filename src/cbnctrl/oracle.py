@@ -258,8 +258,8 @@ def ci_holds(cbn: Cbn, a: str, b: str, z: Iterable[str], tol: float = 1e-9) -> b
     return bool(np.all(np.abs(pab - pa[:, None, :] * pb[None, :, :]) <= tol))
 
 
-def random_dag(rng: np.random.Generator, n_nodes: int, edge_prob: float = 0.4, prefix: str = "v") -> Dag:
-    names = [f"{prefix}{i}" for i in range(n_nodes)]
+def random_dag(rng: np.random.Generator, n_nodes: int, edge_prob: float = 0.4) -> Dag:
+    names = [f"v{i}" for i in range(n_nodes)]
     edges = [
         (names[i], names[j])
         for i in range(n_nodes)

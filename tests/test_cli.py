@@ -185,6 +185,21 @@ class TestVerify:
         assert code == 1
         assert "levels" in err
 
+    def test_levels_take_every_spelling_of_a_policy_class(self, gate, capsys):
+        def report(levels):
+            code, out, err = run(["verify", gate, "--suite", "lemma3", "--levels", levels], capsys)
+            assert code == 0 and err == "", levels
+            return out.split("\n", 1)[1]  # the header echoes the command line
+
+        for spellings in (("inf,2", "INF,2", "∞,2", "infinity,2"), ("inf,1", " inf , 1 ")):
+            assert len({report(levels) for levels in spellings}) == 1, spellings
+
+    @pytest.mark.parametrize("levels, item", [("x", "x"), ("1, X ", "X"), ("1,,2", ""), ("1,²", "²"), ("2,-1", "-1")])
+    def test_a_bad_level_is_refused_by_name(self, gate, capsys, levels, item):
+        code, out, err = run(["verify", gate, "--suite", "lemma3", "--levels", levels], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot parse policy class {item!r}\n"
+
     def test_all_suites_overall_line(self, gate, capsys):
         code, out, _ = run(["verify", gate, "--suite", "all"], capsys)
         assert code == 0

@@ -405,7 +405,8 @@ class TestBatchedSearch:
 def argmax_chain_choices(plan, base, direction):
     """The reference for chain witnesses: each chain driver's choices by
     `Direction.arg` over its axis, transposed from the axes left to its
-    class scope and flattened, with `Direction.reduce` between drivers.
+    class scope and flattened, with `Direction.pairwise` reducing between
+    drivers.
     ``base`` is the tensor of a plan that enumerates no driver.  Each chain
     segment's gather must take the choices to that same order."""
     t = base[None]
@@ -422,7 +423,7 @@ def argmax_chain_choices(plan, base, direction):
         choice = np.transpose(picks, [left.index(s) for s in plan.scopes[kind]]).reshape(-1)
         assert np.array_equal(picks.reshape(-1)[gather], choice), kind
         tables[kind] = tuple(choice.tolist())
-        t = direction.reduce(t, axis=1)
+        t = direction.pairwise.reduce(t, axis=1)
     return tables
 
 
@@ -461,7 +462,9 @@ class TestChainWitness:
         for direction in BOTH:
             _, pair = optimal_policy_value(cbn, drivers, CLASS_INF, desired, direction)
             plan = cbn._search_plans[(drivers, CLASS_INF, frozenset(desired))]
-            assert not plan.enumerated
+            # every driver is chained, none enumerated
+            assert not plan.searched
+            assert sorted(kind for _, kind, _ in plan.segments if kind) == sorted(drivers)
             base = cbn.joint(desired, skip=drivers, keep=plan.axes)
             got = {p.target: tuple(row.index(1.0) for row in p.table.rows) for p in pair.policies}
             assert got == argmax_chain_choices(plan, base, direction), direction
@@ -658,11 +661,13 @@ class TestSearchPlan:
             plans = cbn._search_plans
             assert len(plans) == len(self.CLASSES)
             for plan in plans.values():
-                paths.add("enumerated" if plan.enumerated else "chain")
+                chain = [kind for _, kind, _ in plan.segments if kind]
+                enumerated = [e for e, _, _ in plan.searched]
+                paths.add("enumerated" if enumerated else "chain")
+                # each driver is chained once or enumerated once
+                assert sorted(chain + enumerated) == sorted(drivers)
                 assert all(not rows.flags.writeable for _, _, rows in plan.searched)
-                gathers = {kind: gather for _, kind, gather in plan.segments if kind is not None}
-                assert set(gathers) == set(plan.chain)
-                assert all(not gather.flags.writeable for gather in gathers.values())
+                assert all(not gather.flags.writeable for _, kind, gather in plan.segments if kind)
         assert paths == {"chain", "enumerated"}
 
     def test_deterministic_and_driverless_calls_keep_no_plan(self):

@@ -1,5 +1,6 @@
 """Policies, policy classes, intervened graphs, mutilated networks."""
 
+import re
 from itertools import product
 
 import numpy as np
@@ -63,6 +64,24 @@ class TestIpClass:
     def test_parse_rejects_junk(self):
         with pytest.raises(ValueError):
             IpClass.parse("many")
+
+    def test_numpy_integers_pass_and_bools_do_not(self):
+        # levels are read as `value_index` reads values
+        for level in (np.int64(2), np.uint8(2), 2.0, np.float64(2.0)):
+            got = IpClass(level)
+            assert got == IpClass(2) and type(got.level) is int, level
+        assert IpClass(np.int32(0)) == CLASS0
+        for level in (True, np.bool_(True), np.int64(-1), 2.5, "2"):
+            with pytest.raises(ValueError, match="must be a non-negative integer or inf"):
+                IpClass(level)
+
+    def test_parse_reads_decimal_digits_only(self):
+        # '²' is a digit to str.isdigit, but int() cannot read it
+        for text in ("²", "1²", "-1", "+1", "1.0", ""):
+            with pytest.raises(ValueError, match=f"^cannot parse policy class {re.escape(repr(text))}$"):
+                IpClass.parse(text)
+        assert IpClass.parse(" 02 ") == IpClass(2)
+        assert IpClass.parse("Infinity") == CLASS_INF
 
 
 class TestScopes:

@@ -55,16 +55,14 @@ class TestStages:
     """The paths of the plan are checked against single-direction calls in
     `test_directions.TestOptimalPolicyValues`; these are the stages' own."""
 
-    def test_chain_only_witness_reuses_the_scanned_batch(self, monkeypatch):
+    def test_chain_only_plan_scans_one_combination(self, monkeypatch):
         # the class-inf scopes of nest nest, so every driver is chained and
-        # the scan has one combination, the empty one; its witness records
-        # the tables from the batch the scan built
+        # the scan has one combination, the empty one
         cbn = random_cbn(np.random.default_rng(42), nest(5))
         drivers = tuple(f"d{i}" for i in range(5))
         scans = spy(monkeypatch, "scan_combinations")
-        batches = spy(monkeypatch, "policy_batch")
         optimal_policy_value(cbn, drivers, CLASS_INF, {"o": 1}, BOTH[0])
-        assert [args[0] for args in scans] == [1] and len(batches) == 1
+        assert [args[0] for args in scans] == [1]
         for ip_class in (CLASS1, IpClass(2), CLASS_INF):
             assert_matches_single_calls(cbn, drivers, ip_class, {"o": 1})
 
