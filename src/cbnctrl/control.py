@@ -70,11 +70,11 @@ from .graph import Dag, bayes_ball
 from .intervention import (
     CLASS_INF,
     InterventionPair,
+    InterventionPolicy,
     IpClass,
     atomic_policy,
     interventional_prob,
     scope_for_class,
-    table_from_choices,
 )
 
 
@@ -544,7 +544,7 @@ def _scan_plan(cbn: Cbn, drivers, ip_class: IpClass, desired, directions, budget
         # `_pick_chain` puts at least one driver on the chain
         reduce_chain(batch, directions[i], tables)
         return InterventionPair(
-            table_from_choices(d, scopes[d], plan.scope_cards[d], cards[d], tables[d])
+            InterventionPolicy(Cpd.from_choices(d, scopes[d], plan.scope_cards[d], cards[d], tables[d]))
             for d in driver_list
         )
 

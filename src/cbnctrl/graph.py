@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
+from numbers import Integral
 from typing import Iterable, NamedTuple
 
 INF = float("inf")
@@ -151,11 +152,12 @@ class Dag:
     def ancestors(self, name: str, level: int | float = INF) -> tuple[str, ...]:
         """Nodes with a directed path of length <= ``level`` into ``name``.
 
-        ``level`` must be a positive integer or ``math.inf``.  ``name``
-        itself is never included.
+        ``level`` must be a positive integer (numpy integers pass, bools
+        and floats do not) or ``math.inf``.  ``name`` itself is never
+        included.
         """
         self._require(name)
-        if level != INF and (not isinstance(level, int) or isinstance(level, bool) or level < 1):
+        if level != INF and (not isinstance(level, Integral) or isinstance(level, bool) or level < 1):
             raise ValueError(f"level must be a positive integer or inf, got {level!r}")
         return self._walk(name, self._parents, level)
 

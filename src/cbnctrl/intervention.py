@@ -65,27 +65,22 @@ CLASS_INF = IpClass(INF)
 
 @dataclass(frozen=True)
 class InterventionPolicy:
-    """A replacement table for one node.
+    """A replacement table for one node: the policy is its table.
 
-    ``table`` is a Cpd owned by ``target`` whose parents are exactly
-    ``scope``; scope membership against a concrete graph is checked by the
-    operations that receive one.
+    ``target`` and ``scope`` are the table's owner and parents, so they
+    cannot disagree with it; scope membership against a concrete graph is
+    checked by the operations that receive one.
     """
 
-    target: str
-    scope: tuple[str, ...]
     table: Cpd
 
-    def __post_init__(self):
-        object.__setattr__(self, "scope", tuple(self.scope))
-        if self.table.owner != self.target:
-            raise ValueError(
-                f"policy target {self.target!r} does not own its table ({self.table.owner!r})"
-            )
-        if self.table.parents != self.scope:
-            raise ValueError(
-                f"policy scope {list(self.scope)} does not match table parents {list(self.table.parents)}"
-            )
+    @property
+    def target(self) -> str:
+        return self.table.owner
+
+    @property
+    def scope(self) -> tuple[str, ...]:
+        return self.table.parents
 
     @property
     def card(self) -> int:
@@ -146,7 +141,7 @@ def scope_for_class(dag: Dag, target: str, ip_class: IpClass) -> tuple[str, ...]
 
 def atomic_policy(target: str, value: int, card: int) -> InterventionPolicy:
     """Unconditional policy forcing ``target`` to ``value``."""
-    return InterventionPolicy(target, (), Cpd.delta(target, value, card))
+    return InterventionPolicy(Cpd.delta(target, value, card))
 
 
 def classify_policy(dag: Dag, policy: InterventionPolicy) -> IpClass:
@@ -305,22 +300,10 @@ def interventional_prob(
     return float(tensor.sum())
 
 
-def table_from_choices(
-    target: str,
-    scope: tuple[str, ...],
-    scope_cards: tuple[int, ...],
-    card: int,
-    choices: tuple[int, ...],
-) -> InterventionPolicy:
-    """Deterministic policy mapping scope configuration i to ``choices[i]``:
-    the `Cpd.from_choices` table on ``scope``, with its checks."""
-    return InterventionPolicy(target, scope, Cpd.from_choices(target, scope, scope_cards, card, choices))
-
-
 def enumerate_deterministic_tables(
     target: str, scope: tuple[str, ...], scope_cards: tuple[int, ...], card: int
 ):
     """Yield every deterministic policy in lexicographic choice order."""
     cells = prod(scope_cards)
     for choices in product(range(card), repeat=cells):
-        yield table_from_choices(target, scope, scope_cards, card, choices)
+        yield InterventionPolicy(Cpd.from_choices(target, scope, scope_cards, card, choices))

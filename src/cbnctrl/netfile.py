@@ -246,7 +246,7 @@ def parse(text: str) -> NetworkSpec:
                     raise ValueError(
                         f"rows have {table.card} entries, node cardinality is {cards[name]}"
                     )
-                policies.append(InterventionPolicy(name, scope, table))
+                policies.append(InterventionPolicy(table))
             except ValueError as exc:
                 raise NetFormatError(f"{path}: {exc}") from exc
         try:

@@ -160,8 +160,8 @@ def _subset_optima(cbn, intervenable, ip_class, desired, directions, budget, kno
 
 def simplex_grid_rows(card: int, step: float = 0.25) -> tuple[tuple[float, ...], ...]:
     """All distributions over ``card`` values with coordinates on the grid."""
-    denom = round(1.0 / step)
-    if abs(denom * step - 1.0) > 1e-12 or denom < 1:
+    denom = round(1.0 / step) if step > 0 else 0
+    if denom < 1 or abs(denom * step - 1.0) > 1e-12:
         raise ValueError(f"step {step} does not divide 1")
     # stars and bars: the card - 1 bar positions among denom + card - 1
     # slots, taken in lexicographic order, give the compositions of denom

@@ -64,7 +64,6 @@ from cbnctrl import (
     optimal_values,
     scope_for_class,
 )
-from cbnctrl.intervention import table_from_choices
 from cbnctrl.oracle import best_over_subsets, random_cbn, random_dag
 
 SEED = 20141
@@ -179,7 +178,7 @@ def random_pair(rng, cbn: Cbn) -> InterventionPair:
         scope = tuple(ancestry[j] for j in rng.permutation(len(ancestry))[: int(rng.integers(0, 3))])
         scope_cards = tuple(cards[s] for s in scope)
         rows = draw_rows(rng, cards[target], prod(scope_cards), "positive")
-        policies.append(InterventionPolicy(target, scope, Cpd(target, scope, scope_cards, rows)))
+        policies.append(InterventionPolicy(Cpd(target, scope, scope_cards, rows)))
     return InterventionPair(policies)
 
 
@@ -343,7 +342,9 @@ def compare(old: dict, new: dict, replay=None) -> str | None:
 def witness_pair(cbn: Cbn, witness: list) -> InterventionPair:
     cards = cbn.cards
     return InterventionPair(
-        table_from_choices(t, tuple(scope), tuple(cards[s] for s in scope), cards[t], tuple(choices))
+        InterventionPolicy(
+            Cpd.from_choices(t, tuple(scope), tuple(cards[s] for s in scope), cards[t], tuple(choices))
+        )
         for t, scope, choices in witness
     )
 

@@ -6,6 +6,7 @@ P(a=1,b=1) = 0.7*0.5 = 0.35, marginal P(b=1) = 0.3*0.2 + 0.7*0.5 = 0.41,
 conditional P(b=1|a=1) = 0.5.
 """
 
+import re
 from itertools import product
 
 import numpy as np
@@ -147,6 +148,48 @@ class TestCbnValidation:
         assert xor_gate().state_space_size() == 8
 
 
+HALF = (0.5, 0.5)
+
+
+class TestRefusalTexts:
+    """The exact text of each `Cpd` and `Cbn` refusal, as `netfile` prefixes
+    it with a field path and the CLI prints it; row 0 is valid wherever a
+    row index is named."""
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("", (), (), (HALF,)), "cpd owner must be a non-empty string"),
+            (("b", ("a",), (), (HALF, HALF)), "cpd for 'b': one cardinality per parent required"),
+            (("b", ("a",), (2,), (HALF,)), "cpd for 'b': 1 rows, expected 2"),
+            (("b", ("a",), (2,), (HALF, (1.0,))), "cpd for 'b': row 1 has length 1 != 2"),
+            (("b", ("a",), (2,), (HALF, (-0.1, 1.1))), "cpd for 'b': row 1 entry -0.1 outside [0, 1]"),
+            (("b", ("a",), (2,), (HALF, (0.2, 1.0))), "cpd for 'b': row 1 sums to 1.2, not 1"),
+        ],
+    )
+    def test_cpd(self, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Cpd(*args)
+
+    @pytest.mark.parametrize(
+        "cpds, message",
+        [
+            ({"a": Cpd("b", (), (), (HALF,))}, "cpd stored under 'a' is owned by 'b'"),
+            ({"b": Cpd("b", (), (), (HALF,))}, "cpd for 'b' conditions on [], dag parents are ['a']"),
+            (
+                {"b": Cpd("b", ("a",), (2,), ((0.5, 0.5, 0.0), (0.0, 0.5, 0.5)))},
+                "cpd for 'b' has cardinality 3, expected 2",
+            ),
+            ({"b": Cpd("b", ("a",), (3,), (HALF,) * 3)}, "cpd for 'b': parent 'a' cardinality 3, expected 2"),
+        ],
+    )
+    def test_cbn(self, cpds, message):
+        dag = Dag(["a", "b"], [("a", "b")])
+        good = {"a": Cpd("a", (), (), (HALF,)), "b": Cpd("b", ("a",), (2,), (HALF, HALF))}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Cbn(dag, {"a": 2, "b": 2}, {**good, **cpds})
+
+
 class TestInference:
     def test_chain_joint(self):
         assert chain_ab().joint_prob({"a": 1, "b": 1}) == pytest.approx(0.35, abs=1e-9)
@@ -283,7 +326,7 @@ def random_pair(rng, cbn):
     table = Cpd(second, scope, scope_cards, tuple(rows))
     return InterventionPair.of(
         atomic_policy(first, int(rng.integers(cards[first])), cards[first]),
-        InterventionPolicy(second, scope, table),
+        InterventionPolicy(table),
     )
 
 
@@ -312,7 +355,7 @@ def mixed_card_pairs():
                 raw = rng.uniform(0.0, 1.0, cards[target])
                 rows.append(tuple(raw / raw.sum()))
             table = Cpd(target, scope, scope_cards, tuple(rows))
-            policies.append(InterventionPolicy(target, scope, table))
+            policies.append(InterventionPolicy(table))
         yield rng, cbn, InterventionPair(policies)
 
 
@@ -498,7 +541,7 @@ class TestContraction:
         # node gets a parentless uniform table, whose 1/card is then undone
         cards = cbn.cards
         uniform = InterventionPair(
-            InterventionPolicy(s, (), Cpd(s, (), (), ((1.0 / cards[s],) * cards[s],)))
+            InterventionPolicy(Cpd(s, (), (), ((1.0 / cards[s],) * cards[s],)))
             for s in skip
         )
         flat = apply_intervention(cbn, uniform)

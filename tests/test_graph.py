@@ -1,6 +1,7 @@
 """Structure layer: construction, ordering, traversals, separation."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -154,6 +155,16 @@ class TestAncestry:
             dag.ancestors("a", True)
         with pytest.raises(ValueError):
             dag.ancestors("a", False)
+
+    def test_numpy_integer_levels_pass_and_bools_and_floats_do_not(self):
+        # as in `IpClass`, which reads np.int64(2) as class-2
+        dag = Dag(["a", "b", "c"], [("a", "b"), ("b", "c")])
+        for level in (np.int64(2), np.uint8(2), np.int32(5)):
+            assert dag.ancestors("c", level) == ("a", "b")
+        assert dag.ancestors("c", np.int64(1)) == ("b",)
+        for bad in (True, np.bool_(True), 2.0, np.float64(2.0), np.int64(0), np.int8(-1)):
+            with pytest.raises(ValueError, match=re.escape(f"level must be a positive integer or inf, got {bad!r}")):
+                dag.ancestors("c", bad)
 
     def test_descendants(self):
         dag = junction()

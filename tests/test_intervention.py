@@ -1,6 +1,7 @@
 """Policies, policy classes, intervened graphs, mutilated networks."""
 
 import re
+from dataclasses import fields
 from itertools import product
 
 import numpy as np
@@ -27,7 +28,7 @@ from cbnctrl import (
     subsumes,
     surplus,
 )
-from cbnctrl.intervention import enumerate_deterministic_tables, table_from_choices
+from cbnctrl.intervention import enumerate_deterministic_tables
 from cbnctrl.oracle import random_cbn, random_dag
 
 from test_cbn import xor_gate
@@ -43,7 +44,7 @@ def scoped_policy(dag, cards, target, scope, choices):
         for choice in choices
     )
     table = Cpd(target, tuple(scope), tuple(cards[s] for s in scope), rows)
-    return InterventionPolicy(target, tuple(scope), table)
+    return InterventionPolicy(table)
 
 
 class TestIpClass:
@@ -106,6 +107,21 @@ class TestScopes:
         policy = scoped_policy(dag, {"a": 2, "b": 2, "c": 2}, "a", ("c",), (0, 1))
         with pytest.raises(ValueError):
             classify_policy(dag, policy)
+
+
+class TestInterventionPolicy:
+    def test_a_policy_is_its_table(self):
+        table = Cpd.from_choices("y", ("x",), (2,), 3, (2, 0))
+        policy = InterventionPolicy(table)
+        assert [f.name for f in fields(policy)] == ["table"]
+        assert (policy.target, policy.scope, policy.card) == ("y", ("x",), 3)
+        same = InterventionPolicy(Cpd("y", ("x",), (2,), ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0))))
+        assert policy == same and hash(policy) == hash(same)
+        assert policy != InterventionPolicy(Cpd.from_choices("y", ("x",), (2,), 3, (2, 1)))
+        assert repr(policy).startswith("InterventionPolicy(table=Cpd(owner='y', parents=('x',),")
+        for name in ("table", "target", "scope", "card"):
+            with pytest.raises(AttributeError):
+                setattr(policy, name, None)
 
 
 class TestInterventionPair:
@@ -223,7 +239,7 @@ class TestApplyIntervention:
         for policy, message in (
             (atomic_policy("y", 2, 3), "policy on 'y' has cardinality 3, expected 2"),
             (
-                InterventionPolicy("y", ("x",), wide_scope),
+                InterventionPolicy(wide_scope),
                 "policy on 'y': scope member 'x' cardinality 3, expected 2",
             ),
         ):
@@ -254,7 +270,7 @@ def widen(policy, wider_scope, cards):
         tuple(cards[s] for s in wider_scope),
         tuple(rows),
     )
-    return InterventionPolicy(policy.target, tuple(wider_scope), table)
+    return InterventionPolicy(table)
 
 
 class TestSubsumptionSemantics:
@@ -297,7 +313,7 @@ class TestDeterministicTables:
         assert policies[0].table.rows == ((1.0, 0.0), (1.0, 0.0))
         assert policies[-1].table.rows == ((0.0, 1.0), (0.0, 1.0))
 
-    def test_table_from_choices_equals_the_public_constructor(self):
+    def test_from_choices_equals_the_public_constructor(self):
         rng = np.random.default_rng(17)
         for _ in range(80):
             card = int(rng.integers(2, 4))
@@ -307,39 +323,39 @@ class TestDeterministicTables:
             choices = tuple(int(c) for c in rng.integers(0, card, size=cells))
             rows = tuple(tuple(1.0 if v == c else 0.0 for v in range(card)) for c in choices)
             expect = Cpd("t", scope, scope_cards, rows)
-            policy = table_from_choices("t", scope, scope_cards, card, choices)
-            assert policy.scope == scope
-            assert policy.table == expect
-            assert hash(policy.table) == hash(expect)
+            table = Cpd.from_choices("t", scope, scope_cards, card, choices)
+            assert table.parents == scope
+            assert table == expect
+            assert hash(table) == hash(expect)
 
-    def test_table_from_choices_checks_choices_and_shape(self):
+    def test_from_choices_checks_choices_and_shape(self):
         with pytest.raises(ValueError, match="one choice per scope configuration"):
-            table_from_choices("t", ("a",), (2,), 2, (0,))
+            Cpd.from_choices("t", ("a",), (2,), 2, (0,))
         with pytest.raises(ValueError, match="one choice per scope configuration"):
-            table_from_choices("t", ("a",), (2,), 2, (0, 1, 0))
+            Cpd.from_choices("t", ("a",), (2,), 2, (0, 1, 0))
         for bad in (2, -1):
             with pytest.raises(ValueError, match=r"range\(2\)"):
-                table_from_choices("t", ("a",), (2,), 2, (0, bad))
+                Cpd.from_choices("t", ("a",), (2,), 2, (0, bad))
         # the rows are trusted, the shape is not
         with pytest.raises(ValueError, match="'t': cardinality 1 < 2"):
-            table_from_choices("t", ("a",), (2,), 1, (0, 0))
+            Cpd.from_choices("t", ("a",), (2,), 1, (0, 0))
         with pytest.raises(ValueError, match="parent 'a' cardinality 1 < 2"):
-            table_from_choices("t", ("a",), (1,), 2, (0,))
+            Cpd.from_choices("t", ("a",), (1,), 2, (0,))
         with pytest.raises(ValueError, match="repeats a parent"):
-            table_from_choices("t", ("a", "a"), (2, 2), 2, (0,) * 4)
+            Cpd.from_choices("t", ("a", "a"), (2, 2), 2, (0,) * 4)
         with pytest.raises(ValueError, match="lists itself as a parent"):
-            table_from_choices("t", ("t",), (2,), 2, (0, 1))
+            Cpd.from_choices("t", ("t",), (2,), 2, (0, 1))
 
     def test_bool_and_float_choices_refused_by_owner(self):
         # 1.0 and True would otherwise pass for choice 1
         for bad in (True, 1.0, 0.5, np.float64(1.0), np.bool_(True)):
             with pytest.raises(ValueError, match=r"choice .* for 't' must be an integer"):
-                table_from_choices("t", ("a",), (2,), 2, (0, bad))
+                Cpd.from_choices("t", ("a",), (2,), 2, (0, bad))
             with pytest.raises(ValueError, match=r"choice .* for 't' must be an integer"):
                 Cpd.from_choices("t", ("a",), (2,), 2, [bad, 0])
         for bad in (np.array([0.0, 1.0]), np.array([False, True])):
             with pytest.raises(ValueError, match=f"dtype {bad.dtype} for 't' must be integers"):
-                table_from_choices("t", ("a",), (2,), 2, bad)
+                Cpd.from_choices("t", ("a",), (2,), 2, bad)
 
     def test_integer_arrays_give_the_tuple_built_table(self):
         rng = np.random.default_rng(19)
@@ -349,16 +365,16 @@ class TestDeterministicTables:
                 scope = ("a", "b", "c")[: int(rng.integers(0, 4))]
                 scope_cards = tuple(int(c) for c in rng.integers(2, 4, size=len(scope)))
                 choices = rng.integers(0, card, size=int(np.prod(scope_cards))).astype(dtype)
-                table = table_from_choices("t", scope, scope_cards, card, choices).table
-                expect = table_from_choices("t", scope, scope_cards, card, tuple(choices.tolist())).table
+                table = Cpd.from_choices("t", scope, scope_cards, card, choices)
+                expect = Cpd.from_choices("t", scope, scope_cards, card, tuple(choices.tolist()))
                 assert table == expect and hash(table) == hash(expect)
                 assert np.array_equal(table.array(), np.eye(card)[choices].reshape(*scope_cards, card))
 
     def test_arrays_refused_as_tuples_are(self):
         with pytest.raises(ValueError, match="one choice per scope configuration"):
-            table_from_choices("t", ("a",), (2,), 2, np.zeros((2, 1), dtype=int))
+            Cpd.from_choices("t", ("a",), (2,), 2, np.zeros((2, 1), dtype=int))
         with pytest.raises(ValueError, match="one choice per scope configuration"):
-            table_from_choices("t", ("a",), (2,), 2, np.zeros(3, dtype=int))
+            Cpd.from_choices("t", ("a",), (2,), 2, np.zeros(3, dtype=int))
         for bad in (2, -1):
             with pytest.raises(ValueError, match=r"range\(2\)"):
-                table_from_choices("t", ("a",), (2,), 2, np.array([0, bad]))
+                Cpd.from_choices("t", ("a",), (2,), 2, np.array([0, bad]))

@@ -1,6 +1,7 @@
 """Network file parsing, validation paths, canonical serialization."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -125,6 +126,13 @@ class TestCpdBlock:
         bad = self.full()
         bad["cpds"]["a"]["rows"] = [[0.3, 0.8]]
         with pytest.raises(NetFormatError, match="cpds.a"):
+            parse(json.dumps(bad))
+
+    def test_cpd_refusal_text_follows_its_path(self):
+        bad = self.full()
+        bad["cpds"]["a"]["rows"] = [[0.5, 0.6]]
+        message = "cpds.a: cpd for 'a': row 0 sums to 1.1, not 1"
+        with pytest.raises(NetFormatError, match=f"^{re.escape(message)}$"):
             parse(json.dumps(bad))
 
     def test_wrong_parents_with_path(self):

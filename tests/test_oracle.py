@@ -190,8 +190,11 @@ class TestSimplexGrid:
         assert len(rows) == 1365 and len(set(rows)) == 1365
 
     def test_step_must_divide_one(self):
-        with pytest.raises(ValueError):
-            simplex_grid_rows(2, 0.3)
+        for step in (0.3, -0.25, 2.0, 0, 0.0):
+            with pytest.raises(ValueError, match=re.escape(f"step {step} does not divide 1")):
+                simplex_grid_rows(2, step)
+            with pytest.raises(ValueError, match=re.escape(f"step {step} does not divide 1")):
+                grid_policy_search(screening_chain(), ("y1",), CLASS1, {"o": 1}, Direction.MAX, step)
 
 
 class TestGridSearch:
@@ -274,7 +277,7 @@ def literal_grid_values(cbn, drivers, ip_class, desired, step=0.25):
         scope = scope_for_class(cbn.dag, d, ip_class)
         scope_cards = tuple(cards[s] for s in scope)
         tables.append([
-            InterventionPolicy(d, scope, Cpd(d, scope, scope_cards, rows))
+            InterventionPolicy(Cpd(d, scope, scope_cards, rows))
             for rows in product(simplex_grid_rows(cards[d], step), repeat=prod(scope_cards))
         ])
     return [interventional_prob(cbn, InterventionPair(combo), desired) for combo in product(*tables)]

@@ -95,7 +95,7 @@ def specs(draw) -> NetworkSpec:
             scope = tuple(a for a in dag.ancestors(v) if draw(st.booleans()))
             scope_cards = tuple(cards[s] for s in scope)
             table = Cpd(v, scope, scope_cards, draw(rows(cards[v], prod(scope_cards))))
-            policies.append(InterventionPolicy(v, scope, table))
+            policies.append(InterventionPolicy(table))
     pair = InterventionPair(policies) if draw(st.booleans()) else None
     return NetworkSpec.from_cbn(cbn, intervenable, targets, desired, pair)
 

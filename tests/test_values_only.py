@@ -114,7 +114,7 @@ def no_witnesses(monkeypatch):
     def refuse(*args):
         raise AssertionError("a witness table was built")
 
-    monkeypatch.setattr(control, "table_from_choices", refuse)
+    monkeypatch.setattr(control, "InterventionPolicy", refuse)
     monkeypatch.setattr(control, "atomic_policy", refuse)
 
 
