@@ -207,36 +207,65 @@ class Cpd:
         of `_one_hot`, distributions by construction, so only the shape and
         the choices are checked, not each row: a choice outside
         ``range(card)`` has no row to look up."""
-        if isinstance(choices, np.ndarray):
-            if choices.ndim != 1:
-                raise ValueError("one choice per scope configuration required")
-            if choices.dtype.kind not in "iu":
-                raise ValueError(f"choices of dtype {choices.dtype} for {owner!r} must be integers")
-            choices = choices.tolist()
-        else:
-            # per type, not per choice: 1.0 and True would find 1's row
-            for kind in set(map(type, choices)):
-                if kind is bool or not issubclass(kind, (int, np.integer)):
-                    value_index(owner, next(c for c in choices if type(c) is kind), "choice")
-        if len(choices) != prod(parent_cards):
-            raise ValueError("one choice per scope configuration required")
-        onehot = _one_hot(value_index(owner, card, "cardinality"))
-        try:
-            # itemgetter of one index returns the item, not a tuple of one
-            rows = itemgetter(*choices)(onehot) if len(choices) > 1 else tuple(onehot[c] for c in choices)
-        except KeyError:
-            raise ValueError(f"every choice must lie in range({card})") from None
         cpd = object.__new__(cls)
-        cpd.__dict__.update(owner=owner, parents=tuple(parents), parent_cards=tuple(parent_cards), rows=rows)
+        cpd.__dict__.update(
+            owner=owner, parents=tuple(parents), parent_cards=tuple(parent_cards),
+            rows=_choice_rows(owner, card, prod(parent_cards), choices),
+        )
         cpd._check_shape()
+        return cpd
+
+    def with_choices(self, choices) -> "Cpd":
+        """`from_choices` on this table's owner, parents and cards, whose
+        shape was checked when this table was built: only ``choices`` is
+        checked, for its ndim, integer type, length and range."""
+        cpd = object.__new__(type(self))
+        cpd.__dict__.update(
+            owner=self.owner, parents=self.parents, parent_cards=self.parent_cards,
+            rows=_choice_rows(self.owner, self.card, len(self.rows), choices),
+        )
         return cpd
 
     @classmethod
     def delta(cls, owner: str, value: int, card: int) -> "Cpd":
-        """Parentless table putting all mass on ``value``."""
-        if not 0 <= value_index(owner, value) < value_index(owner, card, "cardinality"):
+        """Parentless table putting all mass on ``value``: one shared
+        one-hot row, after the checks `from_choices` would make."""
+        index = value_index(owner, value)
+        if not 0 <= index < value_index(owner, card, "cardinality"):
             raise ValueError(f"value {value} out of range for {owner!r} (card {card})")
-        return cls.from_choices(owner, (), (), card, (value,))
+        if not isinstance(owner, str) or not owner:
+            raise ValueError("cpd owner must be a non-empty string")
+        if card < 2:
+            raise ValueError(f"cpd for {owner!r}: cardinality {card} < 2")
+        cpd = object.__new__(cls)
+        cpd.__dict__.update(owner=owner, parents=(), parent_cards=(), rows=(_one_hot(int(card))[index],))
+        return cpd
+
+
+def _choice_rows(owner: str, card, cells: int, choices) -> tuple:
+    # the one-hot row of each choice, once ``choices`` holds ``cells``
+    # integers in ``range(card)``: the fill behind `Cpd.from_choices` and
+    # `Cpd.with_choices`
+    if isinstance(choices, np.ndarray):
+        if choices.ndim != 1:
+            raise ValueError("one choice per scope configuration required")
+        if choices.dtype.kind not in "iu":
+            raise ValueError(f"choices of dtype {choices.dtype} for {owner!r} must be integers")
+        choices = choices.tolist()
+    else:
+        # per type, not per choice: 1.0 and True would find 1's row
+        for kind in set(map(type, choices)):
+            if kind is bool or not issubclass(kind, (int, np.integer)):
+                value_index(owner, next(c for c in choices if type(c) is kind), "choice")
+    if len(choices) != cells:
+        raise ValueError("one choice per scope configuration required")
+    onehot = _one_hot(value_index(owner, card, "cardinality"))
+    try:
+        # itemgetter of one index returns the item, not a tuple of one; a
+        # negative choice is no key either
+        return itemgetter(*choices)(onehot) if len(choices) > 1 else tuple(onehot[c] for c in choices)
+    except KeyError:
+        raise ValueError(f"every choice must lie in range({card})") from None
 
 
 class Cbn:
@@ -473,13 +502,16 @@ class Cbn:
         """Probability of a partial assignment."""
         return float(self.joint(event, budget=budget, keep=()))
 
-    def conditional_prob(self, event: Mapping[str, int], given: Mapping[str, int]) -> float:
-        """P(event | given); raises ZeroProbabilityError when P(given) = 0."""
+    def conditional_prob(
+        self, event: Mapping[str, int], given: Mapping[str, int], budget: Budget | None = None
+    ) -> float:
+        """P(event | given) under ``budget``; raises ZeroProbabilityError
+        when P(given) = 0."""
         overlap = set(event) & set(given)
         if overlap:
             raise ValueError(f"event and given overlap on {sorted(overlap)}")
         self._check_assignment(event, full=False)
-        joint = self.joint(given, keep=tuple(event))
+        joint = self.joint(given, budget=budget, keep=tuple(event))
         denom = float(joint.sum())
         if denom == 0.0:
             raise ZeroProbabilityError(f"conditioning event {dict(given)} has probability zero")

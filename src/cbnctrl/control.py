@@ -35,24 +35,29 @@ chunk once per direction, each direction with its own incumbent, so each
 answer is exactly that of a single-direction call.  It yields each
 direction's value and winning combination.  The second turns one winning
 combination into its witness pair.  `optimal_values` runs the first stage
-only, for callers that read values alone, such as the verify suites;
-`optimal_policy_value` runs both for one direction.  The second stage
-rebuilds the winner's tensor with `policy_batch` and reduces it once
-more, sweeping each chain driver's values: a strict comparison keeps the
-first optimum, as ``argmax`` does, and ``np.maximum``/``np.minimum`` give
-the same reduced tensor as the scan's reductions, since max and min are
-exact.  Each chain segment's gather index takes its driver's picks to its
-class scope's row-major order, and `Cpd.from_choices` takes the resulting
-integer arrays as they are.
+only, for callers that read values alone, such as the verify suites, and
+its scan reduces each chain driver with ``np.maximum``/``np.minimum``.
+`optimal_policy_value` runs both for one direction.  Its scan reduces by
+a recording sweep over each chain driver's values instead: a strict
+comparison keeps the first optimum, as ``argmax`` does, and since max and
+min are exact it gives the same reduced tensor.  Next to each
+direction's incumbent the scan keeps that combination's record, the
+enumerated drivers' digits and the chain drivers' choices, copied out of
+the chunk only when the incumbent changes.  So the second stage does no
+tensor work: each chain segment's gather index takes its driver's choices
+to its class scope's row-major order, and each driver's table is filled
+by `Cpd.with_choices` on the plan's table for it, whose shape was checked
+once, when the plan was built.
 
 On the chain path, everything the first stage decides before it asks for
 the base tensor depends only on the query's shape: the drivers, the policy
 class and the nodes the desired event names.  The class scopes, the axes,
 the segments with each chain driver's gather, the enumerated drivers with
-their requisite scopes and the work estimate form one `SearchPlan`, which
-each `Cbn` builds on a shape's first call and keeps.  The deterministic
-path plans nothing.  Every call checks its arguments and its `Budget`, the
-work estimate included, before any tensor is built.
+their requisite scopes, the work estimate and each driver's checked first
+table form one `SearchPlan`, which each `Cbn` builds on a shape's first
+call and keeps.  The deterministic path plans nothing.  Every call checks
+its arguments and its `Budget`, the work estimate included, before any
+tensor is built.
 """
 
 from __future__ import annotations
@@ -307,25 +312,33 @@ def policy_batch(
 
 def scan_combinations(
     total: int, size: int, evaluate, directions: tuple[Direction, ...]
-) -> list[tuple[float, int]]:
+) -> list[tuple[float, int, object]]:
     """Per direction, the optimum of ``evaluate`` over combination numbers
-    ``range(total)`` and the first number that attains it.
+    ``range(total)``, the first number that attains it and that number's
+    record.
 
     ``evaluate`` maps an array of numbers to one array of values per
-    direction; it gets chunks of ``CHUNK_ELEMENTS // size`` numbers (at
-    least one), for tensors of ``size`` entries each.  In each direction the
-    first optimum of a chunk replaces the incumbent only on a strict
-    improvement, as a one-by-one scan would.
+    direction and a function ``record(i, pos)``, which copies out of the
+    chunk what the caller keeps of direction ``i``'s entry at ``pos``.  It
+    gets chunks of ``CHUNK_ELEMENTS // size`` numbers (at least one), for
+    tensors of ``size`` entries each.  In each direction the first optimum
+    of a chunk replaces the incumbent only on a strict improvement, as a
+    one-by-one scan would, and only then is it recorded.
     """
     step = max(1, CHUNK_ELEMENTS // size)
-    best: list = [(None, 0)] * len(directions)
+    best: list = [(None, 0, None)] * len(directions)
     for start in range(0, total, step):
-        chunk = evaluate(np.arange(start, min(start + step, total)))
+        chunk, record = evaluate(np.arange(start, min(start + step, total)))
         for i, (direction, values) in enumerate(zip(directions, chunk)):
             pos = int(direction.arg(values))
             if best[i][0] is None or direction.beats(values[pos], best[i][0]):
-                best[i] = (values[pos], start + pos)
+                best[i] = (values[pos], start + pos, record(i, pos))
     return best
+
+
+def keep_nothing(i: int, pos: int) -> None:
+    """The record of a scan that keeps only values and numbers."""
+    return None
 
 
 def checked_directions(directions, ip_class, desired) -> tuple[Direction, ...]:
@@ -358,7 +371,7 @@ def optimal_policy_value(
     lexicographic choice order and only strict improvements replace the
     incumbent, so repeated runs return the identical witness.
     """
-    values, witness = _scan_plan(cbn, drivers, ip_class, desired, (direction,), budget)
+    values, witness = _scan_plan(cbn, drivers, ip_class, desired, (direction,), budget, witness=True)
     return values[0], witness(0)
 
 
@@ -373,7 +386,7 @@ def optimal_values(
     """The value of `optimal_policy_value` in each of ``directions``, in
     order, with the same refusals, from one plan's first stage: no witness
     table is built."""
-    return _scan_plan(cbn, drivers, ip_class, desired, directions, budget)[0]
+    return _scan_plan(cbn, drivers, ip_class, desired, directions, budget, witness=False)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -392,7 +405,11 @@ class SearchPlan:
     are the segments' drivers, in reduction order.  ``searched`` lists
     ``(driver, searched scope, read-only one-hot rows)`` per enumerated
     driver, in canonical order, as `policy_batch` takes it, and
-    ``outer_total`` counts the table combinations scanned.
+    ``outer_total`` counts the table combinations scanned.  ``tables``
+    holds each driver's first table on its class scope, all choices 0, in
+    canonical order: built by `Cpd.from_choices`, which checks its shape
+    once per plan, so that a witness only fills it with
+    `Cpd.with_choices`.
     """
 
     scopes: dict[str, tuple[str, ...]]
@@ -402,6 +419,7 @@ class SearchPlan:
     searched: tuple[tuple[str, tuple[str, ...], np.ndarray], ...]
     segments: tuple[tuple[int, str | None, np.ndarray | None], ...]
     outer_total: int
+    tables: tuple[Cpd, ...]
 
 
 def _search_plan(
@@ -451,18 +469,25 @@ def _search_plan(
             gather = _read_only(index.transpose([left.index(s) for s in scopes[key]]).reshape(-1))
         segments.append((width, key if key in chain else None, gather))
     searched = tuple((e, searched_scopes[e], _read_only(np.eye(cards[e]))) for e in enumerated)
+    tables = tuple(
+        Cpd.from_choices(d, scopes[d], scope_cards[d], cards[d], (0,) * prod(scope_cards[d]))
+        for d in driver_list
+    )
     return SearchPlan(
         scopes, scope_cards, axes, outer_total * cbn.state_space_size(),
-        searched, tuple(segments), outer_total,
+        searched, tuple(segments), outer_total, tables,
     )
 
 
-def _scan_plan(cbn: Cbn, drivers, ip_class: IpClass, desired, directions, budget):
+def _scan_plan(
+    cbn: Cbn, drivers, ip_class: IpClass, desired, directions, budget, *, witness: bool
+):
     # The plan's first stage: the checks, the work check, the base tensor
     # and the scan, on the chain path from the shape's `SearchPlan`.
     # Returns the value per direction, and the second stage: a function
     # from a direction's position to the witness pair of its winning
-    # combination.
+    # combination.  On the chain path the second stage needs the records
+    # that only a scan with ``witness`` keeps.
     budget = budget or DEFAULT_BUDGET
     driver_list = cbn.dag.canon(drivers)
     directions = checked_directions(directions, ip_class, desired)
@@ -500,55 +525,70 @@ def _scan_plan(cbn: Cbn, drivers, ip_class: IpClass, desired, directions, budget
     axes, scopes, searched = plan.axes, plan.scopes, plan.searched
 
     def reduce_chain(
-        batch: np.ndarray, direction: Direction, tables: dict | None = None
+        batch: np.ndarray, direction: Direction, picks: list | None = None
     ) -> np.ndarray:
         # one chain optimum per entry of the leading batch axis; given
-        # ``tables``, also records each chain driver's choices for entry 0
+        # ``picks``, also appends each chain driver's choices per entry,
+        # flattened over the axes left when it is reduced
         t = batch
-        for width, kind, gather in plan.segments:
+        for width, kind, _ in plan.segments:
             if kind is None:
                 t = t.sum(axis=tuple(range(1, 1 + width)))
-            elif tables is None:
+            elif picks is None:
                 t = direction.pairwise.reduce(t, axis=1)
             else:
-                # One sweep over the driver's values gives the picks and
+                # One sweep over the driver's values gives the choices and
                 # the optimum.  A strict improvement keeps the first
                 # optimum, as `Direction.arg` would, and max and min are
                 # exact, so the optimum is bit-identical to `reduce`'s.
+                # Value 1 against value 0 gives 0/1 choices, kept as bytes
+                # for a binary driver.
                 rows = t.reshape(len(t), t.shape[1], -1)
-                best, picks = rows[:, 0], np.zeros((len(t), rows.shape[2]), dtype=np.intp)
-                for value in range(1, t.shape[1]):
-                    picks[direction.improves(rows[:, value], best)] = value
+                better = direction.improves(rows[:, 1], rows[:, 0])
+                chosen = better.view(np.uint8) if t.shape[1] == 2 else better.astype(np.intp)
+                best = direction.pairwise(rows[:, 0], rows[:, 1])
+                for value in range(2, t.shape[1]):
+                    chosen[direction.improves(rows[:, value], best)] = value
                     best = direction.pairwise(best, rows[:, value])
-                tables[kind] = picks[0][gather]
+                picks.append(chosen)
                 t = best.reshape(t.shape[:1] + t.shape[2:])
         return t
 
-    def evaluate(flat: np.ndarray) -> list[np.ndarray]:
-        # one batch per chunk, reduced once per direction
-        batch = policy_batch(cbn, base, axes, searched, flat)[0]
-        return [reduce_chain(batch, direction) for direction in directions]
+    def evaluate(flat: np.ndarray):
+        # one batch per chunk, reduced once per direction; with a witness
+        # to build, each direction's reduction records its chain choices
+        batch, digits = policy_batch(cbn, base, axes, searched, flat)
+        if not witness:
+            return [reduce_chain(batch, direction) for direction in directions], keep_nothing
+        picks = [[] for _ in directions]
+        values = [reduce_chain(batch, d, chosen) for d, chosen in zip(directions, picks)]
+
+        def record(i: int, pos: int) -> tuple[list, list]:
+            # the enumerated drivers' digits and the chain drivers' choices
+            # of one combination, copied out of the chunk
+            return [d[pos].copy() for d in digits], [c[pos].copy() for c in picks[i]]
+
+        return values, record
 
     optima = scan_combinations(plan.outer_total, base.size, evaluate, directions)
 
     def table_witness(i: int) -> InterventionPair:
-        cards = cbn.cards
-        best = np.array([optima[i][1]])
-        batch, picks = policy_batch(cbn, base, axes, searched, best)
-        tables = {}
-        for (e, searched_scope, _), digits in zip(searched, picks):
+        digits, chosen = optima[i][2]
+        choices = {}
+        for (e, searched_scope, _), row in zip(searched, digits):
             # widened to the class scope, constant across the dropped members;
             # the searched scope keeps the class scope's order
-            shape = [cards[s] if s in searched_scope else 1 for s in scopes[e]]
-            tables[e] = np.broadcast_to(digits[0].reshape(shape), plan.scope_cards[e]).reshape(-1)
-        # `_pick_chain` puts at least one driver on the chain
-        reduce_chain(batch, directions[i], tables)
+            scope_cards = plan.scope_cards[e]
+            shape = [c if s in searched_scope else 1 for s, c in zip(scopes[e], scope_cards)]
+            choices[e] = np.broadcast_to(row.reshape(shape), scope_cards).reshape(-1)
+        chain = [(kind, gather) for _, kind, gather in plan.segments if kind]
+        for (kind, gather), row in zip(chain, chosen):
+            choices[kind] = row[gather]
         return InterventionPair(
-            InterventionPolicy(Cpd.from_choices(d, scopes[d], plan.scope_cards[d], cards[d], tables[d]))
-            for d in driver_list
+            InterventionPolicy(table.with_choices(choices[table.owner])) for table in plan.tables
         )
 
-    return [_clamp(float(value)) for value, _ in optima], table_witness
+    return [_clamp(float(value)) for value, _, _ in optima], table_witness
 
 
 def solve(

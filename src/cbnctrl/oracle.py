@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from math import prod
+from math import comb, prod
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -25,6 +25,7 @@ from .control import (
     Direction,
     c_star,
     checked_directions,
+    keep_nothing,
     optimal_policy_value,
     optimal_values,
     policy_batch,
@@ -158,11 +159,19 @@ def _subset_optima(cbn, intervenable, ip_class, desired, directions, budget, kno
     return best
 
 
-def simplex_grid_rows(card: int, step: float = 0.25) -> tuple[tuple[float, ...], ...]:
-    """All distributions over ``card`` values with coordinates on the grid."""
+def _grid_denominator(step: float) -> int:
+    """The number of grid steps in 1; refused unless ``step`` divides 1."""
     denom = round(1.0 / step) if step > 0 else 0
     if denom < 1 or abs(denom * step - 1.0) > 1e-12:
         raise ValueError(f"step {step} does not divide 1")
+    return denom
+
+
+def simplex_grid_rows(card: int, step: float = 0.25) -> tuple[tuple[float, ...], ...]:
+    """All distributions over ``card`` values with coordinates on the grid,
+    ``comb(denom + card - 1, card - 1)`` of them for `_grid_denominator`'s
+    ``denom``."""
+    denom = _grid_denominator(step)
     # stars and bars: the card - 1 bar positions among denom + card - 1
     # slots, taken in lexicographic order, give the compositions of denom
     # in lexicographic order
@@ -209,7 +218,8 @@ def grid_policy_values(
     and scanned in chunks by `control.scan_combinations`, which keeps one
     optimum per direction.  The tables act on the joint's marginal over the
     drivers and their scopes.  The work estimate is the number of table
-    combinations times the joint size.
+    combinations times the joint size; it is checked from the row counts,
+    before any row is built.
     """
     directions = checked_directions(directions, ip_class, desired)
     budget = budget or DEFAULT_BUDGET
@@ -218,39 +228,43 @@ def grid_policy_values(
     if not driver_list:
         return [cbn.marginal_prob(desired, budget)] * len(directions)
 
-    # the joint is refused as `Cbn.joint` would refuse it, then the work,
-    # all before the joint is built
+    # the joint is refused as `Cbn.joint` would refuse it, then the step,
+    # then the work, all before the rows and the joint are built
     cbn.check_joint(desired, budget=budget)
+    denom = _grid_denominator(step)
     cards = cbn.cards
-    searched = [
-        (d, scope_for_class(dag, d, ip_class), np.asarray(simplex_grid_rows(cards[d], step)))
+    scopes = {d: scope_for_class(dag, d, ip_class) for d in driver_list}
+    total = prod(
+        comb(denom + cards[d] - 1, cards[d] - 1) ** prod(cards[s] for s in scopes[d])
         for d in driver_list
-    ]
-    total = prod(len(rows) ** prod(cards[s] for s in scope) for _, scope, rows in searched)
+    )
     budget.check_work(total * cbn.state_space_size())
+    searched = [(d, scopes[d], np.asarray(simplex_grid_rows(cards[d], step))) for d in driver_list]
     # every other node meets no policy factor and is summed out first
-    layout = dag.canon([*driver_list, *(s for _, scope, _ in searched for s in scope)])
+    layout = dag.canon([*driver_list, *(s for d in driver_list for s in scopes[d])])
     base = cbn.joint(desired, skip=driver_list, budget=budget, keep=layout)
 
-    def values(flat: np.ndarray) -> list[np.ndarray]:
+    def values(flat: np.ndarray):
         batch, _ = policy_batch(cbn, base, layout, searched, flat)
         # the sums are the same in every direction
-        return [batch.reshape(len(flat), -1).sum(axis=1)] * len(directions)
+        return [batch.reshape(len(flat), -1).sum(axis=1)] * len(directions), keep_nothing
 
     optima = scan_combinations(total, base.size, values, directions)
-    return [float(best) for best, _ in optima]
+    return [float(best) for best, _, _ in optima]
 
 
-def ci_holds(cbn: Cbn, a: str, b: str, z: Iterable[str], tol: float = 1e-9) -> bool:
+def ci_holds(
+    cbn: Cbn, a: str, b: str, z: Iterable[str], tol: float = 1e-9, budget: Budget | None = None
+) -> bool:
     """Conditional independence of ``a`` and ``b`` given ``z`` in the
     distribution: P(a, b | z) = P(a | z) P(b | z) for every ``z`` of
-    positive probability, all read off one joint tensor."""
+    positive probability, all read off one joint tensor under ``budget``."""
     z_list = tuple(z)
     kept = (a, b) + z_list
     if len(set(kept)) != len(kept):
         raise ValueError("a, b and the members of z must be distinct")
     cards = cbn.cards
-    pabz = cbn.joint(keep=kept).reshape(cards[a], cards[b], -1)
+    pabz = cbn.joint(budget=budget, keep=kept).reshape(cards[a], cards[b], -1)
     pz = pabz.sum(axis=(0, 1))
     pab = pabz[:, :, pz != 0.0] / pz[pz != 0.0]
     pa = pab.sum(axis=1)

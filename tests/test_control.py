@@ -512,6 +512,114 @@ class TestChainWitness:
             self.check(cbn, drivers, {"o": 1})
 
 
+def rebuilt_witness(cbn, plan, base, direction, number):
+    """The witness stage as it was built before the scan kept records, as
+    choice tuples per driver: the winner's tensor rebuilt with
+    `policy_batch`, then reduced once more by the recording sweep."""
+    cards = cbn.cards
+    axes, scopes, searched = plan.axes, plan.scopes, plan.searched
+    best = np.array([number])
+    batch, picks = control.policy_batch(cbn, base, axes, searched, best)
+    tables = {}
+    for (e, searched_scope, _), digits in zip(searched, picks):
+        shape = [cards[s] if s in searched_scope else 1 for s in scopes[e]]
+        tables[e] = np.broadcast_to(digits[0].reshape(shape), plan.scope_cards[e]).reshape(-1)
+    t = batch
+    for width, kind, gather in plan.segments:
+        if kind is None:
+            t = t.sum(axis=tuple(range(1, 1 + width)))
+        else:
+            rows = t.reshape(len(t), t.shape[1], -1)
+            best, picks = rows[:, 0], np.zeros((len(t), rows.shape[2]), dtype=np.intp)
+            for value in range(1, t.shape[1]):
+                picks[direction.improves(rows[:, value], best)] = value
+                best = direction.pairwise(best, rows[:, value])
+            tables[kind] = picks[0][gather]
+            t = best.reshape(t.shape[:1] + t.shape[2:])
+    return {d: tuple(choices.tolist()) for d, choices in tables.items()}
+
+
+def scan_log(monkeypatch):
+    """Log, in order, each `control.policy_batch` call as ``("batch",)``
+    and each `control.scan_combinations` call as ``("scan", args,
+    optima)``, once it returns."""
+    events = []
+    batch, scan = control.policy_batch, control.scan_combinations
+
+    def logged_batch(*args):
+        events.append(("batch",))
+        return batch(*args)
+
+    def logged_scan(*args):
+        optima = scan(*args)
+        events.append(("scan", args, optima))
+        return optima
+
+    monkeypatch.setattr(control, "policy_batch", logged_batch)
+    monkeypatch.setattr(control, "scan_combinations", logged_scan)
+    return events
+
+
+class TestScanWitness:
+    """The scan keeps the winner's record, so the witness needs no second
+    batch: it must equal `rebuilt_witness`, first optimum and all."""
+
+    def witness(self, monkeypatch, cbn, drivers, desired, direction):
+        """The witness as choice tuples, with the winner's number and the
+        scan's chunk count, once it is checked against `rebuilt_witness`
+        and no batch followed the scan."""
+        events = scan_log(monkeypatch)
+        value, pair = optimal_policy_value(cbn, drivers, CLASS_INF, desired, direction)
+        assert [e[0] for e in events].count("scan") == 1
+        assert events[-1][0] == "scan", "a batch was built after the scan"
+        (total, size, _, _), optima = events[-1][1], events[-1][2]
+        number = optima[0][1]
+        monkeypatch.undo()
+        plan = cbn._search_plans[(drivers, CLASS_INF, frozenset(desired))]
+        base = cbn.joint(desired, skip=drivers, keep=plan.axes)
+        got = {p.target: tuple(row.index(1.0) for row in p.table.rows) for p in pair.policies}
+        assert got == rebuilt_witness(cbn, plan, base, direction, number), direction
+        assert interventional_prob(cbn, pair, desired) == pytest.approx(value, abs=1e-12)
+        step = max(1, CHUNK_ELEMENTS // size)
+        return got, number, -(-total // step), step
+
+    def test_fans_spanning_chunks_with_an_early_winner(self, monkeypatch):
+        # four binary fan drivers of 4 tables each are enumerated over a
+        # 2^10 base, eight chunks; two ternary ones of 27 tables each over
+        # a 3^6 base, seventeen chunks
+        early = 0
+        for k, card, seeds in ((5, 2, range(60, 66)), (3, 3, range(70, 74))):
+            dag = fan_dag(k)
+            drivers = tuple(f"d{i}" for i in range(k))
+            for seed in seeds:
+                cbn = random_cbn(np.random.default_rng(seed), dag, dict.fromkeys(dag.nodes, card))
+                for direction in BOTH:
+                    _, number, chunks, step = self.witness(monkeypatch, cbn, drivers, {"o": 1}, direction)
+                    assert chunks >= 3
+                    early += number < (chunks - 1) * step
+        assert early >= 10
+
+    def test_all_tie_networks_keep_combination_zero(self, monkeypatch):
+        # m is always 0 and o ignores m, so every table combination gives
+        # the same value exactly; the first, all choices 0, must win
+        for k, card in ((5, 2), (3, 3)):
+            dag = fan_dag(k)
+            drivers = tuple(f"d{i}" for i in range(k))
+            cbn = random_cbn(np.random.default_rng(k), dag, dict.fromkeys(dag.nodes, card))
+            m, o = cbn.cpd("m"), cbn.cpd("o")
+            cpds = dict(
+                cbn.cpds,
+                m=Cpd.from_choices("m", m.parents, m.parent_cards, card, (0,) * len(m.rows)),
+                o=Cpd("o", o.parents, o.parent_cards, (o.rows[0],) * len(o.rows)),
+            )
+            cbn = Cbn(dag, cbn.cards, cpds)
+            assert not cbn.deterministic
+            for direction in BOTH:
+                got, number, chunks, _ = self.witness(monkeypatch, cbn, drivers, {"o": 1}, direction)
+                assert chunks >= 3 and number == 0
+                assert all(set(choices) == {0} for choices in got.values())
+
+
 class TestEdgeCases:
     def test_no_drivers_returns_baseline(self):
         cbn = xor_gate()

@@ -370,6 +370,46 @@ class TestDeterministicTables:
                 assert table == expect and hash(table) == hash(expect)
                 assert np.array_equal(table.array(), np.eye(card)[choices].reshape(*scope_cards, card))
 
+    def test_with_choices_fills_a_checked_table_as_from_choices_does(self):
+        rng = np.random.default_rng(23)
+        for _ in range(40):
+            card = int(rng.integers(2, 4))
+            scope = ("a", "b", "c")[: int(rng.integers(0, 4))]
+            scope_cards = tuple(int(c) for c in rng.integers(2, 4, size=len(scope)))
+            cells = int(np.prod(scope_cards))
+            first = Cpd.from_choices("t", scope, scope_cards, card, (0,) * cells)
+            choices = rng.integers(0, card, size=cells)
+            for given in (choices, choices.astype(np.uint8), tuple(choices.tolist())):
+                table = first.with_choices(given)
+                expect = Cpd.from_choices("t", scope, scope_cards, card, given)
+                assert table == expect and hash(table) == hash(expect)
+                assert table.rows[0] is expect.rows[0]
+            assert first.rows == ((1.0,) + (0.0,) * (card - 1),) * cells
+
+    def test_with_choices_refuses_as_from_choices_does(self):
+        first = Cpd.from_choices("t", ("a",), (2,), 2, (0, 0))
+        cases = [
+            ((0,), "one choice per scope configuration required"),
+            ((0, 1, 0), "one choice per scope configuration required"),
+            (np.zeros((2, 1), dtype=int), "one choice per scope configuration required"),
+            (np.zeros(3, dtype=int), "one choice per scope configuration required"),
+            ((0, 2), "every choice must lie in range(2)"),
+            ((0, -1), "every choice must lie in range(2)"),
+            ((-2, 0), "every choice must lie in range(2)"),
+            (np.array([0, 2]), "every choice must lie in range(2)"),
+            (np.array([-1, 0]), "every choice must lie in range(2)"),
+            (np.array([0, -1], dtype=np.int8), "every choice must lie in range(2)"),
+            ((0, True), "choice True for 't' must be an integer"),
+            ((1.0, 0), "choice 1.0 for 't' must be an integer"),
+            ([0, np.float64(1.0)], f"choice {np.float64(1.0)!r} for 't' must be an integer"),
+            (np.array([0.0, 1.0]), "choices of dtype float64 for 't' must be integers"),
+            (np.array([False, True]), "choices of dtype bool for 't' must be integers"),
+        ]
+        for choices, text in cases:
+            for build in (first.with_choices, lambda c: Cpd.from_choices("t", ("a",), (2,), 2, c)):
+                with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+                    build(choices)
+
     def test_arrays_refused_as_tuples_are(self):
         with pytest.raises(ValueError, match="one choice per scope configuration"):
             Cpd.from_choices("t", ("a",), (2,), 2, np.zeros((2, 1), dtype=int))

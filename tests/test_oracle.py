@@ -222,6 +222,40 @@ class TestGridSearch:
         with pytest.raises(BudgetExceededError):
             grid_policy_search(cbn, ("y1",), CLASS1, {"o": 1}, Direction.MAX, 0.25, Budget(max_work=1))
 
+    def test_refused_work_builds_no_rows(self, monkeypatch):
+        # the rows are counted, not built, before the work check: y1 has
+        # 10^6 + 1 binary rows at step 1e-6 and a scope of one binary node,
+        # over a joint of 2^3 states
+        def refuse(*args):
+            raise AssertionError("grid rows were built")
+
+        monkeypatch.setattr(oracle, "simplex_grid_rows", refuse)
+        cbn = screening_chain()
+        with pytest.raises(BudgetExceededError) as info:
+            grid_policy_search(cbn, ("y1",), CLASS1, {"o": 1}, Direction.MAX, 1e-6, Budget(max_work=1))
+        assert info.value.estimate == (10 ** 6 + 1) ** 2 * 8
+        # the step is still checked first
+        with pytest.raises(ValueError, match=re.escape("step 3e-06 does not divide 1")):
+            grid_policy_search(cbn, ("y1",), CLASS1, {"o": 1}, Direction.MAX, 3e-6, Budget(max_work=1))
+
+    def test_counted_rows_are_the_rows_built(self):
+        # binary and ternary drivers with scopes: each estimate is the
+        # product of the built row counts, to the power of the scope size,
+        # times the joint size
+        rng = np.random.default_rng(31)
+        dag = Dag(["a", "b", "c", "o"], [("a", "b"), ("b", "c"), ("a", "c"), ("c", "o")])
+        for cards in ({"a": 2, "b": 3, "c": 2, "o": 2}, {"a": 3, "b": 2, "c": 3, "o": 2}):
+            cbn = random_cbn(rng, dag, cards)
+            for step in (0.5, 0.25, 0.2):
+                for ip_class in (CLASS1, CLASS_INF):
+                    expect = 24 if cards["a"] == 2 else 36
+                    for d in ("b", "c"):
+                        scope = scope_for_class(dag, d, ip_class)
+                        expect *= len(simplex_grid_rows(cards[d], step)) ** prod(cards[s] for s in scope)
+                    with pytest.raises(BudgetExceededError) as info:
+                        grid_policy_values(cbn, ("b", "c"), ip_class, {"o": 1}, BOTH, step, Budget(max_work=1))
+                    assert info.value.estimate == expect
+
     def test_refused_work_builds_no_tensor(self, monkeypatch):
         # 5^2 tables of y1 over a joint of 2^3 states; the state-space cap
         # is still checked first

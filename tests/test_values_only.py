@@ -16,6 +16,7 @@ from cbnctrl import (
     CLASS_INF,
     Budget,
     BudgetExceededError,
+    Cpd,
     Dag,
     IpClass,
     best_over_subsets,
@@ -109,13 +110,20 @@ class TestStages:
 
 @pytest.fixture
 def no_witnesses(monkeypatch):
-    """Make the witness stage raise wherever it builds a table."""
+    """Make the witness stage raise wherever it builds a table, and the
+    scan wherever it records a chain driver's choices: the recording sweep
+    is the one user of `Direction.improves`."""
 
     def refuse(*args):
         raise AssertionError("a witness table was built")
 
+    def no_record(self):
+        raise AssertionError("a scan recorded witness choices")
+
     monkeypatch.setattr(control, "InterventionPolicy", refuse)
     monkeypatch.setattr(control, "atomic_policy", refuse)
+    monkeypatch.setattr(Cpd, "with_choices", refuse)
+    monkeypatch.setattr(control.Direction, "improves", property(no_record))
 
 
 class TestSuitesBuildNoWitness:
@@ -127,6 +135,22 @@ class TestSuitesBuildNoWitness:
             with pytest.raises(AssertionError, match="witness"):
                 optimal_policy_value(cbn, drivers, CLASS_INF, {"o": 1}, BOTH[0])
             assert len(optimal_values(cbn, drivers, CLASS_INF, {"o": 1}, BOTH)) == 2
+
+    def test_values_scan_records_nothing(self, no_witnesses, monkeypatch):
+        # a chain-only nest, a fan that enumerates over several chunks and
+        # a ternary fan, each reduced without recording
+        scans = spy(monkeypatch, "scan_combinations")
+        cases = [
+            (random_cbn(np.random.default_rng(42), nest(5)), tuple(f"d{i}" for i in range(5))),
+            (random_cbn(np.random.default_rng(60), fan_dag(5)), tuple(f"d{i}" for i in range(5))),
+            (random_cbn(np.random.default_rng(70), fan_dag(3), 3), ("d0", "d1", "d2")),
+        ]
+        for cbn, drivers in cases:
+            for ip_class in (CLASS1, CLASS_INF):
+                assert len(optimal_values(cbn, drivers, ip_class, {"o": 1}, BOTH)) == 2
+            with pytest.raises(AssertionError, match="recorded"):
+                optimal_policy_value(cbn, drivers, CLASS_INF, {"o": 1}, BOTH[0])
+        assert max(args[0] for args in scans) >= 256
 
     def test_suites_read_values_only(self, no_witnesses):
         rng = np.random.default_rng(41)
