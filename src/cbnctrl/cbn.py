@@ -228,18 +228,10 @@ class Cpd:
 
     @classmethod
     def delta(cls, owner: str, value: int, card: int) -> "Cpd":
-        """Parentless table putting all mass on ``value``: one shared
-        one-hot row, after the checks `from_choices` would make."""
-        index = value_index(owner, value)
-        if not 0 <= index < value_index(owner, card, "cardinality"):
+        """Parentless table putting all mass on ``value``."""
+        if not 0 <= value_index(owner, value) < value_index(owner, card, "cardinality"):
             raise ValueError(f"value {value} out of range for {owner!r} (card {card})")
-        if not isinstance(owner, str) or not owner:
-            raise ValueError("cpd owner must be a non-empty string")
-        if card < 2:
-            raise ValueError(f"cpd for {owner!r}: cardinality {card} < 2")
-        cpd = object.__new__(cls)
-        cpd.__dict__.update(owner=owner, parents=(), parent_cards=(), rows=(_one_hot(int(card))[index],))
-        return cpd
+        return cls.from_choices(owner, (), (), card, (value,))
 
 
 def _choice_rows(owner: str, card, cells: int, choices) -> tuple:
@@ -502,16 +494,13 @@ class Cbn:
         """Probability of a partial assignment."""
         return float(self.joint(event, budget=budget, keep=()))
 
-    def conditional_prob(
-        self, event: Mapping[str, int], given: Mapping[str, int], budget: Budget | None = None
-    ) -> float:
-        """P(event | given) under ``budget``; raises ZeroProbabilityError
-        when P(given) = 0."""
+    def conditional_prob(self, event: Mapping[str, int], given: Mapping[str, int]) -> float:
+        """P(event | given); raises ZeroProbabilityError when P(given) = 0."""
         overlap = set(event) & set(given)
         if overlap:
             raise ValueError(f"event and given overlap on {sorted(overlap)}")
         self._check_assignment(event, full=False)
-        joint = self.joint(given, budget=budget, keep=tuple(event))
+        joint = self.joint(given, keep=tuple(event))
         denom = float(joint.sum())
         if denom == 0.0:
             raise ZeroProbabilityError(f"conditioning event {dict(given)} has probability zero")

@@ -47,22 +47,21 @@ the chunk only when the incumbent changes.  So the second stage does no
 tensor work: each chain segment's gather index takes its driver's choices
 to its class scope's row-major order, and each driver's table is filled
 by `Cpd.with_choices` on the plan's table for it, whose shape was checked
-once, when the plan was built.
+once, on the plan's first witness.
 
 On the chain path, everything the first stage decides before it asks for
 the base tensor depends only on the query's shape: the drivers, the policy
 class and the nodes the desired event names.  The class scopes, the axes,
 the segments with each chain driver's gather, the enumerated drivers with
-their requisite scopes, the work estimate and each driver's checked first
-table form one `SearchPlan`, which each `Cbn` builds on a shape's first
-call and keeps.  The deterministic path plans nothing.  Every call checks
-its arguments and its `Budget`, the work estimate included, before any
-tensor is built.
+their requisite scopes and the work estimate form one `SearchPlan`, which
+each `Cbn` builds on a shape's first call and keeps.  The deterministic
+path plans nothing.  Every call checks its arguments and its `Budget`, the
+work estimate included, before any tensor is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import groupby, product
 from math import prod
@@ -406,10 +405,10 @@ class SearchPlan:
     ``(driver, searched scope, read-only one-hot rows)`` per enumerated
     driver, in canonical order, as `policy_batch` takes it, and
     ``outer_total`` counts the table combinations scanned.  ``tables``
-    holds each driver's first table on its class scope, all choices 0, in
-    canonical order: built by `Cpd.from_choices`, which checks its shape
-    once per plan, so that a witness only fills it with
-    `Cpd.with_choices`.
+    maps each driver to its first table on its class scope, all choices 0,
+    built by `Cpd.from_choices` on the plan's first witness, so that its
+    shape is checked once per plan and each witness only fills it with
+    `Cpd.with_choices`; it stays empty for a plan that only gives values.
     """
 
     scopes: dict[str, tuple[str, ...]]
@@ -419,7 +418,7 @@ class SearchPlan:
     searched: tuple[tuple[str, tuple[str, ...], np.ndarray], ...]
     segments: tuple[tuple[int, str | None, np.ndarray | None], ...]
     outer_total: int
-    tables: tuple[Cpd, ...]
+    tables: dict[str, Cpd] = field(default_factory=dict)
 
 
 def _search_plan(
@@ -469,13 +468,9 @@ def _search_plan(
             gather = _read_only(index.transpose([left.index(s) for s in scopes[key]]).reshape(-1))
         segments.append((width, key if key in chain else None, gather))
     searched = tuple((e, searched_scopes[e], _read_only(np.eye(cards[e]))) for e in enumerated)
-    tables = tuple(
-        Cpd.from_choices(d, scopes[d], scope_cards[d], cards[d], (0,) * prod(scope_cards[d]))
-        for d in driver_list
-    )
     return SearchPlan(
         scopes, scope_cards, axes, outer_total * cbn.state_space_size(),
-        searched, tuple(segments), outer_total, tables,
+        searched, tuple(segments), outer_total,
     )
 
 
@@ -584,9 +579,13 @@ def _scan_plan(
         chain = [(kind, gather) for _, kind, gather in plan.segments if kind]
         for (kind, gather), row in zip(chain, chosen):
             choices[kind] = row[gather]
-        return InterventionPair(
-            InterventionPolicy(table.with_choices(choices[table.owner])) for table in plan.tables
-        )
+        tables = plan.tables
+        if not tables:
+            # the plan's first witness checks each table's shape, once
+            for d in driver_list:
+                cells = prod(plan.scope_cards[d])
+                tables[d] = Cpd.from_choices(d, scopes[d], plan.scope_cards[d], cbn.cards[d], (0,) * cells)
+        return InterventionPair(InterventionPolicy(tables[d].with_choices(choices[d])) for d in driver_list)
 
     return [_clamp(float(value)) for value, _, _ in optima], table_witness
 

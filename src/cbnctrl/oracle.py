@@ -253,18 +253,16 @@ def grid_policy_values(
     return [float(best) for best, _, _ in optima]
 
 
-def ci_holds(
-    cbn: Cbn, a: str, b: str, z: Iterable[str], tol: float = 1e-9, budget: Budget | None = None
-) -> bool:
+def ci_holds(cbn: Cbn, a: str, b: str, z: Iterable[str], tol: float = 1e-9) -> bool:
     """Conditional independence of ``a`` and ``b`` given ``z`` in the
     distribution: P(a, b | z) = P(a | z) P(b | z) for every ``z`` of
-    positive probability, all read off one joint tensor under ``budget``."""
+    positive probability, all read off one joint tensor."""
     z_list = tuple(z)
     kept = (a, b) + z_list
     if len(set(kept)) != len(kept):
         raise ValueError("a, b and the members of z must be distinct")
     cards = cbn.cards
-    pabz = cbn.joint(budget=budget, keep=kept).reshape(cards[a], cards[b], -1)
+    pabz = cbn.joint(keep=kept).reshape(cards[a], cards[b], -1)
     pz = pabz.sum(axis=(0, 1))
     pab = pabz[:, :, pz != 0.0] / pz[pz != 0.0]
     pa = pab.sum(axis=1)
