@@ -15,9 +15,8 @@ the drivers whose scopes nest and enumerates the tables of the rest.  An
 enumerated driver searches only its requisite scope (`requisite_scopes`),
 the class-scope members that are not d-separated from the targets given
 the driver and its other members, as `graph.bayes_ball` finds them; a
-table that varies across the others never beats one that does not.  Its
-witness is widened back to the class scope by one reshape and broadcast,
-constant across the dropped members.  The search starts from the joint's
+table that varies across the others never beats one that does not, and
+its witness is constant across them.  The search starts from the joint's
 marginal over the drivers and their searched scopes, asked of `Cbn.joint`
 by node name; every other node is summed out once, before the search.
 `policy_batch` multiplies the policy factors of a batch of numbered table
@@ -44,19 +43,19 @@ min are exact it gives the same reduced tensor.  Next to each
 direction's incumbent the scan keeps that combination's record, the
 enumerated drivers' digits and the chain drivers' choices, copied out of
 the chunk only when the incumbent changes.  So the second stage does no
-tensor work: each chain segment's gather index takes its driver's choices
-to its class scope's row-major order, and each driver's table is filled
-by `Cpd.with_choices` on the plan's table for it, whose shape was checked
-once, on the plan's first witness.
+tensor work: one gather index per driver, built by `_gather`, takes its
+recorded row to its class scope's row-major order, and each driver's
+table is filled by `Cpd.with_choices` on the plan's table for it, whose
+shape was checked once, on the plan's first witness.
 
 On the chain path, everything the first stage decides before it asks for
 the base tensor depends only on the query's shape: the drivers, the policy
 class and the nodes the desired event names.  The class scopes, the axes,
-the segments with each chain driver's gather, the enumerated drivers with
-their requisite scopes and the work estimate form one `SearchPlan`, which
-each `Cbn` builds on a shape's first call and keeps.  The deterministic
-path plans nothing.  Every call checks its arguments and its `Budget`, the
-work estimate included, before any tensor is built.
+the reduction segments, the enumerated drivers with their requisite
+scopes and every driver's gather form one `SearchPlan`, which each `Cbn`
+builds on a shape's first call and keeps.  The deterministic path plans
+nothing.  Every call checks its arguments and its `Budget`, the work
+estimate included, before any tensor is built.
 """
 
 from __future__ import annotations
@@ -314,30 +313,26 @@ def scan_combinations(
 ) -> list[tuple[float, int, object]]:
     """Per direction, the optimum of ``evaluate`` over combination numbers
     ``range(total)``, the first number that attains it and that number's
-    record.
+    rows.
 
-    ``evaluate`` maps an array of numbers to one array of values per
-    direction and a function ``record(i, pos)``, which copies out of the
-    chunk what the caller keeps of direction ``i``'s entry at ``pos``.  It
-    gets chunks of ``CHUNK_ELEMENTS // size`` numbers (at least one), for
+    ``evaluate`` maps an array of numbers to one ``(values, arrays)`` pair
+    per direction: ``arrays`` lists what the caller keeps per number, one
+    row per number each, and is ``()`` when it keeps nothing.  It gets
+    chunks of ``CHUNK_ELEMENTS // size`` numbers (at least one), for
     tensors of ``size`` entries each.  In each direction the first optimum
     of a chunk replaces the incumbent only on a strict improvement, as a
-    one-by-one scan would, and only then is it recorded.
+    one-by-one scan would, and only then are its rows copied out of the
+    chunk.
     """
     step = max(1, CHUNK_ELEMENTS // size)
     best: list = [(None, 0, None)] * len(directions)
     for start in range(0, total, step):
-        chunk, record = evaluate(np.arange(start, min(start + step, total)))
-        for i, (direction, values) in enumerate(zip(directions, chunk)):
+        chunk = evaluate(np.arange(start, min(start + step, total)))
+        for i, (direction, (values, arrays)) in enumerate(zip(directions, chunk)):
             pos = int(direction.arg(values))
             if best[i][0] is None or direction.beats(values[pos], best[i][0]):
-                best[i] = (values[pos], start + pos, record(i, pos))
+                best[i] = (values[pos], start + pos, [a[pos].copy() for a in arrays])
     return best
-
-
-def keep_nothing(i: int, pos: int) -> None:
-    """The record of a scan that keeps only values and numbers."""
-    return None
 
 
 def checked_directions(directions, ip_class, desired) -> tuple[Direction, ...]:
@@ -394,31 +389,44 @@ class SearchPlan:
     drivers, the policy class and the nodes the desired event names.  It
     holds no budget and no event value, so each `Cbn` keeps one per shape.
 
-    ``scopes`` and ``scope_cards`` are each driver's class scope and its
-    cards; ``axes`` are the base tensor's nodes in reduction order, and
-    ``work`` is the estimate each call checks against its own `Budget`.
-    ``segments`` are the reduction's runs over ``axes``: ``(width, None,
-    None)`` sums, and ``(width, driver, gather)`` for a chain driver, whose
-    read-only gather takes its picks, flattened over the axes left when it
-    is reduced, to its class scope's row-major order; the chain drivers
-    are the segments' drivers, in reduction order.  ``searched`` lists
-    ``(driver, searched scope, read-only one-hot rows)`` per enumerated
-    driver, in canonical order, as `policy_batch` takes it, and
-    ``outer_total`` counts the table combinations scanned.  ``tables``
-    maps each driver to its first table on its class scope, all choices 0,
-    built by `Cpd.from_choices` on the plan's first witness, so that its
-    shape is checked once per plan and each witness only fills it with
-    `Cpd.with_choices`; it stays empty for a plan that only gives values.
+    ``scopes`` are the drivers' class scopes, and ``axes`` the base
+    tensor's nodes in reduction order.  ``segments`` are the reduction's
+    runs over ``axes``: ``(width, None)`` sums, and ``(width, driver)``
+    reduces a chain driver; the chain drivers are the segments' drivers,
+    in reduction order.  ``searched`` lists ``(driver, searched scope,
+    read-only one-hot rows)`` per enumerated driver, in canonical order, as
+    `policy_batch` takes it, and ``outer_total`` counts the table
+    combinations scanned.  ``gathers`` maps each driver, in the order the
+    scan records their rows (the enumerated drivers, then the chain), to
+    the read-only `_gather` index that takes its row to its class scope's
+    row-major order: an enumerated driver's digits are laid out over its
+    searched scope, a chain driver's choices over the axes left when it is
+    reduced.
+    ``tables`` maps each driver to its first table on its class scope, all
+    choices 0, built by `Cpd.from_choices` on the plan's first witness, so
+    that its shape is checked once per plan and each witness only fills it
+    with `Cpd.with_choices`; it stays empty for a plan that only gives
+    values.
     """
 
     scopes: dict[str, tuple[str, ...]]
-    scope_cards: dict[str, tuple[int, ...]]
     axes: tuple[str, ...]
-    work: int
     searched: tuple[tuple[str, tuple[str, ...], np.ndarray], ...]
-    segments: tuple[tuple[int, str | None, np.ndarray | None], ...]
+    segments: tuple[tuple[int, str | None], ...]
     outer_total: int
+    gathers: dict[str, np.ndarray]
     tables: dict[str, Cpd] = field(default_factory=dict)
+
+
+def _gather(cards, scope, layout) -> np.ndarray:
+    """For each configuration of ``scope``, in row-major order, its
+    position in a row laid out row-major over ``layout``, which lists
+    members of ``scope`` in any order: the gathered row is constant across
+    the members ``layout`` leaves out.  Read-only."""
+    index = np.arange(prod(cards[s] for s in layout)).reshape([cards[s] for s in layout])
+    index = index.transpose([layout.index(s) for s in scope if s in layout])
+    shape = [cards[s] if s in layout else 1 for s in scope]
+    return _read_only(np.broadcast_to(index.reshape(shape), [cards[s] for s in scope]).reshape(-1))
 
 
 def _search_plan(
@@ -430,8 +438,7 @@ def _search_plan(
     dag = cbn.dag
     cards = cbn.cards
     scopes = {d: scope_for_class(dag, d, ip_class) for d in driver_list}
-    scope_cards = {d: tuple(cards[s] for s in scopes[d]) for d in driver_list}
-    table_counts = {d: cards[d] ** prod(scope_cards[d]) for d in driver_list}
+    table_counts = {d: cards[d] ** prod(cards[s] for s in scopes[d]) for d in driver_list}
     scope_sets = {d: frozenset(scopes[d]) for d in driver_list}
     chain, enumerated = _pick_chain(driver_list, scope_sets, table_counts, dag)
     # Enumerated drivers search only their requisite scope members, which
@@ -457,21 +464,16 @@ def _search_plan(
     # tie-break keeps the first.  The axes left when a chain driver is
     # reduced are its class scope, in reduction order.
     driver_of = {d: d for d in driver_list}
+    gathers = {e: _gather(cards, scopes[e], searched_scopes[e]) for e in enumerated}
     segments, pos = [], 0
     for key, run in groupby(axes, driver_of.get):
         width = len(list(run))
         pos += width
-        gather = None
         if key in chain:
-            left = axes[pos:]
-            index = np.arange(prod(cards[s] for s in left)).reshape([cards[s] for s in left])
-            gather = _read_only(index.transpose([left.index(s) for s in scopes[key]]).reshape(-1))
-        segments.append((width, key if key in chain else None, gather))
+            gathers[key] = _gather(cards, scopes[key], axes[pos:])
+        segments.append((width, key if key in chain else None))
     searched = tuple((e, searched_scopes[e], _read_only(np.eye(cards[e]))) for e in enumerated)
-    return SearchPlan(
-        scopes, scope_cards, axes, outer_total * cbn.state_space_size(),
-        searched, tuple(segments), outer_total,
-    )
+    return SearchPlan(scopes, axes, searched, tuple(segments), outer_total, gathers)
 
 
 def _scan_plan(
@@ -481,8 +483,8 @@ def _scan_plan(
     # and the scan, on the chain path from the shape's `SearchPlan`.
     # Returns the value per direction, and the second stage: a function
     # from a direction's position to the witness pair of its winning
-    # combination.  On the chain path the second stage needs the records
-    # that only a scan with ``witness`` keeps.
+    # combination.  On the chain path the second stage needs the rows that
+    # only a scan with ``witness`` keeps.
     budget = budget or DEFAULT_BUDGET
     driver_list = cbn.dag.canon(drivers)
     directions = checked_directions(directions, ip_class, desired)
@@ -514,10 +516,10 @@ def _scan_plan(
     plan = cbn._search_plans.get(shape)
     if plan is None:
         plan = cbn._search_plans[shape] = _search_plan(cbn, *shape)
-    budget.check_work(plan.work)
+    budget.check_work(plan.outer_total * cbn.state_space_size())
     base = cbn.joint(desired, skip=driver_list, budget=budget, keep=plan.axes)
 
-    axes, scopes, searched = plan.axes, plan.scopes, plan.searched
+    axes, searched = plan.axes, plan.searched
 
     def reduce_chain(
         batch: np.ndarray, direction: Direction, picks: list | None = None
@@ -526,7 +528,7 @@ def _scan_plan(
         # ``picks``, also appends each chain driver's choices per entry,
         # flattened over the axes left when it is reduced
         t = batch
-        for width, kind, _ in plan.segments:
+        for width, kind in plan.segments:
             if kind is None:
                 t = t.sum(axis=tuple(range(1, 1 + width)))
             elif picks is None:
@@ -549,43 +551,29 @@ def _scan_plan(
                 t = best.reshape(t.shape[:1] + t.shape[2:])
         return t
 
-    def evaluate(flat: np.ndarray):
+    def evaluate(flat: np.ndarray) -> list:
         # one batch per chunk, reduced once per direction; with a witness
-        # to build, each direction's reduction records its chain choices
+        # to build, each direction keeps the enumerated drivers' digits and
+        # its reduction's chain choices
         batch, digits = policy_batch(cbn, base, axes, searched, flat)
         if not witness:
-            return [reduce_chain(batch, direction) for direction in directions], keep_nothing
-        picks = [[] for _ in directions]
-        values = [reduce_chain(batch, d, chosen) for d, chosen in zip(directions, picks)]
-
-        def record(i: int, pos: int) -> tuple[list, list]:
-            # the enumerated drivers' digits and the chain drivers' choices
-            # of one combination, copied out of the chunk
-            return [d[pos].copy() for d in digits], [c[pos].copy() for c in picks[i]]
-
-        return values, record
+            return [(reduce_chain(batch, direction), ()) for direction in directions]
+        kept = [list(digits) for _ in directions]
+        return [(reduce_chain(batch, d, rows), rows) for d, rows in zip(directions, kept)]
 
     optima = scan_combinations(plan.outer_total, base.size, evaluate, directions)
 
     def table_witness(i: int) -> InterventionPair:
-        digits, chosen = optima[i][2]
-        choices = {}
-        for (e, searched_scope, _), row in zip(searched, digits):
-            # widened to the class scope, constant across the dropped members;
-            # the searched scope keeps the class scope's order
-            scope_cards = plan.scope_cards[e]
-            shape = [c if s in searched_scope else 1 for s, c in zip(scopes[e], scope_cards)]
-            choices[e] = np.broadcast_to(row.reshape(shape), scope_cards).reshape(-1)
-        chain = [(kind, gather) for _, kind, gather in plan.segments if kind]
-        for (kind, gather), row in zip(chain, chosen):
-            choices[kind] = row[gather]
+        rows = dict(zip(plan.gathers, optima[i][2]))
         tables = plan.tables
         if not tables:
             # the plan's first witness checks each table's shape, once
             for d in driver_list:
-                cells = prod(plan.scope_cards[d])
-                tables[d] = Cpd.from_choices(d, scopes[d], plan.scope_cards[d], cbn.cards[d], (0,) * cells)
-        return InterventionPair(InterventionPolicy(tables[d].with_choices(choices[d])) for d in driver_list)
+                scope_cards = tuple(cbn.cards[s] for s in plan.scopes[d])
+                tables[d] = Cpd.from_choices(d, plan.scopes[d], scope_cards, cbn.cards[d], (0,) * prod(scope_cards))
+        return InterventionPair(
+            InterventionPolicy(tables[d].with_choices(rows[d][plan.gathers[d]])) for d in driver_list
+        )
 
     return [_clamp(float(value)) for value, _, _ in optima], table_witness
 

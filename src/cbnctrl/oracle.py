@@ -25,7 +25,6 @@ from .control import (
     Direction,
     c_star,
     checked_directions,
-    keep_nothing,
     optimal_policy_value,
     optimal_values,
     policy_batch,
@@ -225,13 +224,13 @@ def grid_policy_values(
     budget = budget or DEFAULT_BUDGET
     dag = cbn.dag
     driver_list = dag.canon(drivers)
-    if not driver_list:
-        return [cbn.marginal_prob(desired, budget)] * len(directions)
-
     # the joint is refused as `Cbn.joint` would refuse it, then the step,
-    # then the work, all before the rows and the joint are built
+    # with or without drivers, then the work, all before the rows and the
+    # joint are built
     cbn.check_joint(desired, budget=budget)
     denom = _grid_denominator(step)
+    if not driver_list:
+        return [cbn.marginal_prob(desired, budget)] * len(directions)
     cards = cbn.cards
     scopes = {d: scope_for_class(dag, d, ip_class) for d in driver_list}
     total = prod(
@@ -247,7 +246,7 @@ def grid_policy_values(
     def values(flat: np.ndarray):
         batch, _ = policy_batch(cbn, base, layout, searched, flat)
         # the sums are the same in every direction
-        return [batch.reshape(len(flat), -1).sum(axis=1)] * len(directions), keep_nothing
+        return [(batch.reshape(len(flat), -1).sum(axis=1), ())] * len(directions)
 
     optima = scan_combinations(total, base.size, values, directions)
     return [float(best) for best, _, _ in optima]

@@ -58,7 +58,7 @@ class TestEval:
         assert "policy: (none)" in out
 
     def test_policies_applied(self, gate, tmp_path, capsys):
-        doc = json.loads(open(gate).read())
+        doc = json.loads(Path(gate).read_text())
         doc["policies"] = {"y": {"scope": [], "rows": [[0.0, 1.0]]}}
         path = tmp_path / "gate_do_y1.json"
         path.write_text(json.dumps(doc))

@@ -9,6 +9,7 @@ the answer by asking `interventional_prob` for every table combination.
 import re
 import time
 from itertools import product
+from math import prod
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ from cbnctrl import (
     solve,
     usm_adversarial_cbn,
 )
-from cbnctrl.control import CHUNK_ELEMENTS, _pick_chain
+from cbnctrl.control import CHUNK_ELEMENTS, _gather, _pick_chain
 from cbnctrl.intervention import scope_for_class
 from cbnctrl.oracle import BOTH, iter_subsets, random_cbn, random_dag, random_problem
 
@@ -408,23 +409,45 @@ def argmax_chain_choices(plan, base, direction):
     class scope and flattened, with `Direction.pairwise` reducing between
     drivers.
     ``base`` is the tensor of a plan that enumerates no driver.  Each chain
-    segment's gather must take the choices to that same order."""
+    driver's gather must take the choices to that same order."""
     t = base[None]
     tables = {}
     pos = 0
-    for width, kind, gather in plan.segments:
+    for width, kind in plan.segments:
         pos += width
         if kind is None:
-            assert gather is None
+            # a summed run holds no driver of this plan, which enumerates none
+            assert not set(plan.axes[pos - width:pos]) & set(plan.gathers)
             t = t.sum(axis=tuple(range(1, 1 + width)))
             continue
         left = plan.axes[pos:]
         picks = direction.arg(t, axis=1)[0]
         choice = np.transpose(picks, [left.index(s) for s in plan.scopes[kind]]).reshape(-1)
-        assert np.array_equal(picks.reshape(-1)[gather], choice), kind
+        assert np.array_equal(picks.reshape(-1)[plan.gathers[kind]], choice), kind
         tables[kind] = tuple(choice.tolist())
         t = direction.pairwise.reduce(t, axis=1)
     return tables
+
+
+class TestGather:
+    def test_gather_is_a_transpose_and_broadcast(self):
+        # the layouts of a chain driver (its scope reversed) and of an
+        # enumerated one (a subset in scope order, dropping the first, a
+        # middle or the last member, or all of them)
+        rng = np.random.default_rng(2323)
+        scope = ("a", "b", "c", "d")
+        layouts = (scope[::-1], scope[1:], ("a", "b", "d"), scope[:-1], ())
+        for _ in range(10):
+            cards = {s: int(rng.choice((2, 3))) for s in scope}
+            for layout in layouts:
+                row = rng.integers(0, 3, size=prod(cards[s] for s in layout))
+                kept = [s for s in scope if s in layout]
+                moved = np.transpose(row.reshape([cards[s] for s in layout]), [layout.index(s) for s in kept])
+                shape = [cards[s] if s in layout else 1 for s in scope]
+                expect = np.broadcast_to(moved.reshape(shape), [cards[s] for s in scope]).reshape(-1)
+                gather = _gather(cards, scope, layout)
+                assert not gather.flags.writeable
+                assert np.array_equal(row[gather], expect), (cards, layout)
 
 
 def nested_chain(rng, cards, zero_root=False, tie_last=False):
@@ -464,7 +487,7 @@ class TestChainWitness:
             plan = cbn._search_plans[(drivers, CLASS_INF, frozenset(desired))]
             # every driver is chained, none enumerated
             assert not plan.searched
-            assert sorted(kind for _, kind, _ in plan.segments if kind) == sorted(drivers)
+            assert sorted(kind for _, kind in plan.segments if kind) == sorted(drivers)
             base = cbn.joint(desired, skip=drivers, keep=plan.axes)
             got = {p.target: tuple(row.index(1.0) for row in p.table.rows) for p in pair.policies}
             assert got == argmax_chain_choices(plan, base, direction), direction
@@ -523,9 +546,10 @@ def rebuilt_witness(cbn, plan, base, direction, number):
     tables = {}
     for (e, searched_scope, _), digits in zip(searched, picks):
         shape = [cards[s] if s in searched_scope else 1 for s in scopes[e]]
-        tables[e] = np.broadcast_to(digits[0].reshape(shape), plan.scope_cards[e]).reshape(-1)
+        scope_cards = [cards[s] for s in scopes[e]]
+        tables[e] = np.broadcast_to(digits[0].reshape(shape), scope_cards).reshape(-1)
     t = batch
-    for width, kind, gather in plan.segments:
+    for width, kind in plan.segments:
         if kind is None:
             t = t.sum(axis=tuple(range(1, 1 + width)))
         else:
@@ -534,7 +558,7 @@ def rebuilt_witness(cbn, plan, base, direction, number):
             for value in range(1, t.shape[1]):
                 picks[direction.improves(rows[:, value], best)] = value
                 best = direction.pairwise(best, rows[:, value])
-            tables[kind] = picks[0][gather]
+            tables[kind] = picks[0][plan.gathers[kind]]
             t = best.reshape(t.shape[:1] + t.shape[2:])
     return {d: tuple(choices.tolist()) for d, choices in tables.items()}
 
@@ -769,13 +793,15 @@ class TestSearchPlan:
             plans = cbn._search_plans
             assert len(plans) == len(self.CLASSES)
             for plan in plans.values():
-                chain = [kind for _, kind, _ in plan.segments if kind]
+                chain = [kind for _, kind in plan.segments if kind]
                 enumerated = [e for e, _, _ in plan.searched]
                 paths.add("enumerated" if enumerated else "chain")
                 # each driver is chained once or enumerated once
                 assert sorted(chain + enumerated) == sorted(drivers)
                 assert all(not rows.flags.writeable for _, _, rows in plan.searched)
-                assert all(not gather.flags.writeable for _, kind, gather in plan.segments if kind)
+                assert all(not gather.flags.writeable for gather in plan.gathers.values())
+                # one gather per driver, in the order the scan records rows
+                assert list(plan.gathers) == enumerated + chain
         assert paths == {"chain", "enumerated"}
 
     def test_deterministic_and_driverless_calls_keep_no_plan(self):
@@ -817,9 +843,10 @@ class TestSearchPlan:
         plan = next(iter(cbn._search_plans.values()))
         # one driver chained, the 4 tables of the other enumerated, over a
         # joint of 2^5 * 3 states
-        assert plan.work == 4 * 96
+        work = plan.outer_total * cbn.state_space_size()
+        assert work == 4 * 96
         refusals = [
-            (drivers, CLASS_INF, {"o": 1}, Direction.MAX, Budget(max_work=plan.work - 1)),
+            (drivers, CLASS_INF, {"o": 1}, Direction.MAX, Budget(max_work=work - 1)),
             (drivers, CLASS_INF, {"o": 1}, Direction.MAX, Budget(max_state_space=4)),
             (drivers, CLASS_INF, {"o": 3}, Direction.MAX, None),
             (drivers, CLASS_INF, {}, Direction.MAX, None),
@@ -839,7 +866,7 @@ class TestSearchPlan:
         assert len(cbn._search_plans) == 1
         assert optimal_policy_value(cbn, drivers, CLASS_INF, {"o": 1}, Direction.MAX) == good
         # the work cap is met exactly, as on the first call
-        exact = Budget(max_work=plan.work)
+        exact = Budget(max_work=work)
         assert optimal_policy_value(cbn, drivers, CLASS_INF, {"o": 1}, Direction.MAX, exact) == good
 
     def test_chain_split_and_requisite_cut_run_once_per_shape(self, monkeypatch):

@@ -280,6 +280,14 @@ class TestGridSearch:
                 with pytest.raises(ValueError, match="ip_class must be an IpClass"):
                     grid_policy_search(cbn, drivers, ip_class, {"o": 1}, Direction.MAX)
 
+    def test_step_checked_without_drivers(self):
+        # a driverless call once returned the marginal for any step
+        cbn = screening_chain()
+        for step in (0.3, -1):
+            with pytest.raises(ValueError, match=re.escape(f"step {step} does not divide 1")):
+                grid_policy_values(cbn, (), CLASS1, {"o": 1}, BOTH, step)
+        assert grid_policy_values(cbn, (), CLASS1, {"o": 1}, BOTH, 0.5) == [cbn.marginal_prob({"o": 1})] * 2
+
     def test_empty_desired_refused_as_the_optimizer_refuses_it(self, monkeypatch):
         # with and without drivers, before any joint is built
         calls = joint_calls(monkeypatch)
