@@ -296,6 +296,7 @@ class Cbn:
                         f"cpd for {name!r}: parent {pname!r} cardinality {pcard}, expected {self._cards[pname]}"
                     )
             self._cpds[name] = cpd
+        self._state_space = prod(self._cards.values())
         self._deterministic: bool | None = None
         # `joint`'s contraction plans, one per query shape
         self._plans: dict[tuple, tuple] = {}
@@ -332,7 +333,7 @@ class Cbn:
         return self._deterministic
 
     def state_space_size(self) -> int:
-        return prod(self._cards.values())
+        return self._state_space
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Cbn):
@@ -412,7 +413,11 @@ class Cbn:
         runs `check_joint`, slices in its event values and contracts.
         """
         self.check_joint(event, budget)
-        event = event or {}
+        return self._contract(event or {}, skip, keep)
+
+    def _contract(self, event: Mapping[str, int], skip=(), keep=None) -> np.ndarray:
+        """`joint` without `check_joint`, for a caller that has run it on
+        ``event`` already."""
         kept = self._dag.nodes if keep is None else tuple(keep)
         shape = (kept, frozenset(skip), frozenset(event))
         plan = self._plans.get(shape)

@@ -7,26 +7,33 @@ loses nothing.  That choice is what keeps exact search tractable at desk
 scale, and `oracle.grid_policy_search` exists to double-check it against
 stochastic tables.
 
+Only live drivers are searched (`live_drivers`): a driver that is neither
+a node of the desired event nor an ancestor of one has no directed path to
+it, so no table of it moves the event's probability.  Once a call's
+arguments pass their checks, its plan, its work estimate and its scan
+cover the live drivers alone, and each dead driver's witness is its first
+table: all choices 0 on its class scope, or value 0 on the 0/1 path.
+
 In a network whose tables are all 0 or 1, each forced choice of driver
 values realizes one world, so `optimal_policy_value` reads the value of
-every choice off one `Cbn.joint` over the drivers; a plan without drivers
-takes the same path, with one choice, the empty one.  Otherwise it chains
-the drivers whose scopes nest and enumerates the tables of the rest.  An
-enumerated driver searches only its requisite scope (`requisite_scopes`),
-the class-scope members that are not d-separated from the targets given
-the driver and its other members, as `graph.bayes_ball` finds them; a
-table that varies across the others never beats one that does not, and
-its witness is constant across them.  The search starts from the joint's
-marginal over the drivers and their searched scopes, asked of `Cbn.joint`
-by node name; every other node is summed out once, before the search.
-`policy_batch` multiplies the policy factors of a batch of numbered table
-combinations into a tensor, and `scan_combinations` evaluates the
-combinations in chunks of `CHUNK_ELEMENTS` tensor entries (or of one
-combination, if that is larger).
-The tie-break is that of a one-by-one scan in lexicographic order: the
-first optimum of a chunk replaces the incumbent only on a strict
-improvement.  `oracle.grid_policy_search` runs on the same two functions,
-with grid rows where the optimizer has one-hot rows.
+every choice off one `Cbn.joint` over the drivers; a plan without live
+drivers takes the same path, with one choice, the empty one.  Otherwise it
+chains the drivers whose scopes nest and enumerates the tables of the
+rest.  An enumerated driver searches only its requisite scope
+(`requisite_scopes`), the class-scope members that are not d-separated
+from the targets given the driver and its other members, as
+`graph.bayes_ball` finds them; a table that varies across the others never
+beats one that does not, and its witness is constant across them.  The
+search starts from the joint's marginal over the drivers and their
+searched scopes, asked of `Cbn.joint` by node name; every other node is
+summed out once, before the search.  `policy_batch` multiplies the policy
+factors of a batch of numbered table combinations into a tensor, and
+`scan_combinations` evaluates the combinations in chunks of
+`CHUNK_ELEMENTS` tensor entries (or of one combination, if that is
+larger).  The tie-break is that of a one-by-one scan in lexicographic
+order: the first optimum of a chunk replaces the incumbent only on a
+strict improvement.  `oracle.grid_policy_search` runs on the same two
+functions, with grid rows where the optimizer has one-hot rows.
 
 One plan serves every direction, in two stages.  The first does
 everything up to and including the scan once: the scan reduces each
@@ -49,13 +56,15 @@ table is filled by `Cpd.with_choices` on the plan's table for it, whose
 shape was checked once, on the plan's first witness.
 
 On the chain path, everything the first stage decides before it asks for
-the base tensor depends only on the query's shape: the drivers, the policy
-class and the nodes the desired event names.  The class scopes, the axes,
-the reduction segments, the enumerated drivers with their requisite
+the base tensor depends only on the query's shape: the live drivers, the
+policy class and the nodes the desired event names.  The class scopes, the
+axes, the reduction segments, the enumerated drivers with their requisite
 scopes and every driver's gather form one `SearchPlan`, which each `Cbn`
 builds on a shape's first call and keeps.  The deterministic path plans
 nothing.  Every call checks its arguments and its `Budget`, the work
-estimate included, before any tensor is built.
+estimate included, before any tensor is built, and each check runs once:
+the base tensor comes from the contraction behind `Cbn.joint`, after the
+call's own `Cbn.check_joint`.
 """
 
 from __future__ import annotations
@@ -289,6 +298,9 @@ def policy_batch(
     Increasing combination numbers scan the tables as nested loops over
     the drivers would, each driver's picks in lexicographic order.
     """
+    if not searched:
+        # one combination, the empty one, whose batch is ``base`` itself
+        return base[None], []
     cards = cbn.cards
     counts = [len(rows) ** prod(cards[s] for s in scope) for _, scope, rows in searched]
     stride = prod(counts)
@@ -333,6 +345,19 @@ def scan_combinations(
             if best[i][0] is None or direction.beats(values[pos], best[i][0]):
                 best[i] = (values[pos], start + pos, [a[pos].copy() for a in arrays])
     return best
+
+
+def live_drivers(dag: Dag, drivers: tuple[str, ...], desired) -> tuple[str, ...]:
+    """The members of canonical ``drivers`` that are a node of the event
+    ``desired`` or an ancestor of one, in order.
+
+    Any other driver is dead: it has no directed path to the event, and
+    none in a graph that policies make either, since a policy's scope lies
+    in its owner's ancestry.  So no table of it moves the event's
+    probability, and its observations are none of them requisite (Lauritzen
+    & Nilsson 2001)."""
+    upstream = set(desired).union(*map(dag.ancestors, desired))
+    return tuple(d for d in drivers if d in upstream)
 
 
 def checked_directions(directions, ip_class, desired) -> tuple[Direction, ...]:
@@ -385,7 +410,7 @@ def optimal_values(
 
 @dataclass(frozen=True, eq=False)
 class SearchPlan:
-    """What the chain search decides from a query's shape alone: the
+    """What the chain search decides from a query's shape alone: the live
     drivers, the policy class and the nodes the desired event names.  It
     holds no budget and no event value, so each `Cbn` keeps one per shape.
 
@@ -402,11 +427,10 @@ class SearchPlan:
     row-major order: an enumerated driver's digits are laid out over its
     searched scope, a chain driver's choices over the axes left when it is
     reduced.
-    ``tables`` maps each driver to its first table on its class scope, all
-    choices 0, built by `Cpd.from_choices` on the plan's first witness, so
-    that its shape is checked once per plan and each witness only fills it
-    with `Cpd.with_choices`; it stays empty for a plan that only gives
-    values.
+    ``tables`` maps each driver to its `_first_table` on its class scope,
+    built on the plan's first witness, so that its shape is checked once
+    per plan and each witness only fills it with `Cpd.with_choices`; it
+    stays empty for a plan that only gives values.
     """
 
     scopes: dict[str, tuple[str, ...]]
@@ -427,6 +451,13 @@ def _gather(cards, scope, layout) -> np.ndarray:
     index = index.transpose([layout.index(s) for s in scope if s in layout])
     shape = [cards[s] if s in layout else 1 for s in scope]
     return _read_only(np.broadcast_to(index.reshape(shape), [cards[s] for s in scope]).reshape(-1))
+
+
+def _first_table(cards, driver: str, scope: tuple[str, ...]) -> Cpd:
+    # the table that chooses value 0 at every configuration of ``scope``,
+    # built by `Cpd.from_choices`, which checks its shape
+    scope_cards = tuple(cards[s] for s in scope)
+    return Cpd.from_choices(driver, scope, scope_cards, cards[driver], (0,) * prod(scope_cards))
 
 
 def _search_plan(
@@ -480,44 +511,57 @@ def _scan_plan(
     cbn: Cbn, drivers, ip_class: IpClass, desired, directions, budget, *, witness: bool
 ):
     # The plan's first stage: the checks, the work check, the base tensor
-    # and the scan, on the chain path from the shape's `SearchPlan`.
+    # and the scan, on the chain path from the live drivers' `SearchPlan`.
     # Returns the value per direction, and the second stage: a function
     # from a direction's position to the witness pair of its winning
     # combination.  On the chain path the second stage needs the rows that
     # only a scan with ``witness`` keeps.
     budget = budget or DEFAULT_BUDGET
-    driver_list = cbn.dag.canon(drivers)
+    dag = cbn.dag
+    driver_list = dag.canon(drivers)
     directions = checked_directions(directions, ip_class, desired)
     # before the plan: a driver's scope can hold every other node
     cbn.check_joint(desired, budget=budget)
+    # Only the live drivers are searched, and only now, so that every
+    # refusal above keeps its text and order.  Every table of a dead driver
+    # ties with its first, which the scan's tie-break would keep.
+    live = live_drivers(dag, driver_list, desired)
+    cards = cbn.cards
 
-    if not driver_list or cbn.deterministic:
+    def witness_pair(policies: dict) -> InterventionPair:
+        # the live drivers' ``policies`` and each dead driver's first table
+        # (on the 0/1 path, value 0), in canonical driver order
+        return InterventionPair(
+            policies[d] if d in policies
+            else atomic_policy(d, 0, cards[d]) if cbn.deterministic
+            else InterventionPolicy(_first_table(cards, d, scope_for_class(dag, d, ip_class)))
+            for d in driver_list
+        )
+
+    if not live or cbn.deterministic:
         # A fully deterministic network realizes one world per forced choice
         # of driver values, so each policy table is read at one scope
         # configuration and constant tables span every reachable outcome.
         # Every sum is an exact 0/1 count, and the first optimum of the
-        # C-order flattening is the first in product order.  Without
-        # drivers, the empty choice and pair give the marginal of ``desired``.
-        cards = cbn.cards
-        budget.check_work(prod(cards[d] for d in driver_list) * len(driver_list))
-        base = cbn.joint(desired, skip=driver_list, budget=budget, keep=driver_list)
+        # C-order flattening is the first in product order.  Without live
+        # drivers, the empty choice gives the marginal of ``desired``.
+        budget.check_work(prod(cards[d] for d in live) * len(live))
+        base = cbn._contract(desired, live, live)
         values = base.reshape(-1)
         bests = [int(direction.arg(values)) for direction in directions]
 
         def atomic_witness(i: int) -> InterventionPair:
             vector = np.unravel_index(bests[i], base.shape)
-            return InterventionPair(
-                atomic_policy(d, int(v), cards[d]) for d, v in zip(driver_list, vector)
-            )
+            return witness_pair({d: atomic_policy(d, int(v), cards[d]) for d, v in zip(live, vector)})
 
         return [_clamp(float(values[best])) for best in bests], atomic_witness
 
-    shape = (driver_list, ip_class, frozenset(desired))
+    shape = (live, ip_class, frozenset(desired))
     plan = cbn._search_plans.get(shape)
     if plan is None:
         plan = cbn._search_plans[shape] = _search_plan(cbn, *shape)
     budget.check_work(plan.outer_total * cbn.state_space_size())
-    base = cbn.joint(desired, skip=driver_list, budget=budget, keep=plan.axes)
+    base = cbn._contract(desired, live, plan.axes)
 
     axes, searched = plan.axes, plan.searched
 
@@ -568,11 +612,10 @@ def _scan_plan(
         tables = plan.tables
         if not tables:
             # the plan's first witness checks each table's shape, once
-            for d in driver_list:
-                scope_cards = tuple(cbn.cards[s] for s in plan.scopes[d])
-                tables[d] = Cpd.from_choices(d, plan.scopes[d], scope_cards, cbn.cards[d], (0,) * prod(scope_cards))
-        return InterventionPair(
-            InterventionPolicy(tables[d].with_choices(rows[d][plan.gathers[d]])) for d in driver_list
+            for d in live:
+                tables[d] = _first_table(cards, d, plan.scopes[d])
+        return witness_pair(
+            {d: InterventionPolicy(tables[d].with_choices(rows[d][plan.gathers[d]])) for d in live}
         )
 
     return [_clamp(float(value)) for value, _, _ in optima], table_witness

@@ -67,6 +67,8 @@ class Dag:
         self._children = {k: tuple(v) for k, v in children.items()}
         self._edges = frozenset(edge_set)
         self._topo = self._toposort()
+        # `ancestors` answers, keyed by (name, level) once both pass
+        self._ancestors: dict[tuple, tuple[str, ...]] = {}
 
     @property
     def nodes(self) -> tuple[str, ...]:
@@ -154,12 +156,17 @@ class Dag:
 
         ``level`` must be a positive integer (numpy integers pass, bools
         and floats do not) or ``math.inf``.  ``name`` itself is never
-        included.
+        included.  The graph is immutable, so each answer is computed once
+        and kept; the key is looked up only after both arguments pass, since
+        ``True`` and ``1.0`` hash as ``1`` does.
         """
         self._require(name)
         if level != INF and (not isinstance(level, Integral) or isinstance(level, bool) or level < 1):
             raise ValueError(f"level must be a positive integer or inf, got {level!r}")
-        return self._walk(name, self._parents, level)
+        found = self._ancestors.get((name, level))
+        if found is None:
+            found = self._ancestors[name, level] = self._walk(name, self._parents, level)
+        return found
 
     def descendants(self, name: str) -> tuple[str, ...]:
         """Nodes reachable from ``name`` by a directed path (excluding it)."""

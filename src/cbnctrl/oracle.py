@@ -25,6 +25,7 @@ from .control import (
     Direction,
     c_star,
     checked_directions,
+    live_drivers,
     optimal_policy_value,
     optimal_values,
     policy_batch,
@@ -140,18 +141,25 @@ def best_over_subsets(
 
 
 def _subset_optima(cbn, intervenable, ip_class, desired, directions, budget, known=None) -> list:
-    # the value and subset of `best_over_subsets` in each of ``directions``,
-    # one values-only optimizer plan per subset; ``known`` maps a subset, as
-    # a frozenset, to the values of `optimal_values` in ``directions``
-    # already at hand
-    pool = cbn.dag.canon(intervenable)
+    # the value and subset of `best_over_subsets` in each of ``directions``.
+    # A subset's answer is that of its live drivers (`live_drivers`): the
+    # optimizer searches only those, so subsets with the same live drivers
+    # share one values-only call.  ``known`` maps live drivers, as a
+    # canonical tuple, to the values of `optimal_values` in ``directions``
+    # already at hand.  The arguments are checked up front, in the order
+    # of the empty subset's call, so the live drivers can be read first.
+    dag = cbn.dag
+    pool = dag.canon(intervenable)
     budget.check_set_size(len(pool))
-    known = known or {}
+    checked_directions(directions, ip_class, desired)
+    cbn.check_joint(desired, budget=budget)
+    answers = dict(known or {})
     best: list = [None] * len(directions)
     for subset in iter_subsets(pool):
-        values = known.get(frozenset(subset))
+        live = live_drivers(dag, subset, desired)
+        values = answers.get(live)
         if values is None:
-            values = optimal_values(cbn, subset, ip_class, desired, directions, budget)
+            values = answers[live] = optimal_values(cbn, live, ip_class, desired, directions, budget)
         for i, (direction, value) in enumerate(zip(directions, values)):
             if best[i] is None or direction.beats(value, best[i][0], TIE_TOL):
                 best[i] = (value, subset)
@@ -346,8 +354,9 @@ def verify_lemma3(
     Levels are read as `IpClass` levels (``2.0`` is 2).  Level 0 is refused:
     an unconditional policy cannot reproduce the table it replaces, so the
     bracket can genuinely fail there.  Both ends of a bracket come from one
-    optimizer plan, and levels that give a subset's drivers the same scopes
-    share it.
+    values-only optimizer call on the subset's live drivers (`live_drivers`),
+    the only ones the optimizer searches, and every subset and level that
+    gives the same live drivers the same scopes shares it.
     """
     budget = budget or DEFAULT_BUDGET
     classes = []
@@ -365,13 +374,14 @@ def verify_lemma3(
     baseline = cbn.marginal_prob(desired, budget)
     failures: list[str] = []
     checked = 0
+    brackets: dict[tuple, list] = {}
     for subset in iter_subsets(pool):
-        brackets: dict[tuple, list] = {}
+        live = live_drivers(dag, subset, desired)
         for cls in classes:
-            scopes = tuple(scope_for_class(dag, d, cls) for d in subset)
-            if scopes not in brackets:
-                brackets[scopes] = optimal_values(cbn, subset, cls, desired, BOTH, budget)
-            high, low = brackets[scopes]
+            key = (live, tuple(scope_for_class(dag, d, cls) for d in live))
+            if key not in brackets:
+                brackets[key] = optimal_values(cbn, live, cls, desired, BOTH, budget)
+            high, low = brackets[key]
             checked += 1
             if not (low <= baseline + BRACKET_TOL and baseline <= high + BRACKET_TOL):
                 failures.append(
@@ -401,7 +411,8 @@ def verify_sufficiency(
     details = [f"drivers: {{{' '.join(xstar)}}}"]
     failures: list[str] = []
     values = optimal_values(cbn, xstar, CLASS_INF, desired, BOTH, budget)
-    optima = _subset_optima(cbn, pool, CLASS_INF, desired, BOTH, budget, {frozenset(xstar): values})
+    known = {live_drivers(cbn.dag, xstar, desired): values}
+    optima = _subset_optima(cbn, pool, CLASS_INF, desired, BOTH, budget, known)
     for direction, mine, (best_value, best_subset) in zip(BOTH, values, optima):
         details.append(
             f"{direction.value}: drivers {mine:.9f}, exhaustive {best_value:.9f} "

@@ -4,8 +4,10 @@ Each entry is one call into ``cbnctrl`` on a seeded network: an optimizer
 call (`optimal_policy_value`), a marginal, conditional or interventional
 probability, a kept marginal of `Cbn.joint`, a grid search, the MAX and
 MIN `optimal_values` without drivers, the first optimizer call again
-with the target's desired value moved on by one, or the MAX and MIN
-subset scans of `best_over_subsets` over the drivers.  It records the
+with the target's desired value moved on by one, the MAX and MIN
+subset scans of `best_over_subsets` over the drivers, or the MAX and MIN
+optimizer calls with dead drivers added: nodes with no directed path to
+the target.  It records the
 value ``repr`` (or the ``repr`` of each entry of a returned tensor), the
 witness as choice tuples (a subset scan's witness names its winning
 subset) and a refusal as its type and message.  Networks are
@@ -69,7 +71,7 @@ from cbnctrl.oracle import best_over_subsets, random_cbn, random_dag
 SEED = 20141
 VALUE_TOL = 1e-12
 KINDS = ("opv", "marginal", "conditional", "interventional", "joint", "grid", "values", "revalue",
-         "subsets")
+         "subsets", "dead")
 SHAPES = ("random", "random", "random", "nest", "fan", "cfan", "explain", "chain")
 CLASSES = (IpClass(0), IpClass(1), IpClass(2), IpClass(float("inf")))
 #: every optimizer call runs under this budget unless it draws a smaller
@@ -255,6 +257,34 @@ def calls(rng, cbn: Cbn, drivers: tuple[str, ...]):
         args = (drivers, str(ip_class), desired, direction.value, OPV_BUDGET)
         yield "subsets", args, lambda d=direction: best_over_subsets(
             cbn, drivers, ip_class, desired, d, OPV_BUDGET)[::2]
+    # the drivers plus nodes with no directed path to the target, in the
+    # first call's class; last and drawing nothing, as above
+    with_dead = with_dead_drivers(cbn, drivers, ip_class)
+    if with_dead:
+        for direction in (Direction.MAX, Direction.MIN):
+            args = (with_dead, str(ip_class), desired, direction.value, OPV_BUDGET)
+            yield "dead", args, lambda d=direction: optimal_policy_value(
+                cbn, with_dead, ip_class, desired, d, OPV_BUDGET)
+
+
+def with_dead_drivers(cbn: Cbn, drivers: tuple[str, ...], ip_class: IpClass) -> tuple[str, ...]:
+    """``drivers`` and the nodes with no directed path to the target (the
+    last node), in node order, each taken while every table combination
+    over the joint stays within `OPV_BUDGET`; empty unless one dead node is
+    taken.  That bounds the work of any search of these drivers, dead ones
+    searched too, so a tree that searches them answers as well."""
+    dag, cards = cbn.dag, cbn.cards
+    upstream = {*dag.ancestors(dag.nodes[-1]), dag.nodes[-1]}
+    taken, work, dead = [], cbn.state_space_size(), False
+    for node in dag.nodes:
+        if node not in drivers and node in upstream:
+            continue
+        tables = cards[node] ** prod(cards[s] for s in scope_for_class(dag, node, ip_class))
+        if work * tables <= OPV_BUDGET.max_work:
+            taken.append(node)
+            work *= tables
+            dead = dead or node not in upstream
+    return tuple(taken) if dead else ()
 
 
 def pair_choices(pair: InterventionPair, rows: bool = False) -> list:
@@ -350,8 +380,8 @@ def witness_pair(cbn: Cbn, witness: list) -> InterventionPair:
 
 
 def replay_witness(cbn: Cbn, args):
-    """Value of a witness of the ``opv``, ``revalue`` or ``subsets`` call
-    ``args`` on ``cbn``."""
+    """Value of a witness of the ``opv``, ``revalue``, ``subsets`` or
+    ``dead`` call ``args`` on ``cbn``."""
     desired = args[2]
     return lambda witness: interventional_prob(cbn, witness_pair(cbn, witness), desired)
 

@@ -260,7 +260,7 @@ class TestParser:
         assert info.value.code == 0
 
 
-# Golden outputs: every subcommand on both fixtures, run from the repo root
+# Golden outputs: every subcommand on each fixture, run from the repo root
 # with relative fixture paths.  Each file under tests/golden/ holds the exit
 # code, stdout, stderr and (for `usm`) the written network file, with the
 # temporary output directory shown as <tmp>.  To rewrite them after an
@@ -288,7 +288,7 @@ GOLDEN_ARGS = {
 # --seed matters only without cpds, so it runs on the structure-only junction
 GOLDEN_CASES = [
     (net, case)
-    for net in ("xor_gate", "two_branch_junction")
+    for net in ("xor_gate", "two_branch_junction", "dead_driver")
     for case in GOLDEN_ARGS
     if net == "two_branch_junction" or "seed" not in case
 ]

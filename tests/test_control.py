@@ -41,7 +41,16 @@ from cbnctrl import (
 )
 from cbnctrl.control import CHUNK_ELEMENTS, _gather, _pick_chain
 from cbnctrl.intervention import scope_for_class
-from cbnctrl.oracle import BOTH, iter_subsets, random_cbn, random_dag, random_problem
+from cbnctrl.graph import INF
+from cbnctrl.oracle import (
+    BOTH,
+    iter_subsets,
+    random_cbn,
+    random_dag,
+    random_problem,
+    verify_lemma3,
+    verify_sufficiency,
+)
 
 from test_cbn import xor_gate
 from test_graph import junction
@@ -59,15 +68,17 @@ def screening_chain():
 
 
 def joint_calls(monkeypatch):
-    """Record the arguments of every `Cbn.joint` call: each builds a tensor."""
+    """Record the arguments of every contraction `Cbn.joint` runs, and of
+    every one the optimizer runs after its own `Cbn.check_joint`: each
+    builds a tensor."""
     calls = []
-    joint = Cbn.joint
+    contract = Cbn._contract
 
     def recording(self, *args, **kwargs):
         calls.append((args, kwargs))
-        return joint(self, *args, **kwargs)
+        return contract(self, *args, **kwargs)
 
-    monkeypatch.setattr(Cbn, "joint", recording)
+    monkeypatch.setattr(Cbn, "_contract", recording)
     return calls
 
 
@@ -687,6 +698,80 @@ class TestEdgeCases:
             for ip_class in (1, "inf", None):
                 with pytest.raises(ValueError, match="ip_class must be an IpClass"):
                     optimal_policy_value(screening_chain(), drivers, ip_class, {"o": 1}, Direction.MAX)
+
+
+def dead_fan(rng, k=5):
+    """k roots p_i, each a parent of t, x and y, with random rows: with
+    t = 1 desired, x and y have no directed path to it.  Each has 2^(2^k)
+    class-inf tables."""
+    roots = [f"p{i}" for i in range(k)]
+    dag = Dag([*roots, "t", "x", "y"], [(p, c) for p in roots for c in ("t", "x", "y")])
+    return random_cbn(rng, dag)
+
+
+def live_and_dead(rng):
+    """A root r feeding d, o and x, and d feeding o, with x feeding z only:
+    with o = 1 desired, d is live and x is dead, and x comes first in
+    canonical order."""
+    dag = Dag(["r", "x", "d", "o", "z"], [("r", "x"), ("r", "d"), ("r", "o"), ("d", "o"), ("x", "z")])
+    return random_cbn(rng, dag, {"r": 3, "x": 2, "d": 3, "o": 2, "z": 2})
+
+
+class TestDeadDrivers:
+    def test_dead_drivers_answer_the_baseline_at_the_default_budget(self, monkeypatch):
+        # searching x and y at class inf once enumerated one's 2^32 tables,
+        # the other chained, over 2^8 states: refused at 2^40
+        cbn = dead_fan(np.random.default_rng(5))
+        baseline = cbn.marginal_prob({"t": 1})
+        for level in (1, 2, INF):
+            assert optimal_values(cbn, ("x", "y"), IpClass(level), {"t": 1}, BOTH) == [baseline, baseline]
+        # no subset of the pool has a live driver, so lemma3 asks one
+        # marginal and one driverless search that every subset and level
+        # shares, and sufficiency one driverless search in all
+        calls = joint_calls(monkeypatch)
+        report = verify_lemma3(cbn, ("x", "y"), {"t": 1})
+        assert report.passed, report.details
+        assert "brackets checked: 12" in report.details
+        assert len(calls) == 2
+        calls.clear()
+        report = verify_sufficiency(cbn, ("x", "y"), ("t",), {"t": 1})
+        assert report.passed, report.details
+        assert report.details[0] == "drivers: {}"
+        assert len(calls) == 1
+
+    def test_dead_driver_witness_is_its_first_table(self):
+        # stochastic: all choices 0 on the class scope; 0/1: value 0
+        rng = np.random.default_rng(8)
+        stochastic = live_and_dead(rng)
+        for cbn in (stochastic, deterministic_copy(stochastic, rng)):
+            dag, cards = cbn.dag, cbn.cards
+            for ip_class in (CLASS0, CLASS1, CLASS_INF):
+                for direction in Direction:
+                    value, pair = optimal_policy_value(cbn, ("d", "x"), ip_class, {"o": 1}, direction)
+                    alone, alone_pair = optimal_policy_value(cbn, ("d",), ip_class, {"o": 1}, direction)
+                    assert repr(value) == repr(alone)
+                    assert pair.targets == ("x", "d")
+                    assert pair.policy("d") == alone_pair.policy("d")
+                    if cbn.deterministic:
+                        assert pair.policy("x") == atomic_policy("x", 0, 2)
+                    else:
+                        scope = scope_for_class(dag, "x", ip_class)
+                        scope_cards = tuple(cards[s] for s in scope)
+                        first = Cpd.from_choices("x", scope, scope_cards, 2, (0,) * prod(scope_cards))
+                        assert pair.policy("x").table == first
+                    assert interventional_prob(cbn, pair, {"o": 1}) == pytest.approx(value, abs=1e-12)
+                    naive, _ = naive_policy_search(cbn, ("d", "x"), ip_class, {"o": 1}, direction)
+                    assert value == pytest.approx(naive, abs=1e-12)
+
+    def test_only_dead_drivers_give_first_tables_on_their_scopes(self):
+        cbn = dead_fan(np.random.default_rng(6), k=2)
+        for direction in Direction:
+            value, pair = optimal_policy_value(cbn, ("y", "x"), CLASS_INF, {"t": 1}, direction)
+            assert value == cbn.marginal_prob({"t": 1})
+            assert pair.targets == ("x", "y")
+            for policy in pair.policies:
+                assert policy.scope == ("p0", "p1")
+                assert [row.index(1.0) for row in policy.table.rows] == [0] * 4
 
 
 class TestBudget:

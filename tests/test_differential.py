@@ -32,7 +32,7 @@ def test_snapshot_replays():
         if key not in snapshot:
             failures.append(f"{key}: not in the snapshot")
             continue
-        witnessed = entry["kind"] in ("opv", "revalue", "subsets")
+        witnessed = entry["kind"] in ("opv", "revalue", "subsets", "dead")
         replay = differential.replay_witness(cbn, args) if witnessed else None
         why = differential.compare(snapshot[key], entry, replay)
         if why == "witness changed among ties":
@@ -47,7 +47,7 @@ def test_snapshot_replays():
 def test_snapshot_covers_every_kind_and_refusal():
     with open(SNAPSHOT) as fh:
         entries = json.load(fh)
-    assert 300 <= len(entries) <= 600
+    assert 300 <= len(entries) <= 700
     assert {e["kind"] for e in entries} == set(differential.KINDS)
     refused = {e["refusal"][0] for e in entries if "refusal" in e}
     assert {"BudgetExceededError", "ZeroProbabilityError"} <= refused

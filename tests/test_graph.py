@@ -166,6 +166,20 @@ class TestAncestry:
             with pytest.raises(ValueError, match=re.escape(f"level must be a positive integer or inf, got {bad!r}")):
                 dag.ancestors("c", bad)
 
+    def test_kept_answers_do_not_admit_what_the_checks_refuse(self):
+        # answers are kept per (name, level), and True and 1.0 hash as 1
+        # does: a key looked up before the checks would return level 1's
+        dag = Dag(["a", "b", "c"], [("a", "b"), ("b", "c")])
+        assert dag.ancestors("c", 1) == ("b",)
+        assert dag.ancestors("c", 1) is dag.ancestors("c", 1)
+        for bad in (True, 1.0, 0):
+            with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
+                dag.ancestors("c", bad)
+        with pytest.raises(ValueError, match="unknown node 'zz'"):
+            dag.ancestors("zz", 1)
+        assert dag.ancestors("c", np.int64(1)) == ("b",)
+        assert dag.ancestors("c", 2) == ("a", "b")
+
     def test_descendants(self):
         dag = junction()
         assert dag.descendants("t4") == ("t1", "t2", "o")
