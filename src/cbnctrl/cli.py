@@ -14,15 +14,8 @@ import sys
 
 import numpy as np
 
-from .control import (
-    Budget,
-    BudgetExceededError,
-    DEFAULT_BUDGET,
-    Objective,
-    c_star,
-    solve,
-    usm_adversarial_cbn,
-)
+from .cbn import DEFAULT_BUDGET, Budget, BudgetExceededError
+from .control import Objective, c_star, solve, usm_adversarial_cbn
 from .intervention import InterventionPair, IpClass, interventional_prob
 from .netfile import NetworkSpec, load, save
 from .oracle import (

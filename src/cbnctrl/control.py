@@ -76,8 +76,7 @@ from math import prod
 
 import numpy as np
 
-# Budget and its error live in cbn; they stay importable from here
-from .cbn import DEFAULT_BUDGET, Budget, BudgetExceededError, Cbn, Cpd, _read_only, value_index
+from .cbn import DEFAULT_BUDGET, Budget, Cbn, Cpd, _read_only, value_index
 from .graph import Dag, bayes_ball
 from .intervention import (
     CLASS_INF,

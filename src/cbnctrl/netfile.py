@@ -79,6 +79,19 @@ def _rows(value, path: str) -> tuple[tuple[float, ...], ...]:
     return tuple(rows)
 
 
+def _table(name: str, parents: tuple[str, ...], rows, cards: dict[str, int], path: str) -> Cpd:
+    # the table of ``name`` over ``parents`` from a file's ``rows``, refused
+    # under ``path`` unless each row has one entry per value of ``name``
+    rows = _rows(rows, f"{path}.rows")
+    try:
+        table = Cpd(name, parents, tuple(cards[p] for p in parents), rows)
+    except ValueError as exc:
+        raise NetFormatError(f"{path}: {exc}") from exc
+    if table.card != cards[name]:
+        _fail(path, f"rows have {table.card} entries, node cardinality is {cards[name]}")
+    return table
+
+
 @dataclass(frozen=True)
 class NetworkSpec:
     """Everything a network file can describe.
@@ -211,15 +224,9 @@ def parse(text: str) -> NetworkSpec:
                     f"{path}.parents",
                     f"expected the parents of {name!r} {list(dag.parents(name))}, got {list(parents)}",
                 )
-            rows = _rows(entry["rows"], f"{path}.rows")
-            try:
-                cpds[name] = Cpd(name, parents, tuple(cards[p] for p in parents), rows)
-            except ValueError as exc:
-                raise NetFormatError(f"{path}: {exc}") from exc
-        try:
-            cbn = Cbn(dag, cards, cpds)
-        except ValueError as exc:
-            raise NetFormatError(f"cpds: {exc}") from exc
+            cpds[name] = _table(name, parents, entry["rows"], cards, path)
+        # each table passed every check of `Cbn` above, under its own path
+        cbn = Cbn(dag, cards, cpds)
 
     pair = None
     if "policies" in doc:
@@ -239,21 +246,13 @@ def parse(text: str) -> NetworkSpec:
             for i, member in enumerate(scope):
                 if member not in dag:
                     _fail(f"{path}.scope[{i}]", f"unknown node {member!r}")
-            rows = _rows(entry["rows"], f"{path}.rows")
+            policy = InterventionPolicy(_table(name, scope, entry["rows"], cards, path))
             try:
-                table = Cpd(name, scope, tuple(cards[s] for s in scope), rows)
-                if table.card != cards[name]:
-                    raise ValueError(
-                        f"rows have {table.card} entries, node cardinality is {cards[name]}"
-                    )
-                policies.append(InterventionPolicy(table))
+                check_policies(dag, InterventionPair.of(policy))
             except ValueError as exc:
-                raise NetFormatError(f"{path}: {exc}") from exc
-        try:
-            pair = InterventionPair(policies)
-            check_policies(dag, pair)
-        except ValueError as exc:
-            raise NetFormatError(f"policies: {exc}") from exc
+                raise NetFormatError(f"{path}.scope: {exc}") from exc
+            policies.append(policy)
+        pair = InterventionPair(policies)
 
     return NetworkSpec(dag, cards, intervenable, tuple(targets), desired, cbn, pair)
 

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .cbn import DEFAULT_BUDGET, Budget, Cbn
+from .cbn import DEFAULT_BUDGET, Budget, Cbn, Cpd
 from .control import (
     ControlProblem,
     Direction,
@@ -142,24 +142,24 @@ def best_over_subsets(
 
 def _subset_optima(cbn, intervenable, ip_class, desired, directions, budget, known=None) -> list:
     # the value and subset of `best_over_subsets` in each of ``directions``.
-    # A subset's answer is that of its live drivers (`live_drivers`): the
-    # optimizer searches only those, so subsets with the same live drivers
-    # share one values-only call.  ``known`` maps live drivers, as a
-    # canonical tuple, to the values of `optimal_values` in ``directions``
-    # already at hand.  The arguments are checked up front, in the order
-    # of the empty subset's call, so the live drivers can be read first.
+    # Only the subsets of the live pool (`live_drivers`) are scanned, in the
+    # order they have among all subsets, and that is exact: a subset with a
+    # dead driver gets its live part's answer bit for bit, the scan reaches
+    # that part earlier, and every value scanned so far is at most the
+    # incumbent plus `TIE_TOL` (mirrored for MIN), so it never replaces it.
+    # ``known`` maps subsets of the live pool to values already at hand.
+    # The arguments are checked up front, in the order of the empty
+    # subset's call, so that the live pool can be read first.
     dag = cbn.dag
     pool = dag.canon(intervenable)
     budget.check_set_size(len(pool))
     checked_directions(directions, ip_class, desired)
     cbn.check_joint(desired, budget=budget)
-    answers = dict(known or {})
     best: list = [None] * len(directions)
-    for subset in iter_subsets(pool):
-        live = live_drivers(dag, subset, desired)
-        values = answers.get(live)
+    for subset in iter_subsets(live_drivers(dag, pool, desired)):
+        values = (known or {}).get(subset)
         if values is None:
-            values = answers[live] = optimal_values(cbn, live, ip_class, desired, directions, budget)
+            values = optimal_values(cbn, subset, ip_class, desired, directions, budget)
         for i, (direction, value) in enumerate(zip(directions, values)):
             if best[i] is None or direction.beats(value, best[i][0], TIE_TOL):
                 best[i] = (value, subset)
@@ -234,11 +234,11 @@ def grid_policy_values(
     driver_list = dag.canon(drivers)
     # the joint is refused as `Cbn.joint` would refuse it, then the step,
     # with or without drivers, then the work, all before the rows and the
-    # joint are built
+    # joint are built; the contractions below run no second check
     cbn.check_joint(desired, budget=budget)
     denom = _grid_denominator(step)
     if not driver_list:
-        return [cbn.marginal_prob(desired, budget)] * len(directions)
+        return [float(cbn._contract(desired, keep=()))] * len(directions)
     cards = cbn.cards
     scopes = {d: scope_for_class(dag, d, ip_class) for d in driver_list}
     total = prod(
@@ -249,7 +249,7 @@ def grid_policy_values(
     searched = [(d, scopes[d], np.asarray(simplex_grid_rows(cards[d], step))) for d in driver_list]
     # every other node meets no policy factor and is summed out first
     layout = dag.canon([*driver_list, *(s for d in driver_list for s in scopes[d])])
-    base = cbn.joint(desired, skip=driver_list, budget=budget, keep=layout)
+    base = cbn._contract(desired, driver_list, layout)
 
     def values(flat: np.ndarray):
         batch, _ = policy_batch(cbn, base, layout, searched, flat)
@@ -411,8 +411,8 @@ def verify_sufficiency(
     details = [f"drivers: {{{' '.join(xstar)}}}"]
     failures: list[str] = []
     values = optimal_values(cbn, xstar, CLASS_INF, desired, BOTH, budget)
-    known = {live_drivers(cbn.dag, xstar, desired): values}
-    optima = _subset_optima(cbn, pool, CLASS_INF, desired, BOTH, budget, known)
+    # c_star's terminals are targets or their ancestors, so all are live
+    optima = _subset_optima(cbn, pool, CLASS_INF, desired, BOTH, budget, {xstar: values})
     for direction, mine, (best_value, best_subset) in zip(BOTH, values, optima):
         details.append(
             f"{direction.value}: drivers {mine:.9f}, exhaustive {best_value:.9f} "

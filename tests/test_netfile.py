@@ -33,6 +33,50 @@ def doc(**overrides):
     return out
 
 
+CPDS = {
+    "a": {"parents": [], "rows": [[0.3, 0.7]]},
+    "b": {"parents": ["a"], "rows": [[0.8, 0.2], [0.5, 0.5]]},
+}
+
+
+def with_cpds(**tables):
+    """`MINIMAL` with a full `cpds` block, ``tables`` replacing or adding
+    entries after the two valid ones."""
+    return doc(cpds={**json.loads(json.dumps(CPDS)), **tables})
+
+
+#: one document per refusal, with the field path its message starts with
+MALFORMED = [
+    (doc(nodes=[5]), "nodes[0]"),
+    (doc(nodes=[{"name": 3, "card": 2}]), "nodes[0].name"),
+    (doc(nodes=[{"name": "", "card": 2}]), "nodes[0].name"),
+    (doc(intervenable="a"), "intervenable"),
+    (doc(intervenable=["a", "a"]), "intervenable[1]"),
+    (with_cpds(a={"parents": [], "rows": []}), "cpds.a.rows"),
+    (with_cpds(a={"parents": [], "rows": "x"}), "cpds.a.rows"),
+    (with_cpds(a={"parents": [], "rows": [[]]}), "cpds.a.rows[0]"),
+    (with_cpds(a={"parents": [], "rows": [0.5]}), "cpds.a.rows[0]"),
+    (doc(nodes={}), "nodes"),
+    (doc(nodes=[]), "nodes"),
+    (doc(edges={}), "edges"),
+    (doc(targets={}), "targets"),
+    (doc(targets=[]), "targets"),
+    (doc(targets=[{"name": "b", "desired": 1}, {"name": "b", "desired": 0}]), "targets[1].name"),
+    (doc(cpds=[]), "cpds"),
+    (with_cpds(zz={"parents": [], "rows": [[0.5, 0.5]]}), "cpds.zz"),
+    (doc(policies=[]), "policies"),
+    (doc(policies={"zz": {"scope": [], "rows": [[0.0, 1.0]]}}), "policies.zz"),
+    (doc(policies={"a": {"scope": ["zz"], "rows": [[0.0, 1.0]]}}), "policies.a.scope[0]"),
+]
+
+
+@pytest.mark.parametrize("bad, path", MALFORMED)
+def test_each_refusal_starts_with_its_field_path(bad, path):
+    with pytest.raises(NetFormatError) as info:
+        parse(json.dumps(bad))
+    assert str(info.value).startswith(f"{path}: "), str(info.value)
+
+
 class TestParsing:
     def test_minimal_structure(self):
         spec = parse(json.dumps(MINIMAL))
@@ -104,12 +148,7 @@ class TestParsing:
 
 class TestCpdBlock:
     def full(self):
-        out = doc()
-        out["cpds"] = {
-            "a": {"parents": [], "rows": [[0.3, 0.7]]},
-            "b": {"parents": ["a"], "rows": [[0.8, 0.2], [0.5, 0.5]]},
-        }
-        return out
+        return with_cpds()
 
     def test_parses_to_network(self):
         spec = parse(json.dumps(self.full()))
@@ -142,6 +181,15 @@ class TestCpdBlock:
         with pytest.raises(NetFormatError, match="cpds.b.parents"):
             parse(json.dumps(bad))
 
+    def test_row_width_refused_under_its_table(self):
+        # it was refused for the whole block, as "cpds: cpd for 'a' has
+        # cardinality 3, expected 2"
+        bad = self.full()
+        bad["cpds"]["a"]["rows"] = [[0.2, 0.3, 0.5]]
+        message = "cpds.a: rows have 3 entries, node cardinality is 2"
+        with pytest.raises(NetFormatError, match=f"^{re.escape(message)}$"):
+            parse(json.dumps(bad))
+
     def test_non_number_cell_path(self):
         bad = self.full()
         bad["cpds"]["a"]["rows"] = [[0.3, "x"]]
@@ -170,6 +218,15 @@ class TestPolicyBlock:
         bad = doc(intervenable=["a", "b"])
         bad["policies"] = {"a": {"scope": ["b"], "rows": [[0.0, 1.0], [1.0, 0.0]]}}
         with pytest.raises(NetFormatError, match="policies"):
+            parse(json.dumps(bad))
+
+    def test_non_ancestor_refused_under_its_scope(self):
+        # it was refused for the whole block, as "policies: policy on 'a'
+        # conditions on non-ancestors ['b']"
+        bad = doc(intervenable=["a", "b"])
+        bad["policies"] = {"a": {"scope": ["b"], "rows": [[0.0, 1.0], [1.0, 0.0]]}}
+        message = "policies.a.scope: policy on 'a' conditions on non-ancestors ['b']"
+        with pytest.raises(NetFormatError, match=f"^{re.escape(message)}$"):
             parse(json.dumps(bad))
 
     def test_row_cardinality_checked(self):

@@ -17,10 +17,12 @@ from cbnctrl import (
     CLASS_INF,
     Cbn,
     Cpd,
+    DEFAULT_BUDGET,
     Dag,
     Direction,
     InterventionPair,
     InterventionPolicy,
+    IpClass,
     best_over_subsets,
     ci_holds,
     grid_policy_search,
@@ -36,12 +38,13 @@ from cbnctrl import (
     verify_sufficiency,
     verify_usm,
 )
+from cbnctrl.control import live_drivers
 from cbnctrl.graph import INF
 from cbnctrl.intervention import scope_for_class
-from cbnctrl.oracle import BOTH, grid_policy_values, iter_subsets, simplex_grid_rows
+from cbnctrl.oracle import BOTH, TIE_TOL, grid_policy_values, iter_subsets, simplex_grid_rows
 
 from test_cbn import chain_ab, xor_gate
-from test_control import joint_calls, screening_chain
+from test_control import dead_fan, fan_dag, joint_calls, live_and_dead, screening_chain
 from test_graph import junction
 
 
@@ -153,6 +156,78 @@ class TestBestOverSubsets:
         tight = Budget(max_set_size=0)
         with pytest.raises(BudgetExceededError):
             best_over_subsets(cbn, ("y",), CLASS1, {"o": 1}, Direction.MAX, tight)
+
+
+def literal_subset_optimum(cbn, pool, ip_class, desired, direction):
+    # every subset of the whole pool, dead drivers included, one call each
+    # with nothing shared; a later subset is taken only if it is better by
+    # more than TIE_TOL
+    best = None
+    for subset in iter_subsets(cbn.dag.canon(pool)):
+        (value,) = oracle.optimal_values(cbn, subset, ip_class, desired, (direction,))
+        if best is None or (value - best[0] if direction is Direction.MAX else best[0] - value) > TIE_TOL:
+            best = (value, subset)
+    return best
+
+
+class TestSubsetOptima:
+    """`_subset_optima` scans the subsets of the live pool only; that must
+    give what a scan of every subset of the whole pool gives."""
+
+    @staticmethod
+    def networks():
+        rng = np.random.default_rng(41)
+        # p0 and p1 live, x and y dead; every subset ties with its live part
+        yield dead_fan(rng, k=2), ("y", "p1", "x", "p0"), {"t": 1}
+        # x dead and first in canonical order, r and d live
+        yield live_and_dead(rng), ("x", "d", "r"), {"o": 1}
+        # an idle node in front of a fan: no path to anything
+        yield random_cbn(rng, fan_dag(2, lead=("idle",))), ("idle", "d0", "r1", "d1"), {"o": 1}
+
+    def test_live_pool_scan_matches_the_literal_scan(self, monkeypatch):
+        real = oracle.optimal_values
+        for cbn, pool, desired in self.networks():
+            live = live_drivers(cbn.dag, cbn.dag.canon(pool), desired)
+            assert live != cbn.dag.canon(pool)
+            for level in (1, 2, INF):
+                ip_class = IpClass(level)
+                expect = [literal_subset_optimum(cbn, pool, ip_class, desired, d) for d in BOTH]
+                calls = []
+
+                def recording(cbn, drivers, *args):
+                    calls.append(drivers)
+                    return real(cbn, drivers, *args)
+
+                with monkeypatch.context() as patch:
+                    patch.setattr(oracle, "optimal_values", recording)
+                    got = oracle._subset_optima(cbn, pool, ip_class, desired, BOTH, DEFAULT_BUDGET)
+                assert [(repr(v), s) for v, s in got] == [(repr(v), s) for v, s in expect]
+                # one call per subset of the live pool, and no other
+                assert calls == list(iter_subsets(live))
+
+    @pytest.mark.parametrize("gain, winner", [(2e-16, ("b",)), (1e-12, ("c", "b"))])
+    def test_tie_rule_over_a_dead_driver(self, monkeypatch, gain, winner):
+        # c -> b -> t, with z below c: b alone reaches every optimum and
+        # {c, b} ties with it.  Every search with two or more live drivers
+        # reads ``gain`` better than it is, as a change of summation order
+        # can make a tie read; noise never wins, a real gain does
+        dag = Dag(["z", "c", "b", "t"], [("c", "z"), ("c", "b"), ("b", "t")])
+        cbn = random_cbn(np.random.default_rng(43), dag)
+        real = oracle.optimal_values
+
+        def nudged(cbn, drivers, ip_class, desired, directions, budget=None):
+            values = real(cbn, drivers, ip_class, desired, directions, budget)
+            if len(live_drivers(cbn.dag, drivers, desired)) < 2:
+                return values
+            return [v + gain if d is Direction.MAX else v - gain for d, v in zip(directions, values)]
+
+        monkeypatch.setattr(oracle, "optimal_values", nudged)
+        for level in (1, 2, INF):
+            ip_class = IpClass(level)
+            expect = [literal_subset_optimum(cbn, ("z", "c", "b"), ip_class, {"t": 1}, d) for d in BOTH]
+            got = oracle._subset_optima(cbn, ("z", "c", "b"), ip_class, {"t": 1}, BOTH, DEFAULT_BUDGET)
+            assert [(repr(v), s) for v, s in got] == [(repr(v), s) for v, s in expect]
+            assert [s for _, s in got] == [winner, winner]
 
 
 class TestSimplexGrid:
@@ -279,6 +354,22 @@ class TestGridSearch:
             for ip_class in (1, "inf", None):
                 with pytest.raises(ValueError, match="ip_class must be an IpClass"):
                     grid_policy_search(cbn, drivers, ip_class, {"o": 1}, Direction.MAX)
+
+    def test_event_checked_once_per_call(self, monkeypatch):
+        # the contractions run no check of their own after the search's
+        checks = []
+        check_joint = Cbn.check_joint
+
+        def counting(self, *args, **kwargs):
+            checks.append(args)
+            return check_joint(self, *args, **kwargs)
+
+        monkeypatch.setattr(Cbn, "check_joint", counting)
+        cbn = screening_chain()
+        for drivers in (("y1",), ()):
+            checks.clear()
+            grid_policy_values(cbn, drivers, CLASS1, {"o": 1}, BOTH)
+            assert len(checks) == 1, drivers
 
     def test_step_checked_without_drivers(self):
         # a driverless call once returned the marginal for any step
@@ -435,6 +526,62 @@ class TestSuites:
         report = verify_extremality(cbn, ("y1", "y2"), ("o",), {"o": 1})
         assert report.passed
         assert any(line.startswith("max:") for line in report.details)
+
+    def test_lemma3_reports_each_bracket_that_misses_the_baseline(self, monkeypatch):
+        # every search reads max 0.2 and min 0.1, below the baseline 0.418
+        monkeypatch.setattr(oracle, "optimal_values", lambda *args: [0.2, 0.1])
+        report = verify_lemma3(screening_chain(), ("y1",), {"o": 1}, (1,))
+        assert report.passed is False
+        assert report.details == (
+            "baseline probability 0.418000000",
+            "brackets checked: 2",
+            "subset={} class-1: min=0.100000000 baseline=0.418000000 max=0.200000000",
+            "subset={y1} class-1: min=0.100000000 baseline=0.418000000 max=0.200000000",
+        )
+
+    def test_sufficiency_reports_drivers_that_miss_the_optimum(self, monkeypatch):
+        # the empty subset reads 1 for max and 0 for min, past the drivers
+        real = oracle.optimal_values
+
+        def empty_reaches_all(cbn, drivers, ip_class, desired, directions, budget=None):
+            if drivers:
+                return real(cbn, drivers, ip_class, desired, directions, budget)
+            return [1.0 if d is Direction.MAX else 0.0 for d in directions]
+
+        monkeypatch.setattr(oracle, "optimal_values", empty_reaches_all)
+        report = verify_sufficiency(screening_chain(), ("y1", "y2"), ("o",), {"o": 1})
+        assert report.passed is False
+        assert report.details == (
+            "drivers: {y1}",
+            "max: drivers 0.700000000, exhaustive 1.000000000 at {}",
+            "min: drivers 0.100000000, exhaustive 0.000000000 at {}",
+            "max: drivers miss the exhaustive optimum",
+            "min: drivers miss the exhaustive optimum",
+        )
+
+    def test_usm_reports_a_full_set_that_falls_short(self, monkeypatch):
+        monkeypatch.setattr(oracle, "interventional_prob", lambda *args: 0.5)
+        report = verify_usm(junction(), ("t3", "t4"), ("o",))
+        assert report.passed is False
+        assert report.details == (
+            "drivers: {t3 t4}",
+            "full set: 0.500000000",
+            "proper subsets checked: 3",
+            "full driver set reaches only 0.500000000",
+        )
+
+    def test_usm_reports_each_proper_subset_that_reaches(self, monkeypatch):
+        monkeypatch.setattr(oracle, "optimal_values", lambda *args: [0.25])
+        report = verify_usm(junction(), ("t3", "t4"), ("o",))
+        assert report.passed is False
+        assert report.details == (
+            "drivers: {t3 t4}",
+            "full set: 1.000000000",
+            "proper subsets checked: 3",
+            "proper subset {} reaches 0.250000000",
+            "proper subset {t3} reaches 0.250000000",
+            "proper subset {t4} reaches 0.250000000",
+        )
 
     def test_extremality_reports_a_grid_that_beats_either_optimum(self, monkeypatch):
         import cbnctrl.oracle as oracle
