@@ -61,31 +61,25 @@ class Budget:
     max_work: int = 50_000_000
 
     def check_state_space(self, size: int) -> None:
-        if size > self.max_state_space:
-            raise BudgetExceededError(
-                f"state space of {size} configurations exceeds the cap of "
-                f"{self.max_state_space}",
-                estimate=size,
-                limit=self.max_state_space,
-            )
+        self._check(size, self.max_state_space, "state space of {} configurations exceeds the cap of {}")
 
     def check_set_size(self, size: int) -> None:
-        if size > self.max_set_size:
-            raise BudgetExceededError(
-                f"subset search over {size} candidates exceeds the cap of "
-                f"{self.max_set_size}",
-                estimate=size,
-                limit=self.max_set_size,
-            )
+        self._check(size, self.max_set_size, "subset search over {} candidates exceeds the cap of {}")
 
     def check_work(self, estimate: int) -> None:
-        if estimate > self.max_work:
-            raise BudgetExceededError(
-                f"estimated {estimate} elementary operations exceed the budget of "
-                f"{self.max_work}; raise the budget to at least {estimate} to run this",
-                estimate=estimate,
-                limit=self.max_work,
-            )
+        self._check(
+            estimate,
+            self.max_work,
+            "estimated {0} elementary operations exceed the budget of {1}; "
+            "raise the budget to at least {0} to run this",
+        )
+
+    @staticmethod
+    def _check(estimate: int, limit: int, text: str) -> None:
+        # ``text`` takes the estimate and the limit, and is formatted only
+        # on a refusal: `check_joint` checks every query
+        if estimate > limit:
+            raise BudgetExceededError(text.format(estimate, limit), estimate=estimate, limit=limit)
 
 
 DEFAULT_BUDGET = Budget()

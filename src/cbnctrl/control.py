@@ -35,27 +35,26 @@ order: the first optimum of a chunk replaces the incumbent only on a
 strict improvement.  `oracle.grid_policy_search` runs on the same two
 functions, with grid rows where the optimizer has one-hot rows.
 
-One plan serves every direction, in two stages.  The first does
-everything up to and including the scan once: the scan reduces each
-chunk once per direction, each direction with its own incumbent, so each
-answer is exactly that of a single-direction call.  It yields each
-direction's value and winning combination.  The second turns one winning
-combination into its witness pair.  `optimal_values` runs the first stage
-only, for callers that read values alone, such as the verify suites, and
-its scan reduces each chain driver with ``np.maximum``/``np.minimum``.
-`optimal_policy_value` runs both for one direction.  Its scan reduces by
-a recording sweep over each chain driver's values instead: a strict
-comparison keeps the first optimum, as ``argmax`` does, and since max and
-min are exact it gives the same reduced tensor.  Next to each
-direction's incumbent the scan keeps that combination's record, the
-enumerated drivers' digits and the chain drivers' choices, copied out of
-the chunk only when the incumbent changes.  So the second stage does no
-tensor work: one gather index per driver, built by `_gather`, takes its
-recorded row to its class scope's row-major order, and each driver's
-table is filled by `Cpd.with_choices` on the plan's table for it, whose
-shape was checked once, on the plan's first witness.
+One plan serves every direction.  `_scan_plan` does everything up to
+and including the scan once: the scan reduces each chunk once per
+direction, each direction with its own incumbent, so each answer is
+exactly that of a single-direction call.  `optimal_values` reads the
+values alone, as the verify suites do, and its scan reduces each chain
+driver with ``np.maximum``/``np.minimum``.  `optimal_policy_value` asks
+for one direction and its winner.  Its scan reduces by a recording sweep
+over each chain driver's values instead: a strict comparison keeps the
+first optimum, as ``argmax`` does, and since max and min are exact it
+gives the same reduced tensor.  Next to the incumbent the scan keeps its
+record, the enumerated drivers' digits and the chain drivers' choices,
+copied out of the chunk only when the incumbent changes.  `_scan_plan`
+returns the winner as data, each live driver's choices taken to its class
+scope's row-major order by one gather index per driver (`_gather`), or on
+the 0/1 path its chosen value.  `optimal_policy_value` builds the pair by
+one rule and no tensor work: an atomic policy on the 0/1 path, otherwise
+the driver's table in `SearchPlan.tables`, built and shape-checked on
+first use, filled by `Cpd.with_choices` for a live driver.
 
-On the chain path, everything the first stage decides before it asks for
+On the chain path, everything `_scan_plan` decides before it asks for
 the base tensor depends only on the query's shape: the live drivers, the
 policy class and the nodes the desired event names.  The class scopes, the
 axes, the reduction segments, the enumerated drivers with their requisite
@@ -389,8 +388,22 @@ def optimal_policy_value(
     lexicographic choice order and only strict improvements replace the
     incumbent, so repeated runs return the identical witness.
     """
-    values, witness = _scan_plan(cbn, drivers, ip_class, desired, (direction,), budget, witness=True)
-    return values[0], witness(0)
+    values, choices, tables = _scan_plan(cbn, drivers, ip_class, desired, (direction,), budget, witness=True)
+    cards = cbn.cards
+
+    def policy(d: str) -> InterventionPolicy:
+        # the one witness rule: on a 0/1 network, the atomic policy on the
+        # chosen value, or on 0 for a dead driver; otherwise the driver's
+        # first table, built on first use, filled with a live driver's
+        # choices
+        if cbn.deterministic:
+            return atomic_policy(d, choices.get(d, 0), cards[d])
+        table = tables.get(d)
+        if table is None:
+            table = tables[d] = _first_table(cards, d, scope_for_class(cbn.dag, d, ip_class))
+        return InterventionPolicy(table.with_choices(choices[d]) if d in choices else table)
+
+    return values[0], InterventionPair(map(policy, cbn.dag.canon(drivers)))
 
 
 def optimal_values(
@@ -402,8 +415,8 @@ def optimal_values(
     budget: Budget | None = None,
 ) -> list[float]:
     """The value of `optimal_policy_value` in each of ``directions``, in
-    order, with the same refusals, from one plan's first stage: no witness
-    table is built."""
+    order, with the same refusals, from one plan's scan: no winner is kept
+    and no witness table is built."""
     return _scan_plan(cbn, drivers, ip_class, desired, directions, budget, witness=False)[0]
 
 
@@ -426,10 +439,11 @@ class SearchPlan:
     row-major order: an enumerated driver's digits are laid out over its
     searched scope, a chain driver's choices over the axes left when it is
     reduced.
-    ``tables`` maps each driver to its `_first_table` on its class scope,
-    built on the plan's first witness, so that its shape is checked once
-    per plan and each witness only fills it with `Cpd.with_choices`; it
-    stays empty for a plan that only gives values.
+    ``tables`` maps each driver that a witness names, dead ones included,
+    to its `_first_table` on its class scope, built on first use, so that
+    its shape is checked once per plan; a witness fills a live driver's
+    with `Cpd.with_choices` and takes a dead driver's as it is.  It stays
+    empty for a plan that only gives values.
     """
 
     scopes: dict[str, tuple[str, ...]]
@@ -506,36 +520,24 @@ def _search_plan(
     return SearchPlan(scopes, axes, searched, tuple(segments), outer_total, gathers)
 
 
-def _scan_plan(
-    cbn: Cbn, drivers, ip_class: IpClass, desired, directions, budget, *, witness: bool
-):
-    # The plan's first stage: the checks, the work check, the base tensor
-    # and the scan, on the chain path from the live drivers' `SearchPlan`.
-    # Returns the value per direction, and the second stage: a function
-    # from a direction's position to the witness pair of its winning
-    # combination.  On the chain path the second stage needs the rows that
-    # only a scan with ``witness`` keeps.
+def _scan_plan(cbn: Cbn, drivers, ip_class: IpClass, desired, directions, budget, *, witness: bool):
+    # The checks, the work check, the base tensor and the scan, on the chain
+    # path from the live drivers' `SearchPlan`.  Returns the value per
+    # direction, then, given ``witness`` and one direction, each live
+    # driver's winning choice, and the tables its witness fills.  On the 0/1
+    # path a choice is one value and the tables are a fresh dict; on the
+    # chain path it is one value per configuration of the class scope, in
+    # row-major order, and the tables are the plan's.
     budget = budget or DEFAULT_BUDGET
     dag = cbn.dag
-    driver_list = dag.canon(drivers)
     directions = checked_directions(directions, ip_class, desired)
     # before the plan: a driver's scope can hold every other node
     cbn.check_joint(desired, budget=budget)
     # Only the live drivers are searched, and only now, so that every
     # refusal above keeps its text and order.  Every table of a dead driver
     # ties with its first, which the scan's tie-break would keep.
-    live = live_drivers(dag, driver_list, desired)
+    live = live_drivers(dag, dag.canon(drivers), desired)
     cards = cbn.cards
-
-    def witness_pair(policies: dict) -> InterventionPair:
-        # the live drivers' ``policies`` and each dead driver's first table
-        # (on the 0/1 path, value 0), in canonical driver order
-        return InterventionPair(
-            policies[d] if d in policies
-            else atomic_policy(d, 0, cards[d]) if cbn.deterministic
-            else InterventionPolicy(_first_table(cards, d, scope_for_class(dag, d, ip_class)))
-            for d in driver_list
-        )
 
     if not live or cbn.deterministic:
         # A fully deterministic network realizes one world per forced choice
@@ -548,12 +550,8 @@ def _scan_plan(
         base = cbn._contract(desired, live, live)
         values = base.reshape(-1)
         bests = [int(direction.arg(values)) for direction in directions]
-
-        def atomic_witness(i: int) -> InterventionPair:
-            vector = np.unravel_index(bests[i], base.shape)
-            return witness_pair({d: atomic_policy(d, int(v), cards[d]) for d, v in zip(live, vector)})
-
-        return [_clamp(float(values[best])) for best in bests], atomic_witness
+        chosen = np.unravel_index(bests[0], base.shape) if witness else ()
+        return [_clamp(float(values[best])) for best in bests], dict(zip(live, map(int, chosen))), {}
 
     shape = (live, ip_class, frozenset(desired))
     plan = cbn._search_plans.get(shape)
@@ -561,8 +559,6 @@ def _scan_plan(
         plan = cbn._search_plans[shape] = _search_plan(cbn, *shape)
     budget.check_work(plan.outer_total * cbn.state_space_size())
     base = cbn._contract(desired, live, plan.axes)
-
-    axes, searched = plan.axes, plan.searched
 
     def reduce_chain(
         batch: np.ndarray, direction: Direction, picks: list | None = None
@@ -596,28 +592,17 @@ def _scan_plan(
 
     def evaluate(flat: np.ndarray) -> list:
         # one batch per chunk, reduced once per direction; with a witness
-        # to build, each direction keeps the enumerated drivers' digits and
-        # its reduction's chain choices
-        batch, digits = policy_batch(cbn, base, axes, searched, flat)
-        if not witness:
-            return [(reduce_chain(batch, direction), ()) for direction in directions]
-        kept = [list(digits) for _ in directions]
-        return [(reduce_chain(batch, d, rows), rows) for d, rows in zip(directions, kept)]
+        # to build, the one direction keeps the enumerated drivers' digits
+        # and its reduction's chain choices
+        batch, digits = policy_batch(cbn, base, plan.axes, plan.searched, flat)
+        if witness:
+            return [(reduce_chain(batch, directions[0], digits), digits)]
+        return [(reduce_chain(batch, direction), ()) for direction in directions]
 
     optima = scan_combinations(plan.outer_total, base.size, evaluate, directions)
-
-    def table_witness(i: int) -> InterventionPair:
-        rows = dict(zip(plan.gathers, optima[i][2]))
-        tables = plan.tables
-        if not tables:
-            # the plan's first witness checks each table's shape, once
-            for d in live:
-                tables[d] = _first_table(cards, d, plan.scopes[d])
-        return witness_pair(
-            {d: InterventionPolicy(tables[d].with_choices(rows[d][plan.gathers[d]])) for d in live}
-        )
-
-    return [_clamp(float(value)) for value, _, _ in optima], table_witness
+    rows = optima[0][2] if witness else ()
+    choices = {d: row[gather] for (d, gather), row in zip(plan.gathers.items(), rows)}
+    return [_clamp(float(value)) for value, _, _ in optima], choices, plan.tables
 
 
 def solve(

@@ -169,12 +169,21 @@ def parse(text: str) -> NetworkSpec:
 
     if not isinstance(doc["edges"], list):
         _fail("edges", "expected a list")
-    edges: list[tuple[str, str]] = []
+    edges: dict[tuple[str, str], None] = {}  # in file order
     for i, entry in enumerate(doc["edges"]):
         path = f"edges[{i}]"
         if not isinstance(entry, list) or len(entry) != 2:
             _fail(path, "expected a [parent, child] pair")
-        edges.append((_string(entry[0], f"{path}[0]"), _string(entry[1], f"{path}[1]")))
+        edge = (_string(entry[0], f"{path}[0]"), _string(entry[1], f"{path}[1]"))
+        for j, name in enumerate(edge):
+            if name not in cards:
+                _fail(f"{path}[{j}]", f"unknown node {name!r}")
+        if edge[0] == edge[1]:
+            _fail(path, f"self loop on {edge[0]!r}")
+        if edge in edges:
+            _fail(path, f"duplicate edge {edge!r}")
+        edges[edge] = None
+    # every entry passed, so only a directed cycle is left to refuse
     try:
         dag = Dag(names, edges)
     except ValueError as exc:
@@ -295,4 +304,7 @@ def load(path: str | Path) -> NetworkSpec:
 
 
 def save(spec: NetworkSpec, path: str | Path) -> None:
-    Path(path).write_text(serialize(spec))
+    try:
+        Path(path).write_text(serialize(spec))
+    except OSError as exc:
+        raise NetFormatError(f"cannot write {path}: {exc}") from exc

@@ -477,9 +477,9 @@ def verify_extremality(
     optima = optimal_values(cbn, xstar, CLASS_INF, desired, BOTH, budget)
     grids = grid_policy_values(cbn, xstar, CLASS_INF, desired, BOTH, 0.25, budget)
     for direction, det, grid in zip(BOTH, optima, grids):
-        maximize = direction is Direction.MAX
         details.append(f"{direction.value}: deterministic {det:.9f}, grid {grid:.9f}")
-        if grid > det + BRACKET_TOL if maximize else grid < det - BRACKET_TOL:
-            failures.append(f"grid search beat the deterministic {'maximum' if maximize else 'minimum'}")
+        if direction.beats(grid, det, BRACKET_TOL):
+            optimum = "maximum" if direction is Direction.MAX else "minimum"
+            failures.append(f"grid search beat the deterministic {optimum}")
     details.extend(failures)
     return SuiteReport("extremality", not failures, tuple(details))

@@ -203,6 +203,36 @@ class TestRefusalTexts:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Cbn(dag, {"a": 2, "b": 2}, {**good, **cpds})
 
+    def test_cpd_lookups_out_of_range(self):
+        cpd = Cpd("b", ("a",), (2,), (HALF, HALF))
+        cases = [
+            (lambda: cpd.row_index({"a": 2}), "value 2 out of range for 'a' (card 2)"),
+            (lambda: cpd.row_index({"a": -1}), "value -1 out of range for 'a' (card 2)"),
+            (lambda: cpd.prob(2, {"a": 0}), "value 2 out of range for 'b' (card 2)"),
+            (lambda: cpd.prob(0, {"a": 3}), "value 3 out of range for 'a' (card 2)"),
+        ]
+        for lookup, message in cases:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                lookup()
+
+    def test_cbn_covers_the_dag_and_names_unknown_nodes(self):
+        dag = Dag(["a", "b"], [("a", "b")])
+        good = {"a": Cpd("a", (), (), (HALF,)), "b": Cpd("b", ("a",), (2,), (HALF, HALF))}
+        cases = [
+            (({"a": 2}, good), "cards must cover exactly the dag nodes"),
+            (({"a": 2, "b": 2, "c": 2}, good), "cards must cover exactly the dag nodes"),
+            (({"a": 2, "b": 2}, {"a": good["a"]}), "cpds must cover exactly the dag nodes"),
+            (
+                ({"a": 2, "b": 2}, {**good, "c": Cpd("c", (), (), (HALF,))}),
+                "cpds must cover exactly the dag nodes",
+            ),
+        ]
+        for (cards, cpds), message in cases:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                Cbn(dag, cards, cpds)
+        with pytest.raises(ValueError, match="^unknown node 'zz'$"):
+            Cbn(dag, {"a": 2, "b": 2}, good).cpd("zz")
+
 
 class TestInference:
     def test_chain_joint(self):
@@ -719,3 +749,37 @@ class TestEngineAgainstEnumeration:
                 query()
             assert info.value.estimate == 2 ** 15
         assert cbn.marginal_prob({a: 0}, Budget(max_state_space=2 ** 15)) > 0.0
+
+
+class TestBudgetChecks:
+    """Each `Budget` check passes at its cap and refuses one past it, with
+    its exact text and the estimate and cap attached."""
+
+    @pytest.mark.parametrize(
+        "check, cap, message",
+        [
+            ("check_state_space", "max_state_space", "state space of 8 configurations exceeds the cap of 7"),
+            ("check_set_size", "max_set_size", "subset search over 8 candidates exceeds the cap of 7"),
+            (
+                "check_work",
+                "max_work",
+                "estimated 8 elementary operations exceed the budget of 7; "
+                "raise the budget to at least 8 to run this",
+            ),
+        ],
+    )
+    def test_cap_passes_and_one_past_it_refuses(self, check, cap, message):
+        budget = Budget(**{cap: 7})
+        assert getattr(budget, check)(7) is None
+        with pytest.raises(BudgetExceededError, match=f"^{re.escape(message)}$") as info:
+            getattr(budget, check)(8)
+        assert (info.value.estimate, info.value.limit) == (8, 7)
+
+    def test_default_work_cap(self):
+        Budget().check_work(50_000_000)
+        message = (
+            "estimated 50000001 elementary operations exceed the budget of 50000000; "
+            "raise the budget to at least 50000001 to run this"
+        )
+        with pytest.raises(BudgetExceededError, match=f"^{re.escape(message)}$"):
+            Budget().check_work(50_000_001)

@@ -99,6 +99,12 @@ class TestSolve:
         assert code == 1
         assert "objective" in err
 
+    def test_budget_must_be_positive(self, gate, capsys):
+        for budget in ("0", "-5"):
+            code, out, err = run(["solve", gate, "--objective", "max-max", "--budget", budget], capsys)
+            assert code == 1 and out == ""
+            assert err == "error: --budget must be a positive number of elementary steps\n"
+
     def test_budget_refusal_exit_code(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         dag = random_dag(rng, 15, 0.2)
@@ -231,6 +237,16 @@ class TestUsm:
         spec = load(out_path)
         assert spec.cbn is not None
         assert spec.cbn.marginal_prob({"o": 1}) == 0.0
+
+    def test_out_that_cannot_be_written(self, junction_file, tmp_path, capsys):
+        # a missing directory and a directory: an error line, no traceback
+        for out_path in (tmp_path / "absent" / "usm.json", tmp_path):
+            code, out, err = run(["usm", junction_file, "--out", str(out_path)], capsys)
+            assert code == 1
+            assert out == ""
+            assert err.startswith(f"error: cannot write {out_path}: ")
+            assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_written_file_passes_its_own_suites(self, junction_file, tmp_path, capsys):
         out_path = tmp_path / "adversarial.json"

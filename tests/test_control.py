@@ -107,6 +107,12 @@ class TestProblem:
         problem = ControlProblem(junction(), ("t3",), ("o",), (1,))
         assert problem.desired_map == {"o": 1}
 
+    def test_repeated_intervenable_and_negative_desired_rejected(self):
+        with pytest.raises(ValueError, match="^duplicate intervenable node$"):
+            ControlProblem(junction(), ("t3", "t4", "t3"), ("o",), (1,))
+        with pytest.raises(ValueError, match="^desired value for 'o' must be non-negative$"):
+            ControlProblem(junction(), ("t3",), ("o",), (-1,))
+
 
 class TestCStar:
     def test_junction(self):

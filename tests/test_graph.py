@@ -260,6 +260,12 @@ class TestBackwardChain:
 
 
 class TestDSeparation:
+    def test_empty_side_rejected(self):
+        dag = Dag(["a", "b", "c"], [("a", "b"), ("b", "c")])
+        for a, b in (([], ["c"]), (["a"], []), ([], [])):
+            with pytest.raises(ValueError, match="^a and b must be non-empty$"):
+                dag.d_separated(a, b)
+
     def test_chain_blocked_by_middle(self):
         dag = Dag(["a", "b", "c"], [("a", "b"), ("b", "c")])
         assert not dag.d_separated(["a"], ["c"])

@@ -15,6 +15,7 @@ from cbnctrl import (
     Cbn,
     Cpd,
     Dag,
+    IDag,
     InterventionPair,
     InterventionPolicy,
     IpClass,
@@ -189,6 +190,17 @@ class TestIDag:
             InterventionPair.of(atomic_policy("a", 1, 2), atomic_policy("y", 0, 2)),
         )
         assert not i_subsumes(one, two)
+
+    def test_solid_surplus_does_not_i_subsume(self):
+        # id1 holds id2's edges and dashed layer, but its surplus is a solid
+        # edge, so clause (iii) alone says no.  `build_idag` cannot give
+        # such a pair: a smaller intervened set keeps more solid edges.
+        dag = chain_abc()
+        id1 = IDag(dag, CLAMP, frozenset({("a", "b")}), frozenset({(CLAMP, "c")}))
+        id2 = IDag(dag, CLAMP, frozenset(), frozenset({(CLAMP, "c")}))
+        assert id2.plain_edges() <= id1.plain_edges() and id2.dashed <= id1.dashed
+        assert not i_subsumes(id1, id2)
+        assert i_subsumes(IDag(dag, CLAMP, frozenset(), frozenset({(CLAMP, "c"), ("a", "c")})), id2)
 
     def test_different_base_rejected(self):
         id1 = build_idag(chain_abc(), InterventionPair.of(atomic_policy("c", 1, 2)))

@@ -123,10 +123,18 @@ class TestParsing:
             parse(json.dumps(bad))
 
     def test_edge_paths(self):
-        with pytest.raises(NetFormatError, match=r"edges\[0\]"):
-            parse(json.dumps(doc(edges=[["a"]])))
-        with pytest.raises(NetFormatError, match="structure"):
-            parse(json.dumps(doc(edges=[["a", "zz"]])))
+        # each entry is checked before the Dag is built; only a cycle, which
+        # no single entry causes, is left to `structure`
+        cases = [
+            ([["a"]], "edges[0]: expected a [parent, child] pair"),
+            ([["a", "zz"]], "edges[0][1]: unknown node 'zz'"),
+            ([["a", "b"], ["zz", "b"]], "edges[1][0]: unknown node 'zz'"),
+            ([["a", "b"], ["b", "b"]], "edges[1]: self loop on 'b'"),
+            ([["a", "b"], ["a", "b"]], "edges[1]: duplicate edge ('a', 'b')"),
+        ]
+        for edges, message in cases:
+            with pytest.raises(NetFormatError, match=f"^{re.escape(message)}$"):
+                parse(json.dumps(doc(edges=edges)))
 
     def test_cycle_reported_as_structure_error(self):
         bad = doc(edges=[["a", "b"], ["b", "a"]])
@@ -264,6 +272,14 @@ class TestRoundTrip:
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(NetFormatError, match="cannot read"):
             load(tmp_path / "absent.json")
+
+    def test_save_to_a_path_that_cannot_be_written(self, tmp_path):
+        # a missing directory and a directory: each is refused with its path
+        spec = parse(json.dumps(MINIMAL))
+        for path in (tmp_path / "absent" / "net.json", tmp_path):
+            with pytest.raises(NetFormatError, match=f"^cannot write {re.escape(str(path))}: "):
+                save(spec, path)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestFixtures:

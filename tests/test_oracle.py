@@ -446,6 +446,12 @@ class TestConditionalIndependence:
         assert ci_holds(cbn, "y2", "o", ["y1"])
         assert not ci_holds(cbn, "y2", "o", [])
 
+    def test_repeated_node_rejected(self):
+        cbn = screening_chain()
+        for a, b, z in (("y1", "y1", []), ("y1", "o", ["y1"]), ("y1", "o", ["y2", "y2"])):
+            with pytest.raises(ValueError, match="^a, b and the members of z must be distinct$"):
+                ci_holds(cbn, a, b, z)
+
     def test_marginally_independent_roots(self):
         rng = np.random.default_rng(12)
         dag = random_dag(rng, 2, edge_prob=0.0)
