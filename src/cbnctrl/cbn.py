@@ -10,11 +10,14 @@ in the event, nor ancestors of those are barren, and their tables, whose
 rows sum to one, are dropped (Shachter 1986).  Event values slice the
 tables they appear in, and one ``np.einsum`` sums the rest.  What to
 contract depends only on the query's shape (the kept nodes, the skipped
-set and the nodes the event names), so each network checks and plans it
-once per shape and a repeated query only checks and slices in its event
-values.  The literal
-sum over completions survives only as `oracle.enumerate_prob`, the
-reference the engine is tested against.
+set and the nodes the event names) and on the network's layout (its cards
+and each CPD's parent order), never on the CPD entries.  So the dag keeps
+one plan per layout and shape (`Dag.derived`), checked and made on the
+first call of any network of that layout; each network keeps that plan
+with its own CPD arrays in place, and a repeated query only checks and
+slices in its event values.  The literal sum over completions survives
+only as `oracle.enumerate_prob`, the reference the engine is tested
+against.
 """
 
 from __future__ import annotations
@@ -292,10 +295,20 @@ class Cbn:
             self._cpds[name] = cpd
         self._state_space = prod(self._cards.values())
         self._deterministic: bool | None = None
-        # `joint`'s contraction plans, one per query shape
+        # `joint`'s contraction plans with this network's arrays in place,
+        # one per query shape
         self._plans: dict[tuple, tuple] = {}
-        # the optimizer's chain-search plans (`control.SearchPlan`), one per shape
-        self._search_plans: dict[tuple, object] = {}
+        # What the dag decides for every network of these cards: the
+        # contraction plans without arrays, per CPD parent order too (a
+        # netfile lists parents in any order), one per shape; the
+        # optimizer's chain-search plans (`control.SearchPlan`), one per
+        # shape; and its first policy tables, per class level and driver
+        cards = tuple(self._cards.values())
+        self._shapes: dict[tuple, tuple] = dag.derived(
+            "joint", cards, tuple(cpd.parents for cpd in self._cpds.values())
+        )
+        self._search_plans: dict[tuple, object] = dag.derived("search", cards)
+        self._first_tables: dict[object, dict] = dag.derived("first tables", cards)
 
     @property
     def dag(self) -> Dag:
@@ -401,10 +414,12 @@ class Cbn:
         query that needs more than `MAX_LABELS` nodes is refused.
 
         The set-up depends only on the query's shape: ``keep``, the set
-        ``skip`` and the nodes ``event`` names.  It is checked and planned
-        by `_plan` on the first call of each shape and kept on the network
-        (a refused shape keeps none), so a later call of that shape only
-        runs `check_joint`, slices in its event values and contracts.
+        ``skip`` and the nodes ``event`` names, and on the network's
+        layout.  It is checked and planned by `_plan` on the first call of
+        each shape by any network of that layout on this dag, and kept on
+        the dag (a refused shape keeps none); the network keeps it with its
+        own CPD arrays in place.  So a later call of that shape only runs
+        `check_joint`, slices in its event values and contracts.
         """
         self.check_joint(event, budget)
         return self._contract(event or {}, skip, keep)
@@ -416,25 +431,41 @@ class Cbn:
         shape = (kept, frozenset(skip), frozenset(event))
         plan = self._plans.get(shape)
         if plan is None:
-            plan = self._plans[shape] = self._plan(*shape)
+            plan = self._plans[shape] = self._fill(shape)
         operands, slots, output, dims = plan
         operands = operands.copy()
-        for at, table, axes in slots:
-            operands[at] = table[tuple([_WHOLE if n is None else event[n] for n in axes])]
+        for at, axes in slots:
+            operands[at] = operands[at][tuple([_WHOLE if n is None else event[n] for n in axes])]
         return np.einsum(*operands, output, out=np.empty(dims), optimize=False)
+
+    def _fill(self, shape: tuple) -> tuple:
+        # the dag's plan of ``shape`` for this network's layout, made by
+        # `_plan` if no network of that layout made it yet, with this
+        # network's CPD arrays in place: ``(operands, slots, output, dims)``
+        plan = self._shapes.get(shape)
+        if plan is None:
+            plan = self._shapes[shape] = self._plan(*shape)
+        operands, tables, slots, output, dims = plan
+        operands = operands.copy()
+        for at, name in tables:
+            operands[at] = self._cpds[name].array()
+        return operands, slots, output, dims
 
     def _plan(self, kept: tuple, skip: frozenset, given: frozenset) -> tuple:
         """`joint`'s contraction for one query shape, once ``kept`` holds
         distinct nodes and ``skip`` only nodes, with ``given`` the nodes the
-        event names: ``(operands, slots, output, dims)``.
+        event names: ``(operands, tables, slots, output, dims)``.  It
+        depends on the dag, the cards and each CPD's parent order, and on
+        no CPD entry.
 
         ``operands`` alternates arrays and label lists, as `np.einsum`
-        takes them, with each unsliced CPD's own read-only array in place.
-        Each slot ``(at, table, axes)`` marks an operand that depends on
-        the event values: ``table`` indexed by the event value of each
-        node named in ``axes`` (``None`` leaves that axis whole).  An event
-        node in ``kept`` is a row of a read-only identity matrix; any other
-        event node slices the CPDs it appears in.
+        takes them, with ``None`` where a CPD goes: each ``(at, name)`` of
+        ``tables`` marks the operand that is ``name``'s read-only CPD array.
+        Each slot ``(at, axes)`` marks an operand that depends on the event
+        values: it is indexed by the event value of each node named in
+        ``axes`` (``None`` leaves that axis whole).  An event node in
+        ``kept`` is a row of a read-only identity matrix; any other event
+        node slices the CPDs it appears in.
         """
         if len(set(map(self._dag.index, kept))) != len(kept):
             raise ValueError(f"keep repeats a node: {list(kept)}")
@@ -462,6 +493,7 @@ class Cbn:
         # free axis multiplies by its cardinality
         count = prod(cards[n] for n in nodes if n in skip and n not in needed)
         operands: list = [float(count), []]
+        tables = []
         slots = []
         covered = set()
         # operands in dag order, never in set order, so the sums run in the
@@ -470,24 +502,24 @@ class Cbn:
             if name not in needed:
                 continue
             if name in given and name not in pinned:
-                slots.append((len(operands), _read_only(np.eye(cards[name])), (name,)))
-                operands += [None, [label[name]]]
+                slots.append((len(operands), (name,)))
+                operands += [_read_only(np.eye(cards[name])), [label[name]]]
                 covered.add(name)
             if name in skip:
                 continue
-            cpd = self._cpds[name]
-            involved = (*cpd.parents, name)
-            table = cpd.array()
+            involved = (*self._cpds[name].parents, name)
             if not pinned.isdisjoint(involved):
-                slots.append((len(operands), table, tuple(n if n in pinned else None for n in involved)))
-                involved = [n for n in involved if n not in pinned]
-                table = None
-            operands += [table, [label[n] for n in involved]]
+                slots.append((len(operands), tuple(n if n in pinned else None for n in involved)))
+            tables.append((len(operands), name))
+            involved = [n for n in involved if n not in pinned]
+            operands += [None, [label[n] for n in involved]]
             covered.update(involved)
         for name in kept:
             if name not in covered:
                 operands += [_read_only(np.ones(cards[name])), [label[name]]]
-        return operands, tuple(slots), [label[name] for name in kept], [cards[name] for name in kept]
+        return (
+            operands, tuple(tables), tuple(slots), [label[name] for name in kept], [cards[name] for name in kept]
+        )
 
     def marginal_prob(self, event: Mapping[str, int], budget: Budget | None = None) -> float:
         """Probability of a partial assignment."""

@@ -50,25 +50,28 @@ copied out of the chunk only when the incumbent changes.  `_scan_plan`
 returns the winner as data, each live driver's choices taken to its class
 scope's row-major order by one gather index per driver (`_gather`), or on
 the 0/1 path its chosen value.  `optimal_policy_value` builds the pair by
-one rule and no tensor work: an atomic policy on the 0/1 path, otherwise
-the driver's table in `SearchPlan.tables`, built and shape-checked on
-first use, filled by `Cpd.with_choices` for a live driver.
+one rule and no tensor work: an atomic policy on a 0/1 network, otherwise
+the driver's first table on its class scope, filled by `Cpd.with_choices`
+for a live driver.  First tables are kept on the dag (`Dag.derived`) per
+cards, class level and driver, which fix the scope, so each is built and
+shape-checked once.
 
 On the chain path, everything `_scan_plan` decides before it asks for
-the base tensor depends only on the query's shape: the live drivers, the
-policy class and the nodes the desired event names.  The class scopes, the
-axes, the reduction segments, the enumerated drivers with their requisite
-scopes and every driver's gather form one `SearchPlan`, which each `Cbn`
-builds on a shape's first call and keeps.  The deterministic path plans
-nothing.  Every call checks its arguments and its `Budget`, the work
-estimate included, before any tensor is built, and each check runs once:
-the base tensor comes from the contraction behind `Cbn.joint`, after the
-call's own `Cbn.check_joint`.
+the base tensor depends only on the structure, the cards and the query's
+shape: the live drivers, the policy class and the nodes the desired event
+names.  The class scopes, the axes, the reduction segments, the enumerated
+drivers with their requisite scopes and every driver's gather form one
+`SearchPlan`, which the dag keeps per cards and shape, made on the first
+call of any network on it.  The deterministic path plans nothing.  Every
+call checks its arguments and its `Budget`, the work estimate included,
+before any tensor is built, and each check runs once: the base tensor
+comes from the contraction behind `Cbn.joint`, after the call's own
+`Cbn.check_joint`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import groupby, product
 from math import prod
@@ -388,22 +391,24 @@ def optimal_policy_value(
     lexicographic choice order and only strict improvements replace the
     incumbent, so repeated runs return the identical witness.
     """
-    values, choices, tables = _scan_plan(cbn, drivers, ip_class, desired, (direction,), budget, witness=True)
-    cards = cbn.cards
+    values, choices = _scan_plan(cbn, drivers, ip_class, desired, (direction,), budget, witness=True)
+    dag, cards = cbn.dag, cbn.cards
+    # the dag's first tables at this level, which with the driver fixes the
+    # scope
+    tables = cbn._first_tables.setdefault(ip_class.level, {})
 
     def policy(d: str) -> InterventionPolicy:
         # the one witness rule: on a 0/1 network, the atomic policy on the
         # chosen value, or on 0 for a dead driver; otherwise the driver's
-        # first table, built on first use, filled with a live driver's
-        # choices
+        # first table, kept on the dag, filled with a live driver's choices
         if cbn.deterministic:
             return atomic_policy(d, choices.get(d, 0), cards[d])
         table = tables.get(d)
         if table is None:
-            table = tables[d] = _first_table(cards, d, scope_for_class(cbn.dag, d, ip_class))
+            table = tables[d] = _first_table(cards, d, scope_for_class(dag, d, ip_class))
         return InterventionPolicy(table.with_choices(choices[d]) if d in choices else table)
 
-    return values[0], InterventionPair(map(policy, cbn.dag.canon(drivers)))
+    return values[0], InterventionPair(map(policy, dag.canon(drivers)))
 
 
 def optimal_values(
@@ -422,9 +427,11 @@ def optimal_values(
 
 @dataclass(frozen=True, eq=False)
 class SearchPlan:
-    """What the chain search decides from a query's shape alone: the live
-    drivers, the policy class and the nodes the desired event names.  It
-    holds no budget and no event value, so each `Cbn` keeps one per shape.
+    """What the chain search decides from the structure, the cards and a
+    query's shape alone: the live drivers, the policy class and the nodes
+    the desired event names.  It holds no budget, no event value and no CPD
+    entry, so the dag keeps one per cards and shape (`Dag.derived`), which
+    every network on it shares.
 
     ``scopes`` are the drivers' class scopes, and ``axes`` the base
     tensor's nodes in reduction order.  ``segments`` are the reduction's
@@ -439,11 +446,6 @@ class SearchPlan:
     row-major order: an enumerated driver's digits are laid out over its
     searched scope, a chain driver's choices over the axes left when it is
     reduced.
-    ``tables`` maps each driver that a witness names, dead ones included,
-    to its `_first_table` on its class scope, built on first use, so that
-    its shape is checked once per plan; a witness fills a live driver's
-    with `Cpd.with_choices` and takes a dead driver's as it is.  It stays
-    empty for a plan that only gives values.
     """
 
     scopes: dict[str, tuple[str, ...]]
@@ -452,7 +454,6 @@ class SearchPlan:
     segments: tuple[tuple[int, str | None], ...]
     outer_total: int
     gathers: dict[str, np.ndarray]
-    tables: dict[str, Cpd] = field(default_factory=dict)
 
 
 def _gather(cards, scope, layout) -> np.ndarray:
@@ -524,10 +525,8 @@ def _scan_plan(cbn: Cbn, drivers, ip_class: IpClass, desired, directions, budget
     # The checks, the work check, the base tensor and the scan, on the chain
     # path from the live drivers' `SearchPlan`.  Returns the value per
     # direction, then, given ``witness`` and one direction, each live
-    # driver's winning choice, and the tables its witness fills.  On the 0/1
-    # path a choice is one value and the tables are a fresh dict; on the
-    # chain path it is one value per configuration of the class scope, in
-    # row-major order, and the tables are the plan's.
+    # driver's winning choice: on the 0/1 path one value, on the chain path
+    # one value per configuration of its class scope, in row-major order.
     budget = budget or DEFAULT_BUDGET
     dag = cbn.dag
     directions = checked_directions(directions, ip_class, desired)
@@ -551,7 +550,7 @@ def _scan_plan(cbn: Cbn, drivers, ip_class: IpClass, desired, directions, budget
         values = base.reshape(-1)
         bests = [int(direction.arg(values)) for direction in directions]
         chosen = np.unravel_index(bests[0], base.shape) if witness else ()
-        return [_clamp(float(values[best])) for best in bests], dict(zip(live, map(int, chosen))), {}
+        return [_clamp(float(values[best])) for best in bests], dict(zip(live, map(int, chosen)))
 
     shape = (live, ip_class, frozenset(desired))
     plan = cbn._search_plans.get(shape)
@@ -602,7 +601,7 @@ def _scan_plan(cbn: Cbn, drivers, ip_class: IpClass, desired, directions, budget
     optima = scan_combinations(plan.outer_total, base.size, evaluate, directions)
     rows = optima[0][2] if witness else ()
     choices = {d: row[gather] for (d, gather), row in zip(plan.gathers.items(), rows)}
-    return [_clamp(float(value)) for value, _, _ in optima], choices, plan.tables
+    return [_clamp(float(value)) for value, _, _ in optima], choices
 
 
 def solve(
@@ -655,6 +654,10 @@ def usm_adversarial_cbn(dag: Dag, drivers, targets) -> tuple[Cbn, dict[str, int]
     desired realization puts every target at one, so forcing the full
     driver set to one achieves it surely while any proper subset leaves a
     pinned zero in the way.
+
+    The network depends on the structure and the drivers alone, so the dag
+    keeps one per canonical driver set (`Dag.derived`), with the plans its
+    queries made; each call returns a desired realization of its own.
     """
     driver_list = dag.canon(drivers)
     target_list = tuple(targets)
@@ -662,7 +665,15 @@ def usm_adversarial_cbn(dag: Dag, drivers, targets) -> tuple[Cbn, dict[str, int]
         raise ValueError("targets must be non-empty")
     for name in target_list:
         dag.index(name)
+    networks = dag.derived("usm")
+    cbn = networks.get(driver_list)
+    if cbn is None:
+        cbn = networks[driver_list] = _usm_network(dag, driver_list)
+    return cbn, {t: 1 for t in target_list}
 
+
+def _usm_network(dag: Dag, driver_list: tuple[str, ...]) -> Cbn:
+    # `usm_adversarial_cbn`'s network for canonical ``driver_list``
     driver_set = set(driver_list)
     downstream = set().union(*map(dag.descendants, driver_list))
     effective = driver_set | downstream
@@ -680,6 +691,4 @@ def usm_adversarial_cbn(dag: Dag, drivers, targets) -> tuple[Cbn, dict[str, int]
         else:
             choices = [1 for _ in configs]
         cpds[node] = Cpd.from_choices(node, parents, (2,) * len(parents), 2, choices)
-
-    desired = {t: 1 for t in target_list}
-    return Cbn(dag, dict.fromkeys(dag.nodes, 2), cpds), desired
+    return Cbn(dag, dict.fromkeys(dag.nodes, 2), cpds)

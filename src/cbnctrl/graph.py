@@ -69,6 +69,8 @@ class Dag:
         self._topo = self._toposort()
         # `ancestors` answers, keyed by (name, level) once both pass
         self._ancestors: dict[tuple, tuple[str, ...]] = {}
+        # the store behind `derived`, one dict per key
+        self._derived: dict[tuple, dict] = {}
 
     @property
     def nodes(self) -> tuple[str, ...]:
@@ -166,6 +168,17 @@ class Dag:
         found = self._ancestors.get((name, level))
         if found is None:
             found = self._ancestors[name, level] = self._walk(name, self._parents, level)
+        return found
+
+    def derived(self, *key) -> dict:
+        """The dict this graph keeps under ``key``, for what callers derive
+        from the structure alone: what depends on the graph and on ``key``
+        (the cards, say), never on a parametrization.  Networks on this
+        graph share it, so each plan is made once per graph; it lives as
+        long as the graph, as `ancestors`'s answers do."""
+        found = self._derived.get(key)
+        if found is None:
+            found = self._derived[key] = {}
         return found
 
     def descendants(self, name: str) -> tuple[str, ...]:

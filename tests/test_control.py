@@ -845,26 +845,27 @@ def plan_networks():
     """(network, drivers) on which the optimizer takes each path: a fan
     whose tables are enumerated, a nest whose class-2 and class-inf scopes
     chain with nothing enumerated, and a 0/1 fan on the deterministic
-    path.  Targets are ternary where the rows are random."""
+    path.  Targets are ternary where the rows are random.  Each network
+    has a dag of its own, so the plans it keeps are its own."""
     rng = np.random.default_rng(17)
     nest = Dag(["u", "d0", "d1", "o"], [("u", "d0"), ("d0", "d1"), ("u", "o"), ("d0", "o"), ("d1", "o")])
     fan, drivers = fan_dag(2), ("d0", "d1")
     return [
         (random_cbn(rng, fan, {n: 3 if n == "o" else 2 for n in fan.nodes}), drivers),
         (random_cbn(rng, nest, {n: 3 if n == "o" else 2 for n in nest.nodes}), drivers),
-        (deterministic_copy(random_cbn(rng, fan), rng), drivers),
+        (deterministic_copy(random_cbn(rng, fan_dag(2)), rng), drivers),
     ]
 
 
 def fresh(cbn):
-    """The same network, with no plan kept."""
-    return Cbn(cbn.dag, cbn.cards, cbn.cpds)
+    """The same network on a new, equal dag, so that no plan is shared."""
+    return Cbn(Dag(cbn.dag.nodes, cbn.dag.edges), cbn.cards, cbn.cpds)
 
 
 class TestSearchPlan:
-    """Each network keeps one `SearchPlan` per chain-search shape
+    """The dag keeps one `SearchPlan` per cards and chain-search shape
     (drivers, class, desired nodes): a warm plan must answer and refuse
-    exactly as a cold one."""
+    exactly as a cold one, made on a new, equal dag."""
 
     CLASSES = (CLASS1, IpClass(2), CLASS_INF)
 

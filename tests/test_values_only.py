@@ -68,24 +68,25 @@ class TestStages:
             assert_matches_single_calls(cbn, drivers, ip_class, {"o": 1})
 
     def test_plan_tables_are_built_on_the_first_witness(self):
-        # a refused call and a values-only call leave the plan's tables
+        # a refused call and a values-only call leave the dag's first tables
         # empty; the first witness builds them and later witnesses reuse them
         cbn = random_cbn(np.random.default_rng(60), fan_dag(3))
         drivers = ("d0", "d1", "d2")
+        store = cbn.dag.derived("first tables", tuple(cbn.cards.values()))
         with pytest.raises(BudgetExceededError):
             optimal_policy_value(cbn, drivers, CLASS_INF, {"o": 1}, BOTH[0], Budget(max_work=1))
-        plan = cbn._search_plans[(drivers, CLASS_INF, frozenset({"o"}))]
-        assert plan.tables == {}
+        assert store == {}
         optimal_values(cbn, drivers, CLASS_INF, {"o": 1}, BOTH)
-        assert plan.tables == {}
+        assert store == {}
         _, first = optimal_policy_value(cbn, drivers, CLASS_INF, {"o": 1}, BOTH[0])
-        tables = dict(plan.tables)
+        tables = dict(store[CLASS_INF.level])
         assert list(tables) == list(drivers)
         for d, policy in zip(drivers, first.policies):
             assert (tables[d].owner, tables[d].parents) == (d, policy.scope)
             assert set(tables[d].rows) == {(1.0, 0.0)}
         optimal_policy_value(cbn, drivers, CLASS_INF, {"o": 1}, BOTH[1])
-        assert all(plan.tables[d] is tables[d] for d in drivers)
+        assert list(store) == [CLASS_INF.level]
+        assert all(store[CLASS_INF.level][d] is tables[d] for d in drivers)
 
     def test_refusals_match_the_witness_path(self):
         enumerated = random_cbn(

@@ -123,14 +123,20 @@ def test_pairs_equal_the_three_builders(monkeypatch, name, cbn, drivers, desired
             assert interventional_prob(cbn, pair, desired) == pytest.approx(value, abs=1e-12)
 
 
+def first_tables(cbn, ip_class):
+    """The first tables the dag keeps for ``cbn``'s cards at ``ip_class``,
+    by driver."""
+    return cbn.dag.derived("first tables", tuple(cbn.cards.values()))[ip_class.level]
+
+
 def test_dead_driver_table_is_built_once_per_plan():
-    # x is dead; on the chain path its first table is the plan's, and each
+    # x is dead; on the chain path its first table is the dag's, and each
     # witness hands out that one object
     cbn = live_and_dead(np.random.default_rng(8))
     assert not cbn.deterministic
     for ip_class in (CLASS1, CLASS_INF):
         _, first = optimal_policy_value(cbn, ("d", "x"), ip_class, {"o": 1}, Direction.MAX)
         _, second = optimal_policy_value(cbn, ("d", "x"), ip_class, {"o": 1}, Direction.MIN)
-        plan = cbn._search_plans[(("d",), ip_class, frozenset({"o"}))]
-        assert first.policy("x").table is second.policy("x").table is plan.tables["x"]
-        assert set(plan.tables) == {"d", "x"}
+        tables = first_tables(cbn, ip_class)
+        assert first.policy("x").table is second.policy("x").table is tables["x"]
+        assert set(tables) == {"d", "x"}
