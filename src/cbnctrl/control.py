@@ -5,7 +5,8 @@ event is affine in each policy row, so some extreme point of the policy
 simplex attains every optimum; forcing one value per scope configuration
 loses nothing.  That choice is what keeps exact search tractable at desk
 scale, and `oracle.grid_policy_search` exists to double-check it against
-stochastic tables.
+stochastic tables, with a contraction of its own: it shares no batch or
+scan code with the optimizer.
 
 Only live drivers are searched (`live_drivers`): a driver that is neither
 a node of the desired event nor an ancestor of one has no directed path to
@@ -32,8 +33,7 @@ factors of a batch of numbered table combinations into a tensor, and
 `CHUNK_ELEMENTS` tensor entries (or of one combination, if that is
 larger).  The tie-break is that of a one-by-one scan in lexicographic
 order: the first optimum of a chunk replaces the incumbent only on a
-strict improvement.  `oracle.grid_policy_search` runs on the same two
-functions, with grid rows where the optimizer has one-hot rows.
+strict improvement.
 
 One plan serves every direction.  `_scan_plan` does everything up to
 and including the scan once: the scan reduces each chunk once per

@@ -6,8 +6,8 @@ fully independent route: it sums CPD entries over completions and shares no
 tensor code with `Cbn.joint`.  `naive_policy_search` reads `Cbn.joint`
 through `interventional_prob`, but shares none of the optimizer's chain,
 batch or scan code.  `grid_policy_search` is not a reference: it searches
-stochastic tables with the optimizer's own batch, `control.policy_batch`,
-to check that deterministic tables are enough.
+stochastic tables, with one factor per driver contracted into the joint's
+marginal, to check that deterministic tables are enough.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import numpy as np
 
 from .cbn import DEFAULT_BUDGET, Budget, Cbn, Cpd
 from .control import (
+    CHUNK_ELEMENTS,
     ControlProblem,
     Direction,
     c_star,
@@ -28,8 +29,6 @@ from .control import (
     live_drivers,
     optimal_policy_value,
     optimal_values,
-    policy_batch,
-    scan_combinations,
     usm_adversarial_cbn,
 )
 from .graph import Dag, INF
@@ -217,16 +216,16 @@ def grid_policy_values(
     budget: Budget | None = None,
 ) -> list[float]:
     """`grid_policy_search` in each of ``directions``, in order, from one
-    scan.
+    pass over the table combinations.
 
     Each driver's table picks one `simplex_grid_rows` row per scope
-    configuration.  The tables are applied to the joint by
-    `control.policy_batch`, the same batch the optimizer enumerates with,
-    and scanned in chunks by `control.scan_combinations`, which keeps one
-    optimum per direction.  The tables act on the joint's marginal over the
-    drivers and their scopes.  The work estimate is the number of table
-    combinations times the joint size; it is checked from the row counts,
-    before any row is built.
+    configuration.  The tables act on the joint's marginal over the
+    drivers and their scopes, and `_grid_chunks` contracts each driver's
+    tables into it as one factor, in chunks of `control.CHUNK_ELEMENTS`
+    entries, each chunk's values read once per direction.  The work
+    estimate is the number of table combinations times the joint size; it
+    is checked from the row counts, before any row is built, and it counts
+    more work than the factored contraction does.
     """
     directions = checked_directions(directions, ip_class, desired)
     budget = budget or DEFAULT_BUDGET
@@ -250,14 +249,80 @@ def grid_policy_values(
     # every other node meets no policy factor and is summed out first
     layout = dag.canon([*driver_list, *(s for d in driver_list for s in scopes[d])])
     base = cbn._contract(desired, driver_list, layout)
+    # the sums are the same in every direction, and max and min are exact,
+    # so the order the chunks come in leaves every optimum as it is
+    optima = [
+        [direction.pairwise.reduce(values) for direction in directions]
+        for values in _grid_chunks(cards, base, layout, searched)
+    ]
+    return [float(d.pairwise.reduce(column)) for d, column in zip(directions, zip(*optima))]
 
-    def values(flat: np.ndarray):
-        batch, _ = policy_batch(cbn, base, layout, searched, flat)
-        # the sums are the same in every direction
-        return [(batch.reshape(len(flat), -1).sum(axis=1), ())] * len(directions)
 
-    optima = scan_combinations(total, base.size, values, directions)
-    return [float(best) for best, _, _ in optima]
+def _grid_chunks(cards, base: np.ndarray, layout, searched) -> Iterator[np.ndarray]:
+    """The value of every table combination, in chunks of at most
+    ``CHUNK_ELEMENTS // base.size`` values (at least one), with no array
+    much over `CHUNK_ELEMENTS` entries.
+
+    ``base`` has one axis per node of ``layout``, and ``searched`` lists
+    ``(driver, scope, rows)`` in canonical order, as `grid_policy_values`
+    builds them.  Each driver's tables form one factor ``F[t, *scope,
+    driver] = rows[digit(t, cell), driver]``, with the table's big-endian
+    digits over its scope's cells in row-major order.  The factors are
+    contracted into the base one driver at a time, from the last, each by
+    one ``np.einsum``, and a layout axis is summed as soon as no factor
+    left names it.  From the last driver on, each takes its tables in
+    blocks over as many of its last cells as keep the product of the block
+    sizes within a chunk: the trailing drivers whose tables fit are
+    contracted whole, once, and the ones before them in blocks, down to
+    one table.  A block's contraction serves every table of the drivers
+    before it, so chunks come in an order of their own.
+    """
+    label = {n: i for i, n in enumerate(layout)}
+    # the layout axes the factors before driver j name, per j
+    named = [
+        [label[n] for n in layout if any(n == d or n in scope for d, scope, _ in searched[:j])]
+        for j in range(len(searched) + 1)
+    ]
+    tables_axis, rest_axis = len(layout), len(layout) + 1
+    room = max(1, CHUNK_ELEMENTS // base.size)
+    blocks = [None] * len(searched)
+    for j in reversed(range(len(searched))):
+        driver, scope, rows = searched[j]
+        count, card = rows.shape
+        scope_cards = [cards[s] for s in scope]
+        cells = prod(scope_cards)
+        low = cells
+        while count ** low > room:
+            low -= 1
+        room //= count ** low
+        # a block runs over the table digits of the last ``low`` cells,
+        # laid out once; the first cells are filled per block
+        factor = np.empty((count,) * low + (cells, card))
+        for i in range(low):
+            factor[..., cells - low + i, :] = rows.reshape(
+                [count if k == i else 1 for k in range(low)] + [card]
+            )
+        labels = [tables_axis, *(label[s] for s in scope), label[driver]]
+        blocks[j] = (cells - low, rows, factor.reshape(-1, cells, card),
+                     factor.reshape(-1, *scope_cards, card), labels)
+
+    def chunks(t: np.ndarray, j: int) -> Iterator[np.ndarray]:
+        # ``t`` has a leading axis over the tables of the drivers after j,
+        # then the axes ``named[j + 1]``
+        if j < 0:
+            yield t.reshape(-1)
+            return
+        high, rows, by_cell, factor, labels = blocks[j]
+        count = len(rows)
+        for n in range(count ** high):
+            by_cell[:, :high] = rows[[n // count ** (high - 1 - i) % count for i in range(high)]]
+            out = np.einsum(
+                factor, labels, t, [rest_axis, *named[j + 1]],
+                [tables_axis, rest_axis, *named[j]], optimize=False,
+            )
+            yield from chunks(out.reshape(-1, *out.shape[2:]), j - 1)
+
+    return chunks(base[None], len(searched) - 1)
 
 
 def ci_holds(cbn: Cbn, a: str, b: str, z: Iterable[str], tol: float = 1e-9) -> bool:
@@ -469,7 +534,7 @@ def verify_extremality(
 ) -> SuiteReport:
     """Stochastic tables on the 0.25 grid never beat the deterministic
     optimum, in either direction, for the identified driver set.  One
-    optimizer plan gives both optima and one grid scan both grid values."""
+    optimizer plan gives both optima and one grid pass both grid values."""
     budget = budget or DEFAULT_BUDGET
     xstar = _drivers(cbn.dag, intervenable, targets, desired)
     failures: list[str] = []

@@ -1,8 +1,14 @@
+import sys
 from pathlib import Path
 
 import pytest
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
+
+# this tree's package, after every PYTHONPATH entry, so that
+# ``PYTHONPATH=<other tree>/src pytest`` tests the other tree's package
+sys.path.append(str(ROOT / "src"))
 
 
 @pytest.fixture(scope="session")

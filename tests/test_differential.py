@@ -63,7 +63,7 @@ def test_queries_print_the_same_under_two_hash_seeds():
     src = str(HERE.parent / "src")
     outputs = []
     for seed in ("0", "1"):
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        path = os.pathsep.join(p for p in (os.environ.get("PYTHONPATH"), src) if p)
         env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
         done = subprocess.run(script, env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr

@@ -33,6 +33,7 @@ from cbnctrl.intervention import scope_for_class
 from cbnctrl.oracle import BOTH, iter_subsets
 
 from test_control import deterministic_copy, fan_dag, screening_chain
+from test_oracle import grid_heavy
 from test_requisite import explaining_away, fan, nest, record_requisite
 
 
@@ -126,16 +127,32 @@ class TestGridPolicyValues:
         assert checked >= 8
 
     def test_one_scan_serves_both_directions(self, monkeypatch):
-        scans = []
-        scan = oracle.scan_combinations
+        # the chunks of one contraction serve every direction: a call for
+        # both builds as many as a call for one
+        runs = []
+        chunks = oracle._grid_chunks
 
-        def counting(total, size, evaluate, directions):
-            scans.append(directions)
-            return scan(total, size, evaluate, directions)
+        def counting(*args):
+            runs.append(0)
+            for values in chunks(*args):
+                runs[-1] += 1
+                yield values
 
-        monkeypatch.setattr(oracle, "scan_combinations", counting)
-        grid_policy_values(screening_chain(), ("y1", "y2"), CLASS1, {"o": 1}, BOTH)
-        assert scans == [BOTH]
+        monkeypatch.setattr(oracle, "_grid_chunks", counting)
+        cases = [
+            (screening_chain(), ("y1", "y2"), CLASS1),
+            (random_cbn(np.random.default_rng(9), grid_heavy()), ("d0", "d1", "d2"), CLASS_INF),
+        ]
+        for cbn, drivers, ip_class in cases:
+            counts = []
+            for directions in (BOTH, (Direction.MAX,), (Direction.MIN,)):
+                runs.clear()
+                grid_policy_values(cbn, drivers, ip_class, {"o": 1}, directions)
+                assert len(runs) == 1
+                counts.append(runs[0])
+            assert counts[0] == counts[1] == counts[2]
+        # the grid_heavy shape spans several chunks
+        assert counts[0] > 1
 
 
 def spy(monkeypatch, name):

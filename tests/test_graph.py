@@ -129,7 +129,7 @@ class TestOrdering:
                     print(error)
         """
         src = str(Path(__file__).parent.parent / "src")
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        path = os.pathsep.join(p for p in (os.environ.get("PYTHONPATH"), src) if p)
         for seed in range(6):
             env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=path)
             done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)

@@ -2,6 +2,7 @@
 
 import re
 import time
+import tracemalloc
 from itertools import product
 from math import prod
 
@@ -416,6 +417,14 @@ def literal_grid_values(cbn, drivers, ip_class, desired, step=0.25):
     return [interventional_prob(cbn, InterventionPair(combo), desired) for combo in product(*tables)]
 
 
+def grid_heavy():
+    """The bench's grid-heavy structure: d0 and d1 each below a root of its
+    own, d2 without a parent, all three feeding m above o; at class inf
+    and step 0.25 its grid has 25 * 25 * 5 table combinations."""
+    return Dag(["r0", "d0", "r1", "d1", "d2", "m", "o"],
+               [("r0", "d0"), ("r1", "d1"), ("d0", "m"), ("d1", "m"), ("d2", "m"), ("m", "o")])
+
+
 class TestGridAgainstLiteralTables:
     """The grid search against a route that shares none of its batch or
     scan code: one `Cpd` per grid table, one `interventional_prob` each."""
@@ -438,6 +447,47 @@ class TestGridAgainstLiteralTables:
             for direction, want in ((Direction.MAX, max(values)), (Direction.MIN, min(values))):
                 got = grid_policy_search(cbn, drivers, ip_class, desired, direction)
                 assert got == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("chunk", [oracle.CHUNK_ELEMENTS, 800, 1])
+    def test_every_chunking_of_the_factors(self, monkeypatch, chunk):
+        # At the real chunk size the grid_heavy shape (3125 combinations
+        # over 32 base entries) contracts d2 and d1 whole and takes d0 in
+        # blocks of five tables; at 800 entries d2 is whole, d1 goes in
+        # blocks and d0 one table at a time; at 1 every driver does.
+        monkeypatch.setattr(oracle, "CHUNK_ELEMENTS", chunk)
+        rng = np.random.default_rng(2029)
+        shared = Dag(["r", "x", "y", "o"], [("r", "x"), ("r", "y"), ("x", "o"), ("y", "o")])
+        ternary = Dag(["a", "b", "o"], [("a", "b"), ("b", "o"), ("a", "o")])
+        # z has no parent, so an empty scope in every class, first or last
+        edges = [("r", "x"), ("x", "o"), ("z", "o")]
+        z_first, z_last = Dag(["z", "r", "x", "o"], edges), Dag(["r", "x", "z", "o"], edges)
+        dead = Dag(["r", "w", "x", "o"], [("r", "w"), ("r", "x"), ("x", "o")])
+        cases = [
+            (random_cbn(rng, grid_heavy()), ("d0", "d1", "d2"), CLASS_INF, {"o": 1}),
+            (random_cbn(rng, shared), ("x", "y"), CLASS1, {"o": 1}),
+            (random_cbn(rng, ternary, {"a": 2, "b": 3, "o": 2}), ("b",), CLASS1, {"o": 0}),
+            (random_cbn(rng, z_first), ("z", "x"), CLASS1, {"o": 1}),
+            (random_cbn(rng, z_last), ("x", "z"), CLASS_INF, {"o": 0}),
+            (random_cbn(rng, dead), ("w", "x"), CLASS1, {"o": 1}),
+        ]
+        for cbn, drivers, ip_class, desired in cases:
+            values = literal_grid_values(cbn, drivers, ip_class, desired)
+            got = grid_policy_values(cbn, drivers, ip_class, desired, BOTH)
+            assert got == pytest.approx([max(values), min(values)], abs=1e-12)
+
+    def test_a_large_table_count_stays_within_memory(self):
+        # one binary driver below three binary parents has 5^8 = 390,625
+        # class-inf tables at step 0.25; the factor over all of them would
+        # take ~50 MB, and tracemalloc counts numpy's buffers
+        dag = Dag(["a", "b", "c", "d", "o"], [("a", "d"), ("b", "d"), ("c", "d"), ("d", "o")])
+        cbn = random_cbn(np.random.default_rng(8), dag)
+        tracemalloc.start()
+        try:
+            grid_policy_values(cbn, ("d",), CLASS_INF, {"o": 1}, BOTH, 0.25, Budget(max_work=10 ** 9))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
 
 class TestConditionalIndependence:
