@@ -3,8 +3,9 @@ contraction.
 
 Every probability the package computes is read off `Cbn.joint` under a
 `Budget`: the full-joint tensor, or with ``keep`` its marginal over named
-nodes.  That keeps one inference engine, one place where the state-space
-cap is enforced and one place that lays nodes out on tensor axes.  A query
+nodes.  That keeps one inference engine, and every probability query
+meets the state-space cap in `Cbn.check_joint`.  A caller that multiplies
+factors into a marginal lays them out by the order of ``keep``.  A query
 contracts only the CPD tables it needs: nodes that are neither kept, nor
 in the event, nor ancestors of those are barren, and their tables, whose
 rows sum to one, are dropped (Shachter 1986).  Event values slice the

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from math import prod
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .netfile import NetworkSpec, load, save
 from .oracle import (
     SUITE_NAMES,
     SuiteReport,
+    bracket_classes,
     random_cbn,
     verify_extremality,
     verify_lemma3,
@@ -134,6 +136,8 @@ def _cmd_verify(args, header: str) -> int:
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     budget = _budget_from(args)
     levels = tuple(IpClass.parse(item).level for item in args.levels.split(","))
+    if "lemma3" in names:
+        bracket_classes(levels)
 
     cbn = spec.cbn
     seed_line = None
@@ -141,6 +145,8 @@ def _cmd_verify(args, header: str) -> int:
     if needs_cbn and cbn is None:
         if args.seed is None:
             raise ValueError("file has no cpds; pass --seed N to sample a parametrization")
+        # no sampled table is larger than the state space
+        budget.check_state_space(prod(spec.cards.values()))
         cbn = random_cbn(np.random.default_rng(args.seed), spec.dag, spec.cards)
         seed_line = f"seed: {args.seed}"
 

@@ -27,11 +27,12 @@ from the targets given the driver and its other members, as
 beats one that does not, and its witness is constant across them.  The
 search starts from the joint's marginal over the drivers and their
 searched scopes, asked of `Cbn.joint` by node name; every other node is
-summed out once, before the search.  `policy_batch` multiplies the policy
-factors of a batch of numbered table combinations into a tensor, and
-`scan_combinations` evaluates the combinations in chunks of
-`CHUNK_ELEMENTS` tensor entries (or of one combination, if that is
-larger).  The tie-break is that of a one-by-one scan in lexicographic
+summed out once, before the search.  `_scan_plan` numbers the table
+combinations and takes them in chunks of `CHUNK_ELEMENTS` tensor entries
+(or of one combination, if that is larger).  `policy_batch` reads each
+number's mixed-radix digits as the enumerated drivers' picks and builds
+the chunk's tensor by one ``np.einsum`` of the base with one 0/1 factor
+per driver.  The tie-break is that of a one-by-one scan in lexicographic
 order: the first optimum of a chunk replaces the incumbent only on a
 strict improvement.
 
@@ -78,7 +79,7 @@ from math import prod
 
 import numpy as np
 
-from .cbn import DEFAULT_BUDGET, Budget, Cbn, Cpd, _read_only, value_index
+from .cbn import DEFAULT_BUDGET, Budget, BudgetExceededError, Cbn, Cpd, _read_only, value_index
 from .graph import Dag, bayes_ball
 from .intervention import (
     CLASS_INF,
@@ -287,7 +288,7 @@ def _clamp(value: float) -> float:
 
 
 def policy_batch(
-    cbn: Cbn, base: np.ndarray, axes, searched, flat: np.ndarray
+    base: np.ndarray, axes, searched, flat: np.ndarray
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """``base`` times the policy factors of each combination in ``flat``,
     one combination per entry of the leading axis, and per searched driver
@@ -295,57 +296,31 @@ def policy_batch(
 
     ``base`` has one axis per node of ``axes``, as `Cbn.joint` returns it
     with ``keep=axes``.  ``searched`` lists ``(driver, scope, rows)``: a table
-    picks one row of the 2-d array ``rows`` per scope configuration.
-    Increasing combination numbers scan the tables as nested loops over
-    the drivers would, each driver's picks in lexicographic order.
+    picks one row of the 2-d array ``rows`` per scope configuration.  A
+    combination number's big-endian mixed-radix digits, one per scope
+    configuration, driver after driver, are the picks, so increasing
+    numbers scan the tables as nested loops over the drivers would, each
+    driver's picks in lexicographic order.  Each factor entry is 0 or 1,
+    so the product is exact in any order.
     """
     if not searched:
         # one combination, the empty one, whose batch is ``base`` itself
         return base[None], []
-    cards = cbn.cards
-    counts = [len(rows) ** prod(cards[s] for s in scope) for _, scope, rows in searched]
-    stride = prod(counts)
-    batch = np.broadcast_to(base, (len(flat), *base.shape)).copy()
-    picks = []
-    for (driver, scope, rows), count in zip(searched, counts):
-        stride //= count
-        scope_cards = tuple(cards[s] for s in scope)
-        cells = prod(scope_cards)
-        # big-endian digits: increasing table numbers enumerate pick
-        # tuples in lexicographic order
-        tables = flat // stride % count
-        digits = tables[:, None] // len(rows) ** np.arange(cells - 1, -1, -1) % len(rows)
-        factor = rows[digits].reshape(len(flat), *scope_cards, cards[driver])
-        batch *= cbn.expand(factor, [*scope, driver], axes)
-        picks.append(digits)
-    return batch, picks
-
-
-def scan_combinations(
-    total: int, size: int, evaluate, directions: tuple[Direction, ...]
-) -> list[tuple[float, int, object]]:
-    """Per direction, the optimum of ``evaluate`` over combination numbers
-    ``range(total)``, the first number that attains it and that number's
-    rows.
-
-    ``evaluate`` maps an array of numbers to one ``(values, arrays)`` pair
-    per direction: ``arrays`` lists what the caller keeps per number, one
-    row per number each, and is ``()`` when it keeps nothing.  It gets
-    chunks of ``CHUNK_ELEMENTS // size`` numbers (at least one), for
-    tensors of ``size`` entries each.  In each direction the first optimum
-    of a chunk replaces the incumbent only on a strict improvement, as a
-    one-by-one scan would, and only then are its rows copied out of the
-    chunk.
-    """
-    step = max(1, CHUNK_ELEMENTS // size)
-    best: list = [(None, 0, None)] * len(directions)
-    for start in range(0, total, step):
-        chunk = evaluate(np.arange(start, min(start + step, total)))
-        for i, (direction, (values, arrays)) in enumerate(zip(directions, chunk)):
-            pos = int(direction.arg(values))
-            if best[i][0] is None or direction.beats(values[pos], best[i][0]):
-                best[i] = (values[pos], start + pos, [a[pos].copy() for a in arrays])
-    return best
+    card = dict(zip(axes, base.shape))
+    cells = [prod(card[s] for s in scope) for _, scope, _ in searched]
+    radices = [len(rows) for (_, _, rows), n in zip(searched, cells) for _ in range(n)]
+    digits = np.stack(np.unravel_index(flat, radices), axis=-1)
+    label = {n: i for i, n in enumerate(axes)}
+    # the label of the leading batch axis
+    lead = len(axes)
+    operands, picks, at = [base, list(range(lead))], [], 0
+    for (driver, scope, rows), n in zip(searched, cells):
+        pick = digits[:, at:at + n]
+        at += n
+        factor = rows[pick].reshape(len(flat), *(card[s] for s in scope), card[driver])
+        operands += [factor, [lead, *(label[s] for s in scope), label[driver]]]
+        picks.append(pick)
+    return np.einsum(*operands, [lead, *range(lead)], optimize=False), picks
 
 
 def live_drivers(dag: Dag, drivers: tuple[str, ...], desired) -> tuple[str, ...]:
@@ -557,6 +532,13 @@ def _scan_plan(cbn: Cbn, drivers, ip_class: IpClass, desired, directions, budget
     if plan is None:
         plan = cbn._search_plans[shape] = _search_plan(cbn, *shape)
     budget.check_work(plan.outer_total * cbn.state_space_size())
+    # the scan numbers the combinations with numpy integers
+    limit = np.iinfo(np.intp).max
+    if plan.outer_total > limit:
+        raise BudgetExceededError(
+            f"a scan over {plan.outer_total} table combinations exceeds the {limit} "
+            "that a numpy index can number", plan.outer_total, limit
+        )
     base = cbn._contract(desired, live, plan.axes)
 
     def reduce_chain(
@@ -589,19 +571,26 @@ def _scan_plan(cbn: Cbn, drivers, ip_class: IpClass, desired, directions, budget
                 t = best.reshape(t.shape[:1] + t.shape[2:])
         return t
 
-    def evaluate(flat: np.ndarray) -> list:
-        # one batch per chunk, reduced once per direction; with a witness
-        # to build, the one direction keeps the enumerated drivers' digits
-        # and its reduction's chain choices
-        batch, digits = policy_batch(cbn, base, plan.axes, plan.searched, flat)
-        if witness:
-            return [(reduce_chain(batch, directions[0], digits), digits)]
-        return [(reduce_chain(batch, direction), ()) for direction in directions]
-
-    optima = scan_combinations(plan.outer_total, base.size, evaluate, directions)
-    rows = optima[0][2] if witness else ()
-    choices = {d: row[gather] for (d, gather), row in zip(plan.gathers.items(), rows)}
-    return [_clamp(float(value)) for value, _, _ in optima], choices
+    # One batch per chunk, reduced once per direction.  In each direction
+    # the chunk's first optimum replaces the incumbent only on a strict
+    # improvement, as a one-by-one scan would; with a witness to build, the
+    # one direction then copies out the enumerated drivers' digits and its
+    # reduction's chain choices.
+    step = max(1, CHUNK_ELEMENTS // base.size)
+    optima: list = [None] * len(directions)
+    record = ()
+    for start in range(0, plan.outer_total, step):
+        flat = np.arange(start, min(start + step, plan.outer_total))
+        batch, picks = policy_batch(base, plan.axes, plan.searched, flat)
+        for i, direction in enumerate(directions):
+            values = reduce_chain(batch, direction, picks if witness else None)
+            pos = int(direction.arg(values))
+            if optima[i] is None or direction.beats(values[pos], optima[i]):
+                optima[i] = values[pos]
+                if witness:
+                    record = [row[pos].copy() for row in picks]
+    choices = {d: row[gather] for (d, gather), row in zip(plan.gathers.items(), record)}
+    return [_clamp(float(value)) for value in optima], choices
 
 
 def solve(

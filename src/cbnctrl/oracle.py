@@ -406,6 +406,22 @@ def _drivers(dag: Dag, intervenable, targets, desired: Mapping[str, int]) -> tup
     return c_star(problem).members
 
 
+def bracket_classes(levels: Iterable[int | float]) -> list[IpClass]:
+    """``levels`` read as `IpClass` levels, once each is one that `IpClass`
+    takes and none is 0: `verify_lemma3`'s level check, which the CLI also
+    runs before it prints anything."""
+    classes = []
+    for level in levels:
+        try:
+            cls = IpClass(level)
+        except ValueError:
+            cls = None
+        if cls is None or cls.level == 0:
+            raise ValueError(f"bracket levels must be >= 1 or inf, got {level!r}")
+        classes.append(cls)
+    return classes
+
+
 def verify_lemma3(
     cbn: Cbn,
     intervenable,
@@ -424,15 +440,7 @@ def verify_lemma3(
     gives the same live drivers the same scopes shares it.
     """
     budget = budget or DEFAULT_BUDGET
-    classes = []
-    for level in levels:
-        try:
-            cls = IpClass(level)
-        except ValueError:
-            cls = None
-        if cls is None or cls.level == 0:
-            raise ValueError(f"bracket levels must be >= 1 or inf, got {level!r}")
-        classes.append(cls)
+    classes = bracket_classes(levels)
     dag = cbn.dag
     pool = dag.canon(intervenable)
     budget.check_set_size(len(pool))

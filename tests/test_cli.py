@@ -14,6 +14,8 @@ import cbnctrl.cli as cli
 from cbnctrl import Dag, NetworkSpec, load, random_cbn, random_dag, save
 from cbnctrl.oracle import SuiteReport
 
+from test_control import past_index_range
+
 
 def run(argv, capsys):
     code = cli.main(argv)
@@ -135,6 +137,38 @@ class TestSolve:
             code, _, err = run(argv, capsys)
             assert code == 3, argv
             assert err.startswith("refused: state space of 67108864 configurations"), argv
+        # a structure-only file is refused before a parametrization is
+        # sampled, whose table for x alone would take 8 TiB; usm samples
+        # nothing and still runs
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({
+            "format": "cbn-net/1",
+            "nodes": [{"name": "x", "card": 2 ** 40}, {"name": "o", "card": 2}],
+            "edges": [["x", "o"]],
+            "intervenable": ["x"],
+            "targets": [{"name": "o", "desired": 1}],
+        }))
+        code, out, err = run(["verify", str(path), "--suite", "lemma3", "--seed", "1"], capsys)
+        assert (code, out) == (3, "")
+        assert err == "refused: state space of 2199023255552 configurations exceeds the cap of 16384\n"
+        code, out, _ = run(["verify", str(path), "--suite", "usm"], capsys)
+        assert code == 0 and "result: PASS" in out
+
+    def test_combinations_past_the_index_range_are_refused(self, tmp_path, capsys):
+        # 2^64 tables of one driver: the work cap names a budget that a
+        # numpy index cannot number, and that budget is refused too
+        cbn = past_index_range(np.random.default_rng(64))
+        path = str(tmp_path / "wide.json")
+        save(NetworkSpec.from_cbn(cbn, ("d1", "d2"), ("o",), {"o": 1}), path)
+        code, out, err = run(["solve", path, "--objective", "max-max"], capsys)
+        assert (code, out) == (3, "")
+        assert "raise the budget to at least 18889465931478580854784 " in err
+        wide = ["--budget", str(10 ** 26)]
+        code, out, err = run(["solve", path, "--objective", "max-max", *wide], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith(f"refused: a scan over {2 ** 64} table combinations exceeds the ")
+        code, _, err = run(["verify", path, "--suite", "lemma3", *wide], capsys)
+        assert code == 3 and err.startswith(f"refused: a scan over {2 ** 64} table combinations")
 
     def test_deep_driver_refused_before_its_tables_are_counted(self, tmp_path, capsys):
         # a driver with 38 ancestors has 2^(2^38) class-inf tables; counting
@@ -187,9 +221,10 @@ class TestVerify:
         assert "overall: PASS" in out
 
     def test_level_zero_refused(self, gate, capsys):
-        code, _, err = run(["verify", gate, "--suite", "lemma3", "--levels", "0,1"], capsys)
-        assert code == 1
-        assert "levels" in err
+        # before the header, as an unparseable level is
+        code, out, err = run(["verify", gate, "--suite", "lemma3", "--levels", "0,1"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: bracket levels must be >= 1 or inf, got 0\n"
 
     def test_levels_take_every_spelling_of_a_policy_class(self, gate, capsys):
         def report(levels):

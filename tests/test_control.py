@@ -552,14 +552,96 @@ class TestChainWitness:
             self.check(cbn, drivers, {"o": 1})
 
 
+def reference_batch(cbn, base, axes, searched, flat):
+    """A literal copy of `control.policy_batch` as it was before it built
+    each chunk by one einsum: a copy of the base per combination, times one
+    factor per driver, laid out by `Cbn.expand`, whose table numbers come
+    from strides over the drivers' table counts."""
+    if not searched:
+        # one combination, the empty one, whose batch is ``base`` itself
+        return base[None], []
+    cards = cbn.cards
+    counts = [len(rows) ** prod(cards[s] for s in scope) for _, scope, rows in searched]
+    stride = prod(counts)
+    batch = np.broadcast_to(base, (len(flat), *base.shape)).copy()
+    picks = []
+    for (driver, scope, rows), count in zip(searched, counts):
+        stride //= count
+        scope_cards = tuple(cards[s] for s in scope)
+        cells = prod(scope_cards)
+        # big-endian digits: increasing table numbers enumerate pick
+        # tuples in lexicographic order
+        tables = flat // stride % count
+        digits = tables[:, None] // len(rows) ** np.arange(cells - 1, -1, -1) % len(rows)
+        factor = rows[digits].reshape(len(flat), *scope_cards, cards[driver])
+        batch *= cbn.expand(factor, [*scope, driver], axes)
+        picks.append(digits)
+    return batch, picks
+
+
+def plan_and_base(cbn, drivers, ip_class, desired):
+    """The `SearchPlan` of canonical live ``drivers`` on ``cbn`` and the
+    base tensor its scan starts from."""
+    plan = control._search_plan(cbn, drivers, ip_class, frozenset(desired))
+    return plan, cbn.joint(desired, skip=drivers, keep=plan.axes)
+
+
+def chunk_numbers(plan, base):
+    """The combination numbers of each chunk of ``plan``'s scan."""
+    step = max(1, CHUNK_ELEMENTS // base.size)
+    return [np.arange(start, min(start + step, plan.outer_total)) for start in range(0, plan.outer_total, step)]
+
+
+class TestPolicyBatch:
+    """`control.policy_batch` must build each chunk's tensor and picks bit
+    for bit as `reference_batch` does."""
+
+    def cases(self):
+        rng = np.random.default_rng(1900)
+        fan5 = fan_dag(5)
+        fan3 = fan_dag(3)
+        # d1, d2 and d3 all read a, so the two enumerated ones share it
+        shared = Dag(["a", "d1", "d2", "d3", "o"], [("a", f"d{i}") for i in (1, 2, 3)] + [(f"d{i}", "o") for i in (1, 2, 3)])
+        # at class 1, d reads e and a; e reads b, which d does not, so e
+        # is enumerated and lies in the chain driver d's scope
+        inner = Dag(["b", "a", "e", "d", "o"], [("b", "e"), ("b", "o"), ("e", "d"), ("a", "d"), ("e", "o"), ("d", "o")])
+        nest, nest_drivers = nested_chain(rng, dict.fromkeys(("u", "d0", "d1", "d2", "d3", "o"), 2))
+        return [
+            ("binary fan", random_cbn(rng, fan5), tuple(f"d{i}" for i in range(5)), CLASS_INF),
+            ("ternary fan", random_cbn(rng, fan3, 3), ("d0", "d1", "d2"), CLASS_INF),
+            ("shared scope", random_cbn(rng, shared, 3), ("d1", "d2", "d3"), CLASS_INF),
+            ("enumerated in a chain scope", random_cbn(rng, inner), ("e", "d"), CLASS1),
+            ("chain only", nest, nest_drivers, CLASS_INF),
+        ]
+
+    def test_batches_are_bit_identical(self):
+        plans, chunks = {}, {}
+        for name, cbn, drivers, ip_class in self.cases():
+            plan, base = plan_and_base(cbn, drivers, ip_class, {"o": 1})
+            plans[name], chunks[name] = plan, chunk_numbers(plan, base)
+            for flat in chunks[name]:
+                batch, picks = control.policy_batch(base, plan.axes, plan.searched, flat)
+                expect, expect_picks = reference_batch(cbn, base, plan.axes, plan.searched, flat)
+                assert batch.dtype == expect.dtype and np.array_equal(batch, expect), name
+                assert len(picks) == len(expect_picks), name
+                for got, want in zip(picks, expect_picks):
+                    assert np.array_equal(got, want), name
+        # each case has the shape it is named for
+        assert len(chunks["binary fan"]) >= 3
+        assert [scope for _, scope, _ in plans["shared scope"].searched] == [("a",), ("a",)]
+        inner = plans["enumerated in a chain scope"]
+        assert [e for e, _, _ in inner.searched] == ["e"] and "e" in inner.scopes["d"]
+        assert (plans["chain only"].searched, plans["chain only"].outer_total) == ((), 1)
+
+
 def rebuilt_witness(cbn, plan, base, direction, number):
     """The witness stage as it was built before the scan kept records, as
     choice tuples per driver: the winner's tensor rebuilt with
-    `policy_batch`, then reduced once more by the recording sweep."""
+    `reference_batch`, then reduced once more by the recording sweep."""
     cards = cbn.cards
     axes, scopes, searched = plan.axes, plan.scopes, plan.searched
     best = np.array([number])
-    batch, picks = control.policy_batch(cbn, base, axes, searched, best)
+    batch, picks = reference_batch(cbn, base, axes, searched, best)
     tables = {}
     for (e, searched_scope, _), digits in zip(searched, picks):
         shape = [cards[s] if s in searched_scope else 1 for s in scopes[e]]
@@ -580,49 +662,45 @@ def rebuilt_witness(cbn, plan, base, direction, number):
     return {d: tuple(choices.tolist()) for d, choices in tables.items()}
 
 
-def scan_log(monkeypatch):
-    """Log, in order, each `control.policy_batch` call as ``("batch",)``
-    and each `control.scan_combinations` call as ``("scan", args,
-    optima)``, once it returns."""
-    events = []
-    batch, scan = control.policy_batch, control.scan_combinations
-
-    def logged_batch(*args):
-        events.append(("batch",))
-        return batch(*args)
-
-    def logged_scan(*args):
-        optima = scan(*args)
-        events.append(("scan", args, optima))
-        return optima
-
-    monkeypatch.setattr(control, "policy_batch", logged_batch)
-    monkeypatch.setattr(control, "scan_combinations", logged_scan)
-    return events
+def literal_winner(cbn, plan, base, direction):
+    """The first combination number at the optimum, by a scan of one
+    `reference_batch` per number, in order, that keeps only strict
+    improvements."""
+    best = None
+    for number in range(plan.outer_total):
+        t, _ = reference_batch(cbn, base, plan.axes, plan.searched, np.array([number]))
+        for width, kind in plan.segments:
+            t = t.sum(axis=tuple(range(1, 1 + width))) if kind is None else direction.pairwise.reduce(t, axis=1)
+        if best is None or direction.beats(t[0], best[0]):
+            best = (t[0], number)
+    return best[1]
 
 
 class TestScanWitness:
     """The scan keeps the winner's record, so the witness needs no second
-    batch: it must equal `rebuilt_witness`, first optimum and all."""
+    batch: it must equal `rebuilt_witness` of the winner a literal scan
+    finds, first optimum and all."""
 
     def witness(self, monkeypatch, cbn, drivers, desired, direction):
-        """The witness as choice tuples, with the winner's number and the
-        scan's chunk count, once it is checked against `rebuilt_witness`
-        and no batch followed the scan."""
-        events = scan_log(monkeypatch)
+        """The witness as choice tuples, with the winner's number, the
+        scan's chunk count and its step, once the chunks are checked to
+        tile the combination numbers once, in order, and the witness
+        against `rebuilt_witness`."""
+        batches = spy_on(monkeypatch, "policy_batch")
         value, pair = optimal_policy_value(cbn, drivers, CLASS_INF, desired, direction)
-        assert [e[0] for e in events].count("scan") == 1
-        assert events[-1][0] == "scan", "a batch was built after the scan"
-        (total, size, _, _), optima = events[-1][1], events[-1][2]
-        number = optima[0][1]
         monkeypatch.undo()
-        plan = cbn._search_plans[(drivers, CLASS_INF, frozenset(desired))]
-        base = cbn.joint(desired, skip=drivers, keep=plan.axes)
+        plan, base = plan_and_base(cbn, drivers, CLASS_INF, desired)
+        flats = [args[-1] for args in batches]
+        # the chunks tile range(outer_total) once, in order, and no batch
+        # follows the last
+        assert np.array_equal(np.concatenate(flats), np.arange(plan.outer_total))
+        expect = chunk_numbers(plan, base)
+        assert len(flats) == len(expect) and all(map(np.array_equal, flats, expect))
+        number = literal_winner(cbn, plan, base, direction)
         got = {p.target: tuple(row.index(1.0) for row in p.table.rows) for p in pair.policies}
         assert got == rebuilt_witness(cbn, plan, base, direction, number), direction
         assert interventional_prob(cbn, pair, desired) == pytest.approx(value, abs=1e-12)
-        step = max(1, CHUNK_ELEMENTS // size)
-        return got, number, -(-total // step), step
+        return got, number, len(flats), len(flats[0])
 
     def test_fans_spanning_chunks_with_an_early_winner(self, monkeypatch):
         # four binary fan drivers of 4 tables each are enumerated over a
@@ -839,6 +917,37 @@ class TestBudget:
         cbn = screening_chain()
         with pytest.raises(BudgetExceededError, match=r"\d"):
             optimal_policy_value(cbn, ("y1",), CLASS_INF, {"o": 1}, Direction.MAX, Budget(max_work=1))
+
+    def test_combinations_past_the_index_range_are_refused(self, monkeypatch):
+        # the enumerated driver has 2^64 tables, one more number than a
+        # numpy index holds: the default budget refuses the work, and a
+        # budget that admits it refuses the count, before any tensor
+        cbn = past_index_range(np.random.default_rng(64))
+        with pytest.raises(BudgetExceededError, match="at least 18889465931478580854784 "):
+            optimal_values(cbn, ("d1", "d2"), CLASS_INF, {"o": 1}, BOTH)
+        calls = joint_calls(monkeypatch)
+        wide = Budget(max_work=10 ** 26)
+        limit = int(np.iinfo(np.intp).max)
+        for call in (
+            lambda: optimal_values(cbn, ("d1", "d2"), CLASS_INF, {"o": 1}, BOTH, wide),
+            lambda: optimal_policy_value(cbn, ("d1", "d2"), CLASS_INF, {"o": 1}, Direction.MAX, wide),
+        ):
+            with pytest.raises(BudgetExceededError) as info:
+                call()
+            assert str(info.value) == (
+                f"a scan over {2 ** 64} table combinations exceeds the {limit} that a numpy index can number"
+            )
+            assert (info.value.estimate, info.value.limit) == (2 ** 64, limit)
+        assert calls == []
+
+
+def past_index_range(rng):
+    """Drivers d1 and d2 read the same six roots, which feed m with them,
+    above the target o: one driver is chained, and the other has 2^64
+    class-inf tables."""
+    roots = [f"r{i}" for i in range(6)]
+    edges = [(r, n) for r in roots for n in ("d1", "d2", "m")] + [("d1", "m"), ("d2", "m"), ("m", "o")]
+    return random_cbn(rng, Dag([*roots, "d1", "d2", "m", "o"], edges))
 
 
 def plan_networks():

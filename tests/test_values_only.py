@@ -61,9 +61,9 @@ class TestStages:
         # the scan has one combination, the empty one
         cbn = random_cbn(np.random.default_rng(42), nest(5))
         drivers = tuple(f"d{i}" for i in range(5))
-        scans = spy(monkeypatch, "scan_combinations")
+        batches = spy(monkeypatch, "policy_batch")
         optimal_policy_value(cbn, drivers, CLASS_INF, {"o": 1}, BOTH[0])
-        assert [args[0] for args in scans] == [1]
+        assert [args[-1].tolist() for args in batches] == [[0]]
         for ip_class in (CLASS1, IpClass(2), CLASS_INF):
             assert_matches_single_calls(cbn, drivers, ip_class, {"o": 1})
 
@@ -160,7 +160,7 @@ class TestSuitesBuildNoWitness:
     def test_values_scan_records_nothing(self, no_witnesses, monkeypatch):
         # a chain-only nest, a fan that enumerates over several chunks and
         # a ternary fan, each reduced without recording
-        scans = spy(monkeypatch, "scan_combinations")
+        batches = spy(monkeypatch, "policy_batch")
         cases = [
             (random_cbn(np.random.default_rng(42), nest(5)), tuple(f"d{i}" for i in range(5))),
             (random_cbn(np.random.default_rng(60), fan_dag(5)), tuple(f"d{i}" for i in range(5))),
@@ -171,7 +171,8 @@ class TestSuitesBuildNoWitness:
                 assert len(optimal_values(cbn, drivers, ip_class, {"o": 1}, BOTH)) == 2
             with pytest.raises(AssertionError, match="recorded"):
                 optimal_policy_value(cbn, drivers, CLASS_INF, {"o": 1}, BOTH[0])
-        assert max(args[0] for args in scans) >= 256
+        # some scan numbered at least 256 combinations
+        assert max(int(args[-1][-1]) for args in batches) + 1 >= 256
 
     def test_suites_read_values_only(self, no_witnesses):
         rng = np.random.default_rng(41)

@@ -5,7 +5,7 @@ chosen value on the 0/1 path, or its choices on its class scope on the
 chain path.  `optimal_policy_value` turns that into the pair by one rule.
 `reference_pair` is a literal copy of the three builders that the rule
 replaced (``witness_pair``, ``atomic_witness`` and ``table_witness``), fed
-the same scan record, and every pair must equal the one it builds.
+the same gathered choices, and every pair must equal the one it builds.
 """
 
 import numpy as np
@@ -29,16 +29,17 @@ from cbnctrl import (
 from cbnctrl.control import _first_table, live_drivers
 from cbnctrl.intervention import scope_for_class
 
-from test_control import dead_fan, deterministic_copy, fan_dag, live_and_dead
+from test_control import dead_fan, deterministic_copy, fan_dag, live_and_dead, spy_on
 from test_requisite import nest
 
 CLASSES = (CLASS0, CLASS1, IpClass(2), CLASS_INF)
 
 
-def reference_pair(cbn, drivers, ip_class, desired, direction, optima):
+def reference_pair(cbn, drivers, ip_class, desired, direction, choices):
     """The witness pair as the three builders built it, from the winner's
-    record ``optima`` that the chain path's scan returned (unused on the
-    0/1 path, which reads its winner off the joint)."""
+    ``choices`` that `control._scan_plan` returned, per live driver on its
+    class scope (unused on the 0/1 path, which reads its winner off the
+    joint)."""
     dag, cards = cbn.dag, cbn.cards
     driver_list = dag.canon(drivers)
     live = live_drivers(dag, driver_list, desired)
@@ -64,11 +65,8 @@ def reference_pair(cbn, drivers, ip_class, desired, direction, optima):
     plan = cbn._search_plans[(live, ip_class, frozenset(desired))]
 
     def table_witness(i: int) -> InterventionPair:
-        rows = dict(zip(plan.gathers, optima[i][2]))
         tables = {d: _first_table(cards, d, plan.scopes[d]) for d in live}
-        return witness_pair(
-            {d: InterventionPolicy(tables[d].with_choices(rows[d][plan.gathers[d]])) for d in live}
-        )
+        return witness_pair({d: InterventionPolicy(tables[d].with_choices(choices[d])) for d in live})
 
     return table_witness(0)
 
@@ -101,23 +99,25 @@ CASES = witness_cases()
 
 @pytest.mark.parametrize("name, cbn, drivers, desired", CASES, ids=[case[0] for case in CASES])
 def test_pairs_equal_the_three_builders(monkeypatch, name, cbn, drivers, desired):
-    # the chain path scans once, and its record feeds the reference; the
-    # 0/1 path scans nothing
-    scan = control.scan_combinations
+    # each call plans once, and the chain path's winner feeds the
+    # reference; the 0/1 path builds no batch
+    scan_plan = control._scan_plan
     records = []
 
-    def recording(*args):
-        records.append(scan(*args))
+    def recording(*args, **kwargs):
+        records.append(scan_plan(*args, **kwargs))
         return records[-1]
 
-    monkeypatch.setattr(control, "scan_combinations", recording)
-    scans = 0 if cbn.deterministic or not live_drivers(cbn.dag, cbn.dag.canon(drivers), desired) else 1
+    monkeypatch.setattr(control, "_scan_plan", recording)
+    batches = spy_on(monkeypatch, "policy_batch")
+    chain = bool(live_drivers(cbn.dag, cbn.dag.canon(drivers), desired)) and not cbn.deterministic
     for ip_class in CLASSES:
         for direction in Direction:
             records.clear()
+            batches.clear()
             value, pair = optimal_policy_value(cbn, drivers, ip_class, desired, direction)
-            assert len(records) == scans
-            expected = reference_pair(cbn, drivers, ip_class, desired, direction, records[0] if scans else None)
+            assert len(records) == 1 and bool(batches) == chain
+            expected = reference_pair(cbn, drivers, ip_class, desired, direction, records[0][1])
             assert pair.targets == expected.targets, (name, ip_class, direction)
             assert pair == expected, (name, ip_class, direction)
             assert interventional_prob(cbn, pair, desired) == pytest.approx(value, abs=1e-12)
