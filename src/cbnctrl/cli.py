@@ -140,6 +140,11 @@ def _cmd_verify(args, header: str) -> int:
         bracket_classes(levels)
 
     cbn = spec.cbn
+    if cbn is not None and args.seed is not None:
+        # the file's own tables would be checked, not a sampled network
+        raise ValueError(
+            "file has cpds; drop --seed N, which samples a parametrization only for a file without cpds"
+        )
     seed_line = None
     needs_cbn = any(n != "usm" for n in names)
     if needs_cbn and cbn is None:

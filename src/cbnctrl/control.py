@@ -68,6 +68,14 @@ call checks its arguments and its `Budget`, the work estimate included,
 before any tensor is built, and each check runs once: the base tensor
 comes from the contraction behind `Cbn.joint`, after the call's own
 `Cbn.check_joint`.
+
+The dag keeps what else the structure decides (`Dag.derived`): `c_star`'s
+drivers per targets and intervenable set, the event's nodes and their
+ancestors per set of event nodes, which `live_drivers` reads, and one
+atomic policy per driver, value and card (`atomic_policy_on`), which the
+0/1 witness path and `solve`'s min-min shortcut share.  None of them
+depends on a CPD entry, a budget or an event value, so a warm call walks
+no graph: it checks, contracts and scans.
 """
 
 from __future__ import annotations
@@ -105,8 +113,10 @@ class Direction(Enum):
 
     @property
     def arg(self):
-        """``np.argmax`` or ``np.argmin``: the first optimum's position."""
-        return np.argmax if self is Direction.MAX else np.argmin
+        """``np.ndarray.argmax`` or ``np.ndarray.argmin``, called with the
+        array and an optional axis: the first optimum's position, as
+        ``np.argmax`` gives it, without that function's Python wrapper."""
+        return np.ndarray.argmax if self is Direction.MAX else np.ndarray.argmin
 
     @property
     def pairwise(self):
@@ -199,9 +209,17 @@ class SolveResult:
 
 def c_star(problem: ControlProblem) -> DriverSet:
     """Driver set: terminals of backward chaining from the targets into the
-    intervenable set."""
-    bc = problem.dag.backward_chain(problem.targets, problem.intervenable)
-    return DriverSet(bc.terminals, Provenance.C_STAR)
+    intervenable set.
+
+    They depend on the structure alone, so the dag keeps them per targets
+    and intervenable set as the checked problem gives them
+    (`Dag.derived`)."""
+    kept = problem.dag.derived("c_star")
+    key = problem.targets, problem.intervenable
+    terminals = kept.get(key)
+    if terminals is None:
+        terminals = kept[key] = problem.dag.backward_chain(*key).terminals
+    return DriverSet(terminals, Provenance.C_STAR)
 
 
 def _pick_chain(
@@ -280,6 +298,8 @@ def requisite_scopes(
 
 #: elements of the batched tensor one chunk of the table search fills
 CHUNK_ELEMENTS = 2 ** 15
+#: the most table combinations a scan can number with numpy integers
+_INDEX_LIMIT = np.iinfo(np.intp).max
 
 
 def _clamp(value: float) -> float:
@@ -331,9 +351,27 @@ def live_drivers(dag: Dag, drivers: tuple[str, ...], desired) -> tuple[str, ...]
     none in a graph that policies make either, since a policy's scope lies
     in its owner's ancestry.  So no table of it moves the event's
     probability, and its observations are none of them requisite (Lauritzen
-    & Nilsson 2001)."""
-    upstream = set(desired).union(*map(dag.ancestors, desired))
+    & Nilsson 2001).  The event's nodes and their ancestors depend on the
+    structure alone, so the dag keeps them per set of event nodes
+    (`Dag.derived`)."""
+    kept = dag.derived("upstream")
+    key = frozenset(desired)
+    upstream = kept.get(key)
+    if upstream is None:
+        upstream = kept[key] = key.union(*map(dag.ancestors, desired))
     return tuple(d for d in drivers if d in upstream)
+
+
+def atomic_policy_on(dag: Dag, driver: str, value: int, card: int) -> InterventionPolicy:
+    """`atomic_policy` forcing ``driver`` of ``card`` values to ``value``,
+    which the dag keeps per driver, value and card (`Dag.derived`): each is
+    built and checked once, and its table's array with it."""
+    policies = dag.derived("atomic")
+    key = driver, value, card
+    policy = policies.get(key)
+    if policy is None:
+        policy = policies[key] = atomic_policy(driver, value, card)
+    return policy
 
 
 def checked_directions(directions, ip_class, desired) -> tuple[Direction, ...]:
@@ -377,7 +415,7 @@ def optimal_policy_value(
         # chosen value, or on 0 for a dead driver; otherwise the driver's
         # first table, kept on the dag, filled with a live driver's choices
         if cbn.deterministic:
-            return atomic_policy(d, choices.get(d, 0), cards[d])
+            return atomic_policy_on(dag, d, choices.get(d, 0), cards[d])
         table = tables.get(d)
         if table is None:
             table = tables[d] = _first_table(cards, d, scope_for_class(dag, d, ip_class))
@@ -511,7 +549,6 @@ def _scan_plan(cbn: Cbn, drivers, ip_class: IpClass, desired, directions, budget
     # refusal above keeps its text and order.  Every table of a dead driver
     # ties with its first, which the scan's tie-break would keep.
     live = live_drivers(dag, dag.canon(drivers), desired)
-    cards = cbn.cards
 
     if not live or cbn.deterministic:
         # A fully deterministic network realizes one world per forced choice
@@ -520,7 +557,7 @@ def _scan_plan(cbn: Cbn, drivers, ip_class: IpClass, desired, directions, budget
         # Every sum is an exact 0/1 count, and the first optimum of the
         # C-order flattening is the first in product order.  Without live
         # drivers, the empty choice gives the marginal of ``desired``.
-        budget.check_work(prod(cards[d] for d in live) * len(live))
+        budget.check_work(prod(map(cbn.cards.get, live)) * len(live))
         base = cbn._contract(desired, live, live)
         values = base.reshape(-1)
         bests = [int(direction.arg(values)) for direction in directions]
@@ -532,12 +569,10 @@ def _scan_plan(cbn: Cbn, drivers, ip_class: IpClass, desired, directions, budget
     if plan is None:
         plan = cbn._search_plans[shape] = _search_plan(cbn, *shape)
     budget.check_work(plan.outer_total * cbn.state_space_size())
-    # the scan numbers the combinations with numpy integers
-    limit = np.iinfo(np.intp).max
-    if plan.outer_total > limit:
+    if plan.outer_total > _INDEX_LIMIT:
         raise BudgetExceededError(
-            f"a scan over {plan.outer_total} table combinations exceeds the {limit} "
-            "that a numpy index can number", plan.outer_total, limit
+            f"a scan over {plan.outer_total} table combinations exceeds the {_INDEX_LIMIT} "
+            "that a numpy index can number", plan.outer_total, _INDEX_LIMIT
         )
     base = cbn._contract(desired, live, plan.axes)
 
@@ -628,7 +663,7 @@ def solve(
         value, pair = optimal_policy_value(cbn, ds.members, CLASS_INF, desired, direction, budget)
         return SolveResult(ds, value, pair)
     pair = InterventionPair(
-        atomic_policy(t, 1 if desired[t] == 0 else 0, cbn.cards[t]) for t in shortcut
+        atomic_policy_on(cbn.dag, t, 1 if desired[t] == 0 else 0, cbn.cards[t]) for t in shortcut
     )
     return SolveResult(ds, interventional_prob(cbn, pair, desired, budget), pair)
 

@@ -8,6 +8,14 @@ through `interventional_prob`, but shares none of the optimizer's chain,
 batch or scan code.  `grid_policy_search` is not a reference: it searches
 stochastic tables, with one factor per driver contracted into the joint's
 marginal, to check that deterministic tables are enough.
+
+What a suite derives from the structure alone, the dag keeps
+(`Dag.derived`), next to the optimizer's plans and `c_star`'s drivers:
+`verify_lemma3`'s schedule of brackets and optimizer calls per pool, event
+nodes and class levels, `verify_usm`'s pair forcing every driver to 1 per
+driver set, and `grid_policy_values`' read-only grid rows and layout per
+drivers, class level and step.  So a suite run again, on the same network
+or on another parametrization of its structure, walks no graph.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .cbn import DEFAULT_BUDGET, Budget, Cbn, Cpd
+from .cbn import DEFAULT_BUDGET, Budget, Cbn, Cpd, _read_only
 from .control import (
     CHUNK_ELEMENTS,
     ControlProblem,
@@ -245,9 +253,17 @@ def grid_policy_values(
         for d in driver_list
     )
     budget.check_work(total * cbn.state_space_size())
-    searched = [(d, scopes[d], np.asarray(simplex_grid_rows(cards[d], step))) for d in driver_list]
-    # every other node meets no policy factor and is summed out first
-    layout = dag.canon([*driver_list, *(s for d in driver_list for s in scopes[d])])
+    grids = dag.derived("grid", tuple(cards.values()))
+    key = driver_list, ip_class.level, step
+    grid = grids.get(key)
+    if grid is None:
+        searched = tuple(
+            (d, scopes[d], _read_only(np.asarray(simplex_grid_rows(cards[d], step)))) for d in driver_list
+        )
+        # every other node meets no policy factor and is summed out first
+        layout = dag.canon([*driver_list, *(s for d in driver_list for s in scopes[d])])
+        grid = grids[key] = searched, layout
+    searched, layout = grid
     base = cbn._contract(desired, driver_list, layout)
     # the sums are the same in every direction, and max and min are exact,
     # so the order the chunks come in leaves every optimum as it is
@@ -437,7 +453,9 @@ def verify_lemma3(
     bracket can genuinely fail there.  Both ends of a bracket come from one
     values-only optimizer call on the subset's live drivers (`live_drivers`),
     the only ones the optimizer searches, and every subset and level that
-    gives the same live drivers the same scopes shares it.
+    gives the same live drivers the same scopes shares it.  Which call each
+    bracket reads depends on the structure alone, so the dag keeps that
+    schedule (`_bracket_schedule`).
     """
     budget = budget or DEFAULT_BUDGET
     classes = bracket_classes(levels)
@@ -445,25 +463,46 @@ def verify_lemma3(
     pool = dag.canon(intervenable)
     budget.check_set_size(len(pool))
     baseline = cbn.marginal_prob(desired, budget)
+    calls, schedule = _bracket_schedule(dag, pool, desired, classes)
     failures: list[str] = []
-    checked = 0
-    brackets: dict[tuple, list] = {}
-    for subset in iter_subsets(pool):
-        live = live_drivers(dag, subset, desired)
-        for cls in classes:
-            key = (live, tuple(scope_for_class(dag, d, cls) for d in live))
-            if key not in brackets:
-                brackets[key] = optimal_values(cbn, live, cls, desired, BOTH, budget)
-            high, low = brackets[key]
-            checked += 1
-            if not (low <= baseline + BRACKET_TOL and baseline <= high + BRACKET_TOL):
-                failures.append(
-                    f"subset={{{' '.join(subset)}}} {cls}: "
-                    f"min={low:.9f} baseline={baseline:.9f} max={high:.9f}"
-                )
-    details = [f"baseline probability {baseline:.9f}", f"brackets checked: {checked}"]
+    brackets: list[list] = []
+    for subset, cls, at in schedule:
+        # the calls come in the order the schedule first reads them
+        if at == len(brackets):
+            brackets.append(optimal_values(cbn, *calls[at], desired, BOTH, budget))
+        high, low = brackets[at]
+        if not (low <= baseline + BRACKET_TOL and baseline <= high + BRACKET_TOL):
+            failures.append(
+                f"subset={{{' '.join(subset)}}} {cls}: "
+                f"min={low:.9f} baseline={baseline:.9f} max={high:.9f}"
+            )
+    details = [f"baseline probability {baseline:.9f}", f"brackets checked: {len(schedule)}"]
     details.extend(failures)
     return SuiteReport("lemma3", not failures, tuple(details))
+
+
+def _bracket_schedule(dag: Dag, pool: tuple[str, ...], desired, classes) -> tuple[tuple, tuple]:
+    # `verify_lemma3`'s optimizer calls, each ``(live drivers, class)`` once
+    # per live drivers and scopes, in the order the brackets first read
+    # them, and its brackets, ``(subset, class, call index)`` per subset of
+    # canonical ``pool`` and class in ``classes``; kept on the dag per pool,
+    # event nodes and class levels
+    schedules = dag.derived("brackets")
+    key = pool, frozenset(desired), tuple(cls.level for cls in classes)
+    found = schedules.get(key)
+    if found is None:
+        index: dict[tuple, int] = {}
+        calls, schedule = [], []
+        for subset in iter_subsets(pool):
+            live = live_drivers(dag, subset, desired)
+            for cls in classes:
+                scopes = live, tuple(scope_for_class(dag, d, cls) for d in live)
+                if scopes not in index:
+                    index[scopes] = len(calls)
+                    calls.append((live, cls))
+                schedule.append((subset, cls, index[scopes]))
+        found = schedules[key] = tuple(calls), tuple(schedule)
+    return found
 
 
 def verify_sufficiency(
@@ -512,7 +551,12 @@ def verify_usm(
     budget.check_set_size(len(xstar))
     cbn, desired = usm_adversarial_cbn(dag, xstar, target_list)
     failures: list[str] = []
-    full = InterventionPair(atomic_policy(d, 1, 2) for d in xstar)
+    # the pair forcing every driver to 1, kept with the network per driver
+    # set, so each of its tables builds its array once
+    pairs = dag.derived("usm full")
+    full = pairs.get(xstar)
+    if full is None:
+        full = pairs[xstar] = InterventionPair(atomic_policy(d, 1, 2) for d in xstar)
     achieved = interventional_prob(cbn, full, desired, budget)
     if achieved != 1.0:
         failures.append(f"full driver set reaches only {achieved:.9f}")

@@ -204,6 +204,16 @@ class TestVerify:
         assert "seed: 9" in out
         assert "result: PASS" in out
 
+    @pytest.mark.parametrize("suite", ["lemma3", "usm", "all"])
+    def test_seed_refused_on_a_file_with_cpds(self, gate, capsys, suite):
+        # --seed samples a parametrization only for a file without cpds; on
+        # one with cpds it is refused before the header, not ignored
+        code, out, err = run(["verify", gate, "--suite", suite, "--seed", "3"], capsys)
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: file has cpds; drop --seed N, which samples a parametrization only for a file without cpds\n"
+        )
+
     def test_seed_samples_the_declared_cardinalities(self, tmp_path, capsys):
         # card-3 nodes and desired value 2: binary tables would reject it
         doc = {

@@ -1,8 +1,10 @@
 """What the structure decides, kept once per `Dag`.
 
-Contraction plans, search plans, first tables and `usm_adversarial_cbn`'s
-network depend on the structure (and the cards) alone, so the dag keeps
-them (`Dag.derived`) and every network on it shares them.  A network keeps
+Contraction plans, search plans, first tables, `usm_adversarial_cbn`'s
+network, `c_star`'s drivers, the event's upstream nodes, atomic policies,
+the grid's rows and `verify_lemma3`'s schedule depend on the structure (and
+the cards and the query's shape) alone, so the dag keeps them
+(`Dag.derived`) and every network on it shares them.  A network keeps
 its own CPD arrays in its plans, and the dag keeps none, so sweeping
 parametrizations keeps nothing alive.  Each answer must be bit for bit
 that of a network on a new, equal dag, which plans everything afresh.
@@ -16,24 +18,33 @@ from itertools import product
 import numpy as np
 import pytest
 
+import cbnctrl.oracle as oracle
 from cbnctrl import (
     CLASS1,
     CLASS_INF,
+    Budget,
+    BudgetExceededError,
     Cbn,
+    ControlProblem,
     Dag,
     Direction,
     IpClass,
+    Objective,
     optimal_policy_value,
     optimal_values,
     random_cbn,
+    solve,
     usm_adversarial_cbn,
+    verify_extremality,
+    verify_lemma3,
+    verify_sufficiency,
     verify_usm,
 )
 from cbnctrl.netfile import parse
 from cbnctrl.oracle import enumerate_prob
 
 import test_cbn
-from test_control import dead_fan, fan_dag, fresh, spy_on
+from test_control import dead_fan, deterministic_copy, fan_dag, fresh, spy_on
 from test_requisite import nest
 
 BOTH = (Direction.MAX, Direction.MIN)
@@ -174,3 +185,92 @@ def test_the_adversarial_network_is_freed_with_its_dag():
     del dag, network
     gc.collect()
     assert refs[0]() is None and refs[1]() is None
+
+
+def suite_answers(cbn, pool, targets, desired):
+    """The four suites' reports, then `solve`'s drivers, value and witness
+    under every objective, and under min-min with a target in the pool."""
+    dag = cbn.dag
+    out = [
+        verify_lemma3(cbn, pool, desired),
+        verify_sufficiency(cbn, pool, targets, desired),
+        verify_usm(dag, pool, targets),
+        verify_extremality(cbn, pool, targets, desired),
+    ]
+    wanted = tuple(desired[t] for t in targets)
+    problems = [ControlProblem(dag, pool, targets, wanted, objective) for objective in Objective]
+    problems.append(ControlProblem(dag, (*pool, targets[0]), targets, wanted, Objective.MIN_MIN))
+    for problem in problems:
+        result = solve(problem, cbn)
+        out.append((result.drivers, repr(result.value), result.pair))
+    return out
+
+
+def suite_refusals(cbn, pool, targets, desired):
+    """Each suite and `solve` refused by a budget of one step, and the
+    bracket suite by a desired value out of range, as (type, text)."""
+    tight = Budget(max_work=1)
+    dag = cbn.dag
+    wanted = tuple(desired[t] for t in targets)
+    calls = [
+        lambda: verify_lemma3(cbn, pool, desired, budget=tight),
+        lambda: verify_sufficiency(cbn, pool, targets, desired, tight),
+        lambda: verify_usm(dag, pool, targets, tight),
+        lambda: verify_extremality(cbn, pool, targets, desired, tight),
+        lambda: solve(ControlProblem(dag, pool, targets, wanted, Objective.MAX_MAX), cbn, tight),
+        lambda: verify_lemma3(cbn, pool, {targets[0]: 2}),
+    ]
+    out = []
+    for call in calls:
+        with pytest.raises((BudgetExceededError, ValueError)) as info:
+            call()
+        out.append((type(info.value), str(info.value)))
+    return out
+
+
+def test_suites_on_one_dag_answer_and_refuse_as_on_a_fresh_one(monkeypatch):
+    # x is dead, r0 and r1 are roots behind the drivers d0 and d1; one
+    # parametrization is stochastic and one 0/1, which takes the atomic path
+    dag = fan_dag(2, lead=("x",))
+    pool, targets, desired = ("x", "d0", "d1"), ("o",), {"o": 1}
+    rng = np.random.default_rng(31)
+    stochastic = random_cbn(rng, dag)
+    networks = (stochastic, deterministic_copy(stochastic, rng))
+    assert not networks[0].deterministic and networks[1].deterministic
+    expect = [
+        (suite_refusals(fresh(cbn), pool, targets, desired), suite_answers(fresh(cbn), pool, targets, desired))
+        for cbn in networks
+    ]
+    chains, grids = [], []
+    chain = Dag.backward_chain
+
+    def chaining(self, start, stop):
+        if self is dag:
+            chains.append((tuple(start), tuple(stop)))
+        return chain(self, start, stop)
+
+    monkeypatch.setattr(Dag, "backward_chain", chaining)
+    monkeypatch.setattr(oracle, "simplex_grid_rows", spy_on_grid_rows(grids))
+    made = None
+    for _ in range(2):
+        for cbn, (refused, answered) in zip(networks, expect):
+            # refused first, so that no store is warm yet on the first round
+            assert suite_refusals(cbn, pool, targets, desired) == refused
+            assert suite_answers(cbn, pool, targets, desired) == answered
+            if made is None:
+                made = list(chains), list(grids)
+    # the first network's first round made every shape once; nothing since
+    assert made[0] and len(set(made[0])) == len(made[0])
+    assert made[1] == [(2, 0.25), (2, 0.25)]
+    assert (chains, grids) == made
+
+
+def spy_on_grid_rows(calls):
+    """`oracle.simplex_grid_rows`, recording each call's arguments."""
+    real = oracle.simplex_grid_rows
+
+    def recording(card, step=0.25):
+        calls.append((card, step))
+        return real(card, step)
+
+    return recording
