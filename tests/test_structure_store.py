@@ -242,19 +242,24 @@ def test_suites_on_one_dag_answer_and_refuse_as_on_a_fresh_one(monkeypatch):
         for cbn in networks
     ]
     chains, grids = [], []
-    chain = Dag.backward_chain
+    chain, rows = Dag.backward_chain, oracle.simplex_grid_rows
 
     def chaining(self, start, stop):
         if self is dag:
             chains.append((tuple(start), tuple(stop)))
         return chain(self, start, stop)
 
+    def gridding(card, step):
+        grids.append((card, step))
+        return rows(card, step)
+
     monkeypatch.setattr(Dag, "backward_chain", chaining)
-    monkeypatch.setattr(oracle, "simplex_grid_rows", spy_on_grid_rows(grids))
+    monkeypatch.setattr(oracle, "simplex_grid_rows", gridding)
     made = None
     for _ in range(2):
         for cbn, (refused, answered) in zip(networks, expect):
-            # refused first, so that no store is warm yet on the first round
+            # refused first, so that the stores a refused call fills are
+            # the ones every answer reads
             assert suite_refusals(cbn, pool, targets, desired) == refused
             assert suite_answers(cbn, pool, targets, desired) == answered
             if made is None:
@@ -263,14 +268,3 @@ def test_suites_on_one_dag_answer_and_refuse_as_on_a_fresh_one(monkeypatch):
     assert made[0] and len(set(made[0])) == len(made[0])
     assert made[1] == [(2, 0.25), (2, 0.25)]
     assert (chains, grids) == made
-
-
-def spy_on_grid_rows(calls):
-    """`oracle.simplex_grid_rows`, recording each call's arguments."""
-    real = oracle.simplex_grid_rows
-
-    def recording(card, step=0.25):
-        calls.append((card, step))
-        return real(card, step)
-
-    return recording
