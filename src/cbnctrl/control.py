@@ -32,7 +32,18 @@ combinations and takes them in chunks of `CHUNK_ELEMENTS` tensor entries
 (or of one combination, if that is larger).  `policy_batch` reads each
 number's mixed-radix digits as the enumerated drivers' picks and builds
 the chunk's tensor by one ``np.einsum`` of the base with one 0/1 factor
-per driver.  The tie-break is that of a one-by-one scan in lexicographic
+per factored driver.  An enumerated driver is free instead when its
+searched scope is empty, no other driver's scope, chained or searched,
+holds it, and no factored driver comes before it in node order: its
+tables are its values, and they are the leading digits.  The base has
+the free drivers' axes first, flattened into one, so a chunk's batch is
+the base's entries at its free digits, with no factor for a free driver
+and no sum over its axis, and a winner's free values are the leading
+digits of its number.  That is exact: a factor multiplies by an exact 1.0
+or 0.0, and summing a factored driver's axis adds exact zeros, so each
+value, and with it each witness and tie, is the one a factor would give.
+The work estimate counts a free combination as it counts a factored one,
+times the state space.  The tie-break is that of a one-by-one scan in lexicographic
 order: the first optimum of a chunk replaces the incumbent only on a
 strict improvement.
 
@@ -82,7 +93,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import groupby, product
+from itertools import groupby, product, takewhile
 from math import prod
 
 import numpy as np
@@ -308,36 +319,43 @@ def _clamp(value: float) -> float:
 
 
 def policy_batch(
-    base: np.ndarray, axes, searched, flat: np.ndarray
+    base: np.ndarray, axes, searched, start: int, stop: int
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """``base`` times the policy factors of each combination in ``flat``,
-    one combination per entry of the leading axis, and per searched driver
-    its row picks, one row of picks per combination.
+    """The batch of table combinations ``start`` to ``stop``, one per entry
+    of its leading axis, and per searched driver its row picks, one row of
+    picks per combination.
 
-    ``base`` has one axis per node of ``axes``, as `Cbn.joint` returns it
-    with ``keep=axes``.  ``searched`` lists ``(driver, scope, rows)``: a table
-    picks one row of the 2-d array ``rows`` per scope configuration.  A
-    combination number's big-endian mixed-radix digits, one per scope
-    configuration, driver after driver, are the picks, so increasing
-    numbers scan the tables as nested loops over the drivers would, each
-    driver's picks in lexicographic order.  Each factor entry is 0 or 1,
-    so the product is exact in any order.
+    ``base`` has a leading axis over the combinations of the free drivers'
+    values, in row-major order, then one axis per node of ``axes``.
+    ``searched`` lists ``(driver, scope, rows)`` per factored driver: a
+    table picks one row of the 2-d array ``rows`` per scope configuration.
+    A combination number's big-endian mixed-radix digits are the free
+    drivers' values, flattened, then one pick per scope configuration,
+    driver after driver, so increasing numbers scan the tables as nested
+    loops over the drivers would, each driver's picks in lexicographic
+    order.  Without factored drivers each combination is one entry of the
+    leading axis, so the batch is a slice of ``base``.  Otherwise it is one
+    ``np.einsum`` of the combinations' base entries with one factor per
+    driver.  Each factor entry is 0 or 1, so the product is exact in any
+    order.
     """
     if not searched:
-        # one combination, the empty one, whose batch is ``base`` itself
-        return base[None], []
-    card = dict(zip(axes, base.shape))
+        return base[start:stop], []
+    card = dict(zip(axes, base.shape[1:]))
     cells = [prod(card[s] for s in scope) for _, scope, _ in searched]
     radices = [len(rows) for (_, _, rows), n in zip(searched, cells) for _ in range(n)]
-    digits = np.stack(np.unravel_index(flat, radices), axis=-1)
+    free, *digits = np.unravel_index(np.arange(start, stop), (len(base), *radices))
+    digits = np.stack(digits, axis=-1)
     label = {n: i for i, n in enumerate(axes)}
     # the label of the leading batch axis
     lead = len(axes)
-    operands, picks, at = [base, list(range(lead))], [], 0
+    # each combination's own base entry, or the one they all share
+    operands = [base[free], [lead, *range(lead)]] if len(base) > 1 else [base[0], list(range(lead))]
+    picks, at = [], 0
     for (driver, scope, rows), n in zip(searched, cells):
         pick = digits[:, at:at + n]
         at += n
-        factor = rows[pick].reshape(len(flat), *(card[s] for s in scope), card[driver])
+        factor = rows[pick].reshape(stop - start, *(card[s] for s in scope), card[driver])
         operands += [factor, [lead, *(label[s] for s in scope), label[driver]]]
         picks.append(pick)
     return np.einsum(*operands, [lead, *range(lead)], optimize=False), picks
@@ -447,15 +465,25 @@ class SearchPlan:
     every network on it shares.
 
     ``scopes`` are the drivers' class scopes, and ``axes`` the base
-    tensor's nodes in reduction order.  ``segments`` are the reduction's
-    runs over ``axes``: ``(width, None)`` sums, and ``(width, driver)``
-    reduces a chain driver; the chain drivers are the segments' drivers,
-    in reduction order.  ``searched`` lists ``(driver, searched scope,
-    read-only one-hot rows)`` per enumerated driver, in canonical order, as
-    `policy_batch` takes it, and ``outer_total`` counts the table
-    combinations scanned.  ``gathers`` maps each driver, in the order the
-    scan records their rows (the enumerated drivers, then the chain), to
-    the read-only `_gather` index that takes its row to its class scope's
+    tensor's nodes in reduction order, as `Cbn.joint` is asked for them.
+    ``searched`` lists ``(driver, searched scope, read-only one-hot rows)``
+    per enumerated driver, in canonical order; its first ``free`` drivers
+    are free, and `policy_batch` takes the rest, the factored ones.  A free
+    driver has an empty searched scope and lies in no other driver's scope,
+    chained or searched, so its values are its tables, read off the base
+    without a factor; the same sum a factor would end in adds only exact
+    zeros to them.  ``layout`` transposes the base to the free drivers'
+    axes, in canonical order, then the others in reduction order.
+    ``segments`` are the reduction's runs over those others: ``(width,
+    None)`` sums, and ``(width, driver)`` reduces a chain driver; the chain
+    drivers are the segments' drivers, in reduction order.  A free driver's
+    axis has no segment, and the runs on either side of it stay apart, so
+    each adds as it would with that axis summed between them.
+    ``outer_total`` counts the table combinations scanned, free ones
+    included, so the work estimate counts a free combination as it counts a
+    factored one.  ``gathers`` maps each driver, in the order the scan
+    records their rows (the enumerated drivers, then the chain), to the
+    read-only `_gather` index that takes its row to its class scope's
     row-major order: an enumerated driver's digits are laid out over its
     searched scope, a chain driver's choices over the axes left when it is
     reduced.
@@ -463,6 +491,8 @@ class SearchPlan:
 
     scopes: dict[str, tuple[str, ...]]
     axes: tuple[str, ...]
+    free: int
+    layout: tuple[int, ...]
     searched: tuple[tuple[str, tuple[str, ...], np.ndarray], ...]
     segments: tuple[tuple[int, str | None], ...]
     outer_total: int
@@ -516,22 +546,39 @@ def _search_plan(
     axes = tuple(dict.fromkeys(order))[::-1]
     # one combination, the empty one, when every driver is on the chain
     outer_total = prod(cards[e] ** prod(cards[s] for s in searched_scopes[e]) for e in enumerated)
-    # In reduction order, a run of chance axes is one sum; an enumerated
+    # A free driver's tables are its values.  It is one of the leading
+    # enumerated drivers, each with an empty searched scope and in no
+    # driver's scope as the search reads it (a chain driver's class scope,
+    # whose axes its choices range over, or an enumerated driver's searched
+    # scope), so its digits lead the combination numbers and a combination
+    # of the free drivers' values is one entry of the base once their axes
+    # are moved first.  The contraction itself keeps the reduction order:
+    # asked for its axes in another order, `np.einsum` may add in another
+    # order.
+    read = set().union(*searched_scopes.values())
+    free = tuple(takewhile(lambda e: not searched_scopes[e] and e not in read, enumerated))
+    rest = tuple(n for n in axes if n not in free)
+    layout = tuple(axes.index(n) for n in free + rest)
+    # In reduction order, a run of chance axes is one sum; a factored
     # driver's axis is summed on its own, which picks its one-hot entry
     # exactly, so tables that cannot change the outcome tie exactly and the
-    # tie-break keeps the first.  The axes left when a chain driver is
-    # reduced are its class scope, in reduction order.
+    # tie-break keeps the first.  A free driver's axis, read off the base,
+    # has no segment, and the runs around it stay two sums, each adding as
+    # it would with that axis summed between them.  The axes left when a
+    # chain driver is reduced are its class scope, in reduction order.
     driver_of = {d: d for d in driver_list}
     gathers = {e: _gather(cards, scopes[e], searched_scopes[e]) for e in enumerated}
     segments, pos = [], 0
     for key, run in groupby(axes, driver_of.get):
+        if key in free:
+            continue
         width = len(list(run))
         pos += width
         if key in chain:
-            gathers[key] = _gather(cards, scopes[key], axes[pos:])
+            gathers[key] = _gather(cards, scopes[key], rest[pos:])
         segments.append((width, key if key in chain else None))
     searched = tuple((e, searched_scopes[e], _read_only(np.eye(cards[e]))) for e in enumerated)
-    return SearchPlan(scopes, axes, searched, tuple(segments), outer_total, gathers)
+    return SearchPlan(scopes, axes, len(free), layout, searched, tuple(segments), outer_total, gathers)
 
 
 def _scan_plan(cbn: Cbn, drivers, ip_class: IpClass, desired, directions, budget, *, witness: bool):
@@ -574,7 +621,13 @@ def _scan_plan(cbn: Cbn, drivers, ip_class: IpClass, desired, directions, budget
             f"a scan over {plan.outer_total} table combinations exceeds the {_INDEX_LIMIT} "
             "that a numpy index can number", plan.outer_total, _INDEX_LIMIT
         )
-    base = cbn._contract(desired, live, plan.axes)
+    # the free drivers' axes first and flattened into one, one entry per
+    # combination of their values
+    base = cbn._contract(desired, live, plan.axes).transpose(plan.layout)
+    free_shape = base.shape[:plan.free]
+    base = base.reshape(-1, *base.shape[plan.free:])
+    factored = plan.searched[plan.free:]
+    rest = [plan.axes[i] for i in plan.layout[plan.free:]]
 
     def reduce_chain(
         batch: np.ndarray, direction: Direction, picks: list | None = None
@@ -609,22 +662,27 @@ def _scan_plan(cbn: Cbn, drivers, ip_class: IpClass, desired, directions, budget
     # One batch per chunk, reduced once per direction.  In each direction
     # the chunk's first optimum replaces the incumbent only on a strict
     # improvement, as a one-by-one scan would; with a witness to build, the
-    # one direction then copies out the enumerated drivers' digits and its
-    # reduction's chain choices.
-    step = max(1, CHUNK_ELEMENTS // base.size)
+    # one direction then copies out the winner's number, the factored
+    # drivers' digits and its reduction's chain choices.  The free drivers'
+    # values are the leading digits of the winner's number.
+    step = max(1, CHUNK_ELEMENTS // base[0].size)
     optima: list = [None] * len(directions)
-    record = ()
+    record = None
     for start in range(0, plan.outer_total, step):
-        flat = np.arange(start, min(start + step, plan.outer_total))
-        batch, picks = policy_batch(base, plan.axes, plan.searched, flat)
+        batch, picks = policy_batch(base, rest, factored, start, min(start + step, plan.outer_total))
         for i, direction in enumerate(directions):
             values = reduce_chain(batch, direction, picks if witness else None)
             pos = int(direction.arg(values))
             if optima[i] is None or direction.beats(values[pos], optima[i]):
                 optima[i] = values[pos]
                 if witness:
-                    record = [row[pos].copy() for row in picks]
-    choices = {d: row[gather] for (d, gather), row in zip(plan.gathers.items(), record)}
+                    record = start + pos, [row[pos].copy() for row in picks]
+    choices = {}
+    if witness:
+        number, rows = record
+        digits = np.unravel_index(number // (plan.outer_total // len(base)), free_shape)
+        rows = [np.reshape(digit, 1) for digit in digits] + rows
+        choices = {d: row[gather] for (d, gather), row in zip(plan.gathers.items(), rows)}
     return [_clamp(float(value)) for value in optima], choices
 
 

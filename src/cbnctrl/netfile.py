@@ -2,8 +2,8 @@
 
 A file carries the structure, the intervenable set and the targets, and
 optionally a full parametrization and a set of policy tables.  Parsing is
-strict: unknown keys are rejected and every error message names the field
-path it came from.  ``parse(serialize(spec))`` reproduces ``spec`` exactly.
+strict: unknown and repeated keys are rejected and every error message
+names the field path it came from.  ``parse(serialize(spec))`` reproduces ``spec`` exactly.
 """
 
 from __future__ import annotations
@@ -28,9 +28,33 @@ def _fail(path: str, msg: str) -> None:
     raise NetFormatError(f"{path}: {msg}")
 
 
+class _Object(dict):
+    """A JSON object as `_pairs` parsed it, with the first key its text
+    repeats, if any."""
+
+    repeated = None
+
+
+def _pairs(pairs) -> _Object:
+    # ``json.loads``'s object hook: every key kept, the last value of a
+    # repeated one, as ``json.loads`` keeps it, and the first repeat noted
+    obj = _Object()
+    for key, value in pairs:
+        if key in obj and obj.repeated is None:
+            obj.repeated = key
+        obj[key] = value
+    return obj
+
+
+def _check_unique(obj: _Object, path: str) -> None:
+    if obj.repeated is not None:
+        _fail(path, f"duplicate key {obj.repeated!r}")
+
+
 def _check_keys(obj, required: tuple[str, ...], optional: tuple[str, ...], path: str) -> None:
     if not isinstance(obj, dict):
         _fail(path, f"expected an object, got {type(obj).__name__}")
+    _check_unique(obj, path)
     for key in obj:
         if key not in required and key not in optional:
             _fail(path, f"unknown key {key!r}")
@@ -139,7 +163,7 @@ class NetworkSpec:
 
 def parse(text: str) -> NetworkSpec:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_pairs)
     except json.JSONDecodeError as exc:
         raise NetFormatError(f"not valid JSON: {exc}") from exc
     _check_keys(
@@ -217,6 +241,7 @@ def parse(text: str) -> NetworkSpec:
         block = doc["cpds"]
         if not isinstance(block, dict):
             _fail("cpds", "expected an object keyed by node name")
+        _check_unique(block, "cpds")
         missing = [n for n in dag.nodes if n not in block]
         if missing:
             _fail("cpds", f"missing tables for {missing}")
@@ -242,6 +267,7 @@ def parse(text: str) -> NetworkSpec:
         block = doc["policies"]
         if not isinstance(block, dict):
             _fail("policies", "expected an object keyed by node name")
+        _check_unique(block, "policies")
         policies: list[InterventionPolicy] = []
         for name in block:
             path = f"policies.{name}"
@@ -296,15 +322,17 @@ def serialize(spec: NetworkSpec) -> str:
 
 
 def load(path: str | Path) -> NetworkSpec:
+    """`parse` of the UTF-8 text at ``path``; a file that cannot be read,
+    or is not UTF-8, is refused with its path."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise NetFormatError(f"cannot read {path}: {exc}") from exc
     return parse(text)
 
 
 def save(spec: NetworkSpec, path: str | Path) -> None:
     try:
-        Path(path).write_text(serialize(spec))
+        Path(path).write_text(serialize(spec), encoding="utf-8")
     except OSError as exc:
         raise NetFormatError(f"cannot write {path}: {exc}") from exc

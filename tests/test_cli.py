@@ -315,6 +315,15 @@ class TestParser:
         assert code == 1
         assert "cannot read" in err
 
+    def test_a_file_that_is_not_utf8(self, capsys, tmp_path):
+        # an error line naming the file, no traceback
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b"\xff{}")
+        code, out, err = run(["drivers", str(path)], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: cannot read {path}: ")
+        assert err.count("\n") == 1
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as info:
             cli.main(["--help"])

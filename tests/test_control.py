@@ -8,7 +8,7 @@ the answer by asking `interventional_prob` for every table combination.
 
 import re
 import time
-from itertools import product
+from itertools import groupby, product
 from math import prod
 
 import numpy as np
@@ -325,6 +325,56 @@ def fan_dag(k, lead=()):
     return Dag(nodes + ["m", "o"], edges + [("m", "o")])
 
 
+def private_fan(k, roots, card):
+    """`fan_dag` without the roots' edges to m: each root feeds only its
+    driver, so the requisite cut empties every driver's scope."""
+    names, edges = [], []
+    for i in range(k):
+        rs = [f"r{i}_{j}" for j in range(roots)]
+        names += [*rs, f"d{i}"]
+        edges += [(r, f"d{i}") for r in rs] + [(f"d{i}", "m")]
+    dag = Dag(names + ["m", "o"], edges + [("m", "o")])
+    return dag, tuple(f"d{i}" for i in range(k)), card
+
+
+def confounded_fan(k, card):
+    """Drivers below one shared root, which also feeds m above the target;
+    at class 0 the scopes are empty, so every enumerated driver is free."""
+    drivers = [f"d{i}" for i in range(k)]
+    edges = [("r", d) for d in drivers] + [(d, "m") for d in drivers] + [("r", "m"), ("m", "o")]
+    return Dag(["r", *drivers, "m", "o"], edges), tuple(drivers), card
+
+
+#: the drivers of `free_then_factored`
+FREE_THEN_FACTORED = ("e", "f", "c")
+
+
+def free_then_factored(free_first=True):
+    """e's root p feeds only e, so the requisite cut empties e's scope; f's
+    root r also feeds m, so f keeps it; c's two roots give it the most
+    tables, so c is the chain.  With ``free_first`` e comes before f in
+    node order and is free; otherwise f comes first and e is factored."""
+    lead = ["p", "e", "r", "f"] if free_first else ["r", "f", "p", "e"]
+    edges = [("p", "e"), ("e", "m"), ("r", "f"), ("r", "m"), ("f", "m"),
+             ("q1", "c"), ("q2", "c"), ("c", "m"), ("m", "o")]
+    return Dag(lead + ["q1", "q2", "c", "m", "o"], edges)
+
+
+def differ_tie(dag, rng):
+    """``dag``, a `free_then_factored` one, with m = 1 at 0.9 where e and f
+    differ and at 0.1 where they agree, whatever r and c are, and o likelier
+    1 where m is: e = 0 with f always 1 ties exactly with e = 1 with f
+    always 0 at the maximum."""
+    cbn = random_cbn(rng, dag)
+    m = cbn.cpd("m")
+    e, f = m.parents.index("e"), m.parents.index("f")
+    rows = tuple((0.1, 0.9) if config[e] != config[f] else (0.9, 0.1)
+                 for config in product(*map(range, m.parent_cards)))
+    cpds = dict(cbn.cpds, m=Cpd("m", m.parents, m.parent_cards, rows),
+                o=Cpd("o", ("m",), (2,), ((0.8, 0.2), (0.3, 0.7))))
+    return Cbn(dag, cbn.cards, cpds)
+
+
 def deterministic_copy(cbn, rng):
     cpds = {}
     for name in cbn.dag.nodes:
@@ -581,15 +631,36 @@ def reference_batch(cbn, base, axes, searched, flat):
 
 def plan_and_base(cbn, drivers, ip_class, desired):
     """The `SearchPlan` of canonical live ``drivers`` on ``cbn`` and the
-    base tensor its scan starts from."""
+    base tensor its scan starts from, in reduction order."""
     plan = control._search_plan(cbn, drivers, ip_class, frozenset(desired))
     return plan, cbn.joint(desired, skip=drivers, keep=plan.axes)
 
 
+def laid_out(plan, base):
+    """``base`` as `policy_batch` takes it, its free drivers' axes first
+    and flattened into one, with the nodes of its other axes."""
+    moved = base.transpose(plan.layout)
+    rest = [plan.axes[i] for i in plan.layout[plan.free:]]
+    return moved.reshape(-1, *moved.shape[plan.free:]), rest
+
+
 def chunk_numbers(plan, base):
-    """The combination numbers of each chunk of ``plan``'s scan."""
-    step = max(1, CHUNK_ELEMENTS // base.size)
+    """The combination numbers of each chunk of ``plan``'s scan: as many
+    combinations as fill `CHUNK_ELEMENTS` entries of the base without its
+    free drivers' axes."""
+    step = max(1, CHUNK_ELEMENTS // laid_out(plan, base)[0][0].size)
     return [np.arange(start, min(start + step, plan.outer_total)) for start in range(0, plan.outer_total, step)]
+
+
+def reference_segments(plan):
+    """The reduction's segments over ``plan.axes`` by the rule that reads
+    no driver off the base: a run of chance axes is one sum, and each
+    driver's axis is a segment of its own, a chain driver's reduced and an
+    enumerated driver's summed."""
+    chain = {kind for _, kind in plan.segments if kind}
+    drivers = chain | {e for e, _, _ in plan.searched}
+    runs = groupby(plan.axes, lambda n: n if n in drivers else None)
+    return [(len(list(run)), key if key in chain else None) for key, run in runs]
 
 
 class TestPolicyBatch:
@@ -600,6 +671,7 @@ class TestPolicyBatch:
         rng = np.random.default_rng(1900)
         fan5 = fan_dag(5)
         fan3 = fan_dag(3)
+        private, private_drivers, _ = private_fan(3, 1, 3)
         # d1, d2 and d3 all read a, so the two enumerated ones share it
         shared = Dag(["a", "d1", "d2", "d3", "o"], [("a", f"d{i}") for i in (1, 2, 3)] + [(f"d{i}", "o") for i in (1, 2, 3)])
         # at class 1, d reads e and a; e reads b, which d does not, so e
@@ -612,19 +684,27 @@ class TestPolicyBatch:
             ("shared scope", random_cbn(rng, shared, 3), ("d1", "d2", "d3"), CLASS_INF),
             ("enumerated in a chain scope", random_cbn(rng, inner), ("e", "d"), CLASS1),
             ("chain only", nest, nest_drivers, CLASS_INF),
+            ("free fan", random_cbn(rng, private, 3), private_drivers, CLASS_INF),
+            ("free then factored", random_cbn(rng, free_then_factored()), FREE_THEN_FACTORED, CLASS_INF),
         ]
 
     def test_batches_are_bit_identical(self):
+        # a free driver's factor is one-hot, so summing its axis out of the
+        # reference batch reads the entry the scan reads off the base
         plans, chunks = {}, {}
         for name, cbn, drivers, ip_class in self.cases():
             plan, base = plan_and_base(cbn, drivers, ip_class, {"o": 1})
             plans[name], chunks[name] = plan, chunk_numbers(plan, base)
+            laid, rest = laid_out(plan, base)
+            factored = plan.searched[plan.free:]
+            free_axes = tuple(1 + i for i in plan.layout[:plan.free])
             for flat in chunks[name]:
-                batch, picks = control.policy_batch(base, plan.axes, plan.searched, flat)
+                batch, picks = control.policy_batch(laid, rest, factored, int(flat[0]), int(flat[-1]) + 1)
                 expect, expect_picks = reference_batch(cbn, base, plan.axes, plan.searched, flat)
+                expect = expect.sum(axis=free_axes)
                 assert batch.dtype == expect.dtype and np.array_equal(batch, expect), name
-                assert len(picks) == len(expect_picks), name
-                for got, want in zip(picks, expect_picks):
+                assert len(picks) == len(factored), name
+                for got, want in zip(picks, expect_picks[plan.free:]):
                     assert np.array_equal(got, want), name
         # each case has the shape it is named for
         assert len(chunks["binary fan"]) >= 3
@@ -632,6 +712,8 @@ class TestPolicyBatch:
         inner = plans["enumerated in a chain scope"]
         assert [e for e, _, _ in inner.searched] == ["e"] and "e" in inner.scopes["d"]
         assert (plans["chain only"].searched, plans["chain only"].outer_total) == ((), 1)
+        assert [plans[name].free for name in plans] == [0, 0, 0, 0, 0, 2, 1]
+        assert len(plans["free then factored"].searched) == 2
 
 
 def rebuilt_witness(cbn, plan, base, direction, number):
@@ -648,7 +730,7 @@ def rebuilt_witness(cbn, plan, base, direction, number):
         scope_cards = [cards[s] for s in scopes[e]]
         tables[e] = np.broadcast_to(digits[0].reshape(shape), scope_cards).reshape(-1)
     t = batch
-    for width, kind in plan.segments:
+    for width, kind in reference_segments(plan):
         if kind is None:
             t = t.sum(axis=tuple(range(1, 1 + width)))
         else:
@@ -662,18 +744,23 @@ def rebuilt_witness(cbn, plan, base, direction, number):
     return {d: tuple(choices.tolist()) for d, choices in tables.items()}
 
 
-def literal_winner(cbn, plan, base, direction):
-    """The first combination number at the optimum, by a scan of one
-    `reference_batch` per number, in order, that keeps only strict
-    improvements."""
+def literal_scan(cbn, plan, base, direction):
+    """The optimum and the first combination number at it, by a scan of one
+    `reference_batch` per number, in order, reduced by
+    `reference_segments`, that keeps only strict improvements."""
     best = None
     for number in range(plan.outer_total):
         t, _ = reference_batch(cbn, base, plan.axes, plan.searched, np.array([number]))
-        for width, kind in plan.segments:
+        for width, kind in reference_segments(plan):
             t = t.sum(axis=tuple(range(1, 1 + width))) if kind is None else direction.pairwise.reduce(t, axis=1)
         if best is None or direction.beats(t[0], best[0]):
             best = (t[0], number)
-    return best[1]
+    return best
+
+
+def literal_winner(cbn, plan, base, direction):
+    """The first combination number at the optimum of `literal_scan`."""
+    return literal_scan(cbn, plan, base, direction)[1]
 
 
 class TestScanWitness:
@@ -690,7 +777,7 @@ class TestScanWitness:
         value, pair = optimal_policy_value(cbn, drivers, CLASS_INF, desired, direction)
         monkeypatch.undo()
         plan, base = plan_and_base(cbn, drivers, CLASS_INF, desired)
-        flats = [args[-1] for args in batches]
+        flats = [np.arange(start, stop) for *_, start, stop in batches]
         # the chunks tile range(outer_total) once, in order, and no batch
         # follows the last
         assert np.array_equal(np.concatenate(flats), np.arange(plan.outer_total))
@@ -737,6 +824,109 @@ class TestScanWitness:
                 got, number, chunks, _ = self.witness(monkeypatch, cbn, drivers, {"o": 1}, direction)
                 assert chunks >= 3 and number == 0
                 assert all(set(choices) == {0} for choices in got.values())
+
+
+class TestFreeDrivers:
+    """An enumerated driver with an empty searched scope, in no other
+    driver's scope and after no factored driver is read off the base: each
+    value, witness and tie must be the literal scan's, which builds every
+    combination's tensor with a factor per enumerated driver and sums each
+    driver's axis on its own."""
+
+    def check(self, cbn, drivers, ip_class, desired, direction, naive=True):
+        """The answer, once it is checked bit for bit against the literal
+        scan and, given ``naive``, within 1e-12 against
+        `naive_policy_search`, with the plan."""
+        value, pair = optimal_policy_value(cbn, drivers, ip_class, desired, direction)
+        plan, base = plan_and_base(cbn, cbn.dag.canon(drivers), ip_class, desired)
+        optimum, number = literal_scan(cbn, plan, base, direction)
+        assert value == control._clamp(float(optimum))
+        got = {p.target: tuple(row.index(1.0) for row in p.table.rows) for p in pair.policies}
+        assert got == rebuilt_witness(cbn, plan, base, direction, number)
+        if naive:
+            expect, naive_pair = naive_policy_search(cbn, drivers, ip_class, desired, direction)
+            assert value == pytest.approx(expect, abs=1e-12)
+            assert pair == naive_pair
+        return plan, got
+
+    def test_fans_match_the_literal_scan_and_naive_search(self):
+        rng = np.random.default_rng(3200)
+        # the naive search asks for every table combination, so it runs
+        # where they are few
+        shapes = [
+            (private_fan(2, 1, 2), (CLASS1, CLASS_INF), True),
+            (private_fan(3, 1, 2), (CLASS1, CLASS_INF), True),
+            (private_fan(4, 1, 2), (CLASS_INF,), False),
+            (private_fan(3, 2, 2), (CLASS1,), False),
+            (private_fan(3, 1, 3), (CLASS_INF,), False),
+            (confounded_fan(3, 2), (CLASS0,), True),
+            (confounded_fan(2, 3), (CLASS0,), True),
+        ]
+        frees = []
+        for (dag, drivers, card), classes, naive in shapes:
+            for _ in range(3):
+                cbn = random_cbn(rng, dag, dict.fromkeys(dag.nodes, card))
+                for ip_class in classes:
+                    for direction in BOTH:
+                        plan, _ = self.check(cbn, drivers, ip_class, {"o": 1}, direction, naive)
+                        frees.append(plan.free)
+        # every enumerated driver of these plans is free
+        assert min(frees) >= 1 and max(frees) == 3
+
+    def test_a_free_driver_before_a_factored_one(self):
+        rng = np.random.default_rng(3201)
+        for _ in range(4):
+            cbn = random_cbn(rng, free_then_factored())
+            for direction in BOTH:
+                plan, _ = self.check(cbn, FREE_THEN_FACTORED, CLASS_INF, {"o": 1}, direction)
+                assert plan.free == 1 and [e for e, _, _ in plan.searched] == ["e", "f"]
+
+    def test_an_empty_scope_after_a_factored_driver_keeps_the_tie_break(self):
+        # the maximum ties between e = 0 with f always 1 and e = 1 with f
+        # always 0.  The first in node order leads the lexicographic order:
+        # free e leads, and f's tables lead when f comes first, which
+        # leaves e factored
+        for free_first, e in ((True, 0), (False, 1)):
+            cbn = differ_tie(free_then_factored(free_first), np.random.default_rng(3202))
+            plan, got = self.check(cbn, FREE_THEN_FACTORED, CLASS_INF, {"o": 1}, Direction.MAX)
+            assert plan.free == int(free_first)
+            assert (got["e"], got["f"]) == ((e, e), (1 - e, 1 - e))
+
+    def test_the_runs_beside_a_free_driver_stay_two_sums(self):
+        # f reads s1 and s2, and free e lies between them in node order, so
+        # in reduction order e's axis parts s2 from s1: summed as one run,
+        # they would add in another order
+        dag = Dag(
+            ["s1", "p", "e", "s2", "f", "q0", "q1", "q2", "c", "m", "o"],
+            [("p", "e"), ("s1", "f"), ("s2", "f"), ("s1", "m"), ("s2", "m"), ("e", "m"), ("f", "m"),
+             ("q0", "c"), ("q1", "c"), ("q2", "c"), ("c", "m"), ("m", "o")],
+        )
+        rng = np.random.default_rng(3204)
+        for _ in range(8):
+            # a ternary mediator and target, whose sums round
+            cards = dict.fromkeys(dag.nodes, 2) | {"m": 3, "o": 3}
+            cbn = random_cbn(rng, dag, cards)
+            for direction in BOTH:
+                plan, _ = self.check(cbn, ("e", "f", "c"), CLASS_INF, {"o": 1}, direction, naive=False)
+                assert plan.axes[:4] == ("f", "s2", "e", "s1") and plan.free == 1
+                assert plan.segments == ((1, None), (1, None), (1, None), (1, "c"), (3, None))
+
+    def test_a_driver_in_a_chain_scope_is_not_free(self):
+        # at class 1, v1's root v0 feeds only v1, so v1's searched scope is
+        # empty.  v2 reads v1 and w, so it has the most tables and is the
+        # chain.  v1 is in v2's scope, so it stays factored, and v2's
+        # choices at v1's other value are 0
+        dag = Dag(["v0", "v1", "w", "v2", "o"],
+                  [("v0", "v1"), ("v1", "v2"), ("w", "v2"), ("v1", "o"), ("v2", "o")])
+        rng = np.random.default_rng(3203)
+        for _ in range(6):
+            cbn = random_cbn(rng, dag)
+            for direction in BOTH:
+                plan, got = self.check(cbn, ("v1", "v2"), CLASS1, {"o": 1}, direction)
+                assert plan.free == 0 and [e for e, _, _ in plan.searched] == ["v1"]
+                assert plan.searched[0][1] == () and plan.scopes["v2"] == ("v1", "w")
+                v1 = got["v1"][0]
+                assert got["v2"][2 * (1 - v1):2 * (2 - v1)] == (0, 0)
 
 
 class TestEdgeCases:

@@ -77,6 +77,43 @@ def test_each_refusal_starts_with_its_field_path(bad, path):
     assert str(info.value).startswith(f"{path}: "), str(info.value)
 
 
+def repeated(text: str, key: str, value) -> str:
+    """``text``, a JSON object, with ``key`` given ``value`` once more at
+    its end."""
+    return f"{text[:-1]}, {json.dumps(key)}: {json.dumps(value)}}}"
+
+
+#: one document per level that repeats a key, with its refusal
+REPEATED = [
+    (repeated(json.dumps(with_cpds()), "cpds", CPDS), "top level: duplicate key 'cpds'"),
+    (
+        json.dumps(doc(cpds="CPDS")).replace('"CPDS"', repeated(json.dumps(CPDS), "a", CPDS["a"])),
+        "cpds: duplicate key 'a'",
+    ),
+    (
+        json.dumps(doc(policies="P")).replace(
+            '"P"', repeated(json.dumps({"a": {"scope": [], "rows": [[0.0, 1.0]]}}), "a",
+                            {"scope": [], "rows": [[1.0, 0.0]]})
+        ),
+        "policies: duplicate key 'a'",
+    ),
+    (
+        json.dumps(doc(nodes=["N", {"name": "b", "card": 2}])).replace(
+            '"N"', repeated(json.dumps({"name": "a", "card": 2}), "card", 3)
+        ),
+        "nodes[0]: duplicate key 'card'",
+    ),
+]
+
+
+@pytest.mark.parametrize("text, message", REPEATED, ids=["top level", "cpds", "policies", "node"])
+def test_a_repeated_key_is_refused_with_its_path(text, message):
+    # valid JSON, which json.loads alone reads with the repeat's last value
+    json.loads(text)
+    with pytest.raises(NetFormatError, match=f"^{re.escape(message)}$"):
+        parse(text)
+
+
 class TestParsing:
     def test_minimal_structure(self):
         spec = parse(json.dumps(MINIMAL))
@@ -272,6 +309,12 @@ class TestRoundTrip:
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(NetFormatError, match="cannot read"):
             load(tmp_path / "absent.json")
+
+    def test_load_a_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b"\xff" + json.dumps(MINIMAL).encode())
+        with pytest.raises(NetFormatError, match=f"^cannot read {re.escape(str(path))}: .*utf-8"):
+            load(path)
 
     def test_save_to_a_path_that_cannot_be_written(self, tmp_path):
         # a missing directory and a directory: each is refused with its path

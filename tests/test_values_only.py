@@ -58,12 +58,13 @@ class TestStages:
 
     def test_chain_only_plan_scans_one_combination(self, monkeypatch):
         # the class-inf scopes of nest nest, so every driver is chained and
-        # the scan has one combination, the empty one
+        # the scan has one combination, the empty one: one batch, of
+        # combination 0 alone, with no factored driver
         cbn = random_cbn(np.random.default_rng(42), nest(5))
         drivers = tuple(f"d{i}" for i in range(5))
         batches = spy(monkeypatch, "policy_batch")
         optimal_policy_value(cbn, drivers, CLASS_INF, {"o": 1}, BOTH[0])
-        assert [args[-1].tolist() for args in batches] == [[0]]
+        assert [args[2:] for args in batches] == [((), 0, 1)]
         for ip_class in (CLASS1, IpClass(2), CLASS_INF):
             assert_matches_single_calls(cbn, drivers, ip_class, {"o": 1})
 
@@ -172,7 +173,7 @@ class TestSuitesBuildNoWitness:
             with pytest.raises(AssertionError, match="recorded"):
                 optimal_policy_value(cbn, drivers, CLASS_INF, {"o": 1}, BOTH[0])
         # some scan numbered at least 256 combinations
-        assert max(int(args[-1][-1]) for args in batches) + 1 >= 256
+        assert max(stop for *_, stop in batches) >= 256
 
     def test_suites_read_values_only(self, no_witnesses):
         rng = np.random.default_rng(41)
