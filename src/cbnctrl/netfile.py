@@ -3,7 +3,8 @@
 A file carries the structure, the intervenable set and the targets, and
 optionally a full parametrization and a set of policy tables.  Parsing is
 strict: unknown and repeated keys are rejected and every error message
-names the field path it came from.  ``parse(serialize(spec))`` reproduces ``spec`` exactly.
+names the field path it came from.  ``parse(serialize(spec))`` reproduces
+``spec`` exactly.
 """
 
 from __future__ import annotations
