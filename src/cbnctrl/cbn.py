@@ -13,12 +13,13 @@ tables they appear in, and one ``np.einsum`` sums the rest.  What to
 contract depends only on the query's shape (the kept nodes, the skipped
 set and the nodes the event names) and on the network's layout (its cards
 and each CPD's parent order), never on the CPD entries.  So the dag keeps
-one plan per layout and shape (`Dag.derived`), checked and made on the
-first call of any network of that layout; each network keeps that plan
-with its own CPD arrays in place, and a repeated query only checks and
-slices in its event values.  The literal sum over completions survives
-only as `oracle.enumerate_prob`, the reference the engine is tested
-against.
+one plan per layout and shape (`Dag.derived`, under ``"joint"``), checked
+and made on the first call of any network of that layout; each network
+keeps that plan with its own CPD arrays in place, and a repeated query
+only checks and slices in its event values.  A network holds only its
+CPDs, those plans and its `Cbn.layout`; what other modules derive from
+the structure they keep on the dag themselves.  The literal sum over completions survives only as
+`oracle.enumerate_prob`, the reference the engine is tested against.
 """
 
 from __future__ import annotations
@@ -299,17 +300,7 @@ class Cbn:
         # `joint`'s contraction plans with this network's arrays in place,
         # one per query shape
         self._plans: dict[tuple, tuple] = {}
-        # What the dag decides for every network of these cards: the
-        # contraction plans without arrays, per CPD parent order too (a
-        # netfile lists parents in any order), one per shape; the
-        # optimizer's chain-search plans (`control.SearchPlan`), one per
-        # shape; and its first policy tables, per class level and driver
-        cards = tuple(self._cards.values())
-        self._shapes: dict[tuple, tuple] = dag.derived(
-            "joint", cards, tuple(cpd.parents for cpd in self._cpds.values())
-        )
-        self._search_plans: dict[tuple, object] = dag.derived("search", cards)
-        self._first_tables: dict[object, dict] = dag.derived("first tables", cards)
+        self._layout = (tuple(self._cards.values()), tuple(cpd.parents for cpd in self._cpds.values()))
 
     @property
     def dag(self) -> Dag:
@@ -318,6 +309,12 @@ class Cbn:
     @property
     def cards(self) -> dict[str, int]:
         return dict(self._cards)
+
+    @property
+    def layout(self) -> tuple:
+        """``(cards, parent orders)`` in node order, as the keys of what
+        the dag derives for this network (`Dag.derived`) hold them."""
+        return self._layout
 
     @property
     def cpds(self) -> dict[str, Cpd]:
@@ -441,12 +438,11 @@ class Cbn:
 
     def _fill(self, shape: tuple) -> tuple:
         # the dag's plan of ``shape`` for this network's layout, made by
-        # `_plan` if no network of that layout made it yet, with this
+        # `_plan` on the first call of any network of that layout, with this
         # network's CPD arrays in place: ``(operands, slots, output, dims)``
-        plan = self._shapes.get(shape)
-        if plan is None:
-            plan = self._shapes[shape] = self._plan(*shape)
-        operands, tables, slots, output, dims = plan
+        operands, tables, slots, output, dims = self._dag.derived(
+            "joint", (self._layout, shape), lambda: self._plan(*shape)
+        )
         operands = operands.copy()
         for at, name in tables:
             operands[at] = self._cpds[name].array()

@@ -64,9 +64,9 @@ scope's row-major order by one gather index per driver (`_gather`), or on
 the 0/1 path its chosen value.  `optimal_policy_value` builds the pair by
 one rule and no tensor work: an atomic policy on a 0/1 network, otherwise
 the driver's first table on its class scope, filled by `Cpd.with_choices`
-for a live driver.  First tables are kept on the dag (`Dag.derived`) per
-cards, class level and driver, which fix the scope, so each is built and
-shape-checked once.
+for a live driver.  First tables are kept on the dag per cards, class
+level and driver set (the level and each driver fix a scope), so a call
+looks them up once, and each is built and shape-checked once per set.
 
 On the chain path, everything `_scan_plan` decides before it asks for
 the base tensor depends only on the structure, the cards and the query's
@@ -80,13 +80,14 @@ before any tensor is built, and each check runs once: the base tensor
 comes from the contraction behind `Cbn.joint`, after the call's own
 `Cbn.check_joint`.
 
-The dag keeps what else the structure decides (`Dag.derived`): `c_star`'s
-drivers per targets and intervenable set, the event's nodes and their
-ancestors per set of event nodes, which `live_drivers` reads, and one
-atomic policy per driver, value and card (`atomic_policy_on`), which the
-0/1 witness path and `solve`'s min-min shortcut share.  None of them
-depends on a CPD entry, a budget or an event value, so a warm call walks
-no graph: it checks, contracts and scans.
+The dag keeps what this module derives from the structure alone
+(`Dag.derived`), under names no other module uses: ``"search"`` and
+``"first tables"`` above, `c_star`'s drivers (``"c_star"``), the event's
+nodes and their ancestors that `live_drivers` reads (``"upstream"``), one
+atomic policy per driver, value and card (``"atomic"``), which the 0/1
+witness path, `solve`'s min-min shortcut and `oracle.verify_usm` share,
+and `usm_adversarial_cbn`'s networks (``"usm"``).  None depends on a CPD
+entry, a budget or an event value, so a warm call walks no graph.
 """
 
 from __future__ import annotations
@@ -225,12 +226,8 @@ def c_star(problem: ControlProblem) -> DriverSet:
     They depend on the structure alone, so the dag keeps them per targets
     and intervenable set as the checked problem gives them
     (`Dag.derived`)."""
-    kept = problem.dag.derived("c_star")
-    key = problem.targets, problem.intervenable
-    terminals = kept.get(key)
-    if terminals is None:
-        terminals = kept[key] = problem.dag.backward_chain(*key).terminals
-    return DriverSet(terminals, Provenance.C_STAR)
+    dag, key = problem.dag, (problem.targets, problem.intervenable)
+    return DriverSet(dag.derived("c_star", key, lambda: dag.backward_chain(*key).terminals), Provenance.C_STAR)
 
 
 def _pick_chain(
@@ -372,11 +369,8 @@ def live_drivers(dag: Dag, drivers: tuple[str, ...], desired) -> tuple[str, ...]
     & Nilsson 2001).  The event's nodes and their ancestors depend on the
     structure alone, so the dag keeps them per set of event nodes
     (`Dag.derived`)."""
-    kept = dag.derived("upstream")
     key = frozenset(desired)
-    upstream = kept.get(key)
-    if upstream is None:
-        upstream = kept[key] = key.union(*map(dag.ancestors, desired))
+    upstream = dag.derived("upstream", key, lambda: key.union(*map(dag.ancestors, desired)))
     return tuple(d for d in drivers if d in upstream)
 
 
@@ -384,12 +378,7 @@ def atomic_policy_on(dag: Dag, driver: str, value: int, card: int) -> Interventi
     """`atomic_policy` forcing ``driver`` of ``card`` values to ``value``,
     which the dag keeps per driver, value and card (`Dag.derived`): each is
     built and checked once, and its table's array with it."""
-    policies = dag.derived("atomic")
-    key = driver, value, card
-    policy = policies.get(key)
-    if policy is None:
-        policy = policies[key] = atomic_policy(driver, value, card)
-    return policy
+    return dag.derived("atomic", (driver, value, card), lambda: atomic_policy(driver, value, card))
 
 
 def checked_directions(directions, ip_class, desired) -> tuple[Direction, ...]:
@@ -424,22 +413,24 @@ def optimal_policy_value(
     """
     values, choices = _scan_plan(cbn, drivers, ip_class, desired, (direction,), budget, witness=True)
     dag, cards = cbn.dag, cbn.cards
-    # the dag's first tables at this level, which with the driver fixes the
-    # scope
-    tables = cbn._first_tables.setdefault(ip_class.level, {})
-
-    def policy(d: str) -> InterventionPolicy:
-        # the one witness rule: on a 0/1 network, the atomic policy on the
-        # chosen value, or on 0 for a dead driver; otherwise the driver's
-        # first table, kept on the dag, filled with a live driver's choices
-        if cbn.deterministic:
-            return atomic_policy_on(dag, d, choices.get(d, 0), cards[d])
-        table = tables.get(d)
-        if table is None:
-            table = tables[d] = _first_table(cards, d, scope_for_class(dag, d, ip_class))
-        return InterventionPolicy(table.with_choices(choices[d]) if d in choices else table)
-
-    return values[0], InterventionPair(map(policy, dag.canon(drivers)))
+    driver_list = dag.canon(drivers)
+    # the one witness rule: on a 0/1 network, the atomic policy on the
+    # chosen value, or on 0 for a dead driver; otherwise each driver's first
+    # table, filled with a live driver's choices.  The level and the driver
+    # fix a first table's scope, so the dag keeps them per cards, level and
+    # drivers, one lookup per call.
+    if cbn.deterministic:
+        policies = [atomic_policy_on(dag, d, choices.get(d, 0), cards[d]) for d in driver_list]
+    else:
+        tables = dag.derived(
+            "first tables", (cbn.layout[0], ip_class.level, driver_list),
+            lambda: tuple(_first_table(cards, d, scope_for_class(dag, d, ip_class)) for d in driver_list),
+        )
+        policies = [
+            InterventionPolicy(table.with_choices(choices[d]) if d in choices else table)
+            for d, table in zip(driver_list, tables)
+        ]
+    return values[0], InterventionPair(policies)
 
 
 def optimal_values(
@@ -518,13 +509,12 @@ def _first_table(cards, driver: str, scope: tuple[str, ...]) -> Cpd:
 
 
 def _search_plan(
-    cbn: Cbn, driver_list: tuple[str, ...], ip_class: IpClass, given: frozenset
+    dag: Dag, cards: tuple[int, ...], driver_list: tuple[str, ...], ip_class: IpClass, given: frozenset
 ) -> SearchPlan:
-    # the chain search's plan for canonical, non-empty drivers and the nodes
-    # ``given`` of the desired event; tables are sized here, so only once
-    # `Cbn.check_joint` passed
-    dag = cbn.dag
-    cards = cbn.cards
+    # the chain search's plan for ``cards`` in node order, canonical,
+    # non-empty drivers and the nodes ``given`` of the desired event; tables
+    # are sized here, so only once `Cbn.check_joint` passed
+    cards = dict(zip(dag.nodes, cards))
     scopes = {d: scope_for_class(dag, d, ip_class) for d in driver_list}
     table_counts = {d: cards[d] ** prod(cards[s] for s in scopes[d]) for d in driver_list}
     scope_sets = {d: frozenset(scopes[d]) for d in driver_list}
@@ -611,10 +601,10 @@ def _scan_plan(cbn: Cbn, drivers, ip_class: IpClass, desired, directions, budget
         chosen = np.unravel_index(bests[0], base.shape) if witness else ()
         return [_clamp(float(values[best])) for best in bests], dict(zip(live, map(int, chosen)))
 
-    shape = (live, ip_class, frozenset(desired))
-    plan = cbn._search_plans.get(shape)
-    if plan is None:
-        plan = cbn._search_plans[shape] = _search_plan(cbn, *shape)
+    cards, given = cbn.layout[0], frozenset(desired)
+    plan = dag.derived(
+        "search", (cards, live, ip_class.level, given), lambda: _search_plan(dag, cards, live, ip_class, given)
+    )
     budget.check_work(plan.outer_total * cbn.state_space_size())
     if plan.outer_total > _INDEX_LIMIT:
         raise BudgetExceededError(
@@ -747,10 +737,7 @@ def usm_adversarial_cbn(dag: Dag, drivers, targets) -> tuple[Cbn, dict[str, int]
         raise ValueError("targets must be non-empty")
     for name in target_list:
         dag.index(name)
-    networks = dag.derived("usm")
-    cbn = networks.get(driver_list)
-    if cbn is None:
-        cbn = networks[driver_list] = _usm_network(dag, driver_list)
+    cbn = dag.derived("usm", driver_list, lambda: _usm_network(dag, driver_list))
     return cbn, {t: 1 for t in target_list}
 
 

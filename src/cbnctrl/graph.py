@@ -8,7 +8,7 @@ input produce byte-identical downstream reports.
 from __future__ import annotations
 
 import heapq
-from collections import deque
+from collections import defaultdict, deque
 from numbers import Integral
 from typing import Iterable, NamedTuple
 
@@ -67,10 +67,8 @@ class Dag:
         self._children = {k: tuple(v) for k, v in children.items()}
         self._edges = frozenset(edge_set)
         self._topo = self._toposort()
-        # `ancestors` answers, keyed by (name, level) once both pass
-        self._ancestors: dict[tuple, tuple[str, ...]] = {}
-        # the store behind `derived`, one dict per key
-        self._derived: dict[tuple, dict] = {}
+        # the store behind `derived`: per name, the values by key
+        self._derived: defaultdict[str, dict] = defaultdict(dict)
 
     @property
     def nodes(self) -> tuple[str, ...]:
@@ -159,26 +157,33 @@ class Dag:
         ``level`` must be a positive integer (numpy integers pass, bools
         and floats do not) or ``math.inf``.  ``name`` itself is never
         included.  The graph is immutable, so each answer is computed once
-        and kept; the key is looked up only after both arguments pass, since
-        ``True`` and ``1.0`` hash as ``1`` does.
+        and kept (`derived`); the key is looked up only after both
+        arguments pass, since ``True`` and ``1.0`` hash as ``1`` does.
         """
         self._require(name)
         if level != INF and (not isinstance(level, Integral) or isinstance(level, bool) or level < 1):
             raise ValueError(f"level must be a positive integer or inf, got {level!r}")
-        found = self._ancestors.get((name, level))
-        if found is None:
-            found = self._ancestors[name, level] = self._walk(name, self._parents, level)
-        return found
+        return self.derived("ancestors", (name, level), lambda: self._walk(name, self._parents, level))
 
-    def derived(self, *key) -> dict:
-        """The dict this graph keeps under ``key``, for what callers derive
-        from the structure alone: what depends on the graph and on ``key``
-        (the cards, say), never on a parametrization.  Networks on this
-        graph share it, so each plan is made once per graph; it lives as
-        long as the graph, as `ancestors`'s answers do."""
-        found = self._derived.get(key)
-        if found is None:
-            found = self._derived[key] = {}
+    def derived(self, name: str, key, make):
+        """The value kept under ``name`` and ``key``: what ``make()``
+        returned on the first lookup, the only one that calls it.
+
+        The one store for what is derived from the structure alone: a key
+        holds the graph's terms (the cards, a query's shape), never a
+        parametrization, a budget or an event value.  Each ``name`` is one
+        module's, which alone builds its keys.  Every network on this graph
+        shares each value, which lives as long as the graph.  ``make`` is
+        not kept, and one that raises keeps nothing.  A value holds no
+        network, bar `control.usm_adversarial_cbn`'s, a cycle through this
+        graph that the collector frees with it.
+        """
+        store = self._derived[name]
+        try:
+            return store[key]
+        except KeyError:
+            pass
+        found = store[key] = make()
         return found
 
     def descendants(self, name: str) -> tuple[str, ...]:

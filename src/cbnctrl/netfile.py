@@ -165,7 +165,10 @@ class NetworkSpec:
 def parse(text: str) -> NetworkSpec:
     try:
         doc = json.loads(text, object_pairs_hook=_pairs)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # besides a syntax error, ``json.loads`` refuses an integer past
+        # Python's digit limit (a ValueError) and nesting past the
+        # recursion limit
         raise NetFormatError(f"not valid JSON: {exc}") from exc
     _check_keys(
         doc,

@@ -9,13 +9,15 @@ batch or scan code.  `grid_policy_search` is not a reference: it searches
 stochastic tables, with one factor per driver contracted into the joint's
 marginal, to check that deterministic tables are enough.
 
-What a suite derives from the structure alone, the dag keeps
-(`Dag.derived`), next to the optimizer's plans and `c_star`'s drivers:
-`verify_lemma3`'s schedule of brackets and optimizer calls per pool, event
-nodes and class levels, `verify_usm`'s pair forcing every driver to 1 per
-driver set, and `grid_policy_values`' read-only grid rows and layout per
-drivers, class level and step.  So a suite run again, on the same network
-or on another parametrization of its structure, walks no graph.
+What a suite derives from the structure alone, the dag keeps through
+`Dag.derived`, under names only this module uses, next to what `control`
+keeps there: ``"brackets"``, `verify_lemma3`'s schedule of brackets and
+optimizer calls per pool, event nodes and class levels, and ``"grid"``,
+`grid_policy_values`' read-only grid rows and layout per cards, drivers,
+class level and step.  `verify_usm`'s pair forcing every driver to 1 is
+made of `control.atomic_policy_on`'s kept policies.  So a suite run again,
+on the same network or on another parametrization of its structure, walks
+no graph.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .control import (
     CHUNK_ELEMENTS,
     ControlProblem,
     Direction,
+    atomic_policy_on,
     c_star,
     checked_directions,
     live_drivers,
@@ -44,7 +47,6 @@ from .intervention import (
     CLASS_INF,
     InterventionPair,
     IpClass,
-    atomic_policy,
     enumerate_deterministic_tables,
     interventional_prob,
     scope_for_class,
@@ -253,17 +255,16 @@ def grid_policy_values(
         for d in driver_list
     )
     budget.check_work(total * cbn.state_space_size())
-    grids = dag.derived("grid", tuple(cards.values()))
-    key = driver_list, ip_class.level, step
-    grid = grids.get(key)
-    if grid is None:
+
+    def grid() -> tuple:
+        # the read-only grid rows per driver, and the layout: every other
+        # node meets no policy factor and is summed out first
         searched = tuple(
             (d, scopes[d], _read_only(np.asarray(simplex_grid_rows(cards[d], step)))) for d in driver_list
         )
-        # every other node meets no policy factor and is summed out first
-        layout = dag.canon([*driver_list, *(s for d in driver_list for s in scopes[d])])
-        grid = grids[key] = searched, layout
-    searched, layout = grid
+        return searched, dag.canon([*driver_list, *(s for d in driver_list for s in scopes[d])])
+
+    searched, layout = dag.derived("grid", (cbn.layout[0], driver_list, ip_class.level, step), grid)
     base = cbn._contract(desired, driver_list, layout)
     # the sums are the same in every direction, and max and min are exact,
     # so the order the chunks come in leaves every optimum as it is
@@ -463,7 +464,10 @@ def verify_lemma3(
     pool = dag.canon(intervenable)
     budget.check_set_size(len(pool))
     baseline = cbn.marginal_prob(desired, budget)
-    calls, schedule = _bracket_schedule(dag, pool, desired, classes)
+    calls, schedule = dag.derived(
+        "brackets", (pool, frozenset(desired), tuple(cls.level for cls in classes)),
+        lambda: _bracket_schedule(dag, pool, desired, classes),
+    )
     failures: list[str] = []
     brackets: list[list] = []
     for subset, cls, at in schedule:
@@ -485,24 +489,18 @@ def _bracket_schedule(dag: Dag, pool: tuple[str, ...], desired, classes) -> tupl
     # `verify_lemma3`'s optimizer calls, each ``(live drivers, class)`` once
     # per live drivers and scopes, in the order the brackets first read
     # them, and its brackets, ``(subset, class, call index)`` per subset of
-    # canonical ``pool`` and class in ``classes``; kept on the dag per pool,
-    # event nodes and class levels
-    schedules = dag.derived("brackets")
-    key = pool, frozenset(desired), tuple(cls.level for cls in classes)
-    found = schedules.get(key)
-    if found is None:
-        index: dict[tuple, int] = {}
-        calls, schedule = [], []
-        for subset in iter_subsets(pool):
-            live = live_drivers(dag, subset, desired)
-            for cls in classes:
-                scopes = live, tuple(scope_for_class(dag, d, cls) for d in live)
-                if scopes not in index:
-                    index[scopes] = len(calls)
-                    calls.append((live, cls))
-                schedule.append((subset, cls, index[scopes]))
-        found = schedules[key] = tuple(calls), tuple(schedule)
-    return found
+    # canonical ``pool`` and class in ``classes``
+    index: dict[tuple, int] = {}
+    calls, schedule = [], []
+    for subset in iter_subsets(pool):
+        live = live_drivers(dag, subset, desired)
+        for cls in classes:
+            scopes = live, tuple(scope_for_class(dag, d, cls) for d in live)
+            if scopes not in index:
+                index[scopes] = len(calls)
+                calls.append((live, cls))
+            schedule.append((subset, cls, index[scopes]))
+    return tuple(calls), tuple(schedule)
 
 
 def verify_sufficiency(
@@ -551,12 +549,9 @@ def verify_usm(
     budget.check_set_size(len(xstar))
     cbn, desired = usm_adversarial_cbn(dag, xstar, target_list)
     failures: list[str] = []
-    # the pair forcing every driver to 1, kept with the network per driver
-    # set, so each of its tables builds its array once
-    pairs = dag.derived("usm full")
-    full = pairs.get(xstar)
-    if full is None:
-        full = pairs[xstar] = InterventionPair(atomic_policy(d, 1, 2) for d in xstar)
+    # the pair forcing every driver to 1, of the dag's atomic policies, so
+    # each of its tables builds its array once
+    full = InterventionPair(atomic_policy_on(dag, d, 1, 2) for d in xstar)
     achieved = interventional_prob(cbn, full, desired, budget)
     if achieved != 1.0:
         failures.append(f"full driver set reaches only {achieved:.9f}")

@@ -324,6 +324,17 @@ class TestParser:
         assert err.startswith(f"error: cannot read {path}: ")
         assert err.count("\n") == 1
 
+    def test_json_that_json_loads_refuses(self, capsys, tmp_path):
+        # nesting past the recursion limit and an integer past the digit
+        # limit: one error line, no traceback
+        path = tmp_path / "deep.json"
+        for nodes in ("[" * 100000 + "]" * 100000, '[{"name": "a", "card": ' + "9" * 5000 + "}]"):
+            path.write_text('{"format": "cbn-net/1", "nodes": ' + nodes + "}")
+            code, out, err = run(["drivers", str(path)], capsys)
+            assert code == 1 and out == ""
+            assert err.startswith("error: not valid JSON: ")
+            assert err.count("\n") == 1
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as info:
             cli.main(["--help"])

@@ -551,7 +551,7 @@ class TestChainWitness:
         chosen = {}
         for direction in BOTH:
             _, pair = optimal_policy_value(cbn, drivers, CLASS_INF, desired, direction)
-            plan = cbn._search_plans[(drivers, CLASS_INF, frozenset(desired))]
+            plan = kept_plan(cbn, drivers, CLASS_INF, desired)
             # every driver is chained, none enumerated
             assert not plan.searched
             assert sorted(kind for _, kind in plan.segments if kind) == sorted(drivers)
@@ -629,10 +629,18 @@ def reference_batch(cbn, base, axes, searched, flat):
     return batch, picks
 
 
+def kept_plan(cbn, drivers, ip_class, desired):
+    """The `SearchPlan` that ``cbn``'s dag keeps for its cards and the
+    shape of a chain-path call on canonical live ``drivers``; a shape with
+    no kept plan fails the test."""
+    key = cbn.layout[0], drivers, ip_class.level, frozenset(desired)
+    return cbn.dag.derived("search", key, lambda: pytest.fail(f"no search plan kept under {key}"))
+
+
 def plan_and_base(cbn, drivers, ip_class, desired):
     """The `SearchPlan` of canonical live ``drivers`` on ``cbn`` and the
     base tensor its scan starts from, in reduction order."""
-    plan = control._search_plan(cbn, drivers, ip_class, frozenset(desired))
+    plan = control._search_plan(cbn.dag, cbn.layout[0], drivers, ip_class, frozenset(desired))
     return plan, cbn.joint(desired, skip=drivers, keep=plan.axes)
 
 
@@ -1168,7 +1176,8 @@ class TestSearchPlan:
 
     CLASSES = (CLASS1, IpClass(2), CLASS_INF)
 
-    def test_warm_plans_answer_as_a_fresh_network_does(self):
+    def test_warm_plans_answer_as_a_fresh_network_does(self, monkeypatch):
+        built = spy_on(monkeypatch, "_search_plan")
         paths = set()
         for cbn, drivers in plan_networks()[:2]:
             for ip_class in self.CLASSES:
@@ -1181,9 +1190,9 @@ class TestSearchPlan:
                     warm = optimal_values(cbn, drivers, ip_class, desired, BOTH[::-1])
                     assert warm == optimal_values(fresh(cbn), drivers, ip_class, desired, BOTH[::-1])
             # one plan per class, whatever the desired value and direction
-            plans = cbn._search_plans
-            assert len(plans) == len(self.CLASSES)
-            for plan in plans.values():
+            assert sum(args[0] is cbn.dag for args in built) == len(self.CLASSES)
+            for ip_class in self.CLASSES:
+                plan = kept_plan(cbn, drivers, ip_class, {"o": 0})
                 chain = [kind for _, kind in plan.segments if kind]
                 enumerated = [e for e, _, _ in plan.searched]
                 paths.add("enumerated" if enumerated else "chain")
@@ -1195,9 +1204,10 @@ class TestSearchPlan:
                 assert list(plan.gathers) == enumerated + chain
         assert paths == {"chain", "enumerated"}
 
-    def test_deterministic_and_driverless_calls_keep_no_plan(self):
+    def test_deterministic_and_driverless_calls_keep_no_plan(self, monkeypatch):
         # the deterministic path plans nothing: warm and cold calls answer
-        # and refuse alike, and the network keeps no search plan
+        # and refuse alike, and no dag makes a search plan
+        built = spy_on(monkeypatch, "_search_plan")
         (chance, _), _, (zero_one, fan_drivers) = plan_networks()
         # 2^2 driver choices times 2 drivers; the empty choice, times none
         for cbn, drivers, work in ((zero_one, fan_drivers, 8), (chance, (), 0)):
@@ -1216,7 +1226,7 @@ class TestSearchPlan:
                     optimal_values(fresh(cbn), drivers, CLASS_INF, {"o": 1}, BOTH, budget)
                 with pytest.raises(BudgetExceededError, match=f"^{re.escape(str(cold.value))}$"):
                     optimal_values(cbn, drivers, CLASS_INF, {"o": 1}, BOTH, budget)
-            assert cbn._search_plans == {}
+        assert built == []
 
     def test_reordered_and_repeated_drivers_share_one_plan(self, monkeypatch):
         built = spy_on(monkeypatch, "_search_plan")
@@ -1228,10 +1238,11 @@ class TestSearchPlan:
         assert len(built) == 1
         assert all(answer == answers[0] for answer in answers)
 
-    def test_warm_shape_refuses_as_a_cold_one(self):
+    def test_warm_shape_refuses_as_a_cold_one(self, monkeypatch):
+        built = spy_on(monkeypatch, "_search_plan")
         cbn, drivers = plan_networks()[0]
         good = optimal_policy_value(cbn, drivers, CLASS_INF, {"o": 1}, Direction.MAX)
-        plan = next(iter(cbn._search_plans.values()))
+        plan = kept_plan(cbn, drivers, CLASS_INF, {"o": 1})
         # one driver chained, the 4 tables of the other enumerated, over a
         # joint of 2^5 * 3 states
         work = plan.outer_total * cbn.state_space_size()
@@ -1254,7 +1265,7 @@ class TestSearchPlan:
             messages.add(str(cold.value))
         # each refusal above comes from a check of its own
         assert len(messages) == len(refusals)
-        assert len(cbn._search_plans) == 1
+        assert sum(args[0] is cbn.dag for args in built) == 1
         assert optimal_policy_value(cbn, drivers, CLASS_INF, {"o": 1}, Direction.MAX) == good
         # the work cap is met exactly, as on the first call
         exact = Budget(max_work=work)

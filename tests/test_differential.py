@@ -12,6 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import cbnctrl.control as control
 import differential
 
 HERE = Path(__file__).parent
@@ -72,13 +73,22 @@ def test_queries_print_the_same_under_two_hash_seeds():
     assert len(outputs[0].splitlines()) >= 200
 
 
-def test_a_driver_in_a_chain_scope_keeps_its_witness():
+def test_a_driver_in_a_chain_scope_keeps_its_witness(monkeypatch):
     # In entries 16.9 and 16.10 the requisite cut empties v1's scope, but
     # v1 is in the chain driver v2's class scope, so v1 is not read off the
     # base: v2's choice at v1's other value stays 0, where reading v1 off
     # the base would copy v2's choice at v1's chosen value there
     with open(SNAPSHOT) as fh:
         snapshot = {e["id"]: e for e in json.load(fh)}
+    # each search plan made, with the dag that keeps it
+    made = []
+    search_plan = control._search_plan
+
+    def recording(dag, *args):
+        made.append((dag, search_plan(dag, *args)))
+        return made[-1][1]
+
+    monkeypatch.setattr(control, "_search_plan", recording)
     wanted = {"16.9", "16.10"}
     for entry, cbn, _ in differential.corpus(kinds=("revalue", "subsets")):
         if entry["id"] not in wanted:
@@ -88,6 +98,6 @@ def test_a_driver_in_a_chain_scope_keeps_its_witness():
         (v1, v1_scope, v1_choices), (v2, v2_scope, v2_choices) = entry["witness"]
         assert (v1, v2, v2_scope) == ("v1", "v2", ["v1"])
         assert len(set(v1_choices)) == 1 and v2_choices[1 - v1_choices[0]] == 0
-        plans = [p for p in cbn._search_plans.values() if "v2" in p.scopes and "v1" in p.scopes["v2"]]
+        plans = [p for dag, p in made if dag is cbn.dag and "v2" in p.scopes and "v1" in p.scopes["v2"]]
         assert plans and all(p.free == 0 for p in plans)
     assert not wanted

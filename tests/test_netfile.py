@@ -134,6 +134,16 @@ class TestParsing:
         with pytest.raises(NetFormatError, match="not valid JSON"):
             parse("{nope")
 
+    def test_nesting_past_the_recursion_limit_is_invalid_json(self):
+        text = '{"format": "cbn-net/1", "nodes": ' + "[" * 100000 + "]" * 100000 + "}"
+        with pytest.raises(NetFormatError, match="^not valid JSON: "):
+            parse(text)
+
+    def test_an_integer_past_the_digit_limit_is_invalid_json(self):
+        text = '{"format": "cbn-net/1", "nodes": [{"name": "a", "card": ' + "9" * 5000 + "}]}"
+        with pytest.raises(NetFormatError, match="^not valid JSON: .*digits"):
+            parse(text)
+
     def test_unknown_top_level_key(self):
         with pytest.raises(NetFormatError, match="top level: unknown key 'extra'"):
             parse(json.dumps(doc(extra=1)))

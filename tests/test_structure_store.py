@@ -6,8 +6,9 @@ the grid's rows and `verify_lemma3`'s schedule depend on the structure (and
 the cards and the query's shape) alone, so the dag keeps them
 (`Dag.derived`) and every network on it shares them.  A network keeps
 its own CPD arrays in its plans, and the dag keeps none, so sweeping
-parametrizations keeps nothing alive.  Each answer must be bit for bit
-that of a network on a new, equal dag, which plans everything afresh.
+parametrizations keeps nothing alive; nor does a network hold any of the
+dag's stores.  Each answer must be bit for bit that of a network on a
+new, equal dag, which plans everything afresh.
 """
 
 import gc
@@ -40,6 +41,7 @@ from cbnctrl import (
     verify_sufficiency,
     verify_usm,
 )
+from cbnctrl.graph import INF
 from cbnctrl.netfile import parse
 from cbnctrl.oracle import enumerate_prob
 
@@ -48,6 +50,15 @@ from test_control import dead_fan, deterministic_copy, fan_dag, fresh, spy_on
 from test_requisite import nest
 
 BOTH = (Direction.MAX, Direction.MIN)
+
+
+def kept(dag):
+    """Every value the dag keeps, by store name and key."""
+    return {(name, key): value for name, store in dag._derived.items() for key, value in store.items()}
+
+
+def fail():
+    pytest.fail("nothing kept under this key")
 
 
 def answers(cbn, drivers):
@@ -80,10 +91,35 @@ def test_networks_on_one_dag_plan_each_shape_once(monkeypatch, structure):
     made = (list(shapes), list(searches))
     assert made[0] and made[1]
     assert len(set(made[0])) == len(made[0]) and len(set(map(repr, made[1]))) == len(made[1])
-    # the second network plans nothing, and answers as it does alone
+    planned = kept(dag)
+    # the second network plans nothing, answers as it does alone, and reads
+    # the very objects the first one's calls made
     assert answers(second, drivers) == own[1]
     assert (shapes, searches) == made
-    assert second._search_plans is first._search_plans
+    now = kept(dag)
+    assert now.keys() == planned.keys() and all(now[key] is value for key, value in planned.items())
+
+
+@pytest.mark.parametrize("structure", [fan_dag, nest])
+def test_a_network_holds_no_store_of_its_dag(structure):
+    # what the dag keeps is reached through `Dag.derived` alone: no
+    # attribute of a network is one of the dag's stores or a value kept in
+    # one, and two networks of one layout share each contraction plan's
+    # parts, each with its own CPD arrays in place
+    dag, drivers = structure(2), ("d0", "d1")
+    rng = np.random.default_rng(32)
+    first, second = random_cbn(rng, dag), random_cbn(rng, dag)
+    for cbn in (first, second):
+        answers(cbn, drivers)
+    stores = [dag._derived, *dag._derived.values(), *kept(dag).values()]
+    for cbn in (first, second):
+        held = list(vars(cbn).values())
+        assert not [value for value in held if any(value is store for store in stores)]
+    assert first._plans.keys() == second._plans.keys()
+    for shape, (operands, *rest) in first._plans.items():
+        other, *same = second._plans[shape]
+        assert all(a is b for a, b in zip(rest, same))
+        assert operands is not other
 
 
 def test_other_cards_on_one_dag_plan_apart(monkeypatch):
@@ -91,10 +127,14 @@ def test_other_cards_on_one_dag_plan_apart(monkeypatch):
     rng = np.random.default_rng(28)
     binary, ternary = random_cbn(rng, dag), random_cbn(rng, dag, {n: 3 if n == "o" else 2 for n in dag.nodes})
     shapes = test_cbn.TestPlanCache.plans_built(monkeypatch)
+    searches = spy_on(monkeypatch, "_search_plan")
     for cbn in (binary, ternary):
         assert cbn.marginal_prob({"o": 1}) == pytest.approx(enumerate_prob(cbn, {"o": 1}), abs=1e-12)
-    assert len(shapes) == 2
-    assert binary._search_plans is not ternary._search_plans
+        optimal_values(cbn, ("d0", "d1"), CLASS_INF, {"o": 1}, BOTH)
+    # one query shape per network for the joint (the marginal; the scan's
+    # base), and one search plan per network for one search shape
+    assert len(shapes) == 4
+    assert [args[1] for args in searches] == [binary.layout[0], ternary.layout[0]]
 
 
 def test_a_netfile_parent_order_shares_no_contraction_plan(monkeypatch, fixtures_dir):
@@ -112,9 +152,10 @@ def test_a_netfile_parent_order_shares_no_contraction_plan(monkeypatch, fixtures
     for cbn in (swapped, ordered):
         for event in events:
             assert cbn.marginal_prob(event) == pytest.approx(enumerate_prob(cbn, event), abs=1e-12)
-    # each network made every shape: neither used the other's plans
+    # each network made every shape: neither used the other's plans, since
+    # their layouts differ in o's parent order alone
     assert len(shapes) == 2 * len({frozenset(event) for event in events})
-    assert swapped._shapes is not ordered._shapes
+    assert swapped.layout != ordered.layout and swapped.layout[0] == ordered.layout[0]
 
 
 def test_verify_usm_builds_one_adversarial_network_per_dag(monkeypatch):
@@ -172,7 +213,8 @@ def test_a_sweep_of_parametrizations_keeps_nothing_alive():
         answers(cbn, ("d0", "d1"))
         refs += [weakref.ref(cbn), *(weakref.ref(cbn.cpd(n).array()) for n in dag.nodes)]
         del cbn
-    assert dag.derived("first tables", (2,) * len(dag.nodes))
+    for level in (1, 2, INF):
+        assert dag.derived("first tables", ((2,) * len(dag.nodes), level, ("d0", "d1")), fail)
     assert all(ref() is None for ref in refs)
 
 
@@ -180,7 +222,7 @@ def test_the_adversarial_network_is_freed_with_its_dag():
     # the kept network refers to its dag, a cycle the collector frees
     dag = fan_dag(2)
     verify_usm(dag, ("d0", "d1"), ("o",))
-    (network,) = dag.derived("usm").values()
+    network = dag.derived("usm", ("d0", "d1"), fail)
     refs = weakref.ref(dag), weakref.ref(network)
     del dag, network
     gc.collect()

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import cbnctrl.control as control
+import cbnctrl.intervention as intervention
 from cbnctrl import (
     CLASS1,
     CLASS_INF,
@@ -68,26 +69,28 @@ class TestStages:
         for ip_class in (CLASS1, IpClass(2), CLASS_INF):
             assert_matches_single_calls(cbn, drivers, ip_class, {"o": 1})
 
-    def test_plan_tables_are_built_on_the_first_witness(self):
-        # a refused call and a values-only call leave the dag's first tables
-        # empty; the first witness builds them and later witnesses reuse them
+    def test_plan_tables_are_built_on_the_first_witness(self, monkeypatch):
+        # a refused call and a values-only call build no first table; the
+        # first witness builds them, the dag keeps them, and later witnesses
+        # reuse them
         cbn = random_cbn(np.random.default_rng(60), fan_dag(3))
         drivers = ("d0", "d1", "d2")
-        store = cbn.dag.derived("first tables", tuple(cbn.cards.values()))
+        built = spy(monkeypatch, "_first_table")
         with pytest.raises(BudgetExceededError):
             optimal_policy_value(cbn, drivers, CLASS_INF, {"o": 1}, BOTH[0], Budget(max_work=1))
-        assert store == {}
+        assert built == []
         optimal_values(cbn, drivers, CLASS_INF, {"o": 1}, BOTH)
-        assert store == {}
+        assert built == []
         _, first = optimal_policy_value(cbn, drivers, CLASS_INF, {"o": 1}, BOTH[0])
-        tables = dict(store[CLASS_INF.level])
-        assert list(tables) == list(drivers)
-        for d, policy in zip(drivers, first.policies):
-            assert (tables[d].owner, tables[d].parents) == (d, policy.scope)
-            assert set(tables[d].rows) == {(1.0, 0.0)}
+        assert [args[1] for args in built] == list(drivers)
+        key = cbn.layout[0], CLASS_INF.level, drivers
+        tables = cbn.dag.derived("first tables", key, lambda: pytest.fail("no first tables kept"))
+        for d, policy, table in zip(drivers, first.policies, tables):
+            assert (table.owner, table.parents) == (d, policy.scope)
+            assert set(table.rows) == {(1.0, 0.0)}
         optimal_policy_value(cbn, drivers, CLASS_INF, {"o": 1}, BOTH[1])
-        assert list(store) == [CLASS_INF.level]
-        assert all(store[CLASS_INF.level][d] is tables[d] for d in drivers)
+        assert len(built) == len(drivers)
+        assert cbn.dag.derived("first tables", key, lambda: pytest.fail("no first tables kept")) is tables
 
     def test_refusals_match_the_witness_path(self):
         enumerated = random_cbn(
@@ -187,6 +190,10 @@ class TestSuitesBuildNoWitness:
             assert verify_sufficiency(cbn, pool, ("o",), {"o": 1}).passed
             assert verify_extremality(cbn, pool, ("o",), {"o": 1}).passed
         dag, intervenable, targets = junction(), ("t3", "t4", "t5"), ("o",)
+        # verify_usm's full pair is no witness: its policies are the dag's
+        # atomic ones, built here with the builder the patch leaves alone
+        for d in intervenable:
+            dag.derived("atomic", (d, 1, 2), lambda d=d: intervention.atomic_policy(d, 1, 2))
         assert usm_adversarial_cbn(dag, intervenable, targets)[0].deterministic
         assert verify_usm(dag, intervenable, targets).passed
 

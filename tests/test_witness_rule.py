@@ -29,7 +29,7 @@ from cbnctrl import (
 from cbnctrl.control import _first_table, live_drivers
 from cbnctrl.intervention import scope_for_class
 
-from test_control import dead_fan, deterministic_copy, fan_dag, live_and_dead, spy_on
+from test_control import dead_fan, deterministic_copy, fan_dag, kept_plan, live_and_dead, spy_on
 from test_requisite import nest
 
 CLASSES = (CLASS0, CLASS1, IpClass(2), CLASS_INF)
@@ -62,7 +62,7 @@ def reference_pair(cbn, drivers, ip_class, desired, direction, choices):
 
         return atomic_witness(0)
 
-    plan = cbn._search_plans[(live, ip_class, frozenset(desired))]
+    plan = kept_plan(cbn, live, ip_class, desired)
 
     def table_witness(i: int) -> InterventionPair:
         tables = {d: _first_table(cards, d, plan.scopes[d]) for d in live}
@@ -123,10 +123,11 @@ def test_pairs_equal_the_three_builders(monkeypatch, name, cbn, drivers, desired
             assert interventional_prob(cbn, pair, desired) == pytest.approx(value, abs=1e-12)
 
 
-def first_tables(cbn, ip_class):
-    """The first tables the dag keeps for ``cbn``'s cards at ``ip_class``,
-    by driver."""
-    return cbn.dag.derived("first tables", tuple(cbn.cards.values()))[ip_class.level]
+def first_tables(cbn, ip_class, drivers):
+    """The first tables the dag keeps for ``cbn``'s cards at ``ip_class``
+    and canonical ``drivers``, by driver."""
+    key = cbn.layout[0], ip_class.level, drivers
+    return dict(zip(drivers, cbn.dag.derived("first tables", key, lambda: pytest.fail("no first tables kept"))))
 
 
 def test_dead_driver_table_is_built_once_per_plan():
@@ -137,6 +138,6 @@ def test_dead_driver_table_is_built_once_per_plan():
     for ip_class in (CLASS1, CLASS_INF):
         _, first = optimal_policy_value(cbn, ("d", "x"), ip_class, {"o": 1}, Direction.MAX)
         _, second = optimal_policy_value(cbn, ("d", "x"), ip_class, {"o": 1}, Direction.MIN)
-        tables = first_tables(cbn, ip_class)
+        tables = first_tables(cbn, ip_class, cbn.dag.canon(("d", "x")))
         assert first.policy("x").table is second.policy("x").table is tables["x"]
         assert set(tables) == {"d", "x"}
