@@ -17,8 +17,9 @@ one plan per layout and shape (`Dag.derived`, under ``"joint"``), checked
 and made on the first call of any network of that layout; each network
 keeps that plan with its own CPD arrays in place, and a repeated query
 only checks and slices in its event values.  A network holds only its
-CPDs, those plans and its `Cbn.layout`; what other modules derive from
-the structure they keep on the dag themselves.  The literal sum over completions survives only as
+CPDs, those plans and its layout; what other modules derive from the
+structure they keep on the dag themselves, keyed by `Cbn.card_tuple`.
+The literal sum over completions survives only as
 `oracle.enumerate_prob`, the reference the engine is tested against.
 """
 
@@ -300,6 +301,8 @@ class Cbn:
         # `joint`'s contraction plans with this network's arrays in place,
         # one per query shape
         self._plans: dict[tuple, tuple] = {}
+        # the key of those plans on the dag: the cards and each CPD's parent
+        # order, in node order
         self._layout = (tuple(self._cards.values()), tuple(cpd.parents for cpd in self._cpds.values()))
 
     @property
@@ -311,10 +314,10 @@ class Cbn:
         return dict(self._cards)
 
     @property
-    def layout(self) -> tuple:
-        """``(cards, parent orders)`` in node order, as the keys of what
-        the dag derives for this network (`Dag.derived`) hold them."""
-        return self._layout
+    def card_tuple(self) -> tuple[int, ...]:
+        """The cards in node order, as the keys of what the dag derives
+        for this network's cards (`Dag.derived`) hold them."""
+        return self._layout[0]
 
     @property
     def cpds(self) -> dict[str, Cpd]:

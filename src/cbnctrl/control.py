@@ -65,8 +65,8 @@ the 0/1 path its chosen value.  `optimal_policy_value` builds the pair by
 one rule and no tensor work: an atomic policy on a 0/1 network, otherwise
 the driver's first table on its class scope, filled by `Cpd.with_choices`
 for a live driver.  First tables are kept on the dag per cards, class
-level and driver set (the level and each driver fix a scope), so a call
-looks them up once, and each is built and shape-checked once per set.
+level and driver, which fix the scope, so each is built and
+shape-checked once.
 
 On the chain path, everything `_scan_plan` decides before it asks for
 the base tensor depends only on the structure, the cards and the query's
@@ -415,21 +415,21 @@ def optimal_policy_value(
     dag, cards = cbn.dag, cbn.cards
     driver_list = dag.canon(drivers)
     # the one witness rule: on a 0/1 network, the atomic policy on the
-    # chosen value, or on 0 for a dead driver; otherwise each driver's first
+    # chosen value, or on 0 for a dead driver; otherwise the driver's first
     # table, filled with a live driver's choices.  The level and the driver
-    # fix a first table's scope, so the dag keeps them per cards, level and
-    # drivers, one lookup per call.
+    # fix a first table's scope, so the dag keeps one per cards, level and
+    # driver.
     if cbn.deterministic:
         policies = [atomic_policy_on(dag, d, choices.get(d, 0), cards[d]) for d in driver_list]
     else:
-        tables = dag.derived(
-            "first tables", (cbn.layout[0], ip_class.level, driver_list),
-            lambda: tuple(_first_table(cards, d, scope_for_class(dag, d, ip_class)) for d in driver_list),
-        )
-        policies = [
-            InterventionPolicy(table.with_choices(choices[d]) if d in choices else table)
-            for d, table in zip(driver_list, tables)
-        ]
+        card_tuple, level = cbn.card_tuple, ip_class.level
+        policies = []
+        for d in driver_list:
+            table = dag.derived(
+                "first tables", (card_tuple, level, d),
+                lambda: _first_table(cards, d, scope_for_class(dag, d, ip_class)),
+            )
+            policies.append(InterventionPolicy(table.with_choices(choices[d]) if d in choices else table))
     return values[0], InterventionPair(policies)
 
 
@@ -601,7 +601,7 @@ def _scan_plan(cbn: Cbn, drivers, ip_class: IpClass, desired, directions, budget
         chosen = np.unravel_index(bests[0], base.shape) if witness else ()
         return [_clamp(float(values[best])) for best in bests], dict(zip(live, map(int, chosen)))
 
-    cards, given = cbn.layout[0], frozenset(desired)
+    cards, given = cbn.card_tuple, frozenset(desired)
     plan = dag.derived(
         "search", (cards, live, ip_class.level, given), lambda: _search_plan(dag, cards, live, ip_class, given)
     )

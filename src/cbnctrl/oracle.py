@@ -264,7 +264,7 @@ def grid_policy_values(
         )
         return searched, dag.canon([*driver_list, *(s for d in driver_list for s in scopes[d])])
 
-    searched, layout = dag.derived("grid", (cbn.layout[0], driver_list, ip_class.level, step), grid)
+    searched, layout = dag.derived("grid", (cbn.card_tuple, driver_list, ip_class.level, step), grid)
     base = cbn._contract(desired, driver_list, layout)
     # the sums are the same in every direction, and max and min are exact,
     # so the order the chunks come in leaves every optimum as it is

@@ -633,14 +633,14 @@ def kept_plan(cbn, drivers, ip_class, desired):
     """The `SearchPlan` that ``cbn``'s dag keeps for its cards and the
     shape of a chain-path call on canonical live ``drivers``; a shape with
     no kept plan fails the test."""
-    key = cbn.layout[0], drivers, ip_class.level, frozenset(desired)
+    key = cbn.card_tuple, drivers, ip_class.level, frozenset(desired)
     return cbn.dag.derived("search", key, lambda: pytest.fail(f"no search plan kept under {key}"))
 
 
 def plan_and_base(cbn, drivers, ip_class, desired):
     """The `SearchPlan` of canonical live ``drivers`` on ``cbn`` and the
     base tensor its scan starts from, in reduction order."""
-    plan = control._search_plan(cbn.dag, cbn.layout[0], drivers, ip_class, frozenset(desired))
+    plan = control._search_plan(cbn.dag, cbn.card_tuple, drivers, ip_class, frozenset(desired))
     return plan, cbn.joint(desired, skip=drivers, keep=plan.axes)
 
 

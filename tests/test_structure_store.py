@@ -134,7 +134,7 @@ def test_other_cards_on_one_dag_plan_apart(monkeypatch):
     # one query shape per network for the joint (the marginal; the scan's
     # base), and one search plan per network for one search shape
     assert len(shapes) == 4
-    assert [args[1] for args in searches] == [binary.layout[0], ternary.layout[0]]
+    assert [args[1] for args in searches] == [binary.card_tuple, ternary.card_tuple]
 
 
 def test_a_netfile_parent_order_shares_no_contraction_plan(monkeypatch, fixtures_dir):
@@ -155,7 +155,7 @@ def test_a_netfile_parent_order_shares_no_contraction_plan(monkeypatch, fixtures
     # each network made every shape: neither used the other's plans, since
     # their layouts differ in o's parent order alone
     assert len(shapes) == 2 * len({frozenset(event) for event in events})
-    assert swapped.layout != ordered.layout and swapped.layout[0] == ordered.layout[0]
+    assert swapped.card_tuple == ordered.card_tuple
 
 
 def test_verify_usm_builds_one_adversarial_network_per_dag(monkeypatch):
@@ -213,8 +213,8 @@ def test_a_sweep_of_parametrizations_keeps_nothing_alive():
         answers(cbn, ("d0", "d1"))
         refs += [weakref.ref(cbn), *(weakref.ref(cbn.cpd(n).array()) for n in dag.nodes)]
         del cbn
-    for level in (1, 2, INF):
-        assert dag.derived("first tables", ((2,) * len(dag.nodes), level, ("d0", "d1")), fail)
+    for level, d in product((1, 2, INF), ("d0", "d1")):
+        assert dag.derived("first tables", ((2,) * len(dag.nodes), level, d), fail)
     assert all(ref() is None for ref in refs)
 
 

@@ -83,14 +83,20 @@ class TestStages:
         assert built == []
         _, first = optimal_policy_value(cbn, drivers, CLASS_INF, {"o": 1}, BOTH[0])
         assert [args[1] for args in built] == list(drivers)
-        key = cbn.layout[0], CLASS_INF.level, drivers
-        tables = cbn.dag.derived("first tables", key, lambda: pytest.fail("no first tables kept"))
+
+        def kept():
+            return [
+                cbn.dag.derived("first tables", (cbn.card_tuple, CLASS_INF.level, d), lambda: pytest.fail("none kept"))
+                for d in drivers
+            ]
+
+        tables = kept()
         for d, policy, table in zip(drivers, first.policies, tables):
             assert (table.owner, table.parents) == (d, policy.scope)
             assert set(table.rows) == {(1.0, 0.0)}
         optimal_policy_value(cbn, drivers, CLASS_INF, {"o": 1}, BOTH[1])
         assert len(built) == len(drivers)
-        assert cbn.dag.derived("first tables", key, lambda: pytest.fail("no first tables kept")) is tables
+        assert all(again is table for again, table in zip(kept(), tables))
 
     def test_refusals_match_the_witness_path(self):
         enumerated = random_cbn(
@@ -178,7 +184,18 @@ class TestSuitesBuildNoWitness:
         # some scan numbered at least 256 combinations
         assert max(stop for *_, stop in batches) >= 256
 
-    def test_suites_read_values_only(self, no_witnesses):
+    def test_suites_read_values_only(self, no_witnesses, monkeypatch):
+        # no scan is asked for a witness: a witness served by tables the
+        # dag already keeps builds none, so the table patches alone would
+        # not catch it
+        scan = control._scan_plan
+
+        def values_only(*args, witness):
+            if witness:
+                raise AssertionError("a scan was asked for a witness")
+            return scan(*args, witness=witness)
+
+        monkeypatch.setattr(control, "_scan_plan", values_only)
         rng = np.random.default_rng(41)
         networks = [
             (chain_network(3), ("b", "c", "d")),
@@ -191,7 +208,9 @@ class TestSuitesBuildNoWitness:
             assert verify_extremality(cbn, pool, ("o",), {"o": 1}).passed
         dag, intervenable, targets = junction(), ("t3", "t4", "t5"), ("o",)
         # verify_usm's full pair is no witness: its policies are the dag's
-        # atomic ones, built here with the builder the patch leaves alone
+        # atomic ones, built here with the builder the patch leaves alone;
+        # a full pair taken from `optimal_policy_value` is still caught by
+        # the scan's patch, though these tables would serve it
         for d in intervenable:
             dag.derived("atomic", (d, 1, 2), lambda d=d: intervention.atomic_policy(d, 1, 2))
         assert usm_adversarial_cbn(dag, intervenable, targets)[0].deterministic

@@ -125,9 +125,9 @@ def test_pairs_equal_the_three_builders(monkeypatch, name, cbn, drivers, desired
 
 def first_tables(cbn, ip_class, drivers):
     """The first tables the dag keeps for ``cbn``'s cards at ``ip_class``
-    and canonical ``drivers``, by driver."""
-    key = cbn.layout[0], ip_class.level, drivers
-    return dict(zip(drivers, cbn.dag.derived("first tables", key, lambda: pytest.fail("no first tables kept"))))
+    for ``drivers``, by driver."""
+    key = cbn.card_tuple, ip_class.level
+    return {d: cbn.dag.derived("first tables", (*key, d), lambda: pytest.fail("no first table kept")) for d in drivers}
 
 
 def test_dead_driver_table_is_built_once_per_plan():
