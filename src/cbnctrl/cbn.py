@@ -372,21 +372,6 @@ class Cbn:
             p *= self._cpds[name].prob(assignment[name], assignment)
         return p
 
-    def expand(self, arr: np.ndarray, involved: list[str], onto) -> np.ndarray:
-        """Permute ``arr`` (axes = ``involved``) into ``onto`` order and
-        reshape with singleton axes so it broadcasts over `joint` with
-        ``keep=onto``.  Leading axes beyond ``involved`` stay in front, as
-        batch axes."""
-        axis = {name: i for i, name in enumerate(onto)}
-        lead = arr.ndim - len(involved)
-        order = sorted(range(len(involved)), key=lambda i: axis[involved[i]])
-        shape = [1] * len(axis)
-        for name in involved:
-            shape[axis[name]] = self._cards[name]
-        return np.transpose(arr, [*range(lead), *(lead + i for i in order)]).reshape(
-            *arr.shape[:lead], *shape
-        )
-
     def check_joint(self, event=None, budget: Budget | None = None) -> None:
         """Refuse, in `joint`'s order and without building a tensor, a bad
         ``event``, then a state space over the cap of ``budget``."""

@@ -135,8 +135,15 @@ def _cmd_verify(args, header: str) -> int:
     spec = load(args.file)
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     budget = _budget_from(args)
-    levels = tuple(IpClass.parse(item).level for item in args.levels.split(","))
+    # a flag that no chosen suite reads is refused, not ignored
+    if args.levels is not None and "lemma3" not in names:
+        raise ValueError(
+            f"--levels sets the lemma3 suite's bracket levels, and --suite {args.suite} does not run it; "
+            "drop --levels"
+        )
+    levels = ()
     if "lemma3" in names:
+        levels = tuple(IpClass.parse(item).level for item in (args.levels or "1,2,inf").split(","))
         bracket_classes(levels)
 
     cbn = spec.cbn
@@ -147,6 +154,8 @@ def _cmd_verify(args, header: str) -> int:
         )
     seed_line = None
     needs_cbn = any(n != "usm" for n in names)
+    if args.seed is not None and not needs_cbn:
+        raise ValueError("--seed samples a parametrization, and the usm suite builds its own; drop --seed N")
     if needs_cbn and cbn is None:
         if args.seed is None:
             raise ValueError("file has no cpds; pass --seed N to sample a parametrization")
@@ -211,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="network file")
     p.add_argument("--suite", required=True, choices=SUITE_NAMES + ("all",))
     p.add_argument("--seed", type=int, help="sample a parametrization when the file has no cpds")
-    p.add_argument("--levels", default="1,2,inf", help="scope levels for the bracket suite")
+    p.add_argument("--levels", help="scope levels for the lemma3 bracket suite (default 1,2,inf)")
     p.add_argument("--budget", type=int, help="override the elementary-step ceiling")
     p.set_defaults(func=_cmd_verify)
 

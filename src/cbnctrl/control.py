@@ -5,8 +5,8 @@ event is affine in each policy row, so some extreme point of the policy
 simplex attains every optimum; forcing one value per scope configuration
 loses nothing.  That choice is what keeps exact search tractable at desk
 scale, and `oracle.grid_policy_search` exists to double-check it against
-stochastic tables, with a contraction of its own: it shares no batch or
-scan code with the optimizer.
+stochastic tables, on the same kernel (`table_chunks`).  The independent
+references are `oracle.naive_policy_search` and the tests' own.
 
 Only live drivers are searched (`live_drivers`): a driver that is neither
 a node of the desired event nor an ancestor of one has no directed path to
@@ -27,57 +27,49 @@ from the targets given the driver and its other members, as
 beats one that does not, and its witness is constant across them.  The
 search starts from the joint's marginal over the drivers and their
 searched scopes, asked of `Cbn.joint` by node name; every other node is
-summed out once, before the search.  `_scan_plan` numbers the table
-combinations and takes them in chunks of `CHUNK_ELEMENTS` tensor entries
-(or of one combination, if that is larger).  `policy_batch` reads each
-number's mixed-radix digits as the enumerated drivers' picks and builds
-the chunk's tensor by one ``np.einsum`` of the base with one 0/1 factor
-per factored driver.  An enumerated driver is free instead when its
+summed out once, before the search.  The table combinations are numbered
+big-endian: the free drivers' values, then each factored driver's pick
+per scope cell, in node order.  An enumerated driver is free when its
 searched scope is empty, no other driver's scope, chained or searched,
 holds it, and no factored driver comes before it in node order: its
-tables are its values, and they are the leading digits.  The base has
-the free drivers' axes first, flattened into one, so a chunk's batch is
-the base's entries at its free digits, with no factor for a free driver
-and no sum over its axis, and a winner's free values are the leading
-digits of its number.  That is exact: a factor multiplies by an exact 1.0
-or 0.0, and summing a factored driver's axis adds exact zeros, so each
-value, and with it each witness and tie, is the one a factor would give.
-The work estimate counts a free combination as it counts a factored one,
-times the state space.  The tie-break is that of a one-by-one scan in lexicographic
-order: the first optimum of a chunk replaces the incumbent only on a
-strict improvement.
+tables are its values, read off the base's leading axis with no factor
+and no sum.  Every other enumerated driver enters `table_chunks` as a
+factor of one-hot rows that sums only its own axis, and each run of
+chance axes is one sum, in the reduction's segment order, so each value,
+and with it each witness and tie, is that of a scan of one combination at
+a time.  The work estimate counts a free combination as it counts a
+factored one, times the state space.  The winner is the first optimum in
+number order, whatever order the chunks come in.
 
-One plan serves every direction.  `_scan_plan` does everything up to
-and including the scan once: the scan reduces each chunk once per
-direction, each direction with its own incumbent, so each answer is
-exactly that of a single-direction call.  `optimal_values` reads the
-values alone, as the verify suites do, and its scan reduces each chain
-driver with ``np.maximum``/``np.minimum``.  `optimal_policy_value` asks
-for one direction and its winner.  Its scan reduces by a recording sweep
-over each chain driver's values instead: a strict comparison keeps the
-first optimum, as ``argmax`` does, and since max and min are exact it
-gives the same reduced tensor.  Next to the incumbent the scan keeps its
-record, the enumerated drivers' digits and the chain drivers' choices,
-copied out of the chunk only when the incumbent changes.  `_scan_plan`
-returns the winner as data, each live driver's choices taken to its class
-scope's row-major order by one gather index per driver (`_gather`), or on
-the 0/1 path its chosen value.  `optimal_policy_value` builds the pair by
-one rule and no tensor work: an atomic policy on a 0/1 network, otherwise
-the driver's first table on its class scope, filled by `Cpd.with_choices`
-for a live driver.  First tables are kept on the dag per cards, class
-level and driver, which fix the scope, so each is built and
-shape-checked once.
+One plan serves every direction.  `_scan_plan` does everything up to and
+including the scan once: the scan reduces each chunk once per direction,
+each direction with its own incumbent, so each answer is exactly that of a
+single-direction call.  `optimal_values` reads the values alone, as the
+verify suites do, and its scan reduces each chain driver with
+``np.maximum``/``np.minimum``.  `optimal_policy_value` asks for one
+direction and its winner.  Its scan reduces by a recording sweep over each
+chain driver's values instead: a strict comparison keeps the first
+optimum, as ``argmax`` does, and since max and min are exact it gives the
+same reduced tensor.  The scan keeps the incumbent's number and chain
+choices, copied out of the chunk only when the incumbent changes; the
+enumerated drivers' digits are the number's digits.  `_scan_plan` returns
+the winner as data, each live driver's choices taken to its class scope's
+row-major order by one gather index per driver (`_gather`), or on the 0/1
+path its chosen value.  `optimal_policy_value` builds the pair by one rule
+and no tensor work: an atomic policy on a 0/1 network, otherwise the
+driver's first table on its class scope, filled by `Cpd.with_choices` for
+a live driver.  First tables are kept on the dag per cards, class level and
+driver, which fix the scope, so each is built and shape-checked once.
 
-On the chain path, everything `_scan_plan` decides before it asks for
-the base tensor depends only on the structure, the cards and the query's
+On the chain path, everything `_scan_plan` decides before it asks for the
+base tensor depends only on the structure, the cards and the query's
 shape: the live drivers, the policy class and the nodes the desired event
-names.  The class scopes, the axes, the reduction segments, the enumerated
-drivers with their requisite scopes and every driver's gather form one
-`SearchPlan`, which the dag keeps per cards and shape, made on the first
-call of any network on it.  The deterministic path plans nothing.  Every
-call checks its arguments and its `Budget`, the work estimate included,
-before any tensor is built, and each check runs once: the base tensor
-comes from the contraction behind `Cbn.joint`, after the call's own
+names.  It forms one `SearchPlan`, the kernel's steps and factors
+included, which the dag keeps per cards and shape, made on the first call
+of any network on it.  The deterministic path plans nothing.  Every call
+checks its arguments and its `Budget`, the work estimate included, before
+any tensor is built, and each check runs once: the base tensor comes from
+the contraction behind `Cbn.joint`, after the call's own
 `Cbn.check_joint`.
 
 The dag keeps what this module derives from the structure alone
@@ -304,7 +296,8 @@ def requisite_scopes(
     return scopes
 
 
-#: elements of the batched tensor one chunk of the table search fills
+#: entries within which the table kernel keeps each factor's output, bar
+#: a single table's (`kernel_steps`)
 CHUNK_ELEMENTS = 2 ** 15
 #: the most table combinations a scan can number with numpy integers
 _INDEX_LIMIT = np.iinfo(np.intp).max
@@ -315,47 +308,116 @@ def _clamp(value: float) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def policy_batch(
-    base: np.ndarray, axes, searched, start: int, stop: int
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The batch of table combinations ``start`` to ``stop``, one per entry
-    of its leading axis, and per searched driver its row picks, one row of
-    picks per combination.
+def kernel_steps(cards, axes, segments, factored, lead: int) -> tuple[tuple, tuple]:
+    """The steps of `table_chunks` over a base of ``lead`` tables by the
+    nodes ``axes``, in reduction order, and the ``segments`` (runs over
+    ``axes``: ``(width, None)`` sums, ``(width, driver)`` reduces a chain
+    driver) left from the first chain driver on.
 
-    ``base`` has a leading axis over the combinations of the free drivers'
-    values, in row-major order, then one axis per node of ``axes``.
-    ``searched`` lists ``(driver, scope, rows)`` per factored driver: a
-    table picks one row of the 2-d array ``rows`` per scope configuration.
-    A combination number's big-endian mixed-radix digits are the free
-    drivers' values, flattened, then one pick per scope configuration,
-    driver after driver, so increasing numbers scan the tables as nested
-    loops over the drivers would, each driver's picks in lexicographic
-    order.  Without factored drivers each combination is one entry of the
-    leading axis, so the batch is a slice of ``base``.  Otherwise it is one
-    ``np.einsum`` of the combinations' base entries with one factor per
-    driver.  Each factor entry is 0 or 1, so the product is exact in any
-    order.
-    """
-    if not searched:
-        return base[start:stop], []
-    card = dict(zip(axes, base.shape[1:]))
-    cells = [prod(card[s] for s in scope) for _, scope, _ in searched]
-    radices = [len(rows) for (_, _, rows), n in zip(searched, cells) for _ in range(n)]
-    free, *digits = np.unravel_index(np.arange(start, stop), (len(base), *radices))
-    digits = np.stack(digits, axis=-1)
+    ``factored`` lists ``(driver, scope, rows)`` in canonical order.  A
+    step is the width of a run of chance axes to sum, or a driver's factor,
+    which sums only its driver's axis, unless the driver lies in the chain
+    region or after one of its scope members: then it enters before any
+    sum, keeps that axis, and its own width-1 segment sums it.  In step
+    order, each factor runs in blocks over as many of its last scope cells
+    as keep its output within `CHUNK_ELEMENTS` entries (or at one table).
+    A factor step is ``(rows, keep, cells, low, weight, factor, where)``:
+    ``factor`` holds the tables of the last ``low`` cells, read-only, laid
+    out to broadcast over the running tensor, ``where`` places each cell's
+    row in it, and ``weight`` is what one table adds to a combination's
+    number."""
     label = {n: i for i, n in enumerate(axes)}
-    # the label of the leading batch axis
-    lead = len(axes)
-    # each combination's own base entry, or the one they all share
-    operands = [base[free], [lead, *range(lead)]] if len(base) > 1 else [base[0], list(range(lead))]
-    picks, at = [], 0
-    for (driver, scope, rows), n in zip(searched, cells):
-        pick = digits[:, at:at + n]
-        at += n
-        factor = rows[pick].reshape(stop - start, *(card[s] for s in scope), card[driver])
-        operands += [factor, [lead, *(label[s] for s in scope), label[driver]]]
-        picks.append(pick)
-    return np.einsum(*operands, [lead, *range(lead)], optimize=False), picks
+    head = list(takewhile(lambda s: s[1] is None, segments))
+    chain_at = sum(width for width, _ in head)
+    counts = [len(rows) ** prod(cards[s] for s in scope) for _, scope, rows in factored]
+    index = {d: j for j, (d, _, _) in enumerate(factored)}
+    masked = [j for j, (d, scope, _) in enumerate(factored)
+              if label[d] >= chain_at or any(label[s] < label[d] for s in scope)]
+    steps, kept = [], list(range(len(axes)))
+
+    def enter(j: int, keep: bool) -> None:
+        nonlocal lead, kept
+        driver, scope, rows = factored[j]
+        count, card = rows.shape
+        out = [a for a in kept if keep or a != label[driver]]
+        room = CHUNK_ELEMENTS // (lead * prod(cards[axes[a]] for a in out))
+        cells, low = prod(cards[s] for s in scope), 0
+        while low < cells and count ** (low + 1) <= room:
+            low += 1
+        lead *= count ** low
+        # the factor's axes in label order, as the running tensor has them,
+        # then its tables
+        own = [label[s] for s in scope] + [label[driver]]
+        order = sorted(range(len(own)), key=own.__getitem__)
+        sizes = [cards[axes[own[k]]] for k in order]
+        where = np.arange(cells * card).reshape(sizes).transpose(np.argsort(order)).reshape(cells, card)
+        factor = np.zeros((cells * card, count ** low))
+        picks = np.array(list(product(range(count), repeat=low)), dtype=np.intp)
+        factor[where[cells - low:]] = np.moveaxis(rows[picks], 0, -1)
+        factor = factor.reshape(*(cards[axes[a]] if a in own else 1 for a in kept), -1, 1)
+        steps.append((rows, keep, cells, low, prod(counts[j + 1:]), _read_only(factor), where))
+        kept = out
+
+    for j in masked:
+        enter(j, True)
+    for width, _ in head:
+        j = index.get(axes[kept[0]])
+        if j is None or j in masked:
+            steps.append(width)
+            kept = kept[width:]
+        else:
+            enter(j, False)
+    return tuple(steps), tuple(segments[len(head):])
+
+
+def table_chunks(base: np.ndarray, steps, weight: int = 1):
+    """The value of every table combination that ``steps`` (`kernel_steps`)
+    enter into ``base``, in chunks, each with its combination numbers.
+
+    ``base`` leads with an axis over the free drivers' values, numbered
+    ``weight`` apart, and so does each chunk over its combinations, newest
+    factor's tables first.  A chunk's numbers are ``None`` while no factor
+    has entered, as the one chunk is then numbered by position; otherwise
+    chunks come in an order of their own.  From the first factor on, the
+    tables axis comes last, so that each operation runs along it.  A factor
+    adds its products over its driver's values in order, as ``np.einsum``
+    would, and a one-hot one picks one entry exactly; a run of chance axes
+    adds its entries in row-major order, as over one combination's own
+    tensor; and a chunk is handed on laid out as one combination's tensor
+    after another, so that the chain's sums add as they would on each.  So
+    each value is that of a scan of one combination at a time."""
+
+    def run(t: np.ndarray, numbers, at: int):
+        for i in range(at, len(steps)):
+            if isinstance(steps[i], int):
+                lead = int(numbers is None)
+                t = t.sum(axis=tuple(range(lead, lead + steps[i])))
+                continue
+            rows, keep, cells, low, step_weight, factor, where = steps[i]
+            count, size, high = len(rows), factor.shape[-2], cells - low
+            if numbers is None:
+                # the tables axis last from the first factor on
+                numbers = np.arange(len(t)) * weight
+                t = t.transpose(*range(1, t.ndim), 0)
+            if high:
+                factor = factor.copy()
+            for n in range(count ** high):
+                if high:
+                    digits = [n // count ** (high - 1 - k) % count for k in range(high)]
+                    factor.reshape(-1, size)[where[:high]] = rows[digits][..., None]
+                t_by_table = t[..., None, :]
+                if keep:
+                    out = factor * t_by_table
+                else:
+                    out = factor[0] * t_by_table[0]
+                    for value in range(1, len(factor)):
+                        out += factor[value] * t_by_table[value]
+                offsets = (n * size + np.arange(size)) * step_weight
+                yield from run(out.reshape(*out.shape[:-2], -1), (offsets[:, None] + numbers).reshape(-1), i + 1)
+            return
+        yield (t if numbers is None else np.ascontiguousarray(np.moveaxis(t, -1, 0))), numbers
+
+    return run(base, None, 0)
 
 
 def live_drivers(dag: Dag, drivers: tuple[str, ...], desired) -> tuple[str, ...]:
@@ -407,9 +469,9 @@ def optimal_policy_value(
     """Best achievable probability of ``desired`` over deterministic
     policies of ``ip_class`` on ``drivers``, with the witness pair.
 
-    Ties are resolved deterministically: candidates are scanned in
-    lexicographic choice order and only strict improvements replace the
-    incumbent, so repeated runs return the identical witness.
+    Ties are resolved deterministically: the first optimum in lexicographic
+    choice order wins, whatever order the scan's chunks come in, so
+    repeated runs return the identical witness.
     """
     values, choices = _scan_plan(cbn, drivers, ip_class, desired, (direction,), budget, witness=True)
     dag, cards = cbn.dag, cbn.cards
@@ -459,25 +521,21 @@ class SearchPlan:
     tensor's nodes in reduction order, as `Cbn.joint` is asked for them.
     ``searched`` lists ``(driver, searched scope, read-only one-hot rows)``
     per enumerated driver, in canonical order; its first ``free`` drivers
-    are free, and `policy_batch` takes the rest, the factored ones.  A free
-    driver has an empty searched scope and lies in no other driver's scope,
-    chained or searched, so its values are its tables, read off the base
-    without a factor; the same sum a factor would end in adds only exact
-    zeros to them.  ``layout`` transposes the base to the free drivers'
-    axes, in canonical order, then the others in reduction order.
-    ``segments`` are the reduction's runs over those others: ``(width,
-    None)`` sums, and ``(width, driver)`` reduces a chain driver; the chain
-    drivers are the segments' drivers, in reduction order.  A free driver's
-    axis has no segment, and the runs on either side of it stay apart, so
-    each adds as it would with that axis summed between them.
-    ``outer_total`` counts the table combinations scanned, free ones
-    included, so the work estimate counts a free combination as it counts a
-    factored one.  ``gathers`` maps each driver, in the order the scan
-    records their rows (the enumerated drivers, then the chain), to the
-    read-only `_gather` index that takes its row to its class scope's
-    row-major order: an enumerated driver's digits are laid out over its
-    searched scope, a chain driver's choices over the axes left when it is
-    reduced.
+    are free, read off the base without a factor, and the rest are
+    factored.  ``layout`` transposes the base to the free drivers' axes, in
+    canonical order, then the others in reduction order.  ``segments`` are
+    the reduction's runs over those others: ``(width, None)`` sums, and
+    ``(width, driver)`` reduces a chain driver; the runs on either side of a
+    free driver's axis stay apart, so each adds as it would with that axis
+    summed between them.  ``steps`` are the kernel's (`kernel_steps`), and
+    ``tail`` the segments it leaves, from the first chain driver on.
+    ``outer_total`` counts the table combinations, free ones included, and
+    ``radices`` are a combination number's digits, one per enumerated
+    driver's searched scope cell.  ``gathers`` maps each driver, enumerated
+    drivers first, then the chain, to the read-only `_gather` index that
+    takes its row to its class scope's row-major order: an enumerated
+    driver's digits are laid out over its searched scope, a chain driver's
+    choices over the axes left when it is reduced.
     """
 
     scopes: dict[str, tuple[str, ...]]
@@ -488,6 +546,9 @@ class SearchPlan:
     segments: tuple[tuple[int, str | None], ...]
     outer_total: int
     gathers: dict[str, np.ndarray]
+    steps: tuple
+    tail: tuple[tuple[int, str | None], ...]
+    radices: tuple[int, ...]
 
 
 def _gather(cards, scope, layout) -> np.ndarray:
@@ -536,26 +597,20 @@ def _search_plan(
     axes = tuple(dict.fromkeys(order))[::-1]
     # one combination, the empty one, when every driver is on the chain
     outer_total = prod(cards[e] ** prod(cards[s] for s in searched_scopes[e]) for e in enumerated)
-    # A free driver's tables are its values.  It is one of the leading
-    # enumerated drivers, each with an empty searched scope and in no
-    # driver's scope as the search reads it (a chain driver's class scope,
-    # whose axes its choices range over, or an enumerated driver's searched
-    # scope), so its digits lead the combination numbers and a combination
-    # of the free drivers' values is one entry of the base once their axes
-    # are moved first.  The contraction itself keeps the reduction order:
-    # asked for its axes in another order, `np.einsum` may add in another
-    # order.
+    # A free driver's tables are its values: a leading enumerated driver
+    # with an empty searched scope, in no driver's scope as the search reads
+    # it, so its digits lead the numbers and its values index the base once
+    # its axis is moved first.  The contraction itself keeps the reduction
+    # order, in which `np.einsum` adds.
     read = set().union(*searched_scopes.values())
     free = tuple(takewhile(lambda e: not searched_scopes[e] and e not in read, enumerated))
     rest = tuple(n for n in axes if n not in free)
     layout = tuple(axes.index(n) for n in free + rest)
-    # In reduction order, a run of chance axes is one sum; a factored
-    # driver's axis is summed on its own, which picks its one-hot entry
-    # exactly, so tables that cannot change the outcome tie exactly and the
-    # tie-break keeps the first.  A free driver's axis, read off the base,
-    # has no segment, and the runs around it stay two sums, each adding as
-    # it would with that axis summed between them.  The axes left when a
-    # chain driver is reduced are its class scope, in reduction order.
+    # In reduction order a run of chance axes is one sum and a factored
+    # driver's axis is summed on its own, exactly, so tables that cannot
+    # change the outcome tie exactly.  A free driver's axis has no segment,
+    # and the runs around it stay two sums.  The axes left when a chain
+    # driver is reduced are its class scope, in reduction order.
     driver_of = {d: d for d in driver_list}
     gathers = {e: _gather(cards, scopes[e], searched_scopes[e]) for e in enumerated}
     segments, pos = [], 0
@@ -568,7 +623,11 @@ def _search_plan(
             gathers[key] = _gather(cards, scopes[key], rest[pos:])
         segments.append((width, key if key in chain else None))
     searched = tuple((e, searched_scopes[e], _read_only(np.eye(cards[e]))) for e in enumerated)
-    return SearchPlan(scopes, axes, len(free), layout, searched, tuple(segments), outer_total, gathers)
+    steps, tail = kernel_steps(cards, rest, segments, searched[len(free):], prod(cards[n] for n in free))
+    radices = tuple(cards[e] for e in enumerated for _ in range(prod(cards[s] for s in searched_scopes[e])))
+    return SearchPlan(
+        scopes, axes, len(free), layout, searched, tuple(segments), outer_total, gathers, steps, tail, radices
+    )
 
 
 def _scan_plan(cbn: Cbn, drivers, ip_class: IpClass, desired, directions, budget, *, witness: bool):
@@ -614,19 +673,13 @@ def _scan_plan(cbn: Cbn, drivers, ip_class: IpClass, desired, directions, budget
     # the free drivers' axes first and flattened into one, one entry per
     # combination of their values
     base = cbn._contract(desired, live, plan.axes).transpose(plan.layout)
-    free_shape = base.shape[:plan.free]
     base = base.reshape(-1, *base.shape[plan.free:])
-    factored = plan.searched[plan.free:]
-    rest = [plan.axes[i] for i in plan.layout[plan.free:]]
 
-    def reduce_chain(
-        batch: np.ndarray, direction: Direction, picks: list | None = None
-    ) -> np.ndarray:
-        # one chain optimum per entry of the leading batch axis; given
+    def reduce_chain(t: np.ndarray, direction: Direction, picks: list | None) -> np.ndarray:
+        # one chain optimum per entry of the leading tables axis; given
         # ``picks``, also appends each chain driver's choices per entry,
         # flattened over the axes left when it is reduced
-        t = batch
-        for width, kind in plan.segments:
+        for width, kind in plan.tail:
             if kind is None:
                 t = t.sum(axis=tuple(range(1, 1 + width)))
             elif picks is None:
@@ -649,31 +702,41 @@ def _scan_plan(cbn: Cbn, drivers, ip_class: IpClass, desired, directions, budget
                 t = best.reshape(t.shape[:1] + t.shape[2:])
         return t
 
-    # One batch per chunk, reduced once per direction.  In each direction
-    # the chunk's first optimum replaces the incumbent only on a strict
-    # improvement, as a one-by-one scan would; with a witness to build, the
-    # one direction then copies out the winner's number, the factored
-    # drivers' digits and its reduction's chain choices.  The free drivers'
-    # values are the leading digits of the winner's number.
-    step = max(1, CHUNK_ELEMENTS // base[0].size)
-    optima: list = [None] * len(directions)
+    # Each chunk of `table_chunks` is reduced once per direction.  Its
+    # candidate, its smallest number at its optimum, replaces the incumbent
+    # on a strict improvement or on a tie with a smaller number, so the
+    # winner is the first optimum in number order, whatever order the
+    # chunks come in.  With a witness to build, the one direction copies
+    # out the winner's number and its reduction's chain choices.
+    best: list = [None] * len(directions)
     record = None
-    for start in range(0, plan.outer_total, step):
-        batch, picks = policy_batch(base, rest, factored, start, min(start + step, plan.outer_total))
+    for t, numbers in table_chunks(base, plan.steps, plan.outer_total // len(base)):
         for i, direction in enumerate(directions):
-            values = reduce_chain(batch, direction, picks if witness else None)
-            pos = int(direction.arg(values))
-            if optima[i] is None or direction.beats(values[pos], optima[i]):
-                optima[i] = values[pos]
+            picks = [] if witness else None
+            values = reduce_chain(t, direction, picks)
+            pos = number = int(direction.arg(values))
+            if numbers is not None:
+                ties = np.flatnonzero(values == values[pos])
+                pos = int(ties[numbers[ties].argmin()])
+                number = int(numbers[pos])
+            value = values[pos]
+            held = best[i]
+            if held is None or direction.beats(value, held[0]) or value == held[0] and number < held[1]:
+                best[i] = value, number
                 if witness:
-                    record = start + pos, [row[pos].copy() for row in picks]
+                    record = number, [row[pos].copy() for row in picks]
     choices = {}
     if witness:
-        number, rows = record
-        digits = np.unravel_index(number // (plan.outer_total // len(base)), free_shape)
-        rows = [np.reshape(digit, 1) for digit in digits] + rows
-        choices = {d: row[gather] for (d, gather), row in zip(plan.gathers.items(), rows)}
-    return [_clamp(float(value)) for value in optima], choices
+        # the enumerated drivers' digits, free drivers first, then the
+        # chain drivers' choices
+        number, chain_rows = record
+        digits, rows = np.unravel_index(number, plan.radices), []
+        for _, scope, _ in plan.searched:
+            cells = prod(cbn.cards[s] for s in scope)
+            rows.append(np.array(digits[:cells], dtype=np.intp))
+            digits = digits[cells:]
+        choices = {d: row[gather] for (d, gather), row in zip(plan.gathers.items(), rows + chain_rows)}
+    return [_clamp(float(value)) for value, _ in best], choices
 
 
 def solve(

@@ -287,16 +287,20 @@ def interventional_prob(
     """Probability of ``event`` in the intervened network.
 
     Pearl's truncated factorization: the marginal of ``cbn`` without the
-    targets' CPDs over the targets and their scopes, times each policy
-    table laid out on those nodes (`Cbn.expand`).  The pair is checked
-    against the network first, with the same errors as
-    `apply_intervention`.
+    targets' CPDs over the targets and their scopes, times the policy
+    tables, by one ``np.einsum`` that labels each table's axes by its nodes
+    and keeps every label, then summed.  The pair is checked against the
+    network first, with the same errors as `apply_intervention`.
     """
     _check_pair(cbn, pair)
     keep = tuple(dict.fromkeys(n for p in pair.policies for n in (*p.scope, p.target)))
     tensor = cbn.joint(event, skip=pair.targets, budget=budget, keep=keep)
-    for policy in pair.policies:
-        tensor *= cbn.expand(policy.table.array(), [*policy.scope, policy.target], keep)
+    if pair.policies:
+        label = {n: i for i, n in enumerate(keep)}
+        operands = [tensor, list(range(len(keep)))]
+        for policy in pair.policies:
+            operands += [policy.table.array(), [label[n] for n in (*policy.scope, policy.target)]]
+        tensor = np.einsum(*operands, list(range(len(keep))), optimize=False)
     return float(tensor.sum())
 
 

@@ -5,16 +5,16 @@ on purpose.  `enumerate_prob` over `intervention.apply_intervention` is the
 fully independent route: it sums CPD entries over completions and shares no
 tensor code with `Cbn.joint`.  `naive_policy_search` reads `Cbn.joint`
 through `interventional_prob`, but shares none of the optimizer's chain,
-batch or scan code.  `grid_policy_search` is not a reference: it searches
-stochastic tables, with one factor per driver contracted into the joint's
-marginal, to check that deterministic tables are enough.
+kernel or scan code.  `grid_policy_search` is not a reference: it searches
+stochastic tables on the optimizer's kernel (`control.table_chunks`), to
+check that deterministic tables are enough.
 
 What a suite derives from the structure alone, the dag keeps through
 `Dag.derived`, under names only this module uses, next to what `control`
 keeps there: ``"brackets"``, `verify_lemma3`'s schedule of brackets and
 optimizer calls per pool, event nodes and class levels, and ``"grid"``,
-`grid_policy_values`' read-only grid rows and layout per cards, drivers,
-class level and step.  `verify_usm`'s pair forcing every driver to 1 is
+`grid_policy_values`' layout and kernel steps, with their read-only grid
+factors, per cards, drivers, class level and step.  `verify_usm`'s pair forcing every driver to 1 is
 made of `control.atomic_policy_on`'s kept policies.  So a suite run again,
 on the same network or on another parametrization of its structure, walks
 no graph.
@@ -23,7 +23,7 @@ no graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, groupby, product
 from math import comb, prod
 from typing import Iterable, Iterator, Mapping
 
@@ -31,15 +31,16 @@ import numpy as np
 
 from .cbn import DEFAULT_BUDGET, Budget, Cbn, Cpd, _read_only
 from .control import (
-    CHUNK_ELEMENTS,
     ControlProblem,
     Direction,
     atomic_policy_on,
     c_star,
     checked_directions,
+    kernel_steps,
     live_drivers,
     optimal_policy_value,
     optimal_values,
+    table_chunks,
     usm_adversarial_cbn,
 )
 from .graph import Dag, INF
@@ -230,12 +231,12 @@ def grid_policy_values(
 
     Each driver's table picks one `simplex_grid_rows` row per scope
     configuration.  The tables act on the joint's marginal over the
-    drivers and their scopes, and `_grid_chunks` contracts each driver's
-    tables into it as one factor, in chunks of `control.CHUNK_ELEMENTS`
-    entries, each chunk's values read once per direction.  The work
-    estimate is the number of table combinations times the joint size; it
-    is checked from the row counts, before any row is built, and it counts
-    more work than the factored contraction does.
+    drivers and their scopes in reverse node order, and the optimizer's
+    kernel (`control.table_chunks`) contracts each driver's tables into it
+    as one factor, with no chain, each chunk's values read once per
+    direction.  The work estimate is the number of table combinations times
+    the joint size; it is checked from the row counts, before any row is
+    built, and it counts more work than the kernel does.
     """
     directions = checked_directions(directions, ip_class, desired)
     budget = budget or DEFAULT_BUDGET
@@ -257,89 +258,23 @@ def grid_policy_values(
     budget.check_work(total * cbn.state_space_size())
 
     def grid() -> tuple:
-        # the read-only grid rows per driver, and the layout: every other
-        # node meets no policy factor and is summed out first
-        searched = tuple(
-            (d, scopes[d], _read_only(np.asarray(simplex_grid_rows(cards[d], step)))) for d in driver_list
-        )
-        return searched, dag.canon([*driver_list, *(s for d in driver_list for s in scopes[d])])
+        # the layout in reduction order, reverse node order, as every other
+        # node meets no policy factor and is summed out first, and the
+        # kernel's steps over it, each driver's factor of its grid rows
+        layout = dag.canon([*driver_list, *(s for d in driver_list for s in scopes[d])])[::-1]
+        searched = [(d, scopes[d], _read_only(np.array(simplex_grid_rows(cards[d], step)))) for d in driver_list]
+        segments = [(len(list(run)), None) for _, run in groupby(layout, lambda n: n if n in scopes else None)]
+        return layout, kernel_steps(cards, layout, segments, searched, 1)[0]
 
-    searched, layout = dag.derived("grid", (cbn.card_tuple, driver_list, ip_class.level, step), grid)
+    layout, steps = dag.derived("grid", (cbn.card_tuple, driver_list, ip_class.level, step), grid)
     base = cbn._contract(desired, driver_list, layout)
     # the sums are the same in every direction, and max and min are exact,
     # so the order the chunks come in leaves every optimum as it is
     optima = [
         [direction.pairwise.reduce(values) for direction in directions]
-        for values in _grid_chunks(cards, base, layout, searched)
+        for values, _ in table_chunks(base[None], steps)
     ]
     return [float(d.pairwise.reduce(column)) for d, column in zip(directions, zip(*optima))]
-
-
-def _grid_chunks(cards, base: np.ndarray, layout, searched) -> Iterator[np.ndarray]:
-    """The value of every table combination, in chunks of at most
-    ``CHUNK_ELEMENTS // base.size`` values (at least one), with no array
-    much over `CHUNK_ELEMENTS` entries.
-
-    ``base`` has one axis per node of ``layout``, and ``searched`` lists
-    ``(driver, scope, rows)`` in canonical order, as `grid_policy_values`
-    builds them.  Each driver's tables form one factor ``F[t, *scope,
-    driver] = rows[digit(t, cell), driver]``, with the table's big-endian
-    digits over its scope's cells in row-major order.  The factors are
-    contracted into the base one driver at a time, from the last, each by
-    one ``np.einsum``, and a layout axis is summed as soon as no factor
-    left names it.  From the last driver on, each takes its tables in
-    blocks over as many of its last cells as keep the product of the block
-    sizes within a chunk: the trailing drivers whose tables fit are
-    contracted whole, once, and the ones before them in blocks, down to
-    one table.  A block's contraction serves every table of the drivers
-    before it, so chunks come in an order of their own.
-    """
-    label = {n: i for i, n in enumerate(layout)}
-    # the layout axes the factors before driver j name, per j
-    named = [
-        [label[n] for n in layout if any(n == d or n in scope for d, scope, _ in searched[:j])]
-        for j in range(len(searched) + 1)
-    ]
-    tables_axis, rest_axis = len(layout), len(layout) + 1
-    room = max(1, CHUNK_ELEMENTS // base.size)
-    blocks = [None] * len(searched)
-    for j in reversed(range(len(searched))):
-        driver, scope, rows = searched[j]
-        count, card = rows.shape
-        scope_cards = [cards[s] for s in scope]
-        cells = prod(scope_cards)
-        low = cells
-        while count ** low > room:
-            low -= 1
-        room //= count ** low
-        # a block runs over the table digits of the last ``low`` cells,
-        # laid out once; the first cells are filled per block
-        factor = np.empty((count,) * low + (cells, card))
-        for i in range(low):
-            factor[..., cells - low + i, :] = rows.reshape(
-                [count if k == i else 1 for k in range(low)] + [card]
-            )
-        labels = [tables_axis, *(label[s] for s in scope), label[driver]]
-        blocks[j] = (cells - low, rows, factor.reshape(-1, cells, card),
-                     factor.reshape(-1, *scope_cards, card), labels)
-
-    def chunks(t: np.ndarray, j: int) -> Iterator[np.ndarray]:
-        # ``t`` has a leading axis over the tables of the drivers after j,
-        # then the axes ``named[j + 1]``
-        if j < 0:
-            yield t.reshape(-1)
-            return
-        high, rows, by_cell, factor, labels = blocks[j]
-        count = len(rows)
-        for n in range(count ** high):
-            by_cell[:, :high] = rows[[n // count ** (high - 1 - i) % count for i in range(high)]]
-            out = np.einsum(
-                factor, labels, t, [rest_axis, *named[j + 1]],
-                [tables_axis, rest_axis, *named[j]], optimize=False,
-            )
-            yield from chunks(out.reshape(-1, *out.shape[2:]), j - 1)
-
-    return chunks(base[None], len(searched) - 1)
 
 
 def ci_holds(cbn: Cbn, a: str, b: str, z: Iterable[str], tol: float = 1e-9) -> bool:

@@ -386,6 +386,12 @@ def replay_witness(cbn: Cbn, args):
     return lambda witness: interventional_prob(cbn, witness_pair(cbn, witness), desired)
 
 
+def dumps(entries) -> str:
+    """``entries`` as ``write`` writes them: one compact JSON entry per
+    line, in a JSON list."""
+    return "[\n" + ",\n".join(json.dumps(e, separators=(",", ":")) for e in entries) + "\n]\n"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -401,7 +407,7 @@ def main(argv=None) -> int:
     if args.command == "write":
         entries = [entry for entry, _, _ in corpus(args.scale)]
         with open(args.out, "w") as fh:
-            fh.write("[\n" + ",\n".join(json.dumps(e, separators=(",", ":")) for e in entries) + "\n]\n")
+            fh.write(dumps(entries))
         print(f"{len(entries)} entries written to {args.out}")
         return 0
     if args.command == "print":

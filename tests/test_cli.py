@@ -236,6 +236,27 @@ class TestVerify:
         assert (code, out) == (1, "")
         assert err == "error: bracket levels must be >= 1 or inf, got 0\n"
 
+    @pytest.mark.parametrize("suite, levels", [("sufficiency", "0"), ("usm", "x"), ("extremality", "1,2,inf")])
+    def test_levels_refused_unless_lemma3_runs(self, gate, capsys, suite, levels):
+        # no other suite reads them, so they are refused before the header,
+        # whether or not they would parse
+        code, out, err = run(["verify", gate, "--suite", suite, "--levels", levels], capsys)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: --levels sets the lemma3 suite's bracket levels, and --suite {suite} does not run it; "
+            "drop --levels\n"
+        )
+        code, out, err = run(["verify", gate, "--suite", "all", "--levels", "0"], capsys)
+        assert (code, out, err) == (1, "", "error: bracket levels must be >= 1 or inf, got 0\n")
+
+    def test_seed_refused_when_usm_is_the_only_suite(self, junction_file, capsys):
+        # usm builds its own parametrization, so a seed would sample nothing
+        code, out, err = run(["verify", junction_file, "--suite", "usm", "--seed", "3"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: --seed samples a parametrization, and the usm suite builds its own; drop --seed N\n"
+        code, out, _ = run(["verify", junction_file, "--suite", "all", "--seed", "3"], capsys)
+        assert code == 0 and "seed: 3" in out
+
     def test_levels_take_every_spelling_of_a_policy_class(self, gate, capsys):
         def report(levels):
             code, out, err = run(["verify", gate, "--suite", "lemma3", "--levels", levels], capsys)

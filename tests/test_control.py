@@ -456,6 +456,46 @@ class TestBatchedSearch:
                 rows_e = pair.policy("e").table.rows
                 assert rows_e[0] == rows_e[2] == (1.0, 0.0), (seed, direction)
 
+    def test_cfan6_matches_naive_at_class_inf(self):
+        # r feeds m and all six drivers, so each class-inf scope is {r}: one
+        # driver is chained and five are enumerated, 4^5 combinations
+        dag, drivers, _ = confounded_fan(6, 2)
+        cbn = random_cbn(np.random.default_rng(66), dag)
+        for direction in (Direction.MAX, Direction.MIN):
+            expect, naive_pair = naive_policy_search(cbn, drivers, CLASS_INF, {"o": 1}, direction)
+            got, pair = optimal_policy_value(cbn, drivers, CLASS_INF, {"o": 1}, direction)
+            assert abs(got - expect) <= 1e-12 and pair == naive_pair
+
+    def test_cfan8_under_the_default_budget(self):
+        # seven enumerated drivers, 4^7 combinations; the values and
+        # witnesses (each driver's choices at r = 0 and 1) are those of the
+        # scan that built one batch of combinations per chunk
+        dag, drivers, _ = confounded_fan(8, 2)
+        cbn = random_cbn(np.random.default_rng(8), dag)
+        pinned = {
+            Direction.MAX: (0.7822878936590866, "10 11 00 10 01 00 01 10"),
+            Direction.MIN: (0.6094200413770703, "11 10 10 11 11 00 11 01"),
+        }
+        for direction, (want, witness) in pinned.items():
+            value, pair = optimal_policy_value(cbn, drivers, CLASS_INF, {"o": 1}, direction)
+            got = " ".join("".join(str(row.index(1.0)) for row in p.table.rows) for p in pair.policies)
+            assert (value, got) == (want, witness), direction
+            assert interventional_prob(cbn, pair, {"o": 1}) == pytest.approx(value, abs=1e-12)
+
+    def test_a_scope_listed_after_its_driver_matches_naive(self):
+        # e's factor must enter before a's axis is summed, though a comes
+        # first in reduction order
+        rng = np.random.default_rng(5150)
+        cards = {"b": 3} | dict.fromkeys("aeco", 2)
+        for _ in range(6):
+            cbn = random_cbn(rng, scope_first(), cards)
+            plan = control._search_plan(cbn.dag, cbn.card_tuple, ("e", "c"), CLASS_INF, frozenset("o"))
+            assert [e for e, _, _ in plan.searched] == ["e"] and plan.axes.index("a") < plan.axes.index("e")
+            for direction in (Direction.MAX, Direction.MIN):
+                expect, naive_pair = naive_policy_search(cbn, ("e", "c"), CLASS_INF, {"o": 1}, direction)
+                got, pair = optimal_policy_value(cbn, ("e", "c"), CLASS_INF, {"o": 1}, direction)
+                assert abs(got - expect) <= 1e-12 and pair == naive_pair
+
     def test_deterministic_path_matches_a_product_scan(self):
         drivers = tuple(f"d{i}" for i in range(10))
         edges = [("u", "d0"), ("u", "o")] + list(zip(drivers, drivers[1:]))
@@ -468,6 +508,14 @@ class TestBatchedSearch:
                 vector = tuple(pair.policy(d).table.rows[0].index(1.0) for d in drivers)
                 assert (value, vector) == scan_atomic(cbn, drivers, {"o": 1}, direction)
                 assert interventional_prob(cbn, pair, {"o": 1}) == value
+
+
+def scope_first():
+    """A network listed out of topological order: e comes before its
+    parent a, which also feeds o, and c reads b.  With b ternary, c has the
+    most tables and is chained, and e is enumerated on its scope {a}, whose
+    axis comes before e's own in reduction order."""
+    return Dag(["e", "a", "b", "c", "o"], [("a", "e"), ("b", "c"), ("e", "o"), ("c", "o"), ("a", "o")])
 
 
 def argmax_chain_choices(plan, base, direction):
@@ -602,11 +650,27 @@ class TestChainWitness:
             self.check(cbn, drivers, {"o": 1})
 
 
+def expand(cards, arr, involved, onto):
+    """``arr``, whose last axes are ``involved``, permuted into ``onto``
+    order and reshaped with singleton axes, so that it broadcasts over a
+    tensor with one axis per node of ``onto``; leading axes stay in front.
+    A copy of the layout step `Cbn.expand` took before every table was laid
+    out by einsum labels."""
+    axis = {name: i for i, name in enumerate(onto)}
+    lead = arr.ndim - len(involved)
+    order = sorted(range(len(involved)), key=lambda i: axis[involved[i]])
+    shape = [1] * len(axis)
+    for name in involved:
+        shape[axis[name]] = cards[name]
+    return np.transpose(arr, [*range(lead), *(lead + i for i in order)]).reshape(*arr.shape[:lead], *shape)
+
+
 def reference_batch(cbn, base, axes, searched, flat):
-    """A literal copy of `control.policy_batch` as it was before it built
-    each chunk by one einsum: a copy of the base per combination, times one
-    factor per driver, laid out by `Cbn.expand`, whose table numbers come
-    from strides over the drivers' table counts."""
+    """The tensor of each combination numbered in ``flat``, and per
+    searched driver its picks, as the scan built them before it built each
+    chunk by one einsum: a copy of the base per combination, times one
+    factor per driver, laid out by `expand`, whose table numbers come from
+    strides over the drivers' table counts."""
     if not searched:
         # one combination, the empty one, whose batch is ``base`` itself
         return base[None], []
@@ -624,7 +688,7 @@ def reference_batch(cbn, base, axes, searched, flat):
         tables = flat // stride % count
         digits = tables[:, None] // len(rows) ** np.arange(cells - 1, -1, -1) % len(rows)
         factor = rows[digits].reshape(len(flat), *scope_cards, cards[driver])
-        batch *= cbn.expand(factor, [*scope, driver], axes)
+        batch *= expand(cards, factor, [*scope, driver], axes)
         picks.append(digits)
     return batch, picks
 
@@ -645,19 +709,45 @@ def plan_and_base(cbn, drivers, ip_class, desired):
 
 
 def laid_out(plan, base):
-    """``base`` as `policy_batch` takes it, its free drivers' axes first
-    and flattened into one, with the nodes of its other axes."""
+    """``base`` as the scan hands it to `control.table_chunks`, its free
+    drivers' axes first and flattened into one, with the nodes of its other
+    axes."""
     moved = base.transpose(plan.layout)
     rest = [plan.axes[i] for i in plan.layout[plan.free:]]
     return moved.reshape(-1, *moved.shape[plan.free:]), rest
 
 
-def chunk_numbers(plan, base):
-    """The combination numbers of each chunk of ``plan``'s scan: as many
-    combinations as fill `CHUNK_ELEMENTS` entries of the base without its
-    free drivers' axes."""
-    step = max(1, CHUNK_ELEMENTS // laid_out(plan, base)[0][0].size)
-    return [np.arange(start, min(start + step, plan.outer_total)) for start in range(0, plan.outer_total, step)]
+def numbered(t, numbers):
+    """A chunk's combination numbers, by position where the kernel gives
+    none: it gives none before any factor enters, over its one chunk, whose
+    leading axis is then numbered in order."""
+    return np.arange(len(t)) if numbers is None else numbers
+
+
+def kernel_chunks(plan, base):
+    """Each chunk of ``plan``'s kernel over ``base`` (in reduction order)
+    as ``(tensor, numbers)``."""
+    laid, _ = laid_out(plan, base)
+    return [
+        (t, numbered(t, numbers))
+        for t, numbers in control.table_chunks(laid, plan.steps, plan.outer_total // len(laid))
+    ]
+
+
+def spy_chunks(monkeypatch):
+    """Record, per call of ``control.table_chunks``, the combination
+    numbers of each chunk it yields and the chunk's shape."""
+    calls = []
+    real = control.table_chunks
+
+    def recording(*args):
+        calls.append([])
+        for t, numbers in real(*args):
+            calls[-1].append((numbered(t, numbers).copy(), t.shape))
+            yield t, numbers
+
+    monkeypatch.setattr(control, "table_chunks", recording)
+    return calls
 
 
 def reference_segments(plan):
@@ -672,8 +762,9 @@ def reference_segments(plan):
 
 
 class TestPolicyBatch:
-    """`control.policy_batch` must build each chunk's tensor and picks bit
-    for bit as `reference_batch` does."""
+    """`control.table_chunks` must give each combination's tensor, reduced
+    up to the chain, bit for bit as `reference_batch` and the reduction's
+    segments before the chain do, and number every combination once."""
 
     def cases(self):
         rng = np.random.default_rng(1900)
@@ -694,34 +785,40 @@ class TestPolicyBatch:
             ("chain only", nest, nest_drivers, CLASS_INF),
             ("free fan", random_cbn(rng, private, 3), private_drivers, CLASS_INF),
             ("free then factored", random_cbn(rng, free_then_factored()), FREE_THEN_FACTORED, CLASS_INF),
+            ("scope first", random_cbn(rng, scope_first(), {"b": 3} | dict.fromkeys("aeco", 2)), ("e", "c"), CLASS_INF),
         ]
 
-    def test_batches_are_bit_identical(self):
-        # a free driver's factor is one-hot, so summing its axis out of the
-        # reference batch reads the entry the scan reads off the base
-        plans, chunks = {}, {}
-        for name, cbn, drivers, ip_class in self.cases():
-            plan, base = plan_and_base(cbn, drivers, ip_class, {"o": 1})
-            plans[name], chunks[name] = plan, chunk_numbers(plan, base)
-            laid, rest = laid_out(plan, base)
-            factored = plan.searched[plan.free:]
-            free_axes = tuple(1 + i for i in plan.layout[:plan.free])
-            for flat in chunks[name]:
-                batch, picks = control.policy_batch(laid, rest, factored, int(flat[0]), int(flat[-1]) + 1)
-                expect, expect_picks = reference_batch(cbn, base, plan.axes, plan.searched, flat)
-                expect = expect.sum(axis=free_axes)
-                assert batch.dtype == expect.dtype and np.array_equal(batch, expect), name
-                assert len(picks) == len(factored), name
-                for got, want in zip(picks, expect_picks[plan.free:]):
-                    assert np.array_equal(got, want), name
+    def test_batches_are_bit_identical(self, monkeypatch):
+        # A free driver's factor is one-hot, so summing its axis out of the
+        # reference batch reads the entry the kernel reads off the base.
+        # Each plan is made here, at the real chunk size and at one small
+        # enough that the binary fan spans several chunks.
+        for chunk in (control.CHUNK_ELEMENTS, 256):
+            monkeypatch.setattr(control, "CHUNK_ELEMENTS", chunk)
+            plans, chunks = {}, {}
+            for name, cbn, drivers, ip_class in self.cases():
+                plan, base = plan_and_base(cbn, cbn.dag.canon(drivers), ip_class, {"o": 1})
+                plans[name], chunks[name] = plan, kernel_chunks(plan, base)
+                free_axes = tuple(1 + i for i in plan.layout[:plan.free])
+                numbers = np.concatenate([n for _, n in chunks[name]])
+                assert np.array_equal(np.sort(numbers), np.arange(plan.outer_total)), name
+                for t, flat in chunks[name]:
+                    expect, _ = reference_batch(cbn, base, plan.axes, plan.searched, flat)
+                    expect = expect.sum(axis=free_axes)
+                    for width, kind in plan.segments[:len(plan.segments) - len(plan.tail)]:
+                        assert kind is None
+                        expect = expect.sum(axis=tuple(range(1, 1 + width)))
+                    assert t.dtype == expect.dtype and np.array_equal(t, expect), (name, chunk)
         # each case has the shape it is named for
         assert len(chunks["binary fan"]) >= 3
         assert [scope for _, scope, _ in plans["shared scope"].searched] == [("a",), ("a",)]
         inner = plans["enumerated in a chain scope"]
         assert [e for e, _, _ in inner.searched] == ["e"] and "e" in inner.scopes["d"]
         assert (plans["chain only"].searched, plans["chain only"].outer_total) == ((), 1)
-        assert [plans[name].free for name in plans] == [0, 0, 0, 0, 0, 2, 1]
+        assert [plans[name].free for name in plans] == [0, 0, 0, 0, 0, 2, 1, 0]
         assert len(plans["free then factored"].searched) == 2
+        late = plans["scope first"]
+        assert [e for e, _, _ in late.searched] == ["e"] and late.axes.index("a") < late.axes.index("e")
 
 
 def rebuilt_witness(cbn, plan, base, direction, number):
@@ -776,31 +873,40 @@ class TestScanWitness:
     batch: it must equal `rebuilt_witness` of the winner a literal scan
     finds, first optimum and all."""
 
-    def witness(self, monkeypatch, cbn, drivers, desired, direction):
+    #: a chunk size small enough that the fans below span many chunks; each
+    #: test patches it before its first call on a structure, whose plan
+    #: then reads it
+    CHUNK = 256
+
+    def witness(self, cbn, drivers, desired, direction):
         """The witness as choice tuples, with the winner's number, the
-        scan's chunk count and its step, once the chunks are checked to
-        tile the combination numbers once, in order, and the witness
-        against `rebuilt_witness`."""
-        batches = spy_on(monkeypatch, "policy_batch")
-        value, pair = optimal_policy_value(cbn, drivers, CLASS_INF, desired, direction)
-        monkeypatch.undo()
+        scan's chunk count and the position of the winner's chunk among
+        them, once the chunks are checked to number every combination once
+        and the witness against `rebuilt_witness`."""
+        with pytest.MonkeyPatch.context() as patch:
+            calls = spy_chunks(patch)
+            value, pair = optimal_policy_value(cbn, drivers, CLASS_INF, desired, direction)
         plan, base = plan_and_base(cbn, drivers, CLASS_INF, desired)
-        flats = [np.arange(start, stop) for *_, start, stop in batches]
-        # the chunks tile range(outer_total) once, in order, and no batch
-        # follows the last
-        assert np.array_equal(np.concatenate(flats), np.arange(plan.outer_total))
-        expect = chunk_numbers(plan, base)
+        (chunks,) = calls
+        flats = [numbers for numbers, _ in chunks]
+        # the chunks number range(outer_total) once, as the kernel run
+        # outside the scan does
+        assert np.array_equal(np.sort(np.concatenate(flats)), np.arange(plan.outer_total))
+        expect = [numbers for _, numbers in kernel_chunks(plan, base)]
         assert len(flats) == len(expect) and all(map(np.array_equal, flats, expect))
         number = literal_winner(cbn, plan, base, direction)
         got = {p.target: tuple(row.index(1.0) for row in p.table.rows) for p in pair.policies}
         assert got == rebuilt_witness(cbn, plan, base, direction, number), direction
         assert interventional_prob(cbn, pair, desired) == pytest.approx(value, abs=1e-12)
-        return got, number, len(flats), len(flats[0])
+        at = next(i for i, numbers in enumerate(flats) if number in numbers)
+        return got, number, len(flats), at
 
     def test_fans_spanning_chunks_with_an_early_winner(self, monkeypatch):
         # four binary fan drivers of 4 tables each are enumerated over a
         # 2^10 base, eight chunks; two ternary ones of 27 tables each over
-        # a 3^6 base, seventeen chunks
+        # a 3^6 base, eighty-one chunks.  A winner before the last chunk
+        # must hold against every later one.
+        monkeypatch.setattr(control, "CHUNK_ELEMENTS", self.CHUNK)
         early = 0
         for k, card, seeds in ((5, 2, range(60, 66)), (3, 3, range(70, 74))):
             dag = fan_dag(k)
@@ -808,14 +914,15 @@ class TestScanWitness:
             for seed in seeds:
                 cbn = random_cbn(np.random.default_rng(seed), dag, dict.fromkeys(dag.nodes, card))
                 for direction in BOTH:
-                    _, number, chunks, step = self.witness(monkeypatch, cbn, drivers, {"o": 1}, direction)
+                    _, _, chunks, at = self.witness(cbn, drivers, {"o": 1}, direction)
                     assert chunks >= 3
-                    early += number < (chunks - 1) * step
+                    early += at < chunks - 1
         assert early >= 10
 
     def test_all_tie_networks_keep_combination_zero(self, monkeypatch):
         # m is always 0 and o ignores m, so every table combination gives
         # the same value exactly; the first, all choices 0, must win
+        monkeypatch.setattr(control, "CHUNK_ELEMENTS", self.CHUNK)
         for k, card in ((5, 2), (3, 3)):
             dag = fan_dag(k)
             drivers = tuple(f"d{i}" for i in range(k))
@@ -829,7 +936,7 @@ class TestScanWitness:
             cbn = Cbn(dag, cbn.cards, cpds)
             assert not cbn.deterministic
             for direction in BOTH:
-                got, number, chunks, _ = self.witness(monkeypatch, cbn, drivers, {"o": 1}, direction)
+                got, number, chunks, _ = self.witness(cbn, drivers, {"o": 1}, direction)
                 assert chunks >= 3 and number == 0
                 assert all(set(choices) == {0} for choices in got.values())
 
@@ -899,6 +1006,21 @@ class TestFreeDrivers:
             plan, got = self.check(cbn, FREE_THEN_FACTORED, CLASS_INF, {"o": 1}, Direction.MAX)
             assert plan.free == int(free_first)
             assert (got["e"], got["f"]) == ((e, e), (1 - e, 1 - e))
+
+    def test_a_tie_in_a_later_chunk_with_a_smaller_number_wins(self, monkeypatch):
+        # With one table per chunk the kernel takes e's two tables in its
+        # outer loop, so the maximum at e = 0 with f always 1 (number 6, f's
+        # digits first) comes before the one at e = 1 with f always 0
+        # (number 1), which the tie-break must keep, as a scan in number
+        # order would.  The network is new, so its plan reads the patched
+        # chunk size.
+        monkeypatch.setattr(control, "CHUNK_ELEMENTS", 1)
+        cbn = differ_tie(free_then_factored(False), np.random.default_rng(3202))
+        calls = spy_chunks(monkeypatch)
+        _, got = self.check(cbn, FREE_THEN_FACTORED, CLASS_INF, {"o": 1}, Direction.MAX)
+        order = [int(n) for numbers, _ in calls[0] for n in numbers]
+        assert order.index(6) < order.index(1)
+        assert (got["e"], got["f"]) == ((1, 1), (0, 0))
 
     def test_the_runs_beside_a_free_driver_stay_two_sums(self):
         # f reads s1 and s2, and free e lies between them in node order, so

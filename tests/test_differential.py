@@ -45,6 +45,16 @@ def test_snapshot_replays():
     assert sorted(ties) == sorted(TIE_CHANGES), "tie changes must be listed in TIE_CHANGES"
 
 
+def test_small_chunks_write_the_snapshot(monkeypatch):
+    # With chunks of 64 entries the kernel takes most drivers in blocks,
+    # and its chunks come out of number order; the corpus must still write
+    # the snapshot byte for byte, every tie kept where it was.  Each entry
+    # draws a new structure, so each plan reads the patched size.
+    monkeypatch.setattr(control, "CHUNK_ELEMENTS", 64)
+    entries = [entry for entry, _, _ in differential.corpus()]
+    assert differential.dumps(entries) == SNAPSHOT.read_text()
+
+
 def test_snapshot_covers_every_kind_and_refusal():
     with open(SNAPSHOT) as fh:
         entries = json.load(fh)

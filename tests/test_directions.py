@@ -9,6 +9,7 @@ must be exactly what a call for its direction alone gives: the same value
 import numpy as np
 import pytest
 
+import cbnctrl.control as control
 import cbnctrl.oracle as oracle
 from cbnctrl import (
     CLASS1,
@@ -127,18 +128,20 @@ class TestGridPolicyValues:
         assert checked >= 8
 
     def test_one_scan_serves_both_directions(self, monkeypatch):
-        # the chunks of one contraction serve every direction: a call for
-        # both builds as many as a call for one
+        # the chunks of one pass of the kernel serve every direction: a
+        # call for both builds as many as a call for one
         runs = []
-        chunks = oracle._grid_chunks
+        chunks = oracle.table_chunks
 
         def counting(*args):
             runs.append(0)
-            for values in chunks(*args):
+            for chunk in chunks(*args):
                 runs[-1] += 1
-                yield values
+                yield chunk
 
-        monkeypatch.setattr(oracle, "_grid_chunks", counting)
+        monkeypatch.setattr(oracle, "table_chunks", counting)
+        # chunks of 800 entries, which the grids below first read here
+        monkeypatch.setattr(control, "CHUNK_ELEMENTS", 800)
         cases = [
             (screening_chain(), ("y1", "y2"), CLASS1),
             (random_cbn(np.random.default_rng(9), grid_heavy()), ("d0", "d1", "d2"), CLASS_INF),

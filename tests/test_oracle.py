@@ -9,6 +9,7 @@ from math import prod
 import numpy as np
 import pytest
 
+import cbnctrl.control as control
 import cbnctrl.oracle as oracle
 from cbnctrl import (
     Budget,
@@ -448,13 +449,15 @@ class TestGridAgainstLiteralTables:
                 got = grid_policy_search(cbn, drivers, ip_class, desired, direction)
                 assert got == pytest.approx(want, abs=1e-12)
 
-    @pytest.mark.parametrize("chunk", [oracle.CHUNK_ELEMENTS, 800, 1])
+    @pytest.mark.parametrize("chunk", [control.CHUNK_ELEMENTS, 800, 1])
     def test_every_chunking_of_the_factors(self, monkeypatch, chunk):
-        # At the real chunk size the grid_heavy shape (3125 combinations
-        # over 32 base entries) contracts d2 and d1 whole and takes d0 in
-        # blocks of five tables; at 800 entries d2 is whole, d1 goes in
-        # blocks and d0 one table at a time; at 1 every driver does.
-        monkeypatch.setattr(oracle, "CHUNK_ELEMENTS", chunk)
+        # At the real chunk size the grid_heavy shape (3125 combinations)
+        # contracts every driver whole, in one chunk; at 800 entries d2 is
+        # whole and d1 and d0 go in blocks of five tables; at 1 every driver
+        # goes one table at a time.  The kernel reads the chunk size when a
+        # structure's grid is first planned, and each case below is a new
+        # structure.
+        monkeypatch.setattr(control, "CHUNK_ELEMENTS", chunk)
         rng = np.random.default_rng(2029)
         shared = Dag(["r", "x", "y", "o"], [("r", "x"), ("r", "y"), ("x", "o"), ("y", "o")])
         ternary = Dag(["a", "b", "o"], [("a", "b"), ("b", "o"), ("a", "o")])

@@ -34,7 +34,7 @@ from cbnctrl import (
 )
 from cbnctrl.oracle import BOTH, iter_subsets
 
-from test_control import deterministic_copy, fan_dag, screening_chain
+from test_control import deterministic_copy, fan_dag, kept_plan, screening_chain, spy_chunks
 from test_directions import assert_matches_single_calls, chain_network
 from test_graph import junction
 from test_requisite import nest
@@ -59,13 +59,14 @@ class TestStages:
 
     def test_chain_only_plan_scans_one_combination(self, monkeypatch):
         # the class-inf scopes of nest nest, so every driver is chained and
-        # the scan has one combination, the empty one: one batch, of
-        # combination 0 alone, with no factored driver
+        # the scan has one combination, the empty one: one pass of the
+        # kernel, with no step, yields one chunk, of combination 0 alone
         cbn = random_cbn(np.random.default_rng(42), nest(5))
         drivers = tuple(f"d{i}" for i in range(5))
-        batches = spy(monkeypatch, "policy_batch")
+        calls = spy_chunks(monkeypatch)
         optimal_policy_value(cbn, drivers, CLASS_INF, {"o": 1}, BOTH[0])
-        assert [args[2:] for args in batches] == [((), 0, 1)]
+        assert [[numbers.tolist() for numbers, _ in chunks] for chunks in calls] == [[[0]]]
+        assert kept_plan(cbn, drivers, CLASS_INF, {"o": 1}).steps == ()
         for ip_class in (CLASS1, IpClass(2), CLASS_INF):
             assert_matches_single_calls(cbn, drivers, ip_class, {"o": 1})
 
@@ -170,7 +171,7 @@ class TestSuitesBuildNoWitness:
     def test_values_scan_records_nothing(self, no_witnesses, monkeypatch):
         # a chain-only nest, a fan that enumerates over several chunks and
         # a ternary fan, each reduced without recording
-        batches = spy(monkeypatch, "policy_batch")
+        calls = spy_chunks(monkeypatch)
         cases = [
             (random_cbn(np.random.default_rng(42), nest(5)), tuple(f"d{i}" for i in range(5))),
             (random_cbn(np.random.default_rng(60), fan_dag(5)), tuple(f"d{i}" for i in range(5))),
@@ -181,8 +182,8 @@ class TestSuitesBuildNoWitness:
                 assert len(optimal_values(cbn, drivers, ip_class, {"o": 1}, BOTH)) == 2
             with pytest.raises(AssertionError, match="recorded"):
                 optimal_policy_value(cbn, drivers, CLASS_INF, {"o": 1}, BOTH[0])
-        # some scan numbered at least 256 combinations
-        assert max(stop for *_, stop in batches) >= 256
+        # at least 256 tables passed through the kernel in some scan
+        assert max(sum(len(numbers) for numbers, _ in chunks) for chunks in calls) >= 256
 
     def test_suites_read_values_only(self, no_witnesses, monkeypatch):
         # no scan is asked for a witness: a witness served by tables the

@@ -29,7 +29,7 @@ from cbnctrl import (
 from cbnctrl.control import _first_table, live_drivers
 from cbnctrl.intervention import scope_for_class
 
-from test_control import dead_fan, deterministic_copy, fan_dag, kept_plan, live_and_dead, spy_on
+from test_control import dead_fan, deterministic_copy, fan_dag, kept_plan, live_and_dead, spy_chunks
 from test_requisite import nest
 
 CLASSES = (CLASS0, CLASS1, IpClass(2), CLASS_INF)
@@ -100,7 +100,7 @@ CASES = witness_cases()
 @pytest.mark.parametrize("name, cbn, drivers, desired", CASES, ids=[case[0] for case in CASES])
 def test_pairs_equal_the_three_builders(monkeypatch, name, cbn, drivers, desired):
     # each call plans once, and the chain path's winner feeds the
-    # reference; the 0/1 path builds no batch
+    # reference; the 0/1 path runs no kernel
     scan_plan = control._scan_plan
     records = []
 
@@ -109,7 +109,7 @@ def test_pairs_equal_the_three_builders(monkeypatch, name, cbn, drivers, desired
         return records[-1]
 
     monkeypatch.setattr(control, "_scan_plan", recording)
-    batches = spy_on(monkeypatch, "policy_batch")
+    batches = spy_chunks(monkeypatch)
     chain = bool(live_drivers(cbn.dag, cbn.dag.canon(drivers), desired)) and not cbn.deterministic
     for ip_class in CLASSES:
         for direction in Direction:
