@@ -39,7 +39,7 @@ from cbnctrl import (
     solve,
     usm_adversarial_cbn,
 )
-from cbnctrl.control import CHUNK_ELEMENTS, _gather, _pick_chain
+from cbnctrl.control import _gather, _pick_chain
 from cbnctrl.intervention import scope_for_class
 from cbnctrl.graph import INF
 from cbnctrl.oracle import (
@@ -404,11 +404,18 @@ def scan_atomic(cbn, drivers, desired, direction):
     return best
 
 
+#: a chunk size at which the kernel takes `fan_dag(5)`'s 256 combinations
+#: in eight chunks and `fan_dag(5, lead=("z",))`'s 512 in sixteen; a test
+#: patches it before its first call on a structure, whose plans read it
+SMALL_CHUNK = 256
+
+
 class TestBatchedSearch:
-    def test_combinations_spanning_chunks_match_naive(self):
+    def test_combinations_spanning_chunks_match_naive(self, monkeypatch):
         # four enumerated drivers of four tables each, over a 2^10 block of
-        # driver and scope axes: 256 combinations fill at least three chunks
-        assert 4 ** 4 * 2 ** 10 >= 3 * CHUNK_ELEMENTS
+        # driver and scope axes: 256 combinations in eight chunks
+        monkeypatch.setattr(control, "CHUNK_ELEMENTS", SMALL_CHUNK)
+        calls = spy_chunks(monkeypatch)
         dag = fan_dag(5)
         drivers = tuple(f"d{i}" for i in range(5))
         cbn = random_cbn(np.random.default_rng(55), dag)
@@ -417,12 +424,14 @@ class TestBatchedSearch:
             got, pair = optimal_policy_value(cbn, drivers, CLASS_INF, {"o": 1}, direction)
             assert abs(got - expect) <= 1e-12
             assert interventional_prob(cbn, pair, {"o": 1}) == pytest.approx(got, abs=1e-12)
+        assert [len(chunks) for chunks in calls] == [8, 8]
 
-    def test_tied_tables_keep_the_first_within_and_across_chunks(self):
+    def test_tied_tables_keep_the_first_within_and_across_chunks(self, monkeypatch):
         # z has no children and is no target, so both of its tables tie
-        # exactly.  It is the first driver: with two fan drivers all
-        # combinations share one chunk, with five its second table is only
-        # reached in later chunks.  Neither may replace the first table.
+        # exactly.  It is the first driver, free, so its values lead every
+        # chunk: with two fan drivers all combinations share one chunk, with
+        # five they span sixteen.  Neither may replace the first table.
+        monkeypatch.setattr(control, "CHUNK_ELEMENTS", SMALL_CHUNK)
         for k, seed in ((2, 56), (5, 57)):
             dag = fan_dag(k, lead=("z",))
             drivers = ("z",) + tuple(f"d{i}" for i in range(k))
@@ -736,14 +745,14 @@ def kernel_chunks(plan, base):
 
 def spy_chunks(monkeypatch):
     """Record, per call of ``control.table_chunks``, the combination
-    numbers of each chunk it yields and the chunk's shape."""
+    numbers of each chunk it yields."""
     calls = []
     real = control.table_chunks
 
     def recording(*args):
         calls.append([])
         for t, numbers in real(*args):
-            calls[-1].append((numbered(t, numbers).copy(), t.shape))
+            calls[-1].append(numbered(t, numbers).copy())
             yield t, numbers
 
     monkeypatch.setattr(control, "table_chunks", recording)
@@ -793,7 +802,7 @@ class TestPolicyBatch:
         # reference batch reads the entry the kernel reads off the base.
         # Each plan is made here, at the real chunk size and at one small
         # enough that the binary fan spans several chunks.
-        for chunk in (control.CHUNK_ELEMENTS, 256):
+        for chunk in (control.CHUNK_ELEMENTS, SMALL_CHUNK):
             monkeypatch.setattr(control, "CHUNK_ELEMENTS", chunk)
             plans, chunks = {}, {}
             for name, cbn, drivers, ip_class in self.cases():
@@ -873,11 +882,6 @@ class TestScanWitness:
     batch: it must equal `rebuilt_witness` of the winner a literal scan
     finds, first optimum and all."""
 
-    #: a chunk size small enough that the fans below span many chunks; each
-    #: test patches it before its first call on a structure, whose plan
-    #: then reads it
-    CHUNK = 256
-
     def witness(self, cbn, drivers, desired, direction):
         """The witness as choice tuples, with the winner's number, the
         scan's chunk count and the position of the winner's chunk among
@@ -887,8 +891,7 @@ class TestScanWitness:
             calls = spy_chunks(patch)
             value, pair = optimal_policy_value(cbn, drivers, CLASS_INF, desired, direction)
         plan, base = plan_and_base(cbn, drivers, CLASS_INF, desired)
-        (chunks,) = calls
-        flats = [numbers for numbers, _ in chunks]
+        (flats,) = calls
         # the chunks number range(outer_total) once, as the kernel run
         # outside the scan does
         assert np.array_equal(np.sort(np.concatenate(flats)), np.arange(plan.outer_total))
@@ -906,7 +909,7 @@ class TestScanWitness:
         # 2^10 base, eight chunks; two ternary ones of 27 tables each over
         # a 3^6 base, eighty-one chunks.  A winner before the last chunk
         # must hold against every later one.
-        monkeypatch.setattr(control, "CHUNK_ELEMENTS", self.CHUNK)
+        monkeypatch.setattr(control, "CHUNK_ELEMENTS", SMALL_CHUNK)
         early = 0
         for k, card, seeds in ((5, 2, range(60, 66)), (3, 3, range(70, 74))):
             dag = fan_dag(k)
@@ -922,7 +925,7 @@ class TestScanWitness:
     def test_all_tie_networks_keep_combination_zero(self, monkeypatch):
         # m is always 0 and o ignores m, so every table combination gives
         # the same value exactly; the first, all choices 0, must win
-        monkeypatch.setattr(control, "CHUNK_ELEMENTS", self.CHUNK)
+        monkeypatch.setattr(control, "CHUNK_ELEMENTS", SMALL_CHUNK)
         for k, card in ((5, 2), (3, 3)):
             dag = fan_dag(k)
             drivers = tuple(f"d{i}" for i in range(k))
@@ -1018,7 +1021,7 @@ class TestFreeDrivers:
         cbn = differ_tie(free_then_factored(False), np.random.default_rng(3202))
         calls = spy_chunks(monkeypatch)
         _, got = self.check(cbn, FREE_THEN_FACTORED, CLASS_INF, {"o": 1}, Direction.MAX)
-        order = [int(n) for numbers, _ in calls[0] for n in numbers]
+        order = [int(n) for numbers in calls[0] for n in numbers]
         assert order.index(6) < order.index(1)
         assert (got["e"], got["f"]) == ((1, 1), (0, 0))
 

@@ -33,7 +33,7 @@ from cbnctrl.graph import INF
 from cbnctrl.intervention import scope_for_class
 from cbnctrl.oracle import BOTH, iter_subsets
 
-from test_control import deterministic_copy, fan_dag, screening_chain
+from test_control import SMALL_CHUNK, deterministic_copy, fan_dag, screening_chain
 from test_oracle import grid_heavy
 from test_requisite import explaining_away, fan, nest, record_requisite
 
@@ -70,14 +70,16 @@ class TestOptimalPolicyValues:
         for ip_class in (CLASS1, IpClass(2), CLASS_INF):
             assert_matches_single_calls(cbn, drivers, ip_class, {"o": 1})
 
-    def test_enumerated_fan_spanning_chunks(self):
-        # the fan of TestBatchedSearch: 256 combinations over several chunks
+    def test_enumerated_fan_spanning_chunks(self, monkeypatch):
+        # the fan of TestBatchedSearch: 256 combinations in eight chunks
+        monkeypatch.setattr(control, "CHUNK_ELEMENTS", SMALL_CHUNK)
         cbn = random_cbn(np.random.default_rng(55), fan_dag(5))
         assert_matches_single_calls(cbn, tuple(f"d{i}" for i in range(5)), CLASS_INF, {"o": 1})
 
-    def test_tied_tables_keep_the_first_in_each_direction(self):
-        # z's two tables tie exactly, within one chunk (k = 2) and across
-        # chunks (k = 5); neither direction may take its second table
+    def test_tied_tables_keep_the_first_in_each_direction(self, monkeypatch):
+        # z's two tables tie exactly, within one chunk (k = 2) and in each
+        # of sixteen chunks (k = 5); neither direction may take its second
+        monkeypatch.setattr(control, "CHUNK_ELEMENTS", SMALL_CHUNK)
         for k, seed in ((2, 56), (5, 57)):
             cbn = random_cbn(np.random.default_rng(seed), fan_dag(k, lead=("z",)))
             drivers = ("z",) + tuple(f"d{i}" for i in range(k))

@@ -65,7 +65,7 @@ class TestStages:
         drivers = tuple(f"d{i}" for i in range(5))
         calls = spy_chunks(monkeypatch)
         optimal_policy_value(cbn, drivers, CLASS_INF, {"o": 1}, BOTH[0])
-        assert [[numbers.tolist() for numbers, _ in chunks] for chunks in calls] == [[[0]]]
+        assert [[numbers.tolist() for numbers in chunks] for chunks in calls] == [[[0]]]
         assert kept_plan(cbn, drivers, CLASS_INF, {"o": 1}).steps == ()
         for ip_class in (CLASS1, IpClass(2), CLASS_INF):
             assert_matches_single_calls(cbn, drivers, ip_class, {"o": 1})
@@ -183,7 +183,7 @@ class TestSuitesBuildNoWitness:
             with pytest.raises(AssertionError, match="recorded"):
                 optimal_policy_value(cbn, drivers, CLASS_INF, {"o": 1}, BOTH[0])
         # at least 256 tables passed through the kernel in some scan
-        assert max(sum(len(numbers) for numbers, _ in chunks) for chunks in calls) >= 256
+        assert max(sum(map(len, chunks)) for chunks in calls) >= 256
 
     def test_suites_read_values_only(self, no_witnesses, monkeypatch):
         # no scan is asked for a witness: a witness served by tables the
