@@ -14,10 +14,10 @@ What a suite derives from the structure alone, the dag keeps through
 keeps there: ``"brackets"``, `verify_lemma3`'s schedule of brackets and
 optimizer calls per pool, event nodes and class levels, and ``"grid"``,
 `grid_policy_values`' layout and kernel steps, with their read-only grid
-factors, per cards, drivers, class level and step.  `verify_usm`'s pair forcing every driver to 1 is
-made of `control.atomic_policy_on`'s kept policies.  So a suite run again,
-on the same network or on another parametrization of its structure, walks
-no graph.
+factors, per cards, drivers, class level and step.  `verify_usm`'s pair
+forcing every driver to 1 is made of `control.atomic_policy_on`'s kept
+policies.  So a suite run again, on the same network or on another
+parametrization of its structure, walks no graph.
 """
 
 from __future__ import annotations
