@@ -6,7 +6,8 @@ simplex attains every optimum; forcing one value per scope configuration
 loses nothing.  That choice is what keeps exact search tractable at desk
 scale, and `oracle.grid_policy_search` exists to double-check it against
 stochastic tables, on the same kernel (`table_chunks`).  The independent
-references are `oracle.naive_policy_search` and the tests' own.
+references are `oracle.naive_policy_search` and the tests'
+`reference_batch` and `literal_grid_values`.
 
 Only live drivers are searched (`live_drivers`): a driver that is neither
 a node of the desired event nor an ancestor of one has no directed path to
