@@ -1,22 +1,28 @@
 """Discrete Bayesian networks over a Dag, with exact inference by one
 contraction.
 
-Every probability the package computes is read off `Cbn.joint` under a
-`Budget`: the full-joint tensor, or with ``keep`` its marginal over named
-nodes.  That keeps one inference engine, and every probability query
-meets the state-space cap in `Cbn.check_joint`.  A caller that multiplies
-factors into a marginal lays them out by the order of ``keep``.  A query
-contracts only the CPD tables it needs: nodes that are neither kept, nor
-in the event, nor ancestors of those are barren, and their tables, whose
-rows sum to one, are dropped (Shachter 1986).  Event values slice the
-tables they appear in, and one ``np.einsum`` sums the rest.  What to
-contract depends only on the query's shape (the kept nodes, the skipped
-set and the nodes the event names) and on the network's layout (its cards
-and each CPD's parent order), never on the CPD entries.  So the dag keeps
-one plan per layout and shape (`Dag.derived`, under ``"joint"``), checked
-and made on the first call of any network of that layout; each network
-keeps that plan with its own CPD arrays in place, and a repeated query
-only checks and slices in its event values.  A network holds only its
+Every probability the package computes is one contraction behind
+`Cbn.joint`, under a `Budget`: the full-joint tensor, or with ``keep`` its
+marginal over named nodes.  That keeps one inference engine, and every
+probability query meets the state-space cap in `Cbn.check_joint`.  A
+caller that multiplies factors into a marginal lays them out by the order
+of ``keep``.  A policy table can also stand in for a skipped node's CPD as
+one more operand (`Cbn._contract`): that is how
+`intervention.interventional_prob` sums Pearl's truncated factorization in
+the same contraction.  A query contracts only the tables it needs: nodes
+that are neither kept, nor in the event, nor ancestors of those are barren,
+and their tables, whose rows sum to one, are dropped (Shachter 1986).
+Event values slice the tables they appear in, and one ``np.einsum`` sums
+the rest.  What to contract depends only on the query's shape (the kept
+nodes, the skipped set, the nodes the event names and each stand-in
+table's owner and parents) and on the network's layout (its cards and each
+CPD's parent order), never on a table's entries.  So the dag keeps one
+plan per layout and shape (`Dag.derived`, under ``"joint"``), checked and
+made on the first call of any network of that layout: the einsum's
+operands and labels, with a slot for each CPD, each stand-in table and each
+operand an event value slices.  Each network keeps that plan with its own
+CPD arrays in place, and a repeated query only checks, puts in its
+stand-in tables and slices in its event values.  A network holds only its
 CPDs, those plans and its layout; what other modules derive from the
 structure they keep on the dag themselves, keyed by `Cbn.card_tuple`.
 The literal sum over completions survives only as
@@ -410,16 +416,25 @@ class Cbn:
         self.check_joint(event, budget)
         return self._contract(event or {}, skip, keep)
 
-    def _contract(self, event: Mapping[str, int], skip=(), keep=None) -> np.ndarray:
+    def _contract(self, event: Mapping[str, int], skip=(), keep=None, tables=()) -> np.ndarray:
         """`joint` without `check_joint`, for a caller that has run it on
-        ``event`` already."""
+        ``event`` already.  Each `Cpd` of ``tables`` (a sequence) stands in
+        for its owner, a node of ``skip``: its table is one more factor of
+        the product, laid out by its own parents, which must be ancestors of
+        its owner, with the cards of the network's nodes."""
         kept = self._dag.nodes if keep is None else tuple(keep)
-        shape = (kept, frozenset(skip), frozenset(event))
+        if tables:
+            shape = (kept, frozenset(skip), frozenset(event), tuple([(t.owner, t.parents) for t in tables]))
+        else:
+            shape = (kept, frozenset(skip), frozenset(event))
         plan = self._plans.get(shape)
         if plan is None:
             plan = self._plans[shape] = self._fill(shape)
-        operands, slots, output, dims = plan
+        operands, places, slots, output, dims = plan
         operands = operands.copy()
+        if tables:
+            for at, table in zip(places, tables):
+                operands[at] = table.array()
         for at, axes in slots:
             operands[at] = operands[at][tuple([_WHOLE if n is None else event[n] for n in axes])]
         return np.einsum(*operands, output, out=np.empty(dims), optimize=False)
@@ -427,43 +442,53 @@ class Cbn:
     def _fill(self, shape: tuple) -> tuple:
         # the dag's plan of ``shape`` for this network's layout, made by
         # `_plan` on the first call of any network of that layout, with this
-        # network's CPD arrays in place: ``(operands, slots, output, dims)``
-        operands, tables, slots, output, dims = self._dag.derived(
+        # network's CPD arrays in place: ``(operands, places, slots, output,
+        # dims)``
+        operands, cpds, places, slots, output, dims = self._dag.derived(
             "joint", (self._layout, shape), lambda: self._plan(*shape)
         )
         operands = operands.copy()
-        for at, name in tables:
+        for at, name in cpds:
             operands[at] = self._cpds[name].array()
-        return operands, slots, output, dims
+        return operands, places, slots, output, dims
 
-    def _plan(self, kept: tuple, skip: frozenset, given: frozenset) -> tuple:
+    def _plan(self, kept: tuple, skip: frozenset, given: frozenset, scopes: tuple = ()) -> tuple:
         """`joint`'s contraction for one query shape, once ``kept`` holds
         distinct nodes and ``skip`` only nodes, with ``given`` the nodes the
-        event names: ``(operands, tables, slots, output, dims)``.  It
-        depends on the dag, the cards and each CPD's parent order, and on
-        no CPD entry.
+        event names and ``scopes`` the ``(owner, parents)`` of each table
+        that stands in for a skipped node (`_contract`):
+        ``(operands, cpds, places, slots, output, dims)``.  It depends on
+        the dag, the cards, each CPD's parent order and each table's, and on
+        no CPD or table entry.
 
         ``operands`` alternates arrays and label lists, as `np.einsum`
-        takes them, with ``None`` where a CPD goes: each ``(at, name)`` of
-        ``tables`` marks the operand that is ``name``'s read-only CPD array.
-        Each slot ``(at, axes)`` marks an operand that depends on the event
-        values: it is indexed by the event value of each node named in
-        ``axes`` (``None`` leaves that axis whole).  An event node in
-        ``kept`` is a row of a read-only identity matrix; any other event
-        node slices the CPDs it appears in.
+        takes them, with ``None`` where a table goes: each ``(at, name)`` of
+        ``cpds`` marks the operand that is ``name``'s read-only CPD array,
+        and the ``j``-th entry of ``places`` the operand that is the
+        ``j``-th stand-in table, filled per call.  Each slot ``(at, axes)``
+        marks an operand that depends on the event values: it is indexed
+        by the event value of each node named in ``axes`` (``None`` leaves
+        that axis whole).  An event node in ``kept`` is a row of a
+        read-only identity matrix; any other event node slices the tables
+        it appears in, stand-ins included.
         """
         if len(set(map(self._dag.index, kept))) != len(kept):
             raise ValueError(f"keep repeats a node: {list(kept)}")
         self._dag.canon(skip)
         nodes = self._dag.nodes
         cards = self._cards
-        needed = {*kept, *given}
-        stack = [name for name in needed if name not in skip]
+        # each node with a factor, by the parents its factor reads: a
+        # stand-in's parents are its table's, not its CPD's
+        stand_ins = dict(scopes)
+        parents = {name: cpd.parents for name, cpd in self._cpds.items() if name not in skip}
+        parents.update(stand_ins)
+        needed = {*kept, *given, *stand_ins}
+        stack = [name for name in needed if name in parents]
         while stack:
-            for parent in self._cpds[stack.pop()].parents:
+            for parent in parents[stack.pop()]:
                 if parent not in needed:
                     needed.add(parent)
-                    if parent not in skip:
+                    if parent in parents:
                         stack.append(parent)
         # labels are numbered per shape over the needed nodes, which may be
         # far fewer than a network's nodes
@@ -478,7 +503,8 @@ class Cbn:
         # free axis multiplies by its cardinality
         count = prod(cards[n] for n in nodes if n in skip and n not in needed)
         operands: list = [float(count), []]
-        tables = []
+        cpds = []
+        place = {}
         slots = []
         covered = set()
         # operands in dag order, never in set order, so the sums run in the
@@ -490,12 +516,15 @@ class Cbn:
                 slots.append((len(operands), (name,)))
                 operands += [_read_only(np.eye(cards[name])), [label[name]]]
                 covered.add(name)
-            if name in skip:
+            if name not in parents:
                 continue
-            involved = (*self._cpds[name].parents, name)
+            involved = (*parents[name], name)
             if not pinned.isdisjoint(involved):
                 slots.append((len(operands), tuple(n if n in pinned else None for n in involved)))
-            tables.append((len(operands), name))
+            if name in stand_ins:
+                place[name] = len(operands)
+            else:
+                cpds.append((len(operands), name))
             involved = [n for n in involved if n not in pinned]
             operands += [None, [label[n] for n in involved]]
             covered.update(involved)
@@ -503,7 +532,8 @@ class Cbn:
             if name not in covered:
                 operands += [_read_only(np.ones(cards[name])), [label[name]]]
         return (
-            operands, tuple(tables), tuple(slots), [label[name] for name in kept], [cards[name] for name in kept]
+            operands, tuple(cpds), tuple(map(place.get, stand_ins)), tuple(slots),
+            [label[name] for name in kept], [cards[name] for name in kept],
         )
 
     def marginal_prob(self, event: Mapping[str, int], budget: Budget | None = None) -> float:

@@ -65,21 +65,23 @@ driver, which fix the scope, so each is built and shape-checked once.
 On the chain path, everything `_scan_plan` decides before it asks for the
 base tensor depends only on the structure, the cards and the query's
 shape: the live drivers, the policy class and the nodes the desired event
-names.  It forms one `SearchPlan`, the kernel's steps and factors
-included, which the dag keeps per cards and shape, made on the first call
-of any network on it.  The deterministic path plans nothing.  Every call
-checks its arguments and its `Budget`, the work estimate included, before
-any tensor is built, and each check runs once: the base tensor comes from
-the contraction behind `Cbn.joint`, after the call's own
-`Cbn.check_joint`.
+names.  It forms one `SearchPlan`, which the dag keeps per cards and
+shape, made on the first call of any network on it; the kernel's steps
+and factors (`plan_kernel`) are kept under the same key once a call has
+passed its work checks, so a refused call builds no factor.  The
+deterministic path plans nothing.  Every call checks its arguments and
+its `Budget`, the work estimate included, before any tensor is built, and
+each check runs once: the base tensor comes from the contraction behind
+`Cbn.joint`, after the call's own `Cbn.check_joint`.
 
 The dag keeps what this module derives from the structure alone
-(`Dag.derived`), under names no other module uses: ``"search"`` and
-``"first tables"`` above, `c_star`'s drivers (``"c_star"``), the event's
-nodes and their ancestors that `live_drivers` reads (``"upstream"``), one
-atomic policy per driver, value and card (``"atomic"``), which the 0/1
-witness path, `solve`'s min-min shortcut and `oracle.verify_usm` share,
-and `usm_adversarial_cbn`'s networks (``"usm"``).  None depends on a CPD
+(`Dag.derived`), under names no other module uses: ``"search"``,
+``"kernel"`` and ``"first tables"`` above, `c_star`'s drivers
+(``"c_star"``), the event's nodes and their ancestors that `live_drivers`
+reads (``"upstream"``), one atomic policy per driver, value and card
+(``"atomic"``), which the 0/1 witness path, `solve`'s min-min shortcut
+and `oracle.verify_usm` share, and `usm_adversarial_cbn`'s networks
+(``"usm"``).  None depends on a CPD
 entry, a budget or an event value, so a warm call walks no graph.
 """
 
@@ -528,15 +530,15 @@ class SearchPlan:
     the reduction's runs over those others: ``(width, None)`` sums, and
     ``(width, driver)`` reduces a chain driver; the runs on either side of a
     free driver's axis stay apart, so each adds as it would with that axis
-    summed between them.  ``steps`` are the kernel's (`kernel_steps`), and
-    ``tail`` the segments it leaves, from the first chain driver on.
-    ``outer_total`` counts the table combinations, free ones included, and
-    ``radices`` are a combination number's digits, one per enumerated
-    driver's searched scope cell.  ``gathers`` maps each driver, enumerated
-    drivers first, then the chain, to the read-only `_gather` index that
-    takes its row to its class scope's row-major order: an enumerated
-    driver's digits are laid out over its searched scope, a chain driver's
-    choices over the axes left when it is reduced.
+    summed between them.  ``outer_total`` counts the table combinations,
+    free ones included, and ``radices`` are a combination number's digits,
+    one per enumerated driver's searched scope cell.  ``gathers`` maps each
+    driver, enumerated drivers first, then the chain, to the read-only
+    `_gather` index that takes its row to its class scope's row-major
+    order: an enumerated driver's digits are laid out over its searched
+    scope, a chain driver's choices over the axes left when it is reduced.
+    The kernel's steps are not part of the plan: `plan_kernel` makes them
+    once a call has passed its work checks.
     """
 
     scopes: dict[str, tuple[str, ...]]
@@ -547,8 +549,6 @@ class SearchPlan:
     segments: tuple[tuple[int, str | None], ...]
     outer_total: int
     gathers: dict[str, np.ndarray]
-    steps: tuple
-    tail: tuple[tuple[int, str | None], ...]
     radices: tuple[int, ...]
 
 
@@ -624,11 +624,17 @@ def _search_plan(
             gathers[key] = _gather(cards, scopes[key], rest[pos:])
         segments.append((width, key if key in chain else None))
     searched = tuple((e, searched_scopes[e], _read_only(np.eye(cards[e]))) for e in enumerated)
-    steps, tail = kernel_steps(cards, rest, segments, searched[len(free):], prod(cards[n] for n in free))
     radices = tuple(cards[e] for e in enumerated for _ in range(prod(cards[s] for s in searched_scopes[e])))
-    return SearchPlan(
-        scopes, axes, len(free), layout, searched, tuple(segments), outer_total, gathers, steps, tail, radices
-    )
+    return SearchPlan(scopes, axes, len(free), layout, searched, tuple(segments), outer_total, gathers, radices)
+
+
+def plan_kernel(plan: SearchPlan, cards: dict[str, int]) -> tuple[tuple, tuple]:
+    """The steps of `table_chunks` for ``plan``'s scan, whose factors
+    take up to `CHUNK_ELEMENTS` entries each, and the segments they leave,
+    from the first chain driver on (`kernel_steps`)."""
+    rest = tuple(plan.axes[i] for i in plan.layout[plan.free:])
+    lead = prod(cards[e] for e, _, _ in plan.searched[:plan.free])
+    return kernel_steps(cards, rest, plan.segments, plan.searched[plan.free:], lead)
 
 
 def _scan_plan(cbn: Cbn, drivers, ip_class: IpClass, desired, directions, budget, *, witness: bool):
@@ -662,15 +668,17 @@ def _scan_plan(cbn: Cbn, drivers, ip_class: IpClass, desired, directions, budget
         return [_clamp(float(values[best])) for best in bests], dict(zip(live, map(int, chosen)))
 
     cards, given = cbn.card_tuple, frozenset(desired)
-    plan = dag.derived(
-        "search", (cards, live, ip_class.level, given), lambda: _search_plan(dag, cards, live, ip_class, given)
-    )
+    key = cards, live, ip_class.level, given
+    plan = dag.derived("search", key, lambda: _search_plan(dag, cards, live, ip_class, given))
     budget.check_work(plan.outer_total * cbn.state_space_size())
     if plan.outer_total > _INDEX_LIMIT:
         raise BudgetExceededError(
             f"a scan over {plan.outer_total} table combinations exceeds the {_INDEX_LIMIT} "
             "that a numpy index can number", plan.outer_total, _INDEX_LIMIT
         )
+    # the kernel's factors only once both checks passed: a refused call
+    # builds none
+    steps, tail = dag.derived("kernel", key, lambda: plan_kernel(plan, cbn.cards))
     # the free drivers' axes first and flattened into one, one entry per
     # combination of their values
     base = cbn._contract(desired, live, plan.axes).transpose(plan.layout)
@@ -680,7 +688,7 @@ def _scan_plan(cbn: Cbn, drivers, ip_class: IpClass, desired, directions, budget
         # one chain optimum per entry of the leading tables axis; given
         # ``picks``, also appends each chain driver's choices per entry,
         # flattened over the axes left when it is reduced
-        for width, kind in plan.tail:
+        for width, kind in tail:
             if kind is None:
                 t = t.sum(axis=tuple(range(1, 1 + width)))
             elif picks is None:
@@ -711,7 +719,7 @@ def _scan_plan(cbn: Cbn, drivers, ip_class: IpClass, desired, directions, budget
     # out the winner's number and its reduction's chain choices.
     best: list = [None] * len(directions)
     record = None
-    for t, numbers in table_chunks(base, plan.steps, plan.outer_total // len(base)):
+    for t, numbers in table_chunks(base, steps, plan.outer_total // len(base)):
         for i, direction in enumerate(directions):
             picks = [] if witness else None
             values = reduce_chain(t, direction, picks)

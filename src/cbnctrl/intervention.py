@@ -286,22 +286,17 @@ def interventional_prob(
 ) -> float:
     """Probability of ``event`` in the intervened network.
 
-    Pearl's truncated factorization: the marginal of ``cbn`` without the
-    targets' CPDs over the targets and their scopes, times the policy
-    tables, by one ``np.einsum`` that labels each table's axes by its nodes
-    and keeps every label, then summed.  The pair is checked against the
-    network first, with the same errors as `apply_intervention`.
+    Pearl's truncated factorization: the product of the CPDs of every node
+    outside the pair's targets and of the policy tables, summed with the
+    event's values pinned.  It is one contraction of `Cbn`'s, in which each
+    policy table stands in for its target's CPD (`Cbn._contract`), so no
+    intervened network is built.  The pair is checked against the network
+    first, with the same errors as `apply_intervention`, then the event and
+    the state space, as `Cbn.joint` checks them.
     """
     _check_pair(cbn, pair)
-    keep = tuple(dict.fromkeys(n for p in pair.policies for n in (*p.scope, p.target)))
-    tensor = cbn.joint(event, skip=pair.targets, budget=budget, keep=keep)
-    if pair.policies:
-        label = {n: i for i, n in enumerate(keep)}
-        operands = [tensor, list(range(len(keep)))]
-        for policy in pair.policies:
-            operands += [policy.table.array(), [label[n] for n in (*policy.scope, policy.target)]]
-        tensor = np.einsum(*operands, list(range(len(keep))), optimize=False)
-    return float(tensor.sum())
+    cbn.check_joint(event, budget)
+    return float(cbn._contract(event or {}, pair.targets, (), [p.table for p in pair.policies]))
 
 
 def enumerate_deterministic_tables(

@@ -702,12 +702,13 @@ def reference_batch(cbn, base, axes, searched, flat):
     return batch, picks
 
 
-def kept_plan(cbn, drivers, ip_class, desired):
+def kept_plan(cbn, drivers, ip_class, desired, store="search"):
     """The `SearchPlan` that ``cbn``'s dag keeps for its cards and the
-    shape of a chain-path call on canonical live ``drivers``; a shape with
-    no kept plan fails the test."""
+    shape of a chain-path call on canonical live ``drivers``, or with
+    ``store="kernel"`` the kernel's steps and tail (`control.plan_kernel`);
+    a shape with nothing kept fails the test."""
     key = cbn.card_tuple, drivers, ip_class.level, frozenset(desired)
-    return cbn.dag.derived("search", key, lambda: pytest.fail(f"no search plan kept under {key}"))
+    return cbn.dag.derived(store, key, lambda: pytest.fail(f"no {store} kept under {key}"))
 
 
 def plan_and_base(cbn, drivers, ip_class, desired):
@@ -733,13 +734,14 @@ def numbered(t, numbers):
     return np.arange(len(t)) if numbers is None else numbers
 
 
-def kernel_chunks(plan, base):
-    """Each chunk of ``plan``'s kernel over ``base`` (in reduction order)
-    as ``(tensor, numbers)``."""
+def kernel_chunks(cbn, plan, base):
+    """Each chunk of ``plan``'s kernel on ``cbn`` over ``base`` (in
+    reduction order) as ``(tensor, numbers)``."""
     laid, _ = laid_out(plan, base)
+    steps, _ = control.plan_kernel(plan, cbn.cards)
     return [
         (t, numbered(t, numbers))
-        for t, numbers in control.table_chunks(laid, plan.steps, plan.outer_total // len(laid))
+        for t, numbers in control.table_chunks(laid, steps, plan.outer_total // len(laid))
     ]
 
 
@@ -807,14 +809,15 @@ class TestPolicyBatch:
             plans, chunks = {}, {}
             for name, cbn, drivers, ip_class in self.cases():
                 plan, base = plan_and_base(cbn, cbn.dag.canon(drivers), ip_class, {"o": 1})
-                plans[name], chunks[name] = plan, kernel_chunks(plan, base)
+                plans[name], chunks[name] = plan, kernel_chunks(cbn, plan, base)
                 free_axes = tuple(1 + i for i in plan.layout[:plan.free])
                 numbers = np.concatenate([n for _, n in chunks[name]])
                 assert np.array_equal(np.sort(numbers), np.arange(plan.outer_total)), name
+                _, tail = control.plan_kernel(plan, cbn.cards)
                 for t, flat in chunks[name]:
                     expect, _ = reference_batch(cbn, base, plan.axes, plan.searched, flat)
                     expect = expect.sum(axis=free_axes)
-                    for width, kind in plan.segments[:len(plan.segments) - len(plan.tail)]:
+                    for width, kind in plan.segments[:len(plan.segments) - len(tail)]:
                         assert kind is None
                         expect = expect.sum(axis=tuple(range(1, 1 + width)))
                     assert t.dtype == expect.dtype and np.array_equal(t, expect), (name, chunk)
@@ -895,7 +898,7 @@ class TestScanWitness:
         # the chunks number range(outer_total) once, as the kernel run
         # outside the scan does
         assert np.array_equal(np.sort(np.concatenate(flats)), np.arange(plan.outer_total))
-        expect = [numbers for _, numbers in kernel_chunks(plan, base)]
+        expect = [numbers for _, numbers in kernel_chunks(cbn, plan, base)]
         assert len(flats) == len(expect) and all(map(np.array_equal, flats, expect))
         number = literal_winner(cbn, plan, base, direction)
         got = {p.target: tuple(row.index(1.0) for row in p.table.rows) for p in pair.policies}
@@ -1395,6 +1398,29 @@ class TestSearchPlan:
         # the work cap is met exactly, as on the first call
         exact = Budget(max_work=work)
         assert optimal_policy_value(cbn, drivers, CLASS_INF, {"o": 1}, Direction.MAX, exact) == good
+
+    def test_a_refused_scan_builds_and_keeps_no_kernel_factor(self, monkeypatch):
+        # past_index_range's 2^64 tables are refused by the default work
+        # estimate and, under a budget that admits it, by the index count:
+        # either refusal comes after the plan, and before any factor is
+        # built, so the dag keeps the plan but no kernel, and the warm shape
+        # refuses again as a cold one
+        steps = spy_on(monkeypatch, "kernel_steps")
+        cbn = past_index_range(np.random.default_rng(64))
+        drivers, desired = ("d1", "d2"), {"o": 1}
+        for budget in (None, Budget(max_work=10 ** 26)):
+            with pytest.raises(BudgetExceededError) as cold:
+                optimal_values(fresh(cbn), drivers, CLASS_INF, desired, BOTH, budget)
+            for _ in range(2):
+                with pytest.raises(BudgetExceededError, match=f"^{re.escape(str(cold.value))}$"):
+                    optimal_values(cbn, drivers, CLASS_INF, desired, BOTH, budget)
+        assert kept_plan(cbn, drivers, CLASS_INF, desired).outer_total == 2 ** 64
+        assert steps == [] and not cbn.dag._derived.get("kernel")
+        # a scan that passes its checks builds its kernel once, and keeps it
+        cbn, drivers = plan_networks()[0]
+        for _ in range(2):
+            optimal_values(cbn, drivers, CLASS_INF, desired, BOTH)
+        assert len(steps) == 1 and kept_plan(cbn, drivers, CLASS_INF, desired, "kernel")[0]
 
     def test_chain_split_and_requisite_cut_run_once_per_shape(self, monkeypatch):
         splits = spy_on(monkeypatch, "_pick_chain")

@@ -30,9 +30,9 @@ from cbnctrl import (
     surplus,
 )
 from cbnctrl.intervention import enumerate_deterministic_tables
-from cbnctrl.oracle import random_cbn, random_dag
+from cbnctrl.oracle import enumerate_prob, random_cbn, random_dag
 
-from test_cbn import xor_gate
+from test_cbn import TestPlanCache, xor_gate
 
 
 def chain_abc():
@@ -263,11 +263,83 @@ class TestApplyIntervention:
             assert str(built.value) == str(evaluated.value) == message
 
     def test_empty_pair_probability_matches_marginal_exactly(self):
+        # no table, so the marginal's own shape and plan: bit for bit, and
+        # no plan of its own
         rng = np.random.default_rng(31)
         for _ in range(10):
             cbn = random_cbn(rng, random_dag(rng, int(rng.integers(2, 6))))
-            node = cbn.dag.nodes[-1]
-            assert interventional_prob(cbn, InterventionPair.empty(), {node: 1}) == cbn.marginal_prob({node: 1})
+            nodes = cbn.dag.nodes
+            for event in ({nodes[-1]: 1}, {nodes[0]: 0, nodes[-1]: 1}):
+                expect = cbn.marginal_prob(event)
+                plans = dict(cbn._plans)
+                assert interventional_prob(cbn, InterventionPair.empty(), event) == expect
+                assert cbn._plans == plans
+
+
+def stochastic_policy(rng, cards, target, scope):
+    """A policy on ``target`` reading ``scope``, in that order, with random
+    rows."""
+    scope_cards = tuple(cards[s] for s in scope)
+    rows = []
+    for _ in range(int(np.prod(scope_cards))):
+        raw = rng.uniform(0.1, 1.0, cards[target])
+        rows.append(tuple(raw / raw.sum()))
+    return InterventionPolicy(Cpd(target, tuple(scope), scope_cards, tuple(rows)))
+
+
+class TestFusedPlan:
+    """`interventional_prob` contracts the policy tables in `Cbn`'s one
+    plan, in place of their targets' CPDs; each shape must match the
+    literal sum over the intervened network."""
+
+    #: a -> b -> c -> d with a -> c and b -> d; e hangs off a, with no
+    #: directed path to c or d
+    DAG = Dag(["a", "b", "c", "d", "e"], [("a", "b"), ("a", "c"), ("b", "c"), ("b", "d"), ("c", "d"), ("a", "e")])
+    CARDS = {"a": 2, "b": 3, "c": 2, "d": 3, "e": 2}
+
+    def network(self):
+        return random_cbn(np.random.default_rng(3535), self.DAG, self.CARDS)
+
+    def assert_literal(self, cbn, pair, given):
+        # every value of the nodes ``given``, against the literal sum over
+        # the intervened network
+        intervened = apply_intervention(cbn, pair)
+        for values in product(*(range(self.CARDS[n]) for n in given)):
+            event = dict(zip(given, values))
+            expect = enumerate_prob(intervened, event)
+            assert abs(interventional_prob(cbn, pair, event) - expect) <= 1e-12, (pair, event)
+
+    @pytest.mark.parametrize("case", [
+        "target pinned", "target in a scope", "pair out of order", "scope out of order", "no path to the event",
+    ])
+    def test_matches_the_intervened_network(self, case):
+        cbn, rng = self.network(), np.random.default_rng(len(case))
+
+        def policy(target, scope):
+            return stochastic_policy(rng, self.CARDS, target, scope)
+
+        pair, given = {
+            # the event pins c, which a policy sets, and a, which it reads
+            "target pinned": (InterventionPair.of(policy("c", ("a",))), ("c", "a", "d")),
+            # d's policy reads b, which a policy sets
+            "target in a scope": (InterventionPair.of(policy("b", ("a",)), policy("d", ("b", "c"))), ("d",)),
+            "pair out of order": (InterventionPair.of(policy("d", ("a",)), policy("b", ())), ("d", "c")),
+            # the dag lists c's parents as a, b
+            "scope out of order": (InterventionPair.of(policy("c", ("b", "a"))), ("d",)),
+            "no path to the event": (InterventionPair.of(policy("e", ("a",)), policy("b", ("a",))), ("d",)),
+        }[case]
+        assert self.DAG.parents("c") == ("a", "b")
+        self.assert_literal(cbn, pair, given)
+
+    def test_a_shape_is_planned_once_and_filled_per_call(self, monkeypatch):
+        # pairs that differ only in their entries share one plan, each with
+        # its own tables in place; a scope in another order is a shape of
+        # its own
+        cbn, rng = self.network(), np.random.default_rng(7)
+        built = TestPlanCache.plans_built(monkeypatch)
+        for scope in (("a", "b"), ("a", "b"), ("b", "a")):
+            self.assert_literal(cbn, InterventionPair.of(stochastic_policy(rng, self.CARDS, "c", scope)), ("d", "c"))
+        assert built == [((), frozenset("c"), frozenset("dc"), (("c", s),)) for s in (("a", "b"), ("b", "a"))]
 
 
 def widen(policy, wider_scope, cards):

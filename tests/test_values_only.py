@@ -66,7 +66,7 @@ class TestStages:
         calls = spy_chunks(monkeypatch)
         optimal_policy_value(cbn, drivers, CLASS_INF, {"o": 1}, BOTH[0])
         assert [[numbers.tolist() for numbers in chunks] for chunks in calls] == [[[0]]]
-        assert kept_plan(cbn, drivers, CLASS_INF, {"o": 1}).steps == ()
+        assert kept_plan(cbn, drivers, CLASS_INF, {"o": 1}, "kernel")[0] == ()
         for ip_class in (CLASS1, IpClass(2), CLASS_INF):
             assert_matches_single_calls(cbn, drivers, ip_class, {"o": 1})
 
