@@ -292,13 +292,14 @@ class TestFusedPlan:
     plan, in place of their targets' CPDs; each shape must match the
     literal sum over the intervened network."""
 
-    #: a -> b -> c -> d with a -> c and b -> d; e hangs off a, with no
-    #: directed path to c or d
-    DAG = Dag(["a", "b", "c", "d", "e"], [("a", "b"), ("a", "c"), ("b", "c"), ("b", "d"), ("c", "d"), ("a", "e")])
     CARDS = {"a": 2, "b": 3, "c": 2, "d": 3, "e": 2}
 
     def network(self):
-        return random_cbn(np.random.default_rng(3535), self.DAG, self.CARDS)
+        # a -> b -> c -> d with a -> c and b -> d; e hangs off a, with no
+        # directed path to c or d.  A dag of its own, so that no plan on it
+        # is made yet.
+        edges = [("a", "b"), ("a", "c"), ("b", "c"), ("b", "d"), ("c", "d"), ("a", "e")]
+        return random_cbn(np.random.default_rng(3535), Dag(list(self.CARDS), edges), self.CARDS)
 
     def assert_literal(self, cbn, pair, given):
         # every value of the nodes ``given``, against the literal sum over
@@ -328,7 +329,7 @@ class TestFusedPlan:
             "scope out of order": (InterventionPair.of(policy("c", ("b", "a"))), ("d",)),
             "no path to the event": (InterventionPair.of(policy("e", ("a",)), policy("b", ("a",))), ("d",)),
         }[case]
-        assert self.DAG.parents("c") == ("a", "b")
+        assert cbn.dag.parents("c") == ("a", "b")
         self.assert_literal(cbn, pair, given)
 
     def test_a_shape_is_planned_once_and_filled_per_call(self, monkeypatch):
