@@ -431,12 +431,14 @@ class Cbn:
         if plan is None:
             plan = self._plans[shape] = self._fill(shape)
         operands, places, slots, output, dims = plan
-        operands = operands.copy()
-        if tables:
+        # a shape with no slot and no stand-in contracts the plan's operands
+        # as they are
+        if slots or tables:
+            operands = operands.copy()
             for at, table in zip(places, tables):
                 operands[at] = table.array()
-        for at, axes in slots:
-            operands[at] = operands[at][tuple([_WHOLE if n is None else event[n] for n in axes])]
+            for at, axes in slots:
+                operands[at] = operands[at][tuple([_WHOLE if n is None else event[n] for n in axes])]
         return np.einsum(*operands, output, out=np.empty(dims), optimize=False)
 
     def _fill(self, shape: tuple) -> tuple:

@@ -46,21 +46,22 @@ One plan serves every direction.  `_scan_plan` does everything up to and
 including the scan once: the scan reduces each chunk once per direction,
 each direction with its own incumbent, so each answer is exactly that of a
 single-direction call.  `optimal_values` reads the values alone, as the
-verify suites do, and its scan reduces each chain driver with
-``np.maximum``/``np.minimum``.  `optimal_policy_value` asks for one
-direction and its winner.  Its scan reduces by a recording sweep over each
-chain driver's values instead: a strict comparison keeps the first
-optimum, as ``argmax`` does, and since max and min are exact it gives the
-same reduced tensor.  The scan keeps the incumbent's number and chain
-choices, copied out of the chunk only when the incumbent changes; the
-enumerated drivers' digits are the number's digits.  `_scan_plan` returns
-the winner as data, each live driver's choices taken to its class scope's
-row-major order by one gather index per driver (`_gather`), or on the 0/1
-path its chosen value.  `optimal_policy_value` builds the pair by one rule
-and no tensor work: an atomic policy on a 0/1 network, otherwise the
-driver's first table on its class scope, filled by `Cpd.with_choices` for
-a live driver.  First tables are kept on the dag per cards, class level and
-driver, which fix the scope, so each is built and shape-checked once.
+verify suites do, and its scan reduces each chain driver, then each chunk,
+with ``np.maximum``/``np.minimum``, and keeps no number.
+`optimal_policy_value` asks for one direction and its winner.  Its scan
+reduces by a recording sweep over each chain driver's values instead: a
+strict comparison keeps the first optimum, as ``argmax`` does, and since
+max and min are exact it gives the same reduced tensor.  The scan keeps
+the incumbent's number and chain choices, copied out of the chunk only
+when the incumbent changes; the enumerated drivers' digits are the
+number's digits.  `_scan_plan` returns the winner as data, each live
+driver's choices taken to its class scope's row-major order by one gather
+index per driver (`_gather`), or on the 0/1 path its chosen value.
+`optimal_policy_value` builds the pair by one rule and no tensor work: an
+atomic policy on a 0/1 network, otherwise the driver's first table on its
+class scope, filled by `Cpd.with_choices` for a live driver.  First tables
+are kept on the dag per cards, class level and driver, which fix the
+scope, so each is built and shape-checked once.
 
 On the chain path, everything `_scan_plan` decides before it asks for the
 base tensor depends only on the structure, the cards and the query's
@@ -76,13 +77,15 @@ each check runs once: the base tensor comes from the contraction behind
 
 The dag keeps what this module derives from the structure alone
 (`Dag.derived`), under names no other module uses: ``"search"``,
-``"kernel"`` and ``"first tables"`` above, `c_star`'s drivers
-(``"c_star"``), the event's nodes and their ancestors that `live_drivers`
-reads (``"upstream"``), one atomic policy per driver, value and card
-(``"atomic"``), which the 0/1 witness path, `solve`'s min-min shortcut
-and `oracle.verify_usm` share, and `usm_adversarial_cbn`'s networks
-(``"usm"``).  None depends on a CPD
-entry, a budget or an event value, so a warm call walks no graph.
+``"kernel"`` and ``"first tables"`` above, a call's canonical and live
+drivers per drivers as given and event nodes (``"live"``), `c_star`'s
+drivers (``"c_star"``), the event's nodes and their ancestors that
+`live_drivers` reads (``"upstream"``), one atomic policy per driver, value
+and card (``"atomic"``), which the 0/1 witness path, `solve`'s min-min
+shortcut and `oracle.verify_usm` share, and `usm_adversarial_cbn`'s
+networks (``"usm"``).  None depends on a CPD entry, a budget or an event
+value, so a warm call walks no graph: it pays for its checks, its
+contraction and its reductions.
 """
 
 from __future__ import annotations
@@ -184,14 +187,22 @@ class ControlProblem:
             self.dag.index(name)
         if len(self.desired) != len(self.targets):
             raise ValueError("one desired value per target required")
-        object.__setattr__(self, "desired", tuple(map(value_index, self.targets, self.desired)))
-        for name, value in zip(self.targets, self.desired):
-            if value < 0:
-                raise ValueError(f"desired value for {name!r} must be non-negative")
+        object.__setattr__(self, "desired", checked_desired(self.targets, self.desired))
 
     @property
     def desired_map(self) -> dict[str, int]:
         return dict(zip(self.targets, self.desired))
+
+
+def checked_desired(targets: tuple[str, ...], desired) -> tuple[int, ...]:
+    """``desired``, one value per entry of ``targets``, as value indices,
+    once each is an integer (`value_index`) and none is negative:
+    `ControlProblem`'s check of the desired values."""
+    desired = tuple(map(value_index, targets, desired))
+    for name, value in zip(targets, desired):
+        if value < 0:
+            raise ValueError(f"desired value for {name!r} must be non-negative")
+    return desired
 
 
 @dataclass(frozen=True)
@@ -388,7 +399,10 @@ def table_chunks(base: np.ndarray, steps, weight: int = 1):
     adds its entries in row-major order, as over one combination's own
     tensor; and a chunk is handed on laid out as one combination's tensor
     after another, so that the chain's sums add as they would on each.  So
-    each value is that of a scan of one combination at a time."""
+    each value is that of a scan of one combination at a time.  Without
+    steps, the one chunk is ``base`` itself."""
+    if not steps:
+        return ((base, None),)
 
     def run(t: np.ndarray, numbers, at: int):
         for i in range(at, len(steps)):
@@ -439,6 +453,18 @@ def live_drivers(dag: Dag, drivers: tuple[str, ...], desired) -> tuple[str, ...]
     return tuple(d for d in drivers if d in upstream)
 
 
+def _driver_lists(dag: Dag, drivers: tuple, given: frozenset) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    # ``drivers`` as a call gave them, canonical (`Dag.canon`, whose refusal
+    # a cold key runs), and the live ones for the event nodes ``given``
+    # (`live_drivers`), which the dag keeps per drivers as given and event
+    # nodes, so that a warm call neither sorts nor filters them
+    def make():
+        canonical = dag.canon(drivers)
+        return canonical, live_drivers(dag, canonical, given)
+
+    return dag.derived("live", (drivers, given), make)
+
+
 def atomic_policy_on(dag: Dag, driver: str, value: int, card: int) -> InterventionPolicy:
     """`atomic_policy` forcing ``driver`` of ``card`` values to ``value``,
     which the dag keeps per driver, value and card (`Dag.derived`): each is
@@ -476,9 +502,10 @@ def optimal_policy_value(
     choice order wins, whatever order the scan's chunks come in, so
     repeated runs return the identical witness.
     """
+    drivers = tuple(drivers)
     values, choices = _scan_plan(cbn, drivers, ip_class, desired, (direction,), budget, witness=True)
     dag, cards = cbn.dag, cbn.cards
-    driver_list = dag.canon(drivers)
+    driver_list = _driver_lists(dag, drivers, frozenset(desired))[0]
     # the one witness rule: on a 0/1 network, the atomic policy on the
     # chosen value, or on 0 for a dead driver; otherwise the driver's first
     # table, filled with a live driver's choices.  The level and the driver
@@ -651,7 +678,8 @@ def _scan_plan(cbn: Cbn, drivers, ip_class: IpClass, desired, directions, budget
     # Only the live drivers are searched, and only now, so that every
     # refusal above keeps its text and order.  Every table of a dead driver
     # ties with its first, which the scan's tie-break would keep.
-    live = live_drivers(dag, dag.canon(drivers), desired)
+    cards, given = cbn.card_tuple, frozenset(desired)
+    live = _driver_lists(dag, tuple(drivers), given)[1]
 
     if not live or cbn.deterministic:
         # A fully deterministic network realizes one world per forced choice
@@ -660,14 +688,13 @@ def _scan_plan(cbn: Cbn, drivers, ip_class: IpClass, desired, directions, budget
         # Every sum is an exact 0/1 count, and the first optimum of the
         # C-order flattening is the first in product order.  Without live
         # drivers, the empty choice gives the marginal of ``desired``.
-        budget.check_work(prod(map(cbn.cards.get, live)) * len(live))
+        budget.check_work(prod(cards[dag.index(d)] for d in live) * len(live))
         base = cbn._contract(desired, live, live)
         values = base.reshape(-1)
         bests = [int(direction.arg(values)) for direction in directions]
         chosen = np.unravel_index(bests[0], base.shape) if witness else ()
         return [_clamp(float(values[best])) for best in bests], dict(zip(live, map(int, chosen)))
 
-    cards, given = cbn.card_tuple, frozenset(desired)
     key = cards, live, ip_class.level, given
     plan = dag.derived("search", key, lambda: _search_plan(dag, cards, live, ip_class, given))
     budget.check_work(plan.outer_total * cbn.state_space_size())
@@ -690,7 +717,8 @@ def _scan_plan(cbn: Cbn, drivers, ip_class: IpClass, desired, directions, budget
         # flattened over the axes left when it is reduced
         for width, kind in tail:
             if kind is None:
-                t = t.sum(axis=tuple(range(1, 1 + width)))
+                # `np.ndarray.sum` is this reduction behind a Python wrapper
+                t = np.add.reduce(t, axis=tuple(range(1, 1 + width)))
             elif picks is None:
                 t = direction.pairwise.reduce(t, axis=1)
             else:
@@ -711,17 +739,31 @@ def _scan_plan(cbn: Cbn, drivers, ip_class: IpClass, desired, directions, budget
                 t = best.reshape(t.shape[:1] + t.shape[2:])
         return t
 
+    chunks = table_chunks(base, steps, plan.outer_total // len(base))
+    if not witness:
+        # values alone: each direction's optimum over the chunks' optima,
+        # exact whatever order the chunks come in, as max and min are; a
+        # chunk of one combination is its own optimum
+        optima: list = [None] * len(directions)
+        for t, _ in chunks:
+            for i, direction in enumerate(directions):
+                values = reduce_chain(t, direction, None)
+                value = values[0] if len(values) == 1 else direction.pairwise.reduce(values)
+                if optima[i] is None or direction.beats(value, optima[i]):
+                    optima[i] = value
+        return [_clamp(float(value)) for value in optima], {}
+
     # Each chunk of `table_chunks` is reduced once per direction.  Its
     # candidate, its smallest number at its optimum, replaces the incumbent
     # on a strict improvement or on a tie with a smaller number, so the
     # winner is the first optimum in number order, whatever order the
-    # chunks come in.  With a witness to build, the one direction copies
-    # out the winner's number and its reduction's chain choices.
+    # chunks come in.  The one direction copies out the winner's number and
+    # its reduction's chain choices.
     best: list = [None] * len(directions)
     record = None
-    for t, numbers in table_chunks(base, steps, plan.outer_total // len(base)):
+    for t, numbers in chunks:
         for i, direction in enumerate(directions):
-            picks = [] if witness else None
+            picks = []
             values = reduce_chain(t, direction, picks)
             pos = number = int(direction.arg(values))
             if numbers is not None:
@@ -732,19 +774,16 @@ def _scan_plan(cbn: Cbn, drivers, ip_class: IpClass, desired, directions, budget
             held = best[i]
             if held is None or direction.beats(value, held[0]) or value == held[0] and number < held[1]:
                 best[i] = value, number
-                if witness:
-                    record = number, [row[pos].copy() for row in picks]
-    choices = {}
-    if witness:
-        # the enumerated drivers' digits, free drivers first, then the
-        # chain drivers' choices
-        number, chain_rows = record
-        digits, rows = np.unravel_index(number, plan.radices), []
-        for _, scope, _ in plan.searched:
-            cells = prod(cbn.cards[s] for s in scope)
-            rows.append(np.array(digits[:cells], dtype=np.intp))
-            digits = digits[cells:]
-        choices = {d: row[gather] for (d, gather), row in zip(plan.gathers.items(), rows + chain_rows)}
+                record = number, [row[pos].copy() for row in picks]
+    # the enumerated drivers' digits, free drivers first, then the chain
+    # drivers' choices
+    number, chain_rows = record
+    digits, rows, node_cards = np.unravel_index(number, plan.radices), [], cbn.cards
+    for _, scope, _ in plan.searched:
+        cells = prod(node_cards[s] for s in scope)
+        rows.append(np.array(digits[:cells], dtype=np.intp))
+        digits = digits[cells:]
+    choices = {d: row[gather] for (d, gather), row in zip(plan.gathers.items(), rows + chain_rows)}
     return [_clamp(float(value)) for value, _ in best], choices
 
 

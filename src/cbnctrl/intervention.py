@@ -5,6 +5,10 @@ conditioning set (the scope) may only contain ancestors of the node in the
 original graph.  Policy classes grade how deep into the ancestry the scope
 may reach: class-0 is unconditional, class-1 sees parents, class-j sees
 ancestors up to j levels, and class-inf sees the full ancestry.
+
+The checks of a pair against a network depend on the cards and each
+table's owner, parents, parent cards and card alone, so the dag keeps
+their outcome per pair shape under ``"pairs"`` (`Dag.derived`).
 """
 
 from __future__ import annotations
@@ -242,8 +246,20 @@ def i_subsumes(id1: IDag, id2: IDag) -> bool:
     return (plain1 - plain2) <= id1.dashed
 
 
-def _check_pair(cbn: Cbn, pair: InterventionPair) -> None:
-    # targets, scopes and every table cardinality against the network
+def _check_pair(cbn: Cbn, pair: InterventionPair) -> list[Cpd]:
+    # the pair's tables, once its targets, scopes and every table
+    # cardinality pass against the network.  They depend on the cards and
+    # each table's owner, parents, parent cards and card alone, so the dag
+    # keeps the outcome per pair shape (`Dag.derived`): a shape is checked
+    # once, and a refused one keeps nothing
+    tables = [policy.table for policy in pair.policies]
+    shape = cbn.card_tuple, tuple([(t.owner, t.parents, t.parent_cards, t.card) for t in tables])
+    cbn.dag.derived("pairs", shape, lambda: _check_shape(cbn, pair))
+    return tables
+
+
+def _check_shape(cbn: Cbn, pair: InterventionPair) -> bool:
+    # `_check_pair`'s checks, in their order
     check_policies(cbn.dag, pair)
     cards = cbn.cards
     for policy in pair.policies:
@@ -257,6 +273,7 @@ def _check_pair(cbn: Cbn, pair: InterventionPair) -> None:
                     f"policy on {policy.target!r}: scope member {member!r} cardinality "
                     f"{mcard}, expected {cards[member]}"
                 )
+    return True
 
 
 def apply_intervention(cbn: Cbn, pair: InterventionPair) -> Cbn:
@@ -294,9 +311,9 @@ def interventional_prob(
     first, with the same errors as `apply_intervention`, then the event and
     the state space, as `Cbn.joint` checks them.
     """
-    _check_pair(cbn, pair)
+    tables = _check_pair(cbn, pair)
     cbn.check_joint(event, budget)
-    return float(cbn._contract(event or {}, pair.targets, (), [p.table for p in pair.policies]))
+    return float(cbn._contract(event or {}, pair.targets, (), tables))
 
 
 def enumerate_deterministic_tables(

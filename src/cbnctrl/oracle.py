@@ -11,13 +11,16 @@ check that deterministic tables are enough.
 
 What a suite derives from the structure alone, the dag keeps through
 `Dag.derived`, under names only this module uses, next to what `control`
-keeps there: ``"brackets"``, `verify_lemma3`'s schedule of brackets and
-optimizer calls per pool, event nodes and class levels, and ``"grid"``,
-`grid_policy_values`' layout and kernel steps, with their read-only grid
-factors, per cards, drivers, class level and step.  `verify_usm`'s pair
-forcing every driver to 1 is made of `control.atomic_policy_on`'s kept
-policies.  So a suite run again, on the same network or on another
-parametrization of its structure, walks no graph.
+keeps there: ``"drivers"``, a suite's `c_star` drivers per pool and
+targets as given, once `ControlProblem`'s structure checks pass (the
+desired values are checked on every call); ``"brackets"``,
+`verify_lemma3`'s schedule of brackets and optimizer calls per pool, event
+nodes and class levels; and ``"grid"``, `grid_policy_values`' layout and
+kernel steps, with their read-only grid factors, per cards, drivers, class
+level and step.  `verify_usm`'s pair forcing every driver to 1 is made of
+`control.atomic_policy_on`'s kept policies.  So a suite run again, on the
+same network or on another parametrization of its structure, walks no
+graph.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .control import (
     Direction,
     atomic_policy_on,
     c_star,
+    checked_desired,
     checked_directions,
     kernel_steps,
     live_drivers,
@@ -351,11 +355,19 @@ class SuiteReport:
 
 def _drivers(dag: Dag, intervenable, targets, desired: Mapping[str, int]) -> tuple[str, ...]:
     # the `c_star` driver set, with the problem checked as `ControlProblem`
-    # checks it
-    target_list = tuple(targets)
+    # checks it: the structure once per pool and targets as given, which the
+    # dag keeps with the drivers (`Dag.derived`), the desired values on
+    # every call
+    key = tuple(intervenable), tuple(targets)
+    drivers = dag.derived("drivers", key, lambda: _checked_drivers(dag, *key, desired))
+    checked_desired(key[1], [desired[t] for t in key[1]])
+    return drivers
+
+
+def _checked_drivers(dag: Dag, intervenable, targets, desired) -> tuple[str, ...]:
+    # `_drivers` on a cold key, in `ControlProblem`'s order of refusals
     pool = dag.canon(intervenable)
-    problem = ControlProblem(dag, pool, target_list, tuple(desired[t] for t in target_list))
-    return c_star(problem).members
+    return c_star(ControlProblem(dag, pool, targets, tuple(desired[t] for t in targets))).members
 
 
 def bracket_classes(levels: Iterable[int | float]) -> list[IpClass]:

@@ -33,7 +33,7 @@ from cbnctrl.graph import INF
 from cbnctrl.intervention import scope_for_class
 from cbnctrl.oracle import BOTH, iter_subsets
 
-from test_control import SMALL_CHUNK, deterministic_copy, fan_dag, screening_chain
+from test_control import SMALL_CHUNK, deterministic_copy, fan_dag, screening_chain, spy_chunks
 from test_oracle import grid_heavy
 from test_requisite import explaining_away, fan, nest, record_requisite
 
@@ -71,10 +71,20 @@ class TestOptimalPolicyValues:
             assert_matches_single_calls(cbn, drivers, ip_class, {"o": 1})
 
     def test_enumerated_fan_spanning_chunks(self, monkeypatch):
-        # the fan of TestBatchedSearch: 256 combinations in eight chunks
+        # the fan of TestBatchedSearch: 256 combinations in eight chunks,
+        # and a ternary fan's 729 in several; the values-only scan takes
+        # each chunk's optimum, the witness scan its first optimum by number
         monkeypatch.setattr(control, "CHUNK_ELEMENTS", SMALL_CHUNK)
-        cbn = random_cbn(np.random.default_rng(55), fan_dag(5))
-        assert_matches_single_calls(cbn, tuple(f"d{i}" for i in range(5)), CLASS_INF, {"o": 1})
+        calls = spy_chunks(monkeypatch)
+        cases = [
+            (random_cbn(np.random.default_rng(55), fan_dag(5)), tuple(f"d{i}" for i in range(5))),
+            (random_cbn(np.random.default_rng(58), fan_dag(3), 3), ("d0", "d1", "d2")),
+        ]
+        for cbn, drivers in cases:
+            calls.clear()
+            assert_matches_single_calls(cbn, drivers, CLASS_INF, {"o": 1})
+            # one values scan and two witness scans, each over the same chunks
+            assert len(calls) == 3 and len(set(map(len, calls))) == 1 and len(calls[0]) > 1
 
     def test_tied_tables_keep_the_first_in_each_direction(self, monkeypatch):
         # z's two tables tie exactly, within one chunk (k = 2) and in each

@@ -1,10 +1,13 @@
 """What the structure decides, kept once per `Dag`.
 
 Contraction plans, search plans, first tables, `usm_adversarial_cbn`'s
-network, `c_star`'s drivers, the event's upstream nodes, atomic policies,
-the grid's rows and `verify_lemma3`'s schedule depend on the structure (and
-the cards and the query's shape) alone, so the dag keeps them
-(`Dag.derived`) and every network on it shares them.  A network keeps
+network, `c_star`'s drivers, the event's upstream nodes, the optimizer's
+canonical and live drivers (``"live"``), the outcome of the pair checks
+(``"pairs"``), the suites' checked drivers (``"drivers"``), atomic
+policies, the grid's rows and `verify_lemma3`'s schedule depend on the
+structure (and the cards and the query's shape) alone, so the dag keeps
+them (`Dag.derived`) and every network on it shares them.  A warm key must
+answer and refuse as a cold one, and a refused call keeps nothing.  A network keeps
 its own CPD arrays in its plans, and the dag keeps none, so sweeping
 parametrizations keeps nothing alive; nor does a network hold any of the
 dag's stores.  Each answer must be bit for bit that of a network on a
@@ -13,8 +16,10 @@ new, equal dag, which plans everything afresh.
 
 import gc
 import json
+import re
 import weakref
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,10 +32,14 @@ from cbnctrl import (
     BudgetExceededError,
     Cbn,
     ControlProblem,
+    Cpd,
     Dag,
     Direction,
+    InterventionPair,
+    InterventionPolicy,
     IpClass,
     Objective,
+    interventional_prob,
     optimal_policy_value,
     optimal_values,
     random_cbn,
@@ -310,3 +319,135 @@ def test_suites_on_one_dag_answer_and_refuse_as_on_a_fresh_one(monkeypatch):
     assert made[0] and len(set(made[0])) == len(made[0])
     assert made[1] == [(2, 0.25), (2, 0.25)]
     assert (chains, grids) == made
+
+
+def outcome(call):
+    """What ``call()`` returns, or its refusal as (type, text)."""
+    try:
+        return "answered", call()
+    except (BudgetExceededError, KeyError, ValueError) as error:
+        return type(error), str(error)
+
+
+def assert_warm_as_cold(network, store, calls):
+    """Each of ``calls``, a function of a network, answers or refuses on
+    ``network``'s dag, warmed by every call before it, as on a fresh dag.
+    A call refused by its shape keeps nothing under ``store`` on either
+    dag, and every value the warm dag kept before it stays as it was.  An
+    event value out of range is refused after the shape's checks passed,
+    and the shape is kept."""
+    dag = network.dag
+
+    def keys(on):
+        return {key for name, key in kept(on) if name == store}
+
+    for call in calls:
+        cold = fresh(network)
+        expect = outcome(lambda: call(cold))
+        before = kept(dag)
+        got = outcome(lambda: call(network))
+        assert got == expect
+        if expect[0] != "answered" and "out of range" not in expect[1]:
+            assert not keys(cold.dag) and keys(dag) == {key for name, key in before if name == store}
+            now = kept(dag)
+            assert all(now[key] is value for key, value in before.items())
+
+
+def optimizer_answers(drivers):
+    """Values in both directions and one witness per direction, at class 1
+    and class inf, as comparable data."""
+
+    def call(cbn):
+        out = []
+        for ip_class in (CLASS1, CLASS_INF):
+            out.append(list(map(repr, optimal_values(cbn, drivers, ip_class, {"o": 1}, BOTH))))
+            for direction in BOTH:
+                value, pair = optimal_policy_value(cbn, drivers, ip_class, {"o": 1}, direction)
+                out.append((repr(value), pair))
+        return out
+
+    return call
+
+
+@pytest.mark.parametrize("deterministic", [False, True])
+def test_drivers_as_given_answer_and_refuse_as_on_a_fresh_dag(deterministic):
+    # x is dead; the same drivers as a list, reordered, repeated, with the
+    # dead one, with an unknown name, and again after each of those
+    rng = np.random.default_rng(33)
+    cbn = random_cbn(rng, fan_dag(2, lead=("x",)))
+    if deterministic:
+        cbn = deterministic_copy(cbn, rng)
+    given = [
+        ["d0", "d1"], ("d1", "d0"), ("d0", "d1", "d0"), ("x", "d1"), ("d1", "zz"), ["zz"], ("x",), (),
+        ("d0", "d1"), ["d1", "d0", "x"],
+    ]
+    calls = [optimizer_answers(drivers) for drivers in given]
+    assert_warm_as_cold(cbn, "live", calls + calls)
+    # one entry per drivers as given and event nodes, none for a refusal
+    live = {key for name, key in kept(cbn.dag) if name == "live"}
+    assert live == {(tuple(d), frozenset({"o"})) for d in given if "zz" not in d}
+
+
+def test_suite_desired_values_refuse_on_a_warm_dag_as_on_a_fresh_one():
+    # a bool, a negative number and a float, before and after the suites
+    # have kept their drivers for this pool and these targets
+    dag = fan_dag(2, lead=("x",))
+    cbn = random_cbn(np.random.default_rng(34), dag)
+    pool, targets = ("x", "d1", "d0"), ("o",)
+
+    def suites(desired):
+        def call(network):
+            return [
+                verify_sufficiency(network, pool, targets, desired),
+                verify_extremality(network, list(pool), targets, desired),
+            ]
+        return call
+
+    bad = [{"o": True}, {"o": -1}, {"o": 1.0}, {"m": 1}]
+    calls = [suites(desired) for desired in bad] + [suites({"o": 1}), suites({"o": 0})]
+    assert_warm_as_cold(cbn, "drivers", calls + calls)
+    # the list and the tuple of one pool are one key
+    assert [key for name, key in kept(dag) if name == "drivers"] == [(pool, targets)]
+
+
+def test_pair_shapes_answer_and_refuse_as_on_a_fresh_dag():
+    # good pairs, then tables of a wrong card, a wrong scope card, a scope
+    # outside the ancestry and an unknown owner, each with several event
+    # values, one of them out of range, which each call checks
+    dag = fan_dag(2)
+    cbn = random_cbn(np.random.default_rng(35), dag)
+    tables = [
+        Cpd.from_choices("d0", ("r0",), (2,), 2, (1, 0)),
+        Cpd.from_choices("d1", (), (), 2, (1,)),
+        Cpd.from_choices("d0", (), (), 3, (2,)),
+        Cpd.from_choices("d0", ("r0",), (3,), 2, (1, 0, 1)),
+        Cpd.from_choices("d0", ("o",), (2,), 2, (1, 0)),
+        Cpd.from_choices("zz", (), (), 2, (0,)),
+    ]
+    pairs = [(0,), (0, 1), (1,), (2,), (1, 3), (4,), (5,), (), (1, 0)]
+
+    def query(picks, event):
+        pair = InterventionPair(InterventionPolicy(tables[i]) for i in picks)
+        return lambda network: repr(interventional_prob(network, pair, event))
+
+    events = ({"o": 1}, {"o": 0, "m": 1}, {"o": 2})
+    calls = [query(picks, event) for picks in pairs for event in events]
+    assert_warm_as_cold(cbn, "pairs", calls + calls)
+    shapes = [key[1] for name, key in kept(dag) if name == "pairs"]
+    assert sorted(len(shape) for shape in shapes) == [0, 1, 1, 2, 2]
+
+
+def test_the_readme_names_every_store_a_dag_holds(fixtures_dir):
+    # solve, the four suites and one interventional_prob on xor_gate leave
+    # on the dag exactly the stores the README lists, module by module
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    listed = text[text.index("Each store name"):text.index("A `Cbn` holds none of these stores")]
+    names = re.findall(r'`"([^"`]+)"`', listed)
+    spec = parse((fixtures_dir / "xor_gate.json").read_text(encoding="utf-8"))
+    cbn, dag = spec.cbn, spec.dag
+    wanted = tuple(spec.desired[t] for t in spec.targets)
+    result = solve(ControlProblem(dag, spec.intervenable, spec.targets, wanted, Objective.MAX_MAX), cbn)
+    suite_answers(cbn, spec.intervenable, spec.targets, spec.desired)
+    interventional_prob(cbn, result.pair, spec.desired)
+    assert len(names) == len(set(names))
+    assert sorted(names) == sorted(dag._derived)
