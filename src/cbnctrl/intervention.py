@@ -254,11 +254,11 @@ def _check_pair(cbn: Cbn, pair: InterventionPair) -> list[Cpd]:
     # once, and a refused one keeps nothing
     tables = [policy.table for policy in pair.policies]
     shape = cbn.card_tuple, tuple([(t.owner, t.parents, t.parent_cards, t.card) for t in tables])
-    cbn.dag.derived("pairs", shape, lambda: _check_shape(cbn, pair))
+    cbn.dag.derived("pairs", shape, lambda: _check_pair_shape(cbn, pair))
     return tables
 
 
-def _check_shape(cbn: Cbn, pair: InterventionPair) -> bool:
+def _check_pair_shape(cbn: Cbn, pair: InterventionPair) -> bool:
     # `_check_pair`'s checks, in their order
     check_policies(cbn.dag, pair)
     cards = cbn.cards

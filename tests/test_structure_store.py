@@ -389,8 +389,8 @@ def test_drivers_as_given_answer_and_refuse_as_on_a_fresh_dag(deterministic):
 
 
 def test_suite_desired_values_refuse_on_a_warm_dag_as_on_a_fresh_one():
-    # a bool, a negative number and a float, before and after the suites
-    # have kept their drivers for this pool and these targets
+    # a bool, a negative number, a float and a missing target, before and
+    # after the suites have kept their drivers for this pool and targets
     dag = fan_dag(2, lead=("x",))
     cbn = random_cbn(np.random.default_rng(34), dag)
     pool, targets = ("x", "d1", "d0"), ("o",)
