@@ -20,11 +20,16 @@ CPD's parent order), never on a table's entries.  So the dag keeps one
 plan per layout and shape (`Dag.derived`, under ``"joint"``), checked and
 made on the first call of any network of that layout: the einsum's
 operands and labels, with a slot for each CPD, each stand-in table and each
-operand an event value slices.  Each network keeps that plan with its own
-CPD arrays in place, and a repeated query only checks, puts in its
-stand-in tables and slices in its event values.  A network holds only its
-CPDs, those plans and its layout; what other modules derive from the
-structure they keep on the dag themselves, keyed by `Cbn.card_tuple`.
+operand an event value slices.  The plan also splits the operands: the
+per-call ones, which an event value slices or a stand-in table fills, and
+the event-free rest.  Each network keeps that plan with its own CPD arrays
+in place and, where two or more tables are event-free, with those folded
+into one read-only factor, contracted once (Darwiche 2003: compile once per
+network, evaluate per query).  So a repeated query only checks, puts in its
+stand-in tables, slices in its event values and contracts the per-call
+operands with that factor.  A network holds only its CPDs, those plans and
+its layout; what other modules derive from the structure they keep on the
+dag themselves, keyed by `Cbn.card_tuple`.
 The literal sum over completions survives only as
 `oracle.enumerate_prob`, the reference the engine is tested against.
 """
@@ -410,8 +415,10 @@ class Cbn:
         layout.  It is checked and planned by `_plan` on the first call of
         each shape by any network of that layout on this dag, and kept on
         the dag (a refused shape keeps none); the network keeps it with its
-        own CPD arrays in place.  So a later call of that shape only runs
-        `check_joint`, slices in its event values and contracts.
+        own CPD arrays in place and its event-free tables folded into one
+        factor.  So a later call of that shape only runs `check_joint`,
+        slices in its event values and contracts the tables they slice with
+        that factor.
         """
         self.check_joint(event, budget)
         return self._contract(event or {}, skip, keep)
@@ -421,7 +428,12 @@ class Cbn:
         ``event`` already.  Each `Cpd` of ``tables`` (a sequence) stands in
         for its owner, a node of ``skip``: its table is one more factor of
         the product, laid out by its own parents, which must be ancestors of
-        its owner, with the cards of the network's nodes."""
+        its owner, with the cards of the network's nodes.
+
+        The first call of a shape on this network makes its plan (`_fill`),
+        which contracts the shape's event-free tables once; every call then
+        contracts only the tables that ``event`` slices and ``tables`` fill,
+        with that factor."""
         kept = self._dag.nodes if keep is None else tuple(keep)
         if tables:
             shape = (kept, frozenset(skip), frozenset(event), tuple([(t.owner, t.parents) for t in tables]))
@@ -444,14 +456,19 @@ class Cbn:
     def _fill(self, shape: tuple) -> tuple:
         # the dag's plan of ``shape`` for this network's layout, made by
         # `_plan` on the first call of any network of that layout, with this
-        # network's CPD arrays in place: ``(operands, places, slots, output,
-        # dims)``
-        operands, cpds, places, slots, output, dims = self._dag.derived(
+        # network's CPD arrays in place and, where the plan folds, its
+        # event-free operands contracted into one read-only factor, this
+        # network's own: ``(operands, places, slots, output, dims)``
+        operands, cpds, places, slots, output, dims, fold = self._dag.derived(
             "joint", (self._layout, shape), lambda: self._plan(*shape)
         )
         operands = operands.copy()
         for at, name in cpds:
             operands[at] = self._cpds[name].array()
+        if fold is not None:
+            split, labels, sizes = fold
+            factor = np.einsum(*operands[split:], labels, out=np.empty(sizes), optimize=False)
+            operands = [*operands[:split], _read_only(factor), labels]
         return operands, places, slots, output, dims
 
     def _plan(self, kept: tuple, skip: frozenset, given: frozenset, scopes: tuple = ()) -> tuple:
@@ -459,9 +476,9 @@ class Cbn:
         distinct nodes and ``skip`` only nodes, with ``given`` the nodes the
         event names and ``scopes`` the ``(owner, parents)`` of each table
         that stands in for a skipped node (`_contract`):
-        ``(operands, cpds, places, slots, output, dims)``.  It depends on
-        the dag, the cards, each CPD's parent order and each table's, and on
-        no CPD or table entry.
+        ``(operands, cpds, places, slots, output, dims, fold)``.  It depends
+        on the dag, the cards, each CPD's parent order and each table's, and
+        on no CPD or table entry.
 
         ``operands`` alternates arrays and label lists, as `np.einsum`
         takes them, with ``None`` where a table goes: each ``(at, name)`` of
@@ -473,6 +490,16 @@ class Cbn:
         that axis whole).  An event node in ``kept`` is a row of a
         read-only identity matrix; any other event node slices the tables
         it appears in, stand-ins included.
+
+        An operand that is no slot and no stand-in is event-free: the same
+        on every call.  With two or more such tables besides the leading
+        count, ``fold`` is ``(split, labels, sizes)``: the per-call
+        operands come first, each in its order, and ``operands[split:]``
+        (the count, then the event-free tables in order) contract into one
+        factor over ``labels``, of ``sizes``, the labels of theirs that the
+        output or a per-call operand reads.  So a call contracts no more
+        operands, and no more label states, than the unfolded plan would.
+        With fewer, ``fold`` is ``None`` and the operands stay in dag order.
         """
         if len(set(map(self._dag.index, kept))) != len(kept):
             raise ValueError(f"keep repeats a node: {list(kept)}")
@@ -499,7 +526,8 @@ class Cbn:
                 f"a contraction over {len(needed)} nodes exceeds the {MAX_LABELS} "
                 "that one einsum can label", len(needed), MAX_LABELS
             )
-        label = {name: i for i, name in enumerate(n for n in nodes if n in needed)}
+        labelled = [n for n in nodes if n in needed]
+        label = {name: i for i, name in enumerate(labelled)}
         pinned = given.difference(kept)
         # a skipped node that nothing needs has no factor left: summing its
         # free axis multiplies by its cardinality
@@ -533,9 +561,26 @@ class Cbn:
         for name in kept:
             if name not in covered:
                 operands += [_read_only(np.ones(cards[name])), [label[name]]]
+        output = [label[name] for name in kept]
+        fold = None
+        per_call = {at for at, _ in slots}.union(place.values())
+        free = [at for at in range(2, len(operands), 2) if at not in per_call]
+        if len(free) > 1:
+            # the per-call operands first, then the count and the event-free
+            # tables, folded into one factor over the labels that the
+            # output or a per-call operand still reads
+            read = {n for at in per_call for n in operands[at + 1]}.union(output)
+            folded = sorted(read.intersection(n for at in free for n in operands[at + 1]))
+            order = sorted(per_call) + [0] + free
+            moved = {at: 2 * i for i, at in enumerate(order)}
+            operands = [item for at in order for item in operands[at:at + 2]]
+            cpds = [(moved[at], name) for at, name in cpds]
+            place = {name: moved[at] for name, at in place.items()}
+            slots = [(moved[at], axes) for at, axes in slots]
+            fold = 2 * len(per_call), folded, [cards[labelled[i]] for i in folded]
         return (
             operands, tuple(cpds), tuple(map(place.get, stand_ins)), tuple(slots),
-            [label[name] for name in kept], [cards[name] for name in kept],
+            output, [cards[name] for name in kept], fold,
         )
 
     def marginal_prob(self, event: Mapping[str, int], budget: Budget | None = None) -> float:

@@ -384,37 +384,40 @@ def kernel_steps(cards, axes, segments, factored, lead: int) -> tuple[tuple, tup
     return tuple(steps), tuple(segments[len(head):])
 
 
-def table_chunks(base: np.ndarray, steps, weight: int = 1):
+def table_chunks(base: np.ndarray, steps, weight: int = 1, numbered: bool = True):
     """The value of every table combination that ``steps`` (`kernel_steps`)
     enter into ``base``, in chunks, each with its combination numbers.
 
     ``base`` leads with an axis over the free drivers' values, numbered
     ``weight`` apart, and so does each chunk over its combinations, newest
     factor's tables first.  A chunk's numbers are ``None`` while no factor
-    has entered, as the one chunk is then numbered by position; otherwise
-    chunks come in an order of their own.  From the first factor on, the
-    tables axis comes last, so that each operation runs along it.  A factor
-    adds its products over its driver's values in order, as ``np.einsum``
-    would, and a one-hot one picks one entry exactly; a run of chance axes
-    adds its entries in row-major order, as over one combination's own
-    tensor; and a chunk is handed on laid out as one combination's tensor
-    after another, so that the chain's sums add as they would on each.  So
-    each value is that of a scan of one combination at a time.  Without
-    steps, the one chunk is ``base`` itself."""
+    has entered, as the one chunk is then numbered by position, and for a
+    caller that keeps no number (``numbered`` false); otherwise chunks come
+    in an order of their own.  From the first factor on, the tables axis
+    comes last, so that each operation runs along it.  A factor adds its
+    products over its driver's values in order, as ``np.einsum`` would, and
+    a one-hot one picks one entry exactly; a run of chance axes adds its
+    entries in row-major order, as over one combination's own tensor; and a
+    chunk is handed on laid out as one combination's tensor after another,
+    so that the chain's sums add as they would on each (a chunk of the
+    tables axis alone is that already).  So each value is that of a scan of
+    one combination at a time.  Without steps, the one chunk is ``base``
+    itself."""
     if not steps:
         return ((base, None),)
 
-    def run(t: np.ndarray, numbers, at: int):
+    def run(t: np.ndarray, numbers, at: int, last: bool):
         for i in range(at, len(steps)):
             if isinstance(steps[i], int):
-                lead = int(numbers is None)
+                lead = int(not last)
                 t = t.sum(axis=tuple(range(lead, lead + steps[i])))
                 continue
             rows, keep, cells, low, step_weight, factor, where = steps[i]
             count, size, high = len(rows), factor.shape[-2], cells - low
-            if numbers is None:
+            if not last:
                 # the tables axis last from the first factor on
-                numbers = np.arange(len(t)) * weight
+                if numbered:
+                    numbers = np.arange(len(t)) * weight
                 t = t.transpose(*range(1, t.ndim), 0)
             if high:
                 factor = factor.copy()
@@ -429,12 +432,16 @@ def table_chunks(base: np.ndarray, steps, weight: int = 1):
                     out = factor[0] * t_by_table[0]
                     for value in range(1, len(factor)):
                         out += factor[value] * t_by_table[value]
-                offsets = (n * size + np.arange(size)) * step_weight
-                yield from run(out.reshape(*out.shape[:-2], -1), (offsets[:, None] + numbers).reshape(-1), i + 1)
+                if numbered:
+                    offsets = (n * size + np.arange(size)) * step_weight
+                    numbers_out = (offsets[:, None] + numbers).reshape(-1)
+                else:
+                    numbers_out = None
+                yield from run(out.reshape(*out.shape[:-2], -1), numbers_out, i + 1, True)
             return
-        yield (t if numbers is None else np.ascontiguousarray(np.moveaxis(t, -1, 0))), numbers
+        yield (t if not last or t.ndim == 1 else np.ascontiguousarray(np.moveaxis(t, -1, 0))), numbers
 
-    return run(base, None, 0)
+    return run(base, None, 0, False)
 
 
 def live_drivers(dag: Dag, drivers: tuple[str, ...], desired) -> tuple[str, ...]:
@@ -739,7 +746,7 @@ def _scan_plan(cbn: Cbn, drivers, ip_class: IpClass, desired, directions, budget
                 t = best.reshape(t.shape[:1] + t.shape[2:])
         return t
 
-    chunks = table_chunks(base, steps, plan.outer_total // len(base))
+    chunks = table_chunks(base, steps, plan.outer_total // len(base), witness)
     if not witness:
         # values alone: each direction's optimum over the chunks' optima,
         # exact whatever order the chunks come in, as max and min are; a

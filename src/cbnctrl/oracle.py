@@ -253,30 +253,38 @@ def grid_policy_values(
     denom = _grid_denominator(step)
     if not driver_list:
         return [float(cbn._contract(desired, keep=()))] * len(directions)
-    cards = cbn.cards
-    scopes = {d: scope_for_class(dag, d, ip_class) for d in driver_list}
-    total = prod(
-        comb(denom + cards[d] - 1, cards[d] - 1) ** prod(cards[s] for s in scopes[d])
-        for d in driver_list
-    )
-    budget.check_work(total * cbn.state_space_size())
+    key = cbn.card_tuple, driver_list, ip_class.level, step
+
+    def scopes() -> dict:
+        return {d: scope_for_class(dag, d, ip_class) for d in driver_list}
+
+    def work() -> int:
+        cards = cbn.cards
+        return prod(
+            comb(denom + cards[d] - 1, cards[d] - 1) ** prod(cards[s] for s in scope)
+            for d, scope in scopes().items()
+        )
 
     def grid() -> tuple:
         # the layout in reduction order, reverse node order, as every other
         # node meets no policy factor and is summed out first, and the
         # kernel's steps over it, each driver's factor of its grid rows
-        layout = dag.canon([*driver_list, *(s for d in driver_list for s in scopes[d])])[::-1]
-        searched = [(d, scopes[d], _read_only(np.array(simplex_grid_rows(cards[d], step)))) for d in driver_list]
-        segments = [(len(list(run)), None) for _, run in groupby(layout, lambda n: n if n in scopes else None)]
+        cards, held = cbn.cards, scopes()
+        layout = dag.canon([*driver_list, *(s for d in driver_list for s in held[d])])[::-1]
+        searched = [(d, held[d], _read_only(np.array(simplex_grid_rows(cards[d], step)))) for d in driver_list]
+        segments = [(len(list(run)), None) for _, run in groupby(layout, lambda n: n if n in held else None)]
         return layout, kernel_steps(cards, layout, segments, searched, 1)[0]
 
-    layout, steps = dag.derived("grid", (cbn.card_tuple, driver_list, ip_class.level, step), grid)
+    # the estimate is kept apart from the rows and steps, which only a call
+    # that passes the work check builds
+    budget.check_work(dag.derived("grid", (key, "work"), work) * cbn.state_space_size())
+    layout, steps = dag.derived("grid", key, grid)
     base = cbn._contract(desired, driver_list, layout)
     # the sums are the same in every direction, and max and min are exact,
     # so the order the chunks come in leaves every optimum as it is
     optima = [
         [direction.pairwise.reduce(values) for direction in directions]
-        for values, _ in table_chunks(base[None], steps)
+        for values, _ in table_chunks(base[None], steps, numbered=False)
     ]
     return [float(d.pairwise.reduce(column)) for d, column in zip(directions, zip(*optima))]
 

@@ -646,6 +646,130 @@ class TestContraction:
         assert (info.value.estimate, info.value.limit) == (60, 52)
 
 
+def einsum_calls(monkeypatch):
+    """Record, per call of ``np.einsum``, each operand's shape and labels
+    and the output labels."""
+    calls = []
+    real = np.einsum
+
+    def recording(*args, **kwargs):
+        pairs = [(np.shape(op), list(labels)) for op, labels in zip(args[:-1:2], args[1::2])]
+        calls.append((pairs, list(args[-1])))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", recording)
+    return calls
+
+
+def label_states(pairs, output=()):
+    """The product of the sizes of every label ``pairs`` and ``output``
+    read."""
+    sizes = {label: size for shape, labels in pairs for label, size in zip(labels, shape)}
+    assert set(output) <= sizes.keys()
+    return int(np.prod(list(sizes.values()), dtype=object))
+
+
+def event_free_tables(plan) -> int:
+    """The operands of a dag plan of `Cbn._plan` that no event value slices
+    and no stand-in table fills, bar the leading count."""
+    operands, _, places, slots, _, _, fold = plan
+    per_call = {at for at, _ in slots}.union(places)
+    count = 0 if fold is None else fold[0]
+    return sum(at not in per_call and at != count for at in range(0, len(operands), 2))
+
+
+class TestFold:
+    """Each network contracts a shape's event-free tables once, into one
+    factor that every call of the shape contracts with its per-call
+    operands: the tables an event value slices and the stand-ins."""
+
+    @staticmethod
+    def queries(rng, cbn):
+        """``(name, run, expect)`` for a marginal of the last node and at
+        most one more and one of every node, a conditional, an
+        interventional query with two stand-ins, a joint with ``keep`` and
+        no event, and one with ``skip``, each against literal sums."""
+        nodes, cards = cbn.dag.nodes, cbn.cards
+        last = nodes[-1]
+        event = {**random_event(rng, cbn, int(rng.integers(0, 2))), last: int(rng.integers(cards[last]))}
+        full = random_event(rng, cbn, len(nodes))
+        both = random_event(rng, cbn, int(rng.integers(2, len(nodes) + 1)))
+        split = int(rng.integers(1, len(both)))
+        asked, given = dict(list(both.items())[:split]), dict(list(both.items())[split:])
+        pair = random_pair(rng, cbn)
+        keep = tuple(nodes[i] for i in rng.permutation(len(nodes))[: int(rng.integers(1, 4))])
+        skip = tuple(n for n in nodes if rng.random() < 0.4)
+        joint_keep = [enumerate_prob(cbn, dict(zip(keep, values)))
+                      for values in product(*(range(cards[n]) for n in keep))]
+        return [
+            ("marginal", lambda: cbn.marginal_prob(event), lambda: enumerate_prob(cbn, event)),
+            ("full", lambda: cbn.marginal_prob(full), lambda: enumerate_prob(cbn, full)),
+            ("conditional", lambda: cbn.conditional_prob(asked, given),
+             lambda: enumerate_prob(cbn, both) / enumerate_prob(cbn, given)),
+            ("interventional", lambda: interventional_prob(cbn, pair, event),
+             lambda: enumerate_prob(apply_intervention(cbn, pair), event)),
+            ("keep", lambda: cbn.joint(keep=keep).reshape(-1), lambda: np.array(joint_keep)),
+            ("skip", lambda: cbn.joint(event, skip, keep=keep[:1]),
+             lambda: TestContraction.literal(cbn, event, skip, keep[:1])),
+        ]
+
+    @staticmethod
+    def networks():
+        rng = np.random.default_rng(3707)
+        for i in range(16):
+            dag = random_dag(rng, int(rng.integers(3, 10 if i % 2 else 7)), 0.5)
+            yield rng, random_cbn(rng, dag, 2 if i % 2 else 3)
+
+    def test_folded_queries_match_enumeration(self):
+        # per kind of query, the shapes it made with no, one and several
+        # event-free tables
+        seen = {}
+        for rng, cbn in self.networks():
+            for name, run, expect in self.queries(rng, cbn):
+                before = set(cbn._plans)
+                cold = np.asarray(run())
+                assert np.max(np.abs(cold - expect()), initial=0.0) <= 1e-12, (name, cbn.dag)
+                # warm, bit for bit the cold call's answer
+                assert np.asarray(run()).tobytes() == cold.tobytes()
+                for shape in cbn._plans.keys() - before:
+                    free = event_free_tables(cbn.dag._derived["joint"][(cbn._layout, shape)])
+                    seen[name, min(free, 2)] = seen.get((name, min(free, 2)), 0) + 1
+        assert {name for name, free in seen if free == 2} == {"marginal", "conditional", "interventional", "keep", "skip"}
+        assert min(sum(n for (_, free), n in seen.items() if free == k) for k in range(3)) >= 10, seen
+
+    def test_a_call_contracts_no_more_than_the_unfolded_plan(self, monkeypatch):
+        # on a cold call of a folding shape, the first einsum folds the
+        # event-free operands and the second is the per-call one, which
+        # takes that factor last; the unfolded plan is both, bar the factor
+        calls = einsum_calls(monkeypatch)
+        folded = 0
+        for rng, cbn in self.networks():
+            for name, run, _ in self.queries(rng, cbn):
+                calls.clear()
+                run()
+                if len(calls) == 1:
+                    continue
+                (fold, _), (per_call, output) = calls
+                unfolded = fold + per_call[:-1]
+                assert per_call[-1][1] == sorted(per_call[-1][1])
+                assert len(per_call) <= len(unfolded)
+                assert label_states(per_call, output) <= label_states(unfolded, output), name
+                folded += 1
+        assert folded >= 40
+
+    def test_a_warm_call_builds_no_second_fold(self, monkeypatch):
+        calls = einsum_calls(monkeypatch)
+        for rng, cbn in self.networks():
+            for name, run, _ in self.queries(rng, cbn):
+                run()
+                plans = {shape: list(plan[0]) for shape, plan in cbn._plans.items()}
+                calls.clear()
+                run()
+                # one einsum, the per-call one, with each kept factor as it was
+                assert len(calls) == 1, name
+                assert all(a is b for shape, held in plans.items() for a, b in zip(held, cbn._plans[shape][0]))
+
+
 class TestDeterministicFlag:
     """`Cbn.deterministic` is scanned once per network and then cached."""
 

@@ -145,9 +145,9 @@ class TestGridPolicyValues:
         runs = []
         chunks = oracle.table_chunks
 
-        def counting(*args):
+        def counting(*args, **kwargs):
             runs.append(0)
-            for chunk in chunks(*args):
+            for chunk in chunks(*args, **kwargs):
                 runs[-1] += 1
                 yield chunk
 

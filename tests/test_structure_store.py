@@ -125,10 +125,28 @@ def test_a_network_holds_no_store_of_its_dag(structure):
         held = list(vars(cbn).values())
         assert not [value for value in held if any(value is store for store in stores)]
     assert first._plans.keys() == second._plans.keys()
+    folds = 0
     for shape, (operands, *rest) in first._plans.items():
         other, *same = second._plans[shape]
         assert all(a is b for a, b in zip(rest, same))
         assert operands is not other
+        # each network's places, slots, output and dims are the dag plan's
+        # own objects, at the dag plan's positions; a folding plan's event-
+        # free tables are each network's own read-only factor, made from its
+        # own tables, after the dag plan's per-call operands
+        planned, _, places, slots, output, dims, fold = dag._derived["joint"][(first._layout, shape)]
+        assert all(a is b for a, b in zip(rest, (places, slots, output, dims), strict=True))
+        if fold is None:
+            assert len(operands) == len(other) == len(planned)
+            continue
+        folds += 1
+        split, labels, sizes = fold
+        for held in (operands, other):
+            assert len(held) == split + 2 and held[split + 1] is labels
+            assert held[split].shape == tuple(sizes) and not held[split].flags.writeable
+            assert all(held[at] is planned[at] for at in range(1, split, 2))
+        assert operands[split] is not other[split] and not np.array_equal(operands[split], other[split])
+    assert folds
 
 
 def test_other_cards_on_one_dag_plan_apart(monkeypatch):
