@@ -746,7 +746,7 @@ def _scan_plan(cbn: Cbn, drivers, ip_class: IpClass, desired, directions, budget
                 t = best.reshape(t.shape[:1] + t.shape[2:])
         return t
 
-    chunks = table_chunks(base, steps, plan.outer_total // len(base), witness)
+    chunks = table_chunks(base, steps, plan.outer_total // len(base), numbered=witness)
     if not witness:
         # values alone: each direction's optimum over the chunks' optima,
         # exact whatever order the chunks come in, as max and min are; a

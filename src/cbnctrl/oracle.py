@@ -15,9 +15,10 @@ keeps there: ``"drivers"``, a suite's `c_star` drivers per pool and
 targets as given, once `ControlProblem`'s structure checks pass (the
 desired values are checked on every call); ``"brackets"``,
 `verify_lemma3`'s schedule of brackets and optimizer calls per pool, event
-nodes and class levels; and ``"grid"``, `grid_policy_values`' layout and
-kernel steps, with their read-only grid factors, per cards, drivers, class
-level and step.  `verify_usm`'s pair forcing every driver to 1 is made of
+nodes and class levels; and ``"grid"``, `grid_policy_values`' work
+estimate and, once a call passes its work check, its layout and kernel
+steps, with their read-only grid factors, per cards, drivers, class level
+and step.  `verify_usm`'s pair forcing every driver to 1 is made of
 `control.atomic_policy_on`'s kept policies.  So a suite run again, on the
 same network or on another parametrization of its structure, walks no
 graph.
@@ -240,7 +241,9 @@ def grid_policy_values(
     as one factor, with no chain, each chunk's values read once per
     direction.  The work estimate is the number of table combinations times
     the joint size; it is checked from the row counts, before any row is
-    built, and it counts more work than the kernel does.
+    built, and it counts more work than the kernel does.  The dag keeps
+    the estimate, and the kernel neither numbers nor copies the chunks,
+    whose combination numbers the grid does not read.
     """
     directions = checked_directions(directions, ip_class, desired)
     budget = budget or DEFAULT_BUDGET

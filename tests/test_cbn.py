@@ -751,7 +751,11 @@ class TestFold:
                     continue
                 (fold, _), (per_call, output) = calls
                 unfolded = fold + per_call[:-1]
-                assert per_call[-1][1] == sorted(per_call[-1][1])
+                # the factor keeps only labels that the output or a
+                # per-call operand reads, in label order
+                factor = per_call[-1][1]
+                assert factor == sorted(factor)
+                assert set(factor) <= {n for _, labels in per_call[:-1] for n in labels}.union(output)
                 assert len(per_call) <= len(unfolded)
                 assert label_states(per_call, output) <= label_states(unfolded, output), name
                 folded += 1

@@ -751,9 +751,9 @@ def spy_chunks(monkeypatch):
     calls = []
     real = control.table_chunks
 
-    def recording(*args):
+    def recording(*args, **kwargs):
         calls.append([])
-        for t, numbers in real(*args):
+        for t, numbers in real(*args, **kwargs):
             calls[-1].append(numbered(t, numbers).copy())
             yield t, numbers
 

@@ -8,7 +8,7 @@ policies, the grid's rows and `verify_lemma3`'s schedule depend on the
 structure (and the cards and the query's shape) alone, so the dag keeps
 them (`Dag.derived`) and every network on it shares them.  A warm key must
 answer and refuse as a cold one, and a refused call keeps nothing.  A network keeps
-its own CPD arrays in its plans, and the dag keeps none, so sweeping
+its own CPD arrays and folded factors in its plans, and the dag keeps none, so sweeping
 parametrizations keeps nothing alive; nor does a network hold any of the
 dag's stores.  Each answer must be bit for bit that of a network on a
 new, equal dag, which plans everything afresh.
