@@ -23,13 +23,13 @@ operands and labels, with a slot for each CPD, each stand-in table and each
 operand an event value slices.  The plan also splits the operands: the
 per-call ones, which an event value slices or a stand-in table fills, and
 the event-free rest.  Each network keeps that plan with its own CPD arrays
-in place and, where two or more tables are event-free, with those folded
-into one read-only factor, contracted once (Darwiche 2003: compile once per
-network, evaluate per query).  So a repeated query only checks, puts in its
-stand-in tables, slices in its event values and contracts the per-call
-operands with that factor.  A network holds only its CPDs, those plans and
-its layout; what other modules derive from the structure they keep on the
-dag themselves, keyed by `Cbn.card_tuple`.
+in place and its event-free operands folded into one read-only factor,
+contracted once (Darwiche 2003: compile once per network, evaluate per
+query).  So a repeated query only checks, puts in its stand-in tables,
+slices in its event values and contracts the per-call operands with that
+factor.  A network holds only its CPDs, those plans and its layout; what
+other modules derive from the structure they keep on the dag themselves,
+keyed by `Cbn.card_tuple`.
 The literal sum over completions survives only as
 `oracle.enumerate_prob`, the reference the engine is tested against.
 """
@@ -435,43 +435,34 @@ class Cbn:
         contracts only the tables that ``event`` slices and ``tables`` fill,
         with that factor."""
         kept = self._dag.nodes if keep is None else tuple(keep)
-        if tables:
-            shape = (kept, frozenset(skip), frozenset(event), tuple([(t.owner, t.parents) for t in tables]))
-        else:
-            shape = (kept, frozenset(skip), frozenset(event))
+        shape = (kept, frozenset(skip), frozenset(event), tuple([(t.owner, t.parents) for t in tables]))
         plan = self._plans.get(shape)
         if plan is None:
             plan = self._plans[shape] = self._fill(shape)
         operands, places, slots, output, dims = plan
-        # a shape with no slot and no stand-in contracts the plan's operands
-        # as they are
-        if slots or tables:
-            operands = operands.copy()
-            for at, table in zip(places, tables):
-                operands[at] = table.array()
-            for at, axes in slots:
-                operands[at] = operands[at][tuple([_WHOLE if n is None else event[n] for n in axes])]
+        operands = operands.copy()
+        for at, table in zip(places, tables):
+            operands[at] = table.array()
+        for at, axes in slots:
+            operands[at] = operands[at][tuple([_WHOLE if n is None else event[n] for n in axes])]
         return np.einsum(*operands, output, out=np.empty(dims), optimize=False)
 
     def _fill(self, shape: tuple) -> tuple:
         # the dag's plan of ``shape`` for this network's layout, made by
         # `_plan` on the first call of any network of that layout, with this
-        # network's CPD arrays in place and, where the plan folds, its
-        # event-free operands contracted into one read-only factor, this
-        # network's own: ``(operands, places, slots, output, dims)``
-        operands, cpds, places, slots, output, dims, fold = self._dag.derived(
+        # network's CPD arrays in place and its event-free operands
+        # contracted into one read-only factor, this network's own:
+        # ``(operands, places, slots, output, dims)``
+        operands, cpds, places, slots, output, dims, (split, labels, sizes) = self._dag.derived(
             "joint", (self._layout, shape), lambda: self._plan(*shape)
         )
         operands = operands.copy()
         for at, name in cpds:
             operands[at] = self._cpds[name].array()
-        if fold is not None:
-            split, labels, sizes = fold
-            factor = np.einsum(*operands[split:], labels, out=np.empty(sizes), optimize=False)
-            operands = [*operands[:split], _read_only(factor), labels]
-        return operands, places, slots, output, dims
+        factor = np.einsum(*operands[split:], labels, out=np.empty(sizes), optimize=False)
+        return [*operands[:split], _read_only(factor), labels], places, slots, output, dims
 
-    def _plan(self, kept: tuple, skip: frozenset, given: frozenset, scopes: tuple = ()) -> tuple:
+    def _plan(self, kept: tuple, skip: frozenset, given: frozenset, scopes: tuple) -> tuple:
         """`joint`'s contraction for one query shape, once ``kept`` holds
         distinct nodes and ``skip`` only nodes, with ``given`` the nodes the
         event names and ``scopes`` the ``(owner, parents)`` of each table
@@ -491,15 +482,13 @@ class Cbn:
         read-only identity matrix; any other event node slices the tables
         it appears in, stand-ins included.
 
-        An operand that is no slot and no stand-in is event-free: the same
-        on every call.  With two or more such tables besides the leading
-        count, ``fold`` is ``(split, labels, sizes)``: the per-call
-        operands come first, each in its order, and ``operands[split:]``
-        (the count, then the event-free tables in order) contract into one
-        factor over ``labels``, of ``sizes``, the labels of theirs that the
-        output or a per-call operand reads.  So a call contracts no more
-        operands, and no more label states, than the unfolded plan would.
-        With fewer, ``fold`` is ``None`` and the operands stay in dag order.
+        ``fold`` is ``(split, labels, sizes)``.  The per-call operands, the
+        slots and the stand-ins, come first, each in dag order; the rest,
+        ``operands[split:]``, are event-free: the count, then the other
+        tables in dag order.  Those contract into one factor over
+        ``labels``, of ``sizes``, the labels of theirs that the output or a
+        per-call operand reads.  So a call contracts no more operands, and
+        no more label states, than the whole product in one einsum would.
         """
         if len(set(map(self._dag.index, kept))) != len(kept):
             raise ValueError(f"keep repeats a node: {list(kept)}")
@@ -532,7 +521,8 @@ class Cbn:
         # a skipped node that nothing needs has no factor left: summing its
         # free axis multiplies by its cardinality
         count = prod(cards[n] for n in nodes if n in skip and n not in needed)
-        operands: list = [float(count), []]
+        per_call: list = []
+        free: list = [float(count), []]
         cpds = []
         place = {}
         slots = []
@@ -543,44 +533,35 @@ class Cbn:
             if name not in needed:
                 continue
             if name in given and name not in pinned:
-                slots.append((len(operands), (name,)))
-                operands += [_read_only(np.eye(cards[name])), [label[name]]]
+                slots.append((len(per_call), (name,)))
+                per_call += [_read_only(np.eye(cards[name])), [label[name]]]
                 covered.add(name)
             if name not in parents:
                 continue
             involved = (*parents[name], name)
-            if not pinned.isdisjoint(involved):
-                slots.append((len(operands), tuple(n if n in pinned else None for n in involved)))
+            sliced = not pinned.isdisjoint(involved)
+            held = per_call if sliced or name in stand_ins else free
+            if sliced:
+                slots.append((len(held), tuple(n if n in pinned else None for n in involved)))
             if name in stand_ins:
-                place[name] = len(operands)
+                place[name] = len(held)
             else:
-                cpds.append((len(operands), name))
+                cpds.append((held is free, len(held), name))
             involved = [n for n in involved if n not in pinned]
-            operands += [None, [label[n] for n in involved]]
+            held += [None, [label[n] for n in involved]]
             covered.update(involved)
         for name in kept:
             if name not in covered:
-                operands += [_read_only(np.ones(cards[name])), [label[name]]]
+                free += [_read_only(np.ones(cards[name])), [label[name]]]
         output = [label[name] for name in kept]
-        fold = None
-        per_call = {at for at, _ in slots}.union(place.values())
-        free = [at for at in range(2, len(operands), 2) if at not in per_call]
-        if len(free) > 1:
-            # the per-call operands first, then the count and the event-free
-            # tables, folded into one factor over the labels that the
-            # output or a per-call operand still reads
-            read = {n for at in per_call for n in operands[at + 1]}.union(output)
-            folded = sorted(read.intersection(n for at in free for n in operands[at + 1]))
-            order = sorted(per_call) + [0] + free
-            moved = {at: 2 * i for i, at in enumerate(order)}
-            operands = [item for at in order for item in operands[at:at + 2]]
-            cpds = [(moved[at], name) for at, name in cpds]
-            place = {name: moved[at] for name, at in place.items()}
-            slots = [(moved[at], axes) for at, axes in slots]
-            fold = 2 * len(per_call), folded, [cards[labelled[i]] for i in folded]
+        split = len(per_call)
+        read = {n for labels in per_call[1::2] for n in labels}.union(output)
+        folded = sorted(read.intersection(n for labels in free[1::2] for n in labels))
+        # an event-free CPD's place counts from the split
+        cpds = tuple([(split + at if is_free else at, name) for is_free, at, name in cpds])
         return (
-            operands, tuple(cpds), tuple(map(place.get, stand_ins)), tuple(slots),
-            output, [cards[name] for name in kept], fold,
+            per_call + free, cpds, tuple(map(place.get, stand_ins)), tuple(slots),
+            output, [cards[name] for name in kept], (split, folded, [cards[labelled[i]] for i in folded]),
         )
 
     def marginal_prob(self, event: Mapping[str, int], budget: Budget | None = None) -> float:

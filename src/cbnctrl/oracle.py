@@ -325,8 +325,6 @@ def random_cbn(rng: np.random.Generator, dag: Dag, card: int | Mapping[str, int]
 
     ``card`` is one cardinality for every node or a mapping from node to
     cardinality; rows are drawn node by node in ``dag.nodes`` order."""
-    from .cbn import Cpd
-
     cards = dict(card) if isinstance(card, Mapping) else {n: card for n in dag.nodes}
     cpds = {}
     for node in dag.nodes:

@@ -1,7 +1,8 @@
 """No dead symbols in the package: each module uses every name it
-imports, and every module-level private function, class or constant is
-used somewhere in the package.  ``__init__.py`` only re-exports, so it is
-not checked itself."""
+imports, imports no name again inside a function that it already
+imports at the top, and every module-level private function, class or
+constant is used somewhere in the package.  ``__init__.py`` only
+re-exports, so it is not checked itself."""
 
 import ast
 from pathlib import Path
@@ -24,19 +25,32 @@ def used_names(tree) -> set[str]:
     return names
 
 
+def imported_names(nodes) -> set[str]:
+    """The names that the import statements among ``nodes`` bind, bar
+    ``__future__`` features."""
+    return {
+        alias.asname or alias.name.split(".")[0]
+        for node in nodes
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+
+
 def test_every_import_is_used():
     unused = []
     for name, tree in MODULES.items():
-        used = used_names(tree)
-        for node in tree.body:
-            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-                continue
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                for alias in node.names:
-                    bound = alias.asname or alias.name.split(".")[0]
-                    if bound not in used:
-                        unused.append(f"{name}: {bound}")
+        unused += [f"{name}: {bound}" for bound in sorted(imported_names(tree.body) - used_names(tree))]
     assert unused == []
+
+
+def test_no_function_imports_a_name_its_module_imports():
+    again = []
+    for name, tree in MODULES.items():
+        top = imported_names(tree.body)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                again += [f"{name}: {node.name} imports {bound}" for bound in imported_names(ast.walk(node)) & top]
+    assert again == []
 
 
 def test_every_private_module_symbol_is_used():

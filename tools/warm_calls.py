@@ -15,6 +15,13 @@ each as the best of ``--rounds`` runs of ``--repeat`` calls, and prints
 the median over the problems in microseconds per call: one line for the
 optimizer, one for `interventional_prob` and one for the two queries.
 
+A last line prints the median first call of `Cbn.marginal_prob`,
+`interventional_prob` and `optimal_values` on a fresh `Cbn` of each
+problem's tables, on its dag, which those warm calls have planned: the
+cost a network pays on its first call of a shape, when it folds that
+shape's event-free tables into its own factor.  Each is the best of
+``--repeat`` first calls, each on a network of its own.
+
     PYTHONPATH=src python tools/warm_calls.py --repeat 300 --rounds 3
 """
 
@@ -23,10 +30,12 @@ from __future__ import annotations
 import argparse
 import statistics
 import timeit
+from functools import partial
+from time import perf_counter
 
 import numpy as np
 
-from cbnctrl import CLASS_INF, ControlProblem, InterventionPair, c_star, interventional_prob, optimal_values
+from cbnctrl import CLASS_INF, Cbn, ControlProblem, InterventionPair, c_star, interventional_prob, optimal_values
 from cbnctrl.control import atomic_policy_on
 from cbnctrl.oracle import BOTH, random_problem
 
@@ -34,10 +43,13 @@ SEEDS = range(25)
 NODES = 8
 #: the timed calls, in the order `calls` gives them per problem
 NAMES = ("optimal_values", "interventional_prob", "marginal_prob", "conditional_prob")
+#: the calls timed first on a fresh network, in the order of their line
+FIRST = ("marginal_prob", "interventional_prob", "optimal_values")
 
 
 def calls() -> list[tuple]:
-    """Per problem, the optimizer call and the three queries, as thunks."""
+    """Per problem, its network and the optimizer call and the three
+    queries, each a function of a network of the problem's layout."""
     out = []
     for seed in SEEDS:
         cbn, intervenable, targets, desired = random_problem(np.random.default_rng(seed), NODES)
@@ -45,12 +57,12 @@ def calls() -> list[tuple]:
         drivers = c_star(problem).members
         pair = InterventionPair(atomic_policy_on(cbn.dag, d, 1, cbn.cards[d]) for d in drivers)
         given = {next(n for n in cbn.dag.nodes if n not in desired): 1}
-        out.append((
-            lambda cbn=cbn, drivers=drivers, desired=desired: optimal_values(cbn, drivers, CLASS_INF, desired, BOTH),
-            lambda cbn=cbn, pair=pair, desired=desired: interventional_prob(cbn, pair, desired),
-            lambda cbn=cbn, desired=desired: cbn.marginal_prob(desired),
-            lambda cbn=cbn, desired=desired, given=given: cbn.conditional_prob(desired, given),
-        ))
+        out.append((cbn, (
+            lambda net, drivers=drivers, desired=desired: optimal_values(net, drivers, CLASS_INF, desired, BOTH),
+            lambda net, pair=pair, desired=desired: interventional_prob(net, pair, desired),
+            lambda net, desired=desired: net.marginal_prob(desired),
+            lambda net, desired=desired, given=given: net.conditional_prob(desired, given),
+        )))
     return out
 
 
@@ -61,6 +73,18 @@ def warm_us(call, repeat: int, rounds: int) -> float:
     return min(timeit.repeat(call, number=repeat, repeat=rounds)) / repeat * 1e6
 
 
+def first_us(call, cbn: Cbn, repeat: int) -> float:
+    """The best of ``repeat`` first calls, in µs, each on a fresh `Cbn` of
+    ``cbn``'s tables on its dag."""
+    best = float("inf")
+    for _ in range(repeat):
+        fresh = Cbn(cbn.dag, cbn.cards, cbn.cpds)
+        start = perf_counter()
+        call(fresh)
+        best = min(best, perf_counter() - start)
+    return best * 1e6
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=300, help="calls per timed run (default 300)")
@@ -68,13 +92,18 @@ def main(argv=None) -> None:
     args = parser.parse_args(argv)
     if args.repeat < 1 or args.rounds < 1:
         parser.error("--repeat and --rounds must be at least 1")
-    medians = {}
-    for name, column in zip(NAMES, zip(*calls())):
-        times = [warm_us(call, args.repeat, args.rounds) for call in column]
-        medians[name] = statistics.median(times), len(times)
-    for line in (NAMES[:1], NAMES[1:2], NAMES[2:]):
-        print(", ".join(f"{name}: median {medians[name][0]:.1f} us" for name in line)
-              + f" over {medians[line[0]][1]} problems")
+    networks, columns = zip(*calls())
+    warm, first = {}, {}
+    for name, column in zip(NAMES, zip(*columns)):
+        warm[name] = statistics.median(
+            warm_us(partial(call, cbn), args.repeat, args.rounds) for cbn, call in zip(networks, column)
+        )
+        if name in FIRST:
+            first[name] = statistics.median(first_us(call, cbn, args.repeat) for cbn, call in zip(networks, column))
+    for head, medians, line in (("", warm, NAMES[:1]), ("", warm, NAMES[1:2]), ("", warm, NAMES[2:]),
+                                ("first call on a fresh network: ", first, FIRST)):
+        print(head + ", ".join(f"{name}: median {medians[name]:.1f} us" for name in line)
+              + f" over {len(networks)} problems")
 
 
 if __name__ == "__main__":
