@@ -19,10 +19,10 @@ table's owner and parents) and on the network's layout (its cards and each
 CPD's parent order), never on a table's entries.  So the dag keeps one
 plan per layout and shape (`Dag.derived`, under ``"joint"``), checked and
 made on the first call of any network of that layout: the einsum's
-operands and labels, with a slot for each CPD, each stand-in table and each
-operand an event value slices.  The plan also splits the operands: the
-per-call ones, which an event value slices or a stand-in table fills, and
-the event-free rest.  Each network keeps that plan with its own CPD arrays
+operands and labels, with each CPD's owner named where its array goes and
+a slot for each stand-in table and each operand an event value slices.
+The plan also splits the operands: the per-call ones, which an event value
+slices or a stand-in table fills, and the event-free rest.  Each network keeps that plan with its own CPD arrays
 in place and its event-free operands folded into one read-only factor,
 contracted once (Darwiche 2003: compile once per network, evaluate per
 query).  So a repeated query only checks, puts in its stand-in tables,
@@ -449,16 +449,14 @@ class Cbn:
 
     def _fill(self, shape: tuple) -> tuple:
         # the dag's plan of ``shape`` for this network's layout, made by
-        # `_plan` on the first call of any network of that layout, with this
-        # network's CPD arrays in place and its event-free operands
-        # contracted into one read-only factor, this network's own:
-        # ``(operands, places, slots, output, dims)``
-        operands, cpds, places, slots, output, dims, (split, labels, sizes) = self._dag.derived(
+        # `_plan` on the first call of any network of that layout, with each
+        # CPD owner's name swapped for this network's array of it and its
+        # event-free operands contracted into one read-only factor, this
+        # network's own: ``(operands, places, slots, output, dims)``
+        operands, places, slots, output, dims, (split, labels, sizes) = self._dag.derived(
             "joint", (self._layout, shape), lambda: self._plan(*shape)
         )
-        operands = operands.copy()
-        for at, name in cpds:
-            operands[at] = self._cpds[name].array()
+        operands = [self._cpds[op].array() if isinstance(op, str) else op for op in operands]
         factor = np.einsum(*operands[split:], labels, out=np.empty(sizes), optimize=False)
         return [*operands[:split], _read_only(factor), labels], places, slots, output, dims
 
@@ -467,20 +465,20 @@ class Cbn:
         distinct nodes and ``skip`` only nodes, with ``given`` the nodes the
         event names and ``scopes`` the ``(owner, parents)`` of each table
         that stands in for a skipped node (`_contract`):
-        ``(operands, cpds, places, slots, output, dims, fold)``.  It depends
+        ``(operands, places, slots, output, dims, fold)``.  It depends
         on the dag, the cards, each CPD's parent order and each table's, and
         on no CPD or table entry.
 
         ``operands`` alternates arrays and label lists, as `np.einsum`
-        takes them, with ``None`` where a table goes: each ``(at, name)`` of
-        ``cpds`` marks the operand that is ``name``'s read-only CPD array,
-        and the ``j``-th entry of ``places`` the operand that is the
-        ``j``-th stand-in table, filled per call.  Each slot ``(at, axes)``
-        marks an operand that depends on the event values: it is indexed
-        by the event value of each node named in ``axes`` (``None`` leaves
-        that axis whole).  An event node in ``kept`` is a row of a
-        read-only identity matrix; any other event node slices the tables
-        it appears in, stand-ins included.
+        takes them, with a CPD owner's name where its read-only CPD array
+        goes and ``None`` where a stand-in table goes: the ``j``-th entry of
+        ``places`` marks the operand that is the ``j``-th stand-in table,
+        filled per call.  Each slot ``(at, axes)`` marks an operand that
+        depends on the event values: it is indexed by the event value of
+        each node named in ``axes`` (``None`` leaves that axis whole).  An
+        event node in ``kept`` is a row of a read-only identity matrix; any
+        other event node slices the tables it appears in, stand-ins
+        included.
 
         ``fold`` is ``(split, labels, sizes)``.  The per-call operands, the
         slots and the stand-ins, come first, each in dag order; the rest,
@@ -523,7 +521,6 @@ class Cbn:
         count = prod(cards[n] for n in nodes if n in skip and n not in needed)
         per_call: list = []
         free: list = [float(count), []]
-        cpds = []
         place = {}
         slots = []
         covered = set()
@@ -545,10 +542,8 @@ class Cbn:
                 slots.append((len(held), tuple(n if n in pinned else None for n in involved)))
             if name in stand_ins:
                 place[name] = len(held)
-            else:
-                cpds.append((held is free, len(held), name))
             involved = [n for n in involved if n not in pinned]
-            held += [None, [label[n] for n in involved]]
+            held += [None if name in stand_ins else name, [label[n] for n in involved]]
             covered.update(involved)
         for name in kept:
             if name not in covered:
@@ -557,10 +552,8 @@ class Cbn:
         split = len(per_call)
         read = {n for labels in per_call[1::2] for n in labels}.union(output)
         folded = sorted(read.intersection(n for labels in free[1::2] for n in labels))
-        # an event-free CPD's place counts from the split
-        cpds = tuple([(split + at if is_free else at, name) for is_free, at, name in cpds])
         return (
-            per_call + free, cpds, tuple(map(place.get, stand_ins)), tuple(slots),
+            per_call + free, tuple(map(place.get, stand_ins)), tuple(slots),
             output, [cards[name] for name in kept], (split, folded, [cards[labelled[i]] for i in folded]),
         )
 

@@ -46,8 +46,9 @@ One plan serves every direction.  `_scan_plan` does everything up to and
 including the scan once: the scan reduces each chunk once per direction,
 each direction with its own incumbent, so each answer is exactly that of a
 single-direction call.  `optimal_values` reads the values alone, as the
-verify suites do, and its scan reduces each chain driver, then each chunk,
-with ``np.maximum``/``np.minimum``, and keeps no number.
+verify suites do, and its scan (`chunk_optima`, which
+`oracle.grid_policy_values` shares) reduces each chain driver, then each
+chunk, with ``np.maximum``/``np.minimum``, and keeps no number.
 `optimal_policy_value` asks for one direction and its winner.  Its scan
 reduces by a recording sweep over each chain driver's values instead: a
 strict comparison keeps the first optimum, as ``argmax`` does, and since
@@ -79,9 +80,8 @@ The dag keeps what this module derives from the structure alone
 (`Dag.derived`), under names no other module uses: ``"search"``,
 ``"kernel"`` and ``"first tables"`` above, a call's canonical and live
 drivers per drivers as given and event nodes (``"live"``), `c_star`'s
-drivers (``"c_star"``), the event's nodes and their ancestors that
-`live_drivers` reads (``"upstream"``), one atomic policy per driver, value
-and card (``"atomic"``), which the 0/1 witness path, `solve`'s min-min
+drivers (``"c_star"``), one atomic policy per driver, value and card
+(``"atomic"``), which the 0/1 witness path, `solve`'s min-min
 shortcut and `oracle.verify_usm` share, and `usm_adversarial_cbn`'s
 networks (``"usm"``).  None depends on a CPD entry, a budget or an event
 value, so a warm call walks no graph: it pays for its checks, its
@@ -452,11 +452,9 @@ def live_drivers(dag: Dag, drivers: tuple[str, ...], desired) -> tuple[str, ...]
     none in a graph that policies make either, since a policy's scope lies
     in its owner's ancestry.  So no table of it moves the event's
     probability, and its observations are none of them requisite (Lauritzen
-    & Nilsson 2001).  The event's nodes and their ancestors depend on the
-    structure alone, so the dag keeps them per set of event nodes
-    (`Dag.derived`)."""
-    key = frozenset(desired)
-    upstream = dag.derived("upstream", key, lambda: key.union(*map(dag.ancestors, desired)))
+    & Nilsson 2001).  Each node's ancestors are kept on the dag
+    (`Dag.ancestors`)."""
+    upstream = set(desired).union(*map(dag.ancestors, desired))
     return tuple(d for d in drivers if d in upstream)
 
 
@@ -554,8 +552,8 @@ class SearchPlan:
     entry, so the dag keeps one per cards and shape (`Dag.derived`), which
     every network on it shares.
 
-    ``scopes`` are the drivers' class scopes, and ``axes`` the base
-    tensor's nodes in reduction order, as `Cbn.joint` is asked for them.
+    ``axes`` are the base tensor's nodes in reduction order, as `Cbn.joint`
+    is asked for them.
     ``searched`` lists ``(driver, searched scope, read-only one-hot rows)``
     per enumerated driver, in canonical order; its first ``free`` drivers
     are free, read off the base without a factor, and the rest are
@@ -575,7 +573,6 @@ class SearchPlan:
     once a call has passed its work checks.
     """
 
-    scopes: dict[str, tuple[str, ...]]
     axes: tuple[str, ...]
     free: int
     layout: tuple[int, ...]
@@ -659,7 +656,7 @@ def _search_plan(
         segments.append((width, key if key in chain else None))
     searched = tuple((e, searched_scopes[e], _read_only(np.eye(cards[e]))) for e in enumerated)
     radices = tuple(cards[e] for e in enumerated for _ in range(prod(cards[s] for s in searched_scopes[e])))
-    return SearchPlan(scopes, axes, len(free), layout, searched, tuple(segments), outer_total, gathers, radices)
+    return SearchPlan(axes, len(free), layout, searched, tuple(segments), outer_total, gathers, radices)
 
 
 def plan_kernel(plan: SearchPlan, cards: dict[str, int]) -> tuple[tuple, tuple]:
@@ -718,80 +715,83 @@ def _scan_plan(cbn: Cbn, drivers, ip_class: IpClass, desired, directions, budget
     base = cbn._contract(desired, live, plan.axes).transpose(plan.layout)
     base = base.reshape(-1, *base.shape[plan.free:])
 
-    def reduce_chain(t: np.ndarray, direction: Direction, picks: list | None) -> np.ndarray:
-        # one chain optimum per entry of the leading tables axis; given
-        # ``picks``, also appends each chain driver's choices per entry,
-        # flattened over the axes left when it is reduced
-        for width, kind in tail:
-            if kind is None:
-                # `np.ndarray.sum` is this reduction behind a Python wrapper
-                t = np.add.reduce(t, axis=tuple(range(1, 1 + width)))
-            elif picks is None:
-                t = direction.pairwise.reduce(t, axis=1)
-            else:
-                # One sweep over the driver's values gives the choices and
-                # the optimum.  A strict improvement keeps the first
-                # optimum, as `Direction.arg` would, and max and min are
-                # exact, so the optimum is bit-identical to `reduce`'s.
-                # Value 1 against value 0 gives 0/1 choices, kept as bytes
-                # for a binary driver.
-                rows = t.reshape(len(t), t.shape[1], -1)
-                better = direction.improves(rows[:, 1], rows[:, 0])
-                chosen = better.view(np.uint8) if t.shape[1] == 2 else better.astype(np.intp)
-                best = direction.pairwise(rows[:, 0], rows[:, 1])
-                for value in range(2, t.shape[1]):
-                    chosen[direction.improves(rows[:, value], best)] = value
-                    best = direction.pairwise(best, rows[:, value])
-                picks.append(chosen)
-                t = best.reshape(t.shape[:1] + t.shape[2:])
-        return t
-
     chunks = table_chunks(base, steps, plan.outer_total // len(base), numbered=witness)
     if not witness:
-        # values alone: each direction's optimum over the chunks' optima,
-        # exact whatever order the chunks come in, as max and min are; a
-        # chunk of one combination is its own optimum
-        optima: list = [None] * len(directions)
-        for t, _ in chunks:
-            for i, direction in enumerate(directions):
-                values = reduce_chain(t, direction, None)
-                value = values[0] if len(values) == 1 else direction.pairwise.reduce(values)
-                if optima[i] is None or direction.beats(value, optima[i]):
-                    optima[i] = value
-        return [_clamp(float(value)) for value in optima], {}
+        return [_clamp(float(value)) for value in chunk_optima(chunks, tail, directions)], {}
 
-    # Each chunk of `table_chunks` is reduced once per direction.  Its
-    # candidate, its smallest number at its optimum, replaces the incumbent
-    # on a strict improvement or on a tie with a smaller number, so the
-    # winner is the first optimum in number order, whatever order the
-    # chunks come in.  The one direction copies out the winner's number and
-    # its reduction's chain choices.
-    best: list = [None] * len(directions)
-    record = None
+    # Each chunk of `table_chunks` is reduced once.  Its candidate, its
+    # smallest number at its optimum, replaces the incumbent on a strict
+    # improvement or on a tie with a smaller number, so the winner is the
+    # first optimum in number order, whatever order the chunks come in.  The
+    # winner's number and its reduction's chain choices are copied out.
+    (direction,) = directions
+    best = None
     for t, numbers in chunks:
-        for i, direction in enumerate(directions):
-            picks = []
-            values = reduce_chain(t, direction, picks)
-            pos = number = int(direction.arg(values))
-            if numbers is not None:
-                ties = np.flatnonzero(values == values[pos])
-                pos = int(ties[numbers[ties].argmin()])
-                number = int(numbers[pos])
-            value = values[pos]
-            held = best[i]
-            if held is None or direction.beats(value, held[0]) or value == held[0] and number < held[1]:
-                best[i] = value, number
-                record = number, [row[pos].copy() for row in picks]
+        picks = []
+        values = reduce_chain(t, tail, direction, picks)
+        pos = number = int(direction.arg(values))
+        if numbers is not None:
+            ties = np.flatnonzero(values == values[pos])
+            pos = int(ties[numbers[ties].argmin()])
+            number = int(numbers[pos])
+        value = values[pos]
+        if best is None or direction.beats(value, best[0]) or value == best[0] and number < best[1]:
+            best = value, number, [row[pos].copy() for row in picks]
     # the enumerated drivers' digits, free drivers first, then the chain
     # drivers' choices
-    number, chain_rows = record
+    value, number, chain_rows = best
     digits, rows, node_cards = np.unravel_index(number, plan.radices), [], cbn.cards
     for _, scope, _ in plan.searched:
         cells = prod(node_cards[s] for s in scope)
         rows.append(np.array(digits[:cells], dtype=np.intp))
         digits = digits[cells:]
     choices = {d: row[gather] for (d, gather), row in zip(plan.gathers.items(), rows + chain_rows)}
-    return [_clamp(float(value)) for value, _ in best], choices
+    return [_clamp(float(value))], choices
+
+
+def reduce_chain(t: np.ndarray, tail, direction: Direction, picks: list | None) -> np.ndarray:
+    """One chain optimum in ``direction`` per entry of ``t``'s leading
+    tables axis, over the runs ``tail`` that `kernel_steps` leaves: ``(width,
+    None)`` sums, ``(width, driver)`` reduces a chain driver.  Given a list
+    ``picks``, also appends each chain driver's choices per entry,
+    flattened over the axes left when it is reduced."""
+    for width, kind in tail:
+        if kind is None:
+            # `np.ndarray.sum` is this reduction behind a Python wrapper
+            t = np.add.reduce(t, axis=tuple(range(1, 1 + width)))
+        elif picks is None:
+            t = direction.pairwise.reduce(t, axis=1)
+        else:
+            # One sweep over the driver's values gives the choices and the
+            # optimum.  A strict improvement keeps the first optimum, as
+            # `Direction.arg` would, and max and min are exact, so the
+            # optimum is bit-identical to `reduce`'s.  Value 1 against
+            # value 0 gives 0/1 choices, kept as bytes for a binary driver.
+            rows = t.reshape(len(t), t.shape[1], -1)
+            better = direction.improves(rows[:, 1], rows[:, 0])
+            chosen = better.view(np.uint8) if t.shape[1] == 2 else better.astype(np.intp)
+            best = direction.pairwise(rows[:, 0], rows[:, 1])
+            for value in range(2, t.shape[1]):
+                chosen[direction.improves(rows[:, value], best)] = value
+                best = direction.pairwise(best, rows[:, value])
+            picks.append(chosen)
+            t = best.reshape(t.shape[:1] + t.shape[2:])
+    return t
+
+
+def chunk_optima(chunks, tail, directions) -> list:
+    """Each direction's optimum over the combinations of `table_chunks`'
+    ``chunks``, each reduced over ``tail`` by `reduce_chain`: exact in any
+    chunk order, as max and min are.  A one-combination chunk is its own
+    optimum."""
+    optima: list = [None] * len(directions)
+    for t, _ in chunks:
+        for i, direction in enumerate(directions):
+            values = reduce_chain(t, tail, direction, None)
+            value = values[0] if len(values) == 1 else direction.pairwise.reduce(values)
+            if optima[i] is None or direction.beats(value, optima[i]):
+                optima[i] = value
+    return optima
 
 
 def solve(

@@ -41,6 +41,7 @@ from .control import (
     c_star,
     checked_desired,
     checked_directions,
+    chunk_optima,
     kernel_steps,
     live_drivers,
     optimal_policy_value,
@@ -285,11 +286,8 @@ def grid_policy_values(
     base = cbn._contract(desired, driver_list, layout)
     # the sums are the same in every direction, and max and min are exact,
     # so the order the chunks come in leaves every optimum as it is
-    optima = [
-        [direction.pairwise.reduce(values) for direction in directions]
-        for values, _ in table_chunks(base[None], steps, numbered=False)
-    ]
-    return [float(d.pairwise.reduce(column)) for d, column in zip(directions, zip(*optima))]
+    chunks = table_chunks(base[None], steps, numbered=False)
+    return [float(value) for value in chunk_optima(chunks, (), directions)]
 
 
 def ci_holds(cbn: Cbn, a: str, b: str, z: Iterable[str], tol: float = 1e-9) -> bool:
@@ -380,9 +378,9 @@ def _checked_drivers(dag: Dag, intervenable, targets, desired) -> tuple[str, ...
 
 
 def bracket_classes(levels: Iterable[int | float]) -> list[IpClass]:
-    """``levels`` read as `IpClass` levels, once each is one that `IpClass`
-    takes and none is 0: `verify_lemma3`'s level check, which the CLI also
-    runs before it prints anything."""
+    """``levels`` read as `IpClass` levels, once there is at least one, each
+    is one that `IpClass` takes and none is 0: `verify_lemma3`'s level
+    check, which the CLI also runs before it prints anything."""
     classes = []
     for level in levels:
         try:
@@ -392,6 +390,8 @@ def bracket_classes(levels: Iterable[int | float]) -> list[IpClass]:
         if cls is None or cls.level == 0:
             raise ValueError(f"bracket levels must be >= 1 or inf, got {level!r}")
         classes.append(cls)
+    if not classes:
+        raise ValueError("bracket levels must name at least one level")
     return classes
 
 
@@ -424,12 +424,10 @@ def verify_lemma3(
         "brackets", (pool, frozenset(desired), tuple(cls.level for cls in classes)),
         lambda: _bracket_schedule(dag, pool, desired, classes),
     )
+    # the calls come in the order the schedule first reads them
+    brackets = [optimal_values(cbn, live, cls, desired, BOTH, budget) for live, cls in calls]
     failures: list[str] = []
-    brackets: list[list] = []
     for subset, cls, at in schedule:
-        # the calls come in the order the schedule first reads them
-        if at == len(brackets):
-            brackets.append(optimal_values(cbn, *calls[at], desired, BOTH, budget))
         high, low = brackets[at]
         if not (low <= baseline + BRACKET_TOL and baseline <= high + BRACKET_TOL):
             failures.append(
@@ -511,18 +509,15 @@ def verify_usm(
     achieved = interventional_prob(cbn, full, desired, budget)
     if achieved != 1.0:
         failures.append(f"full driver set reaches only {achieved:.9f}")
-    subset_count = 0
-    for subset in iter_subsets(xstar):
-        if len(subset) == len(xstar):
-            continue
+    proper = [subset for subset in iter_subsets(xstar) if len(subset) < len(xstar)]
+    for subset in proper:
         (value,) = optimal_values(cbn, subset, CLASS_INF, desired, (Direction.MAX,), budget)
-        subset_count += 1
         if value != 0.0:
             failures.append(f"proper subset {{{' '.join(subset)}}} reaches {value:.9f}")
     details = [
         f"drivers: {{{' '.join(xstar)}}}",
         f"full set: {achieved:.9f}",
-        f"proper subsets checked: {subset_count}",
+        f"proper subsets checked: {len(proper)}",
     ]
     details.extend(failures)
     return SuiteReport("usm", not failures, tuple(details))

@@ -33,8 +33,11 @@ tree under test:
 ``write`` runs the corpus (``--scale`` multiplies its size, to diff two
 trees at full size), ``diff`` compares two written files by the replay
 rules below and ``print`` prints each entry as one JSON line.  The
-committed snapshot is only ever rewritten by ``write`` at the parent of a
-change, with every changed entry named in CHANGES.md.
+committed snapshot is byte for byte what ``write`` gives at its commit.  A
+change that keeps every answer may only rewrite it with ``write`` run at
+its parent; a change that moves answers on purpose writes it at its own
+commit.  Either way, every entry that differs from the parent's ``write``
+is named in CHANGES.md with its reason.
 
 Replay rules (`compare`): every value within `VALUE_TOL` of the snapshot,
 refusals identical, and every witness identical, or, where it changed

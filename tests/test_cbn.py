@@ -672,7 +672,7 @@ def label_states(pairs, output=()):
 def event_free_tables(plan) -> int:
     """The operands of a dag plan of `Cbn._plan` that no event value slices
     and no stand-in table fills, bar the leading count."""
-    operands, _, places, slots, _, _, fold = plan
+    operands, places, slots, _, _, fold = plan
     per_call = {at for at, _ in slots}.union(places)
     return sum(at not in per_call and at != fold[0] for at in range(0, len(operands), 2))
 

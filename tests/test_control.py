@@ -527,10 +527,10 @@ def scope_first():
     return Dag(["e", "a", "b", "c", "o"], [("a", "e"), ("b", "c"), ("e", "o"), ("c", "o"), ("a", "o")])
 
 
-def argmax_chain_choices(plan, base, direction):
-    """The reference for chain witnesses: each chain driver's choices by
-    `Direction.arg` over its axis, transposed from the axes left to its
-    class scope and flattened, with `Direction.pairwise` reducing between
+def argmax_chain_choices(dag, plan, base, direction):
+    """The reference for chain witnesses at class inf: each chain driver's
+    choices by `Direction.arg` over its axis, transposed from the axes left
+    to its class scope on ``dag`` and flattened, with `Direction.pairwise` reducing between
     drivers.
     ``base`` is the tensor of a plan that enumerates no driver.  Each chain
     driver's gather must take the choices to that same order."""
@@ -546,7 +546,8 @@ def argmax_chain_choices(plan, base, direction):
             continue
         left = plan.axes[pos:]
         picks = direction.arg(t, axis=1)[0]
-        choice = np.transpose(picks, [left.index(s) for s in plan.scopes[kind]]).reshape(-1)
+        scope = scope_for_class(dag, kind, CLASS_INF)
+        choice = np.transpose(picks, [left.index(s) for s in scope]).reshape(-1)
         assert np.array_equal(picks.reshape(-1)[plan.gathers[kind]], choice), kind
         tables[kind] = tuple(choice.tolist())
         t = direction.pairwise.reduce(t, axis=1)
@@ -614,7 +615,7 @@ class TestChainWitness:
             assert sorted(kind for _, kind in plan.segments if kind) == sorted(drivers)
             base = cbn.joint(desired, skip=drivers, keep=plan.axes)
             got = {p.target: tuple(row.index(1.0) for row in p.table.rows) for p in pair.policies}
-            assert got == argmax_chain_choices(plan, base, direction), direction
+            assert got == argmax_chain_choices(cbn.dag, plan, base, direction), direction
             chosen[direction] = got
         return chosen
 
@@ -806,10 +807,10 @@ class TestPolicyBatch:
         # enough that the binary fan spans several chunks.
         for chunk in (control.CHUNK_ELEMENTS, SMALL_CHUNK):
             monkeypatch.setattr(control, "CHUNK_ELEMENTS", chunk)
-            plans, chunks = {}, {}
+            plans, chunks, dags = {}, {}, {}
             for name, cbn, drivers, ip_class in self.cases():
                 plan, base = plan_and_base(cbn, cbn.dag.canon(drivers), ip_class, {"o": 1})
-                plans[name], chunks[name] = plan, kernel_chunks(cbn, plan, base)
+                plans[name], chunks[name], dags[name] = plan, kernel_chunks(cbn, plan, base), cbn.dag
                 free_axes = tuple(1 + i for i in plan.layout[:plan.free])
                 numbers = np.concatenate([n for _, n in chunks[name]])
                 assert np.array_equal(np.sort(numbers), np.arange(plan.outer_total)), name
@@ -825,7 +826,8 @@ class TestPolicyBatch:
         assert len(chunks["binary fan"]) >= 3
         assert [scope for _, scope, _ in plans["shared scope"].searched] == [("a",), ("a",)]
         inner = plans["enumerated in a chain scope"]
-        assert [e for e, _, _ in inner.searched] == ["e"] and "e" in inner.scopes["d"]
+        assert [e for e, _, _ in inner.searched] == ["e"]
+        assert "e" in scope_for_class(dags["enumerated in a chain scope"], "d", CLASS1)
         assert (plans["chain only"].searched, plans["chain only"].outer_total) == ((), 1)
         assert [plans[name].free for name in plans] == [0, 0, 0, 0, 0, 2, 1, 0]
         assert len(plans["free then factored"].searched) == 2
@@ -833,12 +835,14 @@ class TestPolicyBatch:
         assert [e for e, _, _ in late.searched] == ["e"] and late.axes.index("a") < late.axes.index("e")
 
 
-def rebuilt_witness(cbn, plan, base, direction, number):
+def rebuilt_witness(cbn, plan, base, direction, number, ip_class=CLASS_INF):
     """The witness stage as it was built before the scan kept records, as
-    choice tuples per driver: the winner's tensor rebuilt with
-    `reference_batch`, then reduced once more by the recording sweep."""
+    choice tuples per driver on its scope in ``ip_class``: the winner's
+    tensor rebuilt with `reference_batch`, then reduced once more by the
+    recording sweep."""
     cards = cbn.cards
-    axes, scopes, searched = plan.axes, plan.scopes, plan.searched
+    axes, searched = plan.axes, plan.searched
+    scopes = {e: scope_for_class(cbn.dag, e, ip_class) for e, _, _ in searched}
     best = np.array([number])
     batch, picks = reference_batch(cbn, base, axes, searched, best)
     tables = {}
@@ -963,7 +967,7 @@ class TestFreeDrivers:
         optimum, number = literal_scan(cbn, plan, base, direction)
         assert value == control._clamp(float(optimum))
         got = {p.target: tuple(row.index(1.0) for row in p.table.rows) for p in pair.policies}
-        assert got == rebuilt_witness(cbn, plan, base, direction, number)
+        assert got == rebuilt_witness(cbn, plan, base, direction, number, ip_class)
         if naive:
             expect, naive_pair = naive_policy_search(cbn, drivers, ip_class, desired, direction)
             assert value == pytest.approx(expect, abs=1e-12)
@@ -1060,7 +1064,7 @@ class TestFreeDrivers:
             for direction in BOTH:
                 plan, got = self.check(cbn, ("v1", "v2"), CLASS1, {"o": 1}, direction)
                 assert plan.free == 0 and [e for e, _, _ in plan.searched] == ["v1"]
-                assert plan.searched[0][1] == () and plan.scopes["v2"] == ("v1", "w")
+                assert plan.searched[0][1] == () and scope_for_class(dag, "v2", CLASS1) == ("v1", "w")
                 v1 = got["v1"][0]
                 assert got["v2"][2 * (1 - v1):2 * (2 - v1)] == (0, 0)
 

@@ -1,8 +1,9 @@
 """No dead symbols in the package: each module uses every name it
 imports, imports no name again inside a function that it already
-imports at the top, and every module-level private function, class or
-constant is used somewhere in the package.  ``__init__.py`` only
-re-exports, so it is not checked itself."""
+imports at the top, every module-level private function, class or
+constant is used somewhere in the package, and so is every field of a
+dataclass or `NamedTuple`.  ``__init__.py`` only re-exports, so it is not
+checked itself."""
 
 import ast
 from pathlib import Path
@@ -74,3 +75,30 @@ def test_every_private_module_symbol_is_used():
                 continue
             dead += [f"{name}: {d}" for d in defined if d.startswith("_") and d not in used | imported]
     assert dead == []
+
+
+def record_fields(tree):
+    """``(class, field)`` per field of each dataclass or `NamedTuple` that
+    ``tree`` defines."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        marks = [mark.func if isinstance(mark, ast.Call) else mark for mark in node.decorator_list] + node.bases
+        if {getattr(mark, "id", getattr(mark, "attr", None)) for mark in marks} & {"dataclass", "NamedTuple"}:
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    yield node.name, stmt.target.id
+
+
+def test_every_record_field_is_read():
+    # a field is read when some attribute of its name is loaded anywhere in
+    # the package; one that is only ever set holds what no call reads
+    read = {
+        node.attr
+        for tree in TREES.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    fields = [(name, *field) for name, tree in MODULES.items() for field in record_fields(tree)]
+    assert len(fields) > 10
+    assert [f"{name}: {cls}.{field}" for name, cls, field in fields if field not in read] == []

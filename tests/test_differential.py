@@ -13,6 +13,8 @@ import sys
 from pathlib import Path
 
 import cbnctrl.control as control
+from cbnctrl.intervention import scope_for_class
+
 import differential
 
 HERE = Path(__file__).parent
@@ -94,9 +96,9 @@ def test_a_driver_in_a_chain_scope_keeps_its_witness(monkeypatch):
     made = []
     search_plan = control._search_plan
 
-    def recording(dag, *args):
-        made.append((dag, search_plan(dag, *args)))
-        return made[-1][1]
+    def recording(dag, cards, driver_list, ip_class, given):
+        made.append((dag, ip_class, search_plan(dag, cards, driver_list, ip_class, given)))
+        return made[-1][2]
 
     monkeypatch.setattr(control, "_search_plan", recording)
     wanted = {"16.9", "16.10"}
@@ -108,6 +110,7 @@ def test_a_driver_in_a_chain_scope_keeps_its_witness(monkeypatch):
         (v1, v1_scope, v1_choices), (v2, v2_scope, v2_choices) = entry["witness"]
         assert (v1, v2, v2_scope) == ("v1", "v2", ["v1"])
         assert len(set(v1_choices)) == 1 and v2_choices[1 - v1_choices[0]] == 0
-        plans = [p for dag, p in made if dag is cbn.dag and "v2" in p.scopes and "v1" in p.scopes["v2"]]
+        plans = [p for dag, cls, p in made
+                 if dag is cbn.dag and "v2" in p.gathers and "v1" in scope_for_class(dag, "v2", cls)]
         assert plans and all(p.free == 0 for p in plans)
     assert not wanted

@@ -43,7 +43,7 @@ from cbnctrl import (
 from cbnctrl.control import live_drivers
 from cbnctrl.graph import INF
 from cbnctrl.intervention import scope_for_class
-from cbnctrl.oracle import BOTH, TIE_TOL, grid_policy_values, iter_subsets, simplex_grid_rows
+from cbnctrl.oracle import BOTH, TIE_TOL, bracket_classes, grid_policy_values, iter_subsets, simplex_grid_rows
 
 from test_cbn import chain_ab, xor_gate
 from test_control import dead_fan, fan_dag, joint_calls, live_and_dead, screening_chain
@@ -563,6 +563,17 @@ class TestSuites:
         for bad in (0, 0.0, -1, 1.5, True, False, "1", None):
             with pytest.raises(ValueError, match=rf"^bracket levels must be >= 1 or inf, got {re.escape(repr(bad))}$"):
                 verify_lemma3(cbn, ("y1",), {"o": 1}, (1, bad), budget)
+
+    def test_lemma3_refuses_empty_levels_before_any_work(self):
+        # with no level there is no bracket to check, so a pass would say
+        # nothing; the CLI's level check is the same function
+        cbn = screening_chain()
+        budget = Budget(max_state_space=1)
+        for levels in ((), [], iter(())):
+            with pytest.raises(ValueError, match=r"^bracket levels must name at least one level$"):
+                verify_lemma3(cbn, ("y1",), {"o": 1}, levels, budget)
+        with pytest.raises(ValueError, match="at least one level"):
+            bracket_classes(())
 
     def test_lemma3_accepts_custom_levels(self):
         cbn = screening_chain()

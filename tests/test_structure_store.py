@@ -1,7 +1,7 @@
 """What the structure decides, kept once per `Dag`.
 
 Contraction plans, search plans, first tables, `usm_adversarial_cbn`'s
-network, `c_star`'s drivers, the event's upstream nodes, the optimizer's
+network, `c_star`'s drivers, each node's ancestors, the optimizer's
 canonical and live drivers (``"live"``), the outcome of the pair checks
 (``"pairs"``), the suites' checked drivers (``"drivers"``), atomic
 policies, the grid's rows and `verify_lemma3`'s schedule depend on the
@@ -134,7 +134,7 @@ def test_a_network_holds_no_store_of_its_dag(structure):
         # own objects, at the dag plan's positions; every plan folds: its
         # event-free tables are each network's own read-only factor, made
         # from its own tables, after the dag plan's per-call operands
-        planned, cpds, places, slots, output, dims, fold = dag._derived["joint"][(first._layout, shape)]
+        planned, places, slots, output, dims, fold = dag._derived["joint"][(first._layout, shape)]
         assert all(a is b for a, b in zip(rest, (places, slots, output, dims), strict=True))
         split, labels, sizes = fold
         for held in (operands, other):
@@ -142,7 +142,8 @@ def test_a_network_holds_no_store_of_its_dag(structure):
             assert held[split].shape == tuple(sizes) and not held[split].flags.writeable
             assert all(held[at] is planned[at] for at in range(1, split, 2))
         assert operands[split] is not other[split]
-        if any(at >= split for at, _ in cpds):
+        # an event-free CPD: its owner's name among the folded operands
+        if any(isinstance(op, str) for op in planned[split::2]):
             folds += 1
             assert not np.array_equal(operands[split], other[split])
     assert folds

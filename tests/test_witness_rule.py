@@ -62,10 +62,11 @@ def reference_pair(cbn, drivers, ip_class, desired, direction, choices):
 
         return atomic_witness(0)
 
-    plan = kept_plan(cbn, live, ip_class, desired)
+    # the call kept a chain-search plan
+    kept_plan(cbn, live, ip_class, desired)
 
     def table_witness(i: int) -> InterventionPair:
-        tables = {d: _first_table(cards, d, plan.scopes[d]) for d in live}
+        tables = {d: _first_table(cards, d, scope_for_class(dag, d, ip_class)) for d in live}
         return witness_pair({d: InterventionPolicy(tables[d].with_choices(choices[d])) for d in live})
 
     return table_witness(0)

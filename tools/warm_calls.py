@@ -9,11 +9,15 @@ call that plans everything, it times
 - `interventional_prob` of the desired event under the pair that forces
   each of those drivers to value 1;
 - `Cbn.marginal_prob` of the desired event, and `Cbn.conditional_prob` of
-  it given value 1 of the first node outside it,
+  it given value 1 of the first node outside it;
+- `oracle.grid_policy_values` in both directions at step 0.25 and class
+  inf on `c_star`'s drivers, on the problems whose grid the default budget
+  answers,
 
 each as the best of ``--rounds`` runs of ``--repeat`` calls, and prints
 the median over the problems in microseconds per call: one line for the
-optimizer, one for `interventional_prob` and one for the two queries.
+optimizer, one for `interventional_prob`, one for the two queries and one
+for the grid, with the count of problems it answers.
 
 A last line prints the median first call of `Cbn.marginal_prob`,
 `interventional_prob` and `optimal_values` on a fresh `Cbn` of each
@@ -35,21 +39,30 @@ from time import perf_counter
 
 import numpy as np
 
-from cbnctrl import CLASS_INF, Cbn, ControlProblem, InterventionPair, c_star, interventional_prob, optimal_values
+from cbnctrl import (
+    CLASS_INF,
+    BudgetExceededError,
+    Cbn,
+    ControlProblem,
+    InterventionPair,
+    c_star,
+    interventional_prob,
+    optimal_values,
+)
 from cbnctrl.control import atomic_policy_on
-from cbnctrl.oracle import BOTH, random_problem
+from cbnctrl.oracle import BOTH, grid_policy_values, random_problem
 
 SEEDS = range(25)
 NODES = 8
 #: the timed calls, in the order `calls` gives them per problem
-NAMES = ("optimal_values", "interventional_prob", "marginal_prob", "conditional_prob")
+NAMES = ("optimal_values", "interventional_prob", "marginal_prob", "conditional_prob", "grid_policy_values")
 #: the calls timed first on a fresh network, in the order of their line
 FIRST = ("marginal_prob", "interventional_prob", "optimal_values")
 
 
 def calls() -> list[tuple]:
-    """Per problem, its network and the optimizer call and the three
-    queries, each a function of a network of the problem's layout."""
+    """Per problem, its network and the optimizer call, the three queries
+    and the grid, each a function of a network of the problem's layout."""
     out = []
     for seed in SEEDS:
         cbn, intervenable, targets, desired = random_problem(np.random.default_rng(seed), NODES)
@@ -62,8 +75,19 @@ def calls() -> list[tuple]:
             lambda net, pair=pair, desired=desired: interventional_prob(net, pair, desired),
             lambda net, desired=desired: net.marginal_prob(desired),
             lambda net, desired=desired, given=given: net.conditional_prob(desired, given),
+            lambda net, drivers=drivers, desired=desired: grid_policy_values(net, drivers, CLASS_INF, desired, BOTH),
         )))
     return out
+
+
+def answers(call) -> bool:
+    """Whether ``call`` answers under the default budget rather than
+    refuse; either way, it has planned what it can."""
+    try:
+        call()
+    except BudgetExceededError:
+        return False
+    return True
 
 
 def warm_us(call, repeat: int, rounds: int) -> float:
@@ -95,16 +119,18 @@ def main(argv=None) -> None:
     networks, columns = zip(*calls())
     warm, first = {}, {}
     for name, column in zip(NAMES, zip(*columns)):
-        warm[name] = statistics.median(
-            warm_us(partial(call, cbn), args.repeat, args.rounds) for cbn, call in zip(networks, column)
-        )
+        timed = [partial(call, cbn) for cbn, call in zip(networks, column)]
+        if name == "grid_policy_values":
+            timed = [call for call in timed if answers(call)]
+            answered = f"{len(timed)} of "
+        warm[name] = statistics.median(warm_us(call, args.repeat, args.rounds) for call in timed)
         if name in FIRST:
             first[name] = statistics.median(first_us(call, cbn, args.repeat) for cbn, call in zip(networks, column))
-    for head, medians, line in (("", warm, NAMES[:1]), ("", warm, NAMES[1:2]), ("", warm, NAMES[2:]),
-                                ("first call on a fresh network: ", first, FIRST)):
+    for head, medians, line, over in (("", warm, NAMES[:1], ""), ("", warm, NAMES[1:2], ""),
+                                      ("", warm, NAMES[2:4], ""), ("", warm, NAMES[4:], answered),
+                                      ("first call on a fresh network: ", first, FIRST, "")):
         print(head + ", ".join(f"{name}: median {medians[name]:.1f} us" for name in line)
-              + f" over {len(networks)} problems")
-
+              + f" over {over}{len(networks)} problems")
 
 if __name__ == "__main__":
     main()
