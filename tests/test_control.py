@@ -530,8 +530,8 @@ def scope_first():
 def argmax_chain_choices(dag, plan, base, direction):
     """The reference for chain witnesses at class inf: each chain driver's
     choices by `Direction.arg` over its axis, transposed from the axes left
-    to its class scope on ``dag`` and flattened, with `Direction.pairwise` reducing between
-    drivers.
+    to its class scope on ``dag`` and flattened, with `Direction.pairwise`
+    reducing between drivers.
     ``base`` is the tensor of a plan that enumerates no driver.  Each chain
     driver's gather must take the choices to that same order."""
     t = base[None]
