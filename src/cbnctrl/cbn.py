@@ -12,24 +12,24 @@ one more operand (`Cbn._contract`): that is how
 the same contraction.  A query contracts only the tables it needs: nodes
 that are neither kept, nor in the event, nor ancestors of those are barren,
 and their tables, whose rows sum to one, are dropped (Shachter 1986).
-Event values slice the tables they appear in, and one ``np.einsum`` sums
-the rest.  What to contract depends only on the query's shape (the kept
-nodes, the skipped set, the nodes the event names and each stand-in
-table's owner and parents) and on the network's layout (its cards and each
-CPD's parent order), never on a table's entries.  So the dag keeps one
-plan per layout and shape (`Dag.derived`, under ``"joint"``), checked and
-made on the first call of any network of that layout: the einsum's
-operands and labels, with each CPD's owner named where its array goes and
-a slot for each stand-in table and each operand an event value slices.
-The plan also splits the operands: the per-call ones, which an event value
-slices or a stand-in table fills, and the event-free rest.  Each network keeps that plan with its own CPD arrays
-in place and its event-free operands folded into one read-only factor,
-contracted once (Darwiche 2003: compile once per network, evaluate per
-query).  So a repeated query only checks, puts in its stand-in tables,
-slices in its event values and contracts the per-call operands with that
-factor.  A network holds only its CPDs, those plans and its layout; what
-other modules derive from the structure they keep on the dag themselves,
-keyed by `Cbn.card_tuple`.
+What to contract depends only on the query's shape (the kept nodes, the
+skipped set, the nodes the event names and each stand-in table's owner
+and parents) and on the network's layout (its cards and each CPD's parent
+order), never on a table's entries.  So the dag keeps one plan per layout
+and shape (`Dag.derived`, under ``"joint"``), checked and made on the
+first call of any network of that layout.  It splits the contraction in
+two.  The fold holds the count and every CPD the shape needs, each named
+by its owner; each network contracts it once, from its own CPD arrays,
+into one read-only factor (Darwiche 2003: compile once per network,
+evaluate per query).  A call's own operands are its stand-in tables and
+one identity row per event node that the output or a stand-in reads; the
+factor keeps the axes of every other event node, which the call's event
+values slice.  So a repeated query only checks, slices the factor, puts in
+its stand-in tables and contracts them; without stand-ins it only
+multiplies by ones and zeros and lays the slice out, so its bits are the
+same in any order of ``keep``.  A network holds only its CPDs, those plans
+and its layout; what other modules derive from the structure they keep on
+the dag themselves, keyed by `Cbn.card_tuple`.
 The literal sum over completions survives only as
 `oracle.enumerate_prob`, the reference the engine is tested against.
 """
@@ -406,19 +406,19 @@ class Cbn:
         contraction over the nodes it needs: those of ``keep`` and
         ``event`` and, through every node not in ``skip``, their parents.
         The CPD of any other node sums to one over its own values, so it is
-        dropped.  Event values of nodes outside ``keep`` slice the CPDs
-        they appear in; an event node in ``keep`` is a one-hot factor.  A
-        query that needs more than `MAX_LABELS` nodes is refused.
+        dropped.  An event value indexes an axis of the product; a query
+        that needs more than `MAX_LABELS` nodes is refused.
 
         The set-up depends only on the query's shape: ``keep``, the set
         ``skip`` and the nodes ``event`` names, and on the network's
         layout.  It is checked and planned by `_plan` on the first call of
         each shape by any network of that layout on this dag, and kept on
-        the dag (a refused shape keeps none); the network keeps it with its
-        own CPD arrays in place and its event-free tables folded into one
-        factor.  So a later call of that shape only runs `check_joint`,
-        slices in its event values and contracts the tables they slice with
-        that factor.
+        the dag (a refused shape keeps none); the network folds every CPD
+        the shape needs into one factor of its own, which keeps the event
+        nodes' axes.  So a later call of that shape only runs
+        `check_joint`, slices the factor at its event values and lays it
+        out, times an identity row per kept event node: its bits are the
+        same in any order of ``keep``.
         """
         self.check_joint(event, budget)
         return self._contract(event or {}, skip, keep)
@@ -431,9 +431,9 @@ class Cbn:
         its owner, with the cards of the network's nodes.
 
         The first call of a shape on this network makes its plan (`_fill`),
-        which contracts the shape's event-free tables once; every call then
-        contracts only the tables that ``event`` slices and ``tables`` fill,
-        with that factor."""
+        which folds the shape's CPDs once; every call then slices that
+        factor at the event values and contracts it with ``tables`` and the
+        identity rows of the event nodes that they or the output read."""
         kept = self._dag.nodes if keep is None else tuple(keep)
         shape = (kept, frozenset(skip), frozenset(event), tuple([(t.owner, t.parents) for t in tables]))
         plan = self._plans.get(shape)
@@ -449,16 +449,16 @@ class Cbn:
 
     def _fill(self, shape: tuple) -> tuple:
         # the dag's plan of ``shape`` for this network's layout, made by
-        # `_plan` on the first call of any network of that layout, with each
-        # CPD owner's name swapped for this network's array of it and its
-        # event-free operands contracted into one read-only factor, this
-        # network's own: ``(operands, places, slots, output, dims)``
-        operands, places, slots, output, dims, (split, labels, sizes) = self._dag.derived(
+        # `_plan` on the first call of any network of that layout, with its
+        # fold contracted from this network's CPD arrays into one read-only
+        # factor, this network's own, in the fold's place:
+        # ``(operands, places, slots, output, dims)``
+        operands, places, slots, output, dims, (terms, labels, sizes) = self._dag.derived(
             "joint", (self._layout, shape), lambda: self._plan(*shape)
         )
-        operands = [self._cpds[op].array() if isinstance(op, str) else op for op in operands]
-        factor = np.einsum(*operands[split:], labels, out=np.empty(sizes), optimize=False)
-        return [*operands[:split], _read_only(factor), labels], places, slots, output, dims
+        terms = [self._cpds[t].array() if isinstance(t, str) else t for t in terms]
+        factor = np.einsum(*terms, labels, out=np.empty(sizes), optimize=False)
+        return [*operands[:-2], _read_only(factor), operands[-1]], places, slots, output, dims
 
     def _plan(self, kept: tuple, skip: frozenset, given: frozenset, scopes: tuple) -> tuple:
         """`joint`'s contraction for one query shape, once ``kept`` holds
@@ -469,24 +469,25 @@ class Cbn:
         on the dag, the cards, each CPD's parent order and each table's, and
         on no CPD or table entry.
 
-        ``operands`` alternates arrays and label lists, as `np.einsum`
-        takes them, with a CPD owner's name where its read-only CPD array
-        goes and ``None`` where a stand-in table goes: the ``j``-th entry of
-        ``places`` marks the operand that is the ``j``-th stand-in table,
-        filled per call.  Each slot ``(at, axes)`` marks an operand that
-        depends on the event values: it is indexed by the event value of
-        each node named in ``axes`` (``None`` leaves that axis whole).  An
-        event node in ``kept`` is a row of a read-only identity matrix; any
-        other event node slices the tables it appears in, stand-ins
-        included.
+        ``fold`` is ``(terms, labels, sizes)``: ``terms`` alternates the
+        count, every needed CPD in dag order, as its owner's name, and a
+        vector of ones for each kept node nothing else covers, with their
+        label lists.  They contract into one factor over the sorted
+        ``labels``, of ``sizes``: those of theirs that the output or a
+        per-call operand reads, and the event nodes that neither reads.
 
-        ``fold`` is ``(split, labels, sizes)``.  The per-call operands, the
-        slots and the stand-ins, come first, each in dag order; the rest,
-        ``operands[split:]``, are event-free: the count, then the other
-        tables in dag order.  Those contract into one factor over
-        ``labels``, of ``sizes``, the labels of theirs that the output or a
-        per-call operand reads.  So a call contracts no more operands, and
-        no more label states, than the whole product in one einsum would.
+        ``operands`` alternates arrays and label lists, as `np.einsum`
+        takes them: the per-call ones in dag order, then ``None`` where the
+        fold's factor goes, with its labels bar the event nodes it is
+        sliced at.  The per-call operands are the stand-in tables, ``None``
+        where the ``j``-th entry of ``places`` marks the ``j``-th one, and a
+        row of a read-only identity matrix for each event node that the
+        output or a stand-in reads.  Each slot ``(at, axes)`` marks an
+        operand that event values index: the value of each node named in
+        ``axes`` (``None`` leaves that axis whole).  It is an identity
+        matrix's, or the fold's, which has at most one slot.  So a call
+        without stand-ins multiplies a slice of the fold by ones and zeros
+        and adds nothing: its bits are the same in any order of ``kept``.
         """
         if len(set(map(self._dag.index, kept))) != len(kept):
             raise ValueError(f"keep repeats a node: {list(kept)}")
@@ -515,46 +516,41 @@ class Cbn:
             )
         labelled = [n for n in nodes if n in needed]
         label = {name: i for i, name in enumerate(labelled)}
-        pinned = given.difference(kept)
+        # the fold is sliced at each event node that neither the output nor
+        # a stand-in reads
+        pinned = given.difference(kept, *((owner, *scope) for owner, scope in scopes))
         # a skipped node that nothing needs has no factor left: summing its
         # free axis multiplies by its cardinality
         count = prod(cards[n] for n in nodes if n in skip and n not in needed)
         per_call: list = []
-        free: list = [float(count), []]
+        terms: list = [float(count), []]
         place = {}
         slots = []
-        covered = set()
         # operands in dag order, never in set order, so the sums run in the
         # same order under every hash seed
-        for name in nodes:
-            if name not in needed:
-                continue
+        for name in labelled:
             if name in given and name not in pinned:
                 slots.append((len(per_call), (name,)))
                 per_call += [_read_only(np.eye(cards[name])), [label[name]]]
-                covered.add(name)
-            if name not in parents:
-                continue
-            involved = (*parents[name], name)
-            sliced = not pinned.isdisjoint(involved)
-            held = per_call if sliced or name in stand_ins else free
-            if sliced:
-                slots.append((len(held), tuple(n if n in pinned else None for n in involved)))
             if name in stand_ins:
-                place[name] = len(held)
-            involved = [n for n in involved if n not in pinned]
-            held += [None if name in stand_ins else name, [label[n] for n in involved]]
-            covered.update(involved)
+                place[name] = len(per_call)
+                per_call += [None, [label[n] for n in (*stand_ins[name], name)]]
+            elif name in parents:
+                terms += [name, [label[n] for n in (*parents[name], name)]]
+        covered = {n for labels in (*per_call[1::2], *terms[1::2]) for n in labels}
         for name in kept:
-            if name not in covered:
-                free += [_read_only(np.ones(cards[name])), [label[name]]]
+            if label[name] not in covered:
+                terms += [_read_only(np.ones(cards[name])), [label[name]]]
         output = [label[name] for name in kept]
-        split = len(per_call)
-        read = {n for labels in per_call[1::2] for n in labels}.union(output)
-        folded = sorted(read.intersection(n for labels in free[1::2] for n in labels))
+        read = {n for labels in per_call[1::2] for n in labels}.union(output, map(label.get, pinned))
+        folded = sorted(read.intersection(n for labels in terms[1::2] for n in labels))
+        axes = tuple(labelled[n] if labelled[n] in pinned else None for n in folded)
+        if any(axes):
+            slots.append((len(per_call), axes))
         return (
-            per_call + free, tuple(map(place.get, stand_ins)), tuple(slots),
-            output, [cards[name] for name in kept], (split, folded, [cards[labelled[i]] for i in folded]),
+            [*per_call, None, [n for n, a in zip(folded, axes) if a is None]],
+            tuple(map(place.get, stand_ins)), tuple(slots),
+            output, [cards[name] for name in kept], (terms, folded, [cards[labelled[n]] for n in folded]),
         )
 
     def marginal_prob(self, event: Mapping[str, int], budget: Budget | None = None) -> float:

@@ -159,6 +159,8 @@ def _cmd_verify(args, header: str) -> int:
     if needs_cbn and cbn is None:
         if args.seed is None:
             raise ValueError("file has no cpds; pass --seed N to sample a parametrization")
+        if args.seed < 0:
+            raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         # no sampled table is larger than the state space
         budget.check_state_space(prod(spec.cards.values()))
         cbn = random_cbn(np.random.default_rng(args.seed), spec.dag, spec.cards)

@@ -552,14 +552,14 @@ class SearchPlan:
     entry, so the dag keeps one per cards and shape (`Dag.derived`), which
     every network on it shares.
 
-    ``axes`` are the base tensor's nodes in reduction order, as `Cbn.joint`
-    is asked for them.
+    ``axes`` are the base tensor's nodes in scan order, as `Cbn.joint` is
+    asked for them: the free drivers' axes, in canonical order, then the
+    others in reduction order.
     ``searched`` lists ``(driver, searched scope, read-only one-hot rows)``
     per enumerated driver, in canonical order; its first ``free`` drivers
     are free, read off the base without a factor, and the rest are
-    factored.  ``layout`` transposes the base to the free drivers' axes, in
-    canonical order, then the others in reduction order.  ``segments`` are
-    the reduction's runs over those others: ``(width, None)`` sums, and
+    factored.  ``segments`` are
+    the reduction's runs over the others: ``(width, None)`` sums, and
     ``(width, driver)`` reduces a chain driver; the runs on either side of a
     free driver's axis stay apart, so each adds as it would with that axis
     summed between them.  ``outer_total`` counts the table combinations,
@@ -575,7 +575,6 @@ class SearchPlan:
 
     axes: tuple[str, ...]
     free: int
-    layout: tuple[int, ...]
     searched: tuple[tuple[str, tuple[str, ...], np.ndarray], ...]
     segments: tuple[tuple[int, str | None], ...]
     outer_total: int
@@ -631,13 +630,13 @@ def _search_plan(
     outer_total = prod(cards[e] ** prod(cards[s] for s in searched_scopes[e]) for e in enumerated)
     # A free driver's tables are its values: a leading enumerated driver
     # with an empty searched scope, in no driver's scope as the search reads
-    # it, so its digits lead the numbers and its values index the base once
-    # its axis is moved first.  The contraction itself keeps the reduction
-    # order, in which `np.einsum` adds.
+    # it, so its digits lead the numbers and its values index the base with
+    # its axis first.  The base is asked for in that scan order: a
+    # contraction without stand-ins adds nothing after its fold, so its bits
+    # are the same in any order of its axes.
     read = set().union(*searched_scopes.values())
     free = tuple(takewhile(lambda e: not searched_scopes[e] and e not in read, enumerated))
     rest = tuple(n for n in axes if n not in free)
-    layout = tuple(axes.index(n) for n in free + rest)
     # In reduction order a run of chance axes is one sum and a factored
     # driver's axis is summed on its own, exactly, so tables that cannot
     # change the outcome tie exactly.  A free driver's axis has no segment,
@@ -656,16 +655,15 @@ def _search_plan(
         segments.append((width, key if key in chain else None))
     searched = tuple((e, searched_scopes[e], _read_only(np.eye(cards[e]))) for e in enumerated)
     radices = tuple(cards[e] for e in enumerated for _ in range(prod(cards[s] for s in searched_scopes[e])))
-    return SearchPlan(axes, len(free), layout, searched, tuple(segments), outer_total, gathers, radices)
+    return SearchPlan(free + rest, len(free), searched, tuple(segments), outer_total, gathers, radices)
 
 
 def plan_kernel(plan: SearchPlan, cards: dict[str, int]) -> tuple[tuple, tuple]:
     """The steps of `table_chunks` for ``plan``'s scan, whose factors
     take up to `CHUNK_ELEMENTS` entries each, and the segments they leave,
     from the first chain driver on (`kernel_steps`)."""
-    rest = tuple(plan.axes[i] for i in plan.layout[plan.free:])
     lead = prod(cards[e] for e, _, _ in plan.searched[:plan.free])
-    return kernel_steps(cards, rest, plan.segments, plan.searched[plan.free:], lead)
+    return kernel_steps(cards, plan.axes[plan.free:], plan.segments, plan.searched[plan.free:], lead)
 
 
 def _scan_plan(cbn: Cbn, drivers, ip_class: IpClass, desired, directions, budget, *, witness: bool):
@@ -710,9 +708,9 @@ def _scan_plan(cbn: Cbn, drivers, ip_class: IpClass, desired, directions, budget
     # the kernel's factors only once both checks passed: a refused call
     # builds none
     steps, tail = dag.derived("kernel", key, lambda: plan_kernel(plan, cbn.cards))
-    # the free drivers' axes first and flattened into one, one entry per
-    # combination of their values
-    base = cbn._contract(desired, live, plan.axes).transpose(plan.layout)
+    # the free drivers' axes flattened into one, one entry per combination
+    # of their values
+    base = cbn._contract(desired, live, plan.axes)
     base = base.reshape(-1, *base.shape[plan.free:])
 
     chunks = table_chunks(base, steps, plan.outer_total // len(base), numbered=witness)

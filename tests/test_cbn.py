@@ -7,7 +7,7 @@ conditional P(b=1|a=1) = 0.5.
 """
 
 import re
-from itertools import product
+from itertools import islice, permutations, product
 
 import numpy as np
 import pytest
@@ -669,18 +669,17 @@ def label_states(pairs, output=()):
     return int(np.prod(list(sizes.values()), dtype=object))
 
 
-def event_free_tables(plan) -> int:
-    """The operands of a dag plan of `Cbn._plan` that no event value slices
-    and no stand-in table fills, bar the leading count."""
-    operands, places, slots, _, _, fold = plan
-    per_call = {at for at, _ in slots}.union(places)
-    return sum(at not in per_call and at != fold[0] for at in range(0, len(operands), 2))
+def folded_cpds(plan) -> int:
+    """The CPDs in the fold of a dag plan of `Cbn._plan`: its owners' names
+    among the fold's terms."""
+    terms, _, _ = plan[-1]
+    return sum(isinstance(term, str) for term in terms[::2])
 
 
 class TestFold:
-    """Each network contracts a shape's event-free tables once, into one
-    factor that every call of the shape contracts with its per-call
-    operands: the tables an event value slices and the stand-ins."""
+    """Each network contracts a shape's CPDs once, into one factor that
+    every call of the shape slices at its event values and contracts with
+    its per-call operands: the stand-ins and the identity rows."""
 
     @staticmethod
     def queries(rng, cbn):
@@ -721,7 +720,7 @@ class TestFold:
 
     def test_folded_queries_match_enumeration(self):
         # per kind of query, the shapes it made with no, one and several
-        # event-free tables
+        # CPDs in the fold
         seen = {}
         for rng, cbn in self.networks():
             for name, run, expect in self.queries(rng, cbn):
@@ -731,15 +730,18 @@ class TestFold:
                 # warm, bit for bit the cold call's answer
                 assert np.asarray(run()).tobytes() == cold.tobytes()
                 for shape in cbn._plans.keys() - before:
-                    free = event_free_tables(cbn.dag._derived["joint"][(cbn._layout, shape)])
+                    free = folded_cpds(cbn.dag._derived["joint"][(cbn._layout, shape)])
                     seen[name, min(free, 2)] = seen.get((name, min(free, 2)), 0) + 1
-        assert {name for name, free in seen if free == 2} == {"marginal", "conditional", "interventional", "keep", "skip"}
-        assert min(sum(n for (_, free), n in seen.items() if free == k) for k in range(3)) >= 10, seen
+        # every kind folds two or more CPDs in some shape; a fold of one is
+        # common, and one of none (the count and ones alone) shows up
+        assert {name for name, free in seen if free == 2} == {"marginal", "full", "conditional", "interventional", "keep", "skip"}
+        shapes = [sum(n for (_, free), n in seen.items() if free == k) for k in range(3)]
+        assert shapes[0] >= 1 and min(shapes[1:]) >= 10, seen
 
     def test_a_call_contracts_no_more_than_the_unfolded_plan(self, monkeypatch):
-        # every cold call is two einsums: the first folds the event-free
-        # operands and the second is the per-call one, which takes that
-        # factor last; the unfolded plan is both, bar the factor
+        # every cold call is two einsums: the first folds the CPDs and the
+        # second is the per-call one, which takes that factor, sliced at
+        # the event values, last; the unfolded plan is both, bar the factor
         calls = einsum_calls(monkeypatch)
         cold = 0
         for rng, cbn in self.networks():
@@ -773,6 +775,43 @@ class TestFold:
                 # one einsum, the per-call one, with each kept factor as it was
                 assert len(calls) == 1, name
                 assert all(a is b for shape, held in plans.items() for a, b in zip(held, cbn._plans[shape][0]))
+
+    def test_no_cpd_is_a_per_call_operand(self):
+        # before the fold's place a plan holds stand-in slots and identity
+        # matrices only, each indexed by one event value; only the fold
+        # may have a second slot
+        for rng, cbn in self.networks():
+            for _, run, _ in self.queries(rng, cbn):
+                run()
+            for operands, places, slots, _, _, _ in cbn.dag._derived["joint"].values():
+                at = len(operands) - 2
+                axes = dict(slots)
+                assert operands[at] is None and len(axes) == len(slots) and set(axes) <= {*range(0, at, 2), at}
+                for i in range(0, at, 2):
+                    if i in places:
+                        assert operands[i] is None and i not in axes
+                    else:
+                        assert np.array_equal(operands[i], np.eye(len(operands[i]))) and len(axes[i]) == 1
+
+    def test_the_order_of_keep_leaves_the_bits(self):
+        # a call without stand-ins only slices its fold and lays it out, so
+        # every order of ``keep`` gives the first answer's bits, transposed
+        rng = np.random.default_rng(4002)
+        asked = 0
+        for _ in range(50):
+            size = int(rng.integers(5, 12))
+            cbn = random_cbn(rng, random_dag(rng, size, 0.5), 3 if size < 8 else 2)
+            nodes = cbn.dag.nodes
+            for _ in range(3):
+                keep = tuple(nodes[i] for i in rng.permutation(size)[: int(rng.integers(1, 5))])
+                skip = tuple(n for n in nodes if rng.random() < 0.4)
+                event = random_event(rng, cbn, int(rng.integers(0, 3)))
+                first = cbn.joint(event, skip, keep=keep)
+                for order in islice(permutations(range(len(keep))), 24):
+                    got = cbn.joint(event, skip, keep=[keep[i] for i in order])
+                    assert got.tobytes() == first.transpose(order).tobytes(), (cbn.dag, event, skip, keep, order)
+                    asked += 1
+        assert asked >= 1000
 
 
 class TestDeterministicFlag:

@@ -249,6 +249,16 @@ class TestVerify:
         code, out, err = run(["verify", gate, "--suite", "all", "--levels", "0"], capsys)
         assert (code, out, err) == (1, "", "error: bracket levels must be >= 1 or inf, got 0\n")
 
+    def test_a_negative_seed_is_refused_by_name(self, junction_file, gate, capsys):
+        # before the header, after the refusals of a file with cpds and of
+        # usm as the only suite
+        code, out, err = run(["verify", junction_file, "--suite", "lemma3", "--seed", "-1"], capsys)
+        assert (code, out, err) == (1, "", "error: --seed must be a non-negative integer, got -1\n")
+        code, out, err = run(["verify", gate, "--suite", "lemma3", "--seed", "-1"], capsys)
+        assert (code, out) == (1, "") and err.startswith("error: file has cpds;")
+        code, out, err = run(["verify", junction_file, "--suite", "usm", "--seed", "-1"], capsys)
+        assert (code, out) == (1, "") and err.startswith("error: --seed samples a parametrization, and the usm suite")
+
     def test_seed_refused_when_usm_is_the_only_suite(self, junction_file, capsys):
         # usm builds its own parametrization, so a seed would sample nothing
         code, out, err = run(["verify", junction_file, "--suite", "usm", "--seed", "3"], capsys)

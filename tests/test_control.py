@@ -714,18 +714,16 @@ def kept_plan(cbn, drivers, ip_class, desired, store="search"):
 
 def plan_and_base(cbn, drivers, ip_class, desired):
     """The `SearchPlan` of canonical live ``drivers`` on ``cbn`` and the
-    base tensor its scan starts from, in reduction order."""
+    base tensor its scan starts from, over ``plan.axes``, in scan order."""
     plan = control._search_plan(cbn.dag, cbn.card_tuple, drivers, ip_class, frozenset(desired))
     return plan, cbn.joint(desired, skip=drivers, keep=plan.axes)
 
 
 def laid_out(plan, base):
     """``base`` as the scan hands it to `control.table_chunks`, its free
-    drivers' axes first and flattened into one, with the nodes of its other
+    drivers' leading axes flattened into one, with the nodes of its other
     axes."""
-    moved = base.transpose(plan.layout)
-    rest = [plan.axes[i] for i in plan.layout[plan.free:]]
-    return moved.reshape(-1, *moved.shape[plan.free:]), rest
+    return base.reshape(-1, *base.shape[plan.free:]), list(plan.axes[plan.free:])
 
 
 def numbered(t, numbers):
@@ -736,8 +734,8 @@ def numbered(t, numbers):
 
 
 def kernel_chunks(cbn, plan, base):
-    """Each chunk of ``plan``'s kernel on ``cbn`` over ``base`` (in
-    reduction order) as ``(tensor, numbers)``."""
+    """Each chunk of ``plan``'s kernel on ``cbn`` over ``base`` (in scan
+    order) as ``(tensor, numbers)``."""
     laid, _ = laid_out(plan, base)
     steps, _ = control.plan_kernel(plan, cbn.cards)
     return [
@@ -762,14 +760,17 @@ def spy_chunks(monkeypatch):
     return calls
 
 
-def reference_segments(plan):
-    """The reduction's segments over ``plan.axes`` by the rule that reads
-    no driver off the base: a run of chance axes is one sum, and each
-    driver's axis is a segment of its own, a chain driver's reduced and an
-    enumerated driver's summed."""
+def reference_segments(plan, dag):
+    """The reduction's segments over ``plan.axes``, in scan order, by the
+    rule that reads no driver off the base: each driver's axis is a
+    segment of its own, a chain driver's reduced and an enumerated
+    driver's summed, the free ones first, and a run of chance axes is one
+    sum.  In reverse node order a free driver's axis lies among the chance
+    axes, so a run stays apart where that axis would part it."""
     chain = {kind for _, kind in plan.segments if kind}
     drivers = chain | {e for e, _, _ in plan.searched}
-    runs = groupby(plan.axes, lambda n: n if n in drivers else None)
+    free = [dag.index(e) for e in plan.axes[:plan.free]]
+    runs = groupby(plan.axes, lambda n: n if n in drivers else sum(i > dag.index(n) for i in free))
     return [(len(list(run)), key if key in chain else None) for key, run in runs]
 
 
@@ -811,7 +812,7 @@ class TestPolicyBatch:
             for name, cbn, drivers, ip_class in self.cases():
                 plan, base = plan_and_base(cbn, cbn.dag.canon(drivers), ip_class, {"o": 1})
                 plans[name], chunks[name], dags[name] = plan, kernel_chunks(cbn, plan, base), cbn.dag
-                free_axes = tuple(1 + i for i in plan.layout[:plan.free])
+                free_axes = tuple(range(1, 1 + plan.free))
                 numbers = np.concatenate([n for _, n in chunks[name]])
                 assert np.array_equal(np.sort(numbers), np.arange(plan.outer_total)), name
                 _, tail = control.plan_kernel(plan, cbn.cards)
@@ -851,7 +852,7 @@ def rebuilt_witness(cbn, plan, base, direction, number, ip_class=CLASS_INF):
         scope_cards = [cards[s] for s in scopes[e]]
         tables[e] = np.broadcast_to(digits[0].reshape(shape), scope_cards).reshape(-1)
     t = batch
-    for width, kind in reference_segments(plan):
+    for width, kind in reference_segments(plan, cbn.dag):
         if kind is None:
             t = t.sum(axis=tuple(range(1, 1 + width)))
         else:
@@ -872,7 +873,7 @@ def literal_scan(cbn, plan, base, direction):
     best = None
     for number in range(plan.outer_total):
         t, _ = reference_batch(cbn, base, plan.axes, plan.searched, np.array([number]))
-        for width, kind in reference_segments(plan):
+        for width, kind in reference_segments(plan, cbn.dag):
             t = t.sum(axis=tuple(range(1, 1 + width))) if kind is None else direction.pairwise.reduce(t, axis=1)
         if best is None or direction.beats(t[0], best[0]):
             best = (t[0], number)
@@ -1048,7 +1049,7 @@ class TestFreeDrivers:
             cbn = random_cbn(rng, dag, cards)
             for direction in BOTH:
                 plan, _ = self.check(cbn, ("e", "f", "c"), CLASS_INF, {"o": 1}, direction, naive=False)
-                assert plan.axes[:4] == ("f", "s2", "e", "s1") and plan.free == 1
+                assert plan.axes[:4] == ("e", "f", "s2", "s1") and plan.free == 1
                 assert plan.segments == ((1, None), (1, None), (1, None), (1, "c"), (3, None))
 
     def test_a_driver_in_a_chain_scope_is_not_free(self):

@@ -132,20 +132,22 @@ def test_a_network_holds_no_store_of_its_dag(structure):
         assert operands is not other
         # each network's places, slots, output and dims are the dag plan's
         # own objects, at the dag plan's positions; every plan folds: its
-        # event-free tables are each network's own read-only factor, made
-        # from its own tables, after the dag plan's per-call operands
+        # CPDs are each network's own read-only factor, made from its own
+        # tables, in the fold's place after the dag plan's per-call operands
         planned, places, slots, output, dims, fold = dag._derived["joint"][(first._layout, shape)]
         assert all(a is b for a, b in zip(rest, (places, slots, output, dims), strict=True))
-        split, labels, sizes = fold
+        terms, labels, sizes = fold
+        at = len(planned) - 2
+        assert set(planned[-1]) <= set(labels)
         for held in (operands, other):
-            assert len(held) == split + 2 and held[split + 1] is labels
-            assert held[split].shape == tuple(sizes) and not held[split].flags.writeable
-            assert all(held[at] is planned[at] for at in range(1, split, 2))
-        assert operands[split] is not other[split]
-        # an event-free CPD: its owner's name among the folded operands
-        if any(isinstance(op, str) for op in planned[split::2]):
+            assert len(held) == len(planned) and held[-1] is planned[-1]
+            assert held[at].shape == tuple(sizes) and not held[at].flags.writeable
+            assert all(held[i] is planned[i] for i in range(1, at, 2))
+        assert operands[at] is not other[at]
+        # a CPD: its owner's name among the fold's terms
+        if any(isinstance(term, str) for term in terms[::2]):
             folds += 1
-            assert not np.array_equal(operands[split], other[split])
+            assert not np.array_equal(operands[at], other[at])
     assert folds
 
 

@@ -23,8 +23,12 @@ A last line prints the median first call of `Cbn.marginal_prob`,
 `interventional_prob` and `optimal_values` on a fresh `Cbn` of each
 problem's tables, on its dag, which those warm calls have planned: the
 cost a network pays on its first call of a shape, when it folds that
-shape's event-free tables into its own factor.  Each is the best of
-``--repeat`` first calls, each on a network of its own.
+shape's tables into its own factor.  Each is the best of ``--repeat``
+first calls, each on a network of its own.
+
+A final line prints the median and the largest number of bytes of the
+arrays that a problem's network keeps in its plans (`Cbn._plans`, each
+array counted once) after those warm calls: the memory the folds cost.
 
     PYTHONPATH=src python tools/warm_calls.py --repeat 300 --rounds 3
 """
@@ -109,6 +113,12 @@ def first_us(call, cbn: Cbn, repeat: int) -> float:
     return best * 1e6
 
 
+def plan_bytes(cbn: Cbn) -> int:
+    """The bytes of the distinct arrays in ``cbn``'s plans."""
+    arrays = {id(op): op for operands, *_ in cbn._plans.values() for op in operands if isinstance(op, np.ndarray)}
+    return sum(array.nbytes for array in arrays.values())
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=300, help="calls per timed run (default 300)")
@@ -131,6 +141,9 @@ def main(argv=None) -> None:
                                       ("first call on a fresh network: ", first, FIRST, "")):
         print(head + ", ".join(f"{name}: median {medians[name]:.1f} us" for name in line)
               + f" over {over}{len(networks)} problems")
+    kept = [plan_bytes(cbn) for cbn in networks]
+    print(f"arrays kept in a network's plans: median {statistics.median(kept):.0f} bytes, "
+          f"largest {max(kept)} bytes over {len(networks)} problems")
 
 if __name__ == "__main__":
     main()
