@@ -581,7 +581,7 @@ class TestPlanCache:
 
 class TestContraction:
     """`Cbn.joint` contracts only the factors a query needs: barren nodes
-    are dropped and event values slice the tables they appear in."""
+    are dropped and event values slice the folded product."""
 
     @staticmethod
     def literal(cbn, event, skip, keep):
