@@ -68,30 +68,30 @@ On the chain path, everything `_scan_plan` decides before it asks for the
 base tensor depends only on the structure, the cards and the query's
 shape: the live drivers, the policy class and the nodes the desired event
 names.  It forms one `SearchPlan`, which the dag keeps per cards and
-shape, made on the first call of any network on it; the kernel's steps
-and factors (`plan_kernel`) are kept under the same key once a call has
-passed its work checks, so a refused call builds no factor.  The
-deterministic path plans nothing.  Every call checks its arguments and
+shape, made on the first call of any network on it.  The plan builds its
+kernel's steps and factors (`SearchPlan.kernel`) on the first scan, once
+a call has passed its work checks, so a refused call builds no factor.
+The deterministic path plans nothing.  Every call checks its arguments and
 its `Budget`, the work estimate included, before any tensor is built, and
 each check runs once: the base tensor comes from the contraction behind
 `Cbn.joint`, after the call's own `Cbn.check_joint`.
 
 The dag keeps what this module derives from the structure alone
-(`Dag.derived`), under names no other module uses: ``"search"``,
-``"kernel"`` and ``"first tables"`` above, a call's canonical and live
-drivers per drivers as given and event nodes (``"live"``), `c_star`'s
-drivers (``"c_star"``), one atomic policy per driver, value and card
-(``"atomic"``), which the 0/1 witness path, `solve`'s min-min
-shortcut and `oracle.verify_usm` share, and `usm_adversarial_cbn`'s
-networks (``"usm"``).  None depends on a CPD entry, a budget or an event
-value, so a warm call walks no graph: it pays for its checks, its
-contraction and its reductions.
+(`Dag.derived`), under names no other module uses: ``"search"`` and
+``"first tables"`` above, a call's canonical and live drivers per drivers
+as given and event nodes (``"live"``), `c_star`'s drivers (``"c_star"``),
+one atomic policy per driver, value and card (``"atomic"``), which the 0/1
+witness path, `solve`'s min-min shortcut and `oracle.verify_usm` share,
+and `usm_adversarial_cbn`'s networks (``"usm"``).  None depends on a CPD
+entry, a budget or an event value, so a warm call walks no graph: it pays
+for its checks, its contraction and its reductions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import groupby, product, takewhile
 from math import prod
 
@@ -507,10 +507,9 @@ def optimal_policy_value(
     choice order wins, whatever order the scan's chunks come in, so
     repeated runs return the identical witness.
     """
-    drivers = tuple(drivers)
-    values, choices = _scan_plan(cbn, drivers, ip_class, desired, (direction,), budget, witness=True)
+    scan = _scan_plan(cbn, drivers, ip_class, desired, (direction,), budget, witness=True)
+    (value,), choices, driver_list = scan
     dag, cards = cbn.dag, cbn.cards
-    driver_list = _driver_lists(dag, drivers, frozenset(desired))[0]
     # the one witness rule: on a 0/1 network, the atomic policy on the
     # chosen value, or on 0 for a dead driver; otherwise the driver's first
     # table, filled with a live driver's choices.  The level and the driver
@@ -527,7 +526,7 @@ def optimal_policy_value(
                 lambda: _first_table(cards, d, scope_for_class(dag, d, ip_class)),
             )
             policies.append(InterventionPolicy(table.with_choices(choices[d]) if d in choices else table))
-    return values[0], InterventionPair(policies)
+    return value, InterventionPair(policies)
 
 
 def optimal_values(
@@ -552,27 +551,26 @@ class SearchPlan:
     entry, so the dag keeps one per cards and shape (`Dag.derived`), which
     every network on it shares.
 
-    ``axes`` are the base tensor's nodes in scan order, as `Cbn.joint` is
-    asked for them: the free drivers' axes, in canonical order, then the
-    others in reduction order.
-    ``searched`` lists ``(driver, searched scope, read-only one-hot rows)``
-    per enumerated driver, in canonical order; its first ``free`` drivers
-    are free, read off the base without a factor, and the rest are
-    factored.  ``segments`` are
-    the reduction's runs over the others: ``(width, None)`` sums, and
-    ``(width, driver)`` reduces a chain driver; the runs on either side of a
-    free driver's axis stay apart, so each adds as it would with that axis
-    summed between them.  ``outer_total`` counts the table combinations,
-    free ones included, and ``radices`` are a combination number's digits,
-    one per enumerated driver's searched scope cell.  ``gathers`` maps each
-    driver, enumerated drivers first, then the chain, to the read-only
-    `_gather` index that takes its row to its class scope's row-major
-    order: an enumerated driver's digits are laid out over its searched
-    scope, a chain driver's choices over the axes left when it is reduced.
-    The kernel's steps are not part of the plan: `plan_kernel` makes them
-    once a call has passed its work checks.
+    ``cards`` are the cards it was planned for, by node, and ``axes`` the
+    base tensor's nodes in scan order, as `Cbn.joint` is asked for them: the
+    free drivers' axes, in canonical order, then the others in reduction
+    order.  ``searched`` lists, per enumerated driver in canonical order,
+    ``(driver, searched scope, read-only one-hot rows)``; its first ``free``
+    drivers are free, read off the base without a factor, and the rest are
+    factored.  ``segments`` are the reduction's runs over the others:
+    ``(width, None)`` sums, and ``(width, driver)`` reduces a chain driver;
+    the runs on either side of a free driver's axis stay apart, so each adds
+    as it would with that axis summed between them.  ``outer_total`` counts
+    the table combinations, free ones included, and ``radices`` are a
+    combination number's digits, one per enumerated driver's searched scope
+    cell.  ``gathers`` maps each driver, enumerated drivers first, then the
+    chain, to the read-only `_gather` index that takes its row to its class
+    scope's row-major order: an enumerated driver's digits are laid out over
+    its searched scope, a chain driver's choices over the axes left when it
+    is reduced.  The plan builds its kernel (`kernel`) on the first scan.
     """
 
+    cards: dict[str, int]
     axes: tuple[str, ...]
     free: int
     searched: tuple[tuple[str, tuple[str, ...], np.ndarray], ...]
@@ -580,6 +578,13 @@ class SearchPlan:
     outer_total: int
     gathers: dict[str, np.ndarray]
     radices: tuple[int, ...]
+
+    @cached_property
+    def kernel(self) -> tuple[tuple, tuple]:
+        """`kernel_steps` for this plan's scan, built on first read, which
+        `_scan_plan` makes only once a call has passed its work checks."""
+        lead = prod(self.cards[e] for e, _, _ in self.searched[:self.free])
+        return kernel_steps(self.cards, self.axes[self.free:], self.segments, self.searched[self.free:], lead)
 
 
 def _gather(cards, scope, layout) -> np.ndarray:
@@ -655,23 +660,15 @@ def _search_plan(
         segments.append((width, key if key in chain else None))
     searched = tuple((e, searched_scopes[e], _read_only(np.eye(cards[e]))) for e in enumerated)
     radices = tuple(cards[e] for e in enumerated for _ in range(prod(cards[s] for s in searched_scopes[e])))
-    return SearchPlan(free + rest, len(free), searched, tuple(segments), outer_total, gathers, radices)
-
-
-def plan_kernel(plan: SearchPlan, cards: dict[str, int]) -> tuple[tuple, tuple]:
-    """The steps of `table_chunks` for ``plan``'s scan, whose factors
-    take up to `CHUNK_ELEMENTS` entries each, and the segments they leave,
-    from the first chain driver on (`kernel_steps`)."""
-    lead = prod(cards[e] for e, _, _ in plan.searched[:plan.free])
-    return kernel_steps(cards, plan.axes[plan.free:], plan.segments, plan.searched[plan.free:], lead)
+    return SearchPlan(cards, free + rest, len(free), searched, tuple(segments), outer_total, gathers, radices)
 
 
 def _scan_plan(cbn: Cbn, drivers, ip_class: IpClass, desired, directions, budget, *, witness: bool):
     # The checks, the work check, the base tensor and the scan, on the chain
     # path from the live drivers' `SearchPlan`.  Returns the value per
-    # direction, then, given ``witness`` and one direction, each live
-    # driver's winning choice: on the 0/1 path one value, on the chain path
-    # one value per configuration of its class scope, in row-major order.
+    # direction, each live driver's winning choice given ``witness`` and one
+    # direction (on the 0/1 path one value, on the chain path one per class
+    # scope configuration, in row-major order) and the canonical drivers.
     budget = budget or DEFAULT_BUDGET
     dag = cbn.dag
     directions = checked_directions(directions, ip_class, desired)
@@ -681,7 +678,7 @@ def _scan_plan(cbn: Cbn, drivers, ip_class: IpClass, desired, directions, budget
     # refusal above keeps its text and order.  Every table of a dead driver
     # ties with its first, which the scan's tie-break would keep.
     cards, given = cbn.card_tuple, frozenset(desired)
-    live = _driver_lists(dag, tuple(drivers), given)[1]
+    canonical, live = _driver_lists(dag, tuple(drivers), given)
 
     if not live or cbn.deterministic:
         # A fully deterministic network realizes one world per forced choice
@@ -695,19 +692,18 @@ def _scan_plan(cbn: Cbn, drivers, ip_class: IpClass, desired, directions, budget
         values = base.reshape(-1)
         bests = [int(direction.arg(values)) for direction in directions]
         chosen = np.unravel_index(bests[0], base.shape) if witness else ()
-        return [_clamp(float(values[best])) for best in bests], dict(zip(live, map(int, chosen)))
+        return [_clamp(float(values[best])) for best in bests], dict(zip(live, map(int, chosen))), canonical
 
-    key = cards, live, ip_class.level, given
-    plan = dag.derived("search", key, lambda: _search_plan(dag, cards, live, ip_class, given))
+    plan = dag.derived("search", (cards, live, ip_class.level, given),
+                       lambda: _search_plan(dag, cards, live, ip_class, given))
     budget.check_work(plan.outer_total * cbn.state_space_size())
     if plan.outer_total > _INDEX_LIMIT:
         raise BudgetExceededError(
             f"a scan over {plan.outer_total} table combinations exceeds the {_INDEX_LIMIT} "
             "that a numpy index can number", plan.outer_total, _INDEX_LIMIT
         )
-    # the kernel's factors only once both checks passed: a refused call
-    # builds none
-    steps, tail = dag.derived("kernel", key, lambda: plan_kernel(plan, cbn.cards))
+    # the kernel's factors only now, once both checks passed
+    steps, tail = plan.kernel
     # the free drivers' axes flattened into one, one entry per combination
     # of their values
     base = cbn._contract(desired, live, plan.axes)
@@ -715,7 +711,7 @@ def _scan_plan(cbn: Cbn, drivers, ip_class: IpClass, desired, directions, budget
 
     chunks = table_chunks(base, steps, plan.outer_total // len(base), numbered=witness)
     if not witness:
-        return [_clamp(float(value)) for value in chunk_optima(chunks, tail, directions)], {}
+        return [_clamp(float(value)) for value in chunk_optima(chunks, tail, directions)], {}, canonical
 
     # Each chunk of `table_chunks` is reduced once.  Its candidate, its
     # smallest number at its optimum, replaces the incumbent on a strict
@@ -738,13 +734,13 @@ def _scan_plan(cbn: Cbn, drivers, ip_class: IpClass, desired, directions, budget
     # the enumerated drivers' digits, free drivers first, then the chain
     # drivers' choices
     value, number, chain_rows = best
-    digits, rows, node_cards = np.unravel_index(number, plan.radices), [], cbn.cards
+    digits, rows = np.unravel_index(number, plan.radices), []
     for _, scope, _ in plan.searched:
-        cells = prod(node_cards[s] for s in scope)
+        cells = prod(plan.cards[s] for s in scope)
         rows.append(np.array(digits[:cells], dtype=np.intp))
         digits = digits[cells:]
     choices = {d: row[gather] for (d, gather), row in zip(plan.gathers.items(), rows + chain_rows)}
-    return [_clamp(float(value))], choices
+    return [_clamp(float(value))], choices, canonical
 
 
 def reduce_chain(t: np.ndarray, tail, direction: Direction, picks: list | None) -> np.ndarray:

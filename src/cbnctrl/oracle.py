@@ -184,7 +184,7 @@ def _subset_optima(cbn, intervenable, ip_class, desired, directions, budget, kno
 
 def _grid_denominator(step: float) -> int:
     """The number of grid steps in 1; refused unless ``step`` divides 1."""
-    denom = round(1.0 / step) if step > 0 else 0
+    denom = round(1.0 / step) if step > 0 and 1.0 / step < INF else 0
     if denom < 1 or abs(denom * step - 1.0) > 1e-12:
         raise ValueError(f"step {step} does not divide 1")
     return denom
@@ -379,8 +379,8 @@ def _checked_drivers(dag: Dag, intervenable, targets, desired) -> tuple[str, ...
 
 def bracket_classes(levels: Iterable[int | float]) -> list[IpClass]:
     """``levels`` read as `IpClass` levels, once there is at least one, each
-    is one that `IpClass` takes and none is 0: `verify_lemma3`'s level
-    check, which the CLI also runs before it prints anything."""
+    is one that `IpClass` takes, none is 0 and none is repeated: the level
+    check of `verify_lemma3`, which the CLI runs before it prints anything."""
     classes = []
     for level in levels:
         try:
@@ -389,6 +389,8 @@ def bracket_classes(levels: Iterable[int | float]) -> list[IpClass]:
             cls = None
         if cls is None or cls.level == 0:
             raise ValueError(f"bracket levels must be >= 1 or inf, got {level!r}")
+        if cls in classes:
+            raise ValueError(f"bracket level {cls.level} is given twice")
         classes.append(cls)
     if not classes:
         raise ValueError("bracket levels must name at least one level")

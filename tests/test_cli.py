@@ -236,6 +236,12 @@ class TestVerify:
         assert (code, out) == (1, "")
         assert err == "error: bracket levels must be >= 1 or inf, got 0\n"
 
+    @pytest.mark.parametrize("levels, named", [("1,1", "1"), ("inf,2,infinity", "inf")])
+    def test_a_repeated_level_is_refused_by_name(self, gate, capsys, levels, named):
+        # before the header; checked twice, each bracket would count twice
+        code, out, err = run(["verify", gate, "--suite", "lemma3", "--levels", levels], capsys)
+        assert (code, out, err) == (1, "", f"error: bracket level {named} is given twice\n")
+
     @pytest.mark.parametrize("suite, levels", [("sufficiency", "0"), ("usm", "x"), ("extremality", "1,2,inf")])
     def test_levels_refused_unless_lemma3_runs(self, gate, capsys, suite, levels):
         # no other suite reads them, so they are refused before the header,

@@ -703,13 +703,12 @@ def reference_batch(cbn, base, axes, searched, flat):
     return batch, picks
 
 
-def kept_plan(cbn, drivers, ip_class, desired, store="search"):
+def kept_plan(cbn, drivers, ip_class, desired):
     """The `SearchPlan` that ``cbn``'s dag keeps for its cards and the
-    shape of a chain-path call on canonical live ``drivers``, or with
-    ``store="kernel"`` the kernel's steps and tail (`control.plan_kernel`);
-    a shape with nothing kept fails the test."""
+    shape of a chain-path call on canonical live ``drivers``; a shape with
+    no plan kept fails the test."""
     key = cbn.card_tuple, drivers, ip_class.level, frozenset(desired)
-    return cbn.dag.derived(store, key, lambda: pytest.fail(f"no {store} kept under {key}"))
+    return cbn.dag.derived("search", key, lambda: pytest.fail(f"no plan kept under {key}"))
 
 
 def plan_and_base(cbn, drivers, ip_class, desired):
@@ -737,7 +736,7 @@ def kernel_chunks(cbn, plan, base):
     """Each chunk of ``plan``'s kernel on ``cbn`` over ``base`` (in scan
     order) as ``(tensor, numbers)``."""
     laid, _ = laid_out(plan, base)
-    steps, _ = control.plan_kernel(plan, cbn.cards)
+    steps, _ = plan.kernel
     return [
         (t, numbered(t, numbers))
         for t, numbers in control.table_chunks(laid, steps, plan.outer_total // len(laid))
@@ -815,7 +814,7 @@ class TestPolicyBatch:
                 free_axes = tuple(range(1, 1 + plan.free))
                 numbers = np.concatenate([n for _, n in chunks[name]])
                 assert np.array_equal(np.sort(numbers), np.arange(plan.outer_total)), name
-                _, tail = control.plan_kernel(plan, cbn.cards)
+                _, tail = plan.kernel
                 for t, flat in chunks[name]:
                     expect, _ = reference_batch(cbn, base, plan.axes, plan.searched, flat)
                     expect = expect.sum(axis=free_axes)
@@ -1408,8 +1407,8 @@ class TestSearchPlan:
         # past_index_range's 2^64 tables are refused by the default work
         # estimate and, under a budget that admits it, by the index count:
         # either refusal comes after the plan, and before any factor is
-        # built, so the dag keeps the plan but no kernel, and the warm shape
-        # refuses again as a cold one
+        # built, so the dag keeps the plan but the plan has built no kernel,
+        # and the warm shape refuses again as a cold one
         steps = spy_on(monkeypatch, "kernel_steps")
         cbn = past_index_range(np.random.default_rng(64))
         drivers, desired = ("d1", "d2"), {"o": 1}
@@ -1419,13 +1418,14 @@ class TestSearchPlan:
             for _ in range(2):
                 with pytest.raises(BudgetExceededError, match=f"^{re.escape(str(cold.value))}$"):
                     optimal_values(cbn, drivers, CLASS_INF, desired, BOTH, budget)
-        assert kept_plan(cbn, drivers, CLASS_INF, desired).outer_total == 2 ** 64
-        assert steps == [] and not cbn.dag._derived.get("kernel")
+        plan = kept_plan(cbn, drivers, CLASS_INF, desired)
+        assert plan.outer_total == 2 ** 64
+        assert steps == [] and "kernel" not in vars(plan)
         # a scan that passes its checks builds its kernel once, and keeps it
         cbn, drivers = plan_networks()[0]
         for _ in range(2):
             optimal_values(cbn, drivers, CLASS_INF, desired, BOTH)
-        assert len(steps) == 1 and kept_plan(cbn, drivers, CLASS_INF, desired, "kernel")[0]
+        assert len(steps) == 1 and vars(kept_plan(cbn, drivers, CLASS_INF, desired))["kernel"][0]
 
     def test_chain_split_and_requisite_cut_run_once_per_shape(self, monkeypatch):
         splits = spy_on(monkeypatch, "_pick_chain")

@@ -267,7 +267,8 @@ class TestSimplexGrid:
         assert len(rows) == 1365 and len(set(rows)) == 1365
 
     def test_step_must_divide_one(self):
-        for step in (0.3, -0.25, 2.0, 0, 0.0):
+        # 1e-309's reciprocal overflows a float
+        for step in (0.3, -0.25, 2.0, 0, 0.0, 1e-309):
             with pytest.raises(ValueError, match=re.escape(f"step {step} does not divide 1")):
                 simplex_grid_rows(2, step)
             with pytest.raises(ValueError, match=re.escape(f"step {step} does not divide 1")):
@@ -574,6 +575,17 @@ class TestSuites:
                 verify_lemma3(cbn, ("y1",), {"o": 1}, levels, budget)
         with pytest.raises(ValueError, match="at least one level"):
             bracket_classes(())
+
+    def test_lemma3_refuses_a_repeated_level_by_name_before_any_work(self):
+        # a level given twice would check and count each bracket twice;
+        # equal spellings are one level
+        cbn = screening_chain()
+        budget = Budget(max_state_space=1)
+        for levels, named in (((1, 1), 1), ((2, 3, 2.0), 2), ((INF, 1, float("inf")), "inf")):
+            with pytest.raises(ValueError, match=rf"^bracket level {named} is given twice$"):
+                verify_lemma3(cbn, ("y1",), {"o": 1}, levels, budget)
+            with pytest.raises(ValueError, match=rf"^bracket level {named} is given twice$"):
+                bracket_classes(iter(levels))
 
     def test_lemma3_accepts_custom_levels(self):
         cbn = screening_chain()

@@ -55,7 +55,7 @@ from cbnctrl.netfile import parse
 from cbnctrl.oracle import enumerate_prob
 
 import test_cbn
-from test_control import dead_fan, deterministic_copy, fan_dag, fresh, spy_on
+from test_control import confounded_fan, dead_fan, deterministic_copy, fan_dag, fresh, spy_on
 from test_requisite import nest
 
 BOTH = (Direction.MAX, Direction.MIN)
@@ -455,6 +455,29 @@ def test_pair_shapes_answer_and_refuse_as_on_a_fresh_dag():
     assert_warm_as_cold(cbn, "pairs", calls + calls)
     shapes = [key[1] for name, key in kept(dag) if name == "pairs"]
     assert sorted(len(shape) for shape in shapes) == [0, 1, 1, 2, 2]
+
+
+def test_a_warm_optimizer_call_reads_each_derived_value_once(monkeypatch):
+    # on a warm chain-path shape, a call reads its drivers and its plan,
+    # which builds its own kernel, and a witness one first table per
+    # driver: no store is read twice, and no other store at all
+    dag, drivers, card = confounded_fan(3, 2)
+    cbn = random_cbn(np.random.default_rng(41), dag, dict.fromkeys(dag.nodes, card))
+    desired = {"o": 1}
+    optimal_policy_value(cbn, drivers, CLASS_INF, desired, Direction.MAX)
+    reads = []
+    real = Dag.derived
+
+    def recording(self, name, key, make):
+        reads.append(name)
+        return real(self, name, key, make)
+
+    monkeypatch.setattr(Dag, "derived", recording)
+    optimal_values(cbn, drivers, CLASS_INF, desired, BOTH)
+    assert sorted(reads) == ["live", "search"]
+    reads.clear()
+    optimal_policy_value(cbn, drivers, CLASS_INF, desired, Direction.MIN)
+    assert sorted(reads) == ["first tables"] * len(drivers) + ["live", "search"]
 
 
 def test_the_readme_names_every_store_a_dag_holds(fixtures_dir):

@@ -6,6 +6,9 @@ intervenable set, targets and desired values.  Per problem, after one
 call that plans everything, it times
 
 - `optimal_values` in both directions at class inf on `c_star`'s drivers;
+- `optimal_policy_value`, the value and its witness pair, in direction
+  MAX at class inf on `c_star`'s drivers, on the problems that the default
+  budget answers;
 - `interventional_prob` of the desired event under the pair that forces
   each of those drivers to value 1;
 - `Cbn.marginal_prob` of the desired event, and `Cbn.conditional_prob` of
@@ -16,8 +19,9 @@ call that plans everything, it times
 
 each as the best of ``--rounds`` runs of ``--repeat`` calls, and prints
 the median over the problems in microseconds per call: one line for the
-optimizer, one for `interventional_prob`, one for the two queries and one
-for the grid, with the count of problems it answers.
+optimizer's values, one for its witness path, one for
+`interventional_prob`, one for the two queries and one for the grid.  The
+witness and grid lines give the count of problems their calls answer.
 
 A last line prints the median first call of `Cbn.marginal_prob`,
 `interventional_prob` and `optimal_values` on a fresh `Cbn` of each
@@ -48,9 +52,11 @@ from cbnctrl import (
     BudgetExceededError,
     Cbn,
     ControlProblem,
+    Direction,
     InterventionPair,
     c_star,
     interventional_prob,
+    optimal_policy_value,
     optimal_values,
 )
 from cbnctrl.control import atomic_policy_on
@@ -59,14 +65,23 @@ from cbnctrl.oracle import BOTH, grid_policy_values, random_problem
 SEEDS = range(25)
 NODES = 8
 #: the timed calls, in the order `calls` gives them per problem
-NAMES = ("optimal_values", "interventional_prob", "marginal_prob", "conditional_prob", "grid_policy_values")
+NAMES = (
+    "optimal_values", "optimal_policy_value", "interventional_prob", "marginal_prob", "conditional_prob",
+    "grid_policy_values",
+)
+#: the timed calls that the default budget may refuse, each timed over the
+#: problems it answers
+REFUSABLE = ("optimal_policy_value", "grid_policy_values")
+#: the timed calls per printed line
+LINES = (NAMES[:1], NAMES[1:2], NAMES[2:3], NAMES[3:5], NAMES[5:])
 #: the calls timed first on a fresh network, in the order of their line
 FIRST = ("marginal_prob", "interventional_prob", "optimal_values")
 
 
 def calls() -> list[tuple]:
-    """Per problem, its network and the optimizer call, the three queries
-    and the grid, each a function of a network of the problem's layout."""
+    """Per problem, its network and the two optimizer calls, the three
+    queries and the grid, each a function of a network of the problem's
+    layout."""
     out = []
     for seed in SEEDS:
         cbn, intervenable, targets, desired = random_problem(np.random.default_rng(seed), NODES)
@@ -76,6 +91,9 @@ def calls() -> list[tuple]:
         given = {next(n for n in cbn.dag.nodes if n not in desired): 1}
         out.append((cbn, (
             lambda net, drivers=drivers, desired=desired: optimal_values(net, drivers, CLASS_INF, desired, BOTH),
+            lambda net, drivers=drivers, desired=desired: optimal_policy_value(
+                net, drivers, CLASS_INF, desired, Direction.MAX
+            ),
             lambda net, pair=pair, desired=desired: interventional_prob(net, pair, desired),
             lambda net, desired=desired: net.marginal_prob(desired),
             lambda net, desired=desired, given=given: net.conditional_prob(desired, given),
@@ -127,20 +145,19 @@ def main(argv=None) -> None:
     if args.repeat < 1 or args.rounds < 1:
         parser.error("--repeat and --rounds must be at least 1")
     networks, columns = zip(*calls())
-    warm, first = {}, {}
+    warm, first, over = {}, {}, {}
     for name, column in zip(NAMES, zip(*columns)):
         timed = [partial(call, cbn) for cbn, call in zip(networks, column)]
-        if name == "grid_policy_values":
+        if name in REFUSABLE:
             timed = [call for call in timed if answers(call)]
-            answered = f"{len(timed)} of "
+            over[name] = f"{len(timed)} of "
         warm[name] = statistics.median(warm_us(call, args.repeat, args.rounds) for call in timed)
         if name in FIRST:
             first[name] = statistics.median(first_us(call, cbn, args.repeat) for cbn, call in zip(networks, column))
-    for head, medians, line, over in (("", warm, NAMES[:1], ""), ("", warm, NAMES[1:2], ""),
-                                      ("", warm, NAMES[2:4], ""), ("", warm, NAMES[4:], answered),
-                                      ("first call on a fresh network: ", first, FIRST, "")):
+    printed = [("", warm, line) for line in LINES] + [("first call on a fresh network: ", first, FIRST)]
+    for head, medians, line in printed:
         print(head + ", ".join(f"{name}: median {medians[name]:.1f} us" for name in line)
-              + f" over {over}{len(networks)} problems")
+              + f" over {over.get(line[0], '')}{len(networks)} problems")
     kept = [plan_bytes(cbn) for cbn in networks]
     print(f"arrays kept in a network's plans: median {statistics.median(kept):.0f} bytes, "
           f"largest {max(kept)} bytes over {len(networks)} problems")
