@@ -407,14 +407,15 @@ def verify_lemma3(
     """The un-intervened probability sits inside [best-min, best-max] for
     every intervened subset, at every requested class level >= 1.
 
-    Levels are read as `IpClass` levels (``2.0`` is 2).  Level 0 is refused:
-    an unconditional policy cannot reproduce the table it replaces, so the
-    bracket can genuinely fail there.  Both ends of a bracket come from one
-    values-only optimizer call on the subset's live drivers (`live_drivers`),
-    the only ones the optimizer searches, and every subset and level that
-    gives the same live drivers the same scopes shares it.  Which call each
-    bracket reads depends on the structure alone, so the dag keeps that
-    schedule (`_bracket_schedule`).
+    Levels are read as `IpClass` levels (``2.0`` is 2), and a level given
+    twice is refused.  Level 0 is refused: an unconditional policy cannot
+    reproduce the table it replaces, so the bracket can genuinely fail
+    there.  Both ends of a bracket come from one values-only optimizer call
+    on the subset's live drivers (`live_drivers`), the only ones the
+    optimizer searches, and every subset and level that gives the same live
+    drivers the same scopes shares it.  Which call each bracket reads
+    depends on the structure alone, so the dag keeps that schedule
+    (`_bracket_schedule`).
     """
     budget = budget or DEFAULT_BUDGET
     classes = bracket_classes(levels)
